@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .conformal3 import inverse_position3, scale_of, transform_faraday3
+from .conformal3 import PreparedTransform3, scale_of
 from .errors import ConformalDomainError, OriginSingularityError
 from .fields import (
     Coulomb,
@@ -72,9 +73,12 @@ def _vec(text: str, n: int) -> tuple[float, ...]:
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"expected {n} comma-separated numbers")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected {n} finite numbers")
+    return values
 
 
 def _vec3(text: str) -> tuple[float, ...]:
@@ -101,6 +105,8 @@ def _grid_flag(text: str) -> dict:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"axis {name}: {exc}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise argparse.ArgumentTypeError(f"axis {name}: min and max must be finite")
         grid[name] = {"min": lo, "max": hi, "count": count}
     return grid
 
@@ -122,9 +128,22 @@ def _require_numbers(seq, n: int, what: str) -> tuple[float, ...]:
     if not isinstance(seq, (list, tuple)) or len(seq) != n:
         raise JobError(f"{what} must be a list of {n} numbers")
     try:
-        return tuple(float(v) for v in seq)
+        values = tuple(float(v) for v in seq)
     except (TypeError, ValueError):
         raise JobError(f"{what} must be a list of {n} numbers") from None
+    if not all(map(math.isfinite, values)):
+        raise JobError(f"{what} must be a list of {n} finite numbers")
+    return values
+
+
+def _require_number(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise JobError(f"{what} must be a number") from None
+    if not math.isfinite(x):
+        raise JobError(f"{what} must be a finite number")
+    return x
 
 
 def build_field(spec: dict) -> FieldSpec:
@@ -141,10 +160,10 @@ def build_field(spec: dict) -> FieldSpec:
             return PlaneWave(
                 E0=_require_numbers(spec["E0"], 3, "E0"),
                 khat=_require_numbers(spec["khat"], 3, "khat"),
-                phase=float(spec.get("phase", 0.0)),
+                phase=_require_number(spec.get("phase", 0.0), "phase"),
             )
         if kind == "coulomb":
-            return Coulomb(q=float(spec.get("q", 1.0)))
+            return Coulomb(q=_require_number(spec.get("q", 1.0), "q"))
     except JobError:
         raise
     except (TypeError, ValueError) as exc:
@@ -156,7 +175,7 @@ def build_xform(spec: dict) -> ConformalParams:
     kind = spec.get("kind")
     try:
         if kind == "dilation":
-            return Dilation(factor=float(spec.get("factor", 1.0)))
+            return Dilation(factor=_require_number(spec.get("factor", 1.0), "factor"))
         if kind == "translation":
             if "offset" not in spec:
                 raise JobError("translation needs an offset")
@@ -249,8 +268,10 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
             lo = float(axis["min"])
             hi = float(axis["max"])
             count = int(axis["count"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise JobError(f"grid axis {name} needs numeric min, max, count") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise JobError(f"grid axis {name}: min and max must be finite")
         if count < 1:
             raise JobError(f"grid axis {name}: count must be at least 1")
         if lo > hi:
@@ -264,7 +285,7 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
 
 def _event_row(
     field: FieldSpec,
-    params: ConformalParams,
+    xform: PreparedTransform3,
     frame: CoordinateFrame,
     coords: tuple[float, float, float, float],
 ) -> dict:
@@ -272,13 +293,13 @@ def _event_row(
     try:
         grid_pv = Paravector3.from_event(coords[0], coords[1:])
         if frame is CoordinateFrame.TRANSFORMED:
-            src_pv = inverse_position3(params, grid_pv)
+            src_pv = xform.inverse_position(grid_pv)
             src = FourVector(src_pv.s.real, *src_pv.v.real)
         else:
             src = FourVector(*coords)
         F_in = eval_field(field, src)
-        F_out = transform_faraday3(params, F_in, grid_pv, frame)
-        scale = scale_of(params, grid_pv, frame)
+        F_out = xform.faraday(F_in, grid_pv, frame)
+        scale = scale_of(xform.params, grid_pv, frame)
     except (ConformalDomainError, OriginSingularityError):
         row.update({key: None for key in _FIELD_KEYS})
         row["scale"] = None
@@ -347,8 +368,9 @@ def cmd_transform(args) -> int:
         raise JobError(f"unknown format: {fmt!r}")
     out = args.out or job.get("out")
 
+    xform = PreparedTransform3(params)
     rows = [
-        _event_row(field, params, frame, coords)
+        _event_row(field, xform, frame, coords)
         for coords in itertools.product(*(axes[a] for a in _AXES))
     ]
     text = _rows_to_csv(rows) if fmt == "csv" else _rows_to_json(rows)

@@ -331,6 +331,37 @@ _PARITY_WRAP = {
 }
 
 
+def _lorentz_rotors(
+    params: Lorentz, exp_tol: float
+) -> tuple[Multivector13, Multivector13]:
+    gen = lorentz_generator(params.boost, params.rotation)
+    return exp_bivector(gen, exp_tol), exp_bivector(-1.0 * gen, exp_tol)
+
+
+def _lorentz_sandwich(
+    kind: QuantityKind,
+    value,
+    L: Multivector13,
+    Li: Multivector13,
+    cls: LorentzClass,
+    grade_tol: float = GRADE_TOL,
+):
+    """The class-adjusted sandwich of lorentz_apply by the rotor pair L, Li."""
+    q = value.to_mv()
+    out = vector_sandwich(L, q, Li)
+    if _PARITY_WRAP[cls]:
+        e0 = Multivector13.basis_vector(0)
+        out = vector_sandwich(e0, out, e0)
+    if _SIGN_FLIP[cls] and kind in (
+        QuantityKind.POSITION,
+        QuantityKind.FARADAY,
+    ):
+        out = -out
+    if kind is QuantityKind.FARADAY:
+        return Faraday13.from_mv(out, grade_tol)
+    return FourVector.from_mv(out, grade_tol)
+
+
 def lorentz_apply(
     kind: QuantityKind,
     value,
@@ -344,30 +375,18 @@ def lorentz_apply(
     antichronous classes flip the overall sign of position and field but not
     of potential or current.
     """
-    gen = lorentz_generator(params.boost, params.rotation)
-    L = exp_bivector(gen, exp_tol)
-    Li = exp_bivector(-1.0 * gen, exp_tol)
-    q = value.to_mv()
-    out = vector_sandwich(L, q, Li)
-    if _PARITY_WRAP[params.lorentz_class]:
-        e0 = Multivector13.basis_vector(0)
-        out = vector_sandwich(e0, out, e0)
-    if _SIGN_FLIP[params.lorentz_class] and kind in (
-        QuantityKind.POSITION,
-        QuantityKind.FARADAY,
-    ):
-        out = -out
-    if kind is QuantityKind.FARADAY:
-        return Faraday13.from_mv(out, grade_tol)
-    return FourVector.from_mv(out, grade_tol)
+    L, Li = _lorentz_rotors(params, exp_tol)
+    return _lorentz_sandwich(kind, value, L, Li, params.lorentz_class, grade_tol)
 
 
 def induced_matrix(params: Lorentz, exp_tol: float = 1e-14) -> np.ndarray:
     """4x4 coordinate matrix of the position action, columns by basis image."""
+    L, Li = _lorentz_rotors(params, exp_tol)
     cols = []
     for k in range(4):
         basis = FourVector.from_array(np.eye(4)[k])
-        cols.append(
-            lorentz_apply(QuantityKind.POSITION, basis, params, exp_tol).as_array()
+        out = _lorentz_sandwich(
+            QuantityKind.POSITION, basis, L, Li, params.lorentz_class
         )
+        cols.append(out.as_array())
     return np.array(cols).T

@@ -34,6 +34,7 @@ from .errors import LightConeError, NonPositiveScaleError, SctConeError
 
 LIGHTCONE_TOL = 1e-9
 RESIDUE_TOL = 1e-10
+EXP_TOL = 1e-14
 
 _ORIG = CoordinateFrame.ORIGINAL
 
@@ -89,9 +90,14 @@ def _sct_factor_from_image(x_new: Paravector3, a: Paravector3, tol: float) -> fl
 # -- inversion ----------------------------------------------------------------
 
 
+def _check_eps(eps: int) -> None:
+    Inversion(eps)  # the parameter class owns the +1/-1 check
+
+
 def invert3_position(
     x: Paravector3, eps: int = 1, tol: float = LIGHTCONE_TOL
 ) -> Paravector3:
+    _check_eps(eps)
     w = _interval_guarded(x, tol)
     return (eps / w) * x
 
@@ -104,6 +110,7 @@ def invert3_potential(
     tol: float = LIGHTCONE_TOL,
     res_tol: float = RESIDUE_TOL,
 ) -> Paravector3:
+    _check_eps(eps)
     w = _interval_guarded(x, tol)
     raw = cl3_product(cl3_product(x, A.bar()), x)
     if frame is _ORIG:
@@ -120,6 +127,7 @@ def invert3_current(
     tol: float = LIGHTCONE_TOL,
     res_tol: float = RESIDUE_TOL,
 ) -> Paravector3:
+    _check_eps(eps)
     w = _interval_guarded(x, tol)
     raw = cl3_product(cl3_product(x, J.bar()), x)
     om = w if frame is _ORIG else 1.0 / w
@@ -135,6 +143,7 @@ def invert3_faraday(
     tol: float = LIGHTCONE_TOL,
     res_tol: float = RESIDUE_TOL,
 ) -> Faraday3:
+    _check_eps(eps)
     w = _interval_guarded(x, tol)
     raw = cl3_product(cl3_product(x, F.to_paravector().star()), x.bar())
     om = w if frame is _ORIG else 1.0 / w
@@ -255,22 +264,14 @@ def _lorentz_rotor(params: Lorentz, exp_tol: float) -> Paravector3:
     return exp_complex_vector(gen, exp_tol)
 
 
-def lorentz3(
+def _lorentz_sandwich(
     kind: QuantityKind,
     value,
-    params: Lorentz,
-    exp_tol: float = 1e-14,
+    L: Paravector3,
+    cls: LorentzClass,
     res_tol: float = RESIDUE_TOL,
 ):
-    """Class-resolved Lorentz action on paravectors and fields.
-
-    Orthochronous-proper sandwiches are L W L* for paravector kinds and
-    L F bar(L) for the field; the improper classes conjugate the operand and
-    swap the rotor decorations; the antichronous classes flip the sign of
-    position (paravector side) and field, never of potential or current.
-    """
-    L = _lorentz_rotor(params, exp_tol)
-    cls = params.lorentz_class
+    """The class-resolved sandwich of lorentz3 by the rotor L."""
     plain = cls in (
         LorentzClass.PROPER_ORTHOCHRONOUS,
         LorentzClass.PROPER_ANTICHRONOUS,
@@ -300,15 +301,38 @@ def lorentz3(
     return real_paravector(raw, res_tol)
 
 
-def induced_matrix3(params: Lorentz, exp_tol: float = 1e-14) -> np.ndarray:
-    """Coordinate matrix of the position action, built from basis events."""
+def lorentz3(
+    kind: QuantityKind,
+    value,
+    params: Lorentz,
+    exp_tol: float = EXP_TOL,
+    res_tol: float = RESIDUE_TOL,
+):
+    """Class-resolved Lorentz action on paravectors and fields.
+
+    Orthochronous-proper sandwiches are L W L* for paravector kinds and
+    L F bar(L) for the field; the improper classes conjugate the operand and
+    swap the rotor decorations; the antichronous classes flip the sign of
+    position (paravector side) and field, never of potential or current.
+    """
+    L = _lorentz_rotor(params, exp_tol)
+    return _lorentz_sandwich(kind, value, L, params.lorentz_class, res_tol)
+
+
+def _induced_from_rotor(L: Paravector3, cls: LorentzClass) -> np.ndarray:
     cols = []
     for k in range(4):
         e = np.eye(4)[k]
         ev = Paravector3.from_event(e[0], e[1:])
-        out = lorentz3(QuantityKind.POSITION, ev, params, exp_tol)
+        out = _lorentz_sandwich(QuantityKind.POSITION, ev, L, cls)
         cols.append([out.s.real, *out.v.real])
     return np.array(cols).T
+
+
+def induced_matrix3(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
+    """Coordinate matrix of the position action, built from basis events."""
+    L = _lorentz_rotor(params, exp_tol)
+    return _induced_from_rotor(L, params.lorentz_class)
 
 
 # -- parameter-driven dispatch ---------------------------------------------------
@@ -334,18 +358,26 @@ def transform_position3(
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
+def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
+    coords = mat @ np.array([x.s.real, *x.v.real])
+    return Paravector3.from_event(coords[0], coords[1:])
+
+
 def inverse_position3(
     params: ConformalParams, x_new: Paravector3, tol: float = LIGHTCONE_TOL
 ) -> Paravector3:
-    """Preimage of an event under the parametrized map."""
+    """Preimage of an event under the parametrized map.
+
+    For Lorentz parameters every call expands the rotor and inverts the
+    induced matrix; a sweep over many events under one map should build a
+    PreparedTransform3 once and call its inverse_position instead.
+    """
     if isinstance(params, Dilation):
         return params.factor * x_new
     if isinstance(params, Translation):
         return x_new - _to_paravector(params.offset)
     if isinstance(params, Lorentz):
-        mat = np.linalg.inv(induced_matrix3(params))
-        coords = mat @ np.array([x_new.s.real, *x_new.v.real])
-        return Paravector3.from_event(coords[0], coords[1:])
+        return _apply_matrix(np.linalg.inv(induced_matrix3(params)), x_new)
     if isinstance(params, Inversion):
         return invert3_position(x_new, params.eps, tol)
     if isinstance(params, Sct):
@@ -375,6 +407,45 @@ def transform_faraday3(
     if isinstance(params, Sct):
         return sct3_faraday(F, x, _to_paravector(params.a), frame, tol, res_tol)
     raise TypeError(f"unknown transformation parameters: {params!r}")
+
+
+class PreparedTransform3:
+    """One map's parameter-only state, built once and applied to many events.
+
+    For Lorentz parameters that state is the rotor and the inverse of the
+    induced coordinate matrix, so a sweep expands the rotor once, not once
+    per event for the field and four more times per event for the preimage.
+    The other families hold nothing worth keeping and go through
+    inverse_position3 and transform_faraday3 unchanged.  Results are
+    bit-for-bit those of the per-call functions.
+    """
+
+    __slots__ = ("params", "_rotor", "_inverse")
+
+    def __init__(self, params: ConformalParams):
+        self.params = params
+        self._rotor = None
+        if isinstance(params, Lorentz):
+            self._rotor = _lorentz_rotor(params, EXP_TOL)
+            self._inverse = np.linalg.inv(
+                _induced_from_rotor(self._rotor, params.lorentz_class)
+            )
+
+    def inverse_position(self, x_new: Paravector3) -> Paravector3:
+        """Preimage of an image event, as inverse_position3."""
+        if self._rotor is None:
+            return inverse_position3(self.params, x_new)
+        return _apply_matrix(self._inverse, x_new)
+
+    def faraday(
+        self, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
+    ) -> Faraday3:
+        """Field transform, as transform_faraday3."""
+        if self._rotor is None:
+            return transform_faraday3(self.params, F, x, frame)
+        return _lorentz_sandwich(
+            QuantityKind.FARADAY, F, self._rotor, self.params.lorentz_class
+        )
 
 
 def scale_of(

@@ -187,6 +187,48 @@ def test_transform_malformed_inputs_exit_two(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_transform_non_finite_inputs_exit_two(tmp_path, capsys):
+    # a NaN field amplitude once reached the JSON output as a bare nan
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "transform", "--xform", "inversion", "--field", "uniform",
+            "--E0", "nan,0,0", "--grid", "t=2:2:1", "--format", "json",
+        ])
+    assert exc.value.code == 2
+    assert "--E0" in capsys.readouterr().err
+    # a NaN grid bound once passed the min > max check
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "transform", "--xform", "inversion", "--field", "uniform",
+            "--E0", "1,0,0", "--grid", "t=nan:2:2",
+        ])
+    assert exc.value.code == 2
+    assert "axis t" in capsys.readouterr().err
+    # scalar flags are checked where the job is built
+    code, out, err = run_cli(
+        capsys,
+        "transform", "--xform", "dilation", "--lambda", "inf",
+        "--field", "coulomb", "--grid", "t=2:2:1",
+    )
+    assert code == 2 and out == "" and "factor" in err
+    # the job file: JSON readers accept NaN and Infinity literals
+    for field, grid, name in (
+        ('{"kind": "uniform", "E0": [NaN, 0, 0]}', '{}', "E0"),
+        ('{"kind": "planewave", "E0": [1, 0, 0], "khat": [0, 0, 1], '
+         '"phase": Infinity}', '{}', "phase"),
+        ('{"kind": "uniform"}', '{"t": {"min": 0, "max": Infinity, "count": 2}}',
+         "grid axis t"),
+        ('{"kind": "uniform"}', '{"t": {"min": 0, "max": 1, "count": Infinity}}',
+         "grid axis t"),
+    ):
+        job = tmp_path / "job.json"
+        job.write_text(
+            f'{{"field": {field}, "xform": {{"kind": "inversion"}}, "grid": {grid}}}'
+        )
+        code, out, err = run_cli(capsys, "transform", "--job", str(job))
+        assert code == 2 and out == "" and name in err
+
+
 def test_lorentz_boost_through_cli(capsys):
     import math
 

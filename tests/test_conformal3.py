@@ -72,6 +72,16 @@ def test_invert3_frozen_values():
     assert np.allclose(out.B, 0.0, atol=1e-12)
     with pytest.raises(LightConeError):
         invert3_position(ev(1.0, (1.0, 0.0, 0.0)), 1)
+    # the sign is validated in every op, as in the Cl(1,3) route
+    for bad in (2, 0):
+        with pytest.raises(ValueError, match="inversion sign"):
+            invert3_position(x, bad)
+        with pytest.raises(ValueError, match="inversion sign"):
+            invert3_potential(A, x, bad, ORIG)
+        with pytest.raises(ValueError, match="inversion sign"):
+            invert3_current(J, x, bad, TRANS)
+        with pytest.raises(ValueError, match="inversion sign"):
+            invert3_faraday(F, x, bad, ORIG)
 
 
 def test_sct3_frozen_values():

@@ -1,0 +1,114 @@
+"""A sweep builds each Lorentz rotor once, with bit-identical output."""
+
+import itertools
+import sys
+
+import numpy as np
+import pytest
+
+from emconf import cl3, cl13
+from emconf.cl13 import FourVector
+from emconf.cl3 import Paravector3
+from emconf.cli import CSV_HEADER, main
+from emconf.conformal13 import (
+    CoordinateFrame,
+    Lorentz,
+    LorentzClass,
+    QuantityKind,
+    induced_matrix,
+)
+from emconf.conformal3 import induced_matrix3, lorentz3
+from emconf.fields import PlaneWave
+
+BOOST = (0.9, -0.4, 0.7)
+ROTATION = (0.3, 1.2, -0.5)  # |b + i r| > 1 somewhere: the series squares back up
+E0, KHAT = (0.8, 0.5, -0.6), (0.6, 0.0, 0.8)
+GRID = "t=0:1:3,x=0.5:2:3,y=-1:1:2,z=0.25:0.25:1"
+
+
+def _lorentz_flags(cls: LorentzClass) -> list:
+    return [
+        "--xform", "lorentz", "--lorentz-class", cls.value,
+        "--boost=" + ",".join(map(str, BOOST)),
+        "--rotation=" + ",".join(map(str, ROTATION)),
+    ]
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls of fn made through any emconf module attribute bound to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "emconf" or name.startswith("emconf."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_rotor_expanded_once_per_job(monkeypatch, capsys):
+    exp3 = _count_calls(monkeypatch, cl3.exp_complex_vector)
+    exp13 = _count_calls(monkeypatch, cl13.exp_bivector)
+    argv = [
+        "transform", *_lorentz_flags(LorentzClass.PROPER_ORTHOCHRONOUS),
+        "--field", "planewave", "--E0", "1,0,0", "--khat", "0,0,1",
+        "--frame", "transformed", "--grid", "t=0:1:4,x=0.5:2:4,y=0.5:2:4",
+        "--format", "json",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count('"skipped": false') == 64
+    assert len(exp3) == 1
+
+    params = Lorentz(boost=BOOST, rotation=ROTATION)
+    del exp3[:]
+    induced_matrix3(params)
+    assert len(exp3) == 1
+    induced_matrix(params)
+    assert len(exp13) == 2  # the rotor and its reverse
+
+
+def _reference_csv(params: Lorentz, frame: CoordinateFrame) -> str:
+    """The sweep rebuilt per event, each with a fresh rotor and inverse."""
+    field = PlaneWave(E0=E0, khat=KHAT)
+    axes = {}
+    for item in GRID.split(","):
+        name, spec = item.split("=")
+        lo, hi, count = spec.split(":")
+        axes[name] = np.linspace(float(lo), float(hi), int(count))
+    lines = [CSV_HEADER]
+    for coords in itertools.product(*(axes[a] for a in "txyz")):
+        x = Paravector3.from_event(coords[0], coords[1:])
+        if frame is CoordinateFrame.TRANSFORMED:
+            mat = np.linalg.inv(induced_matrix3(params))
+            src = FourVector(*(mat @ np.array([x.s.real, *x.v.real])))
+        else:
+            src = FourVector(*coords)
+        F_in = field.faraday(src)
+        F_out = lorentz3(QuantityKind.FARADAY, F_in, params)
+        values = (*coords, *F_in.E, *F_in.B, *F_out.E, *F_out.B, 1.0)
+        lines.append(",".join(f"{float(v):.17g}" for v in values) + ",0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("frame", list(CoordinateFrame))
+@pytest.mark.parametrize("cls", list(LorentzClass))
+def test_prepared_sweep_is_bit_identical(cls, frame, capsys):
+    """17 significant digits round-trip float64, so equal text is equal bits."""
+    argv = [
+        "transform", *_lorentz_flags(cls),
+        "--field", "planewave", "--E0=" + ",".join(map(str, E0)),
+        "--khat=" + ",".join(map(str, KHAT)),
+        "--frame", frame.value, "--grid", GRID,
+    ]
+    assert main(argv) == 0
+    got = capsys.readouterr().out.split("\n")
+    want = _reference_csv(
+        Lorentz(boost=BOOST, rotation=ROTATION, lorentz_class=cls), frame
+    ).split("\n")
+    assert len(got) == len(want) == 20
+    for row_got, row_want in zip(got, want):
+        assert row_got == row_want
