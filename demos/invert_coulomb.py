@@ -11,7 +11,6 @@ from emconf import (
     Coulomb,
     CoordinateFrame,
     Paravector3,
-    eval_field,
     invert3_faraday,
     invert3_position,
 )
@@ -23,7 +22,7 @@ eps = 1
 print(f"{'r':>5} {'E_x':>10} {'E_x inverted':>14} {'image frame':>14} {'omega':>8}")
 for r in (0.5, 1.0, 2.0, 4.0):
     x = FourVector(0.0, r, 0.0, 0.0)
-    F = eval_field(spec, x)
+    F = spec.faraday(x)
     ev = Paravector3.from_event(x.t, (x.x, x.y, x.z))
     omega = -r * r  # squared interval of a purely spatial event
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from emconf import PlaneWave, Paravector3, eval_field, invariants, sct3_faraday, sct_factor3
+from emconf import PlaneWave, Paravector3, invariants, sct3_faraday, sct_factor3
 from emconf.cl13 import FourVector
 
 wave = PlaneWave(E0=(1.0, 0.0, 0.0), khat=(0.0, 0.0, 1.0))
@@ -17,7 +17,7 @@ while shown < 8:
     sigma = sct_factor3(x, a)
     if abs(sigma) < 0.1 or abs(t * t - rx * rx - ry * ry - rz * rz) < 0.1:
         continue
-    F = eval_field(wave, FourVector(t, rx, ry, rz))
+    F = wave.faraday(FourVector(t, rx, ry, rz))
     i1, i2 = invariants(F)
     Fp = sct3_faraday(F, x, a)
     j1, j2 = invariants(Fp)

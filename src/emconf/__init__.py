@@ -6,6 +6,8 @@ algebra, in the complex paravector algebra, and as plain tensor arithmetic.
 The three routes are kept independent so each can check the others.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cl13 import (
     BLADE_NAMES,
     DIM,
@@ -27,7 +29,6 @@ from .cl3 import (
     minkowski_square,
     pure_vector,
     real_paravector,
-    vector_triple,
 )
 from .conformal13 import (
     ConformalParams,
@@ -55,7 +56,6 @@ from .conformal13 import (
     translate,
 )
 from .conformal3 import (
-    dilate3,
     induced_matrix3,
     inverse_position3,
     invert3_current,
@@ -63,7 +63,6 @@ from .conformal3 import (
     invert3_position,
     invert3_potential,
     lorentz3,
-    parity3,
     scale_of,
     sct3_current,
     sct3_faraday,
@@ -71,8 +70,6 @@ from .conformal3 import (
     sct3_potential,
     sct_factor3,
     transform_faraday3,
-    transform_position3,
-    translate3,
 )
 from .bridge import (
     even_to_cl3,
@@ -101,7 +98,6 @@ from .fields import (
     InvariantScalingReport,
     PlaneWave,
     UniformField,
-    eval_field,
     invariant_scaling_report,
     invariants,
     predicted_invariant_factors,
@@ -109,91 +105,10 @@ from .fields import (
 
 __version__ = "0.1.0"
 
+# The import block above is the public surface; the submodules bound as
+# package attributes by those imports are not part of it.
 __all__ = [
-    "BLADE_NAMES",
-    "DIM",
-    "Faraday13",
-    "FourVector",
-    "Multivector13",
-    "exp_bivector",
-    "geometric_product",
-    "grade_project",
-    "left_matrix",
-    "vector_sandwich",
-    "versor_inverse",
-    "Faraday3",
-    "Paravector3",
-    "cl3_product",
-    "exp_complex_vector",
-    "minkowski_square",
-    "pure_vector",
-    "real_paravector",
-    "vector_triple",
-    "ConformalParams",
-    "CoordinateFrame",
-    "Dilation",
-    "Inversion",
-    "Lorentz",
-    "LorentzClass",
-    "QuantityKind",
-    "Sct",
-    "Translation",
-    "dilate",
-    "induced_matrix",
-    "invert_current",
-    "invert_faraday",
-    "invert_position",
-    "invert_potential",
-    "lorentz_apply",
-    "lorentz_generator",
-    "sct_current",
-    "sct_factor",
-    "sct_faraday",
-    "sct_position",
-    "sct_potential",
-    "translate",
-    "dilate3",
-    "induced_matrix3",
-    "inverse_position3",
-    "invert3_current",
-    "invert3_faraday",
-    "invert3_position",
-    "invert3_potential",
-    "lorentz3",
-    "parity3",
-    "scale_of",
-    "sct3_current",
-    "sct3_faraday",
-    "sct3_position",
-    "sct3_potential",
-    "sct_factor3",
-    "transform_faraday3",
-    "transform_position3",
-    "translate3",
-    "even_to_cl3",
-    "product_correspondence_check",
-    "sandwich_correspondence_check",
-    "to_faraday3",
-    "to_paravector",
-    "to_paravector_bar",
-    "ConformalDomainError",
-    "DegenerateTimeDerivativeError",
-    "GradeLeakageError",
-    "ImaginaryResidueError",
-    "LightConeError",
-    "NonBivectorError",
-    "NonPositiveScaleError",
-    "NonRealEventError",
-    "OriginSingularityError",
-    "SctConeError",
-    "SingularVersorError",
-    "Coulomb",
-    "FieldSpec",
-    "InvariantScalingReport",
-    "PlaneWave",
-    "UniformField",
-    "eval_field",
-    "invariant_scaling_report",
-    "invariants",
-    "predicted_invariant_factors",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

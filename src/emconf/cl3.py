@@ -104,15 +104,9 @@ def minkowski_square(x: Paravector3, tol: float = 1e-12) -> float:
     """
     if x.imag_residue() > tol * max(1.0, x.max_abs()):
         raise NonRealEventError("event paravector must be real")
-    prod = cl3_product(x, x.bar())
-    return float(prod.s.real)
-
-
-def vector_triple(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sandwich u v u of complex 3-vectors: 2 (u.v) u - (u.u) v."""
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    return 2.0 * np.dot(u, v) * u - np.dot(u, u) * v
+    t = float(x.s.real)
+    r = x.v.real
+    return t * t - float(r @ r)
 
 
 def real_paravector(p: Paravector3, tol: float = 1e-10) -> Paravector3:

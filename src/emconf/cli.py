@@ -40,14 +40,9 @@ from .fields import (
     FieldSpec,
     PlaneWave,
     UniformField,
-    eval_field,
     invariant_scaling_report,
 )
-from .verify import run_suite
-
-DEFAULT_SEED = 42
-DEFAULT_TRIALS = 500
-DEFAULT_TOL = 1e-10
+from .verify import BASE_TOL, DEFAULT_SEED, REFERENCE_TRIALS, run_suite
 
 _AXES = ("t", "x", "y", "z")
 _FIELD_KEYS = (
@@ -289,6 +284,7 @@ def _event_row(
     frame: CoordinateFrame,
     coords: tuple[float, float, float, float],
 ) -> dict:
+    """One output row; a domain refusal or a non-finite value skips it."""
     row = dict(zip(_AXES, coords))
     try:
         grid_pv = Paravector3.from_event(coords[0], coords[1:])
@@ -297,15 +293,20 @@ def _event_row(
             src = FourVector(src_pv.s.real, *src_pv.v.real)
         else:
             src = FourVector(*coords)
-        F_in = eval_field(field, src)
+        F_in = field.faraday(src)
         F_out = xform.faraday(F_in, grid_pv, frame)
         scale = scale_of(xform.params, grid_pv, frame)
     except (ConformalDomainError, OriginSingularityError):
+        finite = False
+    else:
+        values = (*F_in.E, *F_in.B, *F_out.E, *F_out.B)
+        finite = all(map(math.isfinite, (*values, scale)))
+    if not finite:
         row.update({key: None for key in _FIELD_KEYS})
         row["scale"] = None
         row["skipped"] = True
         return row
-    for key, value in zip(_FIELD_KEYS, (*F_in.E, *F_in.B, *F_out.E, *F_out.B)):
+    for key, value in zip(_FIELD_KEYS, values):
         row[key] = float(value)
     row["scale"] = scale
     row["skipped"] = False
@@ -517,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run the seeded self-check suite")
     vp.add_argument("--seed", type=int, help="default: EMCONF_SEED or 42")
-    vp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    vp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    vp.add_argument("--trials", type=int, default=REFERENCE_TRIALS)
+    vp.add_argument("--tol", type=float, default=BASE_TOL)
     vp.add_argument("--out", metavar="PATH")
 
     return parser

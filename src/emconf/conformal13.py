@@ -25,13 +25,14 @@ from .cl13 import (
     Multivector13,
     exp_bivector,
     geometric_product,
-    grade_project,
     vector_sandwich,
 )
 from .errors import LightConeError, NonPositiveScaleError, SctConeError
 
 LIGHTCONE_TOL = 1e-9
 GRADE_TOL = 1e-12
+RESIDUE_TOL = 1e-10
+EXP_TOL = 1e-14
 
 
 class CoordinateFrame(Enum):
@@ -95,11 +96,6 @@ class Sct:
 ConformalParams = Union[Dilation, Translation, Lorentz, Inversion, Sct]
 
 
-def _check_eps(eps: int) -> None:
-    if eps not in (-1, 1):
-        raise ValueError("inversion sign must be +1 or -1")
-
-
 def sct_factor(x: FourVector, a: FourVector) -> float:
     """Scale factor of the special conformal map at x."""
     return 1.0 + 2.0 * a.mdot(x) + a.minkowski_sq() * x.minkowski_sq()
@@ -107,14 +103,14 @@ def sct_factor(x: FourVector, a: FourVector) -> float:
 
 def _interval_guarded(x: FourVector, tol: float) -> float:
     x2 = x.minkowski_sq()
-    if abs(x2) <= tol:
+    if not abs(x2) > tol:
         raise LightConeError(f"event too close to the light cone: x^2 = {x2:.3e}")
     return x2
 
 
 def _sct_factor_guarded(x: FourVector, a: FourVector, tol: float) -> float:
     s = sct_factor(x, a)
-    if abs(s) <= tol:
+    if not abs(s) > tol:
         raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
     return s
 
@@ -126,7 +122,7 @@ def _sct_factor_from_image(x_new: FourVector, a: FourVector, tol: float) -> floa
         - 2.0 * a.mdot(x_new)
         + a.minkowski_sq() * x_new.minkowski_sq()
     )
-    if abs(denom) <= tol:
+    if not abs(denom) > tol:
         raise SctConeError(
             f"image event too close to the excluded cone: 1/scale = {denom:.3e}"
         )
@@ -139,7 +135,7 @@ def _sct_factor_from_image(x_new: FourVector, a: FourVector, tol: float) -> floa
 def invert_position(
     x: FourVector, eps: int = 1, tol: float = LIGHTCONE_TOL
 ) -> FourVector:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     x2 = _interval_guarded(x, tol)
     arr = eps * x.as_array() / x2
     return FourVector.from_array(arr)
@@ -154,7 +150,7 @@ def invert_potential(
     grade_tol: float = GRADE_TOL,
 ) -> FourVector:
     """Inverted potential; the inversion sign cancels in the even sandwich."""
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     _interval_guarded(x, tol)
     xm = x.to_mv()
     raw = vector_sandwich(xm, A.to_mv(), xm)
@@ -172,7 +168,7 @@ def invert_current(
     tol: float = LIGHTCONE_TOL,
     grade_tol: float = GRADE_TOL,
 ) -> FourVector:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     _interval_guarded(x, tol)
     xm = x.to_mv()
     raw = vector_sandwich(xm, J.to_mv(), xm)
@@ -191,7 +187,7 @@ def invert_faraday(
     tol: float = LIGHTCONE_TOL,
     grade_tol: float = GRADE_TOL,
 ) -> Faraday13:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     _interval_guarded(x, tol)
     xm = x.to_mv()
     raw = vector_sandwich(xm, F.to_mv(), xm)
@@ -366,7 +362,7 @@ def lorentz_apply(
     kind: QuantityKind,
     value,
     params: Lorentz,
-    exp_tol: float = 1e-14,
+    exp_tol: float = EXP_TOL,
     grade_tol: float = GRADE_TOL,
 ):
     """Sandwich by the exponential rotor, adjusted per Lorentz class.
@@ -379,7 +375,7 @@ def lorentz_apply(
     return _lorentz_sandwich(kind, value, L, Li, params.lorentz_class, grade_tol)
 
 
-def induced_matrix(params: Lorentz, exp_tol: float = 1e-14) -> np.ndarray:
+def induced_matrix(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
     """4x4 coordinate matrix of the position action, columns by basis image."""
     L, Li = _lorentz_rotors(params, exp_tol)
     cols = []

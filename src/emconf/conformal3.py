@@ -16,10 +16,14 @@ from .cl3 import (
     Paravector3,
     cl3_product,
     exp_complex_vector,
+    minkowski_square,
     pure_vector,
     real_paravector,
 )
 from .conformal13 import (
+    EXP_TOL,
+    LIGHTCONE_TOL,
+    RESIDUE_TOL,
     ConformalParams,
     CoordinateFrame,
     Dilation,
@@ -30,11 +34,7 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .errors import LightConeError, NonPositiveScaleError, SctConeError
-
-LIGHTCONE_TOL = 1e-9
-RESIDUE_TOL = 1e-10
-EXP_TOL = 1e-14
+from .errors import LightConeError, SctConeError
 
 _ORIG = CoordinateFrame.ORIGINAL
 
@@ -43,14 +43,9 @@ def _event_parts(x: Paravector3) -> tuple[float, np.ndarray]:
     return float(x.s.real), x.v.real.copy()
 
 
-def minkowski_square(x: Paravector3) -> float:
-    t, r = _event_parts(x)
-    return t * t - float(r @ r)
-
-
 def _interval_guarded(x: Paravector3, tol: float) -> float:
     w = minkowski_square(x)
-    if abs(w) <= tol:
+    if not abs(w) > tol:
         raise LightConeError(f"event too close to the light cone: x^2 = {w:.3e}")
     return w
 
@@ -67,7 +62,7 @@ def sct_factor3(x: Paravector3, a: Paravector3) -> float:
 
 def _sct_factor_guarded(x: Paravector3, a: Paravector3, tol: float) -> float:
     s = sct_factor3(x, a)
-    if abs(s) <= tol:
+    if not abs(s) > tol:
         raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
     return s
 
@@ -80,7 +75,7 @@ def _sct_factor_from_image(x_new: Paravector3, a: Paravector3, tol: float) -> fl
         - 2.0 * (a0 * t - float(av @ r))
         + (a0 * a0 - float(av @ av)) * (t * t - float(r @ r))
     )
-    if abs(denom) <= tol:
+    if not abs(denom) > tol:
         raise SctConeError(
             f"image event too close to the excluded cone: 1/scale = {denom:.3e}"
         )
@@ -90,14 +85,10 @@ def _sct_factor_from_image(x_new: Paravector3, a: Paravector3, tol: float) -> fl
 # -- inversion ----------------------------------------------------------------
 
 
-def _check_eps(eps: int) -> None:
-    Inversion(eps)  # the parameter class owns the +1/-1 check
-
-
 def invert3_position(
     x: Paravector3, eps: int = 1, tol: float = LIGHTCONE_TOL
 ) -> Paravector3:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     w = _interval_guarded(x, tol)
     return (eps / w) * x
 
@@ -110,7 +101,7 @@ def invert3_potential(
     tol: float = LIGHTCONE_TOL,
     res_tol: float = RESIDUE_TOL,
 ) -> Paravector3:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     w = _interval_guarded(x, tol)
     raw = cl3_product(cl3_product(x, A.bar()), x)
     if frame is _ORIG:
@@ -127,7 +118,7 @@ def invert3_current(
     tol: float = LIGHTCONE_TOL,
     res_tol: float = RESIDUE_TOL,
 ) -> Paravector3:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     w = _interval_guarded(x, tol)
     raw = cl3_product(cl3_product(x, J.bar()), x)
     om = w if frame is _ORIG else 1.0 / w
@@ -143,7 +134,7 @@ def invert3_faraday(
     tol: float = LIGHTCONE_TOL,
     res_tol: float = RESIDUE_TOL,
 ) -> Faraday3:
-    _check_eps(eps)
+    Inversion(eps)  # raises unless eps is +1 or -1
     w = _interval_guarded(x, tol)
     raw = cl3_product(cl3_product(x, F.to_paravector().star()), x.bar())
     om = w if frame is _ORIG else 1.0 / w
@@ -229,32 +220,7 @@ def sct3_faraday(
     return Faraday3(F=pure_vector(s**3 * raw, res_tol))
 
 
-# -- linear families, parity, Lorentz --------------------------------------------
-
-
-def dilate3(kind: QuantityKind, value, factor: float):
-    if not factor > 0.0:
-        raise NonPositiveScaleError("dilation factor must be positive")
-    if kind is QuantityKind.POSITION:
-        return (1.0 / factor) * value
-    if kind is QuantityKind.POTENTIAL:
-        return factor * value
-    if kind is QuantityKind.CURRENT:
-        return factor**3 * value
-    return Faraday3(F=factor**2 * value.F)
-
-
-def translate3(kind: QuantityKind, value, offset: Paravector3):
-    if kind is QuantityKind.POSITION:
-        return value + offset
-    return value
-
-
-def parity3(kind: QuantityKind, value):
-    """Spatial reflection: paravectors conjugate, the field goes to -F*."""
-    if kind is QuantityKind.FARADAY:
-        return Faraday3(F=-value.F.conjugate())
-    return value.bar()
+# -- Lorentz ----------------------------------------------------------------------
 
 
 def _lorentz_rotor(params: Lorentz, exp_tol: float) -> Paravector3:
@@ -340,22 +306,6 @@ def induced_matrix3(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
 
 def _to_paravector(v) -> Paravector3:
     return Paravector3.from_event(v.t, (v.x, v.y, v.z))
-
-
-def transform_position3(
-    params: ConformalParams, x: Paravector3, tol: float = LIGHTCONE_TOL
-) -> Paravector3:
-    if isinstance(params, Dilation):
-        return (1.0 / params.factor) * x
-    if isinstance(params, Translation):
-        return x + _to_paravector(params.offset)
-    if isinstance(params, Lorentz):
-        return lorentz3(QuantityKind.POSITION, x, params)
-    if isinstance(params, Inversion):
-        return invert3_position(x, params.eps, tol)
-    if isinstance(params, Sct):
-        return sct3_position(x, _to_paravector(params.a), tol)
-    raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
 def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:

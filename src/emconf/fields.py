@@ -78,19 +78,8 @@ class Coulomb:
             raise OriginSingularityError("Coulomb field evaluated at the charge")
         return Faraday3(self.q * r / rn**3, np.zeros(3))
 
-    def potential(self, x: FourVector, tol: float = SINGULARITY_TOL) -> FourVector:
-        r = np.array([x.x, x.y, x.z])
-        rn = float(np.sqrt(r @ r))
-        if rn <= tol:
-            raise OriginSingularityError("Coulomb potential evaluated at the charge")
-        return FourVector(self.q / rn, 0.0, 0.0, 0.0)
-
 
 FieldSpec = Union[UniformField, PlaneWave, Coulomb]
-
-
-def eval_field(spec: FieldSpec, x: FourVector) -> Faraday3:
-    return spec.faraday(x)
 
 
 def invariants(F: Faraday3) -> tuple[float, float]:
@@ -142,7 +131,7 @@ def invariant_scaling_report(
     spec: FieldSpec, params: ConformalParams, x: FourVector
 ) -> InvariantScalingReport:
     """Compare transformed invariants against their predicted scaling at x."""
-    F = eval_field(spec, x)
+    F = spec.faraday(x)
     i1, i2 = invariants(F)
     ev = Paravector3.from_event(x.t, (x.x, x.y, x.z))
     scale = scale_of(params, ev, CoordinateFrame.ORIGINAL)

@@ -98,7 +98,7 @@ def unpack_faraday(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def invert_event(x: np.ndarray, eps: int, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x = _ld(x)
     x2 = _mdot(x, x)
-    if abs(x2) <= tol:
+    if not abs(x2) > tol:
         raise LightConeError(f"event too close to the light cone: x^2 = {x2:.3e}")
     return np.asarray(eps * x / x2, dtype=np.float64)
 
@@ -111,7 +111,7 @@ def sct_scale(x: np.ndarray, a: np.ndarray) -> float:
 def sct_event(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x, a = _ld(x), _ld(a)
     s = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
-    if abs(s) <= tol:
+    if not abs(s) > tol:
         raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
     return np.asarray((x + _mdot(x, x) * a) / s, dtype=np.float64)
 
@@ -125,7 +125,7 @@ def jacobian_inversion(
     """d(image)/dx as M[mu, alpha], row index contravariant."""
     x = _ld(x)
     x2 = _mdot(x, x)
-    if abs(x2) <= tol:
+    if not abs(x2) > tol:
         raise LightConeError(f"Jacobian undefined on the light cone: x^2 = {x2:.3e}")
     return eps * (x2 * np.eye(4) - 2.0 * np.outer(x, lower(x))) / x2**2
 
@@ -133,7 +133,7 @@ def jacobian_inversion(
 def jacobian_sct(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x, a = _ld(x), _ld(a)
     s = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
-    if abs(s) <= tol:
+    if not abs(s) > tol:
         raise SctConeError(f"Jacobian undefined on the excluded cone: scale = {s:.3e}")
     numerator = np.eye(4) + 2.0 * np.outer(a, lower(x))
     ds = 2.0 * lower(a) + 2.0 * _mdot(a, a) * lower(x)
@@ -229,26 +229,6 @@ def transform_potential_covariant(
         theta = time_orientation(M)
     Minv = conformal_inverse(M, lam)
     return np.asarray(theta * Minv.T @ _ld(A_cov), dtype=np.float64)
-
-
-def transform_current_covariant(
-    M: np.ndarray, J_cov: np.ndarray, lam: float | None = None, theta: int | None = None
-) -> np.ndarray:
-    if theta is None:
-        theta = time_orientation(M)
-    if lam is None:
-        lam = conformal_factor(M)
-    Minv = conformal_inverse(M, lam)
-    return np.asarray(theta * _ld(lam) ** 2 * (Minv.T @ _ld(J_cov)), dtype=np.float64)
-
-
-def transform_faraday_covariant(
-    M: np.ndarray, F_cov: np.ndarray, lam: float | None = None, theta: int | None = None
-) -> np.ndarray:
-    if theta is None:
-        theta = time_orientation(M)
-    Minv = conformal_inverse(M, lam)
-    return np.asarray(theta * Minv.T @ _ld(F_cov) @ Minv, dtype=np.float64)
 
 
 # -- closed-form component expansions -----------------------------------------

@@ -13,7 +13,6 @@ from emconf.cl3 import (
     minkowski_square,
     pure_vector,
     real_paravector,
-    vector_triple,
 )
 from emconf.errors import ImaginaryResidueError, NonRealEventError
 
@@ -55,19 +54,6 @@ def test_minkowski_square_is_interval():
     assert minkowski_square(ev) == pytest.approx(4.0 - 1.0 - 0.25 - 0.0625, abs=1e-15)
     with pytest.raises(NonRealEventError):
         minkowski_square(Paravector3(1.0, np.array([1j, 0, 0])))
-
-
-def test_vector_triple_matches_product():
-    rng = np.random.default_rng(22)
-    for _ in range(25):
-        u = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-        v = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-        uvu = cl3_product(
-            cl3_product(Paravector3.vector(u), Paravector3.vector(v)),
-            Paravector3.vector(u),
-        )
-        assert uvu.s == pytest.approx(0.0, abs=1e-13)
-        assert np.allclose(uvu.v, vector_triple(u, v), atol=1e-13)
 
 
 def test_exp_real_vector_is_boost():

@@ -134,6 +134,25 @@ def test_transform_all_skipped_exits_one(capsys):
     assert parse_csv(out)[0]["skipped"] == "1"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_transform_overflow_row_is_skipped(capsys, fmt):
+    # 1e10^2 * 1e308 overflows; the row once carried Exp=inf with exit 0
+    code, out, err = run_cli(
+        capsys,
+        "transform", "--field", "uniform", "--E0", "1e308,0,0",
+        "--xform", "dilation", "--lambda", "1e10",
+        "--grid", "t=1:1:1,x=1:1:1", "--format", fmt,
+    )
+    assert code == 1 and "skipped" in err
+    assert "inf" not in out.lower()
+    if fmt == "csv":
+        row = parse_csv(out)[0]
+        assert row["skipped"] == "1" and row["Ex"] == "" and row["Exp"] == ""
+    else:
+        row = json.loads(out)[0]
+        assert row["skipped"] is True and row["Ex"] is None and row["Exp"] is None
+
+
 def test_transform_job_file_with_flag_override(tmp_path, capsys):
     job = {
         "field": {"kind": "uniform", "E0": [1, 0, 0]},

@@ -10,7 +10,6 @@ from emconf.fields import (
     Coulomb,
     PlaneWave,
     UniformField,
-    eval_field,
     invariant_scaling_report,
     invariants,
     predicted_invariant_factors,
@@ -20,7 +19,7 @@ from emconf.fields import (
 def test_uniform_field_is_constant():
     spec = UniformField(E0=(1.0, 2.0, 3.0), B0=(0.0, -1.0, 0.5))
     for point in [(0, 0, 0, 0), (5, -2, 1, 7)]:
-        F = eval_field(spec, FourVector(*point))
+        F = spec.faraday(FourVector(*point))
         assert np.array_equal(F.E, [1.0, 2.0, 3.0])
         assert np.array_equal(F.B, [0.0, -1.0, 0.5])
 
@@ -28,19 +27,19 @@ def test_uniform_field_is_constant():
 def test_plane_wave_values_and_nullity():
     spec = PlaneWave(E0=(1.0, 0.0, 0.0), khat=(0.0, 0.0, 1.0))
     # at the origin the phase is zero: E = E0, B = khat x E0
-    F = eval_field(spec, FourVector(0.0, 0.0, 0.0, 0.0))
+    F = spec.faraday(FourVector(0.0, 0.0, 0.0, 0.0))
     assert np.allclose(F.E, [1.0, 0.0, 0.0], atol=1e-15)
     assert np.allclose(F.B, [0.0, 1.0, 0.0], atol=1e-15)
     rng = np.random.default_rng(71)
     for _ in range(25):
-        F = eval_field(spec, FourVector(*rng.uniform(-5, 5, 4)))
+        F = spec.faraday(FourVector(*rng.uniform(-5, 5, 4)))
         i1, i2 = invariants(F)
         assert abs(i1) < 1e-14 and abs(i2) < 1e-14
 
 
 def test_plane_wave_phase_offset():
     spec = PlaneWave(E0=(0.0, 2.0, 0.0), khat=(1.0, 0.0, 0.0), phase=np.pi / 2)
-    F = eval_field(spec, FourVector(0.0, 0.0, 0.0, 0.0))
+    F = spec.faraday(FourVector(0.0, 0.0, 0.0, 0.0))
     assert np.allclose(F.E, 0.0, atol=1e-15)
 
 
@@ -53,22 +52,19 @@ def test_plane_wave_validation():
 
 def test_coulomb_field():
     spec = Coulomb(q=1.0)
-    F = eval_field(spec, FourVector(0.0, 2.0, 0.0, 0.0))
+    F = spec.faraday(FourVector(0.0, 2.0, 0.0, 0.0))
     assert np.allclose(F.E, [0.25, 0.0, 0.0], atol=1e-15)
     assert np.allclose(F.B, 0.0)
     with pytest.raises(OriginSingularityError):
-        eval_field(spec, FourVector(1.0, 0.0, 0.0, 0.0))
-    A = spec.potential(FourVector(0.0, 2.0, 0.0, 0.0))
-    assert A.t == pytest.approx(0.5, abs=1e-15)
-    assert A.x == 0.0 and A.y == 0.0 and A.z == 0.0
+        spec.faraday(FourVector(1.0, 0.0, 0.0, 0.0))
 
 
 def test_invariants_frozen():
-    assert invariants(eval_field(UniformField(E0=(1, 0, 0)), FourVector(0, 0, 0, 0))) == (
+    assert invariants(UniformField(E0=(1, 0, 0)).faraday(FourVector(0, 0, 0, 0))) == (
         pytest.approx(1.0),
         pytest.approx(0.0),
     )
-    F = eval_field(UniformField(E0=(1, 0, 0), B0=(1, 0, 0)), FourVector(0, 0, 0, 0))
+    F = UniformField(E0=(1, 0, 0), B0=(1, 0, 0)).faraday(FourVector(0, 0, 0, 0))
     i1, i2 = invariants(F)
     assert i1 == pytest.approx(0.0, abs=1e-15)
     assert i2 == pytest.approx(2.0, abs=1e-15)
