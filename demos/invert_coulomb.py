@@ -10,14 +10,15 @@ import numpy as np
 from emconf import (
     Coulomb,
     CoordinateFrame,
+    Inversion,
     Paravector3,
-    invert3_faraday,
-    invert3_position,
+    QuantityKind,
+    transform3,
 )
 from emconf.cl13 import FourVector
 
 spec = Coulomb(q=1.0)
-eps = 1
+inversion = Inversion(eps=1)
 
 print(f"{'r':>5} {'E_x':>10} {'E_x inverted':>14} {'image frame':>14} {'omega':>8}")
 for r in (0.5, 1.0, 2.0, 4.0):
@@ -27,11 +28,13 @@ for r in (0.5, 1.0, 2.0, 4.0):
     omega = -r * r  # squared interval of a purely spatial event
 
     # original frame: source event carries the formula
-    Fp = invert3_faraday(F, ev, eps, CoordinateFrame.ORIGINAL)
+    Fp = transform3(inversion, QuantityKind.FARADAY, F, ev, CoordinateFrame.ORIGINAL)
 
     # transformed frame: the image event does, with compensating powers
-    image = invert3_position(ev, eps)
-    Fp_image = invert3_faraday(F, image, eps, CoordinateFrame.TRANSFORMED)
+    image = transform3(inversion, QuantityKind.POSITION, ev)
+    Fp_image = transform3(
+        inversion, QuantityKind.FARADAY, F, image, CoordinateFrame.TRANSFORMED
+    )
 
     print(
         f"{r:5.2f} {F.E[0]:10.4f} {Fp.E[0]:14.6f} "

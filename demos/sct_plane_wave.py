@@ -2,11 +2,20 @@
 
 import numpy as np
 
-from emconf import PlaneWave, Paravector3, invariants, sct3_faraday, sct_factor3
+from emconf import (
+    PlaneWave,
+    Paravector3,
+    QuantityKind,
+    Sct,
+    invariants,
+    sct_factor3,
+    transform3,
+)
 from emconf.cl13 import FourVector
 
 wave = PlaneWave(E0=(1.0, 0.0, 0.0), khat=(0.0, 0.0, 1.0))
-a = Paravector3.from_event(0.2, (0.0, 0.1, -0.05))
+sct = Sct(FourVector(0.2, 0.0, 0.1, -0.05))
+a = Paravector3.from_event(sct.a.t, (sct.a.x, sct.a.y, sct.a.z))
 
 rng = np.random.default_rng(7)
 print(f"{'sigma':>8} {'|I1| before':>12} {'|I1| after':>12} {'|I2| after':>12}")
@@ -19,7 +28,7 @@ while shown < 8:
         continue
     F = wave.faraday(FourVector(t, rx, ry, rz))
     i1, i2 = invariants(F)
-    Fp = sct3_faraday(F, x, a)
+    Fp = transform3(sct, QuantityKind.FARADAY, F, x)
     j1, j2 = invariants(Fp)
     print(f"{sigma:8.3f} {abs(i1):12.2e} {abs(j1):12.2e} {abs(j2):12.2e}")
     shown += 1

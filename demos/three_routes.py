@@ -11,10 +11,12 @@ from emconf import (
     CoordinateFrame,
     Faraday13,
     Faraday3,
+    Inversion,
     Paravector3,
-    invert3_faraday,
-    invert_faraday,
+    QuantityKind,
     oracle,
+    transform,
+    transform3,
 )
 from emconf.cl13 import FourVector
 
@@ -23,14 +25,16 @@ t, rx, ry, rz = 1.4, 0.3, -0.6, 0.2
 E = rng.uniform(-1, 1, 3)
 B = rng.uniform(-1, 1, 3)
 eps = 1
+inversion = Inversion(eps)
+FARADAY, ORIGINAL = QuantityKind.FARADAY, CoordinateFrame.ORIGINAL
 
 # route 1: Cl(1,3) multivector sandwich
 x13 = FourVector(t, rx, ry, rz)
-r1 = invert_faraday(Faraday13(E, B), x13, eps, CoordinateFrame.ORIGINAL)
+r1 = transform(inversion, FARADAY, Faraday13(E, B), x13, ORIGINAL)
 
 # route 2: Cl(3) complex-vector formula
 x3 = Paravector3.from_event(t, (rx, ry, rz))
-r2 = invert3_faraday(Faraday3(E, B), x3, eps, CoordinateFrame.ORIGINAL)
+r2 = transform3(inversion, FARADAY, Faraday3(E, B), x3, ORIGINAL)
 
 # route 3: tensor law through the Jacobian, plain arrays only
 x = np.array([t, rx, ry, rz])

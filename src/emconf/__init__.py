@@ -40,36 +40,16 @@ from .conformal13 import (
     QuantityKind,
     Sct,
     Translation,
-    dilate,
     induced_matrix,
-    invert_current,
-    invert_faraday,
-    invert_position,
-    invert_potential,
-    lorentz_apply,
-    lorentz_generator,
-    sct_current,
     sct_factor,
-    sct_faraday,
-    sct_position,
-    sct_potential,
-    translate,
+    transform,
 )
 from .conformal3 import (
     induced_matrix3,
     inverse_position3,
-    invert3_current,
-    invert3_faraday,
-    invert3_position,
-    invert3_potential,
-    lorentz3,
     scale_of,
-    sct3_current,
-    sct3_faraday,
-    sct3_position,
-    sct3_potential,
     sct_factor3,
-    transform_faraday3,
+    transform3,
 )
 from .bridge import (
     even_to_cl3,

@@ -26,7 +26,7 @@ def even_to_cl3(m: Multivector13, tol: float = 1e-12) -> Paravector3:
     """Map an even multivector into Cl(3); rejects odd-grade residue."""
     c = m.c
     odd = float(np.max(np.abs(c[np.array([1, 2, 4, 8, 7, 11, 13, 14])])))
-    if odd > tol * max(1.0, m.max_abs()):
+    if not odd <= tol * max(1.0, m.max_abs()):
         raise GradeLeakageError(f"odd-grade residue {odd:.3e} in even-subalgebra map")
     s = complex(c[_SCALAR], c[_PSEUDO])
     v = np.array(

@@ -23,6 +23,8 @@ DIM = 16
 METRIC_SIGNS = (1, -1, -1, -1)
 
 GRADE_OF = np.array([bin(i).count("1") for i in range(DIM)])
+# Which blades each grade 0..4 keeps, built once: every sandwich projects.
+_IN_GRADE = tuple(GRADE_OF == g for g in range(5))
 
 BLADE_NAMES = tuple(
     "1" if m == 0 else "e" + "".join(str(k) for k in range(4) if m & (1 << k))
@@ -119,17 +121,14 @@ class Multivector13:
         return Multivector13._wrap(self.c * float(other))
 
     def grade(self, g: int) -> "Multivector13":
-        out = np.zeros(DIM)
-        keep = GRADE_OF == g
-        out[keep] = self.c[keep]
-        return Multivector13._wrap(out)
+        return Multivector13._wrap(np.where(_IN_GRADE[g], self.c, 0.0))
 
     def grade_residue(self, g: int) -> float:
         """Largest |coefficient| outside grade g."""
-        return float(np.max(np.abs(self.c[GRADE_OF != g]), initial=0.0))
+        return float(np.abs(np.where(_IN_GRADE[g], 0.0, self.c)).max())
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.c)))
+        return float(np.abs(self.c).max())
 
     def scalar_part(self) -> float:
         return float(self.c[0])
@@ -156,11 +155,12 @@ def grade_project(
 
     The residue is measured relative to max(1, largest |coefficient|), so the
     guard behaves as an absolute threshold for order-one data and does not
-    false-trip on large inputs.  Raises GradeLeakageError above tolerance.
+    false-trip on large inputs.  Raises GradeLeakageError above tolerance,
+    and on a NaN residue.
     """
     residue = m.grade_residue(g)
     scale = max(1.0, m.max_abs())
-    if residue > tol * scale:
+    if not residue <= tol * scale:
         raise GradeLeakageError(
             f"grade-{g} projection residue {residue:.3e} exceeds "
             f"{tol:.1e} * {scale:.3e}"
@@ -181,7 +181,7 @@ def exp_bivector(b: Multivector13, tol: float = 1e-14) -> Multivector13:
     the result is squared back up.  Raises NonBivectorError unless the input
     is pure grade 2.
     """
-    if b.grade_residue(2) > tol * max(1.0, b.max_abs()):
+    if not b.grade_residue(2) <= tol * max(1.0, b.max_abs()):
         raise NonBivectorError("exponential argument must be a pure bivector")
     halvings = 0
     arg = b.c.copy()
@@ -226,8 +226,8 @@ def versor_inverse(m: Multivector13, tol: float = 1e-10) -> Multivector13:
         sol = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularVersorError("multivector is not invertible") from exc
-    residual = lhs @ sol - rhs
-    if float(np.max(np.abs(residual))) > tol * max(1.0, float(np.max(np.abs(sol)))):
+    residual = float(np.max(np.abs(lhs @ sol - rhs)))
+    if not residual <= tol * max(1.0, float(np.max(np.abs(sol)))):
         raise SingularVersorError("inverse residual above tolerance")
     return Multivector13._wrap(sol)
 

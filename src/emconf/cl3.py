@@ -4,6 +4,8 @@ Elements are written s + v with s a complex scalar and v a complex 3-vector;
 the product of two vectors splits as u v = u.v + i u x v with bilinear
 (unconjugated) dot and cross.  Bar negates the vector part, star conjugates
 every complex component.  Real paravectors t + r encode spacetime events.
+Each residue guard reads `not residue <= bound`, so a NaN residue is refused
+rather than dropped.
 """
 
 from __future__ import annotations
@@ -73,10 +75,10 @@ class Paravector3:
         return Paravector3._wrap(self.s * w, self.v * w)
 
     def max_abs(self) -> float:
-        return float(max(abs(self.s), np.max(np.abs(self.v))))
+        return float(np.abs(self.v).max(initial=abs(self.s)))
 
     def imag_residue(self) -> float:
-        return float(max(abs(self.s.imag), np.max(np.abs(self.v.imag))))
+        return float(np.abs(self.v.imag).max(initial=abs(self.s.imag)))
 
     def scalar_residue(self) -> float:
         return float(abs(self.s))
@@ -102,32 +104,32 @@ def minkowski_square(x: Paravector3, tol: float = 1e-12) -> float:
 
     Raises NonRealEventError if the input carries imaginary parts above tol.
     """
-    if x.imag_residue() > tol * max(1.0, x.max_abs()):
+    if not x.imag_residue() <= tol * max(1.0, x.max_abs()):
         raise NonRealEventError("event paravector must be real")
     t = float(x.s.real)
     r = x.v.real
     return t * t - float(r @ r)
 
 
-def real_paravector(p: Paravector3, tol: float = 1e-10) -> Paravector3:
+def real_paravector(p: Paravector3, tol: float) -> Paravector3:
     """Strip a residual imaginary part, relative guard as in grade projection."""
-    if p.imag_residue() > tol * max(1.0, p.max_abs()):
+    if not p.imag_residue() <= tol * max(1.0, p.max_abs()):
         raise ImaginaryResidueError(
             f"imaginary residue {p.imag_residue():.3e} above tolerance"
         )
     return Paravector3._wrap(complex(p.s.real), p.v.real.astype(np.complex128))
 
 
-def pure_vector(p: Paravector3, tol: float = 1e-10) -> np.ndarray:
+def pure_vector(p: Paravector3, tol: float) -> np.ndarray:
     """Vector part of p, guarding against a scalar residue."""
-    if p.scalar_residue() > tol * max(1.0, p.max_abs()):
+    if not p.scalar_residue() <= tol * max(1.0, p.max_abs()):
         raise ImaginaryResidueError(
             f"scalar residue {p.scalar_residue():.3e} above tolerance"
         )
     return p.v.copy()
 
 
-def exp_complex_vector(w, tol: float = 1e-14) -> Paravector3:
+def exp_complex_vector(w, tol: float) -> Paravector3:
     """Exponential of a complex 3-vector by series with scaling and squaring."""
     arg = Paravector3.vector(w)
     halvings = 0

@@ -34,7 +34,11 @@ from .conformal13 import (
     Translation,
 )
 from .conformal3 import PreparedTransform3, scale_of
-from .errors import ConformalDomainError, OriginSingularityError
+from .errors import (
+    ConformalDomainError,
+    ImaginaryResidueError,
+    OriginSingularityError,
+)
 from .fields import (
     Coulomb,
     FieldSpec,
@@ -50,6 +54,9 @@ _FIELD_KEYS = (
     "Exp", "Eyp", "Ezp", "Bxp", "Byp", "Bzp",
 )
 CSV_HEADER = "t,x,y,z," + ",".join(_FIELD_KEYS) + ",scale,skipped"
+# Refusals at one event: a cone of the map, the field's singular point, or a
+# field sandwich that overflowed into a NaN residue.
+_REFUSALS = (ConformalDomainError, OriginSingularityError, ImaginaryResidueError)
 
 
 class JobError(Exception):
@@ -284,7 +291,7 @@ def _event_row(
     frame: CoordinateFrame,
     coords: tuple[float, float, float, float],
 ) -> dict:
-    """One output row; a domain refusal or a non-finite value skips it."""
+    """One output row; a refusal or a non-finite value skips it."""
     row = dict(zip(_AXES, coords))
     try:
         grid_pv = Paravector3.from_event(coords[0], coords[1:])
@@ -296,7 +303,7 @@ def _event_row(
         F_in = field.faraday(src)
         F_out = xform.faraday(F_in, grid_pv, frame)
         scale = scale_of(xform.params, grid_pv, frame)
-    except (ConformalDomainError, OriginSingularityError):
+    except _REFUSALS:
         finite = False
     else:
         values = (*F_in.E, *F_in.B, *F_out.E, *F_out.B)
@@ -400,7 +407,7 @@ def cmd_invariants(args) -> int:
     coords = _require_numbers(point, 4, "point")
     try:
         report = invariant_scaling_report(field, params, FourVector(*coords))
-    except (ConformalDomainError, OriginSingularityError) as exc:
+    except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     lines = [f"  {json.dumps(k)}: {_num(getattr(report, k))}" for k in _REPORT_KEYS]
@@ -426,7 +433,8 @@ def _report_to_json(report) -> str:
         "  " + _json_object((
             ("check_id", c.check_id),
             ("trials", c.trials),
-            ("max_abs_dev", c.max_dev),
+            # A crashed or NaN check has no finite deviation to report.
+            ("max_abs_dev", c.max_dev if math.isfinite(c.max_dev) else None),
             ("tolerance", c.tolerance),
             ("pass", c.passed),
         ))
@@ -446,8 +454,8 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.trials < 1:
         raise JobError("trials must be at least 1")
-    if args.tol < 0.0:
-        raise JobError("tol must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise JobError("tol must be a finite nonnegative number")
     report = run_suite(seed=seed, trials=args.trials, tol=args.tol)
     _emit(_report_to_json(report), args.out)
     npass = sum(1 for c in report.checks if c.passed)

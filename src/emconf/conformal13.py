@@ -1,10 +1,11 @@
 """Conformal transformations of electromagnetic quantities in Cl(1,3).
 
-Implements the five transformation families (dilation, translation, Lorentz,
-inversion, special conformal) as sandwich formulas on multivectors.  The
-inversion and special-conformal ops exist in two presentations selected by
-CoordinateFrame: ORIGINAL takes the source event, TRANSFORMED takes the image
-event and carries compensating powers of the scale factor.
+One entry, transform(params, kind, value, x, frame), applies any of the five
+families (dilation, translation, Lorentz, inversion, special conformal) to a
+position, potential, current or field.  The two nonlinear maps are one rule:
+a sandwich of the quantity, weighted by a power of the conformal scale that
+the kind and the CoordinateFrame fix.  ORIGINAL takes the source event,
+TRANSFORMED takes the image event and carries two more powers of the scale.
 
 Parameter dataclasses for all five families live here as well and are shared
 with the Cl(3) layer and the CLI; sharing parameters does not share any of
@@ -13,6 +14,7 @@ the transformation arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -27,7 +29,12 @@ from .cl13 import (
     geometric_product,
     vector_sandwich,
 )
-from .errors import LightConeError, NonPositiveScaleError, SctConeError
+from .errors import (
+    GradeLeakageError,
+    LightConeError,
+    NonPositiveScaleError,
+    SctConeError,
+)
 
 LIGHTCONE_TOL = 1e-9
 GRADE_TOL = 1e-12
@@ -101,209 +108,144 @@ def sct_factor(x: FourVector, a: FourVector) -> float:
     return 1.0 + 2.0 * a.mdot(x) + a.minkowski_sq() * x.minkowski_sq()
 
 
-def _interval_guarded(x: FourVector, tol: float) -> float:
-    x2 = x.minkowski_sq()
-    if not abs(x2) > tol:
-        raise LightConeError(f"event too close to the light cone: x^2 = {x2:.3e}")
-    return x2
+def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame) -> float:
+    """Conformal scale of the inversion or special conformal map at x.
 
-
-def _sct_factor_guarded(x: FourVector, a: FourVector, tol: float) -> float:
-    s = sct_factor(x, a)
-    if not abs(s) > tol:
-        raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
-    return s
-
-
-def _sct_factor_from_image(x_new: FourVector, a: FourVector, tol: float) -> float:
+    x^2 or sigma at the source event in the ORIGINAL frame, their reciprocal
+    read off the image event in the TRANSFORMED frame; guarded on the cones.
+    """
+    if isinstance(params, Inversion):
+        x2 = x.minkowski_sq()
+        if not abs(x2) > LIGHTCONE_TOL:
+            raise LightConeError(f"event too close to the light cone: x^2 = {x2:.3e}")
+        return x2 if frame is CoordinateFrame.ORIGINAL else 1.0 / x2
+    if not isinstance(params, Sct):
+        raise TypeError(f"unknown transformation parameters: {params!r}")
+    a = params.a
+    if frame is CoordinateFrame.ORIGINAL:
+        s = sct_factor(x, a)
+        if not abs(s) > LIGHTCONE_TOL:
+            raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
+        return s
     # In image coordinates the scale satisfies 1/s = 1 - 2 a.x'' + a^2 x''^2.
-    denom = (
-        1.0
-        - 2.0 * a.mdot(x_new)
-        + a.minkowski_sq() * x_new.minkowski_sq()
-    )
-    if not abs(denom) > tol:
+    denom = 1.0 - 2.0 * a.mdot(x) + a.minkowski_sq() * x.minkowski_sq()
+    if not abs(denom) > LIGHTCONE_TOL:
         raise SctConeError(
             f"image event too close to the excluded cone: 1/scale = {denom:.3e}"
         )
     return 1.0 / denom
 
 
-# -- inversion ----------------------------------------------------------------
-
-
-def invert_position(
-    x: FourVector, eps: int = 1, tol: float = LIGHTCONE_TOL
-) -> FourVector:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    x2 = _interval_guarded(x, tol)
-    arr = eps * x.as_array() / x2
-    return FourVector.from_array(arr)
-
-
-def invert_potential(
-    A: FourVector,
-    x: FourVector,
-    eps: int = 1,
-    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
-    tol: float = LIGHTCONE_TOL,
-    grade_tol: float = GRADE_TOL,
-) -> FourVector:
-    """Inverted potential; the inversion sign cancels in the even sandwich."""
-    Inversion(eps)  # raises unless eps is +1 or -1
-    _interval_guarded(x, tol)
-    xm = x.to_mv()
-    raw = vector_sandwich(xm, A.to_mv(), xm)
-    if frame is CoordinateFrame.ORIGINAL:
-        return FourVector.from_mv(raw, grade_tol)
-    om = 1.0 / x.minkowski_sq()
-    return FourVector.from_mv(om**2 * raw, grade_tol)
-
-
-def invert_current(
-    J: FourVector,
-    x: FourVector,
-    eps: int = 1,
-    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
-    tol: float = LIGHTCONE_TOL,
-    grade_tol: float = GRADE_TOL,
-) -> FourVector:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    _interval_guarded(x, tol)
-    xm = x.to_mv()
-    raw = vector_sandwich(xm, J.to_mv(), xm)
-    if frame is CoordinateFrame.ORIGINAL:
-        om = x.minkowski_sq()
-        return FourVector.from_mv(om**2 * raw, grade_tol)
-    om = 1.0 / x.minkowski_sq()
-    return FourVector.from_mv(om**4 * raw, grade_tol)
-
-
-def invert_faraday(
-    F: Faraday13,
-    x: FourVector,
-    eps: int = 1,
-    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
-    tol: float = LIGHTCONE_TOL,
-    grade_tol: float = GRADE_TOL,
-) -> Faraday13:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    _interval_guarded(x, tol)
-    xm = x.to_mv()
-    raw = vector_sandwich(xm, F.to_mv(), xm)
-    if frame is CoordinateFrame.ORIGINAL:
-        om = x.minkowski_sq()
-        return Faraday13.from_mv(-eps * om * raw, grade_tol)
-    om = 1.0 / x.minkowski_sq()
-    return Faraday13.from_mv(-eps * om**3 * raw, grade_tol)
-
-
-# -- special conformal ----------------------------------------------------------
-
-def _sct_versors(x: FourVector, a: FourVector) -> tuple[Multivector13, Multivector13]:
+def _sct_versors(
+    x: FourVector, a: FourVector, frame: CoordinateFrame
+) -> tuple[Multivector13, Multivector13]:
+    """1 + a x and 1 + x a at the source event, 1 - x a and 1 - a x at the image."""
     one = Multivector13.scalar(1.0)
     ax = geometric_product(a.to_mv(), x.to_mv())
     xa = geometric_product(x.to_mv(), a.to_mv())
-    return one + ax, one + xa
-
-
-def _sct_versors_image(
-    x_new: FourVector, a: FourVector
-) -> tuple[Multivector13, Multivector13]:
-    one = Multivector13.scalar(1.0)
-    xa = geometric_product(x_new.to_mv(), a.to_mv())
-    ax = geometric_product(a.to_mv(), x_new.to_mv())
+    if frame is CoordinateFrame.ORIGINAL:
+        return one + ax, one + xa
     return one - xa, one - ax
 
 
-def sct_position(
-    x: FourVector, a: FourVector, tol: float = LIGHTCONE_TOL
-) -> FourVector:
-    s = _sct_factor_guarded(x, a, tol)
-    arr = (x.as_array() + x.minkowski_sq() * a.as_array()) / s
-    return FourVector.from_array(arr)
+def _project(
+    kind: QuantityKind,
+    out: Multivector13,
+    operands: tuple[Multivector13, ...],
+    weight: float,
+):
+    """The kind's grade of the sandwich out, times weight.
+
+    Roundoff in a sandwich grows with the sizes of its operands, not with the
+    size of its result, which cancellation can make much smaller; so the
+    off-grade residue is measured against the product of the operands'
+    largest coefficients, floored at 1 as in grade_project.
+    """
+    g = 2 if kind is QuantityKind.FARADAY else 1
+    residue = out.grade_residue(g)
+    # The bound is at least GRADE_TOL, so only a larger residue needs the sizes.
+    if not residue <= GRADE_TOL:
+        size = math.prod(m.max_abs() for m in operands)
+        if not residue <= GRADE_TOL * max(1.0, size):
+            raise GradeLeakageError(
+                f"grade-{g} sandwich residue {residue:.3e} exceeds "
+                f"{GRADE_TOL:.1e} * {size:.3e}"
+            )
+    out = weight * out
+    if g == 2:
+        return Faraday13.from_mv(out.grade(2))
+    return FourVector.from_mv(out.grade(1))
 
 
-def sct_potential(
-    A: FourVector,
-    x: FourVector,
-    a: FourVector,
+def _position(params: ConformalParams, x: FourVector) -> FourVector:
+    if isinstance(params, Dilation):
+        return FourVector.from_array(x.as_array() / params.factor)
+    if isinstance(params, Translation):
+        return FourVector.from_array(x.as_array() + params.offset.as_array())
+    s = _scale(params, x, CoordinateFrame.ORIGINAL)
+    if isinstance(params, Inversion):
+        return FourVector.from_array(params.eps * x.as_array() / s)
+    a = params.a.as_array()
+    return FourVector.from_array((x.as_array() + x.minkowski_sq() * a) / s)
+
+
+# Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
+# frame; the TRANSFORMED frame adds 2, and a dilation weights by its factor
+# to one power more.
+_SCALE_POWER = {
+    QuantityKind.POTENTIAL: 0,
+    QuantityKind.CURRENT: 2,
+    QuantityKind.FARADAY: 1,
+}
+
+
+def transform(
+    params: ConformalParams,
+    kind: QuantityKind,
+    value,
+    x: FourVector | None = None,
     frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
-    tol: float = LIGHTCONE_TOL,
-    grade_tol: float = GRADE_TOL,
-) -> FourVector:
-    if frame is CoordinateFrame.ORIGINAL:
-        left, right = _sct_versors(x, a)
-        raw = vector_sandwich(left, A.to_mv(), right)
-        return FourVector.from_mv(raw, grade_tol)
-    s = _sct_factor_from_image(x, a, tol)
-    left, right = _sct_versors_image(x, a)
-    raw = vector_sandwich(left, A.to_mv(), right)
-    return FourVector.from_mv(s**2 * raw, grade_tol)
+):
+    """The map params applied to value, a quantity of the given kind.
 
-
-def sct_current(
-    J: FourVector,
-    x: FourVector,
-    a: FourVector,
-    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
-    tol: float = LIGHTCONE_TOL,
-    grade_tol: float = GRADE_TOL,
-) -> FourVector:
-    if frame is CoordinateFrame.ORIGINAL:
-        s = _sct_factor_guarded(x, a, tol)
-        left, right = _sct_versors(x, a)
-        raw = vector_sandwich(left, J.to_mv(), right)
-        return FourVector.from_mv(s**2 * raw, grade_tol)
-    s = _sct_factor_from_image(x, a, tol)
-    left, right = _sct_versors_image(x, a)
-    raw = vector_sandwich(left, J.to_mv(), right)
-    return FourVector.from_mv(s**4 * raw, grade_tol)
-
-
-def sct_faraday(
-    F: Faraday13,
-    x: FourVector,
-    a: FourVector,
-    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
-    tol: float = LIGHTCONE_TOL,
-    grade_tol: float = GRADE_TOL,
-) -> Faraday13:
-    if frame is CoordinateFrame.ORIGINAL:
-        s = _sct_factor_guarded(x, a, tol)
-        left, right = _sct_versors(x, a)
-        raw = vector_sandwich(left, F.to_mv(), right)
-        return Faraday13.from_mv(s * raw, grade_tol)
-    s = _sct_factor_from_image(x, a, tol)
-    left, right = _sct_versors_image(x, a)
-    raw = vector_sandwich(left, F.to_mv(), right)
-    return Faraday13.from_mv(s**3 * raw, grade_tol)
-
-
-# -- linear families ------------------------------------------------------------
-
-
-def dilate(kind: QuantityKind, value, factor: float):
-    """Dilation weights: position 1/f, potential f, current f^3, field f^2."""
-    if not factor > 0.0:
-        raise NonPositiveScaleError("dilation factor must be positive")
+    value is a FourVector, or a Faraday13 for the field.  A position maps on
+    its own and ignores x and frame.  Potential, current and field sit at the
+    event x, which the inversion and the special conformal map read: the
+    source event in the ORIGINAL frame, the image event in the TRANSFORMED
+    frame.  There the result is the sandwich of value by x (inversion) or by
+    the versors 1 + a x, 1 + x a (special conformal), weighted by the kind's
+    power of the scale; the inversion field also carries the sign -eps.
+    """
+    if isinstance(params, Lorentz):
+        L, Li = _lorentz_rotors(params, EXP_TOL)
+        return _lorentz_sandwich(kind, value, L, Li, params.lorentz_class)
     if kind is QuantityKind.POSITION:
-        return FourVector.from_array(value.as_array() / factor)
-    if kind is QuantityKind.POTENTIAL:
-        return FourVector.from_array(factor * value.as_array())
-    if kind is QuantityKind.CURRENT:
-        return FourVector.from_array(factor**3 * value.as_array())
-    return Faraday13(factor**2 * value.E, factor**2 * value.B)
+        return _position(params, value)
+    if isinstance(params, Dilation):
+        w = params.factor ** (_SCALE_POWER[kind] + 1)
+        if kind is QuantityKind.FARADAY:
+            return Faraday13(w * value.E, w * value.B)
+        return FourVector.from_array(w * value.as_array())
+    if isinstance(params, Translation):
+        return value
+    scale = _scale(params, x, frame)
+    sign = 1
+    if isinstance(params, Inversion):
+        left = right = x.to_mv()
+        if kind is QuantityKind.FARADAY:
+            sign = -params.eps
+    else:
+        left, right = _sct_versors(x, params.a, frame)
+    p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
+    q = value.to_mv()
+    out = vector_sandwich(left, q, right)
+    return _project(kind, out, (left, q, right), sign * scale**p)
 
 
-def translate(kind: QuantityKind, value, offset: FourVector):
-    """Only the event moves; potential, current and field values are carried."""
-    if kind is QuantityKind.POSITION:
-        return FourVector.from_array(value.as_array() + offset.as_array())
-    return value
+# -- Lorentz --------------------------------------------------------------------
 
 
-def lorentz_generator(boost, rotation) -> Multivector13:
+def _lorentz_generator(boost, rotation) -> Multivector13:
     """Bivector generator from boost and rotation 3-vectors.
 
     The generator occupies the same six blades as the Faraday bivector with
@@ -312,25 +254,14 @@ def lorentz_generator(boost, rotation) -> Multivector13:
     return Faraday13(np.asarray(boost, float), np.asarray(rotation, float)).to_mv()
 
 
-_SIGN_FLIP = {
-    LorentzClass.PROPER_ORTHOCHRONOUS: False,
-    LorentzClass.IMPROPER_ORTHOCHRONOUS: False,
-    LorentzClass.IMPROPER_ANTICHRONOUS: True,
-    LorentzClass.PROPER_ANTICHRONOUS: True,
-}
-
-_PARITY_WRAP = {
-    LorentzClass.PROPER_ORTHOCHRONOUS: False,
-    LorentzClass.IMPROPER_ORTHOCHRONOUS: True,
-    LorentzClass.IMPROPER_ANTICHRONOUS: True,
-    LorentzClass.PROPER_ANTICHRONOUS: False,
-}
+_IMPROPER = (LorentzClass.IMPROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ANTICHRONOUS)
+_ANTICHRONOUS = (LorentzClass.IMPROPER_ANTICHRONOUS, LorentzClass.PROPER_ANTICHRONOUS)
 
 
 def _lorentz_rotors(
     params: Lorentz, exp_tol: float
 ) -> tuple[Multivector13, Multivector13]:
-    gen = lorentz_generator(params.boost, params.rotation)
+    gen = _lorentz_generator(params.boost, params.rotation)
     return exp_bivector(gen, exp_tol), exp_bivector(-1.0 * gen, exp_tol)
 
 
@@ -340,39 +271,22 @@ def _lorentz_sandwich(
     L: Multivector13,
     Li: Multivector13,
     cls: LorentzClass,
-    grade_tol: float = GRADE_TOL,
 ):
-    """The class-adjusted sandwich of lorentz_apply by the rotor pair L, Li."""
-    q = value.to_mv()
-    out = vector_sandwich(L, q, Li)
-    if _PARITY_WRAP[cls]:
-        e0 = Multivector13.basis_vector(0)
-        out = vector_sandwich(e0, out, e0)
-    if _SIGN_FLIP[cls] and kind in (
-        QuantityKind.POSITION,
-        QuantityKind.FARADAY,
-    ):
-        out = -out
-    if kind is QuantityKind.FARADAY:
-        return Faraday13.from_mv(out, grade_tol)
-    return FourVector.from_mv(out, grade_tol)
-
-
-def lorentz_apply(
-    kind: QuantityKind,
-    value,
-    params: Lorentz,
-    exp_tol: float = EXP_TOL,
-    grade_tol: float = GRADE_TOL,
-):
-    """Sandwich by the exponential rotor, adjusted per Lorentz class.
+    """Sandwich by the rotor pair L, Li, adjusted per Lorentz class.
 
     The improper classes wrap the sandwich in the timelike reflection; the
     antichronous classes flip the overall sign of position and field but not
     of potential or current.
     """
-    L, Li = _lorentz_rotors(params, exp_tol)
-    return _lorentz_sandwich(kind, value, L, Li, params.lorentz_class, grade_tol)
+    q = value.to_mv()
+    out = vector_sandwich(L, q, Li)
+    if cls in _IMPROPER:
+        e0 = Multivector13.basis_vector(0)
+        out = vector_sandwich(e0, out, e0)
+    flip = cls in _ANTICHRONOUS and kind in (
+        QuantityKind.POSITION, QuantityKind.FARADAY
+    )
+    return _project(kind, out, (L, q, Li), -1.0 if flip else 1.0)
 
 
 def induced_matrix(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:

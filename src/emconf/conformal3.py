@@ -2,9 +2,12 @@
 
 Same physics as the Cl(1,3) layer, independently implemented on complex
 scalars and 3-vectors.  Events are real paravectors t + r; the field travels
-as F = E + iB.  Conjugation placement differs between the potential-type and
-field sandwiches and between the two coordinate presentations; each formula
-below spells its own placement rather than deriving one from another.
+as F = E + iB.  One entry, transform3(params, kind, value, x, frame), applies
+every family to every kind: the nonlinear maps as a sandwich weighted by a
+power of scale_of.  Conjugation placement differs between the potential-type
+and field sandwiches and between the two coordinate presentations; each
+sandwich spells its own placement rather than deriving one from another.
+inverse_position3 and PreparedTransform3 serve sweeps over image events.
 """
 
 from __future__ import annotations
@@ -43,11 +46,8 @@ def _event_parts(x: Paravector3) -> tuple[float, np.ndarray]:
     return float(x.s.real), x.v.real.copy()
 
 
-def _interval_guarded(x: Paravector3, tol: float) -> float:
-    w = minkowski_square(x)
-    if not abs(w) > tol:
-        raise LightConeError(f"event too close to the light cone: x^2 = {w:.3e}")
-    return w
+def _to_paravector(v) -> Paravector3:
+    return Paravector3.from_event(v.t, (v.x, v.y, v.z))
 
 
 def sct_factor3(x: Paravector3, a: Paravector3) -> float:
@@ -60,164 +60,138 @@ def sct_factor3(x: Paravector3, a: Paravector3) -> float:
     )
 
 
-def _sct_factor_guarded(x: Paravector3, a: Paravector3, tol: float) -> float:
-    s = sct_factor3(x, a)
-    if not abs(s) > tol:
-        raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
-    return s
-
-
-def _sct_factor_from_image(x_new: Paravector3, a: Paravector3, tol: float) -> float:
-    t, r = _event_parts(x_new)
-    a0, av = _event_parts(a)
-    denom = (
-        1.0
-        - 2.0 * (a0 * t - float(av @ r))
-        + (a0 * a0 - float(av @ av)) * (t * t - float(r @ r))
-    )
-    if not abs(denom) > tol:
+def _sct_scale(x: Paravector3, a: Paravector3, frame: CoordinateFrame) -> float:
+    """sigma at the source event, or at the image event the reciprocal of the
+    scale of the map by -a, which undoes the map by a; guarded on the cone."""
+    if frame is _ORIG:
+        s = sct_factor3(x, a)
+        if not abs(s) > LIGHTCONE_TOL:
+            raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
+        return s
+    denom = sct_factor3(x, -a)
+    if not abs(denom) > LIGHTCONE_TOL:
         raise SctConeError(
             f"image event too close to the excluded cone: 1/scale = {denom:.3e}"
         )
     return 1.0 / denom
 
 
-# -- inversion ----------------------------------------------------------------
-
-
-def invert3_position(
-    x: Paravector3, eps: int = 1, tol: float = LIGHTCONE_TOL
-) -> Paravector3:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    w = _interval_guarded(x, tol)
-    return (eps / w) * x
-
-
-def invert3_potential(
-    A: Paravector3,
+def scale_of(
+    params: ConformalParams,
     x: Paravector3,
-    eps: int = 1,
     frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Paravector3:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    w = _interval_guarded(x, tol)
-    raw = cl3_product(cl3_product(x, A.bar()), x)
-    if frame is _ORIG:
-        return real_paravector(raw, res_tol)
-    om = 1.0 / w
-    return real_paravector(om**2 * raw, res_tol)
+) -> float:
+    """Conformal scale entering the field formulas at this event.
+
+    Omega for inversion, sigma for the special conformal map, the dilation
+    factor for dilations, and 1 for the isometries.  The inversion and the
+    special conformal map read x as the source event in the ORIGINAL frame
+    and as the image event in the TRANSFORMED frame, and refuse an x on
+    their cones.
+    """
+    if isinstance(params, Dilation):
+        return params.factor
+    if isinstance(params, (Translation, Lorentz)):
+        return 1.0
+    if isinstance(params, Inversion):
+        w = minkowski_square(x)
+        if not abs(w) > LIGHTCONE_TOL:
+            raise LightConeError(f"event too close to the light cone: x^2 = {w:.3e}")
+        return w if frame is _ORIG else 1.0 / w
+    if isinstance(params, Sct):
+        return _sct_scale(x, _to_paravector(params.a), frame)
+    raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
-def invert3_current(
-    J: Paravector3,
-    x: Paravector3,
-    eps: int = 1,
-    frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Paravector3:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    w = _interval_guarded(x, tol)
-    raw = cl3_product(cl3_product(x, J.bar()), x)
-    om = w if frame is _ORIG else 1.0 / w
-    power = 2 if frame is _ORIG else 4
-    return real_paravector(om**power * raw, res_tol)
-
-
-def invert3_faraday(
-    F: Faraday3,
-    x: Paravector3,
-    eps: int = 1,
-    frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Faraday3:
-    Inversion(eps)  # raises unless eps is +1 or -1
-    w = _interval_guarded(x, tol)
-    raw = cl3_product(cl3_product(x, F.to_paravector().star()), x.bar())
-    om = w if frame is _ORIG else 1.0 / w
-    power = 1 if frame is _ORIG else 3
-    return Faraday3(F=pure_vector(eps * om**power * raw, res_tol))
-
-
-# -- special conformal ----------------------------------------------------------
-
-
-def sct3_position(
-    x: Paravector3, a: Paravector3, tol: float = LIGHTCONE_TOL
-) -> Paravector3:
-    s = _sct_factor_guarded(x, a, tol)
-    one = Paravector3(1.0)
-    raw = cl3_product(one + cl3_product(a, x.bar()), x)
+def _sct_position3(x: Paravector3, a: Paravector3) -> Paravector3:
+    s = _sct_scale(x, a, _ORIG)
+    raw = cl3_product(Paravector3(1.0) + cl3_product(a, x.bar()), x)
     return real_paravector((1.0 / s) * raw, RESIDUE_TOL)
 
 
-def sct3_potential(
-    A: Paravector3,
-    x: Paravector3,
-    a: Paravector3,
+def _position3(params: ConformalParams, x: Paravector3) -> Paravector3:
+    if isinstance(params, Dilation):
+        return (1.0 / params.factor) * x
+    if isinstance(params, Translation):
+        return x + _to_paravector(params.offset)
+    if isinstance(params, Inversion):
+        return (params.eps / scale_of(params, x)) * x
+    if isinstance(params, Sct):
+        return _sct_position3(x, _to_paravector(params.a))
+    raise TypeError(f"unknown transformation parameters: {params!r}")
+
+
+# Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
+# frame; the TRANSFORMED frame adds 2, and a dilation weights by its factor
+# to one power more.
+_SCALE_POWER = {
+    QuantityKind.POTENTIAL: 0,
+    QuantityKind.CURRENT: 2,
+    QuantityKind.FARADAY: 1,
+}
+
+
+def transform3(
+    params: ConformalParams,
+    kind: QuantityKind,
+    value,
+    x: Paravector3 | None = None,
     frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Paravector3:
-    one = Paravector3(1.0)
-    if frame is _ORIG:
-        left = one + cl3_product(a, x.bar())
-        right = one + cl3_product(x.bar(), a)
-        raw = cl3_product(cl3_product(left, A), right)
-        return real_paravector(raw, res_tol)
-    s = _sct_factor_from_image(x, a, tol)
-    left = one - cl3_product(x, a.bar())
-    right = one - cl3_product(a.bar(), x)
-    raw = cl3_product(cl3_product(left, A), right)
-    return real_paravector(s**2 * raw, res_tol)
+):
+    """The map params applied to value, a quantity of the given kind.
 
-
-def sct3_current(
-    J: Paravector3,
-    x: Paravector3,
-    a: Paravector3,
-    frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Paravector3:
-    one = Paravector3(1.0)
-    if frame is _ORIG:
-        s = _sct_factor_guarded(x, a, tol)
-        left = one + cl3_product(a, x.bar())
-        right = one + cl3_product(x.bar(), a)
-        raw = cl3_product(cl3_product(left, J), right)
-        return real_paravector(s**2 * raw, res_tol)
-    s = _sct_factor_from_image(x, a, tol)
-    left = one - cl3_product(x, a.bar())
-    right = one - cl3_product(a.bar(), x)
-    raw = cl3_product(cl3_product(left, J), right)
-    return real_paravector(s**4 * raw, res_tol)
-
-
-def sct3_faraday(
-    F: Faraday3,
-    x: Paravector3,
-    a: Paravector3,
-    frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Faraday3:
-    one = Paravector3(1.0)
-    fv = F.to_paravector()
-    if frame is _ORIG:
-        s = _sct_factor_guarded(x, a, tol)
-        left = one + cl3_product(a, x.bar())
-        right = one + cl3_product(x, a.bar())
-        raw = cl3_product(cl3_product(left, fv), right)
-        return Faraday3(F=pure_vector(s * raw, res_tol))
-    s = _sct_factor_from_image(x, a, tol)
-    left = one - cl3_product(x, a.bar())
-    right = one - cl3_product(a, x.bar())
-    raw = cl3_product(cl3_product(left, fv), right)
-    return Faraday3(F=pure_vector(s**3 * raw, res_tol))
+    value is a real paravector, or a Faraday3 for the field.  A position maps
+    on its own and ignores x and frame.  Potential, current and field sit at
+    the event x, which the inversion and the special conformal map read: the
+    source event in the ORIGINAL frame, the image event in the TRANSFORMED
+    frame.  There the result is a sandwich of value, weighted by the kind's
+    power of scale_of; the inversion field also carries the sign +eps.  The
+    conjugations in each sandwich are spelled out per map, kind and frame.
+    """
+    if isinstance(params, Lorentz):
+        L = _lorentz_rotor(params, EXP_TOL)
+        return _lorentz_sandwich(kind, value, L, params.lorentz_class)
+    if kind is QuantityKind.POSITION:
+        return _position3(params, value)
+    field = kind is QuantityKind.FARADAY
+    if isinstance(params, Dilation):
+        w = params.factor ** (_SCALE_POWER[kind] + 1)
+        return Faraday3(F=w * value.F) if field else w * value
+    if isinstance(params, Translation):
+        return value
+    scale = scale_of(params, x, frame)
+    sign = 1
+    if isinstance(params, Inversion):
+        if field:
+            raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
+            sign = params.eps
+        else:
+            raw = cl3_product(cl3_product(x, value.bar()), x)
+    else:
+        one = Paravector3(1.0)
+        a = _to_paravector(params.a)
+        if frame is _ORIG:
+            left = one + cl3_product(a, x.bar())
+            if field:
+                right = one + cl3_product(x, a.bar())
+            else:
+                right = one + cl3_product(x.bar(), a)
+        else:
+            left = one - cl3_product(x, a.bar())
+            if field:
+                right = one - cl3_product(a, x.bar())
+            else:
+                right = one - cl3_product(a.bar(), x)
+        q = value.to_paravector() if field else value
+        raw = cl3_product(cl3_product(left, q), right)
+    p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
+    if p:
+        # A zero power skips the multiply: a complex multiply by 1 + 0j can
+        # flip the sign of a zero component.
+        raw = (sign * scale**p) * raw
+    if field:
+        return Faraday3(F=pure_vector(raw, RESIDUE_TOL))
+    return real_paravector(raw, RESIDUE_TOL)
 
 
 # -- Lorentz ----------------------------------------------------------------------
@@ -235,9 +209,14 @@ def _lorentz_sandwich(
     value,
     L: Paravector3,
     cls: LorentzClass,
-    res_tol: float = RESIDUE_TOL,
 ):
-    """The class-resolved sandwich of lorentz3 by the rotor L."""
+    """Class-resolved sandwich by the rotor L.
+
+    Orthochronous-proper sandwiches are L W L* for paravector kinds and
+    L F bar(L) for the field; the improper classes conjugate the operand and
+    swap the rotor decorations; the antichronous classes flip the sign of
+    position (paravector side) and field, never of potential or current.
+    """
     plain = cls in (
         LorentzClass.PROPER_ORTHOCHRONOUS,
         LorentzClass.PROPER_ANTICHRONOUS,
@@ -254,7 +233,7 @@ def _lorentz_sandwich(
             )
             if cls is LorentzClass.IMPROPER_ORTHOCHRONOUS:
                 raw = -raw
-        return Faraday3(F=pure_vector(raw, res_tol))
+        return Faraday3(F=pure_vector(raw, RESIDUE_TOL))
     if plain:
         raw = cl3_product(cl3_product(L, value), L.star())
     else:
@@ -264,25 +243,7 @@ def _lorentz_sandwich(
         LorentzClass.PROPER_ANTICHRONOUS,
     ):
         raw = -raw
-    return real_paravector(raw, res_tol)
-
-
-def lorentz3(
-    kind: QuantityKind,
-    value,
-    params: Lorentz,
-    exp_tol: float = EXP_TOL,
-    res_tol: float = RESIDUE_TOL,
-):
-    """Class-resolved Lorentz action on paravectors and fields.
-
-    Orthochronous-proper sandwiches are L W L* for paravector kinds and
-    L F bar(L) for the field; the improper classes conjugate the operand and
-    swap the rotor decorations; the antichronous classes flip the sign of
-    position (paravector side) and field, never of potential or current.
-    """
-    L = _lorentz_rotor(params, exp_tol)
-    return _lorentz_sandwich(kind, value, L, params.lorentz_class, res_tol)
+    return real_paravector(raw, RESIDUE_TOL)
 
 
 def _induced_from_rotor(L: Paravector3, cls: LorentzClass) -> np.ndarray:
@@ -304,18 +265,12 @@ def induced_matrix3(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
 # -- parameter-driven dispatch ---------------------------------------------------
 
 
-def _to_paravector(v) -> Paravector3:
-    return Paravector3.from_event(v.t, (v.x, v.y, v.z))
-
-
 def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
     coords = mat @ np.array([x.s.real, *x.v.real])
     return Paravector3.from_event(coords[0], coords[1:])
 
 
-def inverse_position3(
-    params: ConformalParams, x_new: Paravector3, tol: float = LIGHTCONE_TOL
-) -> Paravector3:
+def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
     """Preimage of an event under the parametrized map.
 
     For Lorentz parameters every call expands the rotor and inverts the
@@ -329,33 +284,10 @@ def inverse_position3(
     if isinstance(params, Lorentz):
         return _apply_matrix(np.linalg.inv(induced_matrix3(params)), x_new)
     if isinstance(params, Inversion):
-        return invert3_position(x_new, params.eps, tol)
+        return _position3(params, x_new)
     if isinstance(params, Sct):
         # The special conformal map with -a undoes the one with a.
-        return sct3_position(x_new, -_to_paravector(params.a), tol)
-    raise TypeError(f"unknown transformation parameters: {params!r}")
-
-
-def transform_faraday3(
-    params: ConformalParams,
-    F: Faraday3,
-    x: Paravector3,
-    frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-    res_tol: float = RESIDUE_TOL,
-) -> Faraday3:
-    """Field transform; x is the source event in the ORIGINAL frame and the
-    image event in the TRANSFORMED frame (linear families ignore it)."""
-    if isinstance(params, Dilation):
-        return Faraday3(F=params.factor**2 * F.F)
-    if isinstance(params, Translation):
-        return Faraday3(F=F.F.copy())
-    if isinstance(params, Lorentz):
-        return lorentz3(QuantityKind.FARADAY, F, params, res_tol=res_tol)
-    if isinstance(params, Inversion):
-        return invert3_faraday(F, x, params.eps, frame, tol, res_tol)
-    if isinstance(params, Sct):
-        return sct3_faraday(F, x, _to_paravector(params.a), frame, tol, res_tol)
+        return _sct_position3(x_new, -_to_paravector(params.a))
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
@@ -366,7 +298,7 @@ class PreparedTransform3:
     induced coordinate matrix, so a sweep expands the rotor once, not once
     per event for the field and four more times per event for the preimage.
     The other families hold nothing worth keeping and go through
-    inverse_position3 and transform_faraday3 unchanged.  Results are
+    inverse_position3 and transform3 unchanged.  Results are
     bit-for-bit those of the per-call functions.
     """
 
@@ -390,36 +322,10 @@ class PreparedTransform3:
     def faraday(
         self, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
     ) -> Faraday3:
-        """Field transform, as transform_faraday3."""
+        """Field transform, as transform3."""
         if self._rotor is None:
-            return transform_faraday3(self.params, F, x, frame)
+            return transform3(self.params, QuantityKind.FARADAY, F, x, frame)
         return _lorentz_sandwich(
             QuantityKind.FARADAY, F, self._rotor, self.params.lorentz_class
         )
 
-
-def scale_of(
-    params: ConformalParams,
-    x: Paravector3,
-    frame: CoordinateFrame = _ORIG,
-    tol: float = LIGHTCONE_TOL,
-) -> float:
-    """Conformal scale entering the field formulas at this event.
-
-    Omega for inversion, sigma for the special conformal map, the dilation
-    factor for dilations, and 1 for the isometries.
-    """
-    if isinstance(params, Dilation):
-        return params.factor
-    if isinstance(params, (Translation, Lorentz)):
-        return 1.0
-    if isinstance(params, Inversion):
-        if frame is _ORIG:
-            return _interval_guarded(x, tol)
-        return 1.0 / _interval_guarded(x, tol)
-    if isinstance(params, Sct):
-        a = _to_paravector(params.a)
-        if frame is _ORIG:
-            return _sct_factor_guarded(x, a, tol)
-        return _sct_factor_from_image(x, a, tol)
-    raise TypeError(f"unknown transformation parameters: {params!r}")

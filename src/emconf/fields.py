@@ -16,10 +16,11 @@ from .conformal13 import (
     Inversion,
     Lorentz,
     LorentzClass,
+    QuantityKind,
     Sct,
     Translation,
 )
-from .conformal3 import scale_of, transform_faraday3
+from .conformal3 import scale_of, transform3
 from .errors import OriginSingularityError
 
 SINGULARITY_TOL = 1e-12
@@ -135,7 +136,7 @@ def invariant_scaling_report(
     i1, i2 = invariants(F)
     ev = Paravector3.from_event(x.t, (x.x, x.y, x.z))
     scale = scale_of(params, ev, CoordinateFrame.ORIGINAL)
-    Fp = transform_faraday3(params, F, ev, CoordinateFrame.ORIGINAL)
+    Fp = transform3(params, QuantityKind.FARADAY, F, ev, CoordinateFrame.ORIGINAL)
     i1p, i2p = invariants(Fp)
     f1, f2 = predicted_invariant_factors(params, scale)
     floor = max(1.0, abs(f1) * max(abs(i1), abs(i2)))

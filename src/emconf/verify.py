@@ -21,29 +21,16 @@ from .cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
 from .cl3 import Faraday3, Paravector3
 from .conformal13 import (
     CoordinateFrame,
+    Inversion,
     Lorentz,
     LorentzClass,
     QuantityKind,
+    Sct,
+    Translation,
     induced_matrix,
-    invert_current,
-    invert_faraday,
-    invert_position,
-    invert_potential,
-    sct_current,
-    sct_faraday,
-    sct_position,
-    sct_potential,
-    translate,
+    transform,
 )
-from .conformal3 import (
-    induced_matrix3,
-    invert3_current,
-    invert3_faraday,
-    invert3_potential,
-    sct3_current,
-    sct3_faraday,
-    sct3_potential,
-)
+from .conformal3 import induced_matrix3, transform3
 from .fields import PlaneWave, invariants
 
 BASE_TOL = 1e-10
@@ -60,6 +47,10 @@ DEFAULT_SEED = 42
 
 ORIG = CoordinateFrame.ORIGINAL
 TRANS = CoordinateFrame.TRANSFORMED
+POSITION = QuantityKind.POSITION
+POTENTIAL = QuantityKind.POTENTIAL
+CURRENT = QuantityKind.CURRENT
+FARADAY = QuantityKind.FARADAY
 
 
 @dataclass(frozen=True)
@@ -133,6 +124,18 @@ def _pv_array(p: Paravector3) -> np.ndarray:
     return np.array([p.s.real, p.v[0].real, p.v[1].real, p.v[2].real])
 
 
+def _worst(*devs: float) -> float:
+    """The largest deviation, or NaN if any is NaN.
+
+    The built-in max drops a NaN that is not its first argument, so a route
+    returning NaN would pass its check.
+    """
+    for d in devs:
+        if d != d:
+            return d
+    return max(devs)
+
+
 def _scaled(dev: float, ref: float) -> float:
     return dev / max(1.0, ref)
 
@@ -142,7 +145,9 @@ def _vec_dev(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _field_dev(gotE, gotB, wantE, wantB) -> float:
-    dev = max(float(np.max(np.abs(gotE - wantE))), float(np.max(np.abs(gotB - wantB))))
+    dev = _worst(
+        float(np.max(np.abs(gotE - wantE))), float(np.max(np.abs(gotB - wantB)))
+    )
     ref = max(float(np.max(np.abs(wantE))), float(np.max(np.abs(wantB))))
     return _scaled(dev, ref)
 
@@ -161,9 +166,9 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
             p = (ei * ej).c
             k = i ^ j
             if abs(abs(p[k]) - 1.0) != 0.0:
-                dev = max(dev, abs(abs(p[k]) - 1.0))
+                dev = _worst(dev, abs(abs(p[k]) - 1.0))
             other = np.delete(p, k)
-            dev = max(dev, float(np.max(np.abs(other))))
+            dev = _worst(dev, float(np.max(np.abs(other))))
     metric = (1.0, -1.0, -1.0, -1.0)
     for a in range(4):
         for b in range(4):
@@ -172,7 +177,7 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
             anti = (ea * eb + eb * ea).c
             expected = np.zeros(16)
             expected[0] = 2.0 * (metric[a] if a == b else 0.0)
-            dev = max(dev, float(np.max(np.abs(anti - expected))))
+            dev = _worst(dev, float(np.max(np.abs(anti - expected))))
     x = sample_event(rng)
     xm = _fv(x).to_mv()
     for a in range(4):
@@ -180,7 +185,7 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
         got = (ea * xm + xm * ea).c
         expected = np.zeros(16)
         expected[0] = 2.0 * metric[a] * x[a]
-        dev = max(dev, float(np.max(np.abs(got - expected))))
+        dev = _worst(dev, float(np.max(np.abs(got - expected))))
     return CheckResult("blade_products", 256, dev, tol * 0.0, dev <= tol * 0.0)
 
 
@@ -198,7 +203,7 @@ def check_jacobian_sandwich_identity(rng, trials: int, tol: float) -> CheckResul
             rhs = -eps * FourVector.from_mv(
                 vector_sandwich(xm, Multivector13.basis_vector(alpha), xm)
             ).as_array()
-            dev = max(dev, _vec_dev(lhs, rhs))
+            dev = _worst(dev, _vec_dev(lhs, rhs))
     return CheckResult("jacobian_sandwich_identity", trials, dev, tol, dev <= tol)
 
 
@@ -208,8 +213,11 @@ def check_conformality(rng, trials: int, tol: float) -> CheckResult:
     for i in range(trials):
         x, a = sample_pair(rng)
         eps = 1 if i % 2 == 0 else -1
-        dev = max(dev, oracle.conformality_residual(oracle.jacobian_inversion(x, eps)))
-        dev = max(dev, oracle.conformality_residual(oracle.jacobian_sct(x, a)))
+        dev = _worst(
+            dev,
+            oracle.conformality_residual(oracle.jacobian_inversion(x, eps)),
+            oracle.conformality_residual(oracle.jacobian_sct(x, a)),
+        )
     return CheckResult("conformality", trials, dev, tol, dev <= tol)
 
 
@@ -220,10 +228,11 @@ def check_conformal_factor_match(rng, trials: int, tol: float) -> CheckResult:
         x, a = sample_pair(rng)
         eps = 1 if i % 2 == 0 else -1
         lam_inv = oracle.conformal_factor(oracle.jacobian_inversion(x, eps))
-        dev = max(dev, _scaled(abs(lam_inv - abs(oracle.msq(x))), abs(oracle.msq(x))))
+        x2 = abs(oracle.msq(x))
+        dev = _worst(dev, _scaled(abs(lam_inv - x2), x2))
         lam_sct = oracle.conformal_factor(oracle.jacobian_sct(x, a))
         sig = abs(oracle.sct_scale(x, a))
-        dev = max(dev, _scaled(abs(lam_sct - sig), sig))
+        dev = _worst(dev, _scaled(abs(lam_sct - sig), sig))
     return CheckResult("conformal_factor_match", trials, dev, tol, dev <= tol)
 
 
@@ -235,10 +244,10 @@ def check_fd_jacobians(rng, trials: int, tol: float) -> CheckResult:
         eps = 1 if i % 2 == 0 else -1
         M = np.asarray(oracle.jacobian_inversion(x, eps), dtype=np.float64)
         fd = oracle.fd_jacobian(lambda p: oracle.invert_event(p, eps), x)
-        dev = max(dev, float(np.max(np.abs(M - fd))))
+        dev = _worst(dev, float(np.max(np.abs(M - fd))))
         Ms = np.asarray(oracle.jacobian_sct(x, a), dtype=np.float64)
         fds = oracle.fd_jacobian(lambda p: oracle.sct_event(p, a), x)
-        dev = max(dev, float(np.max(np.abs(Ms - fds))))
+        dev = _worst(dev, float(np.max(np.abs(Ms - fds))))
     return CheckResult("fd_jacobians", trials, dev, tol, dev <= tol)
 
 
@@ -272,18 +281,12 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
         xf = _fv(x)
         af = _fv(a)
         xp = _pv(x)
-        ap = _pv(a)
         F13 = Faraday13(E, B)
         F3 = Faraday3(E, B)
         A13 = _fv(A4)
         A3 = _pv(A4)
         x2 = oracle.msq(x)
         sig = oracle.sct_scale(x, a)
-
-        xi = invert_position(xf, eps)
-        xip = _pv(xi.as_array())
-        xs = sct_position(xf, af)
-        xsp = _pv(xs.as_array())
 
         Mi = oracle.jacobian_inversion(x, eps)
         Ms = oracle.jacobian_sct(x, a)
@@ -293,70 +296,32 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
         Ft_s = oracle.transform_faraday(Ms, oracle.pack_faraday(E, B), abs(sig), 1)
         At_s = oracle.transform_potential(Ms, A4, abs(sig), 1)
         Jt_s = oracle.transform_current(Ms, A4, abs(sig), 1)
-        Ei, Bi = oracle.unpack_faraday(Ft_i)
-        Es, Bs = oracle.unpack_faraday(Ft_s)
 
-        for got in (
-            invert_faraday(F13, xf, eps, frame=ORIG),
-            invert_faraday(F13, xi, eps, frame=TRANS),
+        for params, Ft, At, Jt in (
+            (Inversion(eps), Ft_i, At_i, Jt_i),
+            (Sct(af), Ft_s, At_s, Jt_s),
         ):
-            dev = max(dev, _field_dev(got.E, got.B, Ei, Bi))
-        for got3 in (
-            invert3_faraday(F3, xp, eps, frame=ORIG),
-            invert3_faraday(F3, xip, eps, frame=TRANS),
-        ):
-            dev = max(dev, _field_dev(got3.E, got3.B, Ei, Bi))
-        for gotA in (
-            invert_potential(A13, xf, eps, frame=ORIG),
-            invert_potential(A13, xi, eps, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(gotA.as_array(), At_i))
-        for gotA3 in (
-            invert3_potential(A3, xp, eps, frame=ORIG),
-            invert3_potential(A3, xip, eps, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(_pv_array(gotA3), At_i))
-        for gotJ in (
-            invert_current(A13, xf, eps, frame=ORIG),
-            invert_current(A13, xi, eps, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(gotJ.as_array(), Jt_i))
-        for gotJ3 in (
-            invert3_current(A3, xp, eps, frame=ORIG),
-            invert3_current(A3, xip, eps, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(_pv_array(gotJ3), Jt_i))
-
-        for got in (
-            sct_faraday(F13, xf, af, frame=ORIG),
-            sct_faraday(F13, xs, af, frame=TRANS),
-        ):
-            dev = max(dev, _field_dev(got.E, got.B, Es, Bs))
-        for got3 in (
-            sct3_faraday(F3, xp, ap, frame=ORIG),
-            sct3_faraday(F3, xsp, ap, frame=TRANS),
-        ):
-            dev = max(dev, _field_dev(got3.E, got3.B, Es, Bs))
-        for gotA in (
-            sct_potential(A13, xf, af, frame=ORIG),
-            sct_potential(A13, xs, af, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(gotA.as_array(), At_s))
-        for gotA3 in (
-            sct3_potential(A3, xp, ap, frame=ORIG),
-            sct3_potential(A3, xsp, ap, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(_pv_array(gotA3), At_s))
-        for gotJ in (
-            sct_current(A13, xf, af, frame=ORIG),
-            sct_current(A13, xs, af, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(gotJ.as_array(), Jt_s))
-        for gotJ3 in (
-            sct3_current(A3, xp, ap, frame=ORIG),
-            sct3_current(A3, xsp, ap, frame=TRANS),
-        ):
-            dev = max(dev, _vec_dev(_pv_array(gotJ3), Jt_s))
+            Ew, Bw = oracle.unpack_faraday(Ft)
+            image = transform(params, POSITION, xf)
+            for frame, x13, x3 in (
+                (ORIG, xf, xp),
+                (TRANS, image, _pv(image.as_array())),
+            ):
+                got = transform(params, FARADAY, F13, x13, frame)
+                got3 = transform3(params, FARADAY, F3, x3, frame)
+                dev = _worst(
+                    dev,
+                    _field_dev(got.E, got.B, Ew, Bw),
+                    _field_dev(got3.E, got3.B, Ew, Bw),
+                )
+                for kind, want in ((POTENTIAL, At), (CURRENT, Jt)):
+                    got = transform(params, kind, A13, x13, frame)
+                    got3 = transform3(params, kind, A3, x3, frame)
+                    dev = _worst(
+                        dev,
+                        _vec_dev(got.as_array(), want),
+                        _vec_dev(_pv_array(got3), want),
+                    )
     return CheckResult("three_way_agreement", trials, dev, tol, dev <= tol)
 
 
@@ -371,8 +336,9 @@ def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
         eps = 1 if accepted % 2 == 0 else -1
         xf = _fv(x)
         af = _fv(a)
-        x1 = invert_position(xf, eps)
-        y = translate(QuantityKind.POSITION, x1, FourVector(*(eps * a)))
+        inv = Inversion(eps)
+        x1 = transform(inv, POSITION, xf)
+        y = transform(Translation(FourVector(*(eps * a))), POSITION, x1)
         if abs(y.minkowski_sq()) <= GUARD:
             continue
         accepted += 1
@@ -380,19 +346,20 @@ def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
         B = rng.uniform(-2.0, 2.0, 3)
         A4 = rng.uniform(-2.0, 2.0, 4)
 
-        direct_x = sct_position(xf, af)
-        chained_x = invert_position(y, eps)
-        dev = max(dev, _vec_dev(chained_x.as_array(), direct_x.as_array()))
+        sct = Sct(af)
+        direct_x = transform(sct, POSITION, xf)
+        chained_x = transform(inv, POSITION, y)
+        dev = _worst(dev, _vec_dev(chained_x.as_array(), direct_x.as_array()))
 
         A13 = _fv(A4)
-        direct_A = sct_potential(A13, xf, af)
-        chained_A = invert_potential(invert_potential(A13, xf, eps), y, eps)
-        dev = max(dev, _vec_dev(chained_A.as_array(), direct_A.as_array()))
+        direct_A = transform(sct, POTENTIAL, A13, xf)
+        chained_A = transform(inv, POTENTIAL, transform(inv, POTENTIAL, A13, xf), y)
+        dev = _worst(dev, _vec_dev(chained_A.as_array(), direct_A.as_array()))
 
         F13 = Faraday13(E, B)
-        direct_F = sct_faraday(F13, xf, af)
-        chained_F = invert_faraday(invert_faraday(F13, xf, eps), y, eps)
-        dev = max(
+        direct_F = transform(sct, FARADAY, F13, xf)
+        chained_F = transform(inv, FARADAY, transform(inv, FARADAY, F13, xf), y)
+        dev = _worst(
             dev, _field_dev(chained_F.E, chained_F.B, direct_F.E, direct_F.B)
         )
     ok = accepted >= trials and dev <= tol
@@ -411,36 +378,37 @@ def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
         A4 = rng.uniform(-2.0, 2.0, 4)
 
         (Ed, Bd), (Ec, Bc) = oracle.inversion_field_forms(E, B, x, eps)
-        mutual_dev = max(mutual_dev, _field_dev(Ec, Bc, Ed, Bd))
+        mutual_dev = _worst(mutual_dev, _field_dev(Ec, Bc, Ed, Bd))
         Et, Bt = oracle.unpack_faraday(
             oracle.inversion_faraday_tensor(oracle.pack_faraday(E, B), x, eps)
         )
-        dev = max(dev, _field_dev(Ed, Bd, Et, Bt))
-        got3 = invert3_faraday(Faraday3(E, B), _pv(x), eps)
-        dev = max(dev, _field_dev(got3.E, got3.B, Ed, Bd))
+        dev = _worst(dev, _field_dev(Ed, Bd, Et, Bt))
+        got3 = transform3(Inversion(eps), FARADAY, Faraday3(E, B), _pv(x))
+        dev = _worst(dev, _field_dev(got3.E, got3.B, Ed, Bd))
 
         Ess, Bss = oracle.sct_field_components(E, B, x, a)
         Et, Bt = oracle.unpack_faraday(
             oracle.sct_faraday_tensor(oracle.pack_faraday(E, B), x, a)
         )
-        dev = max(dev, _field_dev(Ess, Bss, Et, Bt))
-        got3 = sct3_faraday(Faraday3(E, B), _pv(x), _pv(a))
-        dev = max(dev, _field_dev(got3.E, got3.B, Ess, Bss))
+        dev = _worst(dev, _field_dev(Ess, Bss, Et, Bt))
+        sct = Sct(_fv(a))
+        got3 = transform3(sct, FARADAY, Faraday3(E, B), _pv(x))
+        dev = _worst(dev, _field_dev(got3.E, got3.B, Ess, Bss))
 
         x_new = oracle.sct_event(x, a)
         En, Bn = oracle.sct_field_components_newcoords(E, B, x_new, a)
-        dev = max(dev, _field_dev(En, Bn, Ess, Bss))
+        dev = _worst(dev, _field_dev(En, Bn, Ess, Bss))
 
         Ap = oracle.inversion_potential_components(A4, x)
-        got = invert_potential(_fv(A4), _fv(x), eps=1)
-        dev = max(dev, _vec_dev(got.as_array(), Ap))
+        got = transform(Inversion(1), POTENTIAL, _fv(A4), _fv(x))
+        dev = _worst(dev, _vec_dev(got.as_array(), Ap))
         As = oracle.sct_potential_components(A4, x, a)
-        got = sct_potential(_fv(A4), _fv(x), _fv(a))
-        dev = max(dev, _vec_dev(got.as_array(), As))
+        got = transform(sct, POTENTIAL, _fv(A4), _fv(x))
+        dev = _worst(dev, _vec_dev(got.as_array(), As))
     mutual_tol = tol * 1e-2 if tol > 0.0 else 0.0
     passed = dev <= tol and mutual_dev <= mutual_tol
     return CheckResult(
-        "field_expansions", trials, max(dev, mutual_dev), tol, passed
+        "field_expansions", trials, _worst(dev, mutual_dev), tol, passed
     )
 
 
@@ -458,17 +426,17 @@ def check_invariant_scaling(rng, trials: int, tol: float) -> CheckResult:
         om = oracle.msq(x)
         sig = oracle.sct_scale(x, a)
 
-        Fp = invert3_faraday(F3, _pv(x), eps)
+        Fp = transform3(Inversion(eps), FARADAY, F3, _pv(x))
         j1, j2 = invariants(Fp)
         ref = max(abs(om**4 * i1), abs(om**4 * i2))
-        dev = max(dev, _scaled(abs(j1 - om**4 * i1), ref))
-        dev = max(dev, _scaled(abs(j2 + om**4 * i2), ref))
+        dev = _worst(dev, _scaled(abs(j1 - om**4 * i1), ref))
+        dev = _worst(dev, _scaled(abs(j2 + om**4 * i2), ref))
 
-        Fs = sct3_faraday(F3, _pv(x), _pv(a))
+        Fs = transform3(Sct(_fv(a)), FARADAY, F3, _pv(x))
         k1, k2 = invariants(Fs)
         ref = max(abs(sig**4 * i1), abs(sig**4 * i2))
-        dev = max(dev, _scaled(abs(k1 - sig**4 * i1), ref))
-        dev = max(dev, _scaled(abs(k2 - sig**4 * i2), ref))
+        dev = _worst(dev, _scaled(abs(k1 - sig**4 * i1), ref))
+        dev = _worst(dev, _scaled(abs(k2 - sig**4 * i2), ref))
     return CheckResult("invariant_scaling", trials, dev, tol, dev <= tol)
 
 
@@ -492,8 +460,8 @@ def check_invariants_levi_civita(rng, trials: int, tol: float) -> CheckResult:
         M = oracle.jacobian_inversion(x, eps)
         i1p, i2p = oracle.invariants_transformed(F, M, abs(om), -eps)
         ref = max(abs(om**4 * i1), abs(om**4 * i2))
-        dev = max(dev, _scaled(abs(i1p - om**4 * i1), ref))
-        dev = max(dev, _scaled(abs(i2p + om**4 * i2), ref))
+        dev = _worst(dev, _scaled(abs(i1p - om**4 * i1), ref))
+        dev = _worst(dev, _scaled(abs(i2p + om**4 * i2), ref))
     return CheckResult("invariants_levi_civita", trials, dev, tol, dev <= tol)
 
 
@@ -505,7 +473,7 @@ def check_inversion_jacobian_determinant(rng, trials: int, tol: float) -> CheckR
         eps = 1 if i % 2 == 0 else -1
         om = oracle.msq(x)
         d = oracle.inversion_inverse_jacobian_det(x, eps)
-        dev = max(dev, _scaled(abs(d - (-(om**4))), abs(om**4)))
+        dev = _worst(dev, _scaled(abs(d - (-(om**4))), abs(om**4)))
     return CheckResult("inversion_jacobian_determinant", trials, dev, tol, dev <= tol)
 
 
@@ -529,10 +497,10 @@ def check_lorentz_classes(rng, trials: int, tol: float) -> CheckResult:
             rotation = tuple(rng.uniform(-1.0, 1.0, 3))
             params = Lorentz(boost=boost, rotation=rotation, lorentz_class=cls)
             L = induced_matrix(params)
-            dev = max(dev, float(np.max(np.abs(L.T @ eta @ L - eta))))
-            dev = max(dev, abs(float(np.linalg.det(L)) - det_sign))
+            dev = _worst(dev, float(np.max(np.abs(L.T @ eta @ L - eta))))
+            dev = _worst(dev, abs(float(np.linalg.det(L)) - det_sign))
             if oracle.time_orientation(L) != t_sign:
-                dev = max(dev, 1.0)
+                dev = _worst(dev, 1.0)
     return CheckResult("lorentz_classes", per_class * 4, dev, tol, dev <= tol)
 
 
@@ -547,7 +515,7 @@ def check_lorentz_route_agreement(rng, trials: int, tol: float) -> CheckResult:
             params = Lorentz(boost=boost, rotation=rotation, lorentz_class=cls)
             L13 = induced_matrix(params)
             L3 = induced_matrix3(params)
-            dev = max(dev, float(np.max(np.abs(L13 - L3))))
+            dev = _worst(dev, float(np.max(np.abs(L13 - L3))))
     return CheckResult("lorentz_route_agreement", per_class * 4, dev, tol, dev <= tol)
 
 
@@ -569,11 +537,11 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
         wave = PlaneWave(E0=tuple(e), khat=tuple(k), phase=float(rng.uniform(0, 2 * math.pi)))
         F = wave.faraday(_fv(x))
         for Ft in (
-            invert3_faraday(F, _pv(x), eps=1),
-            sct3_faraday(F, _pv(x), _pv(a)),
+            transform3(Inversion(1), FARADAY, F, _pv(x)),
+            transform3(Sct(_fv(a)), FARADAY, F, _pv(x)),
         ):
             i1, i2 = invariants(Ft)
-            dev = max(dev, abs(i1), abs(i2))
+            dev = _worst(dev, abs(i1), abs(i2))
     return CheckResult("null_field_preservation", trials, dev, tol, dev <= tol)
 
 
@@ -584,8 +552,8 @@ def check_bridge_correspondence(rng, trials: int, tol: float) -> CheckResult:
         x = _fv(rng.uniform(-2.0, 2.0, 4))
         y = _fv(rng.uniform(-2.0, 2.0, 4))
         F = Faraday13(rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3))
-        dev = max(dev, product_correspondence_check(x, y))
-        dev = max(dev, sandwich_correspondence_check(x, F, y))
+        dev = _worst(dev, product_correspondence_check(x, y))
+        dev = _worst(dev, sandwich_correspondence_check(x, F, y))
     return CheckResult("bridge_correspondence", trials, dev, tol, dev <= tol)
 
 

@@ -14,6 +14,7 @@ from emconf.cl3 import (
     pure_vector,
     real_paravector,
 )
+from emconf.conformal13 import EXP_TOL, RESIDUE_TOL
 from emconf.errors import ImaginaryResidueError, NonRealEventError
 
 X = np.array([1.0, 0.0, 0.0])
@@ -57,14 +58,14 @@ def test_minkowski_square_is_interval():
 
 
 def test_exp_real_vector_is_boost():
-    out = exp_complex_vector(0.5 * X)
+    out = exp_complex_vector(0.5 * X, EXP_TOL)
     assert out.s == pytest.approx(math.cosh(0.5), abs=1e-14)
     assert out.v[0] == pytest.approx(math.sinh(0.5), abs=1e-14)
     assert abs(out.v[1]) < 1e-14 and abs(out.v[2]) < 1e-14
 
 
 def test_exp_imaginary_vector_is_rotation():
-    out = exp_complex_vector(1j * (math.pi / 2) * Z)
+    out = exp_complex_vector(1j * (math.pi / 2) * Z, EXP_TOL)
     assert abs(out.s) < 1e-14
     assert out.v[2] == pytest.approx(1j, abs=1e-14)
 
@@ -72,17 +73,19 @@ def test_exp_imaginary_vector_is_rotation():
 def test_exp_large_argument_converges():
     """The scaling-and-squaring path: exp(w) exp(-w) = 1 for a big argument."""
     w = np.array([3.0 + 2.0j, -4.0, 1.5j])
-    prod = cl3_product(exp_complex_vector(w), exp_complex_vector(-w))
+    prod = cl3_product(
+        exp_complex_vector(w, EXP_TOL), exp_complex_vector(-w, EXP_TOL)
+    )
     assert prod.s == pytest.approx(1.0, abs=1e-10)
     assert float(np.max(np.abs(prod.v))) < 1e-10
 
 
 def test_residue_guards():
     with pytest.raises(ImaginaryResidueError):
-        real_paravector(Paravector3(1.0, np.array([0.0, 1e-3j, 0.0])))
+        real_paravector(Paravector3(1.0, np.array([0.0, 1e-3j, 0.0])), RESIDUE_TOL)
     with pytest.raises(ImaginaryResidueError):
-        pure_vector(Paravector3(1e-3, np.array([1.0, 0.0, 0.0])))
-    assert np.array_equal(pure_vector(Paravector3.vector(X)), X)
+        pure_vector(Paravector3(1e-3, np.array([1.0, 0.0, 0.0])), RESIDUE_TOL)
+    assert np.array_equal(pure_vector(Paravector3.vector(X), RESIDUE_TOL), X)
 
 
 def test_faraday3_round_trip():

@@ -8,8 +8,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from emconf import verify
+from emconf.cl3 import Faraday3
 from emconf.cli import CSV_HEADER, main
 
 
@@ -134,14 +137,22 @@ def test_transform_all_skipped_exits_one(capsys):
     assert parse_csv(out)[0]["skipped"] == "1"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_transform_overflow_row_is_skipped(capsys, fmt):
+_OVERFLOWS = {
     # 1e10^2 * 1e308 overflows; the row once carried Exp=inf with exit 0
+    "dilation": ("--E0", "1e308,0,0", "--xform", "dilation", "--lambda", "1e10",
+                 "--grid", "t=1:1:1,x=1:1:1"),
+    # the field sandwich overflows into inf - inf = NaN, which its residue
+    # guard refuses
+    "inversion": ("--E0", "1e308,1e308,0", "--xform", "inversion",
+                  "--grid", "t=2:2:1,x=1:1:1"),
+}
+
+
+@pytest.mark.parametrize("case", _OVERFLOWS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_transform_overflow_row_is_skipped(capsys, fmt, case):
     code, out, err = run_cli(
-        capsys,
-        "transform", "--field", "uniform", "--E0", "1e308,0,0",
-        "--xform", "dilation", "--lambda", "1e10",
-        "--grid", "t=1:1:1,x=1:1:1", "--format", fmt,
+        capsys, "transform", "--field", "uniform", *_OVERFLOWS[case], "--format", fmt,
     )
     assert code == 1 and "skipped" in err
     assert "inf" not in out.lower()
@@ -292,6 +303,18 @@ def test_invariants_lightcone_exits_one(capsys):
     assert "light cone" in err
 
 
+def test_invariants_overflow_exits_one(capsys):
+    # the field sandwich overflows into a NaN residue; the report once printed
+    # bare nan values, which are not JSON, and exited 0
+    code, out, err = run_cli(
+        capsys,
+        "invariants", "--field", "uniform", "--E0", "1e308,1e308,0",
+        "--xform", "inversion", "--point", "2,1,0,0",
+    )
+    assert code == 1 and out == ""
+    assert "residue" in err
+
+
 # -- verify ---------------------------------------------------------------------
 
 
@@ -323,7 +346,36 @@ def test_verify_zero_tolerance_exits_one(capsys):
 
 def test_verify_rejects_bad_arguments(capsys):
     assert run_cli(capsys, "verify", "--trials", "0")[0] == 2
-    assert run_cli(capsys, "verify", "--tol", "-1")[0] == 2
+    for tol in ("-1", "inf", "nan"):
+        assert run_cli(capsys, "verify", "--tol", tol)[0] == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_verify_nan_and_crashed_checks_fail_as_valid_json(monkeypatch, capsys):
+    """A NaN deviation fails its check; neither it nor a crash prints a bare
+    NaN or Infinity into the report."""
+
+    def nan_route(params, kind, value, x=None, frame=None):
+        return Faraday3(F=np.full(3, np.nan))
+
+    def crash(rng, trials, tol):
+        raise RuntimeError("check crashed")
+
+    monkeypatch.setattr(verify, "transform3", nan_route)
+    monkeypatch.setattr(verify, "REGISTRY", (
+        ("invariant_scaling", verify.check_invariant_scaling, 500, verify.BASE_TOL),
+        ("crash", crash, 100, verify.BASE_TOL),
+    ))
+    code, out, err = run_cli(capsys, "verify", "--trials", "5")
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1 and "0/2" in err
+    assert report["pass"] is False
+    assert [(c["pass"], c["max_abs_dev"]) for c in report["checks"]] == [
+        (False, None), (False, None)
+    ]
 
 
 def test_verify_byte_identical_across_processes():

@@ -5,30 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from emconf.cl13 import Faraday13, FourVector
+from emconf import conformal13
+from emconf.cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
 from emconf.conformal13 import (
-    CoordinateFrame,
+    GRADE_TOL,
+    Dilation,
+    Inversion,
     Lorentz,
     LorentzClass,
     QuantityKind,
-    dilate,
+    Sct,
+    Translation,
     induced_matrix,
-    invert_current,
-    invert_faraday,
-    invert_position,
-    invert_potential,
-    lorentz_apply,
-    sct_current,
-    sct_faraday,
-    sct_position,
-    sct_potential,
     sct_factor,
-    translate,
+    transform,
 )
-from emconf.errors import LightConeError, NonPositiveScaleError, SctConeError
+from emconf.errors import GradeLeakageError, NonPositiveScaleError
 
-ORIG = CoordinateFrame.ORIGINAL
-TRANS = CoordinateFrame.TRANSFORMED
+POSITION = QuantityKind.POSITION
+POTENTIAL = QuantityKind.POTENTIAL
+CURRENT = QuantityKind.CURRENT
+FARADAY = QuantityKind.FARADAY
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
@@ -40,97 +37,26 @@ def rand_event(rng, guard=0.2):
             return x
 
 
-def test_invert_position_frozen():
-    x = FourVector(2.0, 0.0, 0.0, 0.0)
-    assert invert_position(x, 1) == FourVector(0.5, 0.0, 0.0, 0.0)
-    assert invert_position(x, -1) == FourVector(-0.5, 0.0, 0.0, 0.0)
-    with pytest.raises(LightConeError):
-        invert_position(FourVector(1.0, 1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        invert_position(x, 2)
-
-
 def test_invert_position_involution():
     rng = np.random.default_rng(41)
     for i in range(25):
-        eps = 1 if i % 2 == 0 else -1
+        inv = Inversion(1 if i % 2 == 0 else -1)
         x = rand_event(rng)
-        back = invert_position(invert_position(x, eps), eps)
+        back = transform(inv, POSITION, transform(inv, POSITION, x))
         assert np.allclose(back.as_array(), x.as_array(), atol=1e-12)
 
 
-def test_invert_current_frozen():
-    """Timelike axis point x = (2,0,0,0): the current picks up a factor 64."""
-    x = FourVector(2.0, 0.0, 0.0, 0.0)
-    J = FourVector(1.0, 0.0, 0.0, 0.0)
-    out = invert_current(J, x, 1, ORIG)
-    assert np.allclose(out.as_array(), [64.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_invert_potential_frozen():
-    x = FourVector(1.0, 0.0, 0.0, 0.0)
-    A = FourVector(0.0, 1.0, 0.0, 0.0)
-    out = invert_potential(A, x, 1, ORIG)
-    assert np.allclose(out.as_array(), [0.0, -1.0, 0.0, 0.0], atol=1e-15)
-
-
-def test_invert_faraday_frozen():
-    x = FourVector(2.0, 0.0, 0.0, 0.0)
-    F = Faraday13((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    out = invert_faraday(F, x, 1, ORIG)
-    assert np.allclose(out.E, [16.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(out.B, 0.0, atol=1e-12)
-
-
-def test_frames_agree_through_the_image_point():
-    """ORIGINAL at the source equals TRANSFORMED at the image, both maps."""
-    rng = np.random.default_rng(42)
-    a = FourVector(0.3, -0.2, 0.1, 0.4)
-    for i in range(25):
-        eps = 1 if i % 2 == 0 else -1
-        x = rand_event(rng)
-        if abs(sct_factor(x, a)) < 0.2:
-            continue
-        A = FourVector(*rng.uniform(-2, 2, 4))
-        F = Faraday13(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
-
-        xi = invert_position(x, eps)
-        ref = invert_potential(A, x, eps, ORIG)
-        alt = invert_potential(A, xi, eps, TRANS)
-        assert np.allclose(ref.as_array(), alt.as_array(), atol=1e-9)
-        ref = invert_faraday(F, x, eps, ORIG)
-        alt = invert_faraday(F, xi, eps, TRANS)
-        assert ref.approx_eq(alt, 1e-9)
-
-        xs = sct_position(x, a)
-        ref = sct_current(A, x, a, ORIG)
-        alt = sct_current(A, xs, a, TRANS)
-        scale = max(1.0, float(np.max(np.abs(ref.as_array()))))
-        assert np.allclose(ref.as_array(), alt.as_array(), atol=1e-9 * scale)
-        ref = sct_faraday(F, x, a, ORIG)
-        alt = sct_faraday(F, xs, a, TRANS)
-        assert ref.approx_eq(alt, 1e-9 * max(1.0, float(np.max(np.abs(ref.E)))))
-
-
-def test_sct_position_frozen():
-    x = FourVector(1.0, 0.0, 0.0, 0.0)
-    a = FourVector(1.0, 0.0, 0.0, 0.0)
-    assert sct_factor(x, a) == pytest.approx(4.0, abs=1e-15)
-    out = sct_position(x, a)
-    assert np.allclose(out.as_array(), [0.5, 0.0, 0.0, 0.0], atol=1e-15)
-    with pytest.raises(SctConeError):
-        sct_position(FourVector(-1.0, 0.0, 0.0, 0.0), a)
-
-
 def test_sct_zero_vector_is_identity():
-    zero = FourVector(0.0, 0.0, 0.0, 0.0)
+    zero = Sct(FourVector(0.0, 0.0, 0.0, 0.0))
     x = FourVector(1.2, 0.3, -0.7, 0.5)
     A = FourVector(0.4, -1.0, 2.0, 0.1)
     F = Faraday13((1.0, -2.0, 0.5), (0.0, 1.0, -1.0))
-    assert np.allclose(sct_position(x, zero).as_array(), x.as_array(), atol=1e-15)
-    assert np.allclose(sct_potential(A, x, zero).as_array(), A.as_array(), atol=1e-14)
-    assert np.allclose(sct_current(A, x, zero).as_array(), A.as_array(), atol=1e-14)
-    assert sct_faraday(F, x, zero).approx_eq(F, 1e-14)
+    out = transform(zero, POSITION, x)
+    assert np.allclose(out.as_array(), x.as_array(), atol=1e-15)
+    for kind in (POTENTIAL, CURRENT):
+        out = transform(zero, kind, A, x)
+        assert np.allclose(out.as_array(), A.as_array(), atol=1e-14)
+    assert transform(zero, FARADAY, F, x).approx_eq(F, 1e-14)
 
 
 def test_sct_equals_inversion_translation_inversion():
@@ -143,14 +69,14 @@ def test_sct_equals_inversion_translation_inversion():
         x = rand_event(rng, guard=0.5)
         if abs(sct_factor(x, a)) < 0.5:
             continue
-        y = invert_position(x, eps)
+        y = transform(Inversion(eps), POSITION, x)
         # the middle translation carries the inversion sign with it
         shift = FourVector(*(eps * a.as_array()))
-        y = translate(QuantityKind.POSITION, y, shift)
+        y = transform(Translation(shift), POSITION, y)
         if abs(y.minkowski_sq()) < 1e-6:
             continue
-        chain = invert_position(y, eps)
-        direct = sct_position(x, a)
+        chain = transform(Inversion(eps), POSITION, y)
+        direct = transform(Sct(a), POSITION, x)
         assert np.allclose(chain.as_array(), direct.as_array(), atol=1e-10)
         done += 1
 
@@ -158,43 +84,35 @@ def test_sct_equals_inversion_translation_inversion():
 def test_dilate_weights():
     x = FourVector(1.0, 2.0, 3.0, 4.0)
     F = Faraday13((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    assert np.allclose(dilate(QuantityKind.POSITION, x, 2.0).as_array(), x.as_array() / 2)
-    assert np.allclose(dilate(QuantityKind.POTENTIAL, x, 2.0).as_array(), 2 * x.as_array())
-    assert np.allclose(dilate(QuantityKind.CURRENT, x, 2.0).as_array(), 8 * x.as_array())
-    out = dilate(QuantityKind.FARADAY, F, 2.0)
+    d = Dilation(2.0)
+    assert np.allclose(transform(d, POSITION, x).as_array(), x.as_array() / 2)
+    assert np.allclose(transform(d, POTENTIAL, x).as_array(), 2 * x.as_array())
+    assert np.allclose(transform(d, CURRENT, x).as_array(), 8 * x.as_array())
+    out = transform(d, FARADAY, F)
     assert np.allclose(out.E, 4 * F.E) and np.allclose(out.B, 4 * F.B)
     with pytest.raises(NonPositiveScaleError):
-        dilate(QuantityKind.POSITION, x, 0.0)
+        Dilation(0.0)
 
 
 def test_translate_moves_only_positions():
     b = FourVector(1.0, -1.0, 0.5, 0.0)
-    x = FourVector(0.0, 0.0, 0.0, 0.0)
-    assert translate(QuantityKind.POSITION, x, b) == b
+    shift = Translation(b)
+    assert transform(shift, POSITION, FourVector(0.0, 0.0, 0.0, 0.0)) == b
     A = FourVector(0.3, 0.1, 0.0, -0.2)
-    assert translate(QuantityKind.POTENTIAL, A, b) == A
-    assert translate(QuantityKind.CURRENT, A, b) == A
+    assert transform(shift, POTENTIAL, A, b) == A
+    assert transform(shift, CURRENT, A, b) == A
     F = Faraday13((1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    assert translate(QuantityKind.FARADAY, F, b).approx_eq(F, 0.0)
-
-
-def test_lorentz_boost_frozen():
-    """Rapidity parameter 0.5 doubles in the sandwich: e0 boosts by rapidity 1."""
-    params = Lorentz(boost=(0.5, 0.0, 0.0))
-    out = lorentz_apply(QuantityKind.POSITION, FourVector(1.0, 0.0, 0.0, 0.0), params)
-    assert out.t == pytest.approx(math.cosh(1.0), abs=1e-14)
-    assert out.x == pytest.approx(math.sinh(1.0), abs=1e-14)
-    assert abs(out.y) < 1e-14 and abs(out.z) < 1e-14
+    assert transform(shift, FARADAY, F, b).approx_eq(F, 0.0)
 
 
 def test_lorentz_rotation_doubles_angle():
     """Parameter pi/4 turns x into +-y; applied twice it must reach -x."""
     params = Lorentz(rotation=(0.0, 0.0, math.pi / 4))
-    once = lorentz_apply(QuantityKind.POSITION, FourVector(0.0, 1.0, 0.0, 0.0), params)
+    once = transform(params, POSITION, FourVector(0.0, 1.0, 0.0, 0.0))
     assert abs(once.t) < 1e-14 and abs(once.z) < 1e-14
     assert abs(once.x) < 1e-13
     assert abs(once.y) == pytest.approx(1.0, abs=1e-14)
-    twice = lorentz_apply(QuantityKind.POSITION, once, params)
+    twice = transform(params, POSITION, once)
     assert twice.x == pytest.approx(-1.0, abs=1e-13)
     assert abs(twice.y) < 1e-13
 
@@ -231,7 +149,34 @@ def test_antichronous_flip_spares_current_and_potential():
     """Position and field flip overall sign, sources do not."""
     params = Lorentz(lorentz_class=LorentzClass.PROPER_ANTICHRONOUS)
     x = FourVector(1.0, 2.0, 3.0, 4.0)
-    out = lorentz_apply(QuantityKind.POSITION, x, params)
+    out = transform(params, POSITION, x)
     assert np.allclose(out.as_array(), -x.as_array(), atol=1e-14)
-    out = lorentz_apply(QuantityKind.CURRENT, x, params)
+    out = transform(params, CURRENT, x)
     assert np.allclose(out.as_array(), x.as_array(), atol=1e-14)
+
+
+def _leaky(monkeypatch, relative_leak):
+    """Make every sandwich leak a grade-3 part of the given relative size."""
+
+    def leaky_sandwich(u, m, v):
+        size = u.max_abs() * m.max_abs() * v.max_abs()
+        leak = Multivector13.blade(0b0111, relative_leak * size)
+        return vector_sandwich(u, m, v) + leak
+
+    monkeypatch.setattr(conformal13, "vector_sandwich", leaky_sandwich)
+
+
+@pytest.mark.parametrize(
+    "params", [Inversion(-1), Sct(FourVector(0.3, 0.1, 0.0, 0.2))], ids=["inv", "sct"]
+)
+def test_grade_guard_scales_with_the_operands(monkeypatch, params):
+    """An off-grade part of 1e-9 of the operands' size is refused, one of half
+    GRADE_TOL is not: the bound is GRADE_TOL times the product of the sizes
+    of the sandwich's operands, which roundoff follows, not the result's."""
+    x = FourVector(10.0, 3.0, -2.0, 1.0)
+    F = Faraday13((10.0, 0.0, 1.0), (0.0, -3.0, 2.0))
+    _leaky(monkeypatch, 1e-9)
+    with pytest.raises(GradeLeakageError):
+        transform(params, FARADAY, F, x)
+    _leaky(monkeypatch, 0.5 * GRADE_TOL)
+    transform(params, FARADAY, F, x)

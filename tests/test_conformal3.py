@@ -1,10 +1,11 @@
-"""Transformation-family tests in the Cl(3) representation."""
-
-import math
+"""Transformation-family tests in the Cl(3) representation, and the tests
+that run both Clifford routes through their one entry each."""
 
 import numpy as np
 import pytest
 
+from emconf.bridge import to_faraday3, to_paravector
+from emconf.cl13 import Faraday13, FourVector
 from emconf.cl3 import Faraday3, Paravector3, minkowski_square
 from emconf.conformal13 import (
     CoordinateFrame,
@@ -15,28 +16,24 @@ from emconf.conformal13 import (
     QuantityKind,
     Sct,
     Translation,
+    sct_factor,
+    transform,
 )
-from emconf.cl13 import FourVector
 from emconf.conformal3 import (
     induced_matrix3,
     inverse_position3,
-    invert3_current,
-    invert3_faraday,
-    invert3_position,
-    invert3_potential,
-    lorentz3,
-    sct3_current,
-    sct3_faraday,
-    sct3_position,
-    sct3_potential,
     scale_of,
     sct_factor3,
-    transform_faraday3,
+    transform3,
 )
 from emconf.errors import LightConeError, SctConeError
 
 ORIG = CoordinateFrame.ORIGINAL
 TRANS = CoordinateFrame.TRANSFORMED
+POSITION = QuantityKind.POSITION
+POTENTIAL = QuantityKind.POTENTIAL
+CURRENT = QuantityKind.CURRENT
+FARADAY = QuantityKind.FARADAY
 
 
 def ev(t, r):
@@ -51,85 +48,180 @@ def rand_event(rng, guard=0.2):
             return p
 
 
-def test_invert3_frozen_values():
-    x = ev(2.0, (0.0, 0.0, 0.0))
-    out = invert3_position(x, 1)
-    assert out.approx_eq(ev(0.5, (0, 0, 0)), 1e-15)
-    J = ev(1.0, (0.0, 0.0, 0.0))
-    out = invert3_current(J, x, 1, ORIG)
-    assert out.approx_eq(ev(64.0, (0, 0, 0)), 1e-12)
-    A = Paravector3.vector(np.array([1.0, 0.0, 0.0]))
-    out = invert3_potential(A, ev(1.0, (0, 0, 0)), 1, ORIG)
-    assert out.approx_eq(Paravector3.vector(np.array([-1.0, 0.0, 0.0])), 1e-14)
-    F = Faraday3(E=(1.0, 0.0, 0.0))
-    out = invert3_faraday(F, x, 1, ORIG)
-    assert np.allclose(out.E, [16.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(out.B, 0.0, atol=1e-12)
+def _event13(v) -> FourVector:
+    return FourVector(*v)
+
+
+def _event3(v) -> Paravector3:
+    return ev(v[0], v[1:])
+
+
+def _array(q) -> np.ndarray:
+    """Components of either route's output: (t, x, y, z), or E then B."""
+    if isinstance(q, (Faraday13, Faraday3)):
+        return np.concatenate([q.E, q.B])
+    if isinstance(q, FourVector):
+        return q.as_array()
+    return np.array([q.s.real, *q.v.real])
+
+
+# Each route: its entry, how it builds an event or four-vector from
+# components, its field type, and its special conformal scale.
+ROUTES = [
+    pytest.param((transform, _event13, Faraday13, sct_factor), id="cl13"),
+    pytest.param((transform3, _event3, Faraday3, sct_factor3), id="cl3"),
+]
+
+
+# -- both routes ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_inversion_frozen_values(route):
+    """On the time axis the inversion scales by powers of x^2 = 4."""
+    tf, vec, field, _ = route
+    x = vec((2.0, 0.0, 0.0, 0.0))
+    inv = Inversion(1)
+    assert np.array_equal(_array(tf(inv, POSITION, x)), [0.5, 0.0, 0.0, 0.0])
+    assert np.array_equal(
+        _array(tf(Inversion(-1), POSITION, x)), [-0.5, 0.0, 0.0, 0.0]
+    )
+    out = tf(inv, CURRENT, vec((1.0, 0.0, 0.0, 0.0)), x, ORIG)
+    assert np.allclose(_array(out), [64.0, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+    out = tf(inv, POTENTIAL, vec((0.0, 1.0, 0.0, 0.0)), vec((1.0, 0.0, 0.0, 0.0)), ORIG)
+    assert np.allclose(_array(out), [0.0, -1.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    out = tf(inv, FARADAY, field((1.0, 0.0, 0.0), (0.0, 0.0, 0.0)), x, ORIG)
+    assert np.allclose(out.E, [16.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(out.B, 0.0, rtol=0.0, atol=1e-12)
     with pytest.raises(LightConeError):
-        invert3_position(ev(1.0, (1.0, 0.0, 0.0)), 1)
-    # the sign is validated in every op, as in the Cl(1,3) route
+        tf(inv, POSITION, vec((1.0, 1.0, 0.0, 0.0)))
+
+
+def test_inversion_sign_is_validated():
     for bad in (2, 0):
         with pytest.raises(ValueError, match="inversion sign"):
-            invert3_position(x, bad)
-        with pytest.raises(ValueError, match="inversion sign"):
-            invert3_potential(A, x, bad, ORIG)
-        with pytest.raises(ValueError, match="inversion sign"):
-            invert3_current(J, x, bad, TRANS)
-        with pytest.raises(ValueError, match="inversion sign"):
-            invert3_faraday(F, x, bad, ORIG)
+            Inversion(bad)
 
 
-def test_sct3_frozen_values():
-    x = ev(1.0, (0.0, 0.0, 0.0))
-    a = ev(1.0, (0.0, 0.0, 0.0))
-    assert sct_factor3(x, a) == pytest.approx(4.0, abs=1e-15)
-    assert sct3_position(x, a).approx_eq(ev(0.5, (0, 0, 0)), 1e-15)
+@pytest.mark.parametrize("route", ROUTES)
+def test_sct_position_frozen(route):
+    tf, vec, _, factor = route
+    x = vec((1.0, 0.0, 0.0, 0.0))
+    a = FourVector(1.0, 0.0, 0.0, 0.0)
+    assert factor(x, vec(a.as_array())) == pytest.approx(4.0, abs=1e-15)
+    out = tf(Sct(a), POSITION, x)
+    assert np.allclose(_array(out), [0.5, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
     with pytest.raises(SctConeError):
-        sct3_position(ev(-1.0, (0, 0, 0)), a)
+        tf(Sct(a), POSITION, vec((-1.0, 0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("kind", [POTENTIAL, CURRENT, FARADAY])
+def test_sct_refuses_the_excluded_cone(route, kind):
+    """Every kind guards the scale, the potential included, in both frames."""
+    tf, vec, field, _ = route
+    a = FourVector(1.0, 0.0, 0.0, 0.0)
+    value = field((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)) if kind is FARADAY else vec(
+        (0.2, 1.0, 0.0, 0.0)
+    )
+    with pytest.raises(SctConeError):
+        tf(Sct(a), kind, value, vec((-1.0, 0.0, 0.0, 0.0)), ORIG)
+    with pytest.raises(SctConeError):
+        tf(Sct(a), kind, value, vec((1.0, 0.0, 0.0, 0.0)), TRANS)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_lorentz_boost_frozen(route):
+    """Rapidity parameter 0.5 doubles in the sandwich: e0 boosts by rapidity 1."""
+    tf, vec, _, _ = route
+    out = tf(Lorentz(boost=(0.5, 0.0, 0.0)), POSITION, vec((1.0, 0.0, 0.0, 0.0)))
+    want = [np.cosh(1.0), np.sinh(1.0), 0.0, 0.0]
+    assert np.allclose(_array(out), want, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_frames_agree_through_the_image_point(route):
+    """ORIGINAL at the source equals TRANSFORMED at the image, both maps."""
+    tf, vec, field, factor = route
+    rng = np.random.default_rng(42)
+    a = FourVector(0.3, -0.2, 0.1, 0.4)
+    checked = 0
+    for i in range(25):
+        x = rand_event(rng)
+        x = vec(_array(x))
+        if abs(factor(x, vec(a.as_array()))) < 0.2:
+            continue
+        A = vec(rng.uniform(-2, 2, 4))
+        F = field(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
+        for params in (Inversion(1 if i % 2 == 0 else -1), Sct(a)):
+            image = tf(params, POSITION, x)
+            for kind, value in ((POTENTIAL, A), (CURRENT, A), (FARADAY, F)):
+                ref = _array(tf(params, kind, value, x, ORIG))
+                alt = _array(tf(params, kind, value, image, TRANS))
+                assert np.max(np.abs(ref - alt)) <= 1e-9
+                checked += 1
+    assert checked >= 60
+
+
+_FAMILIES = [
+    pytest.param(Dilation(2.5), id="dilation"),
+    pytest.param(Translation(FourVector(0.5, -1.0, 0.25, 2.0)), id="translation"),
+    *(
+        pytest.param(
+            Lorentz(boost=(0.3, -0.2, 0.4), rotation=(0.5, 0.1, -0.7), lorentz_class=c),
+            id=c.value,
+        )
+        for c in LorentzClass
+    ),
+    pytest.param(Inversion(1), id="inversion+"),
+    pytest.param(Inversion(-1), id="inversion-"),
+    pytest.param(Sct(FourVector(0.3, -0.2, 0.1, 0.4)), id="sct"),
+]
+
+
+@pytest.mark.parametrize("frame", list(CoordinateFrame), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", list(QuantityKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("params", _FAMILIES)
+def test_routes_agree_through_the_bridge(params, kind, frame):
+    """transform and transform3 carry the same map, read through the bridge."""
+    rng = np.random.default_rng(55)
+    a = FourVector(0.3, -0.2, 0.1, 0.4)
+    minus_a = FourVector(*(-a.as_array()))
+    done = 0
+    while done < 10:
+        v = rng.uniform(-2, 2, 4)
+        x = FourVector(*v)
+        # clear of the light cone and of both special conformal cones, so
+        # that every family is defined at x read as a source or an image
+        if min(abs(x.minkowski_sq()), abs(sct_factor(x, a)),
+               abs(sct_factor(x, minus_a))) < 0.2:
+            continue
+        if kind is FARADAY:
+            E, B = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
+            v13, v3 = Faraday13(E, B), Faraday3(E, B)
+        else:
+            q = x if kind is POSITION else FourVector(*rng.uniform(-2, 2, 4))
+            v13, v3 = q, to_paravector(q)
+        out13 = transform(params, kind, v13, x, frame)
+        out3 = transform3(params, kind, v3, to_paravector(x), frame)
+        bridged = to_faraday3(out13) if kind is FARADAY else to_paravector(out13)
+        want = _array(out3)
+        dev = np.max(np.abs(_array(bridged) - want))
+        assert dev <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        done += 1
+
+
+# -- the Cl(3) route ----------------------------------------------------------------
 
 
 def test_sct3_pure_time_field_factor():
     """At rest on the time axis the field just scales by the squared factor."""
     x = ev(1.0, (0.0, 0.0, 0.0))
-    a = ev(0.5, (0.0, 0.0, 0.0))
+    sct = Sct(FourVector(0.5, 0.0, 0.0, 0.0))
     F = Faraday3(E=(0.7, -0.2, 0.1), B=(0.0, 0.3, -0.4))
-    out = sct3_faraday(F, x, a, ORIG)
+    out = transform3(sct, FARADAY, F, x, ORIG)
     assert np.allclose(out.E, 5.0625 * F.E, atol=1e-12)
     assert np.allclose(out.B, 5.0625 * F.B, atol=1e-12)
-
-
-def test_frames_agree_through_the_image_point():
-    rng = np.random.default_rng(51)
-    a = ev(0.3, (-0.2, 0.1, 0.4))
-    for i in range(25):
-        eps = 1 if i % 2 == 0 else -1
-        x = rand_event(rng)
-        if abs(sct_factor3(x, a)) < 0.2:
-            continue
-        A = Paravector3.from_event(rng.uniform(-2, 2), rng.uniform(-2, 2, 3))
-        F = Faraday3(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
-
-        xi = invert3_position(x, eps)
-        ref = invert3_potential(A, x, eps, ORIG)
-        alt = invert3_potential(A, xi, eps, TRANS)
-        assert ref.approx_eq(alt, 1e-9 * max(1.0, ref.max_abs()))
-        reff = invert3_faraday(F, x, eps, ORIG)
-        altf = invert3_faraday(F, xi, eps, TRANS)
-        assert np.max(np.abs(reff.F - altf.F)) < 1e-9 * max(
-            1.0, float(np.max(np.abs(reff.F)))
-        )
-
-        xs = sct3_position(x, a)
-        ref = sct3_current(A, x, a, ORIG)
-        alt = sct3_current(A, xs, a, TRANS)
-        assert ref.approx_eq(alt, 1e-9 * max(1.0, ref.max_abs()))
-
-
-def test_lorentz3_boost_frozen():
-    params = Lorentz(boost=(0.5, 0.0, 0.0))
-    out = lorentz3(QuantityKind.POSITION, ev(1.0, (0, 0, 0)), params)
-    assert out.s.real == pytest.approx(math.cosh(1.0), abs=1e-14)
-    assert out.v[0].real == pytest.approx(math.sinh(1.0), abs=1e-14)
 
 
 def test_induced_matrix3_classes():
@@ -145,26 +237,23 @@ def test_induced_matrix3_classes():
         assert np.max(np.abs(L.T @ eta @ L - eta)) < 1e-12
 
 
-def test_inverse_position3_round_trips():
+@pytest.mark.parametrize("params", [
+    Dilation(factor=2.5),
+    Translation(offset=FourVector(0.5, -1.0, 0.25, 2.0)),
+    Lorentz(boost=(0.2, -0.1, 0.3), rotation=(0.4, 0.0, -0.2)),
+    Inversion(eps=-1),
+    Sct(a=FourVector(0.2, 0.1, -0.3, 0.05)),
+], ids=["dilation", "translation", "lorentz", "inversion", "sct"])
+def test_inverse_position3_round_trips(params):
     """inverse_position3 undoes each family's forward position map."""
     rng = np.random.default_rng(53)
-    b = ev(0.5, (-1.0, 0.25, 2.0))
-    a = ev(0.2, (0.1, -0.3, 0.05))
-    boost = Lorentz(boost=(0.2, -0.1, 0.3), rotation=(0.4, 0.0, -0.2))
-    families = [
-        (Dilation(factor=2.5), lambda x: (1.0 / 2.5) * x),
-        (Translation(offset=FourVector(0.5, -1.0, 0.25, 2.0)), lambda x: x + b),
-        (boost, lambda x: lorentz3(QuantityKind.POSITION, x, boost)),
-        (Inversion(eps=-1), lambda x: invert3_position(x, -1)),
-        (Sct(a=FourVector(0.2, 0.1, -0.3, 0.05)), lambda x: sct3_position(x, a)),
-    ]
-    for params, forward in families:
-        for _ in range(10):
-            x = rand_event(rng, guard=0.5)
-            if isinstance(params, Sct) and abs(sct_factor3(x, a)) < 0.5:
-                continue
-            back = inverse_position3(params, forward(x))
-            assert back.approx_eq(x, 1e-9 * max(1.0, x.max_abs()))
+    for _ in range(10):
+        x = rand_event(rng, guard=0.5)
+        a = to_paravector(params.a) if isinstance(params, Sct) else None
+        if a is not None and abs(sct_factor3(x, a)) < 0.5:
+            continue
+        back = inverse_position3(params, transform3(params, POSITION, x))
+        assert back.approx_eq(x, 1e-9 * max(1.0, x.max_abs()))
 
 
 def test_scale_of():
@@ -173,21 +262,19 @@ def test_scale_of():
     assert scale_of(Translation(FourVector(1, 0, 0, 0)), x) == 1.0
     assert scale_of(Inversion(1), x, ORIG) == pytest.approx(3.0, abs=1e-15)
     # the image-frame scale is the reciprocal evaluated at the image point
-    xi = invert3_position(x, 1)
+    xi = transform3(Inversion(1), POSITION, x)
     assert scale_of(Inversion(1), xi, TRANS) == pytest.approx(3.0, rel=1e-12)
-    a = ev(0.5, (0.0, 0.0, 0.0))
-    s = sct_factor3(x, a)
-    xs = sct3_position(x, a)
-    assert scale_of(Sct(FourVector(0.5, 0, 0, 0)), x, ORIG) == pytest.approx(s)
-    assert scale_of(Sct(FourVector(0.5, 0, 0, 0)), xs, TRANS) == pytest.approx(
-        s, rel=1e-12
-    )
+    sct = Sct(FourVector(0.5, 0, 0, 0))
+    s = sct_factor3(x, ev(0.5, (0.0, 0.0, 0.0)))
+    xs = transform3(sct, POSITION, x)
+    assert scale_of(sct, x, ORIG) == pytest.approx(s)
+    assert scale_of(sct, xs, TRANS) == pytest.approx(s, rel=1e-12)
 
 
-def test_transform_faraday3_linear_families():
+def test_transform3_linear_families():
     F = Faraday3(E=(1.0, 2.0, 0.0), B=(0.0, -1.0, 0.5))
     x = ev(1.0, (0, 0, 0))
-    out = transform_faraday3(Dilation(2.0), F, x)
+    out = transform3(Dilation(2.0), FARADAY, F, x)
     assert np.allclose(out.F, 4.0 * F.F)
-    out = transform_faraday3(Translation(FourVector(1, 1, 1, 1)), F, x)
+    out = transform3(Translation(FourVector(1, 1, 1, 1)), FARADAY, F, x)
     assert np.allclose(out.F, F.F)

@@ -17,7 +17,7 @@ from emconf.conformal13 import (
     QuantityKind,
     induced_matrix,
 )
-from emconf.conformal3 import induced_matrix3, lorentz3
+from emconf.conformal3 import induced_matrix3, transform3
 from emconf.fields import PlaneWave
 
 BOOST = (0.9, -0.4, 0.7)
@@ -88,7 +88,7 @@ def _reference_csv(params: Lorentz, frame: CoordinateFrame) -> str:
         else:
             src = FourVector(*coords)
         F_in = field.faraday(src)
-        F_out = lorentz3(QuantityKind.FARADAY, F_in, params)
+        F_out = transform3(params, QuantityKind.FARADAY, F_in)
         values = (*coords, *F_in.E, *F_in.B, *F_out.E, *F_out.B, 1.0)
         lines.append(",".join(f"{float(v):.17g}" for v in values) + ",0")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from emconf import verify
+from emconf.cl3 import Faraday3
 from emconf.verify import REGISTRY, run_suite
 
 
@@ -55,3 +57,23 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         run_suite(seed=1, trials=10, tol=-1.0)
 
+
+
+def test_sct_chain_composition_passes_where_the_grade_guard_false_tripped():
+    """Seed 106 once crashed this check: the grade guard compared roundoff of
+    the sandwich operands' size with the smaller output."""
+    report = run_suite(seed=106, checks=("sct_chain_composition",))
+    assert report.passed
+    assert report.checks[0].max_dev <= 1e-10
+
+
+def test_nan_route_fails_its_check(monkeypatch):
+    """The built-in max would drop the NaN deviation and pass the check."""
+    def nan_route(params, kind, value, x=None, frame=None):
+        return Faraday3(F=np.full(3, np.nan))
+
+    monkeypatch.setattr(verify, "transform3", nan_route)
+    for check in ("invariant_scaling", "null_field_preservation", "field_expansions"):
+        result = run_suite(trials=10, checks=(check,)).checks[0]
+        assert not result.passed
+        assert np.isnan(result.max_dev)
