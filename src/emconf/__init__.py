@@ -45,6 +45,8 @@ from .conformal13 import (
     transform,
 )
 from .conformal3 import (
+    PreparedTransform3,
+    Refusal,
     induced_matrix3,
     inverse_position3,
     scale_of,
@@ -81,6 +83,7 @@ from .fields import (
     invariant_scaling_report,
     invariants,
     predicted_invariant_factors,
+    sweep,
 )
 
 __version__ = "0.1.0"

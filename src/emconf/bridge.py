@@ -14,6 +14,7 @@ import numpy as np
 
 from .cl13 import Faraday13, FourVector, Multivector13, geometric_product
 from .cl3 import Faraday3, Paravector3, cl3_product
+from .conformal13 import GRADE_TOL
 from .errors import GradeLeakageError
 
 # Mask indices of the even subalgebra channels.
@@ -22,7 +23,7 @@ _T1, _T2, _T3 = 3, 5, 9        # e0e1, e0e2, e0e3
 _S12, _S13, _S23 = 6, 10, 12   # e1e2, e1e3, e2e3
 
 
-def even_to_cl3(m: Multivector13, tol: float = 1e-12) -> Paravector3:
+def even_to_cl3(m: Multivector13, tol: float) -> Paravector3:
     """Map an even multivector into Cl(3); rejects odd-grade residue."""
     c = m.c
     odd = float(np.max(np.abs(c[np.array([1, 2, 4, 8, 7, 11, 13, 14])])))
@@ -56,10 +57,9 @@ def to_faraday3(F: Faraday13) -> Faraday3:
 
 def product_correspondence_check(x: FourVector, y: FourVector) -> float:
     """Max-abs deviation between the images of x y and the product x bar(y)."""
-    lhs = even_to_cl3(geometric_product(x.to_mv(), y.to_mv()))
+    lhs = even_to_cl3(geometric_product(x.to_mv(), y.to_mv()), GRADE_TOL)
     rhs = cl3_product(to_paravector(x), to_paravector_bar(y))
-    diff = lhs - rhs
-    return diff.max_abs()
+    return float((lhs - rhs).max_abs())
 
 
 def sandwich_correspondence_check(
@@ -69,8 +69,7 @@ def sandwich_correspondence_check(
     raw = geometric_product(
         geometric_product(x.to_mv(), F.to_mv()), y.to_mv()
     )
-    lhs = even_to_cl3(raw)
+    lhs = even_to_cl3(raw, GRADE_TOL)
     fstar = to_faraday3(F).to_paravector().star()
     rhs = -cl3_product(cl3_product(to_paravector(x), fstar), to_paravector_bar(y))
-    diff = lhs - rhs
-    return diff.max_abs()
+    return float((lhs - rhs).max_abs())

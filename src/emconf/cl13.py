@@ -149,7 +149,7 @@ def geometric_product(a: Multivector13, b: Multivector13) -> Multivector13:
 
 
 def grade_project(
-    m: Multivector13, g: int, tol: float = 1e-12
+    m: Multivector13, g: int, tol: float
 ) -> Multivector13:
     """Project onto grade g, guarding against leakage into other grades.
 
@@ -173,7 +173,7 @@ def vector_sandwich(u: Multivector13, m: Multivector13, v: Multivector13) -> Mul
     return geometric_product(geometric_product(u, m), v)
 
 
-def exp_bivector(b: Multivector13, tol: float = 1e-14) -> Multivector13:
+def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
     """Exponential of a pure bivector by Taylor series.
 
     Arguments above unit infinity-norm are halved until small (scaling and
@@ -213,7 +213,7 @@ def left_matrix(m: Multivector13) -> np.ndarray:
     return np.einsum("i,ijk->kj", m.c, _STRUCTURE)
 
 
-def versor_inverse(m: Multivector13, tol: float = 1e-10) -> Multivector13:
+def versor_inverse(m: Multivector13, tol: float) -> Multivector13:
     """Two-sided inverse of m, from the 16x16 left-multiplication system.
 
     Raises SingularVersorError when the system is singular or the candidate
@@ -268,7 +268,7 @@ class FourVector:
         return Multivector13._wrap(c)
 
     @classmethod
-    def from_mv(cls, m: Multivector13, tol: float = 1e-12) -> "FourVector":
+    def from_mv(cls, m: Multivector13, tol: float) -> "FourVector":
         """Extract a pure grade-1 multivector; raises GradeLeakageError otherwise."""
         v = grade_project(m, 1, tol)
         return cls(float(v.c[1]), float(v.c[2]), float(v.c[4]), float(v.c[8]))
@@ -304,7 +304,7 @@ class Faraday13:
         return Multivector13._wrap(c)
 
     @classmethod
-    def from_mv(cls, m: Multivector13, tol: float = 1e-12) -> "Faraday13":
+    def from_mv(cls, m: Multivector13, tol: float) -> "Faraday13":
         """Extract a pure grade-2 multivector; raises GradeLeakageError otherwise."""
         b = grade_project(m, 2, tol)
         E = np.array([-b.c[3], -b.c[5], -b.c[9]])
@@ -312,8 +312,8 @@ class Faraday13:
         return cls(E, B)
 
     def approx_eq(self, other: "Faraday13", tol: float = 1e-12) -> bool:
-        dev = max(
-            float(np.max(np.abs(self.E - other.E))),
-            float(np.max(np.abs(self.B - other.B))),
+        """Every component within tol; a NaN deviation is not."""
+        return bool(
+            np.all(np.abs(self.E - other.E) <= tol)
+            and np.all(np.abs(self.B - other.B) <= tol)
         )
-        return dev <= tol

@@ -4,8 +4,19 @@ Elements are written s + v with s a complex scalar and v a complex 3-vector;
 the product of two vectors splits as u v = u.v + i u x v with bilinear
 (unconjugated) dot and cross.  Bar negates the vector part, star conjugates
 every complex component.  Real paravectors t + r encode spacetime events.
-Each residue guard reads `not residue <= bound`, so a NaN residue is refused
-rather than dropped.
+
+Every element carries a leading batch shape: s has shape (...) and v shape
+(..., 3), so one call acts on a whole batch of rows and a single element is
+the batch of shape ().  The arithmetic is written component by component as
+numpy ufunc calls in a fixed order, with no BLAS (`np.dot`, `@`) and no
+complex product of two numpy scalars, which rounds differently from the
+ufunc loop; so a row's bits do not depend on the batch it sits in.  To keep
+that rule, `s` is always stored as an ndarray, of shape () for one element.
+
+Each residue guard computes a per-row residue and refuses the rows where
+`not residue <= bound`, so a NaN residue is refused rather than dropped.
+The `*_rows` forms return the refusal mask; the raising forms raise when any
+row is refused.
 """
 
 from __future__ import annotations
@@ -14,38 +25,47 @@ import numpy as np
 
 from .errors import ImaginaryResidueError, NonRealEventError
 
-_ZERO3 = np.zeros(3, dtype=np.complex128)
-
 
 class Paravector3:
-    """Element of Cl(3): complex scalar part s, complex vector part v."""
+    """Element of Cl(3), or a batch of them: complex scalar parts s of shape
+    (...) and complex vector parts v of shape (..., 3)."""
 
     __slots__ = ("s", "v")
+    # An ndarray on the left of * defers to __rmul__ instead of building an
+    # object array.
+    __array_ufunc__ = None
 
     def __init__(self, s=0.0, v=None):
-        self.s = complex(s)
+        s = np.array(s, dtype=np.complex128)
         if v is None:
-            self.v = _ZERO3.copy()
+            v = np.zeros(s.shape + (3,), dtype=np.complex128)
         else:
-            arr = np.asarray(v, dtype=np.complex128)
-            if arr.shape != (3,):
+            v = np.array(v, dtype=np.complex128)
+            if v.shape[-1:] != (3,):
                 raise ValueError("vector part must have 3 components")
-            self.v = arr.copy()
+            if v.shape[:-1] != s.shape:
+                shape = np.broadcast_shapes(s.shape, v.shape[:-1])
+                s = np.broadcast_to(s, shape).copy()
+                v = np.broadcast_to(v, shape + (3,)).copy()
+        self.s = s
+        self.v = v
 
     @classmethod
-    def _wrap(cls, s: complex, v: np.ndarray) -> "Paravector3":
+    def _wrap(cls, s, v: np.ndarray) -> "Paravector3":
         out = object.__new__(cls)
-        out.s = s
+        out.s = np.asarray(s)  # a ufunc on 0-d arrays returns a numpy scalar
         out.v = v
         return out
 
     @classmethod
-    def from_event(cls, t: float, r) -> "Paravector3":
-        return cls(complex(t), np.asarray(r, dtype=np.complex128))
+    def from_event(cls, t, r) -> "Paravector3":
+        """Real events t + r: t of shape (...), r of shape (..., 3)."""
+        return cls(t, r)
 
     @classmethod
     def vector(cls, v) -> "Paravector3":
-        return cls(0.0, v)
+        v = np.array(v, dtype=np.complex128)
+        return cls._wrap(np.zeros(v.shape[:-1], dtype=np.complex128), v)
 
     def bar(self) -> "Paravector3":
         """Clifford conjugate: negate the vector part."""
@@ -65,75 +85,115 @@ class Paravector3:
         return Paravector3._wrap(-self.s, -self.v)
 
     def __mul__(self, other):
+        """Product with a paravector, or with one number per row."""
         if isinstance(other, Paravector3):
             return cl3_product(self, other)
-        w = complex(other)
-        return Paravector3._wrap(self.s * w, self.v * w)
+        w = np.asarray(other)
+        return Paravector3._wrap(self.s * w, self.v * w[..., None])
 
-    def __rmul__(self, other) -> "Paravector3":
-        w = complex(other)
-        return Paravector3._wrap(self.s * w, self.v * w)
+    __rmul__ = __mul__
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.v).max(initial=abs(self.s)))
+    def max_abs(self):
+        return np.maximum(np.abs(self.s), np.abs(self.v).max(axis=-1))
 
-    def imag_residue(self) -> float:
-        return float(np.abs(self.v.imag).max(initial=abs(self.s.imag)))
+    def imag_residue(self):
+        return np.maximum(np.abs(self.s.imag), np.abs(self.v.imag).max(axis=-1))
 
-    def scalar_residue(self) -> float:
-        return float(abs(self.s))
+    def scalar_residue(self):
+        return np.abs(self.s)
 
     def approx_eq(self, other: "Paravector3", tol: float = 1e-12) -> bool:
-        dev = max(
-            abs(self.s - other.s), float(np.max(np.abs(self.v - other.v)))
+        """Every component of every row within tol; a NaN deviation is not."""
+        return bool(
+            np.all(np.abs(self.s - other.s) <= tol)
+            and np.all(np.abs(self.v - other.v) <= tol)
         )
-        return dev <= tol
 
     def __repr__(self) -> str:
         return f"Paravector3({self.s!r}, {self.v!r})"
 
 
 def cl3_product(a: Paravector3, b: Paravector3) -> Paravector3:
-    s = a.s * b.s + np.dot(a.v, b.v)
-    v = a.s * b.v + b.s * a.v + 1j * np.cross(a.v, b.v)
+    """Row-by-row product: scalar a.s b.s + a.v.b.v, vector
+    a.s b.v + b.s a.v + i a.v x b.v, each component spelled out."""
+    av, bv = a.v, b.v
+    a0, a1, a2 = av[..., 0], av[..., 1], av[..., 2]
+    b0, b1, b2 = bv[..., 0], bv[..., 1], bv[..., 2]
+    sa, sb = a.s, b.s
+    s = sa * sb + (a0 * b0 + a1 * b1 + a2 * b2)
+    v = np.empty(np.broadcast_shapes(av.shape, bv.shape), dtype=np.complex128)
+    v[..., 0] = sa * b0 + sb * a0 + 1j * (a1 * b2 - a2 * b1)
+    v[..., 1] = sa * b1 + sb * a1 + 1j * (a2 * b0 - a0 * b2)
+    v[..., 2] = sa * b2 + sb * a2 + 1j * (a0 * b1 - a1 * b0)
     return Paravector3._wrap(s, v)
 
 
-def minkowski_square(x: Paravector3, tol: float = 1e-12) -> float:
-    """x bar(x) for a real event paravector, equal to t^2 - r^2.
+def dot3(u, w):
+    """Bilinear (unconjugated) dot product over the last axis, summed in
+    component order."""
+    return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
 
-    Raises NonRealEventError if the input carries imaginary parts above tol.
+
+def _refused(residue, p: Paravector3, tol: float):
+    """Rows whose residue is NaN or above tol relative to the row's size."""
+    return ~(residue <= tol * np.fmax(1.0, p.max_abs()))
+
+
+def _raise_refused(error, what: str, residue, refused) -> None:
+    worst = np.max(np.asarray(residue)[refused])
+    raise error(f"{what} {worst:.3e} above tolerance")
+
+
+def minkowski_square(x: Paravector3, tol: float = 1e-12):
+    """x bar(x) for real event paravectors, equal to t^2 - r^2 per row.
+
+    Raises NonRealEventError if any event carries imaginary parts above tol.
     """
-    if not x.imag_residue() <= tol * max(1.0, x.max_abs()):
-        raise NonRealEventError("event paravector must be real")
-    t = float(x.s.real)
-    r = x.v.real
-    return t * t - float(r @ r)
+    # Events built from real coordinates have exact zeros here; only the
+    # others, NaN included, need the relative guard.
+    if x.s.imag.any() or x.v.imag.any():
+        if _refused(x.imag_residue(), x, tol).any():
+            raise NonRealEventError("event paravector must be real")
+    t, r = x.s.real, x.v.real
+    return t * t - dot3(r, r)
+
+
+def real_rows(p: Paravector3, tol: float) -> tuple[Paravector3, np.ndarray]:
+    """Real part of p, and the rows whose imaginary residue is above tol
+    relative to their size, as in grade projection."""
+    refused = _refused(p.imag_residue(), p, tol)
+    real = Paravector3._wrap(
+        p.s.real.astype(np.complex128), p.v.real.astype(np.complex128)
+    )
+    return real, refused
 
 
 def real_paravector(p: Paravector3, tol: float) -> Paravector3:
-    """Strip a residual imaginary part, relative guard as in grade projection."""
-    if not p.imag_residue() <= tol * max(1.0, p.max_abs()):
-        raise ImaginaryResidueError(
-            f"imaginary residue {p.imag_residue():.3e} above tolerance"
-        )
-    return Paravector3._wrap(complex(p.s.real), p.v.real.astype(np.complex128))
+    """Strip a residual imaginary part; raise if any row's is above tol."""
+    real, refused = real_rows(p, tol)
+    if refused.any():
+        _raise_refused(ImaginaryResidueError, "imaginary residue", p.imag_residue(), refused)
+    return real
+
+
+def vector_rows(p: Paravector3, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vector part of p, and the rows whose scalar residue is above tol."""
+    return p.v.copy(), _refused(p.scalar_residue(), p, tol)
 
 
 def pure_vector(p: Paravector3, tol: float) -> np.ndarray:
-    """Vector part of p, guarding against a scalar residue."""
-    if not p.scalar_residue() <= tol * max(1.0, p.max_abs()):
-        raise ImaginaryResidueError(
-            f"scalar residue {p.scalar_residue():.3e} above tolerance"
-        )
-    return p.v.copy()
+    """Vector part of p; raise if any row's scalar residue is above tol."""
+    v, refused = vector_rows(p, tol)
+    if refused.any():
+        _raise_refused(ImaginaryResidueError, "scalar residue", p.scalar_residue(), refused)
+    return v
 
 
 def exp_complex_vector(w, tol: float) -> Paravector3:
-    """Exponential of a complex 3-vector by series with scaling and squaring."""
+    """Exponential of one complex 3-vector by series with scaling and squaring."""
     arg = Paravector3.vector(w)
     halvings = 0
-    norm = arg.max_abs()
+    norm = float(arg.max_abs())
     while norm > 1.0:
         arg = 0.5 * arg
         norm *= 0.5
@@ -155,22 +215,29 @@ def exp_complex_vector(w, tol: float) -> Paravector3:
 
 
 class Faraday3:
-    """Field vector F = E + i B as a complex 3-vector."""
+    """Field vector F = E + i B as a complex 3-vector, or a batch of them:
+    F has shape (..., 3)."""
 
     __slots__ = ("F",)
 
     def __init__(self, E=None, B=None, F=None):
         if F is not None:
-            arr = np.asarray(F, dtype=np.complex128)
-            if arr.shape != (3,):
+            arr = np.array(F, dtype=np.complex128)
+            if arr.shape[-1:] != (3,):
                 raise ValueError("F must have 3 components")
-            self.F = arr.copy()
+            self.F = arr
         else:
             E = np.zeros(3) if E is None else np.asarray(E, dtype=np.float64)
             B = np.zeros(3) if B is None else np.asarray(B, dtype=np.float64)
-            if E.shape != (3,) or B.shape != (3,):
+            if E.shape[-1:] != (3,) or B.shape[-1:] != (3,):
                 raise ValueError("E and B must be 3-vectors")
             self.F = E + 1j * B
+
+    @classmethod
+    def _wrap(cls, F: np.ndarray) -> "Faraday3":
+        out = object.__new__(cls)
+        out.F = F
+        return out
 
     @property
     def E(self) -> np.ndarray:
@@ -184,7 +251,7 @@ class Faraday3:
         return Paravector3.vector(self.F)
 
     def approx_eq(self, other: "Faraday3", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.F - other.F)) <= tol)
+        return bool(np.all(np.abs(self.F - other.F) <= tol))
 
     def __repr__(self) -> str:
         return f"Faraday3(E={self.E!r}, B={self.B!r})"

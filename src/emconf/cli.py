@@ -8,12 +8,19 @@ and `verify` runs the seeded self-check suite.
 Numbers are emitted at 17 significant digits and rows in grid order, so
 identical jobs produce byte-identical files.  CSV and JSON are written by
 hand: the stdlib serializers do not honor a fixed digit count.
+
+`transform` runs one array kernel (fields.sweep) per chunk of CHUNK_ROWS grid
+events and writes each chunk's rows straight from the arrays before it
+computes the next, so memory stays flat in the grid size.  The kernel keeps
+each row's bits independent of the chunk it falls in, so the output does not
+depend on CHUNK_ROWS.  A one-line summary of the rows and the reasons rows
+were skipped goes to stderr; stdout holds the rows only.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import math
 import os
@@ -22,7 +29,6 @@ import sys
 import numpy as np
 
 from .cl13 import FourVector
-from .cl3 import Paravector3
 from .conformal13 import (
     ConformalParams,
     CoordinateFrame,
@@ -33,7 +39,7 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .conformal3 import PreparedTransform3, scale_of
+from .conformal3 import PreparedTransform3, Refusal
 from .errors import (
     ConformalDomainError,
     ImaginaryResidueError,
@@ -45,6 +51,7 @@ from .fields import (
     PlaneWave,
     UniformField,
     invariant_scaling_report,
+    sweep,
 )
 from .verify import BASE_TOL, DEFAULT_SEED, REFERENCE_TRIALS, run_suite
 
@@ -54,6 +61,9 @@ _FIELD_KEYS = (
     "Exp", "Eyp", "Ezp", "Bxp", "Byp", "Bzp",
 )
 CSV_HEADER = "t,x,y,z," + ",".join(_FIELD_KEYS) + ",scale,skipped"
+# Grid rows per kernel call of transform: each chunk is computed, formatted
+# and written before the next, so memory does not grow with the grid.
+CHUNK_ROWS = 4096
 # Refusals at one event: a cone of the map, the field's singular point, or a
 # field sandwich that overflowed into a NaN residue.
 _REFUSALS = (ConformalDomainError, OriginSingularityError, ImaginaryResidueError)
@@ -63,8 +73,12 @@ class JobError(Exception):
     """Malformed job file or inconsistent flag set."""
 
 
+# 17 significant digits round-trip float64.
+_NUM = "%.17g"
+
+
 def _num(v: float) -> str:
-    return f"{float(v):.17g}"
+    return _NUM % float(v)
 
 
 # -- flag and job parsing ---------------------------------------------------------
@@ -285,50 +299,44 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
 # -- transform --------------------------------------------------------------------
 
 
-def _event_row(
-    field: FieldSpec,
-    xform: PreparedTransform3,
-    frame: CoordinateFrame,
-    coords: tuple[float, float, float, float],
-) -> dict:
-    """One output row; a refusal or a non-finite value skips it."""
-    row = dict(zip(_AXES, coords))
-    try:
-        grid_pv = Paravector3.from_event(coords[0], coords[1:])
-        if frame is CoordinateFrame.TRANSFORMED:
-            src_pv = xform.inverse_position(grid_pv)
-            src = FourVector(src_pv.s.real, *src_pv.v.real)
-        else:
-            src = FourVector(*coords)
-        F_in = field.faraday(src)
-        F_out = xform.faraday(F_in, grid_pv, frame)
-        scale = scale_of(xform.params, grid_pv, frame)
-    except _REFUSALS:
-        finite = False
-    else:
-        values = (*F_in.E, *F_in.B, *F_out.E, *F_out.B)
-        finite = all(map(math.isfinite, (*values, scale)))
-    if not finite:
-        row.update({key: None for key in _FIELD_KEYS})
-        row["scale"] = None
-        row["skipped"] = True
-        return row
-    for key, value in zip(_FIELD_KEYS, values):
-        row[key] = float(value)
-    row["scale"] = scale
-    row["skipped"] = False
-    return row
+def _grid_chunks(axes: dict):
+    """(n, 4) arrays of grid events in itertools.product order (t slowest),
+    CHUNK_ROWS rows at a time."""
+    values = [axes[a] for a in _AXES]
+    shape = tuple(len(v) for v in values)
+    total = math.prod(shape)
+    for start in range(0, total, CHUNK_ROWS):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK_ROWS, total)), shape)
+        yield np.stack([v[i] for v, i in zip(values, index)], axis=-1)
 
 
-def _rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        cells = [_num(row[a]) for a in _AXES]
-        cells += ["" if row[k] is None else _num(row[k]) for k in _FIELD_KEYS]
-        cells.append("" if row["scale"] is None else _num(row["scale"]))
-        cells.append("1" if row["skipped"] else "0")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _row_lines(fmt: str, events, F_in, F_out, scale, reason) -> list[str]:
+    """One line per grid row, formatted straight from the kernel's arrays."""
+    full, skipped = _ROW_TEMPLATES[fmt]
+    table = np.concatenate(
+        [events, F_in.F.real, F_in.F.imag, F_out.F.real, F_out.F.imag, scale[:, None]],
+        axis=1,
+    )
+    return [
+        skipped % tuple(row[:4]) if why else full % tuple(row)
+        for row, why in zip(table.tolist(), reason.tolist())
+    ]
+
+
+def _json_template(cells: list[str]) -> str:
+    keys = (json.dumps(k) for k in CSV_HEADER.split(","))
+    return "{" + ", ".join(f"{k}: {c}" for k, c in zip(keys, cells)) + "}"
+
+
+# Per format, the template of a computed row (its 17 numbers) and of a
+# skipped row (its 4 coordinates).
+_ROW_TEMPLATES = {
+    "csv": (",".join([_NUM] * 17 + ["0"]), ",".join([_NUM] * 4 + [""] * 13 + ["1"])),
+    "json": (
+        _json_template([_NUM] * 17 + ["false"]),
+        _json_template([_NUM] * 4 + ["null"] * 13 + ["true"]),
+    ),
+}
 
 
 def _json_scalar(value) -> str:
@@ -348,17 +356,31 @@ def _json_object(items) -> str:
     return "{" + body + "}"
 
 
-def _rows_to_json(rows) -> str:
-    lines = [_json_object(row.items()) for row in rows]
-    return "[\n" + ",\n".join(lines) + "\n]\n"
+@contextlib.contextmanager
+def _output(out: str | None):
+    """stdout, or the file at out opened for writing."""
+    if out is None:
+        yield sys.stdout
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _summary(tally: np.ndarray) -> str:
+    """One line from the rows counted per Refusal code, for example
+    `500 rows, 5 skipped (charge 5)`."""
+    rows = int(tally.sum())
+    skipped = rows - int(tally[Refusal.OK])
+    line = f"{rows} rows, {skipped} skipped"
+    if skipped:
+        counts = [f"{code.name.lower()} {tally[code]}" for code in Refusal if code and tally[code]]
+        line += f" ({', '.join(counts)})"
+    return line
 
 
 def cmd_transform(args) -> int:
@@ -377,13 +399,21 @@ def cmd_transform(args) -> int:
     out = args.out or job.get("out")
 
     xform = PreparedTransform3(params)
-    rows = [
-        _event_row(field, xform, frame, coords)
-        for coords in itertools.product(*(axes[a] for a in _AXES))
-    ]
-    text = _rows_to_csv(rows) if fmt == "csv" else _rows_to_json(rows)
-    _emit(text, out)
-    if all(row["skipped"] for row in rows):
+    tally = np.zeros(len(Refusal), dtype=np.int64)
+    with _output(out) as fh:
+        fh.write(CSV_HEADER + "\n" if fmt == "csv" else "[\n")
+        for i, events in enumerate(_grid_chunks(axes)):
+            F_in, F_out, scale, reason = sweep(field, xform, events, frame)
+            tally += np.bincount(reason, minlength=len(Refusal))
+            lines = _row_lines(fmt, events, F_in, F_out, scale, reason)
+            if fmt == "csv":
+                fh.write("\n".join(lines) + "\n")
+            else:
+                fh.write((",\n" if i else "") + ",\n".join(lines))
+        if fmt == "json":
+            fh.write("\n]\n")
+    print(_summary(tally), file=sys.stderr)
+    if not tally[Refusal.OK]:
         print("error: every grid point was skipped", file=sys.stderr)
         return 1
     return 0
@@ -410,7 +440,12 @@ def cmd_invariants(args) -> int:
     except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    lines = [f"  {json.dumps(k)}: {_num(getattr(report, k))}" for k in _REPORT_KEYS]
+    values = {k: float(getattr(report, k)) for k in _REPORT_KEYS}
+    bad = [k for k, v in values.items() if not math.isfinite(v)]
+    if bad:
+        print(f"error: non-finite values in the report: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    lines = [f"  {json.dumps(k)}: {_num(v)}" for k, v in values.items()]
     _emit("{\n" + ",\n".join(lines) + "\n}\n", args.out)
     return 0
 

@@ -173,8 +173,8 @@ def _project(
             )
     out = weight * out
     if g == 2:
-        return Faraday13.from_mv(out.grade(2))
-    return FourVector.from_mv(out.grade(1))
+        return Faraday13.from_mv(out.grade(2), GRADE_TOL)
+    return FourVector.from_mv(out.grade(1), GRADE_TOL)
 
 
 def _position(params: ConformalParams, x: FourVector) -> FourVector:

@@ -8,9 +8,21 @@ power of scale_of.  Conjugation placement differs between the potential-type
 and field sandwiches and between the two coordinate presentations; each
 sandwich spells its own placement rather than deriving one from another.
 inverse_position3 and PreparedTransform3 serve sweeps over image events.
+
+Every function here takes a batch of events and values (see cl3: a leading
+batch shape, shape () for one element) and runs one array kernel over it.
+Inside the kernel a guard does not raise: it records a Refusal code for its
+rows in a per-row ledger and lets the row go on with a placeholder, so the
+other rows are computed in the same call.  transform3, scale_of and
+inverse_position3 raise the typed error of the first refused row, which for
+one element is the error of that element; PreparedTransform3 hands the
+ledger back instead.  The kernel uses ufuncs only, in a fixed order, so a
+row's bits are the same in a batch of one and in a batch of many.
 """
 
 from __future__ import annotations
+
+from enum import IntEnum
 
 import numpy as np
 
@@ -18,10 +30,11 @@ from .cl3 import (
     Faraday3,
     Paravector3,
     cl3_product,
+    dot3,
     exp_complex_vector,
     minkowski_square,
-    pure_vector,
-    real_paravector,
+    real_rows,
+    vector_rows,
 )
 from .conformal13 import (
     EXP_TOL,
@@ -37,51 +50,114 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .errors import LightConeError, SctConeError
+from .errors import ImaginaryResidueError, LightConeError, SctConeError
 
 _ORIG = CoordinateFrame.ORIGINAL
 
 
-def _event_parts(x: Paravector3) -> tuple[float, np.ndarray]:
-    return float(x.s.real), x.v.real.copy()
+class Refusal(IntEnum):
+    """Why a row was refused, or OK; the first guard to refuse a row names it.
+
+    CHARGE comes from a field's singular point and NON_FINITE from a sweep's
+    check of its outputs (see fields.sweep); the other codes come from this
+    module's guards.
+    """
+
+    OK = 0
+    CHARGE = 1
+    LIGHT_CONE = 2
+    SCT_CONE = 3
+    RESIDUE = 4
+    NON_FINITE = 5
+
+
+# The typed error each refusal of this module names.  The field raises its
+# own OriginSingularityError, and NON_FINITE names no error: a non-finite
+# value is returned as the arithmetic gave it, for the caller to check.
+_ERRORS = {
+    Refusal.LIGHT_CONE: (LightConeError, "event too close to the light cone"),
+    Refusal.SCT_CONE: (
+        SctConeError, "event too close to the excluded cone of the special conformal map"
+    ),
+    Refusal.RESIDUE: (
+        ImaginaryResidueError, "sandwich left an imaginary or scalar residue above tolerance"
+    ),
+}
+
+
+def no_refusals(shape) -> np.ndarray:
+    """A refusal ledger for a batch of the given shape, every row OK."""
+    return np.zeros(shape, dtype=np.int8)
+
+
+def refuse(reason: np.ndarray, rows, code) -> None:
+    """Record code (one value, or one per row) in the ledger for the given
+    rows, except where an earlier guard already refused the row."""
+    if rows.any():
+        np.copyto(reason, code, where=rows & (reason == Refusal.OK))
+
+
+def _raise_refusal(reason: np.ndarray) -> None:
+    """Raise the typed error of the first refused row of the ledger, if any."""
+    if reason.any():
+        code = Refusal(int(reason[reason != Refusal.OK].flat[0]))
+        error, text = _ERRORS[code]
+        raise error(text)
+
+
+_ONE = Paravector3(1.0)
 
 
 def _to_paravector(v) -> Paravector3:
     return Paravector3.from_event(v.t, (v.x, v.y, v.z))
 
 
-def sct_factor3(x: Paravector3, a: Paravector3) -> float:
-    t, r = _event_parts(x)
-    a0, av = _event_parts(a)
+def sct_factor3(x: Paravector3, a: Paravector3):
+    t, r = x.s.real, x.v.real
+    a0, av = a.s.real, a.v.real
     return (
         1.0
-        + 2.0 * (a0 * t - float(av @ r))
-        + (a0 * a0 - float(av @ av)) * (t * t - float(r @ r))
+        + 2.0 * (a0 * t - dot3(av, r))
+        + (a0 * a0 - dot3(av, av)) * (t * t - dot3(r, r))
     )
 
 
-def _sct_scale(x: Paravector3, a: Paravector3, frame: CoordinateFrame) -> float:
+def _cone_guard(value, code: Refusal, reason: np.ndarray):
+    """value with the rows too close to zero (or NaN) refused and set to 1."""
+    refused = ~(np.abs(value) > LIGHTCONE_TOL)
+    if not refused.any():
+        return value
+    refuse(reason, refused, code)
+    return np.where(refused, 1.0, value)
+
+
+def _sct_scale(x: Paravector3, a: Paravector3, frame: CoordinateFrame, reason):
     """sigma at the source event, or at the image event the reciprocal of the
     scale of the map by -a, which undoes the map by a; guarded on the cone."""
     if frame is _ORIG:
-        s = sct_factor3(x, a)
-        if not abs(s) > LIGHTCONE_TOL:
-            raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
-        return s
-    denom = sct_factor3(x, -a)
-    if not abs(denom) > LIGHTCONE_TOL:
-        raise SctConeError(
-            f"image event too close to the excluded cone: 1/scale = {denom:.3e}"
-        )
-    return 1.0 / denom
+        return _cone_guard(sct_factor3(x, a), Refusal.SCT_CONE, reason)
+    return 1.0 / _cone_guard(sct_factor3(x, -a), Refusal.SCT_CONE, reason)
+
+
+def _scale_rows(params: ConformalParams, x: Paravector3, frame, reason):
+    if isinstance(params, Dilation):
+        return np.full(x.s.shape, params.factor)
+    if isinstance(params, (Translation, Lorentz)):
+        return np.ones(x.s.shape)
+    if isinstance(params, Inversion):
+        w = _cone_guard(minkowski_square(x), Refusal.LIGHT_CONE, reason)
+        return w if frame is _ORIG else 1.0 / w
+    if isinstance(params, Sct):
+        return _sct_scale(x, _to_paravector(params.a), frame, reason)
+    raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
 def scale_of(
     params: ConformalParams,
     x: Paravector3,
     frame: CoordinateFrame = _ORIG,
-) -> float:
-    """Conformal scale entering the field formulas at this event.
+):
+    """Conformal scale entering the field formulas at each event of x.
 
     Omega for inversion, sigma for the special conformal map, the dilation
     factor for dilations, and 1 for the isometries.  The inversion and the
@@ -89,35 +165,39 @@ def scale_of(
     and as the image event in the TRANSFORMED frame, and refuse an x on
     their cones.
     """
-    if isinstance(params, Dilation):
-        return params.factor
-    if isinstance(params, (Translation, Lorentz)):
-        return 1.0
-    if isinstance(params, Inversion):
-        w = minkowski_square(x)
-        if not abs(w) > LIGHTCONE_TOL:
-            raise LightConeError(f"event too close to the light cone: x^2 = {w:.3e}")
-        return w if frame is _ORIG else 1.0 / w
-    if isinstance(params, Sct):
-        return _sct_scale(x, _to_paravector(params.a), frame)
-    raise TypeError(f"unknown transformation parameters: {params!r}")
+    reason = no_refusals(x.s.shape)
+    scale = _scale_rows(params, x, frame, reason)
+    _raise_refusal(reason)
+    return scale
 
 
-def _sct_position3(x: Paravector3, a: Paravector3) -> Paravector3:
-    s = _sct_scale(x, a, _ORIG)
-    raw = cl3_product(Paravector3(1.0) + cl3_product(a, x.bar()), x)
-    return real_paravector((1.0 / s) * raw, RESIDUE_TOL)
+def _real_guard(p: Paravector3, reason) -> Paravector3:
+    real, refused = real_rows(p, RESIDUE_TOL)
+    refuse(reason, refused, Refusal.RESIDUE)
+    return real
 
 
-def _position3(params: ConformalParams, x: Paravector3) -> Paravector3:
+def _field_guard(p: Paravector3, reason) -> Faraday3:
+    F, refused = vector_rows(p, RESIDUE_TOL)
+    refuse(reason, refused, Refusal.RESIDUE)
+    return Faraday3._wrap(F)
+
+
+def _sct_position3(x: Paravector3, a: Paravector3, reason) -> Paravector3:
+    s = _sct_scale(x, a, _ORIG, reason)
+    raw = cl3_product(_ONE + cl3_product(a, x.bar()), x)
+    return _real_guard((1.0 / s) * raw, reason)
+
+
+def _position3(params: ConformalParams, x: Paravector3, reason) -> Paravector3:
     if isinstance(params, Dilation):
         return (1.0 / params.factor) * x
     if isinstance(params, Translation):
         return x + _to_paravector(params.offset)
     if isinstance(params, Inversion):
-        return (params.eps / scale_of(params, x)) * x
+        return (params.eps / _scale_rows(params, x, _ORIG, reason)) * x
     if isinstance(params, Sct):
-        return _sct_position3(x, _to_paravector(params.a))
+        return _sct_position3(x, _to_paravector(params.a), reason)
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
@@ -129,6 +209,61 @@ _SCALE_POWER = {
     QuantityKind.CURRENT: 2,
     QuantityKind.FARADAY: 1,
 }
+
+
+def _batch_shape(value, x) -> tuple:
+    shape = value.F.shape[:-1] if isinstance(value, Faraday3) else value.s.shape
+    if x is None or x.s.shape == shape:
+        return shape
+    return np.broadcast_shapes(shape, x.s.shape)
+
+
+def _transform_rows(params, kind, value, x, frame, reason):
+    if isinstance(params, Lorentz):
+        L = _lorentz_rotor(params, EXP_TOL)
+        return _lorentz_sandwich(kind, value, L, params.lorentz_class, reason)
+    if kind is QuantityKind.POSITION:
+        return _position3(params, value, reason)
+    field = kind is QuantityKind.FARADAY
+    if isinstance(params, Dilation):
+        w = params.factor ** (_SCALE_POWER[kind] + 1)
+        return Faraday3._wrap(w * value.F) if field else w * value
+    if isinstance(params, Translation):
+        return value
+    sign = 1
+    if isinstance(params, Inversion):
+        scale = _scale_rows(params, x, frame, reason)
+        if field:
+            raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
+            sign = params.eps
+        else:
+            raw = cl3_product(cl3_product(x, value.bar()), x)
+    else:
+        a = _to_paravector(params.a)
+        scale = _sct_scale(x, a, frame, reason)
+        if frame is _ORIG:
+            left = _ONE + cl3_product(a, x.bar())
+            if field:
+                right = _ONE + cl3_product(x, a.bar())
+            else:
+                right = _ONE + cl3_product(x.bar(), a)
+        else:
+            left = _ONE - cl3_product(x, a.bar())
+            if field:
+                right = _ONE - cl3_product(a, x.bar())
+            else:
+                right = _ONE - cl3_product(a.bar(), x)
+        q = value.to_paravector() if field else value
+        raw = cl3_product(cl3_product(left, q), right)
+    p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
+    if p:
+        # A zero power skips the multiply: a complex multiply by 1 + 0j can
+        # flip the sign of a zero component.  np.power, not **: on the numpy
+        # scalar of a single event ** takes another pow than the ufunc loop.
+        raw = (sign * np.power(scale, p)) * raw
+    if field:
+        return _field_guard(raw, reason)
+    return _real_guard(raw, reason)
 
 
 def transform3(
@@ -147,51 +282,12 @@ def transform3(
     frame.  There the result is a sandwich of value, weighted by the kind's
     power of scale_of; the inversion field also carries the sign +eps.  The
     conjugations in each sandwich are spelled out per map, kind and frame.
+    value and x may be batches; the result has their broadcast batch shape.
     """
-    if isinstance(params, Lorentz):
-        L = _lorentz_rotor(params, EXP_TOL)
-        return _lorentz_sandwich(kind, value, L, params.lorentz_class)
-    if kind is QuantityKind.POSITION:
-        return _position3(params, value)
-    field = kind is QuantityKind.FARADAY
-    if isinstance(params, Dilation):
-        w = params.factor ** (_SCALE_POWER[kind] + 1)
-        return Faraday3(F=w * value.F) if field else w * value
-    if isinstance(params, Translation):
-        return value
-    scale = scale_of(params, x, frame)
-    sign = 1
-    if isinstance(params, Inversion):
-        if field:
-            raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
-            sign = params.eps
-        else:
-            raw = cl3_product(cl3_product(x, value.bar()), x)
-    else:
-        one = Paravector3(1.0)
-        a = _to_paravector(params.a)
-        if frame is _ORIG:
-            left = one + cl3_product(a, x.bar())
-            if field:
-                right = one + cl3_product(x, a.bar())
-            else:
-                right = one + cl3_product(x.bar(), a)
-        else:
-            left = one - cl3_product(x, a.bar())
-            if field:
-                right = one - cl3_product(a, x.bar())
-            else:
-                right = one - cl3_product(a.bar(), x)
-        q = value.to_paravector() if field else value
-        raw = cl3_product(cl3_product(left, q), right)
-    p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
-    if p:
-        # A zero power skips the multiply: a complex multiply by 1 + 0j can
-        # flip the sign of a zero component.
-        raw = (sign * scale**p) * raw
-    if field:
-        return Faraday3(F=pure_vector(raw, RESIDUE_TOL))
-    return real_paravector(raw, RESIDUE_TOL)
+    reason = no_refusals(_batch_shape(value, x))
+    out = _transform_rows(params, kind, value, x, frame, reason)
+    _raise_refusal(reason)
+    return out
 
 
 # -- Lorentz ----------------------------------------------------------------------
@@ -204,12 +300,7 @@ def _lorentz_rotor(params: Lorentz, exp_tol: float) -> Paravector3:
     return exp_complex_vector(gen, exp_tol)
 
 
-def _lorentz_sandwich(
-    kind: QuantityKind,
-    value,
-    L: Paravector3,
-    cls: LorentzClass,
-):
+def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzClass, reason):
     """Class-resolved sandwich by the rotor L.
 
     Orthochronous-proper sandwiches are L W L* for paravector kinds and
@@ -233,7 +324,7 @@ def _lorentz_sandwich(
             )
             if cls is LorentzClass.IMPROPER_ORTHOCHRONOUS:
                 raw = -raw
-        return Faraday3(F=pure_vector(raw, RESIDUE_TOL))
+        return _field_guard(raw, reason)
     if plain:
         raw = cl3_product(cl3_product(L, value), L.star())
     else:
@@ -243,17 +334,18 @@ def _lorentz_sandwich(
         LorentzClass.PROPER_ANTICHRONOUS,
     ):
         raw = -raw
-    return real_paravector(raw, RESIDUE_TOL)
+    return _real_guard(raw, reason)
+
+
+_BASIS = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
 
 
 def _induced_from_rotor(L: Paravector3, cls: LorentzClass) -> np.ndarray:
-    cols = []
-    for k in range(4):
-        e = np.eye(4)[k]
-        ev = Paravector3.from_event(e[0], e[1:])
-        out = _lorentz_sandwich(QuantityKind.POSITION, ev, L, cls)
-        cols.append([out.s.real, *out.v.real])
-    return np.array(cols).T
+    """Columns: the images of the four basis events, mapped as one batch."""
+    reason = no_refusals(4)
+    out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, cls, reason)
+    _raise_refusal(reason)
+    return np.concatenate([out.s.real[:, None], out.v.real], axis=1).T
 
 
 def induced_matrix3(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
@@ -262,21 +354,18 @@ def induced_matrix3(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
     return _induced_from_rotor(L, params.lorentz_class)
 
 
-# -- parameter-driven dispatch ---------------------------------------------------
+# -- preimages and prepared maps -------------------------------------------------
 
 
 def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
-    coords = mat @ np.array([x.s.real, *x.v.real])
-    return Paravector3.from_event(coords[0], coords[1:])
+    """mat times the coordinates of each event, as explicit four-term sums."""
+    t, r = x.s.real, x.v.real
+    c0, c1, c2, c3 = t, r[..., 0], r[..., 1], r[..., 2]
+    rows = [m[0] * c0 + m[1] * c1 + m[2] * c2 + m[3] * c3 for m in mat]
+    return Paravector3.from_event(rows[0], np.stack(rows[1:], axis=-1))
 
 
-def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
-    """Preimage of an event under the parametrized map.
-
-    For Lorentz parameters every call expands the rotor and inverts the
-    induced matrix; a sweep over many events under one map should build a
-    PreparedTransform3 once and call its inverse_position instead.
-    """
+def _inverse_rows(params: ConformalParams, x_new: Paravector3, reason) -> Paravector3:
     if isinstance(params, Dilation):
         return params.factor * x_new
     if isinstance(params, Translation):
@@ -284,22 +373,35 @@ def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector
     if isinstance(params, Lorentz):
         return _apply_matrix(np.linalg.inv(induced_matrix3(params)), x_new)
     if isinstance(params, Inversion):
-        return _position3(params, x_new)
+        return _position3(params, x_new, reason)
     if isinstance(params, Sct):
         # The special conformal map with -a undoes the one with a.
-        return _sct_position3(x_new, -_to_paravector(params.a))
+        return _sct_position3(x_new, -_to_paravector(params.a), reason)
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
+def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
+    """Preimage of each image event under the parametrized map.
+
+    For Lorentz parameters every call expands the rotor and inverts the
+    induced matrix; a sweep under one map should build a PreparedTransform3
+    once and call its inverse_position instead.
+    """
+    reason = no_refusals(x_new.s.shape)
+    x = _inverse_rows(params, x_new, reason)
+    _raise_refusal(reason)
+    return x
+
+
 class PreparedTransform3:
-    """One map's parameter-only state, built once and applied to many events.
+    """One map's parameter-only state, built once and applied to batches.
 
     For Lorentz parameters that state is the rotor and the inverse of the
     induced coordinate matrix, so a sweep expands the rotor once, not once
-    per event for the field and four more times per event for the preimage.
-    The other families hold nothing worth keeping and go through
-    inverse_position3 and transform3 unchanged.  Results are
-    bit-for-bit those of the per-call functions.
+    per batch.  The other families hold nothing worth keeping and run the
+    kernel of inverse_position3 and transform3.  The methods return each
+    row's Refusal code instead of raising; rows that are not OK hold
+    placeholder values.
     """
 
     __slots__ = ("params", "_rotor", "_inverse")
@@ -313,19 +415,24 @@ class PreparedTransform3:
                 _induced_from_rotor(self._rotor, params.lorentz_class)
             )
 
-    def inverse_position(self, x_new: Paravector3) -> Paravector3:
-        """Preimage of an image event, as inverse_position3."""
+    def inverse_position(self, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
+        """Preimages of the image events x_new, as inverse_position3, and
+        each row's Refusal code."""
+        reason = no_refusals(x_new.s.shape)
         if self._rotor is None:
-            return inverse_position3(self.params, x_new)
-        return _apply_matrix(self._inverse, x_new)
+            return _inverse_rows(self.params, x_new, reason), reason
+        return _apply_matrix(self._inverse, x_new), reason
 
     def faraday(
         self, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
-    ) -> Faraday3:
-        """Field transform, as transform3."""
+    ) -> tuple[Faraday3, np.ndarray, np.ndarray]:
+        """Field transform at the events x, as transform3, the conformal
+        scale there, as scale_of, and each row's Refusal code."""
+        reason = no_refusals(_batch_shape(F, x))
         if self._rotor is None:
-            return transform3(self.params, QuantityKind.FARADAY, F, x, frame)
-        return _lorentz_sandwich(
-            QuantityKind.FARADAY, F, self._rotor, self.params.lorentz_class
-        )
-
+            out = _transform_rows(self.params, QuantityKind.FARADAY, F, x, frame, reason)
+        else:
+            out = _lorentz_sandwich(
+                QuantityKind.FARADAY, F, self._rotor, self.params.lorentz_class, reason
+            )
+        return out, _scale_rows(self.params, x, frame, reason), reason

@@ -1,4 +1,10 @@
-"""Analytic field configurations and their conformal invariants."""
+"""Analytic field configurations, their conformal invariants, and sweeps.
+
+Each field evaluates a batch of events at once (faraday_rows, events of
+shape (..., 4)); its faraday method is the batch of one.  sweep evaluates a
+field over a batch of grid events and transforms it by a prepared map in
+one array kernel, with one Refusal code per row.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .cl3 import Faraday3, Paravector3
+from .cl3 import Faraday3, Paravector3, dot3
 from .cl13 import FourVector
 from .conformal13 import (
     ConformalParams,
@@ -20,7 +26,14 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .conformal3 import scale_of, transform3
+from .conformal3 import (
+    PreparedTransform3,
+    Refusal,
+    no_refusals,
+    refuse,
+    scale_of,
+    transform3,
+)
 from .errors import OriginSingularityError
 
 SINGULARITY_TOL = 1e-12
@@ -33,8 +46,14 @@ class UniformField:
     E0: tuple[float, float, float] = (0.0, 0.0, 0.0)
     B0: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    def faraday_rows(self, events: np.ndarray) -> tuple[Faraday3, np.ndarray]:
+        """The field at events of shape (..., 4), and no charge rows."""
+        shape = events.shape[:-1]
+        F = Faraday3(np.asarray(self.E0, float), np.asarray(self.B0, float)).F
+        return Faraday3._wrap(np.broadcast_to(F, shape + (3,)).copy()), np.zeros(shape, bool)
+
     def faraday(self, x: FourVector) -> Faraday3:
-        return Faraday3(np.asarray(self.E0, float), np.asarray(self.B0, float))
+        return self.faraday_rows(x.as_array())[0]
 
 
 @dataclass(frozen=True)
@@ -57,13 +76,21 @@ class PlaneWave:
         if abs(float(k @ e)) > 1e-12:
             raise ValueError("amplitude must be orthogonal to the propagation direction")
 
-    def faraday(self, x: FourVector) -> Faraday3:
+    def faraday_rows(self, events: np.ndarray) -> tuple[Faraday3, np.ndarray]:
+        """The field at events of shape (..., 4), and no charge rows."""
         k = np.asarray(self.khat, float)
         e = np.asarray(self.E0, float)
-        r = np.array([x.x, x.y, x.z])
-        osc = np.cos(float(k @ r) - x.t + self.phase)
-        E = e * osc
-        return Faraday3(E, np.cross(k, E))
+        osc = np.cos(dot3(k, events[..., 1:]) - events[..., 0] + self.phase)
+        E = e * osc[..., None]
+        E0, E1, E2 = E[..., 0], E[..., 1], E[..., 2]
+        B = np.empty_like(E)
+        B[..., 0] = k[1] * E2 - k[2] * E1
+        B[..., 1] = k[2] * E0 - k[0] * E2
+        B[..., 2] = k[0] * E1 - k[1] * E0
+        return Faraday3(E, B), np.zeros(events.shape[:-1], bool)
+
+    def faraday(self, x: FourVector) -> Faraday3:
+        return self.faraday_rows(x.as_array())[0]
 
 
 @dataclass(frozen=True)
@@ -72,12 +99,22 @@ class Coulomb:
 
     q: float = 1.0
 
+    def faraday_rows(
+        self, events: np.ndarray, tol: float = SINGULARITY_TOL
+    ) -> tuple[Faraday3, np.ndarray]:
+        """The field at events of shape (..., 4), and the rows on the charge,
+        which hold a placeholder."""
+        r = events[..., 1:]
+        rn = np.sqrt(dot3(r, r))
+        charge = rn <= tol
+        rn = np.where(charge, 1.0, rn)[..., None]
+        return Faraday3(self.q * r / rn**3, np.zeros(3)), charge
+
     def faraday(self, x: FourVector, tol: float = SINGULARITY_TOL) -> Faraday3:
-        r = np.array([x.x, x.y, x.z])
-        rn = float(np.sqrt(r @ r))
-        if rn <= tol:
+        F, charge = self.faraday_rows(x.as_array(), tol)
+        if charge:
             raise OriginSingularityError("Coulomb field evaluated at the charge")
-        return Faraday3(self.q * r / rn**3, np.zeros(3))
+        return F
 
 
 FieldSpec = Union[UniformField, PlaneWave, Coulomb]
@@ -85,7 +122,7 @@ FieldSpec = Union[UniformField, PlaneWave, Coulomb]
 
 def invariants(F: Faraday3) -> tuple[float, float]:
     """(E^2 - B^2, 2 E.B), read off the complex square of the field vector."""
-    sq = complex(np.dot(F.F, F.F))
+    sq = dot3(F.F, F.F)
     return sq.real, sq.imag
 
 
@@ -143,3 +180,37 @@ def invariant_scaling_report(
     rel1 = abs(i1p - f1 * i1) / floor
     rel2 = abs(i2p - f2 * i2) / floor
     return InvariantScalingReport(i1, i2, i1p, i2p, f1, f2, rel1, rel2, scale)
+
+
+def sweep(
+    spec: FieldSpec,
+    xform: PreparedTransform3,
+    events: np.ndarray,
+    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
+) -> tuple[Faraday3, Faraday3, np.ndarray, np.ndarray]:
+    """The field spec at grid events of shape (..., 4) and its transform.
+
+    In the ORIGINAL frame the field is evaluated at each grid event; in the
+    TRANSFORMED frame at the preimage of each grid event.  Returns the input
+    field, the transformed field and the conformal scale at each grid event,
+    and each row's Refusal code: the first of a refused preimage, the
+    field's charge, a refusal of the field map, and a non-finite value among
+    the row's outputs.  Rows that are not OK hold placeholder values.
+    """
+    grid = Paravector3.from_event(events[..., 0], events[..., 1:])
+    if frame is CoordinateFrame.TRANSFORMED:
+        src, reason = xform.inverse_position(grid)
+        events = np.concatenate([src.s.real[..., None], src.v.real], axis=-1)
+    else:
+        reason = no_refusals(grid.s.shape)
+    F_in, charge = spec.faraday_rows(events)
+    refuse(reason, charge, Refusal.CHARGE)
+    F_out, scale, why = xform.faraday(F_in, grid, frame)
+    refuse(reason, why != Refusal.OK, why)
+    finite = (
+        np.isfinite(F_in.F).all(axis=-1)
+        & np.isfinite(F_out.F).all(axis=-1)
+        & np.isfinite(scale)
+    )
+    refuse(reason, ~finite, Refusal.NON_FINITE)
+    return F_in, F_out, scale, reason

@@ -20,6 +20,7 @@ from .bridge import product_correspondence_check, sandwich_correspondence_check
 from .cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
 from .cl3 import Faraday3, Paravector3
 from .conformal13 import (
+    GRADE_TOL,
     CoordinateFrame,
     Inversion,
     Lorentz,
@@ -132,8 +133,8 @@ def _worst(*devs: float) -> float:
     """
     for d in devs:
         if d != d:
-            return d
-    return max(devs)
+            return float(d)
+    return float(max(devs))
 
 
 def _scaled(dev: float, ref: float) -> float:
@@ -201,7 +202,7 @@ def check_jacobian_sandwich_identity(rng, trials: int, tol: float) -> CheckResul
         for alpha in range(4):
             lhs = x2**2 * M[:, alpha]
             rhs = -eps * FourVector.from_mv(
-                vector_sandwich(xm, Multivector13.basis_vector(alpha), xm)
+                vector_sandwich(xm, Multivector13.basis_vector(alpha), xm), GRADE_TOL
             ).as_array()
             dev = _worst(dev, _vec_dev(lhs, rhs))
     return CheckResult("jacobian_sandwich_identity", trials, dev, tol, dev <= tol)

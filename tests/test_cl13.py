@@ -20,6 +20,7 @@ from emconf.cl13 import (
     vector_sandwich,
     versor_inverse,
 )
+from emconf.conformal13 import EXP_TOL, GRADE_TOL, RESIDUE_TOL
 from emconf.errors import GradeLeakageError, SingularVersorError
 
 
@@ -102,7 +103,7 @@ def test_exp_boost_generator():
     gen = Multivector13.blade(3, -1.0)  # e1 e0 in ascending storage
     sq = gen * gen
     assert sq.c[0] == 1.0
-    out = exp_bivector(gen)
+    out = exp_bivector(gen, EXP_TOL)
     assert out.c[0] == pytest.approx(math.cosh(1.0), abs=1e-15)
     assert out.c[3] == pytest.approx(-math.sinh(1.0), abs=1e-15)
     assert float(np.max(np.abs(np.delete(out.c, [0, 3])))) < 1e-15
@@ -111,7 +112,7 @@ def test_exp_boost_generator():
 def test_exp_rotation_generator():
     # exp((pi/2) e2 e1) rotates all the way to the pure bivector
     gen = Multivector13.blade(6, -math.pi / 2)  # e2 e1 = -e1 e2
-    out = exp_bivector(gen)
+    out = exp_bivector(gen, EXP_TOL)
     assert abs(out.c[0]) < 1e-15
     assert out.c[6] == pytest.approx(-1.0, abs=1e-15)
 
@@ -121,15 +122,15 @@ def test_versor_inverse():
     one = Multivector13.scalar(1.0)
     for _ in range(20):
         gen = Multivector13(np.where(GRADE_OF == 2, rng.uniform(-0.8, 0.8, DIM), 0.0))
-        L = exp_bivector(gen)
-        Li = versor_inverse(L)
+        L = exp_bivector(gen, EXP_TOL)
+        Li = versor_inverse(L, RESIDUE_TOL)
         assert (L * Li).approx_eq(one, 1e-12)
         assert (Li * L).approx_eq(one, 1e-12)
 
 
 def test_versor_inverse_singular():
     with pytest.raises(SingularVersorError):
-        versor_inverse(Multivector13())
+        versor_inverse(Multivector13(), RESIDUE_TOL)
 
 
 def test_left_matrix_matches_product():
@@ -150,7 +151,7 @@ def test_vector_sandwich_is_triple_product():
 
 def test_fourvector_round_trip():
     v = FourVector(1.5, -0.25, 2.0, 0.75)
-    assert FourVector.from_mv(v.to_mv()) == v
+    assert FourVector.from_mv(v.to_mv(), GRADE_TOL) == v
     assert v.minkowski_sq() == pytest.approx(
         1.5**2 - 0.25**2 - 4.0 - 0.75**2, abs=1e-15
     )
@@ -160,7 +161,9 @@ def test_fourvector_round_trip():
 
 def test_fourvector_from_mv_rejects_mixed_grades():
     with pytest.raises(GradeLeakageError):
-        FourVector.from_mv(Multivector13.blade(1, 1.0) + Multivector13.scalar(0.5))
+        FourVector.from_mv(
+            Multivector13.blade(1, 1.0) + Multivector13.scalar(0.5), GRADE_TOL
+        )
 
 
 def test_faraday_storage_signs():
@@ -169,7 +172,7 @@ def test_faraday_storage_signs():
     c = F.to_mv().c
     assert c[3] == -1.0 and c[5] == -2.0 and c[9] == -3.0
     assert c[12] == -4.0 and c[10] == 5.0 and c[6] == -6.0
-    back = Faraday13.from_mv(F.to_mv())
+    back = Faraday13.from_mv(F.to_mv(), GRADE_TOL)
     assert np.array_equal(back.E, F.E) and np.array_equal(back.B, F.B)
 
 

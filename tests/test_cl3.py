@@ -13,6 +13,8 @@ from emconf.cl3 import (
     minkowski_square,
     pure_vector,
     real_paravector,
+    real_rows,
+    vector_rows,
 )
 from emconf.conformal13 import EXP_TOL, RESIDUE_TOL
 from emconf.errors import ImaginaryResidueError, NonRealEventError
@@ -86,6 +88,41 @@ def test_residue_guards():
     with pytest.raises(ImaginaryResidueError):
         pure_vector(Paravector3(1e-3, np.array([1.0, 0.0, 0.0])), RESIDUE_TOL)
     assert np.array_equal(pure_vector(Paravector3.vector(X), RESIDUE_TOL), X)
+
+
+def test_batched_product_rows_are_single_products():
+    """A batch multiplies row by row, bit for bit as the single elements do,
+    and a single element broadcasts against a batch."""
+    rng = np.random.default_rng(24)
+
+    def batch():
+        return Paravector3(rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5),
+                           rng.uniform(-1, 1, (5, 3)) + 1j * rng.uniform(-1, 1, (5, 3)))
+
+    a, b = batch(), batch()
+    prod = cl3_product(a, b)
+    assert prod.s.shape == (5,) and prod.v.shape == (5, 3)
+    for i in range(5):
+        one = cl3_product(Paravector3(a.s[i], a.v[i]), Paravector3(b.s[i], b.v[i]))
+        assert one.s.shape == () and one.s.tobytes() == prod.s[i].tobytes()
+        assert one.v.tobytes() == prod.v[i].tobytes()
+    c = Paravector3(0.5 - 1j, [1.0, 2j, -0.5])
+    assert cl3_product(c, b).approx_eq(
+        cl3_product(Paravector3(np.full(5, c.s), np.tile(c.v, (5, 1))), b), 0.0
+    )
+
+
+def test_residue_rows_refuse_only_their_rows():
+    p = Paravector3([1.0, 1.0, 1e-3], [[1.0, 0.0, 0.0], [0.0, 1e-3j, 0.0], [0.0, 0.0, 1.0]])
+    _, imag = real_rows(p, RESIDUE_TOL)
+    _, scalar = vector_rows(p, RESIDUE_TOL)
+    assert imag.tolist() == [False, True, False]
+    assert scalar.tolist() == [True, True, True]
+    assert vector_rows(Paravector3.vector(np.eye(3)), RESIDUE_TOL)[1].tolist() == [False] * 3
+    with pytest.raises(ImaginaryResidueError, match="1.000e-03"):
+        real_paravector(p, RESIDUE_TOL)
+    assert np.array_equal(minkowski_square(Paravector3.from_event([2.0, 1.0], np.eye(3)[:2])),
+                          [3.0, 0.0])
 
 
 def test_faraday3_round_trip():

@@ -164,6 +164,30 @@ def test_transform_overflow_row_is_skipped(capsys, fmt, case):
         assert row["skipped"] is True and row["Ex"] is None and row["Exp"] is None
 
 
+def test_transform_summary_goes_to_stderr_only(tmp_path):
+    """One stderr line counts the rows and the reasons rows were skipped;
+    stdout is the same with stderr captured, discarded, or the rows sent to
+    a file."""
+    argv = (
+        "transform", "--field", "coulomb", "--xform", "inversion",
+        "--grid", "t=0:2:3,x=0:2:3,y=-1:1:3",
+    )
+    captured = run_proc(*argv)
+    assert captured.returncode == 0
+    assert captured.stderr == "27 rows, 7 skipped (charge 3, light_cone 4)\n"
+    lines = captured.stdout.split("\n")
+    assert lines[0] == CSV_HEADER and len(lines) == 29 and lines[-1] == ""
+    discarded = subprocess.run(
+        [sys.executable, "-m", "emconf.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    assert discarded.stdout == captured.stdout
+    out = tmp_path / "rows.csv"
+    to_file = run_proc(*argv, "--out", str(out))
+    assert to_file.stdout == "" and to_file.stderr == captured.stderr
+    assert out.read_text() == captured.stdout
+
+
 def test_transform_job_file_with_flag_override(tmp_path, capsys):
     job = {
         "field": {"kind": "uniform", "E0": [1, 0, 0]},
@@ -313,6 +337,18 @@ def test_invariants_overflow_exits_one(capsys):
     )
     assert code == 1 and out == ""
     assert "residue" in err
+
+
+def test_invariants_non_finite_report_exits_one(capsys):
+    # the dilated field overflows to inf without tripping a guard; the report
+    # once printed "rel_dev_i1": nan, which is not JSON, and exited 0
+    code, out, err = run_cli(
+        capsys,
+        "invariants", "--field", "uniform", "--E0", "1e308,0,0",
+        "--xform", "dilation", "--lambda", "1e10", "--point", "1,1,0,0",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: non-finite") and "rel_dev_i1" in err
 
 
 # -- verify ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ from emconf.cl3 import (
 )
 from emconf.conformal13 import (
     EXP_TOL,
+    GRADE_TOL,
     RESIDUE_TOL,
     CoordinateFrame,
     Inversion,
@@ -103,11 +104,15 @@ _NAN_IMAG = Paravector3(2.0, [complex(1.0, NAN), 0.0, 0.0])
 _RESIDUE_CASES = {
     "grade_project": (
         GradeLeakageError,
-        lambda: grade_project(_with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3), 1),
+        lambda: grade_project(
+            _with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3), 1, GRADE_TOL
+        ),
     ),
     "from_mv": (
         GradeLeakageError,
-        lambda: FourVector.from_mv(_with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3)),
+        lambda: FourVector.from_mv(
+            _with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3), GRADE_TOL
+        ),
     ),
     "exp_bivector": (
         NonBivectorError,
@@ -115,7 +120,9 @@ _RESIDUE_CASES = {
     ),
     "versor_inverse": (
         SingularVersorError,
-        lambda: versor_inverse(_with_nan_blade(Multivector13.scalar(2.0), 3)),
+        lambda: versor_inverse(
+            _with_nan_blade(Multivector13.scalar(2.0), 3), RESIDUE_TOL
+        ),
     ),
     "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG)),
     "real_paravector": (
@@ -127,7 +134,7 @@ _RESIDUE_CASES = {
     ),
     "even_to_cl3": (
         GradeLeakageError,
-        lambda: even_to_cl3(_with_nan_blade(Multivector13.scalar(1.0), 1)),
+        lambda: even_to_cl3(_with_nan_blade(Multivector13.scalar(1.0), 1), GRADE_TOL),
     ),
 }
 
@@ -145,3 +152,14 @@ def test_paravector_norms_keep_nan():
     assert np.isnan(p.max_abs())
     assert np.isnan(_NAN_IMAG.imag_residue())
     assert np.isnan(Paravector3(complex(0.0, NAN)).imag_residue())
+
+
+def test_approx_eq_refuses_nan():
+    """A NaN component is never within tolerance, in either argument."""
+    assert not Paravector3(1.0, [NAN, 0, 0]).approx_eq(Paravector3(1.0, [0, 0, 0]))
+    assert not Paravector3(1.0, [0, 0, 0]).approx_eq(Paravector3(1.0, [NAN, 0, 0]))
+    one = Faraday13((1, 0, 0), (0, 0, 0))
+    assert not Faraday13((1, 0, 0), (NAN, 0, 0)).approx_eq(one, 1e-12)
+    assert not one.approx_eq(Faraday13((1, 0, 0), (NAN, 0, 0)), 1e-12)
+    assert not Faraday3(E=(NAN, 0, 0)).approx_eq(Faraday3(E=(0, 0, 0)))
+    assert one.approx_eq(one, 0.0)

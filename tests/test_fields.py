@@ -59,6 +59,22 @@ def test_coulomb_field():
         spec.faraday(FourVector(1.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("spec", [
+    UniformField(E0=(1.0, 2.0, 3.0), B0=(0.0, -1.0, 0.5)),
+    PlaneWave(E0=(0.8, 0.5, -0.6), khat=(0.6, 0.0, 0.8), phase=0.3),
+    Coulomb(q=-1.5),
+], ids=["uniform", "planewave", "coulomb"])
+def test_faraday_rows_are_the_single_events(spec):
+    """A batch of events gives each event's field; only Coulomb has a charge."""
+    events = np.array([[0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.5, -1.0, 0.25, 2.0]])
+    F, charge = spec.faraday_rows(events)
+    assert F.F.shape == (3, 3)
+    assert charge.tolist() == [False, isinstance(spec, Coulomb), False]
+    for i, x in enumerate(events):
+        if not charge[i]:
+            assert F.F[i].tobytes() == spec.faraday(FourVector(*x)).F.tobytes()
+
+
 def test_invariants_frozen():
     assert invariants(UniformField(E0=(1, 0, 0)).faraday(FourVector(0, 0, 0, 0))) == (
         pytest.approx(1.0),

@@ -17,7 +17,7 @@ from emconf.conformal13 import (
     QuantityKind,
     induced_matrix,
 )
-from emconf.conformal3 import induced_matrix3, transform3
+from emconf.conformal3 import induced_matrix3, inverse_position3, transform3
 from emconf.fields import PlaneWave
 
 BOOST = (0.9, -0.4, 0.7)
@@ -72,7 +72,8 @@ def test_rotor_expanded_once_per_job(monkeypatch, capsys):
 
 
 def _reference_csv(params: Lorentz, frame: CoordinateFrame) -> str:
-    """The sweep rebuilt per event, each with a fresh rotor and inverse."""
+    """The sweep rebuilt per event through the scalar entries, each with a
+    fresh rotor and inverse."""
     field = PlaneWave(E0=E0, khat=KHAT)
     axes = {}
     for item in GRID.split(","):
@@ -83,8 +84,8 @@ def _reference_csv(params: Lorentz, frame: CoordinateFrame) -> str:
     for coords in itertools.product(*(axes[a] for a in "txyz")):
         x = Paravector3.from_event(coords[0], coords[1:])
         if frame is CoordinateFrame.TRANSFORMED:
-            mat = np.linalg.inv(induced_matrix3(params))
-            src = FourVector(*(mat @ np.array([x.s.real, *x.v.real])))
+            src_pv = inverse_position3(params, x)
+            src = FourVector(src_pv.s.real, *src_pv.v.real)
         else:
             src = FourVector(*coords)
         F_in = field.faraday(src)
