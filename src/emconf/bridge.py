@@ -17,37 +17,48 @@ from .cl3 import Faraday3, Paravector3, cl3_product
 from .conformal13 import GRADE_TOL
 from .errors import GradeLeakageError
 
-# Mask indices of the even subalgebra channels.
+# Mask indices of the even subalgebra channels: the scalar, the four-blade
+# (imaginary scalar), the timelike bivectors e0e1, e0e2, e0e3 (real vector,
+# negated) and the spatial bivectors e2e3, e1e3, e1e2 (imaginary vector, with
+# signs -, +, -).
 _SCALAR, _PSEUDO = 0, 15
-_T1, _T2, _T3 = 3, 5, 9        # e0e1, e0e2, e0e3
-_S12, _S13, _S23 = 6, 10, 12   # e1e2, e1e3, e2e3
+_TIMELIKE = np.array([3, 5, 9])
+_SPATIAL = np.array([12, 10, 6])
+_SPATIAL_SIGNS = np.array([-1.0, 1.0, -1.0])
+_ODD = np.array([1, 2, 4, 8, 7, 11, 13, 14])
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def even_to_cl3(m: Multivector13, tol: float) -> Paravector3:
-    """Map an even multivector into Cl(3); rejects odd-grade residue."""
+    """Map even multivectors, row by row, into Cl(3); rejects odd-grade
+    residue in any row."""
     c = m.c
-    odd = float(np.max(np.abs(c[np.array([1, 2, 4, 8, 7, 11, 13, 14])])))
-    if not odd <= tol * max(1.0, m.max_abs()):
-        raise GradeLeakageError(f"odd-grade residue {odd:.3e} in even-subalgebra map")
-    s = complex(c[_SCALAR], c[_PSEUDO])
-    v = np.array(
-        [
-            complex(-c[_T1], -c[_S23]),
-            complex(-c[_T2], c[_S13]),
-            complex(-c[_T3], -c[_S12]),
-        ]
-    )
-    return Paravector3(s, v)
+    odd = np.abs(c[..., _ODD]).max(axis=-1)
+    if not (odd <= tol * np.fmax(1.0, m.max_abs())).all():
+        raise GradeLeakageError(
+            f"odd-grade residue {np.max(odd):.3e} in even-subalgebra map"
+        )
+    s = _complex(c[..., _SCALAR], c[..., _PSEUDO])
+    v = _complex(-c[..., _TIMELIKE], c[..., _SPATIAL] * _SPATIAL_SIGNS)
+    return Paravector3._wrap(s, v)
 
 
 def to_paravector(v: FourVector) -> Paravector3:
     """Four-vector to real paravector t + r (the image of v e_0)."""
-    return Paravector3.from_event(v.t, (v.x, v.y, v.z))
+    arr = v.as_array()
+    return Paravector3.from_event(arr[..., 0], arr[..., 1:])
 
 
 def to_paravector_bar(v: FourVector) -> Paravector3:
     """The image of e_0 v: the conjugate paravector t - r."""
-    return Paravector3.from_event(v.t, (-v.x, -v.y, -v.z))
+    arr = v.as_array()
+    return Paravector3.from_event(arr[..., 0], -arr[..., 1:])
 
 
 def to_faraday3(F: Faraday13) -> Faraday3:
@@ -55,21 +66,21 @@ def to_faraday3(F: Faraday13) -> Faraday3:
     return Faraday3(F.E, F.B)
 
 
-def product_correspondence_check(x: FourVector, y: FourVector) -> float:
-    """Max-abs deviation between the images of x y and the product x bar(y)."""
+def product_correspondence_check(x: FourVector, y: FourVector):
+    """Max-abs deviation between the images of x y and the product x bar(y),
+    per row."""
     lhs = even_to_cl3(geometric_product(x.to_mv(), y.to_mv()), GRADE_TOL)
     rhs = cl3_product(to_paravector(x), to_paravector_bar(y))
-    return float((lhs - rhs).max_abs())
+    return (lhs - rhs).max_abs()
 
 
-def sandwich_correspondence_check(
-    x: FourVector, F: Faraday13, y: FourVector
-) -> float:
-    """Max-abs deviation between the images of x F y and -x F* bar(y)."""
+def sandwich_correspondence_check(x: FourVector, F: Faraday13, y: FourVector):
+    """Max-abs deviation between the images of x F y and -x F* bar(y), per
+    row."""
     raw = geometric_product(
         geometric_product(x.to_mv(), F.to_mv()), y.to_mv()
     )
     lhs = even_to_cl3(raw, GRADE_TOL)
     fstar = to_faraday3(F).to_paravector().star()
     rhs = -cl3_product(cl3_product(to_paravector(x), fstar), to_paravector_bar(y))
-    return float((lhs - rhs).max_abs())
+    return (lhs - rhs).max_abs()

@@ -7,8 +7,15 @@ so mask 0b0011 is e_0 e_1 and mask 0b1111 is e_0 e_1 e_2 e_3.
 
 Products are table driven: blade(i) blade(j) = SIGN_TABLE[i, j] blade(i ^ j),
 the sign coming from a transposition count plus the metric squares of the
-repeated generators.  The same data reshaped as a dense structure tensor
-feeds einsum for whole-multivector products.
+repeated generators.  So a product's coefficient k sums the 16 terms
+SIGN_TABLE[i, i ^ k] a[i] b[i ^ k], one per blade i of the left factor.
+
+Every element carries a leading batch shape, as in cl3: a multivector's
+coefficients have shape (..., 16), a FourVector's components and a
+Faraday13's E and B shape (...) and (..., 3); one element is the batch of
+shape ().  The product is a fixed sequence of ufunc calls that sums each
+coefficient over i in order, so a row's bits do not depend on the batch it
+sits in.  Each guard checks every row and raises on the first refused one.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ METRIC_SIGNS = (1, -1, -1, -1)
 GRADE_OF = np.array([bin(i).count("1") for i in range(DIM)])
 # Which blades each grade 0..4 keeps, built once: every sandwich projects.
 _IN_GRADE = tuple(GRADE_OF == g for g in range(5))
+# Blades of e_0..e_3, which carry a four-vector's t, x, y, z.
+_VECTOR_BLADES = np.array([1, 2, 4, 8])
 
 BLADE_NAMES = tuple(
     "1" if m == 0 else "e" + "".join(str(k) for k in range(4) if m & (1 << k))
@@ -42,7 +51,7 @@ def _reorder_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
+def _build_sign_table() -> np.ndarray:
     sign = np.zeros((DIM, DIM), dtype=np.int64)
     for a in range(DIM):
         for b in range(DIM):
@@ -52,31 +61,60 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
                 if common & (1 << k):
                     s *= METRIC_SIGNS[k]
             sign[a, b] = s
-    tensor = np.zeros((DIM, DIM, DIM))
-    for a in range(DIM):
-        for b in range(DIM):
-            tensor[a, b, a ^ b] = sign[a, b]
-    return sign, tensor
+    return sign
 
 
-SIGN_TABLE, _STRUCTURE = _build_tables()
+SIGN_TABLE = _build_sign_table()
+# _PARTNER[i, k] = i ^ k, the blade of the right factor that blade i of the
+# left factor takes to blade k; _PARTNER_SIGN[i, k] is that product's sign.
+_PARTNER = np.arange(DIM)[:, None] ^ np.arange(DIM)[None, :]
+_PARTNER_SIGN = SIGN_TABLE[np.arange(DIM)[:, None], _PARTNER].astype(np.float64)
+# Sign of left multiplication by blade k ^ j taking blade j to blade k.
+_LEFT_SIGN = SIGN_TABLE[_PARTNER, np.arange(DIM)[None, :]].astype(np.float64)
+
+
+def _right_factor(b: np.ndarray) -> np.ndarray:
+    """The matrix [..., i, k] = SIGN_TABLE[i, i ^ k] b[i ^ k] of right
+    multiplication by b."""
+    return b[..., _PARTNER] * _PARTNER_SIGN
+
+
+def _times(a: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Coefficients of a times the element whose _right_factor is right:
+    out[..., k] = sum over i in order of a[i] right[i, k]."""
+    return np.add.reduce(a[..., :, None] * right, axis=-2)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of coefficient arrays a and b, (..., 16)."""
+    return _times(a, _right_factor(b))
+
+
+def _first(values, refused):
+    """The value of the first refused row, for an error message."""
+    return np.asarray(values)[refused].flat[0]
 
 
 class Multivector13:
-    """General element of Cl(1,3), a real vector of 16 blade coefficients.
+    """General element of Cl(1,3), or a batch of them: real blade
+    coefficients c of shape (..., 16).
 
-    Supports +, -, scalar scaling and the geometric product via *.  Instances
-    are mutable only through the .c array; the arithmetic never aliases it.
+    Supports +, -, scaling by a number (or one number per row) and the
+    geometric product via *.  Instances are mutable only through the .c
+    array; the arithmetic never aliases it.
     """
 
     __slots__ = ("c",)
+    # An ndarray on the left of * defers to __rmul__ instead of building an
+    # object array.
+    __array_ufunc__ = None
 
     def __init__(self, coeffs=None):
         if coeffs is None:
             self.c = np.zeros(DIM)
         else:
             c = np.asarray(coeffs, dtype=np.float64)
-            if c.shape != (DIM,):
+            if c.shape[-1:] != (DIM,):
                 raise ValueError(f"need {DIM} blade coefficients, got shape {c.shape}")
             self.c = c.copy()
 
@@ -113,30 +151,35 @@ class Multivector13:
         return Multivector13._wrap(-self.c)
 
     def __mul__(self, other):
+        """Geometric product with a multivector, or scaling by a number or
+        by one number per row."""
         if isinstance(other, Multivector13):
             return geometric_product(self, other)
-        return Multivector13._wrap(self.c * float(other))
+        w = np.asarray(other, dtype=np.float64)
+        return Multivector13._wrap(self.c * w[..., None])
 
     def __rmul__(self, other) -> "Multivector13":
-        return Multivector13._wrap(self.c * float(other))
+        return self * other
 
     def grade(self, g: int) -> "Multivector13":
         return Multivector13._wrap(np.where(_IN_GRADE[g], self.c, 0.0))
 
-    def grade_residue(self, g: int) -> float:
-        """Largest |coefficient| outside grade g."""
-        return float(np.abs(np.where(_IN_GRADE[g], 0.0, self.c)).max())
+    def grade_residue(self, g: int):
+        """Largest |coefficient| outside grade g, per row."""
+        return np.abs(np.where(_IN_GRADE[g], 0.0, self.c)).max(axis=-1)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.c).max())
+    def max_abs(self):
+        return np.abs(self.c).max(axis=-1)
 
-    def scalar_part(self) -> float:
-        return float(self.c[0])
+    def scalar_part(self):
+        return self.c[..., 0]
 
     def approx_eq(self, other: "Multivector13", tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.c - other.c)) <= tol)
 
     def __repr__(self) -> str:
+        if self.c.ndim != 1:
+            return f"Multivector13(batch of shape {self.c.shape[:-1]})"
         terms = [
             f"{self.c[m]:+g}*{BLADE_NAMES[m]}" for m in range(DIM) if self.c[m] != 0.0
         ]
@@ -144,26 +187,29 @@ class Multivector13:
 
 
 def geometric_product(a: Multivector13, b: Multivector13) -> Multivector13:
-    """Full geometric product in Cl(1,3)."""
-    return Multivector13._wrap(np.einsum("i,j,ijk->k", a.c, b.c, _STRUCTURE))
+    """Full geometric product in Cl(1,3), row by row over the broadcast
+    batch shape of a and b."""
+    return Multivector13._wrap(_product(a.c, b.c))
 
 
 def grade_project(
     m: Multivector13, g: int, tol: float
 ) -> Multivector13:
-    """Project onto grade g, guarding against leakage into other grades.
+    """Project every row onto grade g, guarding against leakage into other
+    grades.
 
     The residue is measured relative to max(1, largest |coefficient|), so the
     guard behaves as an absolute threshold for order-one data and does not
-    false-trip on large inputs.  Raises GradeLeakageError above tolerance,
-    and on a NaN residue.
+    false-trip on large inputs.  Raises GradeLeakageError if any row's
+    residue is above tolerance, or NaN.
     """
     residue = m.grade_residue(g)
-    scale = max(1.0, m.max_abs())
-    if not residue <= tol * scale:
+    scale = np.fmax(1.0, m.max_abs())
+    refused = ~(residue <= tol * scale)
+    if refused.any():
         raise GradeLeakageError(
-            f"grade-{g} projection residue {residue:.3e} exceeds "
-            f"{tol:.1e} * {scale:.3e}"
+            f"grade-{g} projection residue {_first(residue, refused):.3e} exceeds "
+            f"{tol:.1e} * {_first(scale, refused):.3e}"
         )
     return m.grade(g)
 
@@ -174,7 +220,7 @@ def vector_sandwich(u: Multivector13, m: Multivector13, v: Multivector13) -> Mul
 
 
 def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
-    """Exponential of a pure bivector by Taylor series.
+    """Exponential of one pure bivector by Taylor series.
 
     Arguments above unit infinity-norm are halved until small (scaling and
     squaring), the series is summed until the next term drops below tol, and
@@ -185,7 +231,7 @@ def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
         raise NonBivectorError("exponential argument must be a pure bivector")
     halvings = 0
     arg = b.c.copy()
-    norm = float(np.max(np.abs(arg)))
+    norm = float(np.abs(arg).max())
     while norm > 1.0:
         arg *= 0.5
         norm *= 0.5
@@ -194,27 +240,30 @@ def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
     acc[0] = 1.0
     term = np.zeros(DIM)
     term[0] = 1.0
+    right = _right_factor(arg)
     k = 1
     while True:
-        term = np.einsum("i,j,ijk->k", term, arg, _STRUCTURE) / k
+        term = _times(term, right) / k
         acc = acc + term
-        if float(np.max(np.abs(term))) < tol:
+        if np.abs(term).max() < tol:
             break
         k += 1
         if k > 200:
             raise ArithmeticError("bivector exponential series failed to converge")
     for _ in range(halvings):
-        acc = np.einsum("i,j,ijk->k", acc, acc, _STRUCTURE)
+        acc = _product(acc, acc)
     return Multivector13._wrap(acc)
 
 
 def left_matrix(m: Multivector13) -> np.ndarray:
-    """16x16 matrix of left multiplication by m on coefficient vectors."""
-    return np.einsum("i,ijk->kj", m.c, _STRUCTURE)
+    """16x16 matrix of left multiplication by m on coefficient vectors:
+    entry [k, j] is the sign of blade(k ^ j) blade(j) times m[k ^ j]."""
+    return m.c[..., _PARTNER] * _LEFT_SIGN
 
 
 def versor_inverse(m: Multivector13, tol: float) -> Multivector13:
-    """Two-sided inverse of m, from the 16x16 left-multiplication system.
+    """Two-sided inverse of one multivector m, from the 16x16
+    left-multiplication system.
 
     Raises SingularVersorError when the system is singular or the candidate
     fails the residual check m * candidate = 1 within tol.
@@ -234,7 +283,8 @@ def versor_inverse(m: Multivector13, tol: float) -> Multivector13:
 
 @dataclass(frozen=True)
 class FourVector:
-    """Spacetime event or four-vector with contravariant components (t, x, y, z)."""
+    """Spacetime event or four-vector with contravariant components (t, x, y, z),
+    each a number or an array over a batch of rows."""
 
     t: float
     x: float
@@ -243,40 +293,57 @@ class FourVector:
 
     @classmethod
     def from_array(cls, arr) -> "FourVector":
-        t, x, y, z = (float(v) for v in arr)
-        return cls(t, x, y, z)
+        """From components (t, x, y, z) on the last axis: numbers for one
+        event of shape (4,), arrays of shape (...) for a batch (..., 4)."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape[-1:] != (4,):
+            raise ValueError(f"need 4 components, got shape {arr.shape}")
+        if arr.ndim == 1:
+            t, x, y, z = (float(v) for v in arr)
+            return cls(t, x, y, z)
+        return cls(arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3])
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
+        """Components on the last axis, shape (..., 4)."""
+        parts = (self.t, self.x, self.y, self.z)
+        shapes = [np.shape(v) for v in parts]
+        shape = shapes[0] if shapes.count(shapes[0]) == 4 else np.broadcast_shapes(*shapes)
+        out = np.empty(shape + (4,))
+        for k, v in enumerate(parts):
+            out[..., k] = v
+        return out
 
-    def lowered(self) -> np.ndarray:
-        """Covariant components under the (+,-,-,-) metric."""
-        return np.array([self.t, -self.x, -self.y, -self.z])
-
-    def minkowski_sq(self) -> float:
+    def minkowski_sq(self):
         return self.t * self.t - self.x * self.x - self.y * self.y - self.z * self.z
 
-    def mdot(self, other: "FourVector") -> float:
-        return float(self.as_array() @ other.lowered())
+    def mdot(self, other: "FourVector"):
+        """Minkowski product per row, summed in component order."""
+        return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
 
     def to_mv(self) -> Multivector13:
-        c = np.zeros(DIM)
-        c[1] = self.t
-        c[2] = self.x
-        c[4] = self.y
-        c[8] = self.z
+        arr = self.as_array()
+        c = np.zeros(arr.shape[:-1] + (DIM,))
+        c[..., _VECTOR_BLADES] = arr
         return Multivector13._wrap(c)
 
     @classmethod
     def from_mv(cls, m: Multivector13, tol: float) -> "FourVector":
-        """Extract a pure grade-1 multivector; raises GradeLeakageError otherwise."""
+        """Extract pure grade-1 rows; raises GradeLeakageError otherwise."""
         v = grade_project(m, 1, tol)
-        return cls(float(v.c[1]), float(v.c[2]), float(v.c[4]), float(v.c[8]))
+        return cls.from_array(v.c[..., _VECTOR_BLADES])
+
+
+# Faraday13 blades: the electric channels sit on e_0 e_i with coefficient
+# -E_i, the magnetic ones on e_2 e_3 = -B_x, e_1 e_3 = +B_y, e_1 e_2 = -B_z.
+_E_BLADES = np.array([3, 5, 9])
+_B_BLADES = np.array([12, 10, 6])
+_B_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
 class Faraday13:
-    """Electromagnetic bivector with field 3-vectors E and B.
+    """Electromagnetic bivector with field 3-vectors E and B, or a batch of
+    them: E and B of shape (..., 3).
 
     Blade storage follows the ascending-mask convention, so the electric
     channels sit on e_0 e_i with coefficient -E_i (the physical blade is
@@ -288,28 +355,28 @@ class Faraday13:
     B: np.ndarray
 
     def __init__(self, E, B):
-        object.__setattr__(self, "E", np.array(E, dtype=np.float64))
-        object.__setattr__(self, "B", np.array(B, dtype=np.float64))
-        if self.E.shape != (3,) or self.B.shape != (3,):
+        E = np.array(E, dtype=np.float64)
+        B = np.array(B, dtype=np.float64)
+        if E.shape[-1:] != (3,) or B.shape[-1:] != (3,):
             raise ValueError("E and B must be 3-vectors")
+        if E.shape != B.shape:
+            shape = np.broadcast_shapes(E.shape, B.shape)
+            E = np.broadcast_to(E, shape).copy()
+            B = np.broadcast_to(B, shape).copy()
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "B", B)
 
     def to_mv(self) -> Multivector13:
-        c = np.zeros(DIM)
-        c[3] = -self.E[0]
-        c[5] = -self.E[1]
-        c[9] = -self.E[2]
-        c[6] = -self.B[2]
-        c[10] = self.B[1]
-        c[12] = -self.B[0]
+        c = np.zeros(self.E.shape[:-1] + (DIM,))
+        c[..., _E_BLADES] = -self.E
+        c[..., _B_BLADES] = self.B * _B_SIGNS
         return Multivector13._wrap(c)
 
     @classmethod
     def from_mv(cls, m: Multivector13, tol: float) -> "Faraday13":
-        """Extract a pure grade-2 multivector; raises GradeLeakageError otherwise."""
+        """Extract pure grade-2 rows; raises GradeLeakageError otherwise."""
         b = grade_project(m, 2, tol)
-        E = np.array([-b.c[3], -b.c[5], -b.c[9]])
-        B = np.array([-b.c[12], b.c[10], -b.c[6]])
-        return cls(E, B)
+        return cls(-b.c[..., _E_BLADES], b.c[..., _B_BLADES] * _B_SIGNS)
 
     def approx_eq(self, other: "Faraday13", tol: float = 1e-12) -> bool:
         """Every component within tol; a NaN deviation is not."""

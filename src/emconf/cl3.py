@@ -144,7 +144,7 @@ def _raise_refused(error, what: str, residue, refused) -> None:
     raise error(f"{what} {worst:.3e} above tolerance")
 
 
-def minkowski_square(x: Paravector3, tol: float = 1e-12):
+def minkowski_square(x: Paravector3, tol: float):
     """x bar(x) for real event paravectors, equal to t^2 - r^2 per row.
 
     Raises NonRealEventError if any event carries imaginary parts above tol.

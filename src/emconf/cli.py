@@ -463,18 +463,24 @@ def _default_seed() -> int:
         raise JobError(f"EMCONF_SEED must be an integer, got {raw!r}") from None
 
 
-def _report_to_json(report) -> str:
-    check_lines = [
-        "  " + _json_object((
-            ("check_id", c.check_id),
-            ("trials", c.trials),
-            # A crashed or NaN check has no finite deviation to report.
-            ("max_abs_dev", c.max_dev if math.isfinite(c.max_dev) else None),
-            ("tolerance", c.tolerance),
-            ("pass", c.passed),
-        ))
-        for c in report.checks
+def _check_to_json(c) -> str:
+    items = [
+        ("check_id", c.check_id),
+        ("trials", c.trials),
+        # A crashed or NaN check has no finite deviation to report.
+        ("max_abs_dev", c.max_dev if math.isfinite(c.max_dev) else None),
+        ("tolerance", c.tolerance),
+        ("pass", c.passed),
     ]
+    # Only a crashed check names its exception, so a passing report keeps
+    # its bytes.
+    if c.error is not None:
+        items.append(("error", c.error))
+    return "  " + _json_object(items)
+
+
+def _report_to_json(report) -> str:
+    check_lines = [_check_to_json(c) for c in report.checks]
     head = (
         f'  "seed": {report.seed},\n'
         f'  "trials": {report.trials},\n'
@@ -493,6 +499,12 @@ def cmd_verify(args) -> int:
         raise JobError("tol must be a finite nonnegative number")
     report = run_suite(seed=seed, trials=args.trials, tol=args.tol)
     _emit(_report_to_json(report), args.out)
+    if args.timings:
+        for c in report.checks:
+            print(f"time {c.check_id:<32} {1e3 * c.seconds:9.3f} ms", file=sys.stderr)
+    for c in report.checks:
+        if c.error is not None:
+            print(f"check {c.check_id} crashed: {c.error}", file=sys.stderr)
     npass = sum(1 for c in report.checks if c.passed)
     status = "passed" if report.passed else "FAILED"
     print(f"verification {status}: {npass}/{len(report.checks)} checks", file=sys.stderr)
@@ -564,6 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--trials", type=int, default=REFERENCE_TRIALS)
     vp.add_argument("--tol", type=float, default=BASE_TOL)
     vp.add_argument("--out", metavar="PATH")
+    vp.add_argument(
+        "--timings", action="store_true", help="print each check's wall time on stderr"
+    )
 
     return parser
 

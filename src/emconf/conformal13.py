@@ -10,6 +10,10 @@ TRANSFORMED takes the image event and carries two more powers of the scale.
 Parameter dataclasses for all five families live here as well and are shared
 with the Cl(3) layer and the CLI; sharing parameters does not share any of
 the transformation arithmetic.
+
+Values, events and the special conformal vector a may be batches (see cl13):
+one call maps every row, and a guard raises the typed error of the first
+refused row.
 """
 
 from __future__ import annotations
@@ -103,37 +107,44 @@ class Sct:
 ConformalParams = Union[Dilation, Translation, Lorentz, Inversion, Sct]
 
 
-def sct_factor(x: FourVector, a: FourVector) -> float:
+def sct_factor(x: FourVector, a: FourVector):
     """Scale factor of the special conformal map at x."""
     return 1.0 + 2.0 * a.mdot(x) + a.minkowski_sq() * x.minkowski_sq()
 
 
-def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame) -> float:
+def _cone_guard(value, error, what: str):
+    """value, unless a row is too close to zero (or NaN): then raise error
+    naming the first such row."""
+    refused = ~(np.abs(value) > LIGHTCONE_TOL)
+    if refused.any():
+        first = np.broadcast_to(value, refused.shape)[refused].flat[0]
+        raise error(f"{what} = {first:.3e}")
+    return value
+
+
+def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
     """Conformal scale of the inversion or special conformal map at x.
 
     x^2 or sigma at the source event in the ORIGINAL frame, their reciprocal
     read off the image event in the TRANSFORMED frame; guarded on the cones.
     """
     if isinstance(params, Inversion):
-        x2 = x.minkowski_sq()
-        if not abs(x2) > LIGHTCONE_TOL:
-            raise LightConeError(f"event too close to the light cone: x^2 = {x2:.3e}")
+        x2 = _cone_guard(
+            x.minkowski_sq(), LightConeError, "event too close to the light cone: x^2"
+        )
         return x2 if frame is CoordinateFrame.ORIGINAL else 1.0 / x2
     if not isinstance(params, Sct):
         raise TypeError(f"unknown transformation parameters: {params!r}")
     a = params.a
     if frame is CoordinateFrame.ORIGINAL:
-        s = sct_factor(x, a)
-        if not abs(s) > LIGHTCONE_TOL:
-            raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
-        return s
+        return _cone_guard(
+            sct_factor(x, a), SctConeError, "event too close to the excluded cone: scale"
+        )
     # In image coordinates the scale satisfies 1/s = 1 - 2 a.x'' + a^2 x''^2.
     denom = 1.0 - 2.0 * a.mdot(x) + a.minkowski_sq() * x.minkowski_sq()
-    if not abs(denom) > LIGHTCONE_TOL:
-        raise SctConeError(
-            f"image event too close to the excluded cone: 1/scale = {denom:.3e}"
-        )
-    return 1.0 / denom
+    return 1.0 / _cone_guard(
+        denom, SctConeError, "image event too close to the excluded cone: 1/scale"
+    )
 
 
 def _sct_versors(
@@ -152,9 +163,9 @@ def _project(
     kind: QuantityKind,
     out: Multivector13,
     operands: tuple[Multivector13, ...],
-    weight: float,
+    weight,
 ):
-    """The kind's grade of the sandwich out, times weight.
+    """The kind's grade of the sandwich out, times weight (one per row).
 
     Roundoff in a sandwich grows with the sizes of its operands, not with the
     size of its result, which cancellation can make much smaller; so the
@@ -164,12 +175,13 @@ def _project(
     g = 2 if kind is QuantityKind.FARADAY else 1
     residue = out.grade_residue(g)
     # The bound is at least GRADE_TOL, so only a larger residue needs the sizes.
-    if not residue <= GRADE_TOL:
-        size = math.prod(m.max_abs() for m in operands)
-        if not residue <= GRADE_TOL * max(1.0, size):
+    if not (residue <= GRADE_TOL).all():
+        size = np.broadcast_to(math.prod(m.max_abs() for m in operands), residue.shape)
+        refused = ~(residue <= GRADE_TOL * np.fmax(1.0, size))
+        if refused.any():
             raise GradeLeakageError(
-                f"grade-{g} sandwich residue {residue:.3e} exceeds "
-                f"{GRADE_TOL:.1e} * {size:.3e}"
+                f"grade-{g} sandwich residue {np.asarray(residue)[refused].flat[0]:.3e} "
+                f"exceeds {GRADE_TOL:.1e} * {size[refused].flat[0]:.3e}"
             )
     out = weight * out
     if g == 2:
@@ -182,11 +194,12 @@ def _position(params: ConformalParams, x: FourVector) -> FourVector:
         return FourVector.from_array(x.as_array() / params.factor)
     if isinstance(params, Translation):
         return FourVector.from_array(x.as_array() + params.offset.as_array())
-    s = _scale(params, x, CoordinateFrame.ORIGINAL)
+    s = np.asarray(_scale(params, x, CoordinateFrame.ORIGINAL))[..., None]
     if isinstance(params, Inversion):
         return FourVector.from_array(params.eps * x.as_array() / s)
     a = params.a.as_array()
-    return FourVector.from_array((x.as_array() + x.minkowski_sq() * a) / s)
+    x2 = np.asarray(x.minkowski_sq())[..., None]
+    return FourVector.from_array((x.as_array() + x2 * a) / s)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -215,6 +228,8 @@ def transform(
     frame.  There the result is the sandwich of value by x (inversion) or by
     the versors 1 + a x, 1 + x a (special conformal), weighted by the kind's
     power of the scale; the inversion field also carries the sign -eps.
+    value, x and the special conformal vector may be batches; the result has
+    their broadcast batch shape.
     """
     if isinstance(params, Lorentz):
         L, Li = _lorentz_rotors(params, EXP_TOL)
@@ -239,7 +254,9 @@ def transform(
     p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
     q = value.to_mv()
     out = vector_sandwich(left, q, right)
-    return _project(kind, out, (left, q, right), sign * scale**p)
+    # np.power, not **: on the numpy scalar of a single event ** takes
+    # another pow than the ufunc loop of a batch.
+    return _project(kind, out, (left, q, right), sign * np.power(scale, p))
 
 
 # -- Lorentz --------------------------------------------------------------------
@@ -290,13 +307,9 @@ def _lorentz_sandwich(
 
 
 def induced_matrix(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
-    """4x4 coordinate matrix of the position action, columns by basis image."""
+    """4x4 coordinate matrix of the position action, columns by basis image:
+    the four basis events are mapped as one batch."""
     L, Li = _lorentz_rotors(params, exp_tol)
-    cols = []
-    for k in range(4):
-        basis = FourVector.from_array(np.eye(4)[k])
-        out = _lorentz_sandwich(
-            QuantityKind.POSITION, basis, L, Li, params.lorentz_class
-        )
-        cols.append(out.as_array())
-    return np.array(cols).T
+    basis = FourVector.from_array(np.eye(4))
+    out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, params.lorentz_class)
+    return out.as_array().T

@@ -38,6 +38,7 @@ from .cl3 import (
 )
 from .conformal13 import (
     EXP_TOL,
+    GRADE_TOL,
     LIGHTCONE_TOL,
     RESIDUE_TOL,
     ConformalParams,
@@ -109,7 +110,9 @@ _ONE = Paravector3(1.0)
 
 
 def _to_paravector(v) -> Paravector3:
-    return Paravector3.from_event(v.t, (v.x, v.y, v.z))
+    """A FourVector, or a batch of them, as real paravectors t + r."""
+    arr = v.as_array()
+    return Paravector3.from_event(arr[..., 0], arr[..., 1:])
 
 
 def sct_factor3(x: Paravector3, a: Paravector3):
@@ -145,7 +148,9 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, reason):
     if isinstance(params, (Translation, Lorentz)):
         return np.ones(x.s.shape)
     if isinstance(params, Inversion):
-        w = _cone_guard(minkowski_square(x), Refusal.LIGHT_CONE, reason)
+        # An event's imaginary part is the image of a four-vector's off-grade
+        # (trivector) part, so it is held to the grade tolerance.
+        w = _cone_guard(minkowski_square(x, GRADE_TOL), Refusal.LIGHT_CONE, reason)
         return w if frame is _ORIG else 1.0 / w
     if isinstance(params, Sct):
         return _sct_scale(x, _to_paravector(params.a), frame, reason)

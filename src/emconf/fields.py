@@ -13,6 +13,7 @@ from typing import Union
 
 import numpy as np
 
+from .bridge import to_paravector
 from .cl3 import Faraday3, Paravector3, dot3
 from .cl13 import FourVector
 from .conformal13 import (
@@ -171,7 +172,7 @@ def invariant_scaling_report(
     """Compare transformed invariants against their predicted scaling at x."""
     F = spec.faraday(x)
     i1, i2 = invariants(F)
-    ev = Paravector3.from_event(x.t, (x.x, x.y, x.z))
+    ev = to_paravector(x)
     scale = scale_of(params, ev, CoordinateFrame.ORIGINAL)
     Fp = transform3(params, QuantityKind.FARADAY, F, ev, CoordinateFrame.ORIGINAL)
     i1p, i2p = invariants(Fp)

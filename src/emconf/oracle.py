@@ -5,6 +5,13 @@ Everything here works with bare ndarrays: events and four-vectors as shape
 matrix, fields as real 3-vectors.  No Clifford machinery is imported; this
 module is the independent cross-check for the algebraic formulas elsewhere.
 
+Every function also takes a leading batch axis, events of shape (..., 4),
+fields (..., 3) and matrices (..., 4, 4), and acts row by row; a guard
+raises on the first refused row.  Sums over an index are written out in
+index order rather than left to np.cross, np.outer or @, so a row's result
+is the same in a batch as on its own, and one event still returns a float
+where it returns a number.
+
 Internals run in numpy's longdouble so that reference values are accurate to
 well below the float64 noise of the implementations under test; public
 functions hand back float64 (Jacobians stay in extended precision because
@@ -28,10 +35,79 @@ ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 LIGHTCONE_TOL = 1e-9
 
 _DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+_EYE = np.eye(4)
+_ETA_LD = ETA.astype(np.longdouble)
 
 
 def _ld(v) -> np.ndarray:
     return np.asarray(v, dtype=np.longdouble)
+
+
+def _f64(v):
+    """float64 result: a Python float for one event, an array otherwise."""
+    v = np.asarray(v, dtype=np.float64)
+    return float(v) if v.ndim == 0 else v
+
+
+def _col(v) -> np.ndarray:
+    """One number per row, broadcast against a vector per row."""
+    return np.asarray(v)[..., None]
+
+
+def _mat(v) -> np.ndarray:
+    """One number per row, broadcast against a matrix per row."""
+    return np.asarray(v)[..., None, None]
+
+
+# Explicit sums in index order over the batch: the same operations, in the
+# same order, as numpy's non-BLAS longdouble matmul on one event, and the
+# same for every row of a batch.
+
+
+def _dot(u, w):
+    """u . w over the last axis (Euclidean)."""
+    out = u[..., 0] * w[..., 0]
+    for i in range(1, u.shape[-1]):
+        out = out + u[..., i] * w[..., i]
+    return out
+
+
+def _mv(M, v):
+    """Matrix times vector, M[..., i, j] v[..., j]."""
+    out = M[..., :, 0] * v[..., None, 0]
+    for j in range(1, 4):
+        out = out + M[..., :, j] * v[..., None, j]
+    return out
+
+
+def _mm(A, B):
+    """Matrix product, A[..., i, k] B[..., k, j]."""
+    out = A[..., :, 0, None] * B[..., None, 0, :]
+    for k in range(1, 4):
+        out = out + A[..., :, k, None] * B[..., None, k, :]
+    return out
+
+
+def _t(M):
+    return np.swapaxes(M, -1, -2)
+
+
+def _outer(u, w):
+    return u[..., :, None] * w[..., None, :]
+
+
+def _cross(u, w):
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    return np.stack([u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0], axis=-1)
+
+
+def _guard(value, tol: float, error, what: str) -> None:
+    """Raise error naming the first row whose |value| is not above tol."""
+    refused = ~(np.abs(value) > tol)
+    if refused.any():
+        first = np.broadcast_to(value, refused.shape)[refused].flat[0]
+        raise error(f"{what} = {first:.3e}")
 
 
 def _perm_sign(p) -> int:
@@ -45,10 +121,15 @@ def _perm_sign(p) -> int:
     return sign
 
 
+# The 24 index tuples where the permutation symbol is nonzero, and its signs.
+_PERMS = tuple(permutations(range(4)))
+_PERM_SIGNS = np.array([_perm_sign(p) for p in _PERMS], dtype=np.float64)
+
+
 def _build_levi_civita() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
-    for p in permutations(range(4)):
-        eps[p] = _perm_sign(p)
+    for p, sign in zip(_PERMS, _PERM_SIGNS):
+        eps[p] = sign
     return eps
 
 
@@ -61,34 +142,34 @@ def lower(x: np.ndarray) -> np.ndarray:
 
 
 def _mdot(x, y):
-    return (x * _DIAG * y).sum()
+    return (x * _DIAG * y).sum(axis=-1)
 
 
-def mdot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(_mdot(x, y))
+def mdot(x: np.ndarray, y: np.ndarray):
+    return _f64(_mdot(x, y))
 
 
-def msq(x: np.ndarray) -> float:
-    return float(_mdot(x, x))
+def msq(x: np.ndarray):
+    return _f64(_mdot(x, x))
 
 
 def pack_faraday(E, B) -> np.ndarray:
     """Contravariant field-strength matrix from field 3-vectors."""
     E = np.asarray(E, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    return np.array(
-        [
-            [0.0, -E[0], -E[1], -E[2]],
-            [E[0], 0.0, -B[2], B[1]],
-            [E[1], B[2], 0.0, -B[0]],
-            [E[2], -B[1], B[0], 0.0],
-        ]
-    )
+    E, B = np.broadcast_arrays(E, B)
+    F = np.zeros(E.shape[:-1] + (4, 4))
+    F[..., 0, 1:] = -E
+    F[..., 1:, 0] = E
+    F[..., 1, 2], F[..., 1, 3] = -B[..., 2], B[..., 1]
+    F[..., 2, 1], F[..., 2, 3] = B[..., 2], -B[..., 0]
+    F[..., 3, 1], F[..., 3, 2] = -B[..., 1], B[..., 0]
+    return F
 
 
 def unpack_faraday(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    E = np.array([F[1, 0], F[2, 0], F[3, 0]], dtype=np.float64)
-    B = np.array([F[3, 2], F[1, 3], F[2, 1]], dtype=np.float64)
+    E = np.asarray(F[..., [1, 2, 3], 0], dtype=np.float64)
+    B = np.asarray(F[..., [3, 1, 2], [2, 3, 1]], dtype=np.float64)
     return E, B
 
 
@@ -98,22 +179,23 @@ def unpack_faraday(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def invert_event(x: np.ndarray, eps: int, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x = _ld(x)
     x2 = _mdot(x, x)
-    if not abs(x2) > tol:
-        raise LightConeError(f"event too close to the light cone: x^2 = {x2:.3e}")
-    return np.asarray(eps * x / x2, dtype=np.float64)
+    _guard(x2, tol, LightConeError, "event too close to the light cone: x^2")
+    return np.asarray(eps * x / _col(x2), dtype=np.float64)
 
 
-def sct_scale(x: np.ndarray, a: np.ndarray) -> float:
-    x, a = _ld(x), _ld(a)
-    return float(1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x))
+def _sct_sigma(x, a):
+    return 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
+
+
+def sct_scale(x: np.ndarray, a: np.ndarray):
+    return _f64(_sct_sigma(_ld(x), _ld(a)))
 
 
 def sct_event(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x, a = _ld(x), _ld(a)
-    s = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
-    if not abs(s) > tol:
-        raise SctConeError(f"event too close to the excluded cone: scale = {s:.3e}")
-    return np.asarray((x + _mdot(x, x) * a) / s, dtype=np.float64)
+    s = _sct_sigma(x, a)
+    _guard(s, tol, SctConeError, "event too close to the excluded cone: scale")
+    return np.asarray((x + _col(_mdot(x, x)) * a) / _col(s), dtype=np.float64)
 
 
 # -- Jacobians ----------------------------------------------------------------
@@ -122,113 +204,114 @@ def sct_event(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.nd
 def jacobian_inversion(
     x: np.ndarray, eps: int, tol: float = LIGHTCONE_TOL
 ) -> np.ndarray:
-    """d(image)/dx as M[mu, alpha], row index contravariant."""
+    """d(image)/dx as M[..., mu, alpha], row index contravariant."""
     x = _ld(x)
     x2 = _mdot(x, x)
-    if not abs(x2) > tol:
-        raise LightConeError(f"Jacobian undefined on the light cone: x^2 = {x2:.3e}")
-    return eps * (x2 * np.eye(4) - 2.0 * np.outer(x, lower(x))) / x2**2
+    _guard(x2, tol, LightConeError, "Jacobian undefined on the light cone: x^2")
+    x2 = _mat(x2)
+    return eps * (x2 * _EYE - 2.0 * _outer(x, lower(x))) / x2**2
 
 
 def jacobian_sct(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x, a = _ld(x), _ld(a)
-    s = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
-    if not abs(s) > tol:
-        raise SctConeError(f"Jacobian undefined on the excluded cone: scale = {s:.3e}")
-    numerator = np.eye(4) + 2.0 * np.outer(a, lower(x))
-    ds = 2.0 * lower(a) + 2.0 * _mdot(a, a) * lower(x)
-    return numerator / s - np.outer(x + _mdot(x, x) * a, ds) / s**2
+    s = _sct_sigma(x, a)
+    _guard(s, tol, SctConeError, "Jacobian undefined on the excluded cone: scale")
+    s = _mat(s)
+    numerator = _EYE + 2.0 * _outer(a, lower(x))
+    ds = 2.0 * lower(a) + 2.0 * _col(_mdot(a, a)) * lower(x)
+    return numerator / s - _outer(x + _col(_mdot(x, x)) * a, ds) / s**2
 
 
-def fd_jacobian(point_map, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of an event map."""
+def fd_jacobian(point_map, x: np.ndarray, step=None) -> np.ndarray:
+    """Central-difference Jacobian of an event map, per row of x.
+
+    point_map takes and returns events of the shape of x.  The default step
+    is 1e-5 (1 + max |x|) per row.
+    """
     x = np.asarray(x, dtype=np.float64)
     if step is None:
-        step = 1e-5 * (1.0 + float(np.max(np.abs(x))))
-    out = np.zeros((4, 4))
+        step = 1e-5 * (1.0 + np.abs(x).max(axis=-1))
+    step = np.asarray(step, dtype=np.float64)
+    out = np.zeros(x.shape + (4,))
     for alpha in range(4):
-        dx = np.zeros(4)
-        dx[alpha] = step
-        out[:, alpha] = (point_map(x + dx) - point_map(x - dx)) / (2.0 * step)
+        dx = np.zeros(x.shape)
+        dx[..., alpha] = step
+        out[..., :, alpha] = (point_map(x + dx) - point_map(x - dx)) / _col(2.0 * step)
     return out
 
 
-def conformal_factor(M: np.ndarray) -> float:
+def conformal_factor(M: np.ndarray):
     """Scale factor |det M|^(-1/4) of an eta-conformal matrix.
 
     Goes through the LU determinant on purpose: the analytic scale factors
     elsewhere are checked against this definition, so it must not reuse them.
     """
     det = np.linalg.det(np.asarray(M, dtype=np.float64))
-    return float(abs(det) ** -0.25)
+    return _f64(np.power(np.abs(det), -0.25))
 
 
-def conformality_residual(M: np.ndarray, lam: float | None = None) -> float:
+def conformality_residual(M: np.ndarray, lam=None):
     """Max-abs deviation of Lambda^2 M^T eta M from eta."""
     if lam is None:
         lam = conformal_factor(M)
     M = _ld(M)
-    return float(np.max(np.abs(_ld(lam) ** 2 * M.T @ _ld(ETA) @ M - _ld(ETA))))
+    dev = _mm(_mm(_mat(_ld(lam) ** 2) * _t(M), _ETA_LD), M) - _ETA_LD
+    return _f64(np.abs(dev).max(axis=(-2, -1)))
 
 
-def time_orientation(M: np.ndarray) -> int:
-    """Sign of dt'/dt; raises if the entry vanishes."""
-    entry = float(M[0, 0])
-    if entry == 0.0:
+def time_orientation(M: np.ndarray):
+    """Sign of dt'/dt, an int per matrix; raises if the entry vanishes."""
+    entry = np.asarray(M[..., 0, 0], dtype=np.float64)
+    if (entry == 0.0).any():
         raise DegenerateTimeDerivativeError("dt'/dt vanishes at this event")
-    return 1 if entry > 0.0 else -1
+    sign = np.where(entry > 0.0, 1, -1)
+    return int(sign) if sign.ndim == 0 else sign
 
 
-def conformal_inverse(M: np.ndarray, lam: float | None = None) -> np.ndarray:
+def conformal_inverse(M: np.ndarray, lam=None) -> np.ndarray:
     """Inverse of an eta-conformal matrix via Lambda^2 eta M^T eta."""
     if lam is None:
         lam = conformal_factor(M)
     M = _ld(M)
-    return _ld(lam) ** 2 * (_ld(ETA) @ M.T @ _ld(ETA))
+    return _mat(_ld(lam) ** 2) * _mm(_mm(_ETA_LD, _t(M)), _ETA_LD)
 
 
 # -- generic transformation laws ----------------------------------------------
 
 
-def transform_potential(
-    M: np.ndarray, A: np.ndarray, lam: float | None = None, theta: int | None = None
-) -> np.ndarray:
+def _weights(M, lam, theta, power: int):
+    """theta lam^power per matrix, with the defaults read off M."""
     if theta is None:
         theta = time_orientation(M)
     if lam is None:
         lam = conformal_factor(M)
-    return np.asarray(theta * _ld(lam) ** 2 * (_ld(M) @ _ld(A)), dtype=np.float64)
+    return theta * _ld(lam) ** power
 
 
-def transform_current(
-    M: np.ndarray, J: np.ndarray, lam: float | None = None, theta: int | None = None
-) -> np.ndarray:
-    if theta is None:
-        theta = time_orientation(M)
-    if lam is None:
-        lam = conformal_factor(M)
-    return np.asarray(theta * _ld(lam) ** 4 * (_ld(M) @ _ld(J)), dtype=np.float64)
+def transform_potential(M: np.ndarray, A: np.ndarray, lam=None, theta=None) -> np.ndarray:
+    w = _weights(M, lam, theta, 2)
+    return np.asarray(_col(w) * _mv(_ld(M), _ld(A)), dtype=np.float64)
 
 
-def transform_faraday(
-    M: np.ndarray, F: np.ndarray, lam: float | None = None, theta: int | None = None
-) -> np.ndarray:
-    if theta is None:
-        theta = time_orientation(M)
-    if lam is None:
-        lam = conformal_factor(M)
+def transform_current(M: np.ndarray, J: np.ndarray, lam=None, theta=None) -> np.ndarray:
+    w = _weights(M, lam, theta, 4)
+    return np.asarray(_col(w) * _mv(_ld(M), _ld(J)), dtype=np.float64)
+
+
+def transform_faraday(M: np.ndarray, F: np.ndarray, lam=None, theta=None) -> np.ndarray:
+    w = _weights(M, lam, theta, 4)
     M = _ld(M)
-    return np.asarray(theta * _ld(lam) ** 4 * (M @ _ld(F) @ M.T), dtype=np.float64)
+    return np.asarray(_mat(w) * _mm(_mm(M, _ld(F)), _t(M)), dtype=np.float64)
 
 
 def transform_potential_covariant(
-    M: np.ndarray, A_cov: np.ndarray, lam: float | None = None, theta: int | None = None
+    M: np.ndarray, A_cov: np.ndarray, lam=None, theta=None
 ) -> np.ndarray:
     """Covariant law: contraction against the inverse Jacobian, no scale factor."""
     if theta is None:
         theta = time_orientation(M)
     Minv = conformal_inverse(M, lam)
-    return np.asarray(theta * Minv.T @ _ld(A_cov), dtype=np.float64)
+    return np.asarray(_mv(_mat(theta) * _t(Minv), _ld(A_cov)), dtype=np.float64)
 
 
 # -- closed-form component expansions -----------------------------------------
@@ -238,27 +321,29 @@ def inversion_faraday_tensor(F: np.ndarray, x: np.ndarray, eps: int) -> np.ndarr
     """Polynomial form of the inverted field-strength matrix."""
     F, x = _ld(F), _ld(x)
     x2 = _mdot(x, x)
-    w = F @ lower(x)
-    out = -eps * (x2**2 * F + 2.0 * x2 * (np.outer(x, w) - np.outer(w, x)))
+    w = _mv(F, lower(x))
+    out = -eps * (
+        _mat(x2**2) * F + _mat(2.0 * x2) * (_outer(x, w) - _outer(w, x))
+    )
     return np.asarray(out, dtype=np.float64)
 
 
 def sct_faraday_tensor(F: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Four-term polynomial form of the special-conformal field strength."""
     F, x, a = _ld(F), _ld(x), _ld(a)
-    sig = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
+    sig = _sct_sigma(x, a)
     xd = lower(x)
     ad = lower(a)
-    g = xd + 2.0 * _mdot(a, x) * xd - _mdot(x, x) * ad
-    h = _mdot(a, a) * xd + ad
-    Fg = F @ g
-    Fh = F @ h
-    s = ad @ F @ xd
+    g = xd + _col(2.0 * _mdot(a, x)) * xd - _col(_mdot(x, x)) * ad
+    h = _col(_mdot(a, a)) * xd + ad
+    Fg = _mv(F, g)
+    Fh = _mv(F, h)
+    s = _dot(_mv(_t(F), ad), xd)
     out = (
-        sig**2 * F
-        - 2.0 * sig * (np.outer(a, Fg) - np.outer(Fg, a))
-        + 2.0 * sig * (np.outer(x, Fh) - np.outer(Fh, x))
-        + 4.0 * sig * (np.outer(a, x) - np.outer(x, a)) * s
+        _mat(sig**2) * F
+        - _mat(2.0 * sig) * (_outer(a, Fg) - _outer(Fg, a))
+        + _mat(2.0 * sig) * (_outer(x, Fh) - _outer(Fh, x))
+        + _mat(4.0 * sig) * (_outer(a, x) - _outer(x, a)) * _mat(s)
     )
     return np.asarray(out, dtype=np.float64)
 
@@ -272,15 +357,17 @@ def inversion_field_forms(
     so their mutual deviation is a sharp consistency probe.
     """
     E, B, x = _ld(E), _ld(B), _ld(x)
-    t = x[0]
-    r = x[1:]
-    r2 = r @ r
-    w = t * t - r2
-    s = t * t + r2
-    Ep = eps * w * (s * E - 2.0 * (r @ E) * r + 2.0 * t * np.cross(r, B))
-    Bp = eps * w * (-s * B + 2.0 * (r @ B) * r + 2.0 * t * np.cross(r, E))
-    Ec = eps * w * (w * E - 2.0 * np.cross(r, np.cross(r, E)) + 2.0 * t * np.cross(r, B))
-    Bc = eps * w * (-w * B + 2.0 * np.cross(r, np.cross(r, B)) + 2.0 * t * np.cross(r, E))
+    t = x[..., 0]
+    r = x[..., 1:]
+    r2 = _dot(r, r)
+    w = _col(eps * (t * t - r2))
+    s = _col(t * t + r2)
+    t2 = _col(2.0 * t)
+    Ep = w * (s * E - _col(2.0 * _dot(r, E)) * r + t2 * _cross(r, B))
+    Bp = w * (-s * B + _col(2.0 * _dot(r, B)) * r + t2 * _cross(r, E))
+    wc = _col(t * t - r2)
+    Ec = w * (wc * E - 2.0 * _cross(r, _cross(r, E)) + t2 * _cross(r, B))
+    Bc = w * (-wc * B + 2.0 * _cross(r, _cross(r, B)) + t2 * _cross(r, E))
     f64 = lambda v: np.asarray(v, dtype=np.float64)
     return (f64(Ep), f64(Bp)), (f64(Ec), f64(Bc))
 
@@ -290,31 +377,33 @@ def inversion_field_components(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverted (E, B) in original coordinates, dot-product form.
 
-    The equivalent double-cross-product form is evaluated alongside; the two
-    must agree within crosscheck_tol relative to max(1, result scale).
+    The equivalent double-cross-product form is evaluated alongside; in
+    every row the two must agree within crosscheck_tol relative to
+    max(1, result scale).
     """
     (Ep, Bp), (Ec, Bc) = inversion_field_forms(E, B, x, eps)
-    dev = max(float(np.max(np.abs(Ep - Ec))), float(np.max(np.abs(Bp - Bc))))
-    scale = max(1.0, float(np.max(np.abs(Ep))), float(np.max(np.abs(Bp))))
-    if dev > crosscheck_tol * scale:
-        raise ArithmeticError(f"inversion component forms disagree by {dev:.3e}")
+    dev = np.maximum(np.abs(Ep - Ec).max(axis=-1), np.abs(Bp - Bc).max(axis=-1))
+    scale = np.maximum(1.0, np.maximum(np.abs(Ep).max(axis=-1), np.abs(Bp).max(axis=-1)))
+    if (dev > crosscheck_tol * scale).any():
+        raise ArithmeticError(f"inversion component forms disagree by {np.max(dev):.3e}")
     return Ep, Bp
 
 
 def _sct_field_sum(E, B, u, p, q, sig):
     """Three-part assembly shared by the two coordinate presentations."""
-    cE = p @ E + q @ B
-    cB = p @ B - q @ E
-    common = u * u + p @ p - q @ q
+    cE = _col(_dot(p, E) + _dot(q, B))
+    cB = _col(_dot(p, B) - _dot(q, E))
+    common = _col(u * u + _dot(p, p) - _dot(q, q))
+    sig, u2 = _col(sig), _col(2.0 * u)
     Epp = sig * (
         common * E
         - 2.0 * (cE * p + cB * q)
-        + 2.0 * u * (np.cross(q, E) - np.cross(p, B))
+        + u2 * (_cross(q, E) - _cross(p, B))
     )
     Bpp = sig * (
         common * B
         - 2.0 * (cB * p - cE * q)
-        + 2.0 * u * (np.cross(q, B) + np.cross(p, E))
+        + u2 * (_cross(q, B) + _cross(p, E))
     )
     return np.asarray(Epp, dtype=np.float64), np.asarray(Bpp, dtype=np.float64)
 
@@ -324,12 +413,12 @@ def sct_field_components(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transformed (E, B) under the special conformal map, original coordinates."""
     E, B, x, a = _ld(E), _ld(B), _ld(x), _ld(a)
-    sig = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
-    t, r = x[0], x[1:]
-    a0, av = a[0], a[1:]
-    u = 1.0 + a0 * t - av @ r
-    p = t * av - a0 * r
-    q = np.cross(av, r)
+    sig = _sct_sigma(x, a)
+    t, r = x[..., 0], x[..., 1:]
+    a0, av = a[..., 0], a[..., 1:]
+    u = 1.0 + a0 * t - _dot(av, r)
+    p = _col(t) * av - _col(a0) * r
+    q = _cross(av, r)
     return _sct_field_sum(E, B, u, p, q, sig)
 
 
@@ -345,18 +434,18 @@ def sct_field_components_newcoords(
     E, B, xn, a = _ld(E), _ld(B), _ld(x_new), _ld(a)
     denom = 1.0 - 2.0 * _mdot(a, xn) + _mdot(a, a) * _mdot(xn, xn)
     sig = 1.0 / denom
-    t, r = xn[0], xn[1:]
-    a0, av = a[0], a[1:]
-    u = 1.0 - a0 * t + av @ r
-    p = t * av - a0 * r
-    q = np.cross(av, r)
+    t, r = xn[..., 0], xn[..., 1:]
+    a0, av = a[..., 0], a[..., 1:]
+    u = 1.0 - a0 * t + _dot(av, r)
+    p = _col(t) * av - _col(a0) * r
+    q = _cross(av, r)
     return _sct_field_sum(E, B, u, p, q, sig**3)
 
 
 def inversion_potential_components(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Inverted potential as a polynomial in the original coordinates."""
     A, x = _ld(A), _ld(x)
-    out = -_mdot(x, x) * A + 2.0 * _mdot(x, A) * x
+    out = _col(-_mdot(x, x)) * A + _col(2.0 * _mdot(x, A)) * x
     return np.asarray(out, dtype=np.float64)
 
 
@@ -365,13 +454,12 @@ def sct_potential_components(
 ) -> np.ndarray:
     """Transformed potential as a polynomial in the original coordinates."""
     A, x, a = _ld(A), _ld(x), _ld(a)
-    sig = 1.0 + 2.0 * _mdot(a, x) + _mdot(a, a) * _mdot(x, x)
+    sig = _sct_sigma(x, a)
+    aA, aa, xA, xx = _mdot(a, A), _mdot(a, a), _mdot(x, A), _mdot(x, x)
     out = (
-        sig * A
-        - 2.0 * (_mdot(a, A) + _mdot(a, a) * _mdot(x, A)) * x
-        + 2.0
-        * (_mdot(x, A) - _mdot(x, x) * _mdot(a, A) + 2.0 * _mdot(a, x) * _mdot(x, A))
-        * a
+        _col(sig) * A
+        - _col(2.0 * (aA + aa * xA)) * x
+        + _col(2.0 * (xA - xx * aA + 2.0 * _mdot(a, x) * xA)) * a
     )
     return np.asarray(out, dtype=np.float64)
 
@@ -379,43 +467,66 @@ def sct_potential_components(
 # -- invariants ---------------------------------------------------------------
 
 
-def invariants_from_tensor(F: np.ndarray) -> tuple[float, float]:
+def _lower_both(F):
+    return _mm(_mm(_ETA_LD, F), _ETA_LD)
+
+
+def _quadratic(F, F_cov):
+    """F^{mn} F_{mn} per matrix."""
+    return (F * F_cov).sum(axis=(-2, -1))
+
+
+def _pseudoscalar(eps, F_cov):
+    """eps^{mnrs} F_{mn} F_{rs} per matrix, for a symbol of shape (..., 4, 4, 4, 4)."""
+    terms = eps * F_cov[..., :, :, None, None] * F_cov[..., None, None, :, :]
+    return terms.sum(axis=(-4, -3, -2, -1))
+
+
+def invariants_from_tensor(F: np.ndarray):
     """Quadratic and pseudoscalar invariants from the field-strength matrix."""
     F = _ld(F)
-    F_cov = _ld(ETA) @ F @ _ld(ETA)
-    i1 = -0.5 * float(np.einsum("mn,mn->", F, F_cov))
-    i2 = -0.25 * float(np.einsum("mnrs,mn,rs->", _ld(LEVI_CIVITA), F_cov, F_cov))
+    F_cov = _lower_both(F)
+    i1 = -0.5 * _f64(_quadratic(F, F_cov))
+    i2 = -0.25 * _f64(_pseudoscalar(_ld(LEVI_CIVITA), F_cov))
     return i1, i2
 
 
 def invariants_transformed(
     F: np.ndarray,
     M: np.ndarray,
-    lam: float | None = None,
-    theta: int | None = None,
-    det: float | None = None,
-) -> tuple[float, float]:
+    lam=None,
+    theta=None,
+    det=None,
+):
     """Transformed invariants through the explicit tensorial path.
 
-    The pseudoscalar invariant uses the transformed permutation symbol,
-    contracted index by index rather than simplified away, so this exercises
-    the full chain including the inverse-Jacobian determinant.  An analytic
-    determinant may be supplied; the default is the LU value.
+    The pseudoscalar invariant uses the transformed permutation symbol
+    (1/det) M^m_a M^n_b M^r_g M^s_d eps^{abgd}, contracted index by index
+    over the symbol's 24 nonzero entries rather than simplified away, so
+    this exercises the full chain including the inverse-Jacobian
+    determinant.  An analytic determinant may be supplied; the default is
+    the LU value.
     """
     Fp = _ld(transform_faraday(M, F, lam, theta))
-    Fp_cov = _ld(ETA) @ Fp @ _ld(ETA)
-    i1p = -0.5 * float(np.einsum("mn,mn->", Fp, Fp_cov))
+    Fp_cov = _lower_both(Fp)
+    i1p = -0.5 * _f64(_quadratic(Fp, Fp_cov))
     if det is None:
-        det = float(np.linalg.det(np.asarray(M, dtype=np.float64)))
+        det = np.linalg.det(np.asarray(M, dtype=np.float64))
     M = _ld(M)
-    eps_p = (1.0 / _ld(det)) * np.einsum(
-        "ma,nb,rg,sd,abgd->mnrs", M, M, M, M, _ld(LEVI_CIVITA)
-    )
-    i2p = -0.25 * float(np.einsum("mnrs,mn,rs->", eps_p, Fp_cov, Fp_cov))
+    eps_p = 0.0
+    for (a, b, g, d), sign in zip(_PERMS, _PERM_SIGNS):
+        eps_p = eps_p + sign * (
+            M[..., :, a, None, None, None]
+            * M[..., None, :, b, None, None]
+            * M[..., None, None, :, g, None]
+            * M[..., None, None, None, :, d]
+        )
+    eps_p = np.asarray(1.0 / _ld(det))[..., None, None, None, None] * eps_p
+    i2p = -0.25 * _f64(_pseudoscalar(eps_p, Fp_cov))
     return i1p, i2p
 
 
-def inversion_inverse_jacobian_det(x: np.ndarray, eps: int) -> float:
+def inversion_inverse_jacobian_det(x: np.ndarray, eps: int):
     """det[d(original)/d(image)] for the inversion at x."""
     M = np.asarray(jacobian_inversion(x, eps), dtype=np.float64)
-    return 1.0 / float(np.linalg.det(M))
+    return _f64(1.0 / np.linalg.det(M))

@@ -2,16 +2,21 @@
 
 Each check draws from its own child of one seed sequence, so enabling or
 reordering other checks never shifts its sample stream and the whole report
-is reproducible byte for byte.  Deviations between routes are measured
-relative to max(1, reference magnitude): transformed quantities reach 1e5
-and beyond on valid sample points, where an absolute comparison would only
-measure float64 granularity, not correctness.
+is reproducible byte for byte.  A check draws its samples one trial at a
+time, rejection loops included, then stacks them and runs each route once
+on the whole stack: inversion trials as two batches, one per sign eps, and
+special conformal trials as one batch with each trial's vector a on the
+batch axis.  Deviations between routes are measured relative to
+max(1, reference magnitude): transformed quantities reach 1e5 and beyond on
+valid sample points, where an absolute comparison would only measure
+float64 granularity, not correctness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,11 +61,16 @@ FARADAY = QuantityKind.FARADAY
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome.  error names the exception of a check that
+    crashed; seconds is its wall time, which reports never compare."""
+
     check_id: str
     trials: int
     max_dev: float
     tolerance: float
     passed: bool
+    error: str | None = None
+    seconds: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -113,299 +123,294 @@ def _sample_interval_sign(rng, sign: int, guard: float = GUARD) -> np.ndarray:
             return x
 
 
+def _sample_events(rng, trials: int) -> np.ndarray:
+    return np.array([sample_event(rng) for _ in range(trials)])
+
+
+def _pair_and_field(rng):
+    x, a = sample_pair(rng)
+    return x, a, rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+
+
+def _pair_field_and_potential(rng):
+    return (*_pair_and_field(rng), rng.uniform(-2.0, 2.0, 4))
+
+
+def _draw(rng, trials: int, sample) -> tuple[np.ndarray, ...]:
+    """Each trial's sample drawn in turn, then each of its parts stacked
+    over the trials."""
+    rows = [sample(rng) for _ in range(trials)]
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+def _by_eps(trials: int):
+    """The inversion sign of each trial parity, eps = +1 on even trials and
+    -1 on odd ones, with the indices of its trials."""
+    for eps, first in ((1, 0), (-1, 1)):
+        rows = np.arange(first, trials, 2)
+        if rows.size:
+            yield eps, rows
+
+
 def _fv(v) -> FourVector:
-    return FourVector(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+    return FourVector.from_array(v)
 
 
 def _pv(v) -> Paravector3:
-    return Paravector3.from_event(float(v[0]), v[1:])
+    return Paravector3.from_event(v[..., 0], v[..., 1:])
 
 
 def _pv_array(p: Paravector3) -> np.ndarray:
-    return np.array([p.s.real, p.v[0].real, p.v[1].real, p.v[2].real])
+    return np.concatenate([p.s.real[..., None], p.v.real], axis=-1)
 
 
-def _worst(*devs: float) -> float:
-    """The largest deviation, or NaN if any is NaN.
-
-    The built-in max drops a NaN that is not its first argument, so a route
-    returning NaN would pass its check.
-    """
-    for d in devs:
-        if d != d:
-            return float(d)
-    return float(max(devs))
+def _worst(*devs) -> float:
+    """The largest deviation over every row of every argument, or NaN if
+    any is NaN; the built-in max drops a NaN that is not its first
+    argument, so a route returning NaN would pass its check."""
+    return float(np.max(np.concatenate([np.ravel(d) for d in devs])))
 
 
-def _scaled(dev: float, ref: float) -> float:
-    return dev / max(1.0, ref)
+def _scaled(dev, ref):
+    return dev / np.fmax(1.0, ref)
 
 
-def _vec_dev(got: np.ndarray, want: np.ndarray) -> float:
-    return _scaled(float(np.max(np.abs(got - want))), float(np.max(np.abs(want))))
+def _vec_dev(got: np.ndarray, want: np.ndarray):
+    """Per row: max |got - want| relative to max(1, max |want|)."""
+    return _scaled(np.abs(got - want).max(axis=-1), np.abs(want).max(axis=-1))
 
 
-def _field_dev(gotE, gotB, wantE, wantB) -> float:
-    dev = _worst(
-        float(np.max(np.abs(gotE - wantE))), float(np.max(np.abs(gotB - wantB)))
-    )
-    ref = max(float(np.max(np.abs(wantE))), float(np.max(np.abs(wantB))))
+def _field_dev(gotE, gotB, wantE, wantB):
+    """Per row: the larger of the E and B deviations, relative to
+    max(1, largest |want| component)."""
+    dev = np.maximum(np.abs(gotE - wantE).max(axis=-1), np.abs(gotB - wantB).max(axis=-1))
+    ref = np.maximum(np.abs(wantE).max(axis=-1), np.abs(wantB).max(axis=-1))
     return _scaled(dev, ref)
 
 
+def _result(check_id: str, trials: int, devs, tol: float) -> CheckResult:
+    dev = _worst(*devs)
+    return CheckResult(check_id, trials, dev, tol, dev <= tol)
+
+
 # -- checks ---------------------------------------------------------------------
+
+_METRIC = np.array([1.0, -1.0, -1.0, -1.0])
+# The generators e_0..e_3 as one batch.
+_GENERATORS = FourVector.from_array(np.eye(4)).to_mv()
 
 
 def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
     """Every blade pair lands on one blade with an integer sign; vectors
     anticommute onto the metric."""
-    dev = 0.0
-    for i in range(16):
-        for j in range(16):
-            ei = Multivector13.blade(i)
-            ej = Multivector13.blade(j)
-            p = (ei * ej).c
-            k = i ^ j
-            if abs(abs(p[k]) - 1.0) != 0.0:
-                dev = _worst(dev, abs(abs(p[k]) - 1.0))
-            other = np.delete(p, k)
-            dev = _worst(dev, float(np.max(np.abs(other))))
-    metric = (1.0, -1.0, -1.0, -1.0)
-    for a in range(4):
-        for b in range(4):
-            ea = Multivector13.basis_vector(a)
-            eb = Multivector13.basis_vector(b)
-            anti = (ea * eb + eb * ea).c
-            expected = np.zeros(16)
-            expected[0] = 2.0 * (metric[a] if a == b else 0.0)
-            dev = _worst(dev, float(np.max(np.abs(anti - expected))))
+    blades = np.eye(16)
+    i, j = np.divmod(np.arange(256), 16)
+    p = (Multivector13(blades[i]) * Multivector13(blades[j])).c
+    on = p[np.arange(256), i ^ j]
+    off = p.copy()
+    off[np.arange(256), i ^ j] = 0.0
+    devs = [np.abs(np.abs(on) - 1.0), np.abs(off)]
+    a, b = np.divmod(np.arange(16), 4)
+    ea, eb = Multivector13(_GENERATORS.c[a]), Multivector13(_GENERATORS.c[b])
+    expected = np.zeros((16, 16))
+    expected[:, 0] = np.where(a == b, 2.0 * _METRIC[a], 0.0)
+    devs.append(np.abs((ea * eb + eb * ea).c - expected))
     x = sample_event(rng)
     xm = _fv(x).to_mv()
-    for a in range(4):
-        ea = Multivector13.basis_vector(a)
-        got = (ea * xm + xm * ea).c
-        expected = np.zeros(16)
-        expected[0] = 2.0 * metric[a] * x[a]
-        dev = _worst(dev, float(np.max(np.abs(got - expected))))
-    return CheckResult("blade_products", 256, dev, tol * 0.0, dev <= tol * 0.0)
+    expected = np.zeros((4, 16))
+    expected[:, 0] = 2.0 * _METRIC * x
+    devs.append(np.abs((_GENERATORS * xm + xm * _GENERATORS).c - expected))
+    return _result("blade_products", 256, devs, tol * 0.0)
 
 
 def check_jacobian_sandwich_identity(rng, trials: int, tol: float) -> CheckResult:
     """x^4 times an inversion Jacobian column equals the basis-vector sandwich."""
-    dev = 0.0
-    for i in range(trials):
-        x = sample_event(rng)
-        eps = 1 if i % 2 == 0 else -1
+    X = _sample_events(rng, trials)
+    devs = []
+    for eps, rows in _by_eps(trials):
+        x = X[rows]
         M = np.asarray(oracle.jacobian_inversion(x, eps), dtype=np.float64)
         x2 = oracle.msq(x)
-        xm = _fv(x).to_mv()
-        for alpha in range(4):
-            lhs = x2**2 * M[:, alpha]
-            rhs = -eps * FourVector.from_mv(
-                vector_sandwich(xm, Multivector13.basis_vector(alpha), xm), GRADE_TOL
-            ).as_array()
-            dev = _worst(dev, _vec_dev(lhs, rhs))
-    return CheckResult("jacobian_sandwich_identity", trials, dev, tol, dev <= tol)
+        # Rows (trial, alpha): the sandwich of e_alpha by the trial's event.
+        xm = Multivector13(_fv(x).to_mv().c[:, None, :])
+        sandwich = vector_sandwich(xm, _GENERATORS, xm)
+        rhs = -eps * FourVector.from_mv(sandwich, GRADE_TOL).as_array()
+        lhs = (x2**2)[:, None, None] * np.swapaxes(M, -1, -2)
+        devs.append(_vec_dev(lhs, rhs))
+    return _result("jacobian_sandwich_identity", trials, devs, tol)
 
 
 def check_conformality(rng, trials: int, tol: float) -> CheckResult:
     """Lambda^2 M^T eta M reproduces the metric for both conformal maps."""
-    dev = 0.0
-    for i in range(trials):
-        x, a = sample_pair(rng)
-        eps = 1 if i % 2 == 0 else -1
-        dev = _worst(
-            dev,
-            oracle.conformality_residual(oracle.jacobian_inversion(x, eps)),
-            oracle.conformality_residual(oracle.jacobian_sct(x, a)),
-        )
-    return CheckResult("conformality", trials, dev, tol, dev <= tol)
+    X, A = _draw(rng, trials, sample_pair)
+    devs = [
+        oracle.conformality_residual(oracle.jacobian_inversion(X[rows], eps))
+        for eps, rows in _by_eps(trials)
+    ]
+    devs.append(oracle.conformality_residual(oracle.jacobian_sct(X, A)))
+    return _result("conformality", trials, devs, tol)
 
 
 def check_conformal_factor_match(rng, trials: int, tol: float) -> CheckResult:
     """Determinant-based scale factor equals |x^2| and |Sigma|."""
-    dev = 0.0
-    for i in range(trials):
-        x, a = sample_pair(rng)
-        eps = 1 if i % 2 == 0 else -1
-        lam_inv = oracle.conformal_factor(oracle.jacobian_inversion(x, eps))
-        x2 = abs(oracle.msq(x))
-        dev = _worst(dev, _scaled(abs(lam_inv - x2), x2))
-        lam_sct = oracle.conformal_factor(oracle.jacobian_sct(x, a))
-        sig = abs(oracle.sct_scale(x, a))
-        dev = _worst(dev, _scaled(abs(lam_sct - sig), sig))
-    return CheckResult("conformal_factor_match", trials, dev, tol, dev <= tol)
+    X, A = _draw(rng, trials, sample_pair)
+    devs = []
+    for eps, rows in _by_eps(trials):
+        lam_inv = oracle.conformal_factor(oracle.jacobian_inversion(X[rows], eps))
+        x2 = np.abs(oracle.msq(X[rows]))
+        devs.append(_scaled(np.abs(lam_inv - x2), x2))
+    lam_sct = oracle.conformal_factor(oracle.jacobian_sct(X, A))
+    sig = np.abs(oracle.sct_scale(X, A))
+    devs.append(_scaled(np.abs(lam_sct - sig), sig))
+    return _result("conformal_factor_match", trials, devs, tol)
 
 
 def check_fd_jacobians(rng, trials: int, tol: float) -> CheckResult:
     """Analytic Jacobians against central differences, away from the cones."""
-    dev = 0.0
-    for i in range(trials):
-        x, a = sample_fd_pair(rng)
-        eps = 1 if i % 2 == 0 else -1
+    X, A = _draw(rng, trials, sample_fd_pair)
+    devs = []
+    for eps, rows in _by_eps(trials):
+        x = X[rows]
         M = np.asarray(oracle.jacobian_inversion(x, eps), dtype=np.float64)
         fd = oracle.fd_jacobian(lambda p: oracle.invert_event(p, eps), x)
-        dev = _worst(dev, float(np.max(np.abs(M - fd))))
-        Ms = np.asarray(oracle.jacobian_sct(x, a), dtype=np.float64)
-        fds = oracle.fd_jacobian(lambda p: oracle.sct_event(p, a), x)
-        dev = _worst(dev, float(np.max(np.abs(Ms - fds))))
-    return CheckResult("fd_jacobians", trials, dev, tol, dev <= tol)
+        devs.append(np.abs(M - fd))
+    Ms = np.asarray(oracle.jacobian_sct(X, A), dtype=np.float64)
+    fds = oracle.fd_jacobian(lambda p: oracle.sct_event(p, A), X)
+    devs.append(np.abs(Ms - fds))
+    return _result("fd_jacobians", trials, devs, tol)
 
 
 def check_theta_signs(rng, trials: int, tol: float) -> CheckResult:
     """Time-orientation signs: -eps for inversion everywhere, +1 for the SCT."""
     half = max(1, trials // 2)
+    X = np.array([
+        _sample_interval_sign(rng, sign) for sign in (1, -1) for _ in range(half)
+    ])
     bad = 0
-    for sign in (1, -1):
-        for i in range(half):
-            x = _sample_interval_sign(rng, sign)
-            for eps in (1, -1):
-                if oracle.time_orientation(oracle.jacobian_inversion(x, eps)) != -eps:
-                    bad += 1
-    for _ in range(trials):
-        x, a = sample_pair(rng)
-        if oracle.time_orientation(oracle.jacobian_sct(x, a)) != 1:
-            bad += 1
+    for eps in (1, -1):
+        theta = oracle.time_orientation(oracle.jacobian_inversion(X, eps))
+        bad += int(np.count_nonzero(theta != -eps))
+    X, A = _draw(rng, trials, sample_pair)
+    bad += int(np.count_nonzero(oracle.time_orientation(oracle.jacobian_sct(X, A)) != 1))
     return CheckResult("theta_signs", trials, float(bad), tol * 0.0, bad == 0)
 
 
 def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
     """Spacetime algebra, paravector algebra, and tensor law must coincide
     for every quantity, both conformal maps, and both coordinate frames."""
-    dev = 0.0
-    for i in range(trials):
-        x, a = sample_pair(rng)
-        eps = 1 if i % 2 == 0 else -1
-        E = rng.uniform(-2.0, 2.0, 3)
-        B = rng.uniform(-2.0, 2.0, 3)
-        A4 = rng.uniform(-2.0, 2.0, 4)
-        xf = _fv(x)
-        af = _fv(a)
-        xp = _pv(x)
-        F13 = Faraday13(E, B)
-        F3 = Faraday3(E, B)
-        A13 = _fv(A4)
-        A3 = _pv(A4)
-        x2 = oracle.msq(x)
-        sig = oracle.sct_scale(x, a)
-
-        Mi = oracle.jacobian_inversion(x, eps)
-        Ms = oracle.jacobian_sct(x, a)
-        Ft_i = oracle.transform_faraday(Mi, oracle.pack_faraday(E, B), abs(x2), -eps)
-        At_i = oracle.transform_potential(Mi, A4, abs(x2), -eps)
-        Jt_i = oracle.transform_current(Mi, A4, abs(x2), -eps)
-        Ft_s = oracle.transform_faraday(Ms, oracle.pack_faraday(E, B), abs(sig), 1)
-        At_s = oracle.transform_potential(Ms, A4, abs(sig), 1)
-        Jt_s = oracle.transform_current(Ms, A4, abs(sig), 1)
-
-        for params, Ft, At, Jt in (
-            (Inversion(eps), Ft_i, At_i, Jt_i),
-            (Sct(af), Ft_s, At_s, Jt_s),
-        ):
-            Ew, Bw = oracle.unpack_faraday(Ft)
-            image = transform(params, POSITION, xf)
-            for frame, x13, x3 in (
-                (ORIG, xf, xp),
-                (TRANS, image, _pv(image.as_array())),
-            ):
-                got = transform(params, FARADAY, F13, x13, frame)
-                got3 = transform3(params, FARADAY, F3, x3, frame)
-                dev = _worst(
-                    dev,
-                    _field_dev(got.E, got.B, Ew, Bw),
-                    _field_dev(got3.E, got3.B, Ew, Bw),
-                )
-                for kind, want in ((POTENTIAL, At), (CURRENT, Jt)):
-                    got = transform(params, kind, A13, x13, frame)
-                    got3 = transform3(params, kind, A3, x3, frame)
-                    dev = _worst(
-                        dev,
-                        _vec_dev(got.as_array(), want),
-                        _vec_dev(_pv_array(got3), want),
-                    )
-    return CheckResult("three_way_agreement", trials, dev, tol, dev <= tol)
+    X, A, E, B, A4 = _draw(rng, trials, _pair_field_and_potential)
+    F = oracle.pack_faraday(E, B)
+    # Each map with its trials, Jacobian, scale and time orientation.
+    x2 = np.abs(oracle.msq(X))
+    maps = [
+        (Inversion(eps), rows, oracle.jacobian_inversion(X[rows], eps), x2[rows], -eps)
+        for eps, rows in _by_eps(trials)
+    ]
+    every = np.arange(trials)
+    sig = np.abs(oracle.sct_scale(X, A))
+    maps.append((Sct(_fv(A)), every, oracle.jacobian_sct(X, A), sig, 1))
+    devs = []
+    for params, rows, M, lam, theta in maps:
+        Ew, Bw = oracle.unpack_faraday(oracle.transform_faraday(M, F[rows], lam, theta))
+        At = oracle.transform_potential(M, A4[rows], lam, theta)
+        Jt = oracle.transform_current(M, A4[rows], lam, theta)
+        F13 = Faraday13(E[rows], B[rows])
+        F3 = Faraday3(E[rows], B[rows])
+        A13 = _fv(A4[rows])
+        A3 = _pv(A4[rows])
+        xf = _fv(X[rows])
+        image = transform(params, POSITION, xf)
+        for frame, x13 in ((ORIG, xf), (TRANS, image)):
+            x3 = _pv(x13.as_array())
+            got = transform(params, FARADAY, F13, x13, frame)
+            got3 = transform3(params, FARADAY, F3, x3, frame)
+            devs.append(_field_dev(got.E, got.B, Ew, Bw))
+            devs.append(_field_dev(got3.E, got3.B, Ew, Bw))
+            for kind, want in ((POTENTIAL, At), (CURRENT, Jt)):
+                got = transform(params, kind, A13, x13, frame)
+                got3 = transform3(params, kind, A3, x3, frame)
+                devs.append(_vec_dev(got.as_array(), want))
+                devs.append(_vec_dev(_pv_array(got3), want))
+    return _result("three_way_agreement", trials, devs, tol)
 
 
 def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
     """Invert, translate by eps*a, invert again: equals the direct map."""
-    dev = 0.0
-    accepted = 0
+    accepted = []
     attempts = 0
-    while accepted < trials and attempts < trials * 50:
+    while len(accepted) < trials and attempts < trials * 50:
         attempts += 1
         x, a = sample_pair(rng)
-        eps = 1 if accepted % 2 == 0 else -1
-        xf = _fv(x)
-        af = _fv(a)
-        inv = Inversion(eps)
-        x1 = transform(inv, POSITION, xf)
+        eps = 1 if len(accepted) % 2 == 0 else -1
+        x1 = transform(Inversion(eps), POSITION, _fv(x))
         y = transform(Translation(FourVector(*(eps * a))), POSITION, x1)
         if abs(y.minkowski_sq()) <= GUARD:
             continue
-        accepted += 1
         E = rng.uniform(-2.0, 2.0, 3)
         B = rng.uniform(-2.0, 2.0, 3)
         A4 = rng.uniform(-2.0, 2.0, 4)
+        accepted.append((x, a, y.as_array(), E, B, A4))
+    devs = [0.0]
+    if accepted:
+        X, A, Y, E, B, A4 = (np.array(part) for part in zip(*accepted))
+        for eps, rows in _by_eps(len(accepted)):
+            inv = Inversion(eps)
+            sct = Sct(_fv(A[rows]))
+            xf = _fv(X[rows])
+            y = _fv(Y[rows])
+            direct_x = transform(sct, POSITION, xf)
+            chained_x = transform(inv, POSITION, y)
+            devs.append(_vec_dev(chained_x.as_array(), direct_x.as_array()))
 
-        sct = Sct(af)
-        direct_x = transform(sct, POSITION, xf)
-        chained_x = transform(inv, POSITION, y)
-        dev = _worst(dev, _vec_dev(chained_x.as_array(), direct_x.as_array()))
+            A13 = _fv(A4[rows])
+            direct_A = transform(sct, POTENTIAL, A13, xf)
+            chained_A = transform(inv, POTENTIAL, transform(inv, POTENTIAL, A13, xf), y)
+            devs.append(_vec_dev(chained_A.as_array(), direct_A.as_array()))
 
-        A13 = _fv(A4)
-        direct_A = transform(sct, POTENTIAL, A13, xf)
-        chained_A = transform(inv, POTENTIAL, transform(inv, POTENTIAL, A13, xf), y)
-        dev = _worst(dev, _vec_dev(chained_A.as_array(), direct_A.as_array()))
-
-        F13 = Faraday13(E, B)
-        direct_F = transform(sct, FARADAY, F13, xf)
-        chained_F = transform(inv, FARADAY, transform(inv, FARADAY, F13, xf), y)
-        dev = _worst(
-            dev, _field_dev(chained_F.E, chained_F.B, direct_F.E, direct_F.B)
-        )
-    ok = accepted >= trials and dev <= tol
-    return CheckResult("sct_chain_composition", accepted, dev, tol, ok)
+            F13 = Faraday13(E[rows], B[rows])
+            direct_F = transform(sct, FARADAY, F13, xf)
+            chained_F = transform(inv, FARADAY, transform(inv, FARADAY, F13, xf), y)
+            devs.append(_field_dev(chained_F.E, chained_F.B, direct_F.E, direct_F.B))
+    dev = _worst(*devs)
+    ok = len(accepted) >= trials and dev <= tol
+    return CheckResult("sct_chain_composition", len(accepted), dev, tol, ok)
 
 
 def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
     """Closed-form component expansions against tensor and paravector routes."""
-    dev = 0.0
-    mutual_dev = 0.0
-    for i in range(trials):
-        x, a = sample_pair(rng)
-        eps = 1 if i % 2 == 0 else -1
-        E = rng.uniform(-2.0, 2.0, 3)
-        B = rng.uniform(-2.0, 2.0, 3)
-        A4 = rng.uniform(-2.0, 2.0, 4)
-
-        (Ed, Bd), (Ec, Bc) = oracle.inversion_field_forms(E, B, x, eps)
-        mutual_dev = _worst(mutual_dev, _field_dev(Ec, Bc, Ed, Bd))
+    X, A, E, B, A4 = _draw(rng, trials, _pair_field_and_potential)
+    devs = []
+    mutual = []
+    for eps, rows in _by_eps(trials):
+        x, e, b = X[rows], E[rows], B[rows]
+        (Ed, Bd), (Ec, Bc) = oracle.inversion_field_forms(e, b, x, eps)
+        mutual.append(_field_dev(Ec, Bc, Ed, Bd))
         Et, Bt = oracle.unpack_faraday(
-            oracle.inversion_faraday_tensor(oracle.pack_faraday(E, B), x, eps)
+            oracle.inversion_faraday_tensor(oracle.pack_faraday(e, b), x, eps)
         )
-        dev = _worst(dev, _field_dev(Ed, Bd, Et, Bt))
-        got3 = transform3(Inversion(eps), FARADAY, Faraday3(E, B), _pv(x))
-        dev = _worst(dev, _field_dev(got3.E, got3.B, Ed, Bd))
+        devs.append(_field_dev(Ed, Bd, Et, Bt))
+        got3 = transform3(Inversion(eps), FARADAY, Faraday3(e, b), _pv(x))
+        devs.append(_field_dev(got3.E, got3.B, Ed, Bd))
 
-        Ess, Bss = oracle.sct_field_components(E, B, x, a)
-        Et, Bt = oracle.unpack_faraday(
-            oracle.sct_faraday_tensor(oracle.pack_faraday(E, B), x, a)
-        )
-        dev = _worst(dev, _field_dev(Ess, Bss, Et, Bt))
-        sct = Sct(_fv(a))
-        got3 = transform3(sct, FARADAY, Faraday3(E, B), _pv(x))
-        dev = _worst(dev, _field_dev(got3.E, got3.B, Ess, Bss))
+    Ess, Bss = oracle.sct_field_components(E, B, X, A)
+    Et, Bt = oracle.unpack_faraday(oracle.sct_faraday_tensor(oracle.pack_faraday(E, B), X, A))
+    devs.append(_field_dev(Ess, Bss, Et, Bt))
+    sct = Sct(_fv(A))
+    got3 = transform3(sct, FARADAY, Faraday3(E, B), _pv(X))
+    devs.append(_field_dev(got3.E, got3.B, Ess, Bss))
 
-        x_new = oracle.sct_event(x, a)
-        En, Bn = oracle.sct_field_components_newcoords(E, B, x_new, a)
-        dev = _worst(dev, _field_dev(En, Bn, Ess, Bss))
+    x_new = oracle.sct_event(X, A)
+    En, Bn = oracle.sct_field_components_newcoords(E, B, x_new, A)
+    devs.append(_field_dev(En, Bn, Ess, Bss))
 
-        Ap = oracle.inversion_potential_components(A4, x)
-        got = transform(Inversion(1), POTENTIAL, _fv(A4), _fv(x))
-        dev = _worst(dev, _vec_dev(got.as_array(), Ap))
-        As = oracle.sct_potential_components(A4, x, a)
-        got = transform(sct, POTENTIAL, _fv(A4), _fv(x))
-        dev = _worst(dev, _vec_dev(got.as_array(), As))
+    Ap = oracle.inversion_potential_components(A4, X)
+    got = transform(Inversion(1), POTENTIAL, _fv(A4), _fv(X))
+    devs.append(_vec_dev(got.as_array(), Ap))
+    As = oracle.sct_potential_components(A4, X, A)
+    got = transform(sct, POTENTIAL, _fv(A4), _fv(X))
+    devs.append(_vec_dev(got.as_array(), As))
+
+    dev, mutual_dev = _worst(*devs), _worst(*mutual)
     mutual_tol = tol * 1e-2 if tol > 0.0 else 0.0
     passed = dev <= tol and mutual_dev <= mutual_tol
     return CheckResult(
@@ -416,29 +421,25 @@ def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
 def check_invariant_scaling(rng, trials: int, tol: float) -> CheckResult:
     """I1, I2 pick up the fourth power of the scale, with the inversion
     flipping the pseudoscalar sign."""
-    dev = 0.0
-    for i in range(trials):
-        x, a = sample_pair(rng)
-        eps = 1 if i % 2 == 0 else -1
-        E = rng.uniform(-2.0, 2.0, 3)
-        B = rng.uniform(-2.0, 2.0, 3)
-        F3 = Faraday3(E, B)
-        i1, i2 = invariants(F3)
-        om = oracle.msq(x)
-        sig = oracle.sct_scale(x, a)
-
-        Fp = transform3(Inversion(eps), FARADAY, F3, _pv(x))
+    X, A, E, B = _draw(rng, trials, _pair_and_field)
+    F3 = Faraday3(E, B)
+    i1, i2 = invariants(F3)
+    devs = []
+    om4 = oracle.msq(X) ** 4
+    for eps, rows in _by_eps(trials):
+        Fp = transform3(Inversion(eps), FARADAY, Faraday3(F=F3.F[rows]), _pv(X[rows]))
         j1, j2 = invariants(Fp)
-        ref = max(abs(om**4 * i1), abs(om**4 * i2))
-        dev = _worst(dev, _scaled(abs(j1 - om**4 * i1), ref))
-        dev = _worst(dev, _scaled(abs(j2 + om**4 * i2), ref))
+        w1, w2 = om4[rows] * i1[rows], om4[rows] * i2[rows]
+        ref = np.maximum(np.abs(w1), np.abs(w2))
+        devs += [_scaled(np.abs(j1 - w1), ref), _scaled(np.abs(j2 + w2), ref)]
 
-        Fs = transform3(Sct(_fv(a)), FARADAY, F3, _pv(x))
-        k1, k2 = invariants(Fs)
-        ref = max(abs(sig**4 * i1), abs(sig**4 * i2))
-        dev = _worst(dev, _scaled(abs(k1 - sig**4 * i1), ref))
-        dev = _worst(dev, _scaled(abs(k2 - sig**4 * i2), ref))
-    return CheckResult("invariant_scaling", trials, dev, tol, dev <= tol)
+    Fs = transform3(Sct(_fv(A)), FARADAY, F3, _pv(X))
+    k1, k2 = invariants(Fs)
+    sig4 = oracle.sct_scale(X, A) ** 4
+    w1, w2 = sig4 * i1, sig4 * i2
+    ref = np.maximum(np.abs(w1), np.abs(w2))
+    devs += [_scaled(np.abs(k1 - w1), ref), _scaled(np.abs(k2 - w2), ref)]
+    return _result("invariant_scaling", trials, devs, tol)
 
 
 def check_invariants_levi_civita(rng, trials: int, tol: float) -> CheckResult:
@@ -448,34 +449,33 @@ def check_invariants_levi_civita(rng, trials: int, tol: float) -> CheckResult:
     the pseudoscalar invariant flip sign; a wrong orientation convention
     anywhere in the chain shows up here immediately.
     """
-    dev = 0.0
-    for i in range(trials):
-        x = sample_event(rng)
-        eps = 1 if i % 2 == 0 else -1
-        E = rng.uniform(-2.0, 2.0, 3)
-        B = rng.uniform(-2.0, 2.0, 3)
-        F = oracle.pack_faraday(E, B)
-        i1, i2 = oracle.invariants_from_tensor(F)
-        om = oracle.msq(x)
+    def sample(rng):
+        return sample_event(rng), rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
 
-        M = oracle.jacobian_inversion(x, eps)
-        i1p, i2p = oracle.invariants_transformed(F, M, abs(om), -eps)
-        ref = max(abs(om**4 * i1), abs(om**4 * i2))
-        dev = _worst(dev, _scaled(abs(i1p - om**4 * i1), ref))
-        dev = _worst(dev, _scaled(abs(i2p + om**4 * i2), ref))
-    return CheckResult("invariants_levi_civita", trials, dev, tol, dev <= tol)
+    X, E, B = _draw(rng, trials, sample)
+    F = oracle.pack_faraday(E, B)
+    i1, i2 = oracle.invariants_from_tensor(F)
+    om = oracle.msq(X)
+    devs = []
+    for eps, rows in _by_eps(trials):
+        M = oracle.jacobian_inversion(X[rows], eps)
+        i1p, i2p = oracle.invariants_transformed(F[rows], M, np.abs(om[rows]), -eps)
+        om4 = om[rows] ** 4
+        ref = np.maximum(np.abs(om4 * i1[rows]), np.abs(om4 * i2[rows]))
+        devs.append(_scaled(np.abs(i1p - om4 * i1[rows]), ref))
+        devs.append(_scaled(np.abs(i2p + om4 * i2[rows]), ref))
+    return _result("invariants_levi_civita", trials, devs, tol)
 
 
 def check_inversion_jacobian_determinant(rng, trials: int, tol: float) -> CheckResult:
     """det[d(original)/d(image)] equals minus the fourth power of x^2."""
-    dev = 0.0
-    for i in range(trials):
-        x = sample_event(rng)
-        eps = 1 if i % 2 == 0 else -1
-        om = oracle.msq(x)
-        d = oracle.inversion_inverse_jacobian_det(x, eps)
-        dev = _worst(dev, _scaled(abs(d - (-(om**4))), abs(om**4)))
-    return CheckResult("inversion_jacobian_determinant", trials, dev, tol, dev <= tol)
+    X = _sample_events(rng, trials)
+    devs = []
+    for eps, rows in _by_eps(trials):
+        om4 = oracle.msq(X[rows]) ** 4
+        d = oracle.inversion_inverse_jacobian_det(X[rows], eps)
+        devs.append(_scaled(np.abs(d - (-om4)), np.abs(om4)))
+    return _result("inversion_jacobian_determinant", trials, devs, tol)
 
 
 _CLASS_SIGNS = {
@@ -486,38 +486,44 @@ _CLASS_SIGNS = {
 }
 
 
+def _lorentz_params(rng, per_class: int):
+    """per_class sampled boost and rotation pairs for each class, in turn."""
+    return [
+        Lorentz(
+            boost=tuple(rng.uniform(-1.0, 1.0, 3)),
+            rotation=tuple(rng.uniform(-1.0, 1.0, 3)),
+            lorentz_class=cls,
+        )
+        for cls in _CLASS_SIGNS
+        for _ in range(per_class)
+    ]
+
+
 def check_lorentz_classes(rng, trials: int, tol: float) -> CheckResult:
     """Induced matrices are eta-orthogonal with the class's determinant and
     time-orientation signs."""
     per_class = max(1, trials // 4)
-    dev = 0.0
+    params = _lorentz_params(rng, per_class)
+    L = np.array([induced_matrix(p) for p in params])
+    det_sign, t_sign = (
+        np.array([_CLASS_SIGNS[p.lorentz_class][k] for p in params]) for k in (0, 1)
+    )
     eta = oracle.ETA
-    for cls, (det_sign, t_sign) in _CLASS_SIGNS.items():
-        for _ in range(per_class):
-            boost = tuple(rng.uniform(-1.0, 1.0, 3))
-            rotation = tuple(rng.uniform(-1.0, 1.0, 3))
-            params = Lorentz(boost=boost, rotation=rotation, lorentz_class=cls)
-            L = induced_matrix(params)
-            dev = _worst(dev, float(np.max(np.abs(L.T @ eta @ L - eta))))
-            dev = _worst(dev, abs(float(np.linalg.det(L)) - det_sign))
-            if oracle.time_orientation(L) != t_sign:
-                dev = _worst(dev, 1.0)
-    return CheckResult("lorentz_classes", per_class * 4, dev, tol, dev <= tol)
+    devs = [
+        np.abs(np.swapaxes(L, -1, -2) @ eta @ L - eta),
+        np.abs(np.linalg.det(L) - det_sign),
+        np.where(oracle.time_orientation(L) != t_sign, 1.0, 0.0),
+    ]
+    return _result("lorentz_classes", per_class * 4, devs, tol)
 
 
 def check_lorentz_route_agreement(rng, trials: int, tol: float) -> CheckResult:
     """Both algebras induce the same Lorentz matrix for every class."""
     per_class = max(1, trials // 4)
-    dev = 0.0
-    for cls in _CLASS_SIGNS:
-        for _ in range(per_class):
-            boost = tuple(rng.uniform(-1.0, 1.0, 3))
-            rotation = tuple(rng.uniform(-1.0, 1.0, 3))
-            params = Lorentz(boost=boost, rotation=rotation, lorentz_class=cls)
-            L13 = induced_matrix(params)
-            L3 = induced_matrix3(params)
-            dev = _worst(dev, float(np.max(np.abs(L13 - L3))))
-    return CheckResult("lorentz_route_agreement", per_class * 4, dev, tol, dev <= tol)
+    params = _lorentz_params(rng, per_class)
+    L13 = np.array([induced_matrix(p) for p in params])
+    L3 = np.array([induced_matrix3(p) for p in params])
+    return _result("lorentz_route_agreement", per_class * 4, [np.abs(L13 - L3)], tol)
 
 
 def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
@@ -526,8 +532,7 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
     The transformation vector stays in [-0.5, 0.5] so the exact zero is
     compared against a quantity of order one.
     """
-    dev = 0.0
-    for _ in range(trials):
+    def sample(rng):
         x, a = sample_pair(rng, a_scale=0.25)
         k = rng.normal(size=3)
         k /= np.linalg.norm(k)
@@ -535,27 +540,34 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
         while np.linalg.norm(e) < 1e-6:
             e = np.cross(k, rng.normal(size=3))
         e *= rng.uniform(0.5, 1.5) / np.linalg.norm(e)
-        wave = PlaneWave(E0=tuple(e), khat=tuple(k), phase=float(rng.uniform(0, 2 * math.pi)))
-        F = wave.faraday(_fv(x))
-        for Ft in (
-            transform3(Inversion(1), FARADAY, F, _pv(x)),
-            transform3(Sct(_fv(a)), FARADAY, F, _pv(x)),
-        ):
-            i1, i2 = invariants(Ft)
-            dev = _worst(dev, abs(i1), abs(i2))
-    return CheckResult("null_field_preservation", trials, dev, tol, dev <= tol)
+        phase = float(rng.uniform(0, 2 * math.pi))
+        wave = PlaneWave(E0=tuple(e), khat=tuple(k), phase=phase)
+        return x, a, wave.faraday(_fv(x)).F
+
+    X, A, F = _draw(rng, trials, sample)
+    F = Faraday3(F=F)
+    devs = []
+    for Ft in (
+        transform3(Inversion(1), FARADAY, F, _pv(X)),
+        transform3(Sct(_fv(A)), FARADAY, F, _pv(X)),
+    ):
+        i1, i2 = invariants(Ft)
+        devs += [np.abs(i1), np.abs(i2)]
+    return _result("null_field_preservation", trials, devs, tol)
 
 
 def check_bridge_correspondence(rng, trials: int, tol: float) -> CheckResult:
     """Even products and Faraday sandwiches map onto the paravector algebra."""
-    dev = 0.0
-    for _ in range(trials):
-        x = _fv(rng.uniform(-2.0, 2.0, 4))
-        y = _fv(rng.uniform(-2.0, 2.0, 4))
-        F = Faraday13(rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3))
-        dev = _worst(dev, product_correspondence_check(x, y))
-        dev = _worst(dev, sandwich_correspondence_check(x, F, y))
-    return CheckResult("bridge_correspondence", trials, dev, tol, dev <= tol)
+    def sample(rng):
+        return tuple(rng.uniform(-2.0, 2.0, n) for n in (4, 4, 3, 3))
+
+    X, Y, E, B = _draw(rng, trials, sample)
+    x, y = _fv(X), _fv(Y)
+    devs = [
+        product_correspondence_check(x, y),
+        sandwich_correspondence_check(x, Faraday13(E, B), y),
+    ]
+    return _result("bridge_correspondence", trials, devs, tol)
 
 
 # Registry rows: check id, callable, nominal trials at the reference budget,
@@ -604,10 +616,13 @@ def run_suite(
             continue
         n = max(1, round(nominal * trials / REFERENCE_TRIALS))
         rng = np.random.default_rng(child)
+        start = time.perf_counter()
         try:
-            results.append(fn(rng, n, nominal_tol * scale))
-        except Exception:
-            results.append(
-                CheckResult(check_id, n, float("inf"), nominal_tol * scale, False)
+            result = fn(rng, n, nominal_tol * scale)
+        except Exception as exc:
+            result = CheckResult(
+                check_id, n, float("inf"), nominal_tol * scale, False,
+                error=f"{type(exc).__name__}: {exc}",
             )
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return VerifyReport(seed, trials, tol, tuple(results))

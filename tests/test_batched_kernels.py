@@ -1,0 +1,267 @@
+"""The batched Cl(1,3) product, the batched Cl(1,3) route and the batched
+oracle: each row of a batch is bit for bit its batch-of-one result.
+
+verify stacks its trials and runs each route once, so these tests are what
+makes its deviations the same numbers a per-trial run would measure.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from emconf import oracle
+from emconf.cl13 import (
+    DIM,
+    SIGN_TABLE,
+    Faraday13,
+    FourVector,
+    Multivector13,
+    geometric_product,
+    grade_project,
+)
+from emconf.conformal13 import (
+    GRADE_TOL,
+    CoordinateFrame,
+    Inversion,
+    Lorentz,
+    LorentzClass,
+    QuantityKind,
+    Sct,
+    induced_matrix,
+    transform,
+)
+from emconf.errors import GradeLeakageError, LightConeError, SctConeError
+
+
+def _dense_structure_tensor():
+    tensor = np.zeros((DIM, DIM, DIM))
+    for i in range(DIM):
+        for j in range(DIM):
+            tensor[i, j, i ^ j] = SIGN_TABLE[i, j]
+    return tensor
+
+
+def test_sparse_product_equals_dense_structure_tensor_on_blade_pairs():
+    tensor = _dense_structure_tensor()
+    blades = np.eye(DIM)
+    i, j = np.divmod(np.arange(DIM * DIM), DIM)
+    batched = geometric_product(Multivector13(blades[i]), Multivector13(blades[j])).c
+    for n, (a, b) in enumerate(zip(i, j)):
+        dense = np.einsum("i,j,ijk->k", blades[a], blades[b], tensor)
+        single = geometric_product(Multivector13.blade(a), Multivector13.blade(b)).c
+        assert np.array_equal(single, dense)
+        assert np.array_equal(batched[n], dense)
+
+
+def test_sparse_product_agrees_with_dense_product_on_random_elements():
+    tensor = _dense_structure_tensor()
+    rng = np.random.default_rng(71)
+    a = rng.uniform(-1, 1, (50, DIM))
+    b = rng.uniform(-1, 1, (50, DIM))
+    dense = np.einsum("ni,nj,ijk->nk", a, b, tensor)
+    got = geometric_product(Multivector13(a), Multivector13(b)).c
+    assert np.max(np.abs(got - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(37,), (5, 7)])
+def test_batched_product_rows_are_single_products(shape):
+    rng = np.random.default_rng(72)
+    a = rng.standard_normal(shape + (DIM,)) * rng.uniform(0.1, 10, shape + (1,))
+    b = rng.standard_normal(shape + (DIM,))
+    one = rng.standard_normal(DIM)
+    batch = geometric_product(Multivector13(a), Multivector13(b)).c
+    left = geometric_product(Multivector13(one), Multivector13(b)).c
+    right = geometric_product(Multivector13(a), Multivector13(one)).c
+    for idx in np.ndindex(*shape):
+        A, B = Multivector13(a[idx]), Multivector13(b[idx])
+        assert np.array_equal(batch[idx], geometric_product(A, B).c)
+        assert np.array_equal(left[idx], geometric_product(Multivector13(one), B).c)
+        assert np.array_equal(right[idx], geometric_product(A, Multivector13(one)).c)
+
+
+def _events(rng, n, guard=0.05):
+    rows = []
+    while len(rows) < n:
+        x = rng.uniform(-2, 2, 4)
+        a = rng.uniform(-1, 1, 4)
+        if abs(oracle.msq(x)) > guard and abs(oracle.sct_scale(x, a)) > guard:
+            rows.append((x, a))
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+@pytest.mark.parametrize("frame", list(CoordinateFrame))
+@pytest.mark.parametrize("kind", list(QuantityKind))
+@pytest.mark.parametrize("family", ["inversion", "sct"])
+def test_transform_batch_rows_are_single_events(family, kind, frame):
+    """Per-trial vectors a ride the batch axis of the special conformal map."""
+    rng = np.random.default_rng(73)
+    X, A = _events(rng, 12)
+    E, B, V = rng.uniform(-2, 2, (12, 3)), rng.uniform(-2, 2, (12, 3)), rng.uniform(-2, 2, (12, 4))
+
+    def params(rows):
+        return Inversion(-1) if family == "inversion" else Sct(FourVector.from_array(A[rows]))
+
+    def value(rows):
+        if kind is QuantityKind.FARADAY:
+            return Faraday13(E[rows], B[rows])
+        return FourVector.from_array((X if kind is QuantityKind.POSITION else V)[rows])
+
+    def arrays(out):
+        if isinstance(out, Faraday13):
+            return np.concatenate([out.E, out.B], axis=-1)
+        return out.as_array()
+
+    every = np.arange(12)
+    batch = arrays(transform(params(every), kind, value(every), FourVector.from_array(X), frame))
+    for i in range(12):
+        single = transform(params(i), kind, value(i), FourVector.from_array(X[i]), frame)
+        assert np.array_equal(batch[i], arrays(single))
+
+
+def test_transform_batch_raises_the_first_refused_rows_error():
+    x = FourVector.from_array([[1.0, 0.2, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
+    F = Faraday13(np.ones((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(LightConeError, match="x\\^2 = 0.000e\\+00"):
+        transform(Inversion(1), QuantityKind.FARADAY, F, x)
+    a = FourVector.from_array([[0.0, 0.0, 0.0, 0.0], [-0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    # sigma = 1 + 2 a.x + a^2 x^2 vanishes at the second row only.
+    x = FourVector.from_array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(SctConeError):
+        transform(Sct(a), QuantityKind.FARADAY, F, x)
+
+
+def test_grade_project_refuses_any_leaking_row():
+    c = np.zeros((4, DIM))
+    c[:, 1] = 1.0
+    c[2, 3] = 1e-6
+    with pytest.raises(GradeLeakageError, match="1.000e-06"):
+        grade_project(Multivector13(c), 1, GRADE_TOL)
+    c[2, 3] = 0.0
+    assert np.array_equal(grade_project(Multivector13(c), 1, GRADE_TOL).c, c)
+
+
+def test_induced_matrix_maps_the_basis_as_one_batch():
+    """Column k is the image of basis event k mapped on its own."""
+    params = Lorentz(boost=(0.3, -0.2, 0.1), rotation=(0.0, 0.4, -0.1),
+                     lorentz_class=LorentzClass.IMPROPER_ANTICHRONOUS)
+    L = induced_matrix(params)
+    for k in range(4):
+        image = transform(params, QuantityKind.POSITION, FourVector.from_array(np.eye(4)[k]))
+        assert np.array_equal(L[:, k], image.as_array())
+
+
+# -- the oracle -------------------------------------------------------------------
+
+
+ROWS = 40
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(74)
+    X, A = _events(rng, ROWS)
+    E, B = rng.uniform(-2, 2, (ROWS, 3)), rng.uniform(-2, 2, (ROWS, 3))
+    M = oracle.jacobian_sct(X, A)
+    return {
+        "x": X, "a": A, "E": E, "B": B, "A": rng.uniform(-2, 2, (ROWS, 4)),
+        "M": M, "Mi": oracle.jacobian_inversion(X, -1),
+        "F": oracle.pack_faraday(E, B), "lam": np.abs(oracle.sct_scale(X, A)),
+        "theta": np.where(rng.uniform(size=ROWS) < 0.5, 1, -1),
+        "xn": oracle.sct_event(X, A), "det": np.linalg.det(np.asarray(M, np.float64)),
+    }
+
+
+# Every public oracle function, called on one set of inputs, which may be a
+# batch or one row of it.
+ORACLE_CALLS = {
+    "lower": lambda d: oracle.lower(d["x"]),
+    "mdot": lambda d: oracle.mdot(d["x"], d["a"]),
+    "msq": lambda d: oracle.msq(d["x"]),
+    "pack_faraday": lambda d: oracle.pack_faraday(d["E"], d["B"]),
+    "unpack_faraday": lambda d: oracle.unpack_faraday(d["F"]),
+    "invert_event": lambda d: oracle.invert_event(d["x"], -1),
+    "sct_scale": lambda d: oracle.sct_scale(d["x"], d["a"]),
+    "sct_event": lambda d: oracle.sct_event(d["x"], d["a"]),
+    "jacobian_inversion": lambda d: oracle.jacobian_inversion(d["x"], 1),
+    "jacobian_sct": lambda d: oracle.jacobian_sct(d["x"], d["a"]),
+    "fd_jacobian": lambda d: oracle.fd_jacobian(lambda p: oracle.sct_event(p, d["a"]), d["x"]),
+    "conformal_factor": lambda d: oracle.conformal_factor(d["M"]),
+    "conformality_residual": lambda d: oracle.conformality_residual(d["M"]),
+    "time_orientation": lambda d: oracle.time_orientation(d["Mi"]),
+    "conformal_inverse": lambda d: oracle.conformal_inverse(d["M"], d["lam"]),
+    "transform_potential": lambda d: oracle.transform_potential(d["M"], d["A"], d["lam"], d["theta"]),
+    "transform_current": lambda d: oracle.transform_current(d["Mi"], d["A"]),
+    "transform_faraday": lambda d: oracle.transform_faraday(d["M"], d["F"], d["lam"], 1),
+    "transform_potential_covariant": lambda d: oracle.transform_potential_covariant(d["M"], d["A"]),
+    "inversion_faraday_tensor": lambda d: oracle.inversion_faraday_tensor(d["F"], d["x"], -1),
+    "sct_faraday_tensor": lambda d: oracle.sct_faraday_tensor(d["F"], d["x"], d["a"]),
+    "inversion_field_forms": lambda d: oracle.inversion_field_forms(d["E"], d["B"], d["x"], 1),
+    "inversion_field_components": lambda d: oracle.inversion_field_components(
+        d["E"], d["B"], d["x"], -1),
+    "sct_field_components": lambda d: oracle.sct_field_components(d["E"], d["B"], d["x"], d["a"]),
+    "sct_field_components_newcoords": lambda d: oracle.sct_field_components_newcoords(
+        d["E"], d["B"], d["xn"], d["a"]),
+    "inversion_potential_components": lambda d: oracle.inversion_potential_components(
+        d["A"], d["x"]),
+    "sct_potential_components": lambda d: oracle.sct_potential_components(d["A"], d["x"], d["a"]),
+    "invariants_from_tensor": lambda d: oracle.invariants_from_tensor(d["F"]),
+    "invariants_transformed": lambda d: oracle.invariants_transformed(
+        d["F"], d["M"], d["lam"], 1, d["det"]),
+    "inversion_inverse_jacobian_det": lambda d: oracle.inversion_inverse_jacobian_det(d["x"], 1),
+}
+
+
+def test_every_public_oracle_function_is_covered():
+    public = {
+        name for name, fn in inspect.getmembers(oracle, inspect.isfunction)
+        if fn.__module__ == oracle.__name__ and not name.startswith("_")
+    }
+    assert public == set(ORACLE_CALLS)
+
+
+def _assert_rows_equal(batch, single, row):
+    if isinstance(single, tuple):
+        assert isinstance(batch, tuple) and len(batch) == len(single)
+        for b, s in zip(batch, single):
+            _assert_rows_equal(b, s, row)
+        return
+    assert np.asarray(single).shape == np.asarray(batch)[row].shape
+    assert np.array_equal(np.asarray(batch)[row], np.asarray(single))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CALLS))
+def test_batched_oracle_rows_are_single_event_calls(name):
+    inputs = _oracle_inputs()
+    batch = ORACLE_CALLS[name](inputs)
+    for row in range(ROWS):
+        single = ORACLE_CALLS[name]({k: v[row] for k, v in inputs.items()})
+        _assert_rows_equal(batch, single, row)
+
+
+def test_single_event_oracle_keeps_float_returns():
+    x, a = np.array([1.0, 0.2, 0.1, 0.0]), np.array([0.1, 0.0, 0.2, 0.0])
+    for value in (oracle.msq(x), oracle.mdot(x, a), oracle.sct_scale(x, a),
+                  oracle.conformal_factor(oracle.jacobian_sct(x, a)),
+                  *oracle.invariants_from_tensor(oracle.pack_faraday([1, 0, 0], [0, 1, 0]))):
+        assert type(value) is float
+    assert type(oracle.time_orientation(oracle.jacobian_sct(x, a))) is int
+    E, B = oracle.unpack_faraday(oracle.pack_faraday([1, 2, 3], [4, 5, 6]))
+    assert E.tolist() == [1, 2, 3] and B.tolist() == [4, 5, 6]
+
+
+def test_oracle_imports_no_clifford_code():
+    """The oracle is the independent route: it may import numpy, the
+    standard library and the error types, never an algebra."""
+    tree = ast.parse(Path(inspect.getsourcefile(oracle)).read_text())
+    forbidden = {"cl13", "cl3", "conformal13", "conformal3", "bridge"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert not imported & forbidden, imported & forbidden
+    assert "errors" in imported

@@ -16,7 +16,7 @@ from emconf.cl3 import (
     real_rows,
     vector_rows,
 )
-from emconf.conformal13 import EXP_TOL, RESIDUE_TOL
+from emconf.conformal13 import EXP_TOL, GRADE_TOL, RESIDUE_TOL
 from emconf.errors import ImaginaryResidueError, NonRealEventError
 
 X = np.array([1.0, 0.0, 0.0])
@@ -54,9 +54,9 @@ def test_conjugation_involutions():
 
 def test_minkowski_square_is_interval():
     ev = Paravector3.from_event(2.0, (1.0, -0.5, 0.25))
-    assert minkowski_square(ev) == pytest.approx(4.0 - 1.0 - 0.25 - 0.0625, abs=1e-15)
+    assert minkowski_square(ev, GRADE_TOL) == pytest.approx(4.0 - 1.0 - 0.25 - 0.0625, abs=1e-15)
     with pytest.raises(NonRealEventError):
-        minkowski_square(Paravector3(1.0, np.array([1j, 0, 0])))
+        minkowski_square(Paravector3(1.0, np.array([1j, 0, 0])), GRADE_TOL)
 
 
 def test_exp_real_vector_is_boost():
@@ -121,8 +121,8 @@ def test_residue_rows_refuse_only_their_rows():
     assert vector_rows(Paravector3.vector(np.eye(3)), RESIDUE_TOL)[1].tolist() == [False] * 3
     with pytest.raises(ImaginaryResidueError, match="1.000e-03"):
         real_paravector(p, RESIDUE_TOL)
-    assert np.array_equal(minkowski_square(Paravector3.from_event([2.0, 1.0], np.eye(3)[:2])),
-                          [3.0, 0.0])
+    events = Paravector3.from_event([2.0, 1.0], np.eye(3)[:2])
+    assert np.array_equal(minkowski_square(events, GRADE_TOL), [3.0, 0.0])
 
 
 def test_faraday3_round_trip():

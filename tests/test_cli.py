@@ -414,6 +414,38 @@ def test_verify_nan_and_crashed_checks_fail_as_valid_json(monkeypatch, capsys):
     ]
 
 
+def test_verify_names_a_crashed_check(monkeypatch, capsys):
+    """Only the crashed check carries an error key; stderr names it."""
+
+    def crash(rng, trials, tol):
+        raise TypeError("operands could not be broadcast together")
+
+    monkeypatch.setattr(verify, "REGISTRY", (
+        ("conformality", verify.check_conformality, 200, 1e-8),
+        ("crash", crash, 100, verify.BASE_TOL),
+    ))
+    code, out, err = run_cli(capsys, "verify", "--trials", "5")
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1
+    assert "error" not in report["checks"][0]
+    assert report["checks"][1]["error"] == "TypeError: operands could not be broadcast together"
+    assert "check crash crashed: TypeError: operands could not be broadcast together" in err
+    assert err.rstrip().endswith("verification FAILED: 1/2 checks")
+
+
+def test_verify_timings_go_to_stderr_only(capsys):
+    code, plain, plain_err = run_cli(capsys, "verify", "--seed", "3", "--trials", "5")
+    timed_code, timed, timed_err = run_cli(
+        capsys, "verify", "--seed", "3", "--trials", "5", "--timings"
+    )
+    assert code == timed_code == 0
+    assert timed == plain
+    timing_lines = [ln for ln in timed_err.splitlines() if ln.startswith("time ")]
+    assert [ln.split()[1] for ln in timing_lines] == [c[0] for c in verify.REGISTRY]
+    assert all(ln.endswith(" ms") and float(ln.split()[2]) > 0.0 for ln in timing_lines)
+    assert not any(ln.startswith("time ") for ln in plain_err.splitlines())
+
+
 def test_verify_byte_identical_across_processes():
     first = run_proc("verify", "--seed", "11", "--trials", "10")
     second = run_proc("verify", "--seed", "11", "--trials", "10")

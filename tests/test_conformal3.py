@@ -8,6 +8,7 @@ from emconf.bridge import to_faraday3, to_paravector
 from emconf.cl13 import Faraday13, FourVector
 from emconf.cl3 import Faraday3, Paravector3, minkowski_square
 from emconf.conformal13 import (
+    GRADE_TOL,
     CoordinateFrame,
     Dilation,
     Inversion,
@@ -44,7 +45,7 @@ def rand_event(rng, guard=0.2):
     while True:
         v = rng.uniform(-2, 2, 4)
         p = ev(v[0], v[1:])
-        if abs(minkowski_square(p)) > guard:
+        if abs(minkowski_square(p, GRADE_TOL)) > guard:
             return p
 
 

@@ -124,7 +124,7 @@ _RESIDUE_CASES = {
             _with_nan_blade(Multivector13.scalar(2.0), 3), RESIDUE_TOL
         ),
     ),
-    "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG)),
+    "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG, GRADE_TOL)),
     "real_paravector": (
         ImaginaryResidueError, lambda: real_paravector(_NAN_IMAG, RESIDUE_TOL)
     ),

@@ -77,3 +77,53 @@ def test_nan_route_fails_its_check(monkeypatch):
         result = run_suite(trials=10, checks=(check,)).checks[0]
         assert not result.passed
         assert np.isnan(result.max_dev)
+
+
+# Each check's trial count at 25 trials, as the per-trial suite reported it.
+TRIALS_AT_25 = {
+    "blade_products": 256,
+    "jacobian_sandwich_identity": 5,
+    "conformality": 10,
+    "conformal_factor_match": 10,
+    "fd_jacobians": 5,
+    "theta_signs": 5,
+    "three_way_agreement": 25,
+    "sct_chain_composition": 15,
+    "field_expansions": 25,
+    "invariant_scaling": 25,
+    "invariants_levi_civita": 5,
+    "inversion_jacobian_determinant": 5,
+    "lorentz_classes": 20,
+    "lorentz_route_agreement": 4,
+    "null_field_preservation": 10,
+    "bridge_correspondence": 10,
+}
+
+
+@pytest.mark.parametrize("seed", [42, 106, 1069293762])
+def test_every_check_passes_across_seeds(seed):
+    report = run_suite(seed=seed, trials=25)
+    assert [c.check_id for c in report.checks if not c.passed] == []
+    assert {c.check_id: c.trials for c in report.checks} == TRIALS_AT_25
+    assert all(c.error is None for c in report.checks)
+
+
+def test_crashed_check_names_its_exception(monkeypatch):
+    def crash(rng, trials, tol):
+        raise TypeError("operands could not be broadcast together")
+
+    monkeypatch.setattr(verify, "REGISTRY", (
+        ("blade_products", verify.check_blade_products, 256, 0.0),
+        ("crash", crash, 100, verify.BASE_TOL),
+    ))
+    ok, crashed = run_suite(trials=5).checks
+    assert ok.passed and ok.error is None
+    assert not crashed.passed and crashed.max_dev == float("inf")
+    assert crashed.error == "TypeError: operands could not be broadcast together"
+
+
+def test_timings_do_not_enter_report_equality():
+    a = run_suite(seed=5, trials=5, checks=("conformality",))
+    b = run_suite(seed=5, trials=5, checks=("conformality",))
+    assert a == b
+    assert all(c.seconds > 0.0 for c in a.checks + b.checks)
