@@ -45,7 +45,6 @@ from .conformal13 import (
     transform,
 )
 from .conformal3 import (
-    PreparedTransform3,
     Refusal,
     induced_matrix3,
     inverse_position3,

@@ -32,6 +32,8 @@ METRIC_SIGNS = (1, -1, -1, -1)
 GRADE_OF = np.array([bin(i).count("1") for i in range(DIM)])
 # Which blades each grade 0..4 keeps, built once: every sandwich projects.
 _IN_GRADE = tuple(GRADE_OF == g for g in range(5))
+# Reversion negates grades 2 and 3.
+_REVERSE_SIGN = np.where((GRADE_OF == 2) | (GRADE_OF == 3), -1.0, 1.0)
 # Blades of e_0..e_3, which carry a four-vector's t, x, y, z.
 _VECTOR_BLADES = np.array([1, 2, 4, 8])
 
@@ -71,6 +73,10 @@ _PARTNER = np.arange(DIM)[:, None] ^ np.arange(DIM)[None, :]
 _PARTNER_SIGN = SIGN_TABLE[np.arange(DIM)[:, None], _PARTNER].astype(np.float64)
 # Sign of left multiplication by blade k ^ j taking blade j to blade k.
 _LEFT_SIGN = SIGN_TABLE[_PARTNER, np.arange(DIM)[None, :]].astype(np.float64)
+_PSEUDOSCALAR = DIM - 1
+# Right multiplication by the pseudoscalar takes blade k ^ 15 to blade k.
+_DUAL = _PARTNER[_PSEUDOSCALAR]
+_DUAL_SIGN = SIGN_TABLE[_DUAL, _PSEUDOSCALAR].astype(np.float64)
 
 
 def _right_factor(b: np.ndarray) -> np.ndarray:
@@ -161,6 +167,10 @@ class Multivector13:
     def __rmul__(self, other) -> "Multivector13":
         return self * other
 
+    def reverse(self) -> "Multivector13":
+        """Each blade's generators in the opposite order."""
+        return Multivector13._wrap(self.c * _REVERSE_SIGN)
+
     def grade(self, g: int) -> "Multivector13":
         return Multivector13._wrap(np.where(_IN_GRADE[g], self.c, 0.0))
 
@@ -220,39 +230,27 @@ def vector_sandwich(u: Multivector13, m: Multivector13, v: Multivector13) -> Mul
 
 
 def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
-    """Exponential of one pure bivector by Taylor series.
+    """Exponential of pure bivectors F, one per row, in closed form.
 
-    Arguments above unit infinity-norm are halved until small (scaling and
-    squaring), the series is summed until the next term drops below tol, and
-    the result is squared back up.  Raises NonBivectorError unless the input
-    is pure grade 2.
+    F^2 = alpha + beta I with I = e_0 e_1 e_2 e_3 and I^2 = -1, so with
+    z = sqrt(alpha + i beta) read as a complex number in which i stands for
+    I, exp(F) = cosh z + F sinh(z)/z, a null F (F^2 = 0) giving exactly 1 + F.
+    Both factors are even in z, so the branch of the square root does not
+    matter.  Raises NonBivectorError unless every row is pure grade 2 within
+    tol.
     """
-    if not b.grade_residue(2) <= tol * max(1.0, b.max_abs()):
+    if not (b.grade_residue(2) <= tol * np.fmax(1.0, b.max_abs())).all():
         raise NonBivectorError("exponential argument must be a pure bivector")
-    halvings = 0
-    arg = b.c.copy()
-    norm = float(np.abs(arg).max())
-    while norm > 1.0:
-        arg *= 0.5
-        norm *= 0.5
-        halvings += 1
-    acc = np.zeros(DIM)
-    acc[0] = 1.0
-    term = np.zeros(DIM)
-    term[0] = 1.0
-    right = _right_factor(arg)
-    k = 1
-    while True:
-        term = _times(term, right) / k
-        acc = acc + term
-        if np.abs(term).max() < tol:
-            break
-        k += 1
-        if k > 200:
-            raise ArithmeticError("bivector exponential series failed to converge")
-    for _ in range(halvings):
-        acc = _product(acc, acc)
-    return Multivector13._wrap(acc)
+    # At least one row, so every step is a ufunc loop, as in a batch.
+    F = b.c.reshape(-1, DIM)
+    sq = _product(F, F)
+    z = np.sqrt(sq[:, 0] + 1j * sq[:, _PSEUDOSCALAR])
+    sinhc = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
+    cosh = np.cosh(z)
+    out = F * sinhc.real[:, None] + F[:, _DUAL] * _DUAL_SIGN * sinhc.imag[:, None]
+    out[:, 0] += cosh.real
+    out[:, _PSEUDOSCALAR] += cosh.imag
+    return Multivector13._wrap(out.reshape(b.c.shape))
 
 
 def left_matrix(m: Multivector13) -> np.ndarray:

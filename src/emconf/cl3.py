@@ -189,29 +189,22 @@ def pure_vector(p: Paravector3, tol: float) -> np.ndarray:
     return v
 
 
-def exp_complex_vector(w, tol: float) -> Paravector3:
-    """Exponential of one complex 3-vector by series with scaling and squaring."""
-    arg = Paravector3.vector(w)
-    halvings = 0
-    norm = float(arg.max_abs())
-    while norm > 1.0:
-        arg = 0.5 * arg
-        norm *= 0.5
-        halvings += 1
-    acc = Paravector3(1.0)
-    term = Paravector3(1.0)
-    k = 1
-    while True:
-        term = (1.0 / k) * cl3_product(term, arg)
-        acc = acc + term
-        if term.max_abs() < tol:
-            break
-        k += 1
-        if k > 200:
-            raise ArithmeticError("vector exponential series failed to converge")
-    for _ in range(halvings):
-        acc = cl3_product(acc, acc)
-    return acc
+def exp_complex_vector(w) -> Paravector3:
+    """Exponential of complex 3-vectors w of shape (..., 3), in closed form.
+
+    With z^2 = w.w, exp(w) = cosh z + w sinh(z)/z; both factors are even in
+    z, so the branch of the square root does not matter, and a null w
+    (w.w = 0) gives exactly 1 + w.  The rows run as arrays of at least one
+    row, so a row's bits do not depend on its batch.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    flat = w.reshape(-1, 3)
+    z = np.sqrt(dot3(flat, flat))
+    sinhc = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
+    shape = w.shape[:-1]
+    return Paravector3._wrap(
+        np.cosh(z).reshape(shape), (flat * sinhc[:, None]).reshape(w.shape)
+    )
 
 
 class Faraday3:

@@ -36,10 +36,11 @@ from .conformal13 import (
     Inversion,
     Lorentz,
     LorentzClass,
+    RESIDUE_TOL,
     Sct,
     Translation,
 )
-from .conformal3 import PreparedTransform3, Refusal
+from .conformal3 import Refusal
 from .errors import (
     ConformalDomainError,
     ImaginaryResidueError,
@@ -398,12 +399,11 @@ def cmd_transform(args) -> int:
         raise JobError(f"unknown format: {fmt!r}")
     out = args.out or job.get("out")
 
-    xform = PreparedTransform3(params)
     tally = np.zeros(len(Refusal), dtype=np.int64)
     with _output(out) as fh:
         fh.write(CSV_HEADER + "\n" if fmt == "csv" else "[\n")
         for i, events in enumerate(_grid_chunks(axes)):
-            F_in, F_out, scale, reason = sweep(field, xform, events, frame)
+            F_in, F_out, scale, reason = sweep(field, params, events, frame)
             tally += np.bincount(reason, minlength=len(Refusal))
             lines = _row_lines(fmt, events, F_in, F_out, scale, reason)
             if fmt == "csv":
@@ -421,6 +421,7 @@ def cmd_transform(args) -> int:
 
 # -- invariants -------------------------------------------------------------------
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _REPORT_KEYS = (
     "i1", "i2", "i1_transformed", "i2_transformed",
     "factor_i1", "factor_i2", "rel_dev_i1", "rel_dev_i2", "scale",
@@ -444,6 +445,11 @@ def cmd_invariants(args) -> int:
     bad = [k for k, v in values.items() if not math.isfinite(v)]
     if bad:
         print(f"error: non-finite values in the report: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    # A report whose deviations roundoff alone can reach is refused.
+    if not report.condition * _UNIT_ROUNDOFF <= RESIDUE_TOL:
+        print(f"error: roundoff dominates the report: condition number kappa = "
+              f"{report.condition:.3e}, so kappa * u exceeds {RESIDUE_TOL:g}", file=sys.stderr)
         return 1
     lines = [f"  {json.dumps(k)}: {_num(v)}" for k, v in values.items()]
     _emit("{\n" + ",\n".join(lines) + "\n}\n", args.out)

@@ -232,7 +232,7 @@ def transform(
     their broadcast batch shape.
     """
     if isinstance(params, Lorentz):
-        L, Li = _lorentz_rotors(params, EXP_TOL)
+        L, Li = _lorentz_rotors(params)
         return _lorentz_sandwich(kind, value, L, Li, params.lorentz_class)
     if kind is QuantityKind.POSITION:
         return _position(params, value)
@@ -275,11 +275,11 @@ _IMPROPER = (LorentzClass.IMPROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ANTICHRO
 _ANTICHRONOUS = (LorentzClass.IMPROPER_ANTICHRONOUS, LorentzClass.PROPER_ANTICHRONOUS)
 
 
-def _lorentz_rotors(
-    params: Lorentz, exp_tol: float
-) -> tuple[Multivector13, Multivector13]:
-    gen = _lorentz_generator(params.boost, params.rotation)
-    return exp_bivector(gen, exp_tol), exp_bivector(-1.0 * gen, exp_tol)
+def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
+    """The rotor exp(G) of the generator G and its inverse exp(-G), which is
+    its reverse."""
+    L = exp_bivector(_lorentz_generator(params.boost, params.rotation), EXP_TOL)
+    return L, L.reverse()
 
 
 def _lorentz_sandwich(
@@ -306,10 +306,13 @@ def _lorentz_sandwich(
     return _project(kind, out, (L, q, Li), -1.0 if flip else 1.0)
 
 
-def induced_matrix(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
+def induced_matrix(params: Lorentz) -> np.ndarray:
     """4x4 coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch."""
-    L, Li = _lorentz_rotors(params, exp_tol)
+    the four basis events are mapped as one batch.  For n maps of one class,
+    boost and rotation of shape (n, 3), the result has shape (n, 4, 4)."""
+    L, Li = (
+        Multivector13._wrap(m.c[..., None, :]) for m in _lorentz_rotors(params)
+    )
     basis = FourVector.from_array(np.eye(4))
     out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, params.lorentz_class)
-    return out.as_array().T
+    return np.swapaxes(out.as_array(), -1, -2)

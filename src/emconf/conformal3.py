@@ -7,7 +7,8 @@ every family to every kind: the nonlinear maps as a sandwich weighted by a
 power of scale_of.  Conjugation placement differs between the potential-type
 and field sandwiches and between the two coordinate presentations; each
 sandwich spells its own placement rather than deriving one from another.
-inverse_position3 and PreparedTransform3 serve sweeps over image events.
+inverse_position3 maps image events back to their sources, which sweeps in
+the TRANSFORMED frame need.
 
 Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
@@ -15,9 +16,10 @@ Inside the kernel a guard does not raise: it records a Refusal code for its
 rows in a per-row ledger and lets the row go on with a placeholder, so the
 other rows are computed in the same call.  transform3, scale_of and
 inverse_position3 raise the typed error of the first refused row, which for
-one element is the error of that element; PreparedTransform3 hands the
-ledger back instead.  The kernel uses ufuncs only, in a fixed order, so a
-row's bits are the same in a batch of one and in a batch of many.
+one element is the error of that element; preimage_rows and field_rows,
+which a sweep calls, hand the ledger back instead.  The kernel uses ufuncs
+only, in a fixed order, so a row's bits are the same in a batch of one and
+in a batch of many.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .cl3 import (
     vector_rows,
 )
 from .conformal13 import (
-    EXP_TOL,
     GRADE_TOL,
     LIGHTCONE_TOL,
     RESIDUE_TOL,
@@ -60,8 +61,8 @@ class Refusal(IntEnum):
     """Why a row was refused, or OK; the first guard to refuse a row names it.
 
     CHARGE comes from a field's singular point and NON_FINITE from a sweep's
-    check of its outputs (see fields.sweep); the other codes come from this
-    module's guards.
+    check of its outputs (see fields.sweep) or from a Lorentz image past the
+    float64 range; the other codes come from this module's guards.
     """
 
     OK = 0
@@ -74,7 +75,8 @@ class Refusal(IntEnum):
 
 # The typed error each refusal of this module names.  The field raises its
 # own OriginSingularityError, and NON_FINITE names no error: a non-finite
-# value is returned as the arithmetic gave it, for the caller to check.
+# value is returned as the arithmetic gave it, for the caller to check, and
+# the raising entries raise only for the rows refused with an error.
 _ERRORS = {
     Refusal.LIGHT_CONE: (LightConeError, "event too close to the light cone"),
     Refusal.SCT_CONE: (
@@ -99,9 +101,11 @@ def refuse(reason: np.ndarray, rows, code) -> None:
 
 
 def _raise_refusal(reason: np.ndarray) -> None:
-    """Raise the typed error of the first refused row of the ledger, if any."""
-    if reason.any():
-        code = Refusal(int(reason[reason != Refusal.OK].flat[0]))
+    """Raise the typed error of the first row of the ledger refused with
+    one, if any."""
+    named = (reason != Refusal.OK) & (reason != Refusal.NON_FINITE)
+    if named.any():
+        code = Refusal(int(reason[named].flat[0]))
         error, text = _ERRORS[code]
         raise error(text)
 
@@ -225,7 +229,7 @@ def _batch_shape(value, x) -> tuple:
 
 def _transform_rows(params, kind, value, x, frame, reason):
     if isinstance(params, Lorentz):
-        L = _lorentz_rotor(params, EXP_TOL)
+        L = _lorentz_rotor(params)
         return _lorentz_sandwich(kind, value, L, params.lorentz_class, reason)
     if kind is QuantityKind.POSITION:
         return _position3(params, value, reason)
@@ -298,11 +302,11 @@ def transform3(
 # -- Lorentz ----------------------------------------------------------------------
 
 
-def _lorentz_rotor(params: Lorentz, exp_tol: float) -> Paravector3:
+def _lorentz_rotor(params: Lorentz) -> Paravector3:
     gen = np.asarray(params.boost, dtype=np.float64) + 1j * np.asarray(
         params.rotation, dtype=np.float64
     )
-    return exp_complex_vector(gen, exp_tol)
+    return exp_complex_vector(gen)
 
 
 def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzClass, reason):
@@ -312,6 +316,8 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzCla
     L F bar(L) for the field; the improper classes conjugate the operand and
     swap the rotor decorations; the antichronous classes flip the sign of
     position (paravector side) and field, never of potential or current.
+    The rotor grows as e^|b|, so past |b| of about 355 the image leaves the
+    float64 range: such a row is NON_FINITE, not a residue.
     """
     plain = cls in (
         LorentzClass.PROPER_ORTHOCHRONOUS,
@@ -329,6 +335,7 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzCla
             )
             if cls is LorentzClass.IMPROPER_ORTHOCHRONOUS:
                 raw = -raw
+        refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
         return _field_guard(raw, reason)
     if plain:
         raw = cl3_product(cl3_product(L, value), L.star())
@@ -339,27 +346,40 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzCla
         LorentzClass.PROPER_ANTICHRONOUS,
     ):
         raw = -raw
+    refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
     return _real_guard(raw, reason)
 
 
 _BASIS = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
 
 
-def _induced_from_rotor(L: Paravector3, cls: LorentzClass) -> np.ndarray:
-    """Columns: the images of the four basis events, mapped as one batch."""
-    reason = no_refusals(4)
-    out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, cls, reason)
+def induced_matrix3(params: Lorentz) -> np.ndarray:
+    """Coordinate matrix of the position action, columns by basis image:
+    the four basis events are mapped as one batch.  For n maps of one class,
+    boost and rotation of shape (n, 3), the result has shape (n, 4, 4)."""
+    L = _lorentz_rotor(params)
+    L = Paravector3._wrap(L.s[..., None], L.v[..., None, :])
+    reason = no_refusals(np.broadcast_shapes(L.s.shape, _BASIS.s.shape))
+    out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, params.lorentz_class, reason)
     _raise_refusal(reason)
-    return np.concatenate([out.s.real[:, None], out.v.real], axis=1).T
+    return np.swapaxes(np.concatenate([out.s.real[..., None], out.v.real], axis=-1), -1, -2)
 
 
-def induced_matrix3(params: Lorentz, exp_tol: float = EXP_TOL) -> np.ndarray:
-    """Coordinate matrix of the position action, built from basis events."""
-    L = _lorentz_rotor(params, exp_tol)
-    return _induced_from_rotor(L, params.lorentz_class)
+def _inverse_lorentz(params: Lorentz) -> Lorentz:
+    """The map of the same class that undoes params: a class acts as
+    M Lambda(b, r) with M one of 1, P, -P, -1 for the parity P, M M = 1 and
+    P Lambda(b, r) P = Lambda(-b, r), so M Lambda(-b, -r) undoes a proper
+    class and M Lambda(b, -r) an improper one."""
+    boost = np.asarray(params.boost, dtype=np.float64)
+    if params.lorentz_class in (
+        LorentzClass.PROPER_ORTHOCHRONOUS,
+        LorentzClass.PROPER_ANTICHRONOUS,
+    ):
+        boost = -boost
+    return Lorentz(boost, -np.asarray(params.rotation, dtype=np.float64), params.lorentz_class)
 
 
-# -- preimages and prepared maps -------------------------------------------------
+# -- preimages and sweeps --------------------------------------------------------
 
 
 def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
@@ -376,7 +396,7 @@ def _inverse_rows(params: ConformalParams, x_new: Paravector3, reason) -> Parave
     if isinstance(params, Translation):
         return x_new - _to_paravector(params.offset)
     if isinstance(params, Lorentz):
-        return _apply_matrix(np.linalg.inv(induced_matrix3(params)), x_new)
+        return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new)
     if isinstance(params, Inversion):
         return _position3(params, x_new, reason)
     if isinstance(params, Sct):
@@ -385,59 +405,26 @@ def _inverse_rows(params: ConformalParams, x_new: Paravector3, reason) -> Parave
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
-def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
-    """Preimage of each image event under the parametrized map.
-
-    For Lorentz parameters every call expands the rotor and inverts the
-    induced matrix; a sweep under one map should build a PreparedTransform3
-    once and call its inverse_position instead.
-    """
+def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
+    """Preimage of each image event under the parametrized map, and each
+    row's Refusal code; rows that are not OK hold placeholder values."""
     reason = no_refusals(x_new.s.shape)
-    x = _inverse_rows(params, x_new, reason)
+    return _inverse_rows(params, x_new, reason), reason
+
+
+def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
+    """Preimage of each image event under the parametrized map."""
+    x, reason = preimage_rows(params, x_new)
     _raise_refusal(reason)
     return x
 
 
-class PreparedTransform3:
-    """One map's parameter-only state, built once and applied to batches.
-
-    For Lorentz parameters that state is the rotor and the inverse of the
-    induced coordinate matrix, so a sweep expands the rotor once, not once
-    per batch.  The other families hold nothing worth keeping and run the
-    kernel of inverse_position3 and transform3.  The methods return each
-    row's Refusal code instead of raising; rows that are not OK hold
-    placeholder values.
-    """
-
-    __slots__ = ("params", "_rotor", "_inverse")
-
-    def __init__(self, params: ConformalParams):
-        self.params = params
-        self._rotor = None
-        if isinstance(params, Lorentz):
-            self._rotor = _lorentz_rotor(params, EXP_TOL)
-            self._inverse = np.linalg.inv(
-                _induced_from_rotor(self._rotor, params.lorentz_class)
-            )
-
-    def inverse_position(self, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
-        """Preimages of the image events x_new, as inverse_position3, and
-        each row's Refusal code."""
-        reason = no_refusals(x_new.s.shape)
-        if self._rotor is None:
-            return _inverse_rows(self.params, x_new, reason), reason
-        return _apply_matrix(self._inverse, x_new), reason
-
-    def faraday(
-        self, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
-    ) -> tuple[Faraday3, np.ndarray, np.ndarray]:
-        """Field transform at the events x, as transform3, the conformal
-        scale there, as scale_of, and each row's Refusal code."""
-        reason = no_refusals(_batch_shape(F, x))
-        if self._rotor is None:
-            out = _transform_rows(self.params, QuantityKind.FARADAY, F, x, frame, reason)
-        else:
-            out = _lorentz_sandwich(
-                QuantityKind.FARADAY, F, self._rotor, self.params.lorentz_class, reason
-            )
-        return out, _scale_rows(self.params, x, frame, reason), reason
+def field_rows(
+    params: ConformalParams, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
+) -> tuple[Faraday3, np.ndarray, np.ndarray]:
+    """Field transform at the events x, as transform3, the conformal scale
+    there, as scale_of, and each row's Refusal code; rows that are not OK
+    hold placeholder values."""
+    reason = no_refusals(_batch_shape(F, x))
+    out = _transform_rows(params, QuantityKind.FARADAY, F, x, frame, reason)
+    return out, _scale_rows(params, x, frame, reason), reason

@@ -2,8 +2,8 @@
 
 Each field evaluates a batch of events at once (faraday_rows, events of
 shape (..., 4)); its faraday method is the batch of one.  sweep evaluates a
-field over a batch of grid events and transforms it by a prepared map in
-one array kernel, with one Refusal code per row.
+field over a batch of grid events and transforms it by a map in one
+array kernel, with one Refusal code per row.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from .conformal13 import (
     Translation,
 )
 from .conformal3 import (
-    PreparedTransform3,
     Refusal,
+    field_rows,
     no_refusals,
+    preimage_rows,
     refuse,
     scale_of,
     transform3,
@@ -164,12 +165,19 @@ class InvariantScalingReport:
     rel_dev_i1: float
     rel_dev_i2: float
     scale: float
+    condition: float
 
 
 def invariant_scaling_report(
     spec: FieldSpec, params: ConformalParams, x: FourVector
 ) -> InvariantScalingReport:
-    """Compare transformed invariants against their predicted scaling at x."""
+    """Compare transformed invariants against their predicted scaling at x.
+
+    The deviations are relative to floor = max(1, |f1| max(|I1|, |I2|)).  The
+    transformed invariants cancel terms of relative size condition =
+    (|E'|^2 + |B'|^2) / floor, so roundoff alone moves them by about
+    condition times the unit roundoff.
+    """
     F = spec.faraday(x)
     i1, i2 = invariants(F)
     ev = to_paravector(x)
@@ -180,12 +188,13 @@ def invariant_scaling_report(
     floor = max(1.0, abs(f1) * max(abs(i1), abs(i2)))
     rel1 = abs(i1p - f1 * i1) / floor
     rel2 = abs(i2p - f2 * i2) / floor
-    return InvariantScalingReport(i1, i2, i1p, i2p, f1, f2, rel1, rel2, scale)
+    kappa = (dot3(Fp.E, Fp.E) + dot3(Fp.B, Fp.B)) / floor
+    return InvariantScalingReport(i1, i2, i1p, i2p, f1, f2, rel1, rel2, scale, kappa)
 
 
 def sweep(
     spec: FieldSpec,
-    xform: PreparedTransform3,
+    params: ConformalParams,
     events: np.ndarray,
     frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
 ) -> tuple[Faraday3, Faraday3, np.ndarray, np.ndarray]:
@@ -200,13 +209,13 @@ def sweep(
     """
     grid = Paravector3.from_event(events[..., 0], events[..., 1:])
     if frame is CoordinateFrame.TRANSFORMED:
-        src, reason = xform.inverse_position(grid)
+        src, reason = preimage_rows(params, grid)
         events = np.concatenate([src.s.real[..., None], src.v.real], axis=-1)
     else:
         reason = no_refusals(grid.s.shape)
     F_in, charge = spec.faraday_rows(events)
     refuse(reason, charge, Refusal.CHARGE)
-    F_out, scale, why = xform.faraday(F_in, grid, frame)
+    F_out, scale, why = field_rows(params, F_in, grid, frame)
     refuse(reason, why != Refusal.OK, why)
     finite = (
         np.isfinite(F_in.F).all(axis=-1)

@@ -486,44 +486,42 @@ _CLASS_SIGNS = {
 }
 
 
-def _lorentz_params(rng, per_class: int):
-    """per_class sampled boost and rotation pairs for each class, in turn."""
-    return [
-        Lorentz(
-            boost=tuple(rng.uniform(-1.0, 1.0, 3)),
-            rotation=tuple(rng.uniform(-1.0, 1.0, 3)),
-            lorentz_class=cls,
+def _lorentz_params(rng, per_class: int) -> list[Lorentz]:
+    """For each class in turn, per_class sampled boost and rotation pairs,
+    drawn one pair at a time and stacked into one batch of that class."""
+    batches = []
+    for cls in _CLASS_SIGNS:
+        pairs = np.array(
+            [(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)) for _ in range(per_class)]
         )
-        for cls in _CLASS_SIGNS
-        for _ in range(per_class)
-    ]
+        batches.append(Lorentz(boost=pairs[:, 0], rotation=pairs[:, 1], lorentz_class=cls))
+    return batches
 
 
 def check_lorentz_classes(rng, trials: int, tol: float) -> CheckResult:
     """Induced matrices are eta-orthogonal with the class's determinant and
     time-orientation signs."""
     per_class = max(1, trials // 4)
-    params = _lorentz_params(rng, per_class)
-    L = np.array([induced_matrix(p) for p in params])
-    det_sign, t_sign = (
-        np.array([_CLASS_SIGNS[p.lorentz_class][k] for p in params]) for k in (0, 1)
-    )
     eta = oracle.ETA
-    devs = [
-        np.abs(np.swapaxes(L, -1, -2) @ eta @ L - eta),
-        np.abs(np.linalg.det(L) - det_sign),
-        np.where(oracle.time_orientation(L) != t_sign, 1.0, 0.0),
-    ]
+    devs = []
+    for p in _lorentz_params(rng, per_class):
+        L = induced_matrix(p)
+        det_sign, t_sign = _CLASS_SIGNS[p.lorentz_class]
+        devs += [
+            np.abs(np.swapaxes(L, -1, -2) @ eta @ L - eta),
+            np.abs(np.linalg.det(L) - det_sign),
+            np.where(oracle.time_orientation(L) != t_sign, 1.0, 0.0),
+        ]
     return _result("lorentz_classes", per_class * 4, devs, tol)
 
 
 def check_lorentz_route_agreement(rng, trials: int, tol: float) -> CheckResult:
     """Both algebras induce the same Lorentz matrix for every class."""
     per_class = max(1, trials // 4)
-    params = _lorentz_params(rng, per_class)
-    L13 = np.array([induced_matrix(p) for p in params])
-    L3 = np.array([induced_matrix3(p) for p in params])
-    return _result("lorentz_route_agreement", per_class * 4, [np.abs(L13 - L3)], tol)
+    devs = [
+        np.abs(induced_matrix(p) - induced_matrix3(p)) for p in _lorentz_params(rng, per_class)
+    ]
+    return _result("lorentz_route_agreement", per_class * 4, devs, tol)
 
 
 def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:

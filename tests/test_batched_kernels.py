@@ -1,5 +1,6 @@
-"""The batched Cl(1,3) product, the batched Cl(1,3) route and the batched
-oracle: each row of a batch is bit for bit its batch-of-one result.
+"""The batched Cl(1,3) product, the batched Cl(1,3) route, the batched
+exponentials and induced matrices of both routes, and the batched oracle:
+each row of a batch is bit for bit its batch-of-one result.
 
 verify stacks its trials and runs each route once, so these tests are what
 makes its deviations the same numbers a per-trial run would measure.
@@ -13,16 +14,20 @@ import numpy as np
 import pytest
 
 from emconf import oracle
+from emconf.bridge import even_to_cl3
+from emconf.cl3 import exp_complex_vector
 from emconf.cl13 import (
     DIM,
     SIGN_TABLE,
     Faraday13,
     FourVector,
     Multivector13,
+    exp_bivector,
     geometric_product,
     grade_project,
 )
 from emconf.conformal13 import (
+    EXP_TOL,
     GRADE_TOL,
     CoordinateFrame,
     Inversion,
@@ -33,6 +38,7 @@ from emconf.conformal13 import (
     induced_matrix,
     transform,
 )
+from emconf.conformal3 import induced_matrix3
 from emconf.errors import GradeLeakageError, LightConeError, SctConeError
 
 
@@ -151,6 +157,45 @@ def test_induced_matrix_maps_the_basis_as_one_batch():
     for k in range(4):
         image = transform(params, QuantityKind.POSITION, FourVector.from_array(np.eye(4)[k]))
         assert np.array_equal(L[:, k], image.as_array())
+
+
+def test_batched_exponentials_are_their_rows():
+    rng = np.random.default_rng(75)
+    w = rng.uniform(-2, 2, (6, 3)) + 1j * rng.uniform(-2, 2, (6, 3))
+    w[0] = (1.0, 1j, 0.0)  # null: w.w = 0
+    e3 = exp_complex_vector(w)
+    e13 = exp_bivector(Faraday13(w.real, w.imag).to_mv(), EXP_TOL)
+    for i in range(6):
+        one = exp_complex_vector(w[i])
+        assert one.s.tobytes() + one.v.tobytes() == e3.s[i].tobytes() + e3.v[i].tobytes()
+        one = exp_bivector(Faraday13(w[i].real, w[i].imag).to_mv(), EXP_TOL)
+        assert one.c.tobytes() == e13.c[i].tobytes()
+    grid = exp_complex_vector(w.reshape(2, 3, 3))
+    assert np.array_equal(grid.v.reshape(6, 3), e3.v)
+
+
+@pytest.mark.parametrize("cls", list(LorentzClass))
+@pytest.mark.parametrize("induced", [induced_matrix, induced_matrix3])
+def test_batched_induced_matrices_are_their_rows(induced, cls):
+    """One class's maps stacked on a leading axis, shape (n, 3)."""
+    rng = np.random.default_rng(76)
+    boost, rotation = rng.uniform(-1, 1, (2, 5, 3))
+    M = induced(Lorentz(boost, rotation, cls))
+    assert M.shape == (5, 4, 4)
+    for i in range(5):
+        one = induced(Lorentz(tuple(boost[i]), tuple(rotation[i]), cls))
+        assert np.array_equal(M[i], one)
+
+
+def test_cl13_rotor_maps_onto_the_cl3_rotor():
+    """exp of the generator with boost b and rotation r goes through the
+    bridge to exp(b + i r)."""
+    rng = np.random.default_rng(77)
+    boost, rotation = rng.uniform(-2, 2, (2, 50, 3))
+    L13 = exp_bivector(Faraday13(boost, rotation).to_mv(), EXP_TOL)
+    L3 = exp_complex_vector(boost + 1j * rotation)
+    dev = (even_to_cl3(L13, GRADE_TOL) - L3).max_abs()
+    assert (dev <= 1e-15 * np.fmax(1.0, L3.max_abs())).all()
 
 
 # -- the oracle -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from emconf.cl13 import (
     DIM,
     GRADE_OF,
     METRIC_SIGNS,
+    SIGN_TABLE,
     Faraday13,
     FourVector,
     Multivector13,
@@ -115,6 +116,53 @@ def test_exp_rotation_generator():
     out = exp_bivector(gen, EXP_TOL)
     assert abs(out.c[0]) < 1e-15
     assert out.c[6] == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_exp_of_negative_is_the_inverse_for_large_boosts():
+    """exp(F) exp(-F) = 1 up to 1e-15 |exp(F)|^2 for boost parts up to 10."""
+    rng = np.random.default_rng(17)
+    one = Multivector13.scalar(1.0)
+    for _ in range(200):
+        boost = rng.uniform(-10, 10, 3) * rng.uniform(0, 1)
+        F = Faraday13(boost, rng.uniform(-3, 3, 3)).to_mv()
+        L = exp_bivector(F, EXP_TOL)
+        dev = (L * exp_bivector(-1.0 * F, EXP_TOL) - one).max_abs()
+        assert dev <= 1e-15 * float(np.sum(L.c**2))
+
+
+def test_exp_of_a_null_bivector_is_one_plus_the_bivector():
+    F = Faraday13((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)).to_mv()  # F^2 = E^2 - B^2 + 2 E.B I = 0
+    out = exp_bivector(F, EXP_TOL)
+    assert np.array_equal(out.c, (Multivector13.scalar(1.0) + F).c)
+
+
+# term[i] c[i ^ k] lands on blade k with sign SIGN_TABLE[i, i ^ k].
+_PARTNER = np.arange(DIM)[:, None] ^ np.arange(DIM)
+_SIGNS = SIGN_TABLE[np.arange(DIM)[:, None], _PARTNER]
+
+
+def _taylor_exp(c):
+    """exp of coefficients c in longdouble: 60 terms of the Taylor series,
+    each the last times c over k, by the blade table."""
+    c = c.astype(np.longdouble)
+    term = np.zeros(DIM, dtype=np.longdouble)
+    term[0] = 1.0
+    acc = term.copy()
+    for k in range(1, 60):
+        term = (term[:, None] * c[_PARTNER] * _SIGNS).sum(axis=0) / k
+        acc = acc + term
+    return acc
+
+
+def test_exp_agrees_with_a_longdouble_taylor_series():
+    rng = np.random.default_rng(18)
+    for _ in range(100):
+        d = rng.normal(size=6)
+        d *= rng.uniform(0.0, 2.0) / np.linalg.norm(d)
+        F = Faraday13(d[:3], d[3:]).to_mv()
+        out = exp_bivector(F, EXP_TOL)
+        dev = np.abs(out.c - _taylor_exp(F.c)).max()
+        assert dev <= 1e-15 * max(1.0, float(out.max_abs()))
 
 
 def test_versor_inverse():

@@ -16,7 +16,7 @@ from emconf.cl3 import (
     real_rows,
     vector_rows,
 )
-from emconf.conformal13 import EXP_TOL, GRADE_TOL, RESIDUE_TOL
+from emconf.conformal13 import GRADE_TOL, RESIDUE_TOL
 from emconf.errors import ImaginaryResidueError, NonRealEventError
 
 X = np.array([1.0, 0.0, 0.0])
@@ -60,14 +60,14 @@ def test_minkowski_square_is_interval():
 
 
 def test_exp_real_vector_is_boost():
-    out = exp_complex_vector(0.5 * X, EXP_TOL)
+    out = exp_complex_vector(0.5 * X)
     assert out.s == pytest.approx(math.cosh(0.5), abs=1e-14)
     assert out.v[0] == pytest.approx(math.sinh(0.5), abs=1e-14)
     assert abs(out.v[1]) < 1e-14 and abs(out.v[2]) < 1e-14
 
 
 def test_exp_imaginary_vector_is_rotation():
-    out = exp_complex_vector(1j * (math.pi / 2) * Z, EXP_TOL)
+    out = exp_complex_vector(1j * (math.pi / 2) * Z)
     assert abs(out.s) < 1e-14
     assert out.v[2] == pytest.approx(1j, abs=1e-14)
 
@@ -76,10 +76,56 @@ def test_exp_large_argument_converges():
     """The scaling-and-squaring path: exp(w) exp(-w) = 1 for a big argument."""
     w = np.array([3.0 + 2.0j, -4.0, 1.5j])
     prod = cl3_product(
-        exp_complex_vector(w, EXP_TOL), exp_complex_vector(-w, EXP_TOL)
+        exp_complex_vector(w), exp_complex_vector(-w)
     )
     assert prod.s == pytest.approx(1.0, abs=1e-10)
     assert float(np.max(np.abs(prod.v))) < 1e-10
+
+
+def _norm_sq(p: Paravector3):
+    """Squared Euclidean norm over the complex components, per row."""
+    return np.abs(p.s) ** 2 + (np.abs(p.v) ** 2).sum(axis=-1)
+
+
+def test_exp_of_negative_is_the_inverse_for_large_boosts():
+    """exp(w) exp(-w) = 1 up to 1e-15 |exp(w)|^2 for boost parts up to 10."""
+    rng = np.random.default_rng(25)
+    w = rng.uniform(-10, 10, (200, 3)) * rng.uniform(0, 1, (200, 1))
+    w = w + 1j * rng.uniform(-3, 3, (200, 3))
+    e = exp_complex_vector(w)
+    p = cl3_product(e, exp_complex_vector(-w))
+    dev = np.maximum(np.abs(p.s - 1.0), np.abs(p.v).max(axis=-1))
+    assert (dev <= 1e-15 * _norm_sq(e)).all()
+
+
+def test_exp_of_a_null_vector_is_one_plus_the_vector():
+    w = X + 1j * Y  # w.w = 1 + i^2 = 0
+    out = exp_complex_vector(w)
+    assert out.s == 1.0 and np.array_equal(out.v, w)
+
+
+def _taylor_exp(w):
+    """exp(w) in longdouble: 60 terms of the Taylor series, each the last
+    times w over k, with (s, v) w = (v.w, s w + i v x w)."""
+    w = w.astype(np.clongdouble)
+    s, v = np.clongdouble(1.0), np.zeros(3, dtype=np.clongdouble)
+    acc_s, acc_v = s, v
+    for k in range(1, 60):
+        s, v = (v @ w) / k, (s * w + 1j * np.cross(v, w)) / k
+        acc_s, acc_v = acc_s + s, acc_v + v
+    return acc_s, acc_v
+
+
+def test_exp_agrees_with_a_longdouble_taylor_series():
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        d = rng.normal(size=6)
+        d *= rng.uniform(0.0, 2.0) / np.linalg.norm(d)
+        w = d[:3] + 1j * d[3:]
+        out = exp_complex_vector(w)
+        s, v = _taylor_exp(w)
+        dev = max(abs(out.s - s), np.abs(out.v - v).max())
+        assert dev <= 1e-15 * max(1.0, float(out.max_abs()))
 
 
 def test_residue_guards():

@@ -351,6 +351,34 @@ def test_invariants_non_finite_report_exits_one(capsys):
     assert err.startswith("error: non-finite") and "rel_dev_i1" in err
 
 
+def test_invariants_refuses_a_report_roundoff_dominates(capsys):
+    # E'^2 - B'^2 cancels terms of about 1.5e16 down to 0.75, so kappa is
+    # about 3e16; the report once printed "rel_dev_i1": 4.75 and exited 0
+    code, out, err = run_cli(
+        capsys,
+        "invariants", "--field", "uniform", "--E0", "1,0,0", "--B0", "0,0.5,0",
+        "--xform", "lorentz", "--boost", "10,0,0", "--point", "1,0,0,0",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: roundoff dominates") and "kappa = " in err
+
+
+def test_overflowing_boost_is_skipped_not_printed(capsys):
+    """A rotor past the float64 range leaves NON_FINITE rows, never a NaN."""
+    boost = ("--xform", "lorentz", "--boost=1000,0,0", "--field", "uniform", "--E0", "1,0,0")
+    for frame in ("original", "transformed"):
+        code, out, err = run_cli(
+            capsys, "transform", *boost, "--grid", "x=0.5:2:3", "--frame", frame
+        )
+        assert code == 1
+        assert [row["skipped"] for row in parse_csv(out)] == ["1"] * 3
+        assert "nan" not in out and "inf" not in out
+        assert "3 rows, 3 skipped (non_finite 3)" in err
+    code, out, err = run_cli(capsys, "invariants", *boost, "--point", "1,0,0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: non-finite")
+
+
 # -- verify ---------------------------------------------------------------------
 
 

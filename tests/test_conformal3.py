@@ -141,6 +141,21 @@ def test_lorentz_boost_frozen(route):
 
 
 @pytest.mark.parametrize("route", ROUTES)
+def test_lorentz_rotation_turns_the_field_by_twice_its_parameter(route):
+    """A pure rotation r keeps E along r and turns the rest by 2|r|."""
+    tf, _, field, _ = route
+    r, E = np.array([0.3, -0.5, 0.4]), np.array([1.0, 0.2, -0.7])
+    out = _array(tf(Lorentz(rotation=tuple(r)), FARADAY, field(E, np.zeros(3))))
+    n = r / np.linalg.norm(r)
+    Ep = out[:3]
+    assert Ep @ n == pytest.approx(E @ n, abs=1e-15)
+    a, b = E - (E @ n) * n, Ep - (Ep @ n) * n
+    angle = np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b)
+    assert angle == pytest.approx(2.0 * np.linalg.norm(r), abs=1e-14)
+    assert np.abs(out[3:]).max() == 0.0
+
+
+@pytest.mark.parametrize("route", ROUTES)
 def test_frames_agree_through_the_image_point(route):
     """ORIGINAL at the source equals TRANSFORMED at the image, both maps."""
     tf, vec, field, factor = route
@@ -236,6 +251,24 @@ def test_induced_matrix3_classes():
         )
         L = induced_matrix3(params)
         assert np.max(np.abs(L.T @ eta @ L - eta)) < 1e-12
+
+
+@pytest.mark.parametrize("cls", list(LorentzClass))
+def test_lorentz_preimage_is_the_inverse_matrix(cls):
+    """The closed-form preimage of the basis events is the inverse of the
+    induced matrix, column by column."""
+    rng = np.random.default_rng(54)
+    basis = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
+    for _ in range(10):
+        params = Lorentz(
+            boost=tuple(rng.uniform(-1, 1, 3)),
+            rotation=tuple(rng.uniform(-2, 2, 3)),
+            lorentz_class=cls,
+        )
+        want = np.linalg.inv(induced_matrix3(params))
+        back = inverse_position3(params, basis)
+        got = np.concatenate([back.s.real[:, None], back.v.real], axis=1).T
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("params", [

@@ -24,7 +24,7 @@ REMOVED = (
     "dilate", "translate", "lorentz_apply", "lorentz_generator",
     "invert3_position", "invert3_potential", "invert3_current", "invert3_faraday",
     "sct3_position", "sct3_potential", "sct3_current", "sct3_faraday",
-    "lorentz3", "transform_faraday3",
+    "lorentz3", "transform_faraday3", "PreparedTransform3",
 )
 
 

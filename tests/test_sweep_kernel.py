@@ -27,7 +27,6 @@ from emconf.conformal13 import (
     Translation,
 )
 from emconf.conformal3 import (
-    PreparedTransform3,
     Refusal,
     inverse_position3,
     scale_of,
@@ -154,17 +153,16 @@ def test_kernel_rows_match_batches_of_one_and_the_scalar_entries(data):
     frame = data.draw(st.sampled_from(list(CoordinateFrame)), label="frame")
     a = params.a.as_array() if isinstance(params, Sct) else None
     rows = np.array(data.draw(st.lists(events(a), min_size=1, max_size=10), label="events"))
-    xform = PreparedTransform3(params)
     with np.errstate(all="ignore"):
-        batch = sweep(field, xform, rows, frame)
+        batch = sweep(field, params, rows, frame)
         ok = batch[3] == Refusal.OK
         if len(rows) > 1:
             cut = data.draw(st.integers(1, len(rows) - 1), label="cut")
-            parts = [sweep(field, xform, rows[:cut], frame), sweep(field, xform, rows[cut:], frame)]
+            parts = [sweep(field, params, rows[:cut], frame), sweep(field, params, rows[cut:], frame)]
             bits, codes = zip(*(_split_bits(p, p[3] == Refusal.OK) for p in parts))
             assert (bits[0] + bits[1], codes[0] + codes[1]) == _split_bits(batch, ok)
         for i, x in enumerate(rows):
-            one = sweep(field, xform, rows[i:i + 1], frame)
+            one = sweep(field, params, rows[i:i + 1], frame)
             assert one[3][0] == batch[3][i]
             code, values = _scalar_row(field, params, x, frame)
             assert code == batch[3][i], (x, code, batch[3][i])
