@@ -13,14 +13,21 @@ hand: the stdlib serializers do not honor a fixed digit count.
 events and writes each chunk's rows straight from the arrays before it
 computes the next, so memory stays flat in the grid size.  The kernel keeps
 each row's bits independent of the chunk it falls in, so the output does not
-depend on CHUNK_ROWS.  A one-line summary of the rows and the reasons rows
+depend on CHUNK_ROWS.  Each grid axis value is formatted once per job and the
+string reused in every row that holds it, so a computed row formats only its
+13 field and scale numbers and a skipped row none; every cell is still %.17g
+of its float64 value.  A one-line summary of the rows and the reasons rows
 were skipped goes to stderr; stdout holds the rows only.
+
+The argument parser is built on the first main() call and reused by later
+calls in the same process, so in-process callers do not rebuild it per job.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -153,6 +160,17 @@ def _require_numbers(seq, n: int, what: str) -> tuple[float, ...]:
     return values
 
 
+def _require_int(value, what: str) -> int:
+    """An integer from a job file: a bool or a fractional number is refused,
+    not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise JobError(f"{what} must be an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise JobError(f"{what} must be an integer") from None
+
+
 def _require_number(value, what: str) -> float:
     try:
         x = float(value)
@@ -213,7 +231,7 @@ def build_xform(spec: dict) -> ConformalParams:
                 lorentz_class=cls,
             )
         if kind == "inversion":
-            return Inversion(eps=int(spec.get("eps", 1)))
+            return Inversion(eps=_require_int(spec.get("eps", 1), "eps"))
         if kind == "sct":
             if "a" not in spec:
                 raise JobError("sct needs the vector a")
@@ -284,7 +302,7 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
         try:
             lo = float(axis["min"])
             hi = float(axis["max"])
-            count = int(axis["count"])
+            count = _require_int(axis["count"], f"grid axis {name}: count")
         except (KeyError, TypeError, ValueError, OverflowError):
             raise JobError(f"grid axis {name} needs numeric min, max, count") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -301,26 +319,29 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
 
 
 def _grid_chunks(axes: dict):
-    """(n, 4) arrays of grid events in itertools.product order (t slowest),
-    CHUNK_ROWS rows at a time."""
+    """Grid events in itertools.product order (t slowest), CHUNK_ROWS rows at
+    a time: an (n, 4) array of the events and, for each axis, the list of
+    their coordinates as row cells, each axis value formatted once."""
     values = [axes[a] for a in _AXES]
+    cells = [np.array([_NUM % v for v in axis.tolist()], dtype=object) for axis in values]
     shape = tuple(len(v) for v in values)
     total = math.prod(shape)
     for start in range(0, total, CHUNK_ROWS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_ROWS, total)), shape)
-        yield np.stack([v[i] for v, i in zip(values, index)], axis=-1)
+        events = np.stack([v[i] for v, i in zip(values, index)], axis=-1)
+        yield events, [c[i].tolist() for c, i in zip(cells, index)]
 
 
-def _row_lines(fmt: str, events, F_in, F_out, scale, reason) -> list[str]:
-    """One line per grid row, formatted straight from the kernel's arrays."""
+def _row_lines(fmt: str, coords, F_in, F_out, scale, reason) -> list[str]:
+    """One line per grid row: the coordinate cells, then the row's 13 numbers
+    formatted straight from the kernel's arrays unless the row is skipped."""
     full, skipped = _ROW_TEMPLATES[fmt]
-    table = np.concatenate(
-        [events, F_in.F.real, F_in.F.imag, F_out.F.real, F_out.F.imag, scale[:, None]],
-        axis=1,
+    numbers = np.concatenate(
+        [F_in.F.real, F_in.F.imag, F_out.F.real, F_out.F.imag, scale[:, None]], axis=1
     )
     return [
-        skipped % tuple(row[:4]) if why else full % tuple(row)
-        for row, why in zip(table.tolist(), reason.tolist())
+        skipped % row[:4] if why else full % row
+        for row, why in zip(zip(*coords, *numbers.T.tolist()), reason.tolist())
     ]
 
 
@@ -329,13 +350,16 @@ def _json_template(cells: list[str]) -> str:
     return "{" + ", ".join(f"{k}: {c}" for k, c in zip(keys, cells)) + "}"
 
 
-# Per format, the template of a computed row (its 17 numbers) and of a
-# skipped row (its 4 coordinates).
+# Per format, the template of a computed row (its 4 coordinate cells and 13
+# numbers) and of a skipped row (its 4 coordinate cells).
 _ROW_TEMPLATES = {
-    "csv": (",".join([_NUM] * 17 + ["0"]), ",".join([_NUM] * 4 + [""] * 13 + ["1"])),
+    "csv": (
+        ",".join(["%s"] * 4 + [_NUM] * 13 + ["0"]),
+        ",".join(["%s"] * 4 + [""] * 13 + ["1"]),
+    ),
     "json": (
-        _json_template([_NUM] * 17 + ["false"]),
-        _json_template([_NUM] * 4 + ["null"] * 13 + ["true"]),
+        _json_template(["%s"] * 4 + [_NUM] * 13 + ["false"]),
+        _json_template(["%s"] * 4 + ["null"] * 13 + ["true"]),
     ),
 }
 
@@ -400,12 +424,14 @@ def cmd_transform(args) -> int:
     out = args.out or job.get("out")
 
     tally = np.zeros(len(Refusal), dtype=np.int64)
-    with _output(out) as fh:
+    # A row that overflows is refused as NON_FINITE and counted in the
+    # summary, so numpy's warnings about it would only repeat that on stderr.
+    with _output(out) as fh, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fh.write(CSV_HEADER + "\n" if fmt == "csv" else "[\n")
-        for i, events in enumerate(_grid_chunks(axes)):
+        for i, (events, coords) in enumerate(_grid_chunks(axes)):
             F_in, F_out, scale, reason = sweep(field, params, events, frame)
             tally += np.bincount(reason, minlength=len(Refusal))
-            lines = _row_lines(fmt, events, F_in, F_out, scale, reason)
+            lines = _row_lines(fmt, coords, F_in, F_out, scale, reason)
             if fmt == "csv":
                 fh.write("\n".join(lines) + "\n")
             else:
@@ -437,7 +463,9 @@ def cmd_invariants(args) -> int:
         raise JobError("no point given (use --point or a job file)")
     coords = _require_numbers(point, 4, "point")
     try:
-        report = invariant_scaling_report(field, params, FourVector(*coords))
+        # An overflow is refused below by name, without numpy's warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = invariant_scaling_report(field, params, FourVector(*coords))
     except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -549,7 +577,10 @@ def _add_xform_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused by every later
+    call in the process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="emconf",
         description="Conformal transformations of electromagnetic fields, "
@@ -590,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "transform": cmd_transform,
         "invariants": cmd_invariants,

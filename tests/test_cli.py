@@ -4,6 +4,7 @@ Logic-level tests call main() in process; the byte-identity tests spawn real
 interpreter subprocesses so they exercise the same path a shell user does.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -11,9 +12,11 @@ import sys
 import numpy as np
 import pytest
 
-from emconf import verify
+from emconf import cli, verify
 from emconf.cl3 import Faraday3
 from emconf.cli import CSV_HEADER, main
+from emconf.conformal13 import CoordinateFrame, Dilation, Inversion
+from emconf.fields import Coulomb, UniformField, sweep
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +286,41 @@ def test_transform_non_finite_inputs_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and name in err
 
 
+_NOT_INTEGERS = {
+    # each was once truncated by int() and the job ran with exit 0
+    "count-fraction": ('{"kind": "inversion"}', '{"t": {"min": 0, "max": 1, "count": 2.7}}',
+                       "grid axis t: count"),
+    "count-bool": ('{"kind": "inversion"}', '{"t": {"min": 0, "max": 1, "count": true}}',
+                   "grid axis t: count"),
+    "eps-fraction": ('{"kind": "inversion", "eps": -1.9}', '{}', "eps"),
+    "eps-bool": ('{"kind": "inversion", "eps": true}', '{}', "eps"),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_INTEGERS)
+def test_job_file_integers_are_not_truncated(tmp_path, capsys, case):
+    xform, grid, name = _NOT_INTEGERS[case]
+    job = tmp_path / "job.json"
+    job.write_text(
+        f'{{"field": {{"kind": "uniform", "E0": [1, 0, 0]}}, "xform": {xform}, '
+        f'"grid": {grid}}}'
+    )
+    code, out, err = run_cli(capsys, "transform", "--job", str(job))
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be an integer\n"
+
+
+def test_job_file_integral_numbers_are_accepted(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(
+        '{"field": {"kind": "uniform", "E0": [1, 0, 0]}, '
+        '"xform": {"kind": "inversion", "eps": -1.0}, '
+        '"grid": {"t": {"min": 1, "max": 2, "count": 2.0}}}'
+    )
+    code, out, _ = run_cli(capsys, "transform", "--job", str(job))
+    assert code == 0 and len(parse_csv(out)) == 2
+
+
 def test_lorentz_boost_through_cli(capsys):
     import math
 
@@ -295,6 +333,92 @@ def test_lorentz_boost_through_cli(capsys):
     row = parse_csv(out)[0]
     assert float(row["Eyp"]) == pytest.approx(math.cosh(0.5), rel=1e-14)
     assert float(row["Bzp"]) == pytest.approx(math.sinh(0.5), rel=1e-14)
+
+
+def test_overflow_warnings_stay_off_stderr():
+    """Overflowed rows are counted in the summary and an overflowed report is
+    named in its error, so stderr holds those lines and no numpy warnings."""
+    boost = ("--xform", "lorentz", "--boost=1000,0,0", "--field", "uniform", "--E0", "1,0,0")
+    for frame in ("original", "transformed"):
+        proc = run_proc("transform", *boost, "--grid", "x=0.5:2:3", "--frame", frame)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "3 rows, 3 skipped (non_finite 3)\nerror: every grid point was skipped\n"
+        )
+    proc = run_proc("invariants", *boost, "--point", "1,0,0,0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: non-finite values in the report: "
+        "i1_transformed, i2_transformed, rel_dev_i1, rel_dev_i2\n"
+    )
+
+
+def _reference_lines(fmt, events, F_in, F_out, scale, reason):
+    """The rows of a sweep with %.17g applied to each of a row's 17 numbers."""
+    keys = [json.dumps(k) for k in CSV_HEADER.split(",")]
+    numbers = np.concatenate(
+        [events, F_in.F.real, F_in.F.imag, F_out.F.real, F_out.F.imag, scale[:, None]],
+        axis=1,
+    )
+    lines = []
+    for row, why in zip(numbers, reason):
+        cells = ["%.17g" % v for v in row]
+        if why:
+            cells[4:] = ["" if fmt == "csv" else "null"] * 13
+        if fmt == "csv":
+            lines.append(",".join(cells + ["1" if why else "0"]))
+        else:
+            cells.append("true" if why else "false")
+            lines.append("{" + ", ".join(f"{k}: {c}" for k, c in zip(keys, cells)) + "}")
+    return lines
+
+
+_IDENTITY_JOBS = {
+    # light-cone and charge rows are skipped; the x axis ends at -0
+    "inversion-coulomb": (
+        ("--xform", "inversion", "--field", "coulomb"),
+        Inversion(), Coulomb(),
+        {"t": (0.0, 2.0, 3), "x": (-2.0, -0.0, 3), "y": (-1.0, 1.0, 3)},
+    ),
+    # coordinates at the ends of the float64 range, and a lone -0
+    "dilation-uniform": (
+        ("--xform", "dilation", "--lambda", "1.7", "--field", "uniform",
+         "--E0", "1,0.5,0", "--B0", "0,0,2"),
+        Dilation(1.7), UniformField(E0=(1, 0.5, 0), B0=(0, 0, 2)),
+        {"t": (1e-300, 3e-300, 3), "x": (-1e300, 1e300, 3), "z": (-0.0, -0.0, 1)},
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [7, cli.CHUNK_ROWS])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("frame", ["original", "transformed"])
+@pytest.mark.parametrize("job", _IDENTITY_JOBS)
+def test_transform_rows_match_a_reference_formatter(
+    monkeypatch, capsys, job, frame, fmt, chunk_rows
+):
+    """Every row, computed or skipped, equals %.17g of its 17 numbers; with
+    7-row chunks, chunks start in the middle of an axis."""
+    flags, params, field, axes = _IDENTITY_JOBS[job]
+    grid = ",".join(f"{a}={lo!r}:{hi!r}:{n}" for a, (lo, hi, n) in axes.items())
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    code, out, _ = run_cli(
+        capsys, "transform", *flags, "--grid", grid, "--frame", frame, "--format", fmt
+    )
+    assert code == 0
+    values = [
+        np.linspace(lo, hi, n) if n > 1 else [lo]
+        for lo, hi, n in (axes.get(a, (0.0, 0.0, 1)) for a in "txyz")
+    ]
+    events = np.array(list(itertools.product(*values)), dtype=float)
+    assert (np.signbit(events) & (events == 0)).any()
+    F_in, F_out, scale, reason = sweep(field, params, events, CoordinateFrame(frame))
+    assert reason.any() == (job == "inversion-coulomb")
+    lines = _reference_lines(fmt, events, F_in, F_out, scale, reason)
+    if fmt == "csv":
+        assert out == "\n".join([CSV_HEADER, *lines]) + "\n"
+    else:
+        assert out == "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 # -- invariants -----------------------------------------------------------------
@@ -488,6 +612,27 @@ def test_verify_seed_from_environment():
     # a malformed environment seed is a usage error
     proc = run_proc("verify", "--trials", "5", env={"EMCONF_SEED": "abc"})
     assert proc.returncode == 2
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    """Repeated in-process calls print the same bytes, a call argparse
+    rejects in between changes nothing, and EMCONF_SEED is read per call."""
+    argv = ("transform", "--field", "coulomb", "--xform", "sct", "--a=0.1,0,0.2,0",
+            "--grid", "t=0:2:3,x=0:1:3", "--format", "json")
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--field", "coulomb", "--grid", "t=0:1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == first and first[0] == 0
+    assert cli._parser() is cli._parser()
+    reports = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("EMCONF_SEED", seed)
+        code, out, _ = run_cli(capsys, "verify", "--trials", "2")
+        assert code == 0
+        reports.append(json.loads(out)["seed"])
+    assert reports == [5, 6]
 
 
 def test_transform_byte_identical_across_processes():
