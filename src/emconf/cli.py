@@ -149,11 +149,16 @@ def _load_job(path: str) -> dict:
 
 
 def _require_numbers(seq, n: int, what: str) -> tuple[float, ...]:
-    if not isinstance(seq, (list, tuple)) or len(seq) != n:
+    """A list of n finite numbers: a bool is refused, not read as 0 or 1."""
+    if (
+        not isinstance(seq, (list, tuple))
+        or len(seq) != n
+        or any(isinstance(v, bool) for v in seq)
+    ):
         raise JobError(f"{what} must be a list of {n} numbers")
     try:
         values = tuple(float(v) for v in seq)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise JobError(f"{what} must be a list of {n} numbers") from None
     if not all(map(math.isfinite, values)):
         raise JobError(f"{what} must be a list of {n} finite numbers")
@@ -172,9 +177,12 @@ def _require_int(value, what: str) -> int:
 
 
 def _require_number(value, what: str) -> float:
+    """A finite number: a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise JobError(f"{what} must be a number")
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise JobError(f"{what} must be a number") from None
     if not math.isfinite(x):
         raise JobError(f"{what} must be a finite number")
@@ -299,14 +307,11 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
     axes = {}
     for name in _AXES:
         axis = grid.get(name, {"min": 0.0, "max": 0.0, "count": 1})
-        try:
-            lo = float(axis["min"])
-            hi = float(axis["max"])
-            count = _require_int(axis["count"], f"grid axis {name}: count")
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise JobError(f"grid axis {name} needs numeric min, max, count") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise JobError(f"grid axis {name}: min and max must be finite")
+        if not {"min", "max", "count"} <= axis.keys():
+            raise JobError(f"grid axis {name} needs numeric min, max, count")
+        lo = _require_number(axis["min"], f"grid axis {name}: min")
+        hi = _require_number(axis["max"], f"grid axis {name}: max")
+        count = _require_int(axis["count"], f"grid axis {name}: count")
         if count < 1:
             raise JobError(f"grid axis {name}: count must be at least 1")
         if lo > hi:

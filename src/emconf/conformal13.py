@@ -11,9 +11,9 @@ Parameter dataclasses for all five families live here as well and are shared
 with the Cl(3) layer and the CLI; sharing parameters does not share any of
 the transformation arithmetic.
 
-Values, events and the special conformal vector a may be batches (see cl13):
-one call maps every row, and a guard raises the typed error of the first
-refused row.
+Values, events, the special conformal vector a and the inversion sign eps
+may be batches (see cl13): one call maps every row, and a guard raises the
+typed error of the first refused row.
 """
 
 from __future__ import annotations
@@ -92,10 +92,14 @@ class Lorentz:
 
 @dataclass(frozen=True)
 class Inversion:
-    eps: int = 1
+    """x -> eps x / x^2, with eps +1 or -1, or an array of one such sign per
+    row of a batch."""
+
+    eps: int | np.ndarray = 1
 
     def __post_init__(self):
-        if self.eps not in (-1, 1):
+        eps = np.asarray(self.eps)
+        if not ((eps == 1) | (eps == -1)).all():
             raise ValueError("inversion sign must be +1 or -1")
 
 
@@ -164,20 +168,22 @@ def _project(
     out: Multivector13,
     operands: tuple[Multivector13, ...],
     weight,
+    unguarded=False,
 ):
     """The kind's grade of the sandwich out, times weight (one per row).
 
     Roundoff in a sandwich grows with the sizes of its operands, not with the
     size of its result, which cancellation can make much smaller; so the
     off-grade residue is measured against the product of the operands'
-    largest coefficients, floored at 1 as in grade_project.
+    largest coefficients, floored at 1 as in grade_project.  Rows where
+    unguarded is true skip that guard.
     """
     g = 2 if kind is QuantityKind.FARADAY else 1
     residue = out.grade_residue(g)
     # The bound is at least GRADE_TOL, so only a larger residue needs the sizes.
     if not (residue <= GRADE_TOL).all():
         size = np.broadcast_to(math.prod(m.max_abs() for m in operands), residue.shape)
-        refused = ~(residue <= GRADE_TOL * np.fmax(1.0, size))
+        refused = ~(residue <= GRADE_TOL * np.fmax(1.0, size)) & ~np.asarray(unguarded)
         if refused.any():
             raise GradeLeakageError(
                 f"grade-{g} sandwich residue {np.asarray(residue)[refused].flat[0]:.3e} "
@@ -196,7 +202,8 @@ def _position(params: ConformalParams, x: FourVector) -> FourVector:
         return FourVector.from_array(x.as_array() + params.offset.as_array())
     s = np.asarray(_scale(params, x, CoordinateFrame.ORIGINAL))[..., None]
     if isinstance(params, Inversion):
-        return FourVector.from_array(params.eps * x.as_array() / s)
+        eps = np.asarray(params.eps)[..., None]
+        return FourVector.from_array(eps * x.as_array() / s)
     a = params.a.as_array()
     x2 = np.asarray(x.minkowski_sq())[..., None]
     return FourVector.from_array((x.as_array() + x2 * a) / s)
@@ -228,8 +235,9 @@ def transform(
     frame.  There the result is the sandwich of value by x (inversion) or by
     the versors 1 + a x, 1 + x a (special conformal), weighted by the kind's
     power of the scale; the inversion field also carries the sign -eps.
-    value, x and the special conformal vector may be batches; the result has
-    their broadcast batch shape.
+    value, x, the special conformal vector and the inversion sign eps may be
+    batches, eps one sign per row; the result has their broadcast batch
+    shape.
     """
     if isinstance(params, Lorentz):
         L, Li = _lorentz_rotors(params)
@@ -248,7 +256,7 @@ def transform(
     if isinstance(params, Inversion):
         left = right = x.to_mv()
         if kind is QuantityKind.FARADAY:
-            sign = -params.eps
+            sign = -np.asarray(params.eps)
     else:
         left, right = _sct_versors(x, params.a, frame)
     p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
@@ -293,7 +301,9 @@ def _lorentz_sandwich(
 
     The improper classes wrap the sandwich in the timelike reflection; the
     antichronous classes flip the overall sign of position and field but not
-    of potential or current.
+    of potential or current.  The rotor grows as e^|b|, so past |b| of about
+    355 the image leaves the float64 range: such a row skips the residue
+    guard and is returned as the arithmetic gave it, for the caller to check.
     """
     q = value.to_mv()
     out = vector_sandwich(L, q, Li)
@@ -303,7 +313,8 @@ def _lorentz_sandwich(
     flip = cls in _ANTICHRONOUS and kind in (
         QuantityKind.POSITION, QuantityKind.FARADAY
     )
-    return _project(kind, out, (L, q, Li), -1.0 if flip else 1.0)
+    overflowed = ~np.isfinite(out.max_abs())
+    return _project(kind, out, (L, q, Li), -1.0 if flip else 1.0, overflowed)
 
 
 def induced_matrix(params: Lorentz) -> np.ndarray:

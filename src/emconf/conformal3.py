@@ -204,7 +204,7 @@ def _position3(params: ConformalParams, x: Paravector3, reason) -> Paravector3:
     if isinstance(params, Translation):
         return x + _to_paravector(params.offset)
     if isinstance(params, Inversion):
-        return (params.eps / _scale_rows(params, x, _ORIG, reason)) * x
+        return (np.asarray(params.eps) / _scale_rows(params, x, _ORIG, reason)) * x
     if isinstance(params, Sct):
         return _sct_position3(x, _to_paravector(params.a), reason)
     raise TypeError(f"unknown transformation parameters: {params!r}")
@@ -244,7 +244,7 @@ def _transform_rows(params, kind, value, x, frame, reason):
         scale = _scale_rows(params, x, frame, reason)
         if field:
             raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
-            sign = params.eps
+            sign = np.asarray(params.eps)
         else:
             raw = cl3_product(cl3_product(x, value.bar()), x)
     else:
@@ -291,7 +291,8 @@ def transform3(
     frame.  There the result is a sandwich of value, weighted by the kind's
     power of scale_of; the inversion field also carries the sign +eps.  The
     conjugations in each sandwich are spelled out per map, kind and frame.
-    value and x may be batches; the result has their broadcast batch shape.
+    value, x and the inversion sign eps may be batches, eps one sign per
+    row; the result has their broadcast batch shape.
     """
     reason = no_refusals(_batch_shape(value, x))
     out = _transform_rows(params, kind, value, x, frame, reason)

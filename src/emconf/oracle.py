@@ -7,7 +7,8 @@ module is the independent cross-check for the algebraic formulas elsewhere.
 
 Every function also takes a leading batch axis, events of shape (..., 4),
 fields (..., 3) and matrices (..., 4, 4), and acts row by row; a guard
-raises on the first refused row.  Sums over an index are written out in
+raises on the first refused row.  The inversion sign eps is +1 or -1, or
+an array of one such sign per row.  Sums over an index are written out in
 index order rather than left to np.cross, np.outer or @, so a row's result
 is the same in a batch as on its own, and one event still returns a float
 where it returns a number.
@@ -176,11 +177,11 @@ def unpack_faraday(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- point maps ---------------------------------------------------------------
 
 
-def invert_event(x: np.ndarray, eps: int, tol: float = LIGHTCONE_TOL) -> np.ndarray:
+def invert_event(x: np.ndarray, eps, tol: float = LIGHTCONE_TOL) -> np.ndarray:
     x = _ld(x)
     x2 = _mdot(x, x)
     _guard(x2, tol, LightConeError, "event too close to the light cone: x^2")
-    return np.asarray(eps * x / _col(x2), dtype=np.float64)
+    return np.asarray(_col(eps) * x / _col(x2), dtype=np.float64)
 
 
 def _sct_sigma(x, a):
@@ -202,14 +203,14 @@ def sct_event(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.nd
 
 
 def jacobian_inversion(
-    x: np.ndarray, eps: int, tol: float = LIGHTCONE_TOL
+    x: np.ndarray, eps, tol: float = LIGHTCONE_TOL
 ) -> np.ndarray:
     """d(image)/dx as M[..., mu, alpha], row index contravariant."""
     x = _ld(x)
     x2 = _mdot(x, x)
     _guard(x2, tol, LightConeError, "Jacobian undefined on the light cone: x^2")
     x2 = _mat(x2)
-    return eps * (x2 * _EYE - 2.0 * _outer(x, lower(x))) / x2**2
+    return _mat(eps) * (x2 * _EYE - 2.0 * _outer(x, lower(x))) / x2**2
 
 
 def jacobian_sct(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
@@ -317,12 +318,12 @@ def transform_potential_covariant(
 # -- closed-form component expansions -----------------------------------------
 
 
-def inversion_faraday_tensor(F: np.ndarray, x: np.ndarray, eps: int) -> np.ndarray:
+def inversion_faraday_tensor(F: np.ndarray, x: np.ndarray, eps) -> np.ndarray:
     """Polynomial form of the inverted field-strength matrix."""
     F, x = _ld(F), _ld(x)
     x2 = _mdot(x, x)
     w = _mv(F, lower(x))
-    out = -eps * (
+    out = -_mat(eps) * (
         _mat(x2**2) * F + _mat(2.0 * x2) * (_outer(x, w) - _outer(w, x))
     )
     return np.asarray(out, dtype=np.float64)
@@ -349,7 +350,7 @@ def sct_faraday_tensor(F: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarra
 
 
 def inversion_field_forms(
-    E, B, x: np.ndarray, eps: int
+    E, B, x: np.ndarray, eps
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Both closed forms of the inverted fields: dot-product and double-cross.
 
@@ -360,7 +361,7 @@ def inversion_field_forms(
     t = x[..., 0]
     r = x[..., 1:]
     r2 = _dot(r, r)
-    w = _col(eps * (t * t - r2))
+    w = _col(np.asarray(eps) * (t * t - r2))
     s = _col(t * t + r2)
     t2 = _col(2.0 * t)
     Ep = w * (s * E - _col(2.0 * _dot(r, E)) * r + t2 * _cross(r, B))
@@ -373,7 +374,7 @@ def inversion_field_forms(
 
 
 def inversion_field_components(
-    E, B, x: np.ndarray, eps: int, crosscheck_tol: float = 1e-12
+    E, B, x: np.ndarray, eps, crosscheck_tol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverted (E, B) in original coordinates, dot-product form.
 
@@ -526,7 +527,7 @@ def invariants_transformed(
     return i1p, i2p
 
 
-def inversion_inverse_jacobian_det(x: np.ndarray, eps: int):
+def inversion_inverse_jacobian_det(x: np.ndarray, eps):
     """det[d(original)/d(image)] for the inversion at x."""
     M = np.asarray(jacobian_inversion(x, eps), dtype=np.float64)
     return _f64(1.0 / np.linalg.det(M))

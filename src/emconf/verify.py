@@ -2,14 +2,18 @@
 
 Each check draws from its own child of one seed sequence, so enabling or
 reordering other checks never shifts its sample stream and the whole report
-is reproducible byte for byte.  A check draws its samples one trial at a
-time, rejection loops included, then stacks them and runs each route once
-on the whole stack: inversion trials as two batches, one per sign eps, and
-special conformal trials as one batch with each trial's vector a on the
-batch axis.  Deviations between routes are measured relative to
-max(1, reference magnitude): transformed quantities reach 1e5 and beyond on
-valid sample points, where an absolute comparison would only measure
-float64 granularity, not correctness.
+is reproducible byte for byte.  A check's samples are the ones a loop
+drawing one trial at a time, rejection included, would draw, but they come
+from blocks of uniforms with every block's rejections decided at once (see
+_walk); only the plane-wave samples, whose normal draws vary in length, are
+drawn one trial at a time.  Each route then runs once on all the trials:
+inversion trials as one batch with the sign eps = +1 on even trials and -1
+on odd ones, special conformal trials as one batch with each trial's vector
+a on the batch axis, so row i of every batch is trial i.  Deviations
+between routes are measured relative to max(1, reference magnitude):
+transformed quantities reach 1e5 and beyond on valid sample points, where
+an absolute comparison would only measure float64 granularity, not
+correctness.
 """
 
 from __future__ import annotations
@@ -87,69 +91,120 @@ class VerifyReport:
 
 # -- samplers -------------------------------------------------------------------
 
-
-def sample_event(rng, guard: float = GUARD) -> np.ndarray:
-    """Uniform [-2, 2] components, resampled until |x^2| clears the guard."""
-    while True:
-        x = rng.uniform(-2.0, 2.0, 4)
-        if abs(oracle.msq(x)) > guard:
-            return x
+# A head's outcome: drawn again without counting, a counted attempt that
+# failed, or a counted attempt whose row is kept.
+_REDRAW, _REJECT, _ACCEPT = 0, 1, 2
 
 
-def sample_pair(rng, guard: float = GUARD, a_scale: float = 1.0):
-    """Event plus transformation vector with both cone guards satisfied."""
-    while True:
-        x = rng.uniform(-2.0, 2.0, 4)
-        a = rng.uniform(-2.0 * a_scale, 2.0 * a_scale, 4)
-        if abs(oracle.msq(x)) > guard and abs(oracle.sct_scale(x, a)) > guard:
-            return x, a
+def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np.ndarray:
+    """The rows that the loop
+
+        while fewer than trials rows are kept and fewer than cap attempts made:
+            draw a head, the first k columns, and judge it:
+            REDRAW: draw again; REJECT: one attempt, draw again;
+            ACCEPT: one attempt, draw the other columns, keep the row
+
+    keeps, column j uniform in [-half[j], half[j]], with the generator left
+    in the state that loop leaves it in.
+
+    judge maps heads of shape (n, k) to outcomes of shape (n, phases); a
+    head's phase is the number of rows kept before it, modulo phases.  The
+    uniforms come in blocks of rng.random, each topping the unread buffer up
+    to the least the loop still consumes: the rows left times the row width,
+    or the attempts left times k if that is less, or one row width while an
+    accepted head waits for its tail.  judge runs once per block, on the
+    head at every offset of the block (its sliding windows of k, gathered by
+    fancy indexing at a third of the cost of sliding_window_view).
+    low + (high - low) u is what Generator.uniform computes from each
+    double u.
+    """
+    width = half.size
+    low, span = -half, 2.0 * half
+    window = np.arange(k)
+    rows = []
+    buf = np.empty(0)
+    pos = attempts = 0
+    tail_pending = False
+    while len(rows) < trials and attempts < cap:
+        least = min((trials - len(rows)) * width, (cap - attempts) * k)
+        if tail_pending:
+            least = max(least, width)
+        fresh = rng.random(least - (buf.size - pos))
+        buf = np.concatenate([buf[pos:], fresh]) if pos < buf.size else fresh
+        pos = 0
+        heads = low[:k] + span[:k] * buf[np.arange(buf.size - k + 1)[:, None] + window]
+        outcomes = judge(heads).tolist()
+        tail_pending = False
+        while len(rows) < trials and attempts < cap and pos + k <= buf.size:
+            outcome = outcomes[pos][len(rows) % len(outcomes[pos])]
+            if outcome == _REDRAW:
+                pos += k
+                continue
+            if outcome == _ACCEPT and pos + width > buf.size:
+                tail_pending = True
+                break
+            attempts += 1
+            if outcome == _REJECT:
+                pos += k
+            else:
+                rows.append(buf[pos:pos + width])
+                pos += width
+    return low + span * np.array(rows).reshape(-1, width)
 
 
-def sample_fd_pair(rng, guard: float = FD_GUARD):
-    """Sampler for difference-quotient checks: all three cones kept distant."""
-    while True:
-        x = rng.uniform(-2.0, 2.0, 4)
-        a = rng.uniform(-1.0, 1.0, 4)
-        x2 = oracle.msq(x)
-        s = oracle.sct_scale(x, a)
-        if abs(x2) > guard and abs(s) > guard and abs(s / x2) > guard:
-            return x, a
+def _sample(rng, trials: int, accept, head, tail: int = 0) -> np.ndarray:
+    """trials rows, each a head with the half-widths head, drawn again until
+    accept(heads) holds for it, then tail more components in [-2, 2]."""
+    half = np.array(tuple(head) + (2.0,) * tail)
+    return _walk(
+        rng, trials, half, len(head), lambda h: np.where(accept(h), _ACCEPT, _REDRAW)[:, None]
+    )
 
 
-def _sample_interval_sign(rng, sign: int, guard: float = GUARD) -> np.ndarray:
-    while True:
-        x = rng.uniform(-2.0, 2.0, 4)
-        if sign * oracle.msq(x) > guard:
-            return x
+def _split(rows: np.ndarray, *sizes: int) -> tuple[np.ndarray, ...]:
+    """The columns of rows in consecutive parts of the given sizes, each a
+    contiguous copy."""
+    edges = np.cumsum(sizes)
+    return tuple(rows[..., e - n:e].copy() for n, e in zip(sizes, edges))
 
 
-def _sample_events(rng, trials: int) -> np.ndarray:
-    return np.array([sample_event(rng) for _ in range(trials)])
+# Head half-widths: an event in [-2, 2], or an event and a transformation
+# vector, in [-2, 2] or in [-1, 1] for difference quotients.
+_EVENT = (2.0,) * 4
+_PAIR = (2.0,) * 8
+_FD_PAIR = (2.0,) * 4 + (1.0,) * 4
 
 
-def _pair_and_field(rng):
-    x, a = sample_pair(rng)
-    return x, a, rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+def _off_cone(h):
+    """|x^2| clears the guard, for the event x in the first four columns."""
+    return np.abs(oracle.msq(h[:, :4])) > GUARD
 
 
-def _pair_field_and_potential(rng):
-    return (*_pair_and_field(rng), rng.uniform(-2.0, 2.0, 4))
+def _off_cones(h):
+    """|x^2| and |sigma(x, a)| clear the guard, for the event x and the
+    vector a in the first eight columns."""
+    x, a = h[:, :4], h[:, 4:8]
+    return (np.abs(oracle.msq(x)) > GUARD) & (np.abs(oracle.sct_scale(x, a)) > GUARD)
 
 
-def _draw(rng, trials: int, sample) -> tuple[np.ndarray, ...]:
-    """Each trial's sample drawn in turn, then each of its parts stacked
-    over the trials."""
-    rows = [sample(rng) for _ in range(trials)]
-    return tuple(np.array(part) for part in zip(*rows))
+def _far_from_cones(h):
+    """All three cones of the difference-quotient checks kept distant: x^2,
+    sigma and their ratio clear FD_GUARD."""
+    x, a = h[:, :4], h[:, 4:8]
+    x2, s = oracle.msq(x), oracle.sct_scale(x, a)
+    far = np.abs(x2) > FD_GUARD
+    ratio = np.divide(s, x2, out=np.zeros_like(s), where=far)
+    return far & (np.abs(s) > FD_GUARD) & (np.abs(ratio) > FD_GUARD)
 
 
-def _by_eps(trials: int):
-    """The inversion sign of each trial parity, eps = +1 on even trials and
-    -1 on odd ones, with the indices of its trials."""
-    for eps, first in ((1, 0), (-1, 1)):
-        rows = np.arange(first, trials, 2)
-        if rows.size:
-            yield eps, rows
+def _interval_sign(sign: int):
+    """sign x^2 clears the guard."""
+    return lambda h: sign * oracle.msq(h[:, :4]) > GUARD
+
+
+def _signs(trials: int) -> np.ndarray:
+    """The inversion sign of each trial: +1 on even trials, -1 on odd ones."""
+    return np.where(np.arange(trials) % 2 == 0, 1, -1)
 
 
 def _fv(v) -> FourVector:
@@ -215,7 +270,7 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
     expected = np.zeros((16, 16))
     expected[:, 0] = np.where(a == b, 2.0 * _METRIC[a], 0.0)
     devs.append(np.abs((ea * eb + eb * ea).c - expected))
-    x = sample_event(rng)
+    x = _sample(rng, 1, _off_cone, _EVENT)[0]
     xm = _fv(x).to_mv()
     expected = np.zeros((4, 16))
     expected[:, 0] = 2.0 * _METRIC * x
@@ -225,40 +280,34 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
 
 def check_jacobian_sandwich_identity(rng, trials: int, tol: float) -> CheckResult:
     """x^4 times an inversion Jacobian column equals the basis-vector sandwich."""
-    X = _sample_events(rng, trials)
-    devs = []
-    for eps, rows in _by_eps(trials):
-        x = X[rows]
-        M = np.asarray(oracle.jacobian_inversion(x, eps), dtype=np.float64)
-        x2 = oracle.msq(x)
-        # Rows (trial, alpha): the sandwich of e_alpha by the trial's event.
-        xm = Multivector13(_fv(x).to_mv().c[:, None, :])
-        sandwich = vector_sandwich(xm, _GENERATORS, xm)
-        rhs = -eps * FourVector.from_mv(sandwich, GRADE_TOL).as_array()
-        lhs = (x2**2)[:, None, None] * np.swapaxes(M, -1, -2)
-        devs.append(_vec_dev(lhs, rhs))
-    return _result("jacobian_sandwich_identity", trials, devs, tol)
+    X = _sample(rng, trials, _off_cone, _EVENT)
+    eps = _signs(trials)
+    M = np.asarray(oracle.jacobian_inversion(X, eps), dtype=np.float64)
+    x2 = oracle.msq(X)
+    # Rows (trial, alpha): the sandwich of e_alpha by the trial's event.
+    xm = Multivector13(_fv(X).to_mv().c[:, None, :])
+    sandwich = vector_sandwich(xm, _GENERATORS, xm)
+    rhs = -eps[:, None, None] * FourVector.from_mv(sandwich, GRADE_TOL).as_array()
+    lhs = (x2**2)[:, None, None] * np.swapaxes(M, -1, -2)
+    return _result("jacobian_sandwich_identity", trials, [_vec_dev(lhs, rhs)], tol)
 
 
 def check_conformality(rng, trials: int, tol: float) -> CheckResult:
     """Lambda^2 M^T eta M reproduces the metric for both conformal maps."""
-    X, A = _draw(rng, trials, sample_pair)
+    X, A = _split(_sample(rng, trials, _off_cones, _PAIR), 4, 4)
     devs = [
-        oracle.conformality_residual(oracle.jacobian_inversion(X[rows], eps))
-        for eps, rows in _by_eps(trials)
+        oracle.conformality_residual(oracle.jacobian_inversion(X, _signs(trials))),
+        oracle.conformality_residual(oracle.jacobian_sct(X, A)),
     ]
-    devs.append(oracle.conformality_residual(oracle.jacobian_sct(X, A)))
     return _result("conformality", trials, devs, tol)
 
 
 def check_conformal_factor_match(rng, trials: int, tol: float) -> CheckResult:
     """Determinant-based scale factor equals |x^2| and |Sigma|."""
-    X, A = _draw(rng, trials, sample_pair)
-    devs = []
-    for eps, rows in _by_eps(trials):
-        lam_inv = oracle.conformal_factor(oracle.jacobian_inversion(X[rows], eps))
-        x2 = np.abs(oracle.msq(X[rows]))
-        devs.append(_scaled(np.abs(lam_inv - x2), x2))
+    X, A = _split(_sample(rng, trials, _off_cones, _PAIR), 4, 4)
+    lam_inv = oracle.conformal_factor(oracle.jacobian_inversion(X, _signs(trials)))
+    x2 = np.abs(oracle.msq(X))
+    devs = [_scaled(np.abs(lam_inv - x2), x2)]
     lam_sct = oracle.conformal_factor(oracle.jacobian_sct(X, A))
     sig = np.abs(oracle.sct_scale(X, A))
     devs.append(_scaled(np.abs(lam_sct - sig), sig))
@@ -267,13 +316,11 @@ def check_conformal_factor_match(rng, trials: int, tol: float) -> CheckResult:
 
 def check_fd_jacobians(rng, trials: int, tol: float) -> CheckResult:
     """Analytic Jacobians against central differences, away from the cones."""
-    X, A = _draw(rng, trials, sample_fd_pair)
-    devs = []
-    for eps, rows in _by_eps(trials):
-        x = X[rows]
-        M = np.asarray(oracle.jacobian_inversion(x, eps), dtype=np.float64)
-        fd = oracle.fd_jacobian(lambda p: oracle.invert_event(p, eps), x)
-        devs.append(np.abs(M - fd))
+    X, A = _split(_sample(rng, trials, _far_from_cones, _FD_PAIR), 4, 4)
+    eps = _signs(trials)
+    M = np.asarray(oracle.jacobian_inversion(X, eps), dtype=np.float64)
+    fd = oracle.fd_jacobian(lambda p: oracle.invert_event(p, eps), X)
+    devs = [np.abs(M - fd)]
     Ms = np.asarray(oracle.jacobian_sct(X, A), dtype=np.float64)
     fds = oracle.fd_jacobian(lambda p: oracle.sct_event(p, A), X)
     devs.append(np.abs(Ms - fds))
@@ -283,14 +330,12 @@ def check_fd_jacobians(rng, trials: int, tol: float) -> CheckResult:
 def check_theta_signs(rng, trials: int, tol: float) -> CheckResult:
     """Time-orientation signs: -eps for inversion everywhere, +1 for the SCT."""
     half = max(1, trials // 2)
-    X = np.array([
-        _sample_interval_sign(rng, sign) for sign in (1, -1) for _ in range(half)
-    ])
-    bad = 0
-    for eps in (1, -1):
-        theta = oracle.time_orientation(oracle.jacobian_inversion(X, eps))
-        bad += int(np.count_nonzero(theta != -eps))
-    X, A = _draw(rng, trials, sample_pair)
+    X = np.concatenate([_sample(rng, half, _interval_sign(sign), _EVENT) for sign in (1, -1)])
+    # Every event under both signs, as one batch.
+    eps = np.repeat([1, -1], len(X))
+    theta = oracle.time_orientation(oracle.jacobian_inversion(np.concatenate([X, X]), eps))
+    bad = int(np.count_nonzero(theta != -eps))
+    X, A = _split(_sample(rng, trials, _off_cones, _PAIR), 4, 4)
     bad += int(np.count_nonzero(oracle.time_orientation(oracle.jacobian_sct(X, A)) != 1))
     return CheckResult("theta_signs", trials, float(bad), tol * 0.0, bad == 0)
 
@@ -298,27 +343,22 @@ def check_theta_signs(rng, trials: int, tol: float) -> CheckResult:
 def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
     """Spacetime algebra, paravector algebra, and tensor law must coincide
     for every quantity, both conformal maps, and both coordinate frames."""
-    X, A, E, B, A4 = _draw(rng, trials, _pair_field_and_potential)
+    X, A, E, B, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 3, 3, 4)
     F = oracle.pack_faraday(E, B)
-    # Each map with its trials, Jacobian, scale and time orientation.
-    x2 = np.abs(oracle.msq(X))
+    F13, F3 = Faraday13(E, B), Faraday3(E, B)
+    A13, A3 = _fv(A4), _pv(A4)
+    xf = _fv(X)
+    # Each map with its Jacobian, scale and time orientation.
+    eps = _signs(trials)
     maps = [
-        (Inversion(eps), rows, oracle.jacobian_inversion(X[rows], eps), x2[rows], -eps)
-        for eps, rows in _by_eps(trials)
+        (Inversion(eps), oracle.jacobian_inversion(X, eps), np.abs(oracle.msq(X)), -eps),
+        (Sct(_fv(A)), oracle.jacobian_sct(X, A), np.abs(oracle.sct_scale(X, A)), 1),
     ]
-    every = np.arange(trials)
-    sig = np.abs(oracle.sct_scale(X, A))
-    maps.append((Sct(_fv(A)), every, oracle.jacobian_sct(X, A), sig, 1))
     devs = []
-    for params, rows, M, lam, theta in maps:
-        Ew, Bw = oracle.unpack_faraday(oracle.transform_faraday(M, F[rows], lam, theta))
-        At = oracle.transform_potential(M, A4[rows], lam, theta)
-        Jt = oracle.transform_current(M, A4[rows], lam, theta)
-        F13 = Faraday13(E[rows], B[rows])
-        F3 = Faraday3(E[rows], B[rows])
-        A13 = _fv(A4[rows])
-        A3 = _pv(A4[rows])
-        xf = _fv(X[rows])
+    for params, M, lam, theta in maps:
+        Ew, Bw = oracle.unpack_faraday(oracle.transform_faraday(M, F, lam, theta))
+        At = oracle.transform_potential(M, A4, lam, theta)
+        Jt = oracle.transform_current(M, A4, lam, theta)
         image = transform(params, POSITION, xf)
         for frame, x13 in ((ORIG, xf), (TRANS, image)):
             x3 = _pv(x13.as_array())
@@ -334,63 +374,81 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
     return _result("three_way_agreement", trials, devs, tol)
 
 
+def _chain_image(X, A, eps) -> FourVector:
+    """The image of each event X under inversion by eps, then translation by
+    eps A, one sign per row."""
+    x1 = transform(Inversion(eps), POSITION, _fv(X))
+    return transform(Translation(_fv(eps[:, None] * A)), POSITION, x1)
+
+
+def _sct_chain_rows(rng, trials: int) -> np.ndarray:
+    """The rows of x, a, E, B and A4 that the loop
+
+        while fewer than trials rows are kept and fewer than 50 trials attempts made:
+            draw x, a until the pair clears both cone guards; one attempt
+            eps = +1 if an even number of rows is kept, else -1
+            y = inversion of x by eps, translated by eps a
+            if |y^2| clears the guard: draw E, B, A4 and keep the row
+
+    keeps, drawn as _walk draws: the phase of a pair gives its eps, and each
+    block computes y under both signs as one batch."""
+
+    def judge(heads):
+        out = np.full((len(heads), 2), _REDRAW)
+        paired = _off_cones(heads)
+        if paired.any():
+            x, a = heads[paired, :4], heads[paired, 4:]
+            eps = np.repeat([1, -1], len(x))
+            y = _chain_image(np.concatenate([x, x]), np.concatenate([a, a]), eps)
+            # Not "> GUARD": as in the loop, a NaN square is kept.
+            kept = ~(np.abs(y.minkowski_sq()) <= GUARD)
+            out[paired] = np.where(kept.reshape(2, -1).T, _ACCEPT, _REJECT)
+        return out
+
+    half = np.array(_PAIR + (2.0,) * 10)
+    return _walk(rng, trials, half, len(_PAIR), judge, cap=trials * 50)
+
+
 def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
     """Invert, translate by eps*a, invert again: equals the direct map."""
-    accepted = []
-    attempts = 0
-    while len(accepted) < trials and attempts < trials * 50:
-        attempts += 1
-        x, a = sample_pair(rng)
-        eps = 1 if len(accepted) % 2 == 0 else -1
-        x1 = transform(Inversion(eps), POSITION, _fv(x))
-        y = transform(Translation(FourVector(*(eps * a))), POSITION, x1)
-        if abs(y.minkowski_sq()) <= GUARD:
-            continue
-        E = rng.uniform(-2.0, 2.0, 3)
-        B = rng.uniform(-2.0, 2.0, 3)
-        A4 = rng.uniform(-2.0, 2.0, 4)
-        accepted.append((x, a, y.as_array(), E, B, A4))
+    X, A, E, B, A4 = _split(_sct_chain_rows(rng, trials), 4, 4, 3, 3, 4)
+    kept = len(X)
     devs = [0.0]
-    if accepted:
-        X, A, Y, E, B, A4 = (np.array(part) for part in zip(*accepted))
-        for eps, rows in _by_eps(len(accepted)):
-            inv = Inversion(eps)
-            sct = Sct(_fv(A[rows]))
-            xf = _fv(X[rows])
-            y = _fv(Y[rows])
-            direct_x = transform(sct, POSITION, xf)
-            chained_x = transform(inv, POSITION, y)
-            devs.append(_vec_dev(chained_x.as_array(), direct_x.as_array()))
+    if kept:
+        eps = _signs(kept)
+        y = _chain_image(X, A, eps)
+        inv = Inversion(eps)
+        sct = Sct(_fv(A))
+        xf = _fv(X)
+        direct_x = transform(sct, POSITION, xf)
+        chained_x = transform(inv, POSITION, y)
+        devs.append(_vec_dev(chained_x.as_array(), direct_x.as_array()))
 
-            A13 = _fv(A4[rows])
-            direct_A = transform(sct, POTENTIAL, A13, xf)
-            chained_A = transform(inv, POTENTIAL, transform(inv, POTENTIAL, A13, xf), y)
-            devs.append(_vec_dev(chained_A.as_array(), direct_A.as_array()))
+        A13 = _fv(A4)
+        direct_A = transform(sct, POTENTIAL, A13, xf)
+        chained_A = transform(inv, POTENTIAL, transform(inv, POTENTIAL, A13, xf), y)
+        devs.append(_vec_dev(chained_A.as_array(), direct_A.as_array()))
 
-            F13 = Faraday13(E[rows], B[rows])
-            direct_F = transform(sct, FARADAY, F13, xf)
-            chained_F = transform(inv, FARADAY, transform(inv, FARADAY, F13, xf), y)
-            devs.append(_field_dev(chained_F.E, chained_F.B, direct_F.E, direct_F.B))
+        F13 = Faraday13(E, B)
+        direct_F = transform(sct, FARADAY, F13, xf)
+        chained_F = transform(inv, FARADAY, transform(inv, FARADAY, F13, xf), y)
+        devs.append(_field_dev(chained_F.E, chained_F.B, direct_F.E, direct_F.B))
     dev = _worst(*devs)
-    ok = len(accepted) >= trials and dev <= tol
-    return CheckResult("sct_chain_composition", len(accepted), dev, tol, ok)
+    ok = kept >= trials and dev <= tol
+    return CheckResult("sct_chain_composition", kept, dev, tol, ok)
 
 
 def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
     """Closed-form component expansions against tensor and paravector routes."""
-    X, A, E, B, A4 = _draw(rng, trials, _pair_field_and_potential)
-    devs = []
-    mutual = []
-    for eps, rows in _by_eps(trials):
-        x, e, b = X[rows], E[rows], B[rows]
-        (Ed, Bd), (Ec, Bc) = oracle.inversion_field_forms(e, b, x, eps)
-        mutual.append(_field_dev(Ec, Bc, Ed, Bd))
-        Et, Bt = oracle.unpack_faraday(
-            oracle.inversion_faraday_tensor(oracle.pack_faraday(e, b), x, eps)
-        )
-        devs.append(_field_dev(Ed, Bd, Et, Bt))
-        got3 = transform3(Inversion(eps), FARADAY, Faraday3(e, b), _pv(x))
-        devs.append(_field_dev(got3.E, got3.B, Ed, Bd))
+    X, A, E, B, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 3, 3, 4)
+    eps = _signs(trials)
+    (Ed, Bd), (Ec, Bc) = oracle.inversion_field_forms(E, B, X, eps)
+    mutual = [_field_dev(Ec, Bc, Ed, Bd)]
+    Et, Bt = oracle.unpack_faraday(
+        oracle.inversion_faraday_tensor(oracle.pack_faraday(E, B), X, eps)
+    )
+    got3 = transform3(Inversion(eps), FARADAY, Faraday3(E, B), _pv(X))
+    devs = [_field_dev(Ed, Bd, Et, Bt), _field_dev(got3.E, got3.B, Ed, Bd)]
 
     Ess, Bss = oracle.sct_field_components(E, B, X, A)
     Et, Bt = oracle.unpack_faraday(oracle.sct_faraday_tensor(oracle.pack_faraday(E, B), X, A))
@@ -421,17 +479,15 @@ def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
 def check_invariant_scaling(rng, trials: int, tol: float) -> CheckResult:
     """I1, I2 pick up the fourth power of the scale, with the inversion
     flipping the pseudoscalar sign."""
-    X, A, E, B = _draw(rng, trials, _pair_and_field)
+    X, A, E, B = _split(_sample(rng, trials, _off_cones, _PAIR, 6), 4, 4, 3, 3)
     F3 = Faraday3(E, B)
     i1, i2 = invariants(F3)
-    devs = []
+    Fp = transform3(Inversion(_signs(trials)), FARADAY, F3, _pv(X))
+    j1, j2 = invariants(Fp)
     om4 = oracle.msq(X) ** 4
-    for eps, rows in _by_eps(trials):
-        Fp = transform3(Inversion(eps), FARADAY, Faraday3(F=F3.F[rows]), _pv(X[rows]))
-        j1, j2 = invariants(Fp)
-        w1, w2 = om4[rows] * i1[rows], om4[rows] * i2[rows]
-        ref = np.maximum(np.abs(w1), np.abs(w2))
-        devs += [_scaled(np.abs(j1 - w1), ref), _scaled(np.abs(j2 + w2), ref)]
+    w1, w2 = om4 * i1, om4 * i2
+    ref = np.maximum(np.abs(w1), np.abs(w2))
+    devs = [_scaled(np.abs(j1 - w1), ref), _scaled(np.abs(j2 + w2), ref)]
 
     Fs = transform3(Sct(_fv(A)), FARADAY, F3, _pv(X))
     k1, k2 = invariants(Fs)
@@ -449,32 +505,25 @@ def check_invariants_levi_civita(rng, trials: int, tol: float) -> CheckResult:
     the pseudoscalar invariant flip sign; a wrong orientation convention
     anywhere in the chain shows up here immediately.
     """
-    def sample(rng):
-        return sample_event(rng), rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
-
-    X, E, B = _draw(rng, trials, sample)
+    X, E, B = _split(_sample(rng, trials, _off_cone, _EVENT, 6), 4, 3, 3)
     F = oracle.pack_faraday(E, B)
     i1, i2 = oracle.invariants_from_tensor(F)
     om = oracle.msq(X)
-    devs = []
-    for eps, rows in _by_eps(trials):
-        M = oracle.jacobian_inversion(X[rows], eps)
-        i1p, i2p = oracle.invariants_transformed(F[rows], M, np.abs(om[rows]), -eps)
-        om4 = om[rows] ** 4
-        ref = np.maximum(np.abs(om4 * i1[rows]), np.abs(om4 * i2[rows]))
-        devs.append(_scaled(np.abs(i1p - om4 * i1[rows]), ref))
-        devs.append(_scaled(np.abs(i2p + om4 * i2[rows]), ref))
+    eps = _signs(trials)
+    M = oracle.jacobian_inversion(X, eps)
+    i1p, i2p = oracle.invariants_transformed(F, M, np.abs(om), -eps)
+    om4 = om**4
+    ref = np.maximum(np.abs(om4 * i1), np.abs(om4 * i2))
+    devs = [_scaled(np.abs(i1p - om4 * i1), ref), _scaled(np.abs(i2p + om4 * i2), ref)]
     return _result("invariants_levi_civita", trials, devs, tol)
 
 
 def check_inversion_jacobian_determinant(rng, trials: int, tol: float) -> CheckResult:
     """det[d(original)/d(image)] equals minus the fourth power of x^2."""
-    X = _sample_events(rng, trials)
-    devs = []
-    for eps, rows in _by_eps(trials):
-        om4 = oracle.msq(X[rows]) ** 4
-        d = oracle.inversion_inverse_jacobian_det(X[rows], eps)
-        devs.append(_scaled(np.abs(d - (-om4)), np.abs(om4)))
+    X = _sample(rng, trials, _off_cone, _EVENT)
+    om4 = oracle.msq(X) ** 4
+    d = oracle.inversion_inverse_jacobian_det(X, _signs(trials))
+    devs = [_scaled(np.abs(d - (-om4)), np.abs(om4))]
     return _result("inversion_jacobian_determinant", trials, devs, tol)
 
 
@@ -487,13 +536,11 @@ _CLASS_SIGNS = {
 
 
 def _lorentz_params(rng, per_class: int) -> list[Lorentz]:
-    """For each class in turn, per_class sampled boost and rotation pairs,
-    drawn one pair at a time and stacked into one batch of that class."""
+    """For each class in turn, one batch of that class: per_class boost and
+    rotation pairs, each pair drawn boost first."""
     batches = []
     for cls in _CLASS_SIGNS:
-        pairs = np.array(
-            [(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)) for _ in range(per_class)]
-        )
+        pairs = rng.uniform(-1.0, 1.0, (per_class, 2, 3))
         batches.append(Lorentz(boost=pairs[:, 0], rotation=pairs[:, 1], lorentz_class=cls))
     return batches
 
@@ -530,8 +577,11 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
     The transformation vector stays in [-0.5, 0.5] so the exact zero is
     compared against a quantity of order one.
     """
-    def sample(rng):
-        x, a = sample_pair(rng, a_scale=0.25)
+    # The normal draws consume a varying number of doubles, so the trials
+    # are drawn one at a time.
+    rows = []
+    for _ in range(trials):
+        x, a = _split(_sample(rng, 1, _off_cones, _EVENT + (0.5,) * 4)[0], 4, 4)
         k = rng.normal(size=3)
         k /= np.linalg.norm(k)
         e = np.cross(k, rng.normal(size=3))
@@ -540,9 +590,8 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
         e *= rng.uniform(0.5, 1.5) / np.linalg.norm(e)
         phase = float(rng.uniform(0, 2 * math.pi))
         wave = PlaneWave(E0=tuple(e), khat=tuple(k), phase=phase)
-        return x, a, wave.faraday(_fv(x)).F
-
-    X, A, F = _draw(rng, trials, sample)
+        rows.append((x, a, wave.faraday(_fv(x)).F))
+    X, A, F = (np.array(part) for part in zip(*rows))
     F = Faraday3(F=F)
     devs = []
     for Ft in (
@@ -556,10 +605,7 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
 
 def check_bridge_correspondence(rng, trials: int, tol: float) -> CheckResult:
     """Even products and Faraday sandwiches map onto the paravector algebra."""
-    def sample(rng):
-        return tuple(rng.uniform(-2.0, 2.0, n) for n in (4, 4, 3, 3))
-
-    X, Y, E, B = _draw(rng, trials, sample)
+    X, Y, E, B = _split(rng.uniform(-2.0, 2.0, (trials, 14)), 4, 4, 3, 3)
     x, y = _fv(X), _fv(Y)
     devs = [
         product_correspondence_check(x, y),

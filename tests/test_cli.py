@@ -310,6 +310,44 @@ def test_job_file_integers_are_not_truncated(tmp_path, capsys, case):
     assert err == f"error: {name} must be an integer\n"
 
 
+_NOT_NUMBERS = {
+    # each was once read as 0 or 1 and the job ran with exit 0
+    "vector-bool": ('{"kind": "uniform", "E0": [true, 0, 0]}', '{"kind": "inversion"}', '{}',
+                    "E0 must be a list of 3 numbers"),
+    "scalar-bool": ('{"kind": "uniform", "E0": [1, 0, 0]}', '{"kind": "dilation", "factor": true}',
+                    '{}', "factor must be a number"),
+    "grid-bool": ('{"kind": "uniform", "E0": [1, 0, 0]}', '{"kind": "inversion"}',
+                  '{"t": {"min": true, "max": true, "count": 1}}',
+                  "grid axis t: min must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", _NOT_NUMBERS)
+def test_job_file_numbers_refuse_booleans(tmp_path, capsys, case):
+    field, xform, grid, message = _NOT_NUMBERS[case]
+    job = tmp_path / "job.json"
+    job.write_text(f'{{"field": {field}, "xform": {xform}, "grid": {grid}}}')
+    code, out, err = run_cli(capsys, "transform", "--job", str(job))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field, xform, message", [
+    ('{"kind": "uniform", "E0": [BIG, 0, 0]}', '{"kind": "inversion"}',
+     "E0 must be a list of 3 numbers"),
+    ('{"kind": "uniform", "E0": [1, 0, 0]}', '{"kind": "dilation", "factor": BIG}',
+     "factor must be a number"),
+])
+def test_job_file_numbers_past_float_range_exit_two(tmp_path, capsys, field, xform, message):
+    """An integer too large for a float once escaped as an OverflowError."""
+    job = tmp_path / "job.json"
+    text = f'{{"field": {field}, "xform": {xform}}}'
+    job.write_text(text.replace("BIG", "1" + "0" * 400))
+    code, out, err = run_cli(capsys, "transform", "--job", str(job))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_job_file_integral_numbers_are_accepted(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(

@@ -167,7 +167,9 @@ def _leaky(monkeypatch, relative_leak):
 
 
 @pytest.mark.parametrize(
-    "params", [Inversion(-1), Sct(FourVector(0.3, 0.1, 0.0, 0.2))], ids=["inv", "sct"]
+    "params",
+    [Inversion(-1), Sct(FourVector(0.3, 0.1, 0.0, 0.2)), Lorentz(boost=(0.3, 0.0, -0.2))],
+    ids=["inv", "sct", "lorentz"],
 )
 def test_grade_guard_scales_with_the_operands(monkeypatch, params):
     """An off-grade part of 1e-9 of the operands' size is refused, one of half

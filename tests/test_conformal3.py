@@ -312,3 +312,33 @@ def test_transform3_linear_families():
     assert np.allclose(out.F, 4.0 * F.F)
     out = transform3(Translation(FourVector(1, 1, 1, 1)), FARADAY, F, x)
     assert np.allclose(out.F, F.F)
+
+
+@pytest.mark.parametrize("kind", [POSITION, FARADAY])
+def test_lorentz_overflow_rows_are_non_finite_in_both_routes(kind):
+    """A boost past the float64 range leaves non-finite rows for the caller
+    to check, the same rows in both routes, and no exception; the finite
+    rows of the batch are the rows computed alone."""
+    boost = np.array([[400.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, -400.0, 0.0]])
+    params = Lorentz(boost=boost, rotation=np.zeros((3, 3)))
+    if kind is FARADAY:
+        E, B = np.tile([1.0, 0.0, 0.0], (3, 1)), np.tile([0.0, 0.5, 0.0], (3, 1))
+        value13, value3 = Faraday13(E, B), Faraday3(E, B)
+    else:
+        X = np.tile([1.0, 0.2, 0.0, 0.0], (3, 1))
+        value13, value3 = FourVector.from_array(X), ev(X[:, 0], X[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out13 = transform(params, kind, value13)
+        out3 = transform3(params, kind, value3)
+    if kind is FARADAY:
+        got13 = np.concatenate([out13.E, out13.B], axis=-1)
+        got3 = np.concatenate([out3.E, out3.B], axis=-1)
+    else:
+        got13 = out13.as_array()
+        got3 = np.concatenate([out3.s.real[:, None], out3.v.real], axis=-1)
+    non_finite = [True, False, True]
+    assert list(~np.isfinite(got13).all(axis=-1)) == non_finite
+    assert list(~np.isfinite(got3).all(axis=-1)) == non_finite
+    alone = transform(Lorentz(boost=(0.3, 0.0, 0.0)), kind, value13)
+    alone = alone.as_array() if kind is POSITION else np.concatenate([alone.E, alone.B], axis=-1)
+    assert got13[1].tobytes() == alone[1].tobytes()

@@ -1,0 +1,225 @@
+"""The block-drawn samplers of verify against the loops that draw one trial at
+a time: the same doubles, and the generator left in the same state."""
+
+import numpy as np
+import pytest
+
+from emconf import oracle, verify
+from emconf.cl13 import FourVector
+from emconf.conformal13 import Inversion, QuantityKind, Translation, transform
+
+GUARD, FD_GUARD = verify.GUARD, verify.FD_GUARD
+SEEDS = range(50)
+TRIALS = (1, 2, 25, 500)
+
+
+# -- the loops, one trial at a time ---------------------------------------------
+
+
+def ref_sample_event(rng, guard=GUARD):
+    while True:
+        x = rng.uniform(-2.0, 2.0, 4)
+        if abs(oracle.msq(x)) > guard:
+            return x
+
+
+def ref_sample_pair(rng, guard=GUARD, a_scale=1.0):
+    while True:
+        x = rng.uniform(-2.0, 2.0, 4)
+        a = rng.uniform(-2.0 * a_scale, 2.0 * a_scale, 4)
+        if abs(oracle.msq(x)) > guard and abs(oracle.sct_scale(x, a)) > guard:
+            return x, a
+
+
+def ref_sample_fd_pair(rng, guard=FD_GUARD):
+    while True:
+        x = rng.uniform(-2.0, 2.0, 4)
+        a = rng.uniform(-1.0, 1.0, 4)
+        x2 = oracle.msq(x)
+        s = oracle.sct_scale(x, a)
+        if abs(x2) > guard and abs(s) > guard and abs(s / x2) > guard:
+            return x, a
+
+
+def ref_sample_interval_sign(rng, sign, guard=GUARD):
+    while True:
+        x = rng.uniform(-2.0, 2.0, 4)
+        if sign * oracle.msq(x) > guard:
+            return x
+
+
+def ref_event_and_field(rng):
+    return ref_sample_event(rng), rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+
+
+def ref_pair_and_field(rng):
+    x, a = ref_sample_pair(rng)
+    return x, a, rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
+
+
+def ref_pair_field_and_potential(rng):
+    return (*ref_pair_and_field(rng), rng.uniform(-2.0, 2.0, 4))
+
+
+def ref_draw(rng, trials, sample):
+    """Each trial's parts drawn in turn, the parts side by side in one row."""
+    rows = []
+    for _ in range(trials):
+        part = sample(rng)
+        rows.append(np.concatenate(part if isinstance(part, tuple) else (part,)))
+    return np.array(rows)
+
+
+def ref_sct_chain(rng, trials):
+    accepted = []
+    attempts = 0
+    while len(accepted) < trials and attempts < trials * 50:
+        attempts += 1
+        x, a = ref_sample_pair(rng)
+        eps = 1 if len(accepted) % 2 == 0 else -1
+        x1 = transform(Inversion(eps), QuantityKind.POSITION, FourVector.from_array(x))
+        y = transform(Translation(FourVector(*(eps * a))), QuantityKind.POSITION, x1)
+        if abs(y.minkowski_sq()) <= GUARD:
+            continue
+        E = rng.uniform(-2.0, 2.0, 3)
+        B = rng.uniform(-2.0, 2.0, 3)
+        A4 = rng.uniform(-2.0, 2.0, 4)
+        accepted.append((x, a, y.as_array(), E, B, A4))
+    return accepted
+
+
+# -- comparisons -----------------------------------------------------------------
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_draws(draw, ref, seed):
+    """draw and ref, each given a generator of the seed, return the same
+    bytes and leave the generator in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_bytes(draw(rng), ref(ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+SHAPES = {
+    "event": (
+        lambda rng, n: verify._sample(rng, n, verify._off_cone, verify._EVENT),
+        lambda rng, n: ref_draw(rng, n, ref_sample_event),
+    ),
+    "event_and_field": (
+        lambda rng, n: verify._sample(rng, n, verify._off_cone, verify._EVENT, 6),
+        lambda rng, n: ref_draw(rng, n, ref_event_and_field),
+    ),
+    "pair": (
+        lambda rng, n: verify._sample(rng, n, verify._off_cones, verify._PAIR),
+        lambda rng, n: ref_draw(rng, n, ref_sample_pair),
+    ),
+    "pair_and_field": (
+        lambda rng, n: verify._sample(rng, n, verify._off_cones, verify._PAIR, 6),
+        lambda rng, n: ref_draw(rng, n, ref_pair_and_field),
+    ),
+    "pair_field_and_potential": (
+        lambda rng, n: verify._sample(rng, n, verify._off_cones, verify._PAIR, 10),
+        lambda rng, n: ref_draw(rng, n, ref_pair_field_and_potential),
+    ),
+    "null_field_pair": (
+        lambda rng, n: verify._sample(rng, n, verify._off_cones, verify._EVENT + (0.5,) * 4),
+        lambda rng, n: ref_draw(rng, n, lambda r: ref_sample_pair(r, a_scale=0.25)),
+    ),
+    "fd_pair": (
+        lambda rng, n: verify._sample(rng, n, verify._far_from_cones, verify._FD_PAIR),
+        lambda rng, n: ref_draw(rng, n, ref_sample_fd_pair),
+    ),
+    # theta_signs: events of each interval sign, then pairs on the same generator
+    "interval_signs_then_pairs": (
+        lambda rng, n: np.concatenate([
+            verify._sample(rng, n, verify._interval_sign(1), verify._EVENT),
+            verify._sample(rng, n, verify._interval_sign(-1), verify._EVENT),
+            verify._sample(rng, n, verify._off_cones, verify._PAIR)[:, :4],
+        ]),
+        lambda rng, n: np.concatenate([
+            ref_draw(rng, n, lambda r: ref_sample_interval_sign(r, 1)),
+            ref_draw(rng, n, lambda r: ref_sample_interval_sign(r, -1)),
+            ref_draw(rng, n, ref_sample_pair)[:, :4],
+        ]),
+    ),
+}
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_block_draws_match_the_trial_loop(shape, trials):
+    draw, ref = SHAPES[shape]
+    for seed in SEEDS:
+        assert_same_draws(lambda rng: draw(rng, trials), lambda rng: ref(rng, trials), seed)
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+def test_sct_chain_walk_matches_the_trial_loop(trials):
+    """The kept rows, and the image y each was kept for.  The image under
+    eps = -1 is exactly minus the one under +1, so eps does not change which
+    pairs are kept; it shows in y, whose sign alternates with the number of
+    rows kept (the walk's phases are tested below with a judge they change)."""
+    for seed in SEEDS:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = verify._sct_chain_rows(rng, trials)
+        accepted = ref_sct_chain(ref_rng, trials)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        X, A, Y, E, B, A4 = (np.array(part) for part in zip(*accepted))
+        assert_same_bytes(rows, np.concatenate([X, A, E, B, A4], axis=1))
+        y = verify._chain_image(*verify._split(rows, 4, 4), verify._signs(len(rows)))
+        assert_same_bytes(y.as_array(), Y)
+
+
+def test_lorentz_params_match_the_pair_loop():
+    for seed in range(10):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for p in verify._lorentz_params(rng, 25):
+            pairs = np.array(
+                [(ref_rng.uniform(-1.0, 1.0, 3), ref_rng.uniform(-1.0, 1.0, 3)) for _ in range(25)]
+            )
+            assert_same_bytes(p.boost, pairs[:, 0])
+            assert_same_bytes(p.rotation, pairs[:, 1])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def ref_walk(rng, trials, half, k, judge, cap):
+    """_walk's loop, one head at a time."""
+    rows = []
+    attempts = 0
+    while len(rows) < trials and attempts < cap:
+        head = rng.uniform(-half[:k], half[:k])
+        outcomes = judge(head[None, :])[0]
+        outcome = outcomes[len(rows) % len(outcomes)]
+        if outcome == verify._REDRAW:
+            continue
+        attempts += 1
+        if outcome == verify._ACCEPT:
+            rows.append(np.concatenate([head, rng.uniform(-half[k:], half[k:])]))
+    return np.array(rows).reshape(-1, half.size)
+
+
+def _coin_judge(h):
+    """REDRAW, REJECT or ACCEPT from the first column, with thresholds that
+    differ between the two phases."""
+    u = h[:, :1]
+    return np.where(u < [-0.5, 0.0], verify._REDRAW,
+                    np.where(u < [0.5, 0.25], verify._REJECT, verify._ACCEPT))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 10, 1000])
+@pytest.mark.parametrize("trials", [1, 2, 7, 40])
+def test_walk_counts_attempts_up_to_its_cap(trials, cap):
+    """Rejected attempts count toward the cap, redrawn heads do not, and the
+    walk stops drawing where the loop stops, kept rows or not."""
+    half = np.array([1.0, 2.0, 2.0, 0.5, 0.5])
+    for seed in SEEDS:
+        assert_same_draws(
+            lambda rng: verify._walk(rng, trials, half, 2, _coin_judge, cap),
+            lambda rng: ref_walk(rng, trials, half, 2, _coin_judge, cap),
+            seed,
+        )
