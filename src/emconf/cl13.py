@@ -7,19 +7,44 @@ so mask 0b0011 is e_0 e_1 and mask 0b1111 is e_0 e_1 e_2 e_3.
 
 Products are table driven: blade(i) blade(j) = SIGN_TABLE[i, j] blade(i ^ j),
 the sign coming from a transposition count plus the metric squares of the
-repeated generators.  So a product's coefficient k sums the 16 terms
+repeated generators.  So a product's coefficient k sums the terms
 SIGN_TABLE[i, i ^ k] a[i] b[i ^ k], one per blade i of the left factor.
 
 Every element carries a leading batch shape, as in cl3: a multivector's
-coefficients have shape (..., 16), a FourVector's components and a
-Faraday13's E and B shape (...) and (..., 3); one element is the batch of
-shape ().  The product is a fixed sequence of ufunc calls that sums each
-coefficient over i in order, so a row's bits do not depend on the batch it
-sits in.  Each guard checks every row and raises on the first refused one.
+coefficients have shape (..., 16), a FourVector's components shape (..., 4)
+and a Faraday13's E and B shape (..., 3); one element is the batch of shape
+().  Each guard checks every row and raises on the first refused one.
+
+A multivector also carries a blade set m, an int whose bit i says blade i
+may be nonzero in some row; every other coefficient is zero in every row.
+Only construction narrows it: a four-vector holds grade 1, a field grade 2,
+a scalar grade 0 and a rotor from exp_bivector grades 0, 2 and 4.  Grade
+projection intersects it, + and - take the union, negation, reversion and
+scaling keep it, and a product gets the blades its plan reaches.  An element
+whose set is narrower than all 16 blades holds a read-only coefficient
+array, so no caller can write a blade the set leaves out.
+
+For a pair of blade sets (ma, mb) a plan lists, for each blade k that the
+product can reach, the terms (i, i ^ k) with i in ma and i ^ k in mb, in
+ascending i, padded to one length with a zero-sign term on blades outside
+both sets.  The product is then a fixed sequence of ufunc calls: one gather
+per factor, one multiply, a sum over the terms in order and a scatter into
+the 16 blades, so a row's bits do not depend on the batch it sits in.
+Plans are built on first use and kept for the process.  With both sets full
+the plan is the whole table in its order.
+
+A skipped term is an exact zero in every row, and adding a zero leaves a
+nonzero sum's bits alone, so every coefficient that is not exactly zero has
+the bits of the sum over all 16 terms.  Only two things can differ from that
+sum: the sign of an exact zero, and, in a row whose factors already hold an
+inf or NaN, a coefficient the full sum left NaN (a skipped zero times an
+inf).  Blade sets come from construction, never from the data, so a row's
+bits still do not depend on its batch.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +93,8 @@ def _build_sign_table() -> np.ndarray:
 
 SIGN_TABLE = _build_sign_table()
 # _PARTNER[i, k] = i ^ k, the blade of the right factor that blade i of the
-# left factor takes to blade k; _PARTNER_SIGN[i, k] is that product's sign.
+# left factor takes to blade k.
 _PARTNER = np.arange(DIM)[:, None] ^ np.arange(DIM)[None, :]
-_PARTNER_SIGN = SIGN_TABLE[np.arange(DIM)[:, None], _PARTNER].astype(np.float64)
 # Sign of left multiplication by blade k ^ j taking blade j to blade k.
 _LEFT_SIGN = SIGN_TABLE[_PARTNER, np.arange(DIM)[None, :]].astype(np.float64)
 _PSEUDOSCALAR = DIM - 1
@@ -78,22 +102,54 @@ _PSEUDOSCALAR = DIM - 1
 _DUAL = _PARTNER[_PSEUDOSCALAR]
 _DUAL_SIGN = SIGN_TABLE[_DUAL, _PSEUDOSCALAR].astype(np.float64)
 
-
-def _right_factor(b: np.ndarray) -> np.ndarray:
-    """The matrix [..., i, k] = SIGN_TABLE[i, i ^ k] b[i ^ k] of right
-    multiplication by b."""
-    return b[..., _PARTNER] * _PARTNER_SIGN
-
-
-def _times(a: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Coefficients of a times the element whose _right_factor is right:
-    out[..., k] = sum over i in order of a[i] right[i, k]."""
-    return np.add.reduce(a[..., :, None] * right, axis=-2)
+# Blade sets: bit i stands for blade i.
+FULL = (1 << DIM) - 1
+_GRADE_SET = tuple(sum(1 << i for i in range(DIM) if GRADE_OF[i] == g) for g in range(5))
+_ROTOR_SET = _GRADE_SET[0] | _GRADE_SET[2] | _GRADE_SET[4]
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the product of coefficient arrays a and b, (..., 16)."""
-    return _times(a, _right_factor(b))
+@functools.cache
+def _plan(ma: int, mb: int):
+    """The terms of a product whose factors hold the blade sets ma and mb.
+
+    Column n lists the terms reaching blade blades[n]: left blade I[t, n],
+    right blade J[t, n] = I[t, n] ^ blades[n] and sign S[t, n], in ascending
+    I.  Shorter columns are padded with a zero-sign term on the first blade
+    outside each set.  A column is shorter than another only if neither set
+    is full, since column k holds |ma & (mb ^ k)| terms, so both such blades
+    exist and the padding multiplies two exact zeros.  The last entry is
+    the blade set of the product.
+    """
+    columns = {}
+    for i in range(DIM):
+        if ma >> i & 1:
+            for j in range(DIM):
+                if mb >> j & 1:
+                    columns.setdefault(i ^ j, []).append((i, j, SIGN_TABLE[i, j]))
+    blades = sorted(columns)
+    depth = max(map(len, columns.values()), default=0)
+    pad = (*(next((i for i in range(DIM) if not m >> i & 1), 0) for m in (ma, mb)), 0)
+    terms = [[col[t] if t < len(col) else pad for col in map(columns.get, blades)]
+             for t in range(depth)]
+    shape = (depth, len(blades), 3)
+    I, J, S = np.array(terms, dtype=np.intp).reshape(shape).transpose(2, 0, 1).copy()
+    if (I == I[:, :1]).all():
+        # Every column takes the same left blades (both sets full, or one
+        # left blade): gather them once and let the multiply broadcast them.
+        I = I[:, :1]
+    return I, J, S.astype(np.float64), np.array(blades, dtype=np.intp), sum(1 << k for k in blades)
+
+
+def _product(a: np.ndarray, ma: int, b: np.ndarray, mb: int):
+    """Coefficients of the product of coefficient arrays a and b, which hold
+    the blade sets ma and mb, and the product's blade set."""
+    I, J, S, blades, m = _plan(ma, mb)
+    terms = np.add.reduce(a[..., I] * (b[..., J] * S), axis=-2)
+    if m == FULL:
+        return terms, m
+    out = np.zeros(terms.shape[:-1] + (DIM,))
+    out[..., blades] = terms
+    return out, m
 
 
 def _first(values, refused):
@@ -103,14 +159,14 @@ def _first(values, refused):
 
 class Multivector13:
     """General element of Cl(1,3), or a batch of them: real blade
-    coefficients c of shape (..., 16).
+    coefficients c of shape (..., 16) and the blade set m they may occupy.
 
     Supports +, -, scaling by a number (or one number per row) and the
-    geometric product via *.  Instances are mutable only through the .c
-    array; the arithmetic never aliases it.
+    geometric product via *.  Multivector13(coeffs) holds all 16 blades and
+    is mutable through the .c array; the arithmetic never aliases it.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "m")
     # An ndarray on the left of * defers to __rmul__ instead of building an
     # object array.
     __array_ufunc__ = None
@@ -123,24 +179,30 @@ class Multivector13:
             if c.shape[-1:] != (DIM,):
                 raise ValueError(f"need {DIM} blade coefficients, got shape {c.shape}")
             self.c = c.copy()
+        self.m = FULL
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Multivector13":
+    def _wrap(cls, arr: np.ndarray, m: int = FULL) -> "Multivector13":
+        """arr, zero outside the blade set m, as an element; a narrower set
+        makes arr read-only."""
         out = object.__new__(cls)
+        if m != FULL:
+            arr.setflags(write=False)
         out.c = arr
+        out.m = m
         return out
 
     @classmethod
     def scalar(cls, value: float) -> "Multivector13":
         c = np.zeros(DIM)
         c[0] = value
-        return cls._wrap(c)
+        return cls._wrap(c, _GRADE_SET[0])
 
     @classmethod
     def blade(cls, mask: int, coeff: float = 1.0) -> "Multivector13":
         c = np.zeros(DIM)
         c[mask] = coeff
-        return cls._wrap(c)
+        return cls._wrap(c, 1 << mask)
 
     @classmethod
     def basis_vector(cls, k: int) -> "Multivector13":
@@ -148,13 +210,13 @@ class Multivector13:
         return cls.blade(1 << k)
 
     def __add__(self, other: "Multivector13") -> "Multivector13":
-        return Multivector13._wrap(self.c + other.c)
+        return Multivector13._wrap(self.c + other.c, self.m | other.m)
 
     def __sub__(self, other: "Multivector13") -> "Multivector13":
-        return Multivector13._wrap(self.c - other.c)
+        return Multivector13._wrap(self.c - other.c, self.m | other.m)
 
     def __neg__(self) -> "Multivector13":
-        return Multivector13._wrap(-self.c)
+        return Multivector13._wrap(-self.c, self.m)
 
     def __mul__(self, other):
         """Geometric product with a multivector, or scaling by a number or
@@ -162,17 +224,17 @@ class Multivector13:
         if isinstance(other, Multivector13):
             return geometric_product(self, other)
         w = np.asarray(other, dtype=np.float64)
-        return Multivector13._wrap(self.c * w[..., None])
+        return Multivector13._wrap(self.c * w[..., None], self.m)
 
     def __rmul__(self, other) -> "Multivector13":
         return self * other
 
     def reverse(self) -> "Multivector13":
         """Each blade's generators in the opposite order."""
-        return Multivector13._wrap(self.c * _REVERSE_SIGN)
+        return Multivector13._wrap(self.c * _REVERSE_SIGN, self.m)
 
     def grade(self, g: int) -> "Multivector13":
-        return Multivector13._wrap(np.where(_IN_GRADE[g], self.c, 0.0))
+        return Multivector13._wrap(np.where(_IN_GRADE[g], self.c, 0.0), self.m & _GRADE_SET[g])
 
     def grade_residue(self, g: int):
         """Largest |coefficient| outside grade g, per row."""
@@ -199,7 +261,7 @@ class Multivector13:
 def geometric_product(a: Multivector13, b: Multivector13) -> Multivector13:
     """Full geometric product in Cl(1,3), row by row over the broadcast
     batch shape of a and b."""
-    return Multivector13._wrap(_product(a.c, b.c))
+    return Multivector13._wrap(*_product(a.c, a.m, b.c, b.m))
 
 
 def grade_project(
@@ -237,20 +299,21 @@ def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
     I, exp(F) = cosh z + F sinh(z)/z, a null F (F^2 = 0) giving exactly 1 + F.
     Both factors are even in z, so the branch of the square root does not
     matter.  Raises NonBivectorError unless every row is pure grade 2 within
-    tol.
+    tol.  An F that holds grade 2 only gives a rotor on grades 0, 2 and 4.
     """
     if not (b.grade_residue(2) <= tol * np.fmax(1.0, b.max_abs())).all():
         raise NonBivectorError("exponential argument must be a pure bivector")
     # At least one row, so every step is a ufunc loop, as in a batch.
     F = b.c.reshape(-1, DIM)
-    sq = _product(F, F)
+    sq = _product(F, b.m, F, b.m)[0]
     z = np.sqrt(sq[:, 0] + 1j * sq[:, _PSEUDOSCALAR])
     sinhc = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0)
     cosh = np.cosh(z)
     out = F * sinhc.real[:, None] + F[:, _DUAL] * _DUAL_SIGN * sinhc.imag[:, None]
     out[:, 0] += cosh.real
     out[:, _PSEUDOSCALAR] += cosh.imag
-    return Multivector13._wrap(out.reshape(b.c.shape))
+    m = _ROTOR_SET if b.m & ~_GRADE_SET[2] == 0 else FULL
+    return Multivector13._wrap(out.reshape(b.c.shape), m)
 
 
 def left_matrix(m: Multivector13) -> np.ndarray:
@@ -279,37 +342,49 @@ def versor_inverse(m: Multivector13, tol: float) -> Multivector13:
     return Multivector13._wrap(sol)
 
 
-@dataclass(frozen=True)
 class FourVector:
-    """Spacetime event or four-vector with contravariant components (t, x, y, z),
-    each a number or an array over a batch of rows."""
+    """Spacetime event or four-vector with contravariant components
+    c = (t, x, y, z) on the last axis, shape (..., 4) for a batch of rows.
 
-    t: float
-    x: float
-    y: float
-    z: float
+    FourVector(t, x, y, z) takes each component as a number or an array;
+    t, x, y and z read views of c.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, t, x, y, z):
+        parts = (np.asarray(v, dtype=np.float64) for v in (t, x, y, z))
+        self.c = np.stack(np.broadcast_arrays(*parts), axis=-1)
 
     @classmethod
     def from_array(cls, arr) -> "FourVector":
-        """From components (t, x, y, z) on the last axis: numbers for one
-        event of shape (4,), arrays of shape (...) for a batch (..., 4)."""
+        """Wrap components (t, x, y, z) on the last axis, shape (..., 4)."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.shape[-1:] != (4,):
             raise ValueError(f"need 4 components, got shape {arr.shape}")
-        if arr.ndim == 1:
-            t, x, y, z = (float(v) for v in arr)
-            return cls(t, x, y, z)
-        return cls(arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3])
+        out = object.__new__(cls)
+        out.c = arr
+        return out
+
+    t = property(lambda self: self.c[..., 0])
+    x = property(lambda self: self.c[..., 1])
+    y = property(lambda self: self.c[..., 2])
+    z = property(lambda self: self.c[..., 3])
 
     def as_array(self) -> np.ndarray:
         """Components on the last axis, shape (..., 4)."""
-        parts = (self.t, self.x, self.y, self.z)
-        shapes = [np.shape(v) for v in parts]
-        shape = shapes[0] if shapes.count(shapes[0]) == 4 else np.broadcast_shapes(*shapes)
-        out = np.empty(shape + (4,))
-        for k, v in enumerate(parts):
-            out[..., k] = v
-        return out
+        return self.c
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FourVector):
+            return NotImplemented
+        return bool(np.array_equal(self.c, other.c))
+
+    def __repr__(self) -> str:
+        if self.c.ndim != 1:
+            return f"FourVector(batch of shape {self.c.shape[:-1]})"
+        t, x, y, z = (float(v) for v in self.c)
+        return f"FourVector(t={t!r}, x={x!r}, y={y!r}, z={z!r})"
 
     def minkowski_sq(self):
         return self.t * self.t - self.x * self.x - self.y * self.y - self.z * self.z
@@ -319,16 +394,19 @@ class FourVector:
         return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
 
     def to_mv(self) -> Multivector13:
-        arr = self.as_array()
-        c = np.zeros(arr.shape[:-1] + (DIM,))
-        c[..., _VECTOR_BLADES] = arr
-        return Multivector13._wrap(c)
+        c = np.zeros(self.c.shape[:-1] + (DIM,))
+        c[..., _VECTOR_BLADES] = self.c
+        return Multivector13._wrap(c, _GRADE_SET[1])
+
+    @classmethod
+    def _from_blades(cls, c: np.ndarray) -> "FourVector":
+        """The four-vector on the grade-1 blades of coefficients c."""
+        return cls.from_array(c[..., _VECTOR_BLADES])
 
     @classmethod
     def from_mv(cls, m: Multivector13, tol: float) -> "FourVector":
         """Extract pure grade-1 rows; raises GradeLeakageError otherwise."""
-        v = grade_project(m, 1, tol)
-        return cls.from_array(v.c[..., _VECTOR_BLADES])
+        return cls._from_blades(grade_project(m, 1, tol).c)
 
 
 # Faraday13 blades: the electric channels sit on e_0 e_i with coefficient
@@ -368,13 +446,17 @@ class Faraday13:
         c = np.zeros(self.E.shape[:-1] + (DIM,))
         c[..., _E_BLADES] = -self.E
         c[..., _B_BLADES] = self.B * _B_SIGNS
-        return Multivector13._wrap(c)
+        return Multivector13._wrap(c, _GRADE_SET[2])
+
+    @classmethod
+    def _from_blades(cls, c: np.ndarray) -> "Faraday13":
+        """The field on the grade-2 blades of coefficients c."""
+        return cls(-c[..., _E_BLADES], c[..., _B_BLADES] * _B_SIGNS)
 
     @classmethod
     def from_mv(cls, m: Multivector13, tol: float) -> "Faraday13":
         """Extract pure grade-2 rows; raises GradeLeakageError otherwise."""
-        b = grade_project(m, 2, tol)
-        return cls(-b.c[..., _E_BLADES], b.c[..., _B_BLADES] * _B_SIGNS)
+        return cls._from_blades(grade_project(m, 2, tol).c)
 
     def approx_eq(self, other: "Faraday13", tol: float = 1e-12) -> bool:
         """Every component within tol; a NaN deviation is not."""

@@ -59,6 +59,16 @@ class LorentzClass(Enum):
     IMPROPER_ANTICHRONOUS = "improper_antichronous"
     PROPER_ANTICHRONOUS = "proper_antichronous"
 
+    @property
+    def improper(self) -> bool:
+        """The class reverses spatial orientation: its determinant is -1."""
+        return self in (LorentzClass.IMPROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ANTICHRONOUS)
+
+    @property
+    def antichronous(self) -> bool:
+        """The class reverses the direction of time."""
+        return self in (LorentzClass.IMPROPER_ANTICHRONOUS, LorentzClass.PROPER_ANTICHRONOUS)
+
 
 class QuantityKind(Enum):
     POSITION = "position"
@@ -156,8 +166,9 @@ def _sct_versors(
 ) -> tuple[Multivector13, Multivector13]:
     """1 + a x and 1 + x a at the source event, 1 - x a and 1 - a x at the image."""
     one = Multivector13.scalar(1.0)
-    ax = geometric_product(a.to_mv(), x.to_mv())
-    xa = geometric_product(x.to_mv(), a.to_mv())
+    am, xm = a.to_mv(), x.to_mv()
+    ax = geometric_product(am, xm)
+    xa = geometric_product(xm, am)
     if frame is CoordinateFrame.ORIGINAL:
         return one + ax, one + xa
     return one - xa, one - ax
@@ -189,10 +200,8 @@ def _project(
                 f"grade-{g} sandwich residue {np.asarray(residue)[refused].flat[0]:.3e} "
                 f"exceeds {GRADE_TOL:.1e} * {size[refused].flat[0]:.3e}"
             )
-    out = weight * out
-    if g == 2:
-        return Faraday13.from_mv(out.grade(2), GRADE_TOL)
-    return FourVector.from_mv(out.grade(1), GRADE_TOL)
+    c = (weight * out).c
+    return Faraday13._from_blades(c) if g == 2 else FourVector._from_blades(c)
 
 
 def _position(params: ConformalParams, x: FourVector) -> FourVector:
@@ -279,10 +288,6 @@ def _lorentz_generator(boost, rotation) -> Multivector13:
     return Faraday13(np.asarray(boost, float), np.asarray(rotation, float)).to_mv()
 
 
-_IMPROPER = (LorentzClass.IMPROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ANTICHRONOUS)
-_ANTICHRONOUS = (LorentzClass.IMPROPER_ANTICHRONOUS, LorentzClass.PROPER_ANTICHRONOUS)
-
-
 def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
     """The rotor exp(G) of the generator G and its inverse exp(-G), which is
     its reverse."""
@@ -307,10 +312,10 @@ def _lorentz_sandwich(
     """
     q = value.to_mv()
     out = vector_sandwich(L, q, Li)
-    if cls in _IMPROPER:
+    if cls.improper:
         e0 = Multivector13.basis_vector(0)
         out = vector_sandwich(e0, out, e0)
-    flip = cls in _ANTICHRONOUS and kind in (
+    flip = cls.antichronous and kind in (
         QuantityKind.POSITION, QuantityKind.FARADAY
     )
     overflowed = ~np.isfinite(out.max_abs())
@@ -322,7 +327,7 @@ def induced_matrix(params: Lorentz) -> np.ndarray:
     the four basis events are mapped as one batch.  For n maps of one class,
     boost and rotation of shape (n, 3), the result has shape (n, 4, 4)."""
     L, Li = (
-        Multivector13._wrap(m.c[..., None, :]) for m in _lorentz_rotors(params)
+        Multivector13._wrap(m.c[..., None, :], m.m) for m in _lorentz_rotors(params)
     )
     basis = FourVector.from_array(np.eye(4))
     out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, params.lorentz_class)

@@ -28,6 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
+from .bridge import to_paravector
 from .cl3 import (
     Faraday3,
     Paravector3,
@@ -113,12 +114,6 @@ def _raise_refusal(reason: np.ndarray) -> None:
 _ONE = Paravector3(1.0)
 
 
-def _to_paravector(v) -> Paravector3:
-    """A FourVector, or a batch of them, as real paravectors t + r."""
-    arr = v.as_array()
-    return Paravector3.from_event(arr[..., 0], arr[..., 1:])
-
-
 def sct_factor3(x: Paravector3, a: Paravector3):
     t, r = x.s.real, x.v.real
     a0, av = a.s.real, a.v.real
@@ -157,7 +152,7 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, reason):
         w = _cone_guard(minkowski_square(x, GRADE_TOL), Refusal.LIGHT_CONE, reason)
         return w if frame is _ORIG else 1.0 / w
     if isinstance(params, Sct):
-        return _sct_scale(x, _to_paravector(params.a), frame, reason)
+        return _sct_scale(x, to_paravector(params.a), frame, reason)
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
@@ -202,11 +197,11 @@ def _position3(params: ConformalParams, x: Paravector3, reason) -> Paravector3:
     if isinstance(params, Dilation):
         return (1.0 / params.factor) * x
     if isinstance(params, Translation):
-        return x + _to_paravector(params.offset)
+        return x + to_paravector(params.offset)
     if isinstance(params, Inversion):
         return (np.asarray(params.eps) / _scale_rows(params, x, _ORIG, reason)) * x
     if isinstance(params, Sct):
-        return _sct_position3(x, _to_paravector(params.a), reason)
+        return _sct_position3(x, to_paravector(params.a), reason)
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
@@ -220,11 +215,18 @@ _SCALE_POWER = {
 }
 
 
-def _batch_shape(value, x) -> tuple:
-    shape = value.F.shape[:-1] if isinstance(value, Faraday3) else value.s.shape
-    if x is None or x.s.shape == shape:
-        return shape
-    return np.broadcast_shapes(shape, x.s.shape)
+def _batch_shape(params: ConformalParams, value, x) -> tuple:
+    """The broadcast batch shape of value, x and the map's own rows."""
+    shapes = [value.F.shape[:-1] if isinstance(value, Faraday3) else value.s.shape]
+    if x is not None:
+        shapes.append(x.s.shape)
+    if isinstance(params, Lorentz):
+        shapes += [np.shape(params.boost)[:-1], np.shape(params.rotation)[:-1]]
+    elif isinstance(params, Sct):
+        shapes.append(params.a.c.shape[:-1])
+    elif isinstance(params, Inversion):
+        shapes.append(np.shape(params.eps))
+    return np.broadcast_shapes(*shapes)
 
 
 def _transform_rows(params, kind, value, x, frame, reason):
@@ -248,7 +250,7 @@ def _transform_rows(params, kind, value, x, frame, reason):
         else:
             raw = cl3_product(cl3_product(x, value.bar()), x)
     else:
-        a = _to_paravector(params.a)
+        a = to_paravector(params.a)
         scale = _sct_scale(x, a, frame, reason)
         if frame is _ORIG:
             left = _ONE + cl3_product(a, x.bar())
@@ -294,7 +296,7 @@ def transform3(
     value, x and the inversion sign eps may be batches, eps one sign per
     row; the result has their broadcast batch shape.
     """
-    reason = no_refusals(_batch_shape(value, x))
+    reason = no_refusals(_batch_shape(params, value, x))
     out = _transform_rows(params, kind, value, x, frame, reason)
     _raise_refusal(reason)
     return out
@@ -320,10 +322,7 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzCla
     The rotor grows as e^|b|, so past |b| of about 355 the image leaves the
     float64 range: such a row is NON_FINITE, not a residue.
     """
-    plain = cls in (
-        LorentzClass.PROPER_ORTHOCHRONOUS,
-        LorentzClass.PROPER_ANTICHRONOUS,
-    )
+    plain = not cls.improper
     if kind is QuantityKind.FARADAY:
         fv = value.to_paravector()
         if plain:
@@ -342,10 +341,7 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzCla
         raw = cl3_product(cl3_product(L, value), L.star())
     else:
         raw = cl3_product(cl3_product(L.bar().star(), value.bar()), L.bar())
-    if kind is QuantityKind.POSITION and cls in (
-        LorentzClass.IMPROPER_ANTICHRONOUS,
-        LorentzClass.PROPER_ANTICHRONOUS,
-    ):
+    if kind is QuantityKind.POSITION and cls.antichronous:
         raw = -raw
     refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
     return _real_guard(raw, reason)
@@ -372,10 +368,7 @@ def _inverse_lorentz(params: Lorentz) -> Lorentz:
     P Lambda(b, r) P = Lambda(-b, r), so M Lambda(-b, -r) undoes a proper
     class and M Lambda(b, -r) an improper one."""
     boost = np.asarray(params.boost, dtype=np.float64)
-    if params.lorentz_class in (
-        LorentzClass.PROPER_ORTHOCHRONOUS,
-        LorentzClass.PROPER_ANTICHRONOUS,
-    ):
+    if not params.lorentz_class.improper:
         boost = -boost
     return Lorentz(boost, -np.asarray(params.rotation, dtype=np.float64), params.lorentz_class)
 
@@ -395,14 +388,14 @@ def _inverse_rows(params: ConformalParams, x_new: Paravector3, reason) -> Parave
     if isinstance(params, Dilation):
         return params.factor * x_new
     if isinstance(params, Translation):
-        return x_new - _to_paravector(params.offset)
+        return x_new - to_paravector(params.offset)
     if isinstance(params, Lorentz):
         return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new)
     if isinstance(params, Inversion):
         return _position3(params, x_new, reason)
     if isinstance(params, Sct):
         # The special conformal map with -a undoes the one with a.
-        return _sct_position3(x_new, -_to_paravector(params.a), reason)
+        return _sct_position3(x_new, -to_paravector(params.a), reason)
     raise TypeError(f"unknown transformation parameters: {params!r}")
 
 
@@ -426,6 +419,6 @@ def field_rows(
     """Field transform at the events x, as transform3, the conformal scale
     there, as scale_of, and each row's Refusal code; rows that are not OK
     hold placeholder values."""
-    reason = no_refusals(_batch_shape(F, x))
+    reason = no_refusals(_batch_shape(params, F, x))
     out = _transform_rows(params, QuantityKind.FARADAY, F, x, frame, reason)
     return out, _scale_rows(params, x, frame, reason), reason

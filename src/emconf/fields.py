@@ -22,7 +22,6 @@ from .conformal13 import (
     Dilation,
     Inversion,
     Lorentz,
-    LorentzClass,
     QuantityKind,
     Sct,
     Translation,
@@ -142,11 +141,7 @@ def predicted_invariant_factors(
     if isinstance(params, Translation):
         return 1.0, 1.0
     if isinstance(params, Lorentz):
-        improper = params.lorentz_class in (
-            LorentzClass.IMPROPER_ORTHOCHRONOUS,
-            LorentzClass.IMPROPER_ANTICHRONOUS,
-        )
-        return 1.0, -1.0 if improper else 1.0
+        return 1.0, -1.0 if params.lorentz_class.improper else 1.0
     if isinstance(params, Inversion):
         return scale**4, -(scale**4)
     if isinstance(params, Sct):

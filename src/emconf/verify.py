@@ -266,7 +266,7 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
     off[np.arange(256), i ^ j] = 0.0
     devs = [np.abs(np.abs(on) - 1.0), np.abs(off)]
     a, b = np.divmod(np.arange(16), 4)
-    ea, eb = Multivector13(_GENERATORS.c[a]), Multivector13(_GENERATORS.c[b])
+    ea, eb = _fv(np.eye(4)[a]).to_mv(), _fv(np.eye(4)[b]).to_mv()
     expected = np.zeros((16, 16))
     expected[:, 0] = np.where(a == b, 2.0 * _METRIC[a], 0.0)
     devs.append(np.abs((ea * eb + eb * ea).c - expected))
@@ -285,7 +285,7 @@ def check_jacobian_sandwich_identity(rng, trials: int, tol: float) -> CheckResul
     M = np.asarray(oracle.jacobian_inversion(X, eps), dtype=np.float64)
     x2 = oracle.msq(X)
     # Rows (trial, alpha): the sandwich of e_alpha by the trial's event.
-    xm = Multivector13(_fv(X).to_mv().c[:, None, :])
+    xm = _fv(X[:, None, :]).to_mv()
     sandwich = vector_sandwich(xm, _GENERATORS, xm)
     rhs = -eps[:, None, None] * FourVector.from_mv(sandwich, GRADE_TOL).as_array()
     lhs = (x2**2)[:, None, None] * np.swapaxes(M, -1, -2)

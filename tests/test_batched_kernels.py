@@ -25,6 +25,7 @@ from emconf.cl13 import (
     exp_bivector,
     geometric_product,
     grade_project,
+    vector_sandwich,
 )
 from emconf.conformal13 import (
     EXP_TOL,
@@ -35,6 +36,9 @@ from emconf.conformal13 import (
     LorentzClass,
     QuantityKind,
     Sct,
+    _lorentz_rotors,
+    _project,
+    _sct_versors,
     induced_matrix,
     transform,
 )
@@ -137,6 +141,32 @@ def test_transform_batch_raises_the_first_refused_rows_error():
     x = FourVector.from_array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])
     with pytest.raises(SctConeError):
         transform(Sct(a), QuantityKind.FARADAY, F, x)
+
+
+@pytest.mark.parametrize("kind", [QuantityKind.POTENTIAL, QuantityKind.CURRENT, QuantityKind.FARADAY])
+def test_project_equals_the_guarded_extraction(kind):
+    """_project reads the kind's blades straight from the weighted sandwich;
+    the old path projected and guarded a second time through from_mv."""
+    rng = np.random.default_rng(78)
+    X, A = _events(rng, 30)
+    x, a = FourVector.from_array(X), FourVector.from_array(A)
+    if kind is QuantityKind.FARADAY:
+        q = Faraday13(rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (30, 3))).to_mv()
+    else:
+        q = FourVector.from_array(rng.uniform(-2, 2, (30, 4))).to_mv()
+    L, Li = _lorentz_rotors(Lorentz(rng.uniform(-1, 1, (30, 3)), rng.uniform(-1, 1, (30, 3))))
+    sandwiches = [(x.to_mv(), x.to_mv()), (L, Li)]
+    sandwiches += [_sct_versors(x, a, frame) for frame in CoordinateFrame]
+    for left, right in sandwiches:
+        out = vector_sandwich(left, q, right)
+        for weight in (rng.uniform(-3, 3, 30), -1.0):
+            got = _project(kind, out, (left, q, right), weight)
+            if kind is QuantityKind.FARADAY:
+                old = Faraday13.from_mv((weight * out).grade(2), GRADE_TOL)
+                assert got.E.tobytes() + got.B.tobytes() == old.E.tobytes() + old.B.tobytes()
+            else:
+                old = FourVector.from_mv((weight * out).grade(1), GRADE_TOL)
+                assert got.as_array().tobytes() == old.as_array().tobytes()
 
 
 def test_grade_project_refuses_any_leaking_row():

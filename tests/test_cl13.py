@@ -8,6 +8,7 @@ import pytest
 from emconf.cl13 import (
     BLADE_NAMES,
     DIM,
+    FULL,
     GRADE_OF,
     METRIC_SIGNS,
     SIGN_TABLE,
@@ -234,3 +235,158 @@ def test_faraday_square_gives_invariants():
     assert sq.c[0] == pytest.approx(np.dot(E, E) - np.dot(B, B), abs=1e-13)
     assert sq.c[15] == pytest.approx(2.0 * np.dot(E, B), abs=1e-13)
     assert float(np.max(np.abs(sq.c[1:15]))) < 1e-13
+
+
+# -- blade sets and the planned product ------------------------------------------
+
+_REF_SIGN = _SIGNS.astype(np.float64)
+
+
+def _dense_product(a, b):
+    """The product over the whole XOR table, as it was before blade sets:
+    coefficient k sums SIGN_TABLE[i, i ^ k] a[i] b[i ^ k] over all 16 i in
+    order."""
+    return np.add.reduce(a[..., :, None] * (b[..., _PARTNER] * _REF_SIGN), axis=-2)
+
+
+def _set_of(grades):
+    return sum(1 << i for i in range(DIM) if GRADE_OF[i] in grades)
+
+
+# The blade sets the routes build: scalar, four-vector, field, the versors
+# 1 + a x, rotors, odd sandwiches, the blade e0, and the full set.
+ROUTE_SETS = {
+    "scalar": _set_of({0}),
+    "vector": _set_of({1}),
+    "bivector": _set_of({2}),
+    "even": _set_of({0, 2}),
+    "rotor": _set_of({0, 2, 4}),
+    "odd": _set_of({1, 3}),
+    "e0": 1 << 1,
+    "full": FULL,
+}
+
+
+def _element(rng, m, shape):
+    """Random coefficients on the blade set m, zero elsewhere, as an element
+    that carries m."""
+    c = rng.standard_normal(shape + (DIM,)) * rng.uniform(0.1, 10, shape + (1,))
+    c[..., [(m >> i) & 1 == 0 for i in range(DIM)]] = 0.0
+    return Multivector13._wrap(c, m)
+
+
+def _reachable(ma, mb):
+    blades = {i ^ j for i in range(DIM) for j in range(DIM) if (ma >> i) & 1 and (mb >> j) & 1}
+    return sum(1 << k for k in blades)
+
+
+def _check_planned_product(rng, ma, mb):
+    a, b = _element(rng, ma, (9,)), _element(rng, mb, (9,))
+    got = geometric_product(a, b)
+    assert np.array_equal(got.c, _dense_product(a.c, b.c))
+    assert got.m == _reachable(ma, mb)
+    assert np.all(got.c[..., [(got.m >> i) & 1 == 0 for i in range(DIM)]] == 0.0)
+    for row in range(9):
+        one = geometric_product(Multivector13._wrap(a.c[row].copy(), ma), b)
+        assert one.c[row].tobytes() == got.c[row].tobytes()
+        one = geometric_product(
+            Multivector13._wrap(a.c[row].copy(), ma), Multivector13._wrap(b.c[row].copy(), mb)
+        )
+        assert one.c.tobytes() == got.c[row].tobytes()
+
+
+@pytest.mark.parametrize("left", sorted(ROUTE_SETS))
+@pytest.mark.parametrize("right", sorted(ROUTE_SETS))
+def test_planned_product_equals_the_dense_table_on_route_sets(left, right):
+    _check_planned_product(np.random.default_rng(21), ROUTE_SETS[left], ROUTE_SETS[right])
+
+
+def test_planned_product_equals_the_dense_table_on_random_sets():
+    rng = np.random.default_rng(22)
+    sets = [0, FULL, *rng.integers(0, FULL + 1, 58)]
+    for ma, mb in zip(sets, rng.permutation(sets)):
+        _check_planned_product(rng, int(ma), int(mb))
+
+
+def test_planned_product_only_differs_where_the_dense_sum_is_nan():
+    """Rows holding inf or NaN: every coefficient the dense sum does not
+    leave NaN has its bits, up to the sign of a zero."""
+    rng = np.random.default_rng(23)
+    for ma, mb in [(ROUTE_SETS["rotor"], ROUTE_SETS["vector"]),
+                   (ROUTE_SETS["odd"], ROUTE_SETS["rotor"]),
+                   (ROUTE_SETS["even"], ROUTE_SETS["vector"])]:
+        a, b = _element(rng, ma, (6,)), _element(rng, mb, (6,))
+        a.c.setflags(write=True)
+        b.c.setflags(write=True)
+        a.c[1, np.flatnonzero([(ma >> i) & 1 for i in range(DIM)])[0]] = np.inf
+        b.c[3, np.flatnonzero([(mb >> i) & 1 for i in range(DIM)])[-1]] = -np.inf
+        b.c[4, np.flatnonzero([(mb >> i) & 1 for i in range(DIM)])[0]] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = geometric_product(a, b).c
+            dense = _dense_product(a.c, b.c)
+        kept = ~np.isnan(dense)
+        assert np.array_equal(got[kept], dense[kept])
+        assert np.array_equal(got[[0, 2, 5]], dense[[0, 2, 5]])
+
+
+def test_blade_sets_follow_construction_and_arithmetic():
+    rng = np.random.default_rng(24)
+    v = FourVector(*rng.uniform(-1, 1, 4)).to_mv()
+    F = Faraday13(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)).to_mv()
+    one = Multivector13.scalar(1.0)
+    assert (v.m, F.m, one.m) == (ROUTE_SETS["vector"], ROUTE_SETS["bivector"], ROUTE_SETS["scalar"])
+    assert exp_bivector(F, EXP_TOL).m == ROUTE_SETS["rotor"]
+    assert exp_bivector(Multivector13(F.c), EXP_TOL).m == FULL
+    assert Multivector13.basis_vector(2).m == 1 << 4
+    assert (one + v * v).m == ROUTE_SETS["even"]
+    assert (one - F).m == ROUTE_SETS["scalar"] | ROUTE_SETS["bivector"]
+    for same in (-v, v.reverse(), 2.0 * v, v * np.float64(-0.5)):
+        assert same.m == v.m
+    odd = v * F
+    assert odd.m == ROUTE_SETS["odd"]
+    assert odd.grade(1).m == ROUTE_SETS["vector"]
+    assert odd.grade(2).m == 0
+    assert np.array_equal(odd.grade(2).c, np.zeros(DIM))
+
+
+def test_narrow_blade_sets_hold_read_only_coefficients():
+    narrow = [
+        FourVector(1.0, 2.0, 3.0, 4.0).to_mv(),
+        Faraday13((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)).to_mv(),
+        Multivector13.scalar(2.0),
+        Multivector13.blade(5),
+    ]
+    narrow.append(narrow[0] * narrow[1])
+    for m in narrow:
+        assert m.m != FULL
+        with pytest.raises(ValueError):
+            m.c[0] = 1.0
+    full = Multivector13(np.arange(16.0))
+    assert full.m == FULL
+    full.c[3] = -1.0
+    assert full.c[3] == -1.0
+    assert Multivector13().m == FULL
+
+
+def test_fourvector_holds_one_array():
+    v = FourVector(1.5, -0.25, 2.0, 0.75)
+    assert v.c.shape == (4,) and v.c.dtype == np.float64
+    assert v.as_array() is v.c
+    assert (v.t, v.x, v.y, v.z) == (1.5, -0.25, 2.0, 0.75)
+    assert np.shares_memory(v.x, v.c)
+    assert repr(v) == "FourVector(t=1.5, x=-0.25, y=2.0, z=0.75)"
+    # Components broadcast against each other.
+    b = FourVector(np.arange(3.0), 0, np.ones(3), 2)
+    assert b.c.shape == (3, 4)
+    assert np.array_equal(b.c[:, 0], np.arange(3.0)) and np.array_equal(b.z, [2.0, 2.0, 2.0])
+    arr = np.random.default_rng(25).uniform(-1, 1, (2, 5, 4))
+    w = FourVector.from_array(arr)
+    assert w.c is arr and w.as_array() is arr
+    assert np.array_equal(w.y, arr[..., 2]) and np.shares_memory(w.y, arr)
+    assert FourVector.from_array(w.as_array()) == w
+    assert FourVector.from_array([1, 2, 3, 4]) == FourVector(1.0, 2.0, 3.0, 4.0)
+    assert FourVector(1.0, 2.0, 3.0, 4.0) != FourVector(1.0, 2.0, 3.0, 5.0)
+    assert FourVector.from_array(arr) != FourVector.from_array(arr[0])
+    assert FourVector.from_mv(w.to_mv(), GRADE_TOL) == w
+    with pytest.raises(ValueError):
+        FourVector.from_array(np.zeros(3))

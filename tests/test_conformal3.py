@@ -342,3 +342,35 @@ def test_lorentz_overflow_rows_are_non_finite_in_both_routes(kind):
     alone = transform(Lorentz(boost=(0.3, 0.0, 0.0)), kind, value13)
     alone = alone.as_array() if kind is POSITION else np.concatenate([alone.E, alone.B], axis=-1)
     assert got13[1].tobytes() == alone[1].tobytes()
+
+
+def test_refusal_ledger_takes_the_maps_batch_shape():
+    """A batch of maps with one shared value: the ledger has the maps' rows,
+    so an overflowing Lorentz row comes back non-finite and the other row
+    is its single-map result."""
+    F = Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+    params = Lorentz(boost=[[400.0, 0.0, 0.0], [0.3, 0.0, 0.0]], rotation=np.zeros((2, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = transform3(params, FARADAY, F)
+    assert out.F.shape == (2, 3)
+    assert not np.isfinite(out.F[0]).all()
+    alone = transform3(Lorentz(boost=(0.3, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)), FARADAY, F)
+    assert out.F[1].tobytes() == alone.F.tobytes()
+
+
+@pytest.mark.parametrize("kind", [POTENTIAL, FARADAY])
+def test_sct_batch_of_vectors_raises_the_typed_error_in_both_routes(kind):
+    """One row of a batched a puts the shared event on the excluded cone."""
+    x = FourVector(1.0, 0.0, 0.0, 0.0)
+    # sigma = 1 + 2 a.x + a^2 x^2 = (1 + a_0)^2 vanishes at the second row.
+    a = FourVector.from_array([[0.1, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    if kind is FARADAY:
+        value13 = Faraday13((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+        value3 = to_faraday3(value13)
+    else:
+        value13 = FourVector(0.3, 0.1, -0.2, 0.4)
+        value3 = to_paravector(value13)
+    with pytest.raises(SctConeError):
+        transform(Sct(a), kind, value13, x)
+    with pytest.raises(SctConeError):
+        transform3(Sct(a), kind, value3, to_paravector(x))
