@@ -11,9 +11,8 @@ from emconf import (
     Multivector13,
     exp_bivector,
     vector_sandwich,
-    versor_inverse,
 )
-from emconf.conformal13 import EXP_TOL, GRADE_TOL, RESIDUE_TOL
+from emconf.conformal13 import EXP_TOL, GRADE_TOL
 
 # 1) Basis products are integer-exact.  e0 squares to +1, the spatial
 #    generators square to -1, and mixed products land on single blades.
@@ -28,7 +27,7 @@ print("e0 e1 lands on", BLADE_NAMES[3], "with coefficient", e01.c[3])
 #    doubles the rapidity, so exp(0.5 e1 e0) moves e0 by rapidity 1.
 gen = Multivector13.blade(3, -0.5)  # e1 e0 stored against ascending e0 e1
 L = exp_bivector(gen, EXP_TOL)
-boosted = vector_sandwich(L, e0, versor_inverse(L, RESIDUE_TOL))
+boosted = vector_sandwich(L, e0, L.reverse())
 print("\nboosted e0:", FourVector.from_mv(boosted, GRADE_TOL).as_array())
 print("expected:  ", [math.cosh(1.0), math.sinh(1.0), 0.0, 0.0])
 

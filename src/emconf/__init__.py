@@ -17,9 +17,7 @@ from .cl13 import (
     exp_bivector,
     geometric_product,
     grade_project,
-    left_matrix,
     vector_sandwich,
-    versor_inverse,
 )
 from .cl3 import (
     Faraday3,
@@ -71,7 +69,6 @@ from .errors import (
     NonRealEventError,
     OriginSingularityError,
     SctConeError,
-    SingularVersorError,
 )
 from .fields import (
     Coulomb,

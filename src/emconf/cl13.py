@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradeLeakageError, NonBivectorError, SingularVersorError
+from .errors import GradeLeakageError, NonBivectorError
 
 DIM = 16
 METRIC_SIGNS = (1, -1, -1, -1)
@@ -92,14 +92,9 @@ def _build_sign_table() -> np.ndarray:
 
 
 SIGN_TABLE = _build_sign_table()
-# _PARTNER[i, k] = i ^ k, the blade of the right factor that blade i of the
-# left factor takes to blade k.
-_PARTNER = np.arange(DIM)[:, None] ^ np.arange(DIM)[None, :]
-# Sign of left multiplication by blade k ^ j taking blade j to blade k.
-_LEFT_SIGN = SIGN_TABLE[_PARTNER, np.arange(DIM)[None, :]].astype(np.float64)
 _PSEUDOSCALAR = DIM - 1
 # Right multiplication by the pseudoscalar takes blade k ^ 15 to blade k.
-_DUAL = _PARTNER[_PSEUDOSCALAR]
+_DUAL = np.arange(DIM) ^ _PSEUDOSCALAR
 _DUAL_SIGN = SIGN_TABLE[_DUAL, _PSEUDOSCALAR].astype(np.float64)
 
 # Blade sets: bit i stands for blade i.
@@ -314,32 +309,6 @@ def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
     out[:, _PSEUDOSCALAR] += cosh.imag
     m = _ROTOR_SET if b.m & ~_GRADE_SET[2] == 0 else FULL
     return Multivector13._wrap(out.reshape(b.c.shape), m)
-
-
-def left_matrix(m: Multivector13) -> np.ndarray:
-    """16x16 matrix of left multiplication by m on coefficient vectors:
-    entry [k, j] is the sign of blade(k ^ j) blade(j) times m[k ^ j]."""
-    return m.c[..., _PARTNER] * _LEFT_SIGN
-
-
-def versor_inverse(m: Multivector13, tol: float) -> Multivector13:
-    """Two-sided inverse of one multivector m, from the 16x16
-    left-multiplication system.
-
-    Raises SingularVersorError when the system is singular or the candidate
-    fails the residual check m * candidate = 1 within tol.
-    """
-    lhs = left_matrix(m)
-    rhs = np.zeros(DIM)
-    rhs[0] = 1.0
-    try:
-        sol = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularVersorError("multivector is not invertible") from exc
-    residual = float(np.max(np.abs(lhs @ sol - rhs)))
-    if not residual <= tol * max(1.0, float(np.max(np.abs(sol)))):
-        raise SingularVersorError("inverse residual above tolerance")
-    return Multivector13._wrap(sol)
 
 
 class FourVector:

@@ -11,9 +11,9 @@ Parameter dataclasses for all five families live here as well and are shared
 with the Cl(3) layer and the CLI; sharing parameters does not share any of
 the transformation arithmetic.
 
-Values, events, the special conformal vector a and the inversion sign eps
-may be batches (see cl13): one call maps every row, and a guard raises the
-typed error of the first refused row.
+Values, events and the maps' parameters (a, eps, a Lorentz map's boost,
+rotation and class) may be batches (see cl13): one call maps every row, and
+a guard raises the typed error of the first refused row.
 """
 
 from __future__ import annotations
@@ -59,15 +59,12 @@ class LorentzClass(Enum):
     IMPROPER_ANTICHRONOUS = "improper_antichronous"
     PROPER_ANTICHRONOUS = "proper_antichronous"
 
-    @property
-    def improper(self) -> bool:
-        """The class reverses spatial orientation: its determinant is -1."""
-        return self in (LorentzClass.IMPROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ANTICHRONOUS)
 
-    @property
-    def antichronous(self) -> bool:
-        """The class reverses the direction of time."""
-        return self in (LorentzClass.IMPROPER_ANTICHRONOUS, LorentzClass.PROPER_ANTICHRONOUS)
+# (improper, antichronous) of each class, as its name spells them: whether it
+# reverses spatial orientation (determinant -1) and whether it reverses time.
+_CLASS_FLAGS = {
+    c: (c.value.startswith("improper"), c.value.endswith("antichronous")) for c in LorentzClass
+}
 
 
 class QuantityKind(Enum):
@@ -93,11 +90,23 @@ class Translation:
 
 @dataclass(frozen=True)
 class Lorentz:
-    """Boost rapidities and rotation angles feeding the exponential generator."""
+    """Boost rapidities and rotation angles feeding the exponential generator;
+    for a batch of shape (n, 3), lorentz_class is one class or one per row."""
 
     boost: tuple[float, float, float] = (0.0, 0.0, 0.0)
     rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    lorentz_class: LorentzClass = LorentzClass.PROPER_ORTHOCHRONOUS
+    lorentz_class: LorentzClass | np.ndarray = LorentzClass.PROPER_ORTHOCHRONOUS
+
+    def class_flags(self, basis_axis: bool = False):
+        """(improper, antichronous): Python bools for one class, bool arrays
+        of the shape of an array of classes, with basis_axis an axis of length
+        one more, to meet the four basis events of an induced matrix."""
+        cls = self.lorentz_class
+        if isinstance(cls, LorentzClass):
+            return _CLASS_FLAGS[cls]
+        cls = np.asarray(cls)
+        flags = np.array([_CLASS_FLAGS[c] for c in cls.flat], dtype=bool).reshape(-1, 2).T
+        return tuple(f.reshape(cls.shape + (1,) * basis_axis) for f in flags)
 
 
 @dataclass(frozen=True)
@@ -244,13 +253,13 @@ def transform(
     frame.  There the result is the sandwich of value by x (inversion) or by
     the versors 1 + a x, 1 + x a (special conformal), weighted by the kind's
     power of the scale; the inversion field also carries the sign -eps.
-    value, x, the special conformal vector and the inversion sign eps may be
-    batches, eps one sign per row; the result has their broadcast batch
-    shape.
+    value, x, the special conformal vector, the inversion sign eps and a
+    Lorentz map (see Lorentz) may be batches, eps one sign per row; the
+    result has their broadcast batch shape.
     """
     if isinstance(params, Lorentz):
         L, Li = _lorentz_rotors(params)
-        return _lorentz_sandwich(kind, value, L, Li, params.lorentz_class)
+        return _lorentz_sandwich(kind, value, L, Li, params.class_flags())
     if kind is QuantityKind.POSITION:
         return _position(params, value)
     if isinstance(params, Dilation):
@@ -295,40 +304,40 @@ def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
     return L, L.reverse()
 
 
-def _lorentz_sandwich(
-    kind: QuantityKind,
-    value,
-    L: Multivector13,
-    Li: Multivector13,
-    cls: LorentzClass,
-):
+def _lorentz_sandwich(kind: QuantityKind, value, L: Multivector13, Li: Multivector13, flags):
     """Sandwich by the rotor pair L, Li, adjusted per Lorentz class.
 
-    The improper classes wrap the sandwich in the timelike reflection; the
+    flags are Lorentz.class_flags, of one class or of one class per row.  The
+    improper classes wrap the sandwich in the timelike reflection; the
     antichronous classes flip the overall sign of position and field but not
     of potential or current.  The rotor grows as e^|b|, so past |b| of about
     355 the image leaves the float64 range: such a row skips the residue
     guard and is returned as the arithmetic gave it, for the caller to check.
     """
+    improper, antichronous = flags
     q = value.to_mv()
     out = vector_sandwich(L, q, Li)
-    if cls.improper:
+    if improper is not False:
         e0 = Multivector13.basis_vector(0)
-        out = vector_sandwich(e0, out, e0)
-    flip = cls.antichronous and kind in (
-        QuantityKind.POSITION, QuantityKind.FARADAY
-    )
+        reflected = vector_sandwich(e0, out, e0)
+        out = reflected if improper is True else Multivector13._wrap(
+            np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
+        )
+    flip = antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
+    weight = np.where(flip, -1.0, 1.0)
     overflowed = ~np.isfinite(out.max_abs())
-    return _project(kind, out, (L, q, Li), -1.0 if flip else 1.0, overflowed)
+    return _project(kind, out, (L, q, Li), weight, overflowed)
 
 
 def induced_matrix(params: Lorentz) -> np.ndarray:
     """4x4 coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch.  For n maps of one class,
-    boost and rotation of shape (n, 3), the result has shape (n, 4, 4)."""
+    the four basis events are mapped as one batch.  For n maps of any
+    classes, boost and rotation of shape (n, 3), the result has shape
+    (n, 4, 4)."""
     L, Li = (
         Multivector13._wrap(m.c[..., None, :], m.m) for m in _lorentz_rotors(params)
     )
     basis = FourVector.from_array(np.eye(4))
-    out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, params.lorentz_class)
+    flags = params.class_flags(basis_axis=True)
+    out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, flags)
     return np.swapaxes(out.as_array(), -1, -2)

@@ -48,7 +48,6 @@ from .conformal13 import (
     Dilation,
     Inversion,
     Lorentz,
-    LorentzClass,
     QuantityKind,
     Sct,
     Translation,
@@ -94,17 +93,23 @@ def no_refusals(shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.int8)
 
 
+# Plain ints: numpy compares an array with an IntEnum member several times slower.
+_OK, _NON_FINITE = int(Refusal.OK), int(Refusal.NON_FINITE)
+
+
 def refuse(reason: np.ndarray, rows, code) -> None:
     """Record code (one value, or one per row) in the ledger for the given
     rows, except where an earlier guard already refused the row."""
     if rows.any():
-        np.copyto(reason, code, where=rows & (reason == Refusal.OK))
+        np.copyto(reason, code, where=rows & (reason == _OK))
 
 
 def _raise_refusal(reason: np.ndarray) -> None:
     """Raise the typed error of the first row of the ledger refused with
     one, if any."""
-    named = (reason != Refusal.OK) & (reason != Refusal.NON_FINITE)
+    if not reason.any():
+        return
+    named = (reason != _OK) & (reason != _NON_FINITE)
     if named.any():
         code = Refusal(int(reason[named].flat[0]))
         error, text = _ERRORS[code]
@@ -232,7 +237,7 @@ def _batch_shape(params: ConformalParams, value, x) -> tuple:
 def _transform_rows(params, kind, value, x, frame, reason):
     if isinstance(params, Lorentz):
         L = _lorentz_rotor(params)
-        return _lorentz_sandwich(kind, value, L, params.lorentz_class, reason)
+        return _lorentz_sandwich(kind, value, L, params.class_flags(), reason)
     if kind is QuantityKind.POSITION:
         return _position3(params, value, reason)
     field = kind is QuantityKind.FARADAY
@@ -293,8 +298,9 @@ def transform3(
     frame.  There the result is a sandwich of value, weighted by the kind's
     power of scale_of; the inversion field also carries the sign +eps.  The
     conjugations in each sandwich are spelled out per map, kind and frame.
-    value, x and the inversion sign eps may be batches, eps one sign per
-    row; the result has their broadcast batch shape.
+    value, x, the inversion sign eps and a Lorentz map (see Lorentz) may be
+    batches, eps one sign per row; the result has their broadcast batch
+    shape.
     """
     reason = no_refusals(_batch_shape(params, value, x))
     out = _transform_rows(params, kind, value, x, frame, reason)
@@ -312,9 +318,15 @@ def _lorentz_rotor(params: Lorentz) -> Paravector3:
     return exp_complex_vector(gen)
 
 
-def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzClass, reason):
+def _where(mask, a: Paravector3, b: Paravector3) -> Paravector3:
+    """a on the rows where mask holds, b on the others."""
+    return Paravector3._wrap(np.where(mask, a.s, b.s), np.where(mask[..., None], a.v, b.v))
+
+
+def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, flags, reason):
     """Class-resolved sandwich by the rotor L.
 
+    flags are Lorentz.class_flags, of one class or of one class per row.
     Orthochronous-proper sandwiches are L W L* for paravector kinds and
     L F bar(L) for the field; the improper classes conjugate the operand and
     swap the rotor decorations; the antichronous classes flip the sign of
@@ -322,29 +334,27 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, cls: LorentzCla
     The rotor grows as e^|b|, so past |b| of about 355 the image leaves the
     float64 range: such a row is NON_FINITE, not a residue.
     """
-    plain = not cls.improper
-    if kind is QuantityKind.FARADAY:
-        fv = value.to_paravector()
-        if plain:
-            raw = cl3_product(cl3_product(L, fv), L.bar())
-            if cls is LorentzClass.PROPER_ANTICHRONOUS:
-                raw = -raw
-        else:
-            raw = cl3_product(
-                cl3_product(L.bar().star(), fv.star()), L.star()
-            )
-            if cls is LorentzClass.IMPROPER_ORTHOCHRONOUS:
-                raw = -raw
-        refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
-        return _field_guard(raw, reason)
-    if plain:
-        raw = cl3_product(cl3_product(L, value), L.star())
+    improper, antichronous = flags
+    field = kind is QuantityKind.FARADAY
+    if field:
+        q = value.to_paravector()
+        flip = improper != antichronous
     else:
-        raw = cl3_product(cl3_product(L.bar().star(), value.bar()), L.bar())
-    if kind is QuantityKind.POSITION and cls.antichronous:
-        raw = -raw
+        q = value
+        flip = antichronous if kind is QuantityKind.POSITION else False
+    raw = None
+    if improper is not True:
+        raw = cl3_product(cl3_product(L, q), L.bar() if field else L.star())
+    if improper is not False:
+        if field:
+            mirrored = cl3_product(cl3_product(L.bar().star(), q.star()), L.star())
+        else:
+            mirrored = cl3_product(cl3_product(L.bar().star(), q.bar()), L.bar())
+        raw = mirrored if raw is None else _where(improper, mirrored, raw)
+    if flip is not False:
+        raw = -raw if flip is True else _where(flip, -raw, raw)
     refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
-    return _real_guard(raw, reason)
+    return _field_guard(raw, reason) if field else _real_guard(raw, reason)
 
 
 _BASIS = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
@@ -352,12 +362,14 @@ _BASIS = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
 
 def induced_matrix3(params: Lorentz) -> np.ndarray:
     """Coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch.  For n maps of one class,
-    boost and rotation of shape (n, 3), the result has shape (n, 4, 4)."""
+    the four basis events are mapped as one batch.  For n maps of any
+    classes, boost and rotation of shape (n, 3), the result has shape
+    (n, 4, 4)."""
     L = _lorentz_rotor(params)
     L = Paravector3._wrap(L.s[..., None], L.v[..., None, :])
     reason = no_refusals(np.broadcast_shapes(L.s.shape, _BASIS.s.shape))
-    out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, params.lorentz_class, reason)
+    flags = params.class_flags(basis_axis=True)
+    out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, flags, reason)
     _raise_refusal(reason)
     return np.swapaxes(np.concatenate([out.s.real[..., None], out.v.real], axis=-1), -1, -2)
 
@@ -368,8 +380,9 @@ def _inverse_lorentz(params: Lorentz) -> Lorentz:
     P Lambda(b, r) P = Lambda(-b, r), so M Lambda(-b, -r) undoes a proper
     class and M Lambda(b, -r) an improper one."""
     boost = np.asarray(params.boost, dtype=np.float64)
-    if not params.lorentz_class.improper:
-        boost = -boost
+    improper = params.class_flags()[0]
+    if improper is not True:
+        boost = -boost if improper is False else np.where(improper[..., None], boost, -boost)
     return Lorentz(boost, -np.asarray(params.rotation, dtype=np.float64), params.lorentz_class)
 
 

@@ -25,10 +25,6 @@ class NonBivectorError(ValueError):
     """Operand required to be a pure bivector has other grades."""
 
 
-class SingularVersorError(ValueError):
-    """Multivector has no inverse (singular left-multiplication matrix)."""
-
-
 class NonRealEventError(ValueError):
     """Paravector expected to encode a real event has imaginary parts."""
 

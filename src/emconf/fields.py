@@ -62,19 +62,21 @@ class PlaneWave:
     """Linearly polarized unit-speed wave; E and B stay orthogonal and equal.
 
     The amplitude must be orthogonal to the unit propagation direction, which
-    keeps both field invariants exactly zero at every event.
+    keeps both field invariants exactly zero at every event.  E0 and khat of
+    shape (n, 3) and phase of shape (n,) hold one wave per row: row i of the
+    events sees wave i.
     """
 
-    E0: tuple[float, float, float]
-    khat: tuple[float, float, float]
-    phase: float = 0.0
+    E0: tuple[float, float, float] | np.ndarray
+    khat: tuple[float, float, float] | np.ndarray
+    phase: float | np.ndarray = 0.0
 
     def __post_init__(self):
         k = np.asarray(self.khat, float)
         e = np.asarray(self.E0, float)
-        if abs(float(k @ k) - 1.0) > 1e-12:
+        if not (np.abs(dot3(k, k) - 1.0) <= 1e-12).all():
             raise ValueError("propagation direction must be a unit vector")
-        if abs(float(k @ e)) > 1e-12:
+        if not (np.abs(dot3(k, e)) <= 1e-12).all():
             raise ValueError("amplitude must be orthogonal to the propagation direction")
 
     def faraday_rows(self, events: np.ndarray) -> tuple[Faraday3, np.ndarray]:
@@ -85,10 +87,10 @@ class PlaneWave:
         E = e * osc[..., None]
         E0, E1, E2 = E[..., 0], E[..., 1], E[..., 2]
         B = np.empty_like(E)
-        B[..., 0] = k[1] * E2 - k[2] * E1
-        B[..., 1] = k[2] * E0 - k[0] * E2
-        B[..., 2] = k[0] * E1 - k[1] * E0
-        return Faraday3(E, B), np.zeros(events.shape[:-1], bool)
+        B[..., 0] = k[..., 1] * E2 - k[..., 2] * E1
+        B[..., 1] = k[..., 2] * E0 - k[..., 0] * E2
+        B[..., 2] = k[..., 0] * E1 - k[..., 1] * E0
+        return Faraday3(E, B), np.zeros(E.shape[:-1], bool)
 
     def faraday(self, x: FourVector) -> Faraday3:
         return self.faraday_rows(x.as_array())[0]
@@ -134,14 +136,17 @@ def predicted_invariant_factors(
 
     scale is the conformal scale at the event (ignored by the isometries).
     Inversions flip the sign of the pseudoscalar invariant, as do the
-    improper Lorentz classes.
+    improper Lorentz classes; an array of classes gets one factor per row.
     """
     if isinstance(params, Dilation):
         return params.factor**4, params.factor**4
     if isinstance(params, Translation):
         return 1.0, 1.0
     if isinstance(params, Lorentz):
-        return 1.0, -1.0 if params.lorentz_class.improper else 1.0
+        improper = params.class_flags()[0]
+        if isinstance(improper, np.ndarray):
+            return 1.0, np.where(improper, -1.0, 1.0)
+        return 1.0, -1.0 if improper else 1.0
     if isinstance(params, Inversion):
         return scale**4, -(scale**4)
     if isinstance(params, Sct):
@@ -211,7 +216,7 @@ def sweep(
     F_in, charge = spec.faraday_rows(events)
     refuse(reason, charge, Refusal.CHARGE)
     F_out, scale, why = field_rows(params, F_in, grid, frame)
-    refuse(reason, why != Refusal.OK, why)
+    refuse(reason, why != 0, why)  # 0 is Refusal.OK, as a plain int
     finite = (
         np.isfinite(F_in.F).all(axis=-1)
         & np.isfinite(F_out.F).all(axis=-1)

@@ -226,19 +226,20 @@ def jacobian_sct(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np
 def fd_jacobian(point_map, x: np.ndarray, step=None) -> np.ndarray:
     """Central-difference Jacobian of an event map, per row of x.
 
-    point_map takes and returns events of the shape of x.  The default step
-    is 1e-5 (1 + max |x|) per row.
+    point_map is called once, on the stencil points x +- h e_alpha stacked
+    on a leading axis: events of shape (8,) + x.shape, each mapped on its
+    own.  The default step h is 1e-5 (1 + max |x|) per row.
     """
     x = np.asarray(x, dtype=np.float64)
     if step is None:
         step = 1e-5 * (1.0 + np.abs(x).max(axis=-1))
     step = np.asarray(step, dtype=np.float64)
-    out = np.zeros(x.shape + (4,))
+    dx = np.zeros((4,) + x.shape)
     for alpha in range(4):
-        dx = np.zeros(x.shape)
-        dx[..., alpha] = step
-        out[..., :, alpha] = (point_map(x + dx) - point_map(x - dx)) / _col(2.0 * step)
-    return out
+        dx[alpha, ..., alpha] = step
+    images = point_map(np.concatenate([x + dx, x - dx]))
+    # Differences indexed [alpha, ..., i]; column alpha moves to the end.
+    return np.moveaxis(images[:4] - images[4:], 0, -1) / _mat(2.0 * step)
 
 
 def conformal_factor(M: np.ndarray):

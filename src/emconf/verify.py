@@ -5,15 +5,15 @@ reordering other checks never shifts its sample stream and the whole report
 is reproducible byte for byte.  A check's samples are the ones a loop
 drawing one trial at a time, rejection included, would draw, but they come
 from blocks of uniforms with every block's rejections decided at once (see
-_walk); only the plane-wave samples, whose normal draws vary in length, are
-drawn one trial at a time.  Each route then runs once on all the trials:
+_walk); only the plane-wave draws, whose normal draws vary in length, are
+made one trial at a time.  Each route then runs once on all the trials:
 inversion trials as one batch with the sign eps = +1 on even trials and -1
 on odd ones, special conformal trials as one batch with each trial's vector
-a on the batch axis, so row i of every batch is trial i.  Deviations
-between routes are measured relative to max(1, reference magnitude):
-transformed quantities reach 1e5 and beyond on valid sample points, where
-an absolute comparison would only measure float64 granularity, not
-correctness.
+a on the batch axis, Lorentz maps and plane waves with one class or wave
+per row, so row i of every batch is trial i.  Deviations between routes
+are measured relative to max(1, reference magnitude): transformed
+quantities reach 1e5 and beyond on valid sample points, where an absolute
+comparison would only measure float64 granularity, not correctness.
 """
 
 from __future__ import annotations
@@ -535,64 +535,71 @@ _CLASS_SIGNS = {
 }
 
 
-def _lorentz_params(rng, per_class: int) -> list[Lorentz]:
-    """For each class in turn, one batch of that class: per_class boost and
-    rotation pairs, each pair drawn boost first."""
-    batches = []
-    for cls in _CLASS_SIGNS:
-        pairs = rng.uniform(-1.0, 1.0, (per_class, 2, 3))
-        batches.append(Lorentz(boost=pairs[:, 0], rotation=pairs[:, 1], lorentz_class=cls))
-    return batches
+def _lorentz_params(rng, per_class: int) -> Lorentz:
+    """One batch of per_class maps of each class in turn, one class per row:
+    boost and rotation pairs, each pair drawn boost first."""
+    pairs = rng.uniform(-1.0, 1.0, (4 * per_class, 2, 3))
+    classes = np.repeat(np.array(list(_CLASS_SIGNS), dtype=object), per_class)
+    return Lorentz(boost=pairs[:, 0], rotation=pairs[:, 1], lorentz_class=classes)
 
 
 def check_lorentz_classes(rng, trials: int, tol: float) -> CheckResult:
     """Induced matrices are eta-orthogonal with the class's determinant and
     time-orientation signs."""
     per_class = max(1, trials // 4)
-    eta = oracle.ETA
-    devs = []
-    for p in _lorentz_params(rng, per_class):
-        L = induced_matrix(p)
-        det_sign, t_sign = _CLASS_SIGNS[p.lorentz_class]
-        devs += [
-            np.abs(np.swapaxes(L, -1, -2) @ eta @ L - eta),
-            np.abs(np.linalg.det(L) - det_sign),
-            np.where(oracle.time_orientation(L) != t_sign, 1.0, 0.0),
-        ]
+    L = induced_matrix(_lorentz_params(rng, per_class))
+    det_sign, t_sign = np.repeat(np.array(list(_CLASS_SIGNS.values())), per_class, axis=0).T
+    devs = [
+        np.abs(np.swapaxes(L, -1, -2) @ oracle.ETA @ L - oracle.ETA),
+        np.abs(np.linalg.det(L) - det_sign),
+        np.where(oracle.time_orientation(L) != t_sign, 1.0, 0.0),
+    ]
     return _result("lorentz_classes", per_class * 4, devs, tol)
 
 
 def check_lorentz_route_agreement(rng, trials: int, tol: float) -> CheckResult:
     """Both algebras induce the same Lorentz matrix for every class."""
     per_class = max(1, trials // 4)
-    devs = [
-        np.abs(induced_matrix(p) - induced_matrix3(p)) for p in _lorentz_params(rng, per_class)
-    ]
+    p = _lorentz_params(rng, per_class)
+    devs = [np.abs(induced_matrix(p) - induced_matrix3(p))]
     return _result("lorentz_route_agreement", per_class * 4, devs, tol)
+
+
+def _cross(u, w):
+    """np.cross of two 3-vectors: the same multiplies and subtractions."""
+    return u[[1, 2, 0]] * w[[2, 0, 1]] - u[[2, 0, 1]] * w[[1, 2, 0]]
+
+
+def _null_field_rows(rng, trials: int) -> tuple[np.ndarray, ...]:
+    """Events x, vectors a and waves (E0, khat, phase), one row per trial:
+    x and a clear of both cones, khat a normalised normal draw, E0 khat x (a
+    normal draw), drawn again while shorter than 1e-6, scaled to a uniform
+    length in [0.5, 1.5], and a uniform phase.  The normal draws vary in
+    length, so the draws and the redraw test (np.linalg.norm's
+    sqrt(x.dot(x))) run one trial at a time, the scaling once."""
+    rows = []
+    for _ in range(trials):
+        head = _sample(rng, 1, _off_cones, _EVENT + (0.5,) * 4)[0]
+        k = rng.normal(size=3)
+        k /= np.sqrt(k.dot(k))
+        e = _cross(k, rng.normal(size=3))
+        while (norm := np.sqrt(e.dot(e))) < 1e-6:
+            e = _cross(k, rng.normal(size=3))
+        rows.append((head, k, e, norm, rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi)))
+    head, khat, e, norm, length, phase = (np.array(part) for part in zip(*rows))
+    X, A = _split(head, 4, 4)
+    return X, A, e * (length / norm)[:, None], khat, phase
 
 
 def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
     """Plane-wave samples keep both invariants at zero through either map.
 
     The transformation vector stays in [-0.5, 0.5] so the exact zero is
-    compared against a quantity of order one.
+    compared against a quantity of order one.  Trial i's wave is row i of
+    one PlaneWave, evaluated at trial i's event.
     """
-    # The normal draws consume a varying number of doubles, so the trials
-    # are drawn one at a time.
-    rows = []
-    for _ in range(trials):
-        x, a = _split(_sample(rng, 1, _off_cones, _EVENT + (0.5,) * 4)[0], 4, 4)
-        k = rng.normal(size=3)
-        k /= np.linalg.norm(k)
-        e = np.cross(k, rng.normal(size=3))
-        while np.linalg.norm(e) < 1e-6:
-            e = np.cross(k, rng.normal(size=3))
-        e *= rng.uniform(0.5, 1.5) / np.linalg.norm(e)
-        phase = float(rng.uniform(0, 2 * math.pi))
-        wave = PlaneWave(E0=tuple(e), khat=tuple(k), phase=phase)
-        rows.append((x, a, wave.faraday(_fv(x)).F))
-    X, A, F = (np.array(part) for part in zip(*rows))
-    F = Faraday3(F=F)
+    X, A, E0, khat, phase = _null_field_rows(rng, trials)
+    F, _ = PlaneWave(E0=E0, khat=khat, phase=phase).faraday_rows(X)
     devs = []
     for Ft in (
         transform3(Inversion(1), FARADAY, F, _pv(X)),

@@ -15,7 +15,7 @@ import pytest
 
 from emconf import oracle
 from emconf.bridge import even_to_cl3
-from emconf.cl3 import exp_complex_vector
+from emconf.cl3 import Faraday3, Paravector3, exp_complex_vector
 from emconf.cl13 import (
     DIM,
     SIGN_TABLE,
@@ -42,7 +42,7 @@ from emconf.conformal13 import (
     induced_matrix,
     transform,
 )
-from emconf.conformal3 import induced_matrix3
+from emconf.conformal3 import induced_matrix3, transform3
 from emconf.errors import GradeLeakageError, LightConeError, SctConeError
 
 
@@ -215,6 +215,68 @@ def test_batched_induced_matrices_are_their_rows(induced, cls):
     for i in range(5):
         one = induced(Lorentz(tuple(boost[i]), tuple(rotation[i]), cls))
         assert np.array_equal(M[i], one)
+
+
+def _parts(out) -> tuple:
+    """The arrays holding a result's components, batch axes first."""
+    if isinstance(out, FourVector):
+        return (out.as_array(),)
+    if isinstance(out, Faraday13):
+        return out.E, out.B
+    if isinstance(out, Paravector3):
+        return out.s, out.v
+    if isinstance(out, Faraday3):
+        return (out.F,)
+    return (out,)
+
+
+def _mixed_classes(n: int, seed: int):
+    """Boost and rotation rows and a shuffled array holding every class."""
+    rng = np.random.default_rng(seed)
+    boost, rotation = rng.uniform(-1, 1, (2, n, 3))
+    classes = np.array(list(LorentzClass) * (n // 4), dtype=object)
+    rng.shuffle(classes)
+    return boost, rotation, classes
+
+
+def _assert_rows_are_single_calls(call, boost, rotation, classes):
+    """Row i of call on the mixed batch holds the bytes of call on map i
+    alone, of class classes[i]; call(params, rows) also takes the rows of
+    its other inputs, every row or row i."""
+    batch = _parts(call(Lorentz(boost, rotation, classes), slice(None)))
+    for i, cls in enumerate(classes):
+        single = _parts(call(Lorentz(tuple(boost[i]), tuple(rotation[i]), cls), i))
+        assert [b[i].tobytes() for b in batch] == [s.tobytes() for s in single]
+
+
+@pytest.mark.parametrize("induced", [induced_matrix, induced_matrix3])
+def test_mixed_class_induced_matrices_are_single_class_calls(induced):
+    boost, rotation, classes = _mixed_classes(12, 78)
+    assert induced(Lorentz(boost, rotation, classes)).shape == (12, 4, 4)
+    _assert_rows_are_single_calls(lambda p, rows: induced(p), boost, rotation, classes)
+
+
+@pytest.mark.parametrize("kind", list(QuantityKind))
+@pytest.mark.parametrize("route", [transform, transform3])
+def test_mixed_class_lorentz_rows_are_single_class_calls(route, kind):
+    """Every class in one batch, against each row mapped with its own class;
+    row 5 holds a boost whose image leaves the float64 range."""
+    boost, rotation, classes = _mixed_classes(12, 79)
+    boost[5] = (400.0, 0.0, 0.0)
+    v, E, B = np.random.default_rng(80).uniform(-2, 2, (3, 12, 4))
+
+    def call(params, rows):
+        if kind is QuantityKind.FARADAY:
+            field = Faraday13 if route is transform else Faraday3
+            value = field(E[rows, :3], B[rows, :3])
+        elif route is transform:
+            value = FourVector.from_array(v[rows])
+        else:
+            value = Paravector3.from_event(v[rows, 0], v[rows, 1:])
+        return route(params, kind, value)
+
+    with np.errstate(all="ignore"):
+        _assert_rows_are_single_calls(call, boost, rotation, classes)
 
 
 def test_cl13_rotor_maps_onto_the_cl3_rotor():

@@ -18,12 +18,10 @@ from emconf.cl13 import (
     exp_bivector,
     geometric_product,
     grade_project,
-    left_matrix,
     vector_sandwich,
-    versor_inverse,
 )
-from emconf.conformal13 import EXP_TOL, GRADE_TOL, RESIDUE_TOL
-from emconf.errors import GradeLeakageError, SingularVersorError
+from emconf.conformal13 import EXP_TOL, GRADE_TOL
+from emconf.errors import GradeLeakageError
 
 
 def test_blade_product_table_exact():
@@ -166,27 +164,15 @@ def test_exp_agrees_with_a_longdouble_taylor_series():
         assert dev <= 1e-15 * max(1.0, float(out.max_abs()))
 
 
-def test_versor_inverse():
+def test_rotor_reverse_is_its_inverse():
     rng = np.random.default_rng(13)
     one = Multivector13.scalar(1.0)
     for _ in range(20):
         gen = Multivector13(np.where(GRADE_OF == 2, rng.uniform(-0.8, 0.8, DIM), 0.0))
         L = exp_bivector(gen, EXP_TOL)
-        Li = versor_inverse(L, RESIDUE_TOL)
+        Li = L.reverse()
         assert (L * Li).approx_eq(one, 1e-12)
         assert (Li * L).approx_eq(one, 1e-12)
-
-
-def test_versor_inverse_singular():
-    with pytest.raises(SingularVersorError):
-        versor_inverse(Multivector13(), RESIDUE_TOL)
-
-
-def test_left_matrix_matches_product():
-    rng = np.random.default_rng(14)
-    a = Multivector13(rng.uniform(-1, 1, DIM))
-    b = Multivector13(rng.uniform(-1, 1, DIM))
-    assert np.allclose(left_matrix(a) @ b.c, (a * b).c, atol=1e-14)
 
 
 def test_vector_sandwich_is_triple_product():

@@ -21,6 +21,7 @@ from emconf.conformal13 import (
     transform,
 )
 from emconf.conformal3 import (
+    _inverse_lorentz,
     induced_matrix3,
     inverse_position3,
     scale_of,
@@ -269,6 +270,20 @@ def test_lorentz_preimage_is_the_inverse_matrix(cls):
         back = inverse_position3(params, basis)
         got = np.concatenate([back.s.real[:, None], back.v.real], axis=1).T
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_lorentz_preimage_of_mixed_classes_is_each_rows_preimage():
+    """The undoing map of a batch with a class per row holds, row by row,
+    the bytes of each map's own undoing map."""
+    rng = np.random.default_rng(55)
+    boost, rotation = rng.uniform(-1, 1, (2, 8, 3))
+    classes = np.array(list(LorentzClass) * 2, dtype=object)
+    inv = _inverse_lorentz(Lorentz(boost, rotation, classes))
+    assert inv.lorentz_class is classes
+    for i, cls in enumerate(classes):
+        one = _inverse_lorentz(Lorentz(boost[i], rotation[i], cls))
+        assert inv.boost[i].tobytes() == one.boost.tobytes()
+        assert inv.rotation[i].tobytes() == one.rotation.tobytes()
 
 
 @pytest.mark.parametrize("params", [

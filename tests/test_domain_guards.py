@@ -16,7 +16,6 @@ from emconf.cl13 import (
     Multivector13,
     exp_bivector,
     grade_project,
-    versor_inverse,
 )
 from emconf.cl3 import (
     Faraday3,
@@ -43,7 +42,6 @@ from emconf.errors import (
     NonBivectorError,
     NonRealEventError,
     SctConeError,
-    SingularVersorError,
 )
 
 NAN = float("nan")
@@ -117,12 +115,6 @@ _RESIDUE_CASES = {
     "exp_bivector": (
         NonBivectorError,
         lambda: exp_bivector(_with_nan_blade(Multivector13.blade(3, 0.5), 1), EXP_TOL),
-    ),
-    "versor_inverse": (
-        SingularVersorError,
-        lambda: versor_inverse(
-            _with_nan_blade(Multivector13.scalar(2.0), 3), RESIDUE_TOL
-        ),
     ),
     "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG, GRADE_TOL)),
     "real_paravector": (

@@ -50,6 +50,39 @@ def test_plane_wave_validation():
         PlaneWave(E0=(0.0, 0.0, 1.0), khat=(0.0, 0.0, 1.0))
 
 
+def _waves(n: int, seed: int):
+    """n unit directions, amplitudes orthogonal to them, and phases."""
+    rng = np.random.default_rng(seed)
+    k = rng.normal(size=(n, 3))
+    k /= np.sqrt((k * k).sum(axis=1))[:, None]
+    e = np.cross(k, rng.normal(size=(n, 3)))
+    return e, k, rng.uniform(0, 2 * np.pi, n)
+
+
+def test_plane_wave_rows_are_their_own_waves():
+    """Row i of a wave per row, at event i, is wave i's own field there."""
+    e, k, phase = _waves(9, 72)
+    X = np.random.default_rng(73).uniform(-5, 5, (9, 4))
+    F, charge = PlaneWave(E0=e, khat=k, phase=phase).faraday_rows(X)
+    assert F.F.shape == (9, 3) and not charge.any()
+    for i in range(9):
+        one = PlaneWave(E0=tuple(e[i]), khat=tuple(k[i]), phase=float(phase[i]))
+        assert F.F[i].tobytes() == one.faraday(FourVector.from_array(X[i])).F.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["khat", "E0"])
+def test_plane_wave_validation_sees_every_row(bad):
+    """One non-unit direction, or one amplitude off orthogonal, among valid
+    rows is refused."""
+    e, k, phase = _waves(5, 74)
+    if bad == "khat":
+        k[3] *= 1.001
+    else:
+        e[3] += 1e-3 * k[3]
+    with pytest.raises(ValueError):
+        PlaneWave(E0=e, khat=k, phase=phase)
+
+
 def test_coulomb_field():
     spec = Coulomb(q=1.0)
     F = spec.faraday(FourVector(0.0, 2.0, 0.0, 0.0))
@@ -102,6 +135,16 @@ def test_predicted_invariant_factors():
     improper = Lorentz(lorentz_class=LorentzClass.IMPROPER_ORTHOCHRONOUS)
     assert predicted_invariant_factors(proper, 1.0) == (1.0, 1.0)
     assert predicted_invariant_factors(improper, 1.0) == (1.0, -1.0)
+    assert type(predicted_invariant_factors(improper, 1.0)[1]) is float
+
+
+def test_predicted_invariant_factors_per_row_class():
+    classes = np.array(list(LorentzClass), dtype=object)
+    f1, f2 = predicted_invariant_factors(Lorentz(np.zeros((4, 3)), np.zeros((4, 3)), classes), 1.0)
+    assert f1 == 1.0
+    assert f2.tolist() == [
+        predicted_invariant_factors(Lorentz(lorentz_class=c), 1.0)[1] for c in LorentzClass
+    ]
 
 
 def test_invariant_scaling_report():

@@ -84,8 +84,38 @@ def test_jacobians_match_finite_differences():
 
 def test_fd_jacobian_exact_on_linear_map():
     A = np.arange(16.0).reshape(4, 4)
-    fd = oracle.fd_jacobian(lambda p: A @ p, np.array([1.0, 2.0, 3.0, 4.0]))
+    fd = oracle.fd_jacobian(lambda p: p @ A.T, np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.max(np.abs(fd - A)) < 1e-9
+
+
+def ref_fd_jacobian(point_map, x):
+    """Central differences one direction at a time, each a call of point_map
+    on events of the shape of x."""
+    step = 1e-5 * (1.0 + np.abs(x).max(axis=-1))
+    two_h = np.asarray(2.0 * step)[..., None]
+    out = np.zeros(x.shape + (4,))
+    for alpha in range(4):
+        dx = np.zeros(x.shape)
+        dx[..., alpha] = step
+        out[..., :, alpha] = (point_map(x + dx) - point_map(x - dx)) / two_h
+    return out
+
+
+@pytest.mark.parametrize("rows", [(), (30,)])
+def test_fd_jacobian_is_the_per_direction_loop_in_one_call(rows):
+    rng = np.random.default_rng(34)
+    x, a = rng.uniform(-2, 2, rows + (4,)), rng.uniform(-1, 1, rows + (4,))
+    eps = np.where(rng.uniform(size=rows) < 0.5, 1, -1)
+    for point_map in (lambda p: oracle.invert_event(p, eps), lambda p: oracle.sct_event(p, a)):
+        calls = []
+
+        def counted(p, point_map=point_map):
+            calls.append(p.shape)
+            return point_map(p)
+
+        got = oracle.fd_jacobian(counted, x)
+        assert calls == [(8,) + x.shape]
+        assert got.tobytes() == ref_fd_jacobian(point_map, x).tobytes()
 
 
 def test_conformal_factor_and_conformality():

@@ -25,6 +25,7 @@ REMOVED = (
     "invert3_position", "invert3_potential", "invert3_current", "invert3_faraday",
     "sct3_position", "sct3_potential", "sct3_current", "sct3_faraday",
     "lorentz3", "transform_faraday3", "PreparedTransform3",
+    "versor_inverse", "left_matrix", "SingularVersorError",
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from emconf import oracle, verify
 from emconf.cl13 import FourVector
-from emconf.conformal13 import Inversion, QuantityKind, Translation, transform
+from emconf.conformal13 import Inversion, LorentzClass, QuantityKind, Translation, transform
 
 GUARD, FD_GUARD = verify.GUARD, verify.FD_GUARD
 SEEDS = range(50)
@@ -175,16 +175,85 @@ def test_sct_chain_walk_matches_the_trial_loop(trials):
         assert_same_bytes(y.as_array(), Y)
 
 
+def ref_lorentz_params(rng, per_class):
+    """For each class in turn, per_class maps of it, each drawn boost first."""
+    boosts, rotations, classes = [], [], []
+    for cls in LorentzClass:
+        for _ in range(per_class):
+            boosts.append(rng.uniform(-1.0, 1.0, 3))
+            rotations.append(rng.uniform(-1.0, 1.0, 3))
+            classes.append(cls)
+    return np.array(boosts), np.array(rotations), classes
+
+
 def test_lorentz_params_match_the_pair_loop():
-    for seed in range(10):
+    for trials in TRIALS:
+        per_class = max(1, trials // 4)
+        for seed in SEEDS:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            p = verify._lorentz_params(rng, per_class)
+            boost, rotation, classes = ref_lorentz_params(ref_rng, per_class)
+            assert_same_bytes(p.boost, boost)
+            assert_same_bytes(p.rotation, rotation)
+            assert list(p.lorentz_class) == classes
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def ref_null_field(rng, trials):
+    """The plane-wave samples, one trial at a time: x, a, E0, khat, phase."""
+    rows = []
+    for _ in range(trials):
+        x, a = ref_sample_pair(rng, a_scale=0.25)
+        k = rng.normal(size=3)
+        k /= np.linalg.norm(k)
+        e = np.cross(k, rng.normal(size=3))
+        while np.linalg.norm(e) < 1e-6:
+            e = np.cross(k, rng.normal(size=3))
+        e *= rng.uniform(0.5, 1.5) / np.linalg.norm(e)
+        rows.append((x, a, e, k, float(rng.uniform(0, 2 * np.pi))))
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+def assert_same_null_field_draws(rng, ref_rng, trials):
+    got = verify._null_field_rows(rng, trials)
+    want = ref_null_field(ref_rng, trials)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_bytes(g, w)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+def test_null_field_rows_match_the_trial_loop(trials):
+    for seed in SEEDS:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for p in verify._lorentz_params(rng, 25):
-            pairs = np.array(
-                [(ref_rng.uniform(-1.0, 1.0, 3), ref_rng.uniform(-1.0, 1.0, 3)) for _ in range(25)]
-            )
-            assert_same_bytes(p.boost, pairs[:, 0])
-            assert_same_bytes(p.rotation, pairs[:, 1])
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_null_field_draws(rng, ref_rng, trials)
+
+
+class ScriptedNormals:
+    """A generator whose first normal draws are given vectors; every other
+    draw comes from the wrapped generator."""
+
+    def __init__(self, rng, normals):
+        self.rng, self.normals = rng, list(normals)
+        self.bit_generator = rng.bit_generator
+
+    def normal(self, size):
+        return np.array(self.normals.pop(0)) if self.normals else self.rng.normal(size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_null_field_redraws_a_degenerate_amplitude_as_the_loop_does():
+    """A second normal draw along khat gives a cross product below 1e-6,
+    exactly zero or not: both loops draw it again."""
+    normals = [(0.0, 0.0, 2.0), (0.0, 0.0, -1.5), (1e-7, 0.0, 3.0), (0.5, -0.2, 0.1)]
+    for seed in range(5):
+        rng = ScriptedNormals(np.random.default_rng(seed), normals)
+        ref_rng = ScriptedNormals(np.random.default_rng(seed), normals)
+        assert_same_null_field_draws(rng, ref_rng, 2)
+        assert not rng.normals and not ref_rng.normals
 
 
 def ref_walk(rng, trials, half, k, judge, cap):
