@@ -13,11 +13,22 @@ hand: the stdlib serializers do not honor a fixed digit count.
 events and writes each chunk's rows straight from the arrays before it
 computes the next, so memory stays flat in the grid size.  The kernel keeps
 each row's bits independent of the chunk it falls in, so the output does not
-depend on CHUNK_ROWS.  Each grid axis value is formatted once per job and the
-string reused in every row that holds it, so a computed row formats only its
-13 field and scale numbers and a skipped row none; every cell is still %.17g
-of its float64 value.  A one-line summary of the rows and the reasons rows
+depend on CHUNK_ROWS.  A one-line summary of the rows and the reasons rows
 were skipped goes to stderr; stdout holds the rows only.
+
+A chunk's rows are text made by numpy, not by one Python `%` per row.  Each
+grid axis value is formatted once per job.  The rows are fixed-width byte
+records, padded with NUL bytes, into which numtext.write_g17 writes the 13
+field and scale numbers of every row at once; the NULs are then deleted.
+Every cell is still exactly '%.17g' % v of its float64 value.  write_g17
+takes the 17 digits of |x| in [1e-4, 1e17) from one longdouble product y =
+|x| * 10**(16 - X), whose one rounding leaves it within 1e17 * 2**-64 <
+0.0055 of the exact product, so rounding y to an integer is exact unless
+the fraction of y lies that close to 1/2.  Fallback rule: a value whose
+fraction lies within 1/128 of 1/2 (about 1 in 64), a value outside that
+range other than zero, a value that is not finite, and every value where
+longdouble fails an import-time probe of 64-bit products, is formatted by
+'%.17g' % v, one call per value.
 
 The argument parser is built on the first main() call and reused by later
 calls in the same process, so in-process callers do not rebuild it per job.
@@ -61,6 +72,7 @@ from .fields import (
     invariant_scaling_report,
     sweep,
 )
+from .numtext import CELL_BYTES, write_g17
 from .verify import BASE_TOL, DEFAULT_SEED, REFERENCE_TRIALS, run_suite
 
 _AXES = ("t", "x", "y", "z")
@@ -325,48 +337,83 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
 
 def _grid_chunks(axes: dict):
     """Grid events in itertools.product order (t slowest), CHUNK_ROWS rows at
-    a time: an (n, 4) array of the events and, for each axis, the list of
-    their coordinates as row cells, each axis value formatted once."""
+    a time: an (n, 4) array of the events and, for each axis, the index of
+    each event's coordinate on that axis."""
     values = [axes[a] for a in _AXES]
-    cells = [np.array([_NUM % v for v in axis.tolist()], dtype=object) for axis in values]
     shape = tuple(len(v) for v in values)
     total = math.prod(shape)
     for start in range(0, total, CHUNK_ROWS):
         index = np.unravel_index(np.arange(start, min(start + CHUNK_ROWS, total)), shape)
-        events = np.stack([v[i] for v, i in zip(values, index)], axis=-1)
-        yield events, [c[i].tolist() for c, i in zip(cells, index)]
+        yield np.stack([v[i] for v, i in zip(values, index)], axis=-1), index
 
 
-def _row_lines(fmt: str, coords, F_in, F_out, scale, reason) -> list[str]:
-    """One line per grid row: the coordinate cells, then the row's 13 numbers
-    formatted straight from the kernel's arrays unless the row is skipped."""
-    full, skipped = _ROW_TEMPLATES[fmt]
-    numbers = np.concatenate(
-        [F_in.F.real, F_in.F.imag, F_out.F.real, F_out.F.imag, scale[:, None]], axis=1
-    )
-    return [
-        skipped % row[:4] if why else full % row
-        for row, why in zip(zip(*coords, *numbers.T.tolist()), reason.tolist())
-    ]
+def _up4(n: int) -> int:
+    return -(-n // 4) * 4
 
 
-def _json_template(cells: list[str]) -> str:
-    keys = (json.dumps(k) for k in CSV_HEADER.split(","))
-    return "{" + ", ".join(f"{k}: {c}" for k, c in zip(keys, cells)) + "}"
+class _RowWriter:
+    """The text of a job's rows, built in one byte buffer per chunk.
 
+    A row is a fixed-width record: the coordinate cells, each as wide as the
+    longest %.17g text on its axis, then 13 number cells of
+    numtext.CELL_BYTES bytes, each behind its separator, all padded with NUL
+    bytes, which are deleted from the finished chunk.  A chunk starts as
+    copies of the computed-row template, which holds the separators, the
+    `skipped` cell and the row end; numtext.write_g17 fills the number cells,
+    and skipped rows take the tail of the skipped-row template instead.
+    """
 
-# Per format, the template of a computed row (its 4 coordinate cells and 13
-# numbers) and of a skipped row (its 4 coordinate cells).
-_ROW_TEMPLATES = {
-    "csv": (
-        ",".join(["%s"] * 4 + [_NUM] * 13 + ["0"]),
-        ",".join(["%s"] * 4 + [""] * 13 + ["1"]),
-    ),
-    "json": (
-        _json_template(["%s"] * 4 + [_NUM] * 13 + ["false"]),
-        _json_template(["%s"] * 4 + ["null"] * 13 + ["true"]),
-    ),
-}
+    def __init__(self, fmt: str, axes: dict):
+        keys = [json.dumps(k).encode() for k in CSV_HEADER.split(",")]
+        if fmt == "csv":
+            seps = [b""] + [b","] * 17
+            start, end, null, flags = b"", b"\n", b"", (b"0", b"1")
+        else:
+            seps = [b"{" + keys[0] + b": "] + [b", " + k + b": " for k in keys[1:]]
+            # Rows are joined by ",\n": each row starts with it but the first.
+            start, end, null, flags = b",\n", b"}", b"null", (b"false", b"true")
+        self.drop = len(start)
+        # Each axis value is formatted once per job.
+        head, self.coords = bytearray(start), []
+        for axis, sep in zip(_AXES, seps):
+            table = np.array([_NUM % v for v in axes[axis].tolist()], dtype="S")
+            head += sep
+            self.coords.append((len(head), table.view(np.uint8).reshape(len(table), -1)))
+            head += bytes(table.itemsize)
+        # Rows, cells and their separators span multiples of 4 bytes, so the
+        # cells are aligned for numtext's word writes.
+        self.start = _up4(len(head))
+        self.sep_bytes = _up4(max(len(s) for s in seps[4:17]))
+        self.stride = self.sep_bytes + CELL_BYTES
+
+        def template(value: bytes, flag: bytes) -> bytearray:
+            row = head.ljust(self.start, b"\0")
+            for sep in seps[4:17]:
+                row += sep.ljust(self.sep_bytes, b"\0") + value.ljust(CELL_BYTES, b"\0")
+            row += seps[17] + flag + end
+            return row.ljust(_up4(len(row)), b"\0")
+
+        self.full = template(b"", flags[0])
+        self.skipped = np.frombuffer(template(null, flags[1]), np.uint8)[self.start:]
+
+    def text(self, index, numbers: np.ndarray, reason: np.ndarray, first: bool) -> str:
+        """The rows of one chunk, from each axis's coordinate index, the
+        (n, 13) field and scale numbers, which skipped rows overwrite with
+        zeros, and each row's Refusal code."""
+        n = len(reason)
+        raw = self.full * n
+        rows = np.frombuffer(raw, np.uint8).reshape(n, -1)
+        for (offset, table), i in zip(self.coords, index):
+            rows[:, offset:offset + table.shape[1]] = table[i]
+        skipped = reason != 0
+        # A skipped row's placeholders are not printed; zeros format fastest.
+        numbers[skipped] = 0
+        cells = rows[:, self.start:self.start + 13 * self.stride].reshape(n, 13, self.stride)
+        write_g17(numbers, cells[:, :, self.sep_bytes:])
+        rows[skipped, self.start:] = self.skipped
+        if first:
+            rows[0, :self.drop] = 0
+        return raw.translate(None, b"\0").decode("ascii")
 
 
 def _json_scalar(value) -> str:
@@ -433,14 +480,14 @@ def cmd_transform(args) -> int:
     # summary, so numpy's warnings about it would only repeat that on stderr.
     with _output(out) as fh, np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fh.write(CSV_HEADER + "\n" if fmt == "csv" else "[\n")
-        for i, (events, coords) in enumerate(_grid_chunks(axes)):
+        writer = _RowWriter(fmt, axes)
+        for i, (events, index) in enumerate(_grid_chunks(axes)):
             F_in, F_out, scale, reason = sweep(field, params, events, frame)
             tally += np.bincount(reason, minlength=len(Refusal))
-            lines = _row_lines(fmt, coords, F_in, F_out, scale, reason)
-            if fmt == "csv":
-                fh.write("\n".join(lines) + "\n")
-            else:
-                fh.write((",\n" if i else "") + ",\n".join(lines))
+            numbers = np.concatenate(
+                [F_in.F.real, F_in.F.imag, F_out.F.real, F_out.F.imag, scale[:, None]], axis=1
+            )
+            fh.write(writer.text(index, numbers, reason, first=i == 0))
         if fmt == "json":
             fh.write("\n]\n")
     print(_summary(tally), file=sys.stderr)

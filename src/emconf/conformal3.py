@@ -390,10 +390,14 @@ def _inverse_lorentz(params: Lorentz) -> Lorentz:
 
 
 def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
-    """mat times the coordinates of each event, as explicit four-term sums."""
+    """mat times the coordinates of each event, as explicit four-term sums;
+    a batch of matrices of shape (..., 4, 4) maps each event by its own."""
     t, r = x.s.real, x.v.real
     c0, c1, c2, c3 = t, r[..., 0], r[..., 1], r[..., 2]
-    rows = [m[0] * c0 + m[1] * c1 + m[2] * c2 + m[3] * c3 for m in mat]
+    rows = [
+        mat[..., i, 0] * c0 + mat[..., i, 1] * c1 + mat[..., i, 2] * c2 + mat[..., i, 3] * c3
+        for i in range(4)
+    ]
     return Paravector3.from_event(rows[0], np.stack(rows[1:], axis=-1))
 
 

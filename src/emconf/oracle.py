@@ -374,23 +374,6 @@ def inversion_field_forms(
     return (f64(Ep), f64(Bp)), (f64(Ec), f64(Bc))
 
 
-def inversion_field_components(
-    E, B, x: np.ndarray, eps, crosscheck_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted (E, B) in original coordinates, dot-product form.
-
-    The equivalent double-cross-product form is evaluated alongside; in
-    every row the two must agree within crosscheck_tol relative to
-    max(1, result scale).
-    """
-    (Ep, Bp), (Ec, Bc) = inversion_field_forms(E, B, x, eps)
-    dev = np.maximum(np.abs(Ep - Ec).max(axis=-1), np.abs(Bp - Bc).max(axis=-1))
-    scale = np.maximum(1.0, np.maximum(np.abs(Ep).max(axis=-1), np.abs(Bp).max(axis=-1)))
-    if (dev > crosscheck_tol * scale).any():
-        raise ArithmeticError(f"inversion component forms disagree by {np.max(dev):.3e}")
-    return Ep, Bp
-
-
 def _sct_field_sum(E, B, u, p, q, sig):
     """Three-part assembly shared by the two coordinate presentations."""
     cE = _col(_dot(p, E) + _dot(q, B))

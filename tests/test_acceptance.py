@@ -186,7 +186,10 @@ def test_criterion_11_cli_determinism():
         x = np.array([float(row[k]) for k in ("t", "x", "y", "z")])
         E = np.array([float(row[k]) for k in ("Ex", "Ey", "Ez")])
         B = np.array([float(row[k]) for k in ("Bx", "By", "Bz")])
-        Ep, Bp = oracle.inversion_field_components(E, B, x, 1)
+        (Ep, Bp), (Ec, Bc) = oracle.inversion_field_forms(E, B, x, 1)
+        # the dot-product and double-cross forms agree to roundoff
+        forms_dev = max(np.abs(Ep - Ec).max(), np.abs(Bp - Bc).max())
+        rows_ok = rows_ok and forms_dev <= 1e-12 * max(1.0, np.abs(Ep).max(), np.abs(Bp).max())
         got_E = np.array([float(row[k]) for k in ("Exp", "Eyp", "Ezp")])
         got_B = np.array([float(row[k]) for k in ("Bxp", "Byp", "Bzp")])
         worst = max(worst, float(np.max(np.abs(got_E - Ep))), float(np.max(np.abs(got_B - Bp))))

@@ -334,9 +334,8 @@ ORACLE_CALLS = {
     "transform_potential_covariant": lambda d: oracle.transform_potential_covariant(d["M"], d["A"]),
     "inversion_faraday_tensor": lambda d: oracle.inversion_faraday_tensor(d["F"], d["x"], -1),
     "sct_faraday_tensor": lambda d: oracle.sct_faraday_tensor(d["F"], d["x"], d["a"]),
-    "inversion_field_forms": lambda d: oracle.inversion_field_forms(d["E"], d["B"], d["x"], 1),
-    "inversion_field_components": lambda d: oracle.inversion_field_components(
-        d["E"], d["B"], d["x"], -1),
+    "inversion_field_forms": lambda d: tuple(
+        oracle.inversion_field_forms(d["E"], d["B"], d["x"], eps) for eps in (1, -1)),
     "sct_field_components": lambda d: oracle.sct_field_components(d["E"], d["B"], d["x"], d["a"]),
     "sct_field_components_newcoords": lambda d: oracle.sct_field_components_newcoords(
         d["E"], d["B"], d["xn"], d["a"]),
@@ -375,6 +374,17 @@ def test_batched_oracle_rows_are_single_event_calls(name):
     for row in range(ROWS):
         single = ORACLE_CALLS[name]({k: v[row] for k, v in inputs.items()})
         _assert_rows_equal(batch, single, row)
+
+
+def test_inversion_field_forms_agree_row_by_row():
+    """The dot-product and double-cross forms of the inverted fields agree
+    to roundoff in every row of a batch, for both signs."""
+    d = _oracle_inputs()
+    for eps in (1, -1):
+        (Ep, Bp), (Ec, Bc) = oracle.inversion_field_forms(d["E"], d["B"], d["x"], eps)
+        dev = np.maximum(np.abs(Ep - Ec).max(axis=-1), np.abs(Bp - Bc).max(axis=-1))
+        scale = np.maximum(1.0, np.maximum(np.abs(Ep).max(axis=-1), np.abs(Bp).max(axis=-1)))
+        assert (dev <= 1e-12 * scale).all()
 
 
 def test_single_event_oracle_keeps_float_returns():

@@ -15,7 +15,8 @@ import pytest
 from emconf import cli, verify
 from emconf.cl3 import Faraday3
 from emconf.cli import CSV_HEADER, main
-from emconf.conformal13 import CoordinateFrame, Dilation, Inversion
+from emconf.cl13 import FourVector
+from emconf.conformal13 import CoordinateFrame, Dilation, Inversion, Sct
 from emconf.fields import Coulomb, UniformField, sweep
 
 
@@ -452,6 +453,51 @@ def test_transform_rows_match_a_reference_formatter(
     assert (np.signbit(events) & (events == 0)).any()
     F_in, F_out, scale, reason = sweep(field, params, events, CoordinateFrame(frame))
     assert reason.any() == (job == "inversion-coulomb")
+    lines = _reference_lines(fmt, events, F_in, F_out, scale, reason)
+    if fmt == "csv":
+        assert out == "\n".join([CSV_HEADER, *lines]) + "\n"
+    else:
+        assert out == "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+_MAGNITUDE_JOBS = {
+    # |x| >= 10 with and without a fraction, 1e-7 and 1e-12 past the fixed
+    # range, 2.5e16 at its top, and -0
+    "dilation-uniform": (
+        ("--xform", "dilation", "--lambda", "1e-3", "--field", "uniform",
+         "--E0=1e5,-12.5,3e-7", "--B0=-0,1e-12,2.5e16"),
+        Dilation(1e-3), UniformField(E0=(1e5, -12.5, 3e-7), B0=(-0.0, 1e-12, 2.5e16)),
+        {"t": (0.0, 3.0, 4), "x": (-1e-5, 1e-5, 3)},
+    ),
+    # a strong charge: fields from 1e-1 to 1e6, skipped rows on the charge
+    "sct-coulomb": (
+        ("--xform", "sct", "--a=0.25,0.5,0,0", "--field", "coulomb", "--q", "1e4"),
+        Sct(a=FourVector(0.25, 0.5, 0.0, 0.0)), Coulomb(q=1e4),
+        {"t": (0.0, 2.0, 3), "x": (-0.5, 0.5, 5), "y": (-2.0, 2.0, 5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("job", _MAGNITUDE_JOBS)
+def test_transform_rows_at_every_magnitude_match_a_reference_formatter(
+    monkeypatch, capsys, job, fmt
+):
+    """Rows whose numbers run from 1e-12 to 1e16, through every layout of
+    the array formatter and its fallback, equal %.17g of each number; chunks
+    of 5 rows start in the middle of an axis."""
+    flags, params, field, axes = _MAGNITUDE_JOBS[job]
+    grid = ",".join(f"{a}={lo!r}:{hi!r}:{n}" for a, (lo, hi, n) in axes.items())
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 5)
+    code, out, _ = run_cli(capsys, "transform", *flags, "--grid", grid, "--format", fmt)
+    assert code == 0
+    values = [
+        np.linspace(lo, hi, n) for lo, hi, n in (axes.get(a, (0.0, 0.0, 1)) for a in "txyz")
+    ]
+    events = np.array(list(itertools.product(*values)), dtype=float)
+    F_in, F_out, scale, reason = sweep(field, params, events, CoordinateFrame.ORIGINAL)
+    assert reason.any() == (job == "sct-coulomb")
+    assert (np.abs(F_out.F[reason == 0]) >= 10).any()
     lines = _reference_lines(fmt, events, F_in, F_out, scale, reason)
     if fmt == "csv":
         assert out == "\n".join([CSV_HEADER, *lines]) + "\n"

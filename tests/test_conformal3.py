@@ -286,6 +286,30 @@ def test_lorentz_preimage_of_mixed_classes_is_each_rows_preimage():
         assert inv.rotation[i].tobytes() == one.rotation.tobytes()
 
 
+@pytest.mark.parametrize("classes", [
+    LorentzClass.PROPER_ORTHOCHRONOUS,
+    np.array([LorentzClass.IMPROPER_ORTHOCHRONOUS, LorentzClass.PROPER_ANTICHRONOUS]),
+], ids=["one-class", "class-per-row"])
+def test_preimage_of_a_batch_of_lorentz_maps_is_each_rows_preimage(classes):
+    """A batch of maps undoes each event by its own map, with the bytes of
+    that map's own preimage: two boosts, or one boost and a class per row."""
+    boost = np.array([[0.3, 0.0, 0.0], [0.0, 0.2, 0.0]])
+    rotation = np.array([[0.0, 0.0, 0.0], [0.1, -0.4, 0.2]])
+    t, r = np.array([1.5, -0.5]), np.array([[0.2, -1.0, 0.7], [2.0, 0.3, -0.4]])
+    for params, rows in (
+        (Lorentz(boost, rotation, classes), range(2)),
+        (Lorentz(boost[0], rotation[0], classes), [0, 0]),
+    ):
+        back = inverse_position3(params, Paravector3.from_event(t, r))
+        for i, m in enumerate(rows):
+            cls = classes if isinstance(classes, LorentzClass) else classes[i]
+            one = inverse_position3(
+                Lorentz(boost[m], rotation[m], cls), Paravector3.from_event(t[i], r[i])
+            )
+            assert back.s[i].tobytes() == one.s.tobytes()
+            assert back.v[i].tobytes() == one.v.tobytes()
+
+
 @pytest.mark.parametrize("params", [
     Dilation(factor=2.5),
     Translation(offset=FourVector(0.5, -1.0, 0.25, 2.0)),

@@ -226,7 +226,9 @@ def test_component_expansions_match_tensor_forms():
         E = rng.uniform(-2, 2, 3)
         B = rng.uniform(-2, 2, 3)
         eps = 1 if i % 2 == 0 else -1
-        Ep, Bp = oracle.inversion_field_components(E, B, x, eps)
+        (Ep, Bp), (Ec, Bc) = oracle.inversion_field_forms(E, B, x, eps)
+        forms_dev = max(np.max(np.abs(Ep - Ec)), np.max(np.abs(Bp - Bc)))
+        assert forms_dev <= 1e-12 * max(1.0, np.max(np.abs(Ep)), np.max(np.abs(Bp)))
         Et, Bt = oracle.unpack_faraday(
             np.asarray(
                 oracle.inversion_faraday_tensor(oracle.pack_faraday(E, B), x, eps),
