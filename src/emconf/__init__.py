@@ -25,8 +25,6 @@ from .cl3 import (
     cl3_product,
     exp_complex_vector,
     minkowski_square,
-    pure_vector,
-    real_paravector,
 )
 from .conformal13 import (
     ConformalParams,

@@ -15,15 +15,15 @@ that rule, `s` is always stored as an ndarray, of shape () for one element.
 
 Each residue guard computes a per-row residue and refuses the rows where
 `not residue <= bound`, so a NaN residue is refused rather than dropped.
-The `*_rows` forms return the refusal mask; the raising forms raise when any
-row is refused.
+The `*_rows` forms return the refusal mask with the value, and the caller
+decides what a refused row means.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImaginaryResidueError, NonRealEventError
+from .errors import NonRealEventError
 
 
 class Paravector3:
@@ -134,14 +134,17 @@ def dot3(u, w):
     return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
 
 
+def cross3(u, w):
+    """Cross product over the last axis, with np.cross's multiplies and
+    subtraction per component: u1 w2 - u2 w1, u2 w0 - u0 w2, u0 w1 - u1 w0."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    return np.stack([u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0], axis=-1)
+
+
 def _refused(residue, p: Paravector3, tol: float):
     """Rows whose residue is NaN or above tol relative to the row's size."""
     return ~(residue <= tol * np.fmax(1.0, p.max_abs()))
-
-
-def _raise_refused(error, what: str, residue, refused) -> None:
-    worst = np.max(np.asarray(residue)[refused])
-    raise error(f"{what} {worst:.3e} above tolerance")
 
 
 def minkowski_square(x: Paravector3, tol: float):
@@ -168,25 +171,9 @@ def real_rows(p: Paravector3, tol: float) -> tuple[Paravector3, np.ndarray]:
     return real, refused
 
 
-def real_paravector(p: Paravector3, tol: float) -> Paravector3:
-    """Strip a residual imaginary part; raise if any row's is above tol."""
-    real, refused = real_rows(p, tol)
-    if refused.any():
-        _raise_refused(ImaginaryResidueError, "imaginary residue", p.imag_residue(), refused)
-    return real
-
-
 def vector_rows(p: Paravector3, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Vector part of p, and the rows whose scalar residue is above tol."""
     return p.v.copy(), _refused(p.scalar_residue(), p, tol)
-
-
-def pure_vector(p: Paravector3, tol: float) -> np.ndarray:
-    """Vector part of p; raise if any row's scalar residue is above tol."""
-    v, refused = vector_rows(p, tol)
-    if refused.any():
-        _raise_refused(ImaginaryResidueError, "scalar residue", p.scalar_residue(), refused)
-    return v
 
 
 def exp_complex_vector(w) -> Paravector3:

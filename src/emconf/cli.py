@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -67,6 +68,7 @@ from .errors import (
 from .fields import (
     Coulomb,
     FieldSpec,
+    InvariantScalingReport,
     PlaneWave,
     UniformField,
     invariant_scaling_report,
@@ -263,28 +265,22 @@ def build_xform(spec: dict) -> ConformalParams:
     raise JobError(f"unknown transformation kind: {kind!r}")
 
 
-def _field_spec_from_args(args) -> dict | None:
-    if args.field is None:
-        return None
-    spec = {"kind": args.field}
-    for key, value in (
-        ("E0", args.E0), ("B0", args.B0), ("khat", args.khat),
-        ("phase", args.phase), ("q", args.q),
-    ):
-        if value is not None:
-            spec[key] = list(value) if isinstance(value, tuple) else value
-    return spec
+# Each section's flags, by argparse dest, and the job file key each one sets.
+_FIELD_FLAGS = {"E0": "E0", "B0": "B0", "khat": "khat", "phase": "phase", "q": "q"}
+_XFORM_FLAGS = {
+    "eps": "eps", "a": "a", "dilation_factor": "factor", "b": "offset",
+    "boost": "boost", "rotation": "rotation", "lorentz_class": "class",
+}
 
 
-def _xform_spec_from_args(args) -> dict | None:
-    if args.xform is None:
+def _spec_from_args(kind, args, keys: dict) -> dict | None:
+    """The job file section that the flags spell, or None without the
+    section's kind flag; keys maps each flag's dest to its job key."""
+    if kind is None:
         return None
-    spec = {"kind": args.xform}
-    for key, value in (
-        ("eps", args.eps), ("a", args.a), ("factor", args.dilation_factor),
-        ("offset", args.b), ("boost", args.boost), ("rotation", args.rotation),
-        ("class", args.lorentz_class),
-    ):
+    spec = {"kind": kind}
+    for dest, key in keys.items():
+        value = getattr(args, dest)
         if value is not None:
             spec[key] = list(value) if isinstance(value, tuple) else value
     return spec
@@ -301,6 +297,16 @@ def _merge_spec(from_job, from_args, what: str) -> dict:
     if from_job is None:
         raise JobError(f"no {what} given (use flags or a job file)")
     return from_job
+
+
+def _job_field_params(args) -> tuple[dict, FieldSpec, ConformalParams]:
+    """The job file (empty without --job), and the field and the map that it
+    and the flags give."""
+    job = _load_job(args.job) if args.job else {}
+    spec = _spec_from_args(args.field, args, _FIELD_FLAGS)
+    field = build_field(_merge_spec(job.get("field"), spec, "field"))
+    spec = _spec_from_args(args.xform, args, _XFORM_FLAGS)
+    return job, field, build_xform(_merge_spec(job.get("xform"), spec, "transformation"))
 
 
 def _resolve_grid(job_grid, flag_grid) -> dict:
@@ -435,12 +441,17 @@ def _json_object(items) -> str:
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    """stdout, or the file at out opened for writing."""
+    """stdout, or the file at out opened for writing; a file that cannot be
+    opened is a JobError."""
     if out is None:
         yield sys.stdout
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise JobError(f"cannot write output file: {exc}") from None
+    with fh:
+        yield fh
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -461,9 +472,7 @@ def _summary(tally: np.ndarray) -> str:
 
 
 def cmd_transform(args) -> int:
-    job = _load_job(args.job) if args.job else {}
-    field = build_field(_merge_spec(job.get("field"), _field_spec_from_args(args), "field"))
-    params = build_xform(_merge_spec(job.get("xform"), _xform_spec_from_args(args), "transformation"))
+    job, field, params = _job_field_params(args)
     axes = _resolve_grid(job.get("grid"), args.grid)
     frame_name = args.frame or job.get("frame", "original")
     try:
@@ -474,6 +483,8 @@ def cmd_transform(args) -> int:
     if fmt not in ("csv", "json"):
         raise JobError(f"unknown format: {fmt!r}")
     out = args.out or job.get("out")
+    if not isinstance(out, (str, type(None))):
+        raise JobError("job out entry must be a string")
 
     tally = np.zeros(len(Refusal), dtype=np.int64)
     # A row that overflows is refused as NON_FINITE and counted in the
@@ -500,16 +511,15 @@ def cmd_transform(args) -> int:
 # -- invariants -------------------------------------------------------------------
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_REPORT_KEYS = (
-    "i1", "i2", "i1_transformed", "i2_transformed",
-    "factor_i1", "factor_i2", "rel_dev_i1", "rel_dev_i2", "scale",
+# The report's numbers, in field order; the condition number decides below
+# whether the report is printed and is not printed itself.
+_REPORT_KEYS = tuple(
+    f.name for f in dataclasses.fields(InvariantScalingReport) if f.name != "condition"
 )
 
 
 def cmd_invariants(args) -> int:
-    job = _load_job(args.job) if args.job else {}
-    field = build_field(_merge_spec(job.get("field"), _field_spec_from_args(args), "field"))
-    params = build_xform(_merge_spec(job.get("xform"), _xform_spec_from_args(args), "transformation"))
+    job, field, params = _job_field_params(args)
     point = args.point if args.point is not None else job.get("point")
     if point is None:
         raise JobError("no point given (use --point or a job file)")

@@ -62,9 +62,13 @@ class LorentzClass(Enum):
 
 # (improper, antichronous) of each class, as its name spells them: whether it
 # reverses spatial orientation (determinant -1) and whether it reverses time.
-_CLASS_FLAGS = {
-    c: (c.value.startswith("improper"), c.value.endswith("antichronous")) for c in LorentzClass
-}
+# One read-only table, whose 0-d views a one-class map reads without building
+# an array.
+_FLAG_TABLE = np.array(
+    [(c.value.startswith("improper"), c.value.endswith("antichronous")) for c in LorentzClass]
+)
+_FLAG_TABLE.flags.writeable = False
+_CLASS_FLAGS = {c: (row[0, ...], row[1, ...]) for c, row in zip(LorentzClass, _FLAG_TABLE)}
 
 
 class QuantityKind(Enum):
@@ -90,23 +94,25 @@ class Translation:
 
 @dataclass(frozen=True)
 class Lorentz:
-    """Boost rapidities and rotation angles feeding the exponential generator;
-    for a batch of shape (n, 3), lorentz_class is one class or one per row."""
+    """Boost rapidities and rotation angles feeding the exponential generator,
+    and the class of the map.  For a batch, boost and rotation have shape
+    (n, 3) or (3,), and lorentz_class is one LorentzClass or an array of
+    shape (n,) holding one per row; the batch shape is their broadcast."""
 
     boost: tuple[float, float, float] = (0.0, 0.0, 0.0)
     rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)
     lorentz_class: LorentzClass | np.ndarray = LorentzClass.PROPER_ORTHOCHRONOUS
 
-    def class_flags(self, basis_axis: bool = False):
-        """(improper, antichronous): Python bools for one class, bool arrays
-        of the shape of an array of classes, with basis_axis an axis of length
-        one more, to meet the four basis events of an induced matrix."""
+    def class_flags(self) -> tuple[np.ndarray, np.ndarray]:
+        """(improper, antichronous) as bool arrays of the shape of
+        lorentz_class: read-only 0-d arrays for one class, one entry per row
+        for an array of classes."""
         cls = self.lorentz_class
         if isinstance(cls, LorentzClass):
             return _CLASS_FLAGS[cls]
         cls = np.asarray(cls)
         flags = np.array([_CLASS_FLAGS[c] for c in cls.flat], dtype=bool).reshape(-1, 2).T
-        return tuple(f.reshape(cls.shape + (1,) * basis_axis) for f in flags)
+        return tuple(f.reshape(cls.shape) for f in flags)
 
 
 @dataclass(frozen=True)
@@ -307,20 +313,22 @@ def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
 def _lorentz_sandwich(kind: QuantityKind, value, L: Multivector13, Li: Multivector13, flags):
     """Sandwich by the rotor pair L, Li, adjusted per Lorentz class.
 
-    flags are Lorentz.class_flags, of one class or of one class per row.  The
-    improper classes wrap the sandwich in the timelike reflection; the
-    antichronous classes flip the overall sign of position and field but not
-    of potential or current.  The rotor grows as e^|b|, so past |b| of about
-    355 the image leaves the float64 range: such a row skips the residue
-    guard and is returned as the arithmetic gave it, for the caller to check.
+    flags are (improper, antichronous) bool arrays, as Lorentz.class_flags
+    gives them, that broadcast against the batch.  The improper rows take
+    the sandwich wrapped in the timelike reflection, which is computed only
+    if some row is improper; the antichronous rows flip the overall sign of
+    position and field but not of potential or current.  The rotor grows as
+    e^|b|, so past |b| of about 355 the image leaves the float64 range: such
+    a row skips the residue guard and is returned as the arithmetic gave
+    it, for the caller to check.
     """
     improper, antichronous = flags
     q = value.to_mv()
     out = vector_sandwich(L, q, Li)
-    if improper is not False:
+    if improper.any():
         e0 = Multivector13.basis_vector(0)
         reflected = vector_sandwich(e0, out, e0)
-        out = reflected if improper is True else Multivector13._wrap(
+        out = Multivector13._wrap(
             np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
         )
     flip = antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
@@ -331,13 +339,14 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Multivector13, Li: Multivect
 
 def induced_matrix(params: Lorentz) -> np.ndarray:
     """4x4 coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch.  For n maps of any
-    classes, boost and rotation of shape (n, 3), the result has shape
+    the four basis events are mapped as one batch, on an axis that follows
+    the map's batch axes (rotors and class flags alike).  For n maps, by
+    boost and rotation of shape (n, 3) or by n classes, the result has shape
     (n, 4, 4)."""
     L, Li = (
         Multivector13._wrap(m.c[..., None, :], m.m) for m in _lorentz_rotors(params)
     )
     basis = FourVector.from_array(np.eye(4))
-    flags = params.class_flags(basis_axis=True)
+    flags = tuple(f[..., None] for f in params.class_flags())
     out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, flags)
     return np.swapaxes(out.as_array(), -1, -2)

@@ -227,6 +227,7 @@ def _batch_shape(params: ConformalParams, value, x) -> tuple:
         shapes.append(x.s.shape)
     if isinstance(params, Lorentz):
         shapes += [np.shape(params.boost)[:-1], np.shape(params.rotation)[:-1]]
+        shapes.append(params.class_flags()[0].shape)
     elif isinstance(params, Sct):
         shapes.append(params.a.c.shape[:-1])
     elif isinstance(params, Inversion):
@@ -326,33 +327,27 @@ def _where(mask, a: Paravector3, b: Paravector3) -> Paravector3:
 def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, flags, reason):
     """Class-resolved sandwich by the rotor L.
 
-    flags are Lorentz.class_flags, of one class or of one class per row.
-    Orthochronous-proper sandwiches are L W L* for paravector kinds and
-    L F bar(L) for the field; the improper classes conjugate the operand and
-    swap the rotor decorations; the antichronous classes flip the sign of
-    position (paravector side) and field, never of potential or current.
-    The rotor grows as e^|b|, so past |b| of about 355 the image leaves the
-    float64 range: such a row is NON_FINITE, not a residue.
+    flags are (improper, antichronous) bool arrays, as Lorentz.class_flags
+    gives them, that broadcast against the batch.  Orthochronous-proper
+    sandwiches are L W L* for paravector kinds and L F bar(L) for the
+    field.  The improper rows conjugate the operand (bar(W), or F*) and
+    take the rotor bar(L)*, which swaps the decorations of the outer
+    factors; both are picked per row, and only if some row is improper.
+    The antichronous rows flip the sign of position (paravector side) and
+    field, never of potential or current.  The rotor grows as e^|b|, so
+    past |b| of about 355 the image leaves the float64 range: such a row is
+    NON_FINITE, not a residue.
     """
     improper, antichronous = flags
     field = kind is QuantityKind.FARADAY
-    if field:
-        q = value.to_paravector()
-        flip = improper != antichronous
-    else:
-        q = value
-        flip = antichronous if kind is QuantityKind.POSITION else False
-    raw = None
-    if improper is not True:
-        raw = cl3_product(cl3_product(L, q), L.bar() if field else L.star())
-    if improper is not False:
-        if field:
-            mirrored = cl3_product(cl3_product(L.bar().star(), q.star()), L.star())
-        else:
-            mirrored = cl3_product(cl3_product(L.bar().star(), q.bar()), L.bar())
-        raw = mirrored if raw is None else _where(improper, mirrored, raw)
-    if flip is not False:
-        raw = -raw if flip is True else _where(flip, -raw, raw)
+    q = value.to_paravector() if field else value
+    if improper.any():
+        L = _where(improper, L.bar().star(), L)
+        q = _where(improper, q.star() if field else q.bar(), q)
+    raw = cl3_product(cl3_product(L, q), L.bar() if field else L.star())
+    flip = (improper != antichronous) if field else antichronous & (kind is QuantityKind.POSITION)
+    if flip.any():
+        raw = _where(flip, -raw, raw)
     refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
     return _field_guard(raw, reason) if field else _real_guard(raw, reason)
 
@@ -362,13 +357,14 @@ _BASIS = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
 
 def induced_matrix3(params: Lorentz) -> np.ndarray:
     """Coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch.  For n maps of any
-    classes, boost and rotation of shape (n, 3), the result has shape
-    (n, 4, 4)."""
+    the four basis events are mapped as one batch, on an axis that follows
+    the map's batch axes (rotor, class flags and refusal ledger alike).
+    For n maps, by boost and rotation of shape (n, 3) or by n classes, the
+    result has shape (n, 4, 4)."""
     L = _lorentz_rotor(params)
     L = Paravector3._wrap(L.s[..., None], L.v[..., None, :])
-    reason = no_refusals(np.broadcast_shapes(L.s.shape, _BASIS.s.shape))
-    flags = params.class_flags(basis_axis=True)
+    flags = tuple(f[..., None] for f in params.class_flags())
+    reason = no_refusals(np.broadcast_shapes(L.s.shape, _BASIS.s.shape, flags[0].shape))
     out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, flags, reason)
     _raise_refusal(reason)
     return np.swapaxes(np.concatenate([out.s.real[..., None], out.v.real], axis=-1), -1, -2)
@@ -378,11 +374,11 @@ def _inverse_lorentz(params: Lorentz) -> Lorentz:
     """The map of the same class that undoes params: a class acts as
     M Lambda(b, r) with M one of 1, P, -P, -1 for the parity P, M M = 1 and
     P Lambda(b, r) P = Lambda(-b, r), so M Lambda(-b, -r) undoes a proper
-    class and M Lambda(b, -r) an improper one."""
+    class and M Lambda(b, -r) an improper one; each row of a batch takes
+    the boost its own class calls for."""
     boost = np.asarray(params.boost, dtype=np.float64)
     improper = params.class_flags()[0]
-    if improper is not True:
-        boost = -boost if improper is False else np.where(improper[..., None], boost, -boost)
+    boost = np.where(improper[..., None], boost, -boost)
     return Lorentz(boost, -np.asarray(params.rotation, dtype=np.float64), params.lorentz_class)
 
 

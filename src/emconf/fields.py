@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .bridge import to_paravector
-from .cl3 import Faraday3, Paravector3, dot3
+from .cl3 import Faraday3, Paravector3, cross3, dot3
 from .cl13 import FourVector
 from .conformal13 import (
     ConformalParams,
@@ -85,12 +85,7 @@ class PlaneWave:
         e = np.asarray(self.E0, float)
         osc = np.cos(dot3(k, events[..., 1:]) - events[..., 0] + self.phase)
         E = e * osc[..., None]
-        E0, E1, E2 = E[..., 0], E[..., 1], E[..., 2]
-        B = np.empty_like(E)
-        B[..., 0] = k[..., 1] * E2 - k[..., 2] * E1
-        B[..., 1] = k[..., 2] * E0 - k[..., 0] * E2
-        B[..., 2] = k[..., 0] * E1 - k[..., 1] * E0
-        return Faraday3(E, B), np.zeros(E.shape[:-1], bool)
+        return Faraday3(E, cross3(k, E)), np.zeros(E.shape[:-1], bool)
 
     def faraday(self, x: FourVector) -> Faraday3:
         return self.faraday_rows(x.as_array())[0]
@@ -136,17 +131,16 @@ def predicted_invariant_factors(
 
     scale is the conformal scale at the event (ignored by the isometries).
     Inversions flip the sign of the pseudoscalar invariant, as do the
-    improper Lorentz classes; an array of classes gets one factor per row.
+    improper Lorentz classes; one class gets a float, an array of classes
+    an array with one factor per row.
     """
     if isinstance(params, Dilation):
         return params.factor**4, params.factor**4
     if isinstance(params, Translation):
         return 1.0, 1.0
     if isinstance(params, Lorentz):
-        improper = params.class_flags()[0]
-        if isinstance(improper, np.ndarray):
-            return 1.0, np.where(improper, -1.0, 1.0)
-        return 1.0, -1.0 if improper else 1.0
+        f2 = np.where(params.class_flags()[0], -1.0, 1.0)
+        return 1.0, f2 if f2.ndim else float(f2)
     if isinstance(params, Inversion):
         return scale**4, -(scale**4)
     if isinstance(params, Sct):

@@ -27,7 +27,7 @@ import numpy as np
 from . import oracle
 from .bridge import product_correspondence_check, sandwich_correspondence_check
 from .cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
-from .cl3 import Faraday3, Paravector3
+from .cl3 import Faraday3, Paravector3, cross3
 from .conformal13 import (
     GRADE_TOL,
     CoordinateFrame,
@@ -565,11 +565,6 @@ def check_lorentz_route_agreement(rng, trials: int, tol: float) -> CheckResult:
     return _result("lorentz_route_agreement", per_class * 4, devs, tol)
 
 
-def _cross(u, w):
-    """np.cross of two 3-vectors: the same multiplies and subtractions."""
-    return u[[1, 2, 0]] * w[[2, 0, 1]] - u[[2, 0, 1]] * w[[1, 2, 0]]
-
-
 def _null_field_rows(rng, trials: int) -> tuple[np.ndarray, ...]:
     """Events x, vectors a and waves (E0, khat, phase), one row per trial:
     x and a clear of both cones, khat a normalised normal draw, E0 khat x (a
@@ -582,9 +577,9 @@ def _null_field_rows(rng, trials: int) -> tuple[np.ndarray, ...]:
         head = _sample(rng, 1, _off_cones, _EVENT + (0.5,) * 4)[0]
         k = rng.normal(size=3)
         k /= np.sqrt(k.dot(k))
-        e = _cross(k, rng.normal(size=3))
+        e = cross3(k, rng.normal(size=3))
         while (norm := np.sqrt(e.dot(e))) < 1e-6:
-            e = _cross(k, rng.normal(size=3))
+            e = cross3(k, rng.normal(size=3))
         rows.append((head, k, e, norm, rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi)))
     head, khat, e, norm, length, phase = (np.array(part) for part in zip(*rows))
     X, A = _split(head, 4, 4)

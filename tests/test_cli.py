@@ -360,6 +360,38 @@ def test_job_file_integral_numbers_are_accepted(tmp_path, capsys):
     assert code == 0 and len(parse_csv(out)) == 2
 
 
+_OUT_COMMANDS = {
+    "transform": ("transform", "--field", "uniform", "--E0", "1,0,0", "--xform", "inversion"),
+    "invariants": ("invariants", "--field", "uniform", "--E0", "1,0,0",
+                   "--xform", "inversion", "--point", "1,0,0,0"),
+    "verify": ("verify", "--trials", "4"),
+}
+
+
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+def test_unwritable_output_path_exits_two(tmp_path, capsys, command):
+    """An output file in a missing directory once ended in a traceback."""
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, *_OUT_COMMANDS[command], "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file: ") and err.count("\n") == 1
+    assert str(path) in err and not path.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["true", "5.0"])
+def test_job_file_out_must_be_a_string(tmp_path, capsys, value):
+    """out: true once opened file descriptor 1, wrote the rows to stdout and
+    closed it; out: 5.0 ended in a TypeError."""
+    job = tmp_path / "job.json"
+    job.write_text(
+        '{"field": {"kind": "uniform", "E0": [1, 0, 0]}, '
+        f'"xform": {{"kind": "inversion"}}, "out": {value}}}'
+    )
+    code, out, err = run_cli(capsys, "transform", "--job", str(job))
+    assert code == 2 and out == ""
+    assert err == "error: job out entry must be a string\n"
+
+
 def test_lorentz_boost_through_cli(capsys):
     import math
 

@@ -17,11 +17,14 @@ from emconf.conformal13 import (
     QuantityKind,
     Sct,
     Translation,
+    induced_matrix,
     sct_factor,
     transform,
 )
 from emconf.conformal3 import (
+    Refusal,
     _inverse_lorentz,
+    field_rows,
     induced_matrix3,
     inverse_position3,
     scale_of,
@@ -395,6 +398,39 @@ def test_refusal_ledger_takes_the_maps_batch_shape():
     assert not np.isfinite(out.F[0]).all()
     alone = transform3(Lorentz(boost=(0.3, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)), FARADAY, F)
     assert out.F[1].tobytes() == alone.F.tobytes()
+
+
+_TWO_CLASSES = np.array(
+    [LorentzClass.PROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ORTHOCHRONOUS], dtype=object
+)
+
+
+@pytest.mark.parametrize("b", [0.3, 400.0])
+def test_class_per_row_with_a_shared_boost_is_each_rows_single_class_call(b):
+    """An array of classes with one boost, on one field at one event: the
+    batch has the classes' rows, each the bytes of the map of that class
+    alone, in both routes; at b = 400 both rows overflow, and field_rows
+    marks them NON_FINITE."""
+    E, B, x = (1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.5, 0.1, -0.2, 0.3)
+
+    def tf13(p):
+        out = transform(p, FARADAY, Faraday13(E, B), FourVector(*x))
+        return np.concatenate([out.E, out.B], axis=-1)
+
+    def tf3(p):
+        return transform3(p, FARADAY, Faraday3(E, B), ev(x[0], x[1:])).F
+
+    def params(cls):
+        return Lorentz(boost=(b, 0.0, 0.0), lorentz_class=cls)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (tf13, tf3, induced_matrix, induced_matrix3):
+            batch = call(params(_TWO_CLASSES))
+            assert len(batch) == 2
+            singles = [call(params(c)) for c in _TWO_CLASSES]
+            assert [row.tobytes() for row in batch] == [one.tobytes() for one in singles]
+        _, _, reason = field_rows(params(_TWO_CLASSES), Faraday3(E, B), ev(x[0], x[1:]))
+    assert reason.tolist() == [Refusal.NON_FINITE if b > 355 else Refusal.OK] * 2
 
 
 @pytest.mark.parametrize("kind", [POTENTIAL, FARADAY])

@@ -21,8 +21,8 @@ from emconf.cl3 import (
     Faraday3,
     Paravector3,
     minkowski_square,
-    pure_vector,
-    real_paravector,
+    real_rows,
+    vector_rows,
 )
 from emconf.conformal13 import (
     EXP_TOL,
@@ -37,7 +37,6 @@ from emconf.conformal13 import (
 from emconf.conformal3 import transform3
 from emconf.errors import (
     GradeLeakageError,
-    ImaginaryResidueError,
     LightConeError,
     NonBivectorError,
     NonRealEventError,
@@ -117,13 +116,6 @@ _RESIDUE_CASES = {
         lambda: exp_bivector(_with_nan_blade(Multivector13.blade(3, 0.5), 1), EXP_TOL),
     ),
     "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG, GRADE_TOL)),
-    "real_paravector": (
-        ImaginaryResidueError, lambda: real_paravector(_NAN_IMAG, RESIDUE_TOL)
-    ),
-    "pure_vector": (
-        ImaginaryResidueError,
-        lambda: pure_vector(Paravector3(complex(0.0, NAN), [1, 0, 0]), RESIDUE_TOL),
-    ),
     "even_to_cl3": (
         GradeLeakageError,
         lambda: even_to_cl3(_with_nan_blade(Multivector13.scalar(1.0), 1), GRADE_TOL),
@@ -136,6 +128,17 @@ def test_nan_residue_is_refused(case):
     error, call = _RESIDUE_CASES[case]
     with pytest.raises(error):
         call()
+
+
+def test_nan_residue_row_is_refused():
+    """The row-wise guards refuse a row whose residue is NaN, and hand back
+    the part they keep: the real part, or the vector part."""
+    real, refused = real_rows(_NAN_IMAG, RESIDUE_TOL)
+    assert refused.shape == () and refused
+    assert real.s == 2.0 and real.v.tolist() == [1.0, 0.0, 0.0]
+    v, refused = vector_rows(Paravector3(complex(0.0, NAN), [1, 0, 0]), RESIDUE_TOL)
+    assert refused.shape == () and refused
+    assert v.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_paravector_norms_keep_nan():
