@@ -589,6 +589,8 @@ def _report_to_json(report) -> str:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise JobError("seed must be a non-negative integer")
     if args.trials < 1:
         raise JobError("trials must be at least 1")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):

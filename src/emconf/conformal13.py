@@ -169,10 +169,10 @@ def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
         return _cone_guard(
             sct_factor(x, a), SctConeError, "event too close to the excluded cone: scale"
         )
-    # In image coordinates the scale satisfies 1/s = 1 - 2 a.x'' + a^2 x''^2.
-    denom = 1.0 - 2.0 * a.mdot(x) + a.minkowski_sq() * x.minkowski_sq()
+    # In image coordinates 1/s is the scale of the map by -a, which undoes a.
     return 1.0 / _cone_guard(
-        denom, SctConeError, "image event too close to the excluded cone: 1/scale"
+        sct_factor(x, FourVector.from_array(-a.as_array())),
+        SctConeError, "image event too close to the excluded cone: 1/scale",
     )
 
 

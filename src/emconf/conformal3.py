@@ -14,12 +14,14 @@ Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
 Inside the kernel a guard does not raise: it records a Refusal code for its
 rows in a per-row ledger and lets the row go on with a placeholder, so the
-other rows are computed in the same call.  transform3, scale_of and
-inverse_position3 raise the typed error of the first refused row, which for
-one element is the error of that element; preimage_rows and field_rows,
-which a sweep calls, hand the ledger back instead.  The kernel uses ufuncs
-only, in a fixed order, so a row's bits are the same in a batch of one and
-in a batch of many.
+other rows are computed in the same call.  One rule, _batch_shape, sizes
+every ledger, and each entry evaluates the conformal scale once, at the
+ledger's shape; field_rows returns the scale it weighted by.  transform3,
+scale_of and inverse_position3 raise the typed error of the first refused
+row, which for one element is the error of that element; preimage_rows and
+field_rows, which a sweep calls, hand the ledger back instead.  The kernel
+uses ufuncs only, in a fixed order, so a row's bits are the same in a batch
+of one and in a batch of many.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def refuse(reason: np.ndarray, rows, code) -> None:
         np.copyto(reason, code, where=rows & (reason == _OK))
 
 
-def _raise_refusal(reason: np.ndarray) -> None:
+def raise_refusal(reason: np.ndarray) -> None:
     """Raise the typed error of the first row of the ledger refused with
     one, if any."""
     if not reason.any():
@@ -138,27 +140,28 @@ def _cone_guard(value, code: Refusal, reason: np.ndarray):
     return np.where(refused, 1.0, value)
 
 
-def _sct_scale(x: Paravector3, a: Paravector3, frame: CoordinateFrame, reason):
-    """sigma at the source event, or at the image event the reciprocal of the
-    scale of the map by -a, which undoes the map by a; guarded on the cone."""
-    if frame is _ORIG:
-        return _cone_guard(sct_factor3(x, a), Refusal.SCT_CONE, reason)
-    return 1.0 / _cone_guard(sct_factor3(x, -a), Refusal.SCT_CONE, reason)
-
-
-def _scale_rows(params: ConformalParams, x: Paravector3, frame, reason):
+def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
+    """scale_of at each event of x, and a new ledger holding its refusals:
+    both have the batch shape of x, the values and the map's rows."""
+    reason = no_refusals(_batch_shape(params, x, *values))
+    w = 1.0
     if isinstance(params, Dilation):
-        return np.full(x.s.shape, params.factor)
-    if isinstance(params, (Translation, Lorentz)):
-        return np.ones(x.s.shape)
-    if isinstance(params, Inversion):
+        w = params.factor
+    elif isinstance(params, Inversion):
         # An event's imaginary part is the image of a four-vector's off-grade
         # (trivector) part, so it is held to the grade tolerance.
         w = _cone_guard(minkowski_square(x, GRADE_TOL), Refusal.LIGHT_CONE, reason)
-        return w if frame is _ORIG else 1.0 / w
-    if isinstance(params, Sct):
-        return _sct_scale(x, to_paravector(params.a), frame, reason)
-    raise TypeError(f"unknown transformation parameters: {params!r}")
+    elif isinstance(params, Sct):
+        # At the image event, sigma of the map by -a, which undoes the map by a.
+        a = to_paravector(params.a)
+        w = _cone_guard(sct_factor3(x, a if frame is _ORIG else -a), Refusal.SCT_CONE, reason)
+    elif not isinstance(params, (Translation, Lorentz)):
+        raise TypeError(f"unknown transformation parameters: {params!r}")
+    if frame is not _ORIG and isinstance(params, (Inversion, Sct)):
+        w = 1.0 / w
+    # Ones, not broadcast_to: the product is exact, and one event keeps the
+    # numpy scalar that fields.predicted_invariant_factors raises with **.
+    return w * np.ones(reason.shape), reason
 
 
 def scale_of(
@@ -172,11 +175,11 @@ def scale_of(
     factor for dilations, and 1 for the isometries.  The inversion and the
     special conformal map read x as the source event in the ORIGINAL frame
     and as the image event in the TRANSFORMED frame, and refuse an x on
-    their cones.
+    their cones.  The result has the broadcast shape of x and the map's
+    rows.
     """
-    reason = no_refusals(x.s.shape)
-    scale = _scale_rows(params, x, frame, reason)
-    _raise_refusal(reason)
+    scale, reason = _scale_rows(params, x, frame)
+    raise_refusal(reason)
     return scale
 
 
@@ -192,22 +195,20 @@ def _field_guard(p: Paravector3, reason) -> Faraday3:
     return Faraday3._wrap(F)
 
 
-def _sct_position3(x: Paravector3, a: Paravector3, reason) -> Paravector3:
-    s = _sct_scale(x, a, _ORIG, reason)
+def _sct_position3(x: Paravector3, a: Paravector3, k, reason) -> Paravector3:
     raw = cl3_product(_ONE + cl3_product(a, x.bar()), x)
-    return _real_guard((1.0 / s) * raw, reason)
+    return _real_guard(k * raw, reason)
 
 
-def _position3(params: ConformalParams, x: Paravector3, reason) -> Paravector3:
+def _position3(params: ConformalParams, x: Paravector3, k, reason) -> Paravector3:
+    """The map of the events x; k is 1/x^2 or 1/sigma (eps k is eps / x^2 to the bit)."""
     if isinstance(params, Dilation):
         return (1.0 / params.factor) * x
     if isinstance(params, Translation):
         return x + to_paravector(params.offset)
     if isinstance(params, Inversion):
-        return (np.asarray(params.eps) / _scale_rows(params, x, _ORIG, reason)) * x
-    if isinstance(params, Sct):
-        return _sct_position3(x, to_paravector(params.a), reason)
-    raise TypeError(f"unknown transformation parameters: {params!r}")
+        return (np.asarray(params.eps) * k) * x
+    return _sct_position3(x, to_paravector(params.a), k, reason)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -220,11 +221,11 @@ _SCALE_POWER = {
 }
 
 
-def _batch_shape(params: ConformalParams, value, x) -> tuple:
-    """The broadcast batch shape of value, x and the map's own rows."""
-    shapes = [value.F.shape[:-1] if isinstance(value, Faraday3) else value.s.shape]
-    if x is not None:
-        shapes.append(x.s.shape)
+def _batch_shape(params: ConformalParams, *values) -> tuple:
+    """The broadcast shape of the values (None skipped) and the map's rows."""
+    shapes = [
+        v.F.shape[:-1] if isinstance(v, Faraday3) else v.s.shape for v in values if v is not None
+    ]
     if isinstance(params, Lorentz):
         shapes += [np.shape(params.boost)[:-1], np.shape(params.rotation)[:-1]]
         shapes.append(params.class_flags()[0].shape)
@@ -235,12 +236,12 @@ def _batch_shape(params: ConformalParams, value, x) -> tuple:
     return np.broadcast_shapes(*shapes)
 
 
-def _transform_rows(params, kind, value, x, frame, reason):
+def _transform_rows(params, kind, value, x, frame, scale, reason):
     if isinstance(params, Lorentz):
         L = _lorentz_rotor(params)
         return _lorentz_sandwich(kind, value, L, params.class_flags(), reason)
     if kind is QuantityKind.POSITION:
-        return _position3(params, value, reason)
+        return _position3(params, value, 1.0 / scale, reason)
     field = kind is QuantityKind.FARADAY
     if isinstance(params, Dilation):
         w = params.factor ** (_SCALE_POWER[kind] + 1)
@@ -249,7 +250,6 @@ def _transform_rows(params, kind, value, x, frame, reason):
         return value
     sign = 1
     if isinstance(params, Inversion):
-        scale = _scale_rows(params, x, frame, reason)
         if field:
             raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
             sign = np.asarray(params.eps)
@@ -257,7 +257,6 @@ def _transform_rows(params, kind, value, x, frame, reason):
             raw = cl3_product(cl3_product(x, value.bar()), x)
     else:
         a = to_paravector(params.a)
-        scale = _sct_scale(x, a, frame, reason)
         if frame is _ORIG:
             left = _ONE + cl3_product(a, x.bar())
             if field:
@@ -274,10 +273,14 @@ def _transform_rows(params, kind, value, x, frame, reason):
         raw = cl3_product(cl3_product(left, q), right)
     p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
     if p:
-        # A zero power skips the multiply: a complex multiply by 1 + 0j can
-        # flip the sign of a zero component.  np.power, not **: on the numpy
-        # scalar of a single event ** takes another pow than the ufunc loop.
+        # np.power, not **: on the numpy scalar of a single event ** takes
+        # another pow than the ufunc loop.
         raw = (sign * np.power(scale, p)) * raw
+    else:
+        # No multiply, which by 1 + 0j can flip a zero's sign: a view adds eps's rows.
+        raw = Paravector3._wrap(
+            np.broadcast_to(raw.s, reason.shape), np.broadcast_to(raw.v, reason.shape + (3,))
+        )
     if field:
         return _field_guard(raw, reason)
     return _real_guard(raw, reason)
@@ -303,9 +306,11 @@ def transform3(
     batches, eps one sign per row; the result has their broadcast batch
     shape.
     """
-    reason = no_refusals(_batch_shape(params, value, x))
-    out = _transform_rows(params, kind, value, x, frame, reason)
-    _raise_refusal(reason)
+    if kind is QuantityKind.POSITION:
+        x, frame = value, _ORIG
+    scale, reason = _scale_rows(params, x, frame, value)
+    out = _transform_rows(params, kind, value, x, frame, scale, reason)
+    raise_refusal(reason)
     return out
 
 
@@ -364,9 +369,9 @@ def induced_matrix3(params: Lorentz) -> np.ndarray:
     L = _lorentz_rotor(params)
     L = Paravector3._wrap(L.s[..., None], L.v[..., None, :])
     flags = tuple(f[..., None] for f in params.class_flags())
-    reason = no_refusals(np.broadcast_shapes(L.s.shape, _BASIS.s.shape, flags[0].shape))
+    reason = no_refusals(_batch_shape(params) + _BASIS.s.shape)
     out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, flags, reason)
-    _raise_refusal(reason)
+    raise_refusal(reason)
     return np.swapaxes(np.concatenate([out.s.real[..., None], out.v.real], axis=-1), -1, -2)
 
 
@@ -397,7 +402,8 @@ def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
     return Paravector3.from_event(rows[0], np.stack(rows[1:], axis=-1))
 
 
-def _inverse_rows(params: ConformalParams, x_new: Paravector3, reason) -> Paravector3:
+def _inverse_rows(params: ConformalParams, x_new: Paravector3, scale, reason) -> Paravector3:
+    """Preimages of x_new, given the TRANSFORMED-frame scale there."""
     if isinstance(params, Dilation):
         return params.factor * x_new
     if isinstance(params, Translation):
@@ -405,24 +411,23 @@ def _inverse_rows(params: ConformalParams, x_new: Paravector3, reason) -> Parave
     if isinstance(params, Lorentz):
         return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new)
     if isinstance(params, Inversion):
-        return _position3(params, x_new, reason)
-    if isinstance(params, Sct):
-        # The special conformal map with -a undoes the one with a.
-        return _sct_position3(x_new, -to_paravector(params.a), reason)
-    raise TypeError(f"unknown transformation parameters: {params!r}")
+        return _position3(params, x_new, scale, reason)
+    # The special conformal map with -a undoes the one with a.
+    return _sct_position3(x_new, -to_paravector(params.a), scale, reason)
 
 
 def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
     """Preimage of each image event under the parametrized map, and each
-    row's Refusal code; rows that are not OK hold placeholder values."""
-    reason = no_refusals(x_new.s.shape)
-    return _inverse_rows(params, x_new, reason), reason
+    row's Refusal code, both with the broadcast shape of the events and the
+    map's rows; rows that are not OK hold placeholder values."""
+    scale, reason = _scale_rows(params, x_new, CoordinateFrame.TRANSFORMED)
+    return _inverse_rows(params, x_new, scale, reason), reason
 
 
 def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
     """Preimage of each image event under the parametrized map."""
     x, reason = preimage_rows(params, x_new)
-    _raise_refusal(reason)
+    raise_refusal(reason)
     return x
 
 
@@ -430,8 +435,9 @@ def field_rows(
     params: ConformalParams, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
 ) -> tuple[Faraday3, np.ndarray, np.ndarray]:
     """Field transform at the events x, as transform3, the conformal scale
-    there, as scale_of, and each row's Refusal code; rows that are not OK
-    hold placeholder values."""
-    reason = no_refusals(_batch_shape(params, F, x))
-    out = _transform_rows(params, QuantityKind.FARADAY, F, x, frame, reason)
-    return out, _scale_rows(params, x, frame, reason), reason
+    there that weighted it, as scale_of, and each row's Refusal code; the
+    scale and the codes have the broadcast shape of F, x and the map's rows,
+    and rows that are not OK hold placeholder values."""
+    scale, reason = _scale_rows(params, x, frame, F)
+    out = _transform_rows(params, QuantityKind.FARADAY, F, x, frame, scale, reason)
+    return out, scale, reason

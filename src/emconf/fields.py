@@ -22,19 +22,10 @@ from .conformal13 import (
     Dilation,
     Inversion,
     Lorentz,
-    QuantityKind,
     Sct,
     Translation,
 )
-from .conformal3 import (
-    Refusal,
-    field_rows,
-    no_refusals,
-    preimage_rows,
-    refuse,
-    scale_of,
-    transform3,
-)
+from .conformal3 import Refusal, field_rows, no_refusals, preimage_rows, raise_refusal, refuse
 from .errors import OriginSingularityError
 
 SINGULARITY_TOL = 1e-12
@@ -174,9 +165,8 @@ def invariant_scaling_report(
     """
     F = spec.faraday(x)
     i1, i2 = invariants(F)
-    ev = to_paravector(x)
-    scale = scale_of(params, ev, CoordinateFrame.ORIGINAL)
-    Fp = transform3(params, QuantityKind.FARADAY, F, ev, CoordinateFrame.ORIGINAL)
+    Fp, scale, reason = field_rows(params, F, to_paravector(x), CoordinateFrame.ORIGINAL)
+    raise_refusal(reason)
     i1p, i2p = invariants(Fp)
     f1, f2 = predicted_invariant_factors(params, scale)
     floor = max(1.0, abs(f1) * max(abs(i1), abs(i2)))

@@ -417,8 +417,7 @@ def sct_field_components_newcoords(
     cube, and the coordinate-dependent part of the scalar u flips sign.
     """
     E, B, xn, a = _ld(E), _ld(B), _ld(x_new), _ld(a)
-    denom = 1.0 - 2.0 * _mdot(a, xn) + _mdot(a, a) * _mdot(xn, xn)
-    sig = 1.0 / denom
+    sig = 1.0 / _sct_sigma(xn, -a)
     t, r = xn[..., 0], xn[..., 1:]
     a0, av = a[..., 0], a[..., 1:]
     u = 1.0 - a0 * t + _dot(av, r)

@@ -652,6 +652,8 @@ def run_suite(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
     children = np.random.SeedSequence(seed).spawn(len(REGISTRY))

@@ -650,6 +650,7 @@ def test_verify_zero_tolerance_exits_one(capsys):
 
 def test_verify_rejects_bad_arguments(capsys):
     assert run_cli(capsys, "verify", "--trials", "0")[0] == 2
+    assert run_cli(capsys, "verify", "--seed", "-1", "--trials", "1")[0] == 2
     for tol in ("-1", "inf", "nan"):
         assert run_cli(capsys, "verify", "--tol", tol)[0] == 2
 
@@ -725,9 +726,11 @@ def test_verify_seed_from_environment():
     proc = run_proc("verify", "--trials", "5", env={"EMCONF_SEED": "123"})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 123
-    # a malformed environment seed is a usage error
-    proc = run_proc("verify", "--trials", "5", env={"EMCONF_SEED": "abc"})
-    assert proc.returncode == 2
+    # a malformed or negative environment seed is a usage error
+    for bad in ("abc", "-1"):
+        proc = run_proc("verify", "--trials", "5", env={"EMCONF_SEED": bad})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 def test_main_reuses_one_parser(monkeypatch, capsys):

@@ -27,6 +27,7 @@ from emconf.conformal3 import (
     field_rows,
     induced_matrix3,
     inverse_position3,
+    preimage_rows,
     scale_of,
     sct_factor3,
     transform3,
@@ -387,17 +388,33 @@ def test_lorentz_overflow_rows_are_non_finite_in_both_routes(kind):
 
 
 def test_refusal_ledger_takes_the_maps_batch_shape():
-    """A batch of maps with one shared value: the ledger has the maps' rows,
-    so an overflowing Lorentz row comes back non-finite and the other row
-    is its single-map result."""
+    """A batch of maps with one shared value or event: the ledger has the
+    maps' rows, so an overflowing Lorentz row comes back non-finite and the
+    other row is its single-map result, and a row on the excluded cone of
+    the special conformal map, at the source or at the preimage, is refused
+    with its typed error."""
     F = Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
     params = Lorentz(boost=[[400.0, 0.0, 0.0], [0.3, 0.0, 0.0]], rotation=np.zeros((2, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         out = transform3(params, FARADAY, F)
-    assert out.F.shape == (2, 3)
+        F2, scale, reason = field_rows(params, F, ev(0.5, (0.1, -0.2, 0.3)))
+    assert out.F.shape == F2.F.shape == (2, 3)
     assert not np.isfinite(out.F[0]).all()
     alone = transform3(Lorentz(boost=(0.3, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)), FARADAY, F)
-    assert out.F[1].tobytes() == alone.F.tobytes()
+    assert out.F[1].tobytes() == alone.F.tobytes() == F2.F[1].tobytes()
+    assert scale.tolist() == [1.0, 1.0]
+    assert reason.tolist() == [Refusal.NON_FINITE, Refusal.OK]
+    # sigma = (1 + a_0)^2 at the source x = (1, 0, 0, 0) vanishes for
+    # a_0 = -1, and sigma of the map by -a at the image x for a_0 = 1.
+    x = ev(1.0, (0.0, 0.0, 0.0))
+    with pytest.raises(SctConeError):
+        scale_of(Sct(FourVector.from_array([[0.1, 0, 0, 0], [-1.0, 0, 0, 0]])), x)
+    sct = Sct(FourVector.from_array([[0.1, 0, 0, 0], [1.0, 0, 0, 0]]))
+    src, reason = preimage_rows(sct, x)
+    assert src.s.shape == (2,)
+    assert reason.tolist() == [Refusal.OK, Refusal.SCT_CONE]
+    with pytest.raises(SctConeError):
+        inverse_position3(sct, x)
 
 
 _TWO_CLASSES = np.array(
@@ -431,6 +448,49 @@ def test_class_per_row_with_a_shared_boost_is_each_rows_single_class_call(b):
             assert [row.tobytes() for row in batch] == [one.tobytes() for one in singles]
         _, _, reason = field_rows(params(_TWO_CLASSES), Faraday3(E, B), ev(x[0], x[1:]))
     assert reason.tolist() == [Refusal.NON_FINITE if b > 355 else Refusal.OK] * 2
+
+
+_BATCHED_MAPS = [
+    (
+        Lorentz(boost=[[0.3, 0.0, 0.0], [0.0, 0.2, 0.1]], rotation=np.zeros((2, 3))),
+        [Lorentz(boost=(0.3, 0.0, 0.0)), Lorentz(boost=(0.0, 0.2, 0.1))],
+    ),
+    (
+        Lorentz(boost=(0.3, 0.0, 0.0), lorentz_class=_TWO_CLASSES),
+        [Lorentz(boost=(0.3, 0.0, 0.0), lorentz_class=c) for c in _TWO_CLASSES],
+    ),
+    (
+        Sct(FourVector.from_array([[0.1, 0.0, 0.2, 0.0], [0.0, -0.1, 0.0, 0.3]])),
+        [Sct(FourVector(0.1, 0.0, 0.2, 0.0)), Sct(FourVector(0.0, -0.1, 0.0, 0.3))],
+    ),
+    (Inversion(np.array([1, -1])), [Inversion(1), Inversion(-1)]),
+]
+
+
+@pytest.mark.parametrize("frame", [ORIG, TRANS])
+@pytest.mark.parametrize("batch, singles", _BATCHED_MAPS)
+def test_batched_map_on_one_event_gives_every_result_the_maps_rows(batch, singles, frame):
+    """Two maps on one event: every public entry returns its values, scale
+    and ledger with the maps' two rows, each the bytes of its map alone."""
+    x, F = ev(0.5, (0.1, -0.2, 0.3)), Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+    A = ev(0.3, (0.1, -0.2, 0.4))
+
+    def results(params):
+        out, scale, reason = field_rows(params, F, x, frame)
+        src, why = preimage_rows(params, x)
+        return [
+            out.F, scale, reason, scale_of(params, x, frame), src.s, src.v, why,
+            inverse_position3(params, x).v,
+            transform3(params, FARADAY, F, x, frame).F,
+            transform3(params, POTENTIAL, A, x, frame).v,
+            transform3(params, POSITION, x).v,
+        ]
+
+    got = results(batch)
+    assert [len(r) for r in got] == [2] * len(got)
+    alone = [results(p) for p in singles]
+    for i, one in enumerate(alone):
+        assert [np.asarray(r[i]).tobytes() for r in got] == [np.asarray(r).tobytes() for r in one]
 
 
 @pytest.mark.parametrize("kind", [POTENTIAL, FARADAY])

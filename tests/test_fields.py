@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
+from emconf import conformal3
 from emconf.cl13 import FourVector
-from emconf.conformal13 import Dilation, Inversion, Lorentz, LorentzClass, Sct, Translation
+from emconf.conformal13 import (
+    CoordinateFrame,
+    Dilation,
+    Inversion,
+    Lorentz,
+    LorentzClass,
+    Sct,
+    Translation,
+)
 from emconf.errors import LightConeError, OriginSingularityError
 from emconf.fields import (
     Coulomb,
@@ -13,6 +22,7 @@ from emconf.fields import (
     invariant_scaling_report,
     invariants,
     predicted_invariant_factors,
+    sweep,
 )
 
 
@@ -167,3 +177,29 @@ def test_invariant_scaling_report_guards():
     spec = UniformField(E0=(1.0, 0.0, 0.0))
     with pytest.raises(LightConeError):
         invariant_scaling_report(spec, Inversion(1), FourVector(1.0, 1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("params", [Sct(FourVector(0.1, 0.0, 0.2, 0.0)), Inversion(1)])
+def test_conformal_scale_is_evaluated_once_per_call(monkeypatch, params):
+    """sigma or x^2 is evaluated once per sweep in the ORIGINAL frame, once
+    more for the preimages in the TRANSFORMED frame, and once per invariants
+    report."""
+    calls = []
+
+    def counted(inner):
+        def call(*args):
+            calls.append(inner)
+            return inner(*args)
+
+        return call
+
+    for name in ("sct_factor3", "minkowski_square"):
+        monkeypatch.setattr(conformal3, name, counted(getattr(conformal3, name)))
+    events = np.array([[0.5, 0.1, -0.2, 0.3], [1.0, 0.3, 0.2, -0.4]])
+    counts = []
+    for frame in CoordinateFrame:
+        sweep(Coulomb(), params, events, frame)
+        counts.append(len(calls))
+        calls.clear()
+    invariant_scaling_report(Coulomb(), params, FourVector(*events[0]))
+    assert counts + [len(calls)] == [1, 2, 1]

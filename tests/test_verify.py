@@ -56,6 +56,8 @@ def test_argument_validation():
         run_suite(seed=1, trials=0, tol=1e-10)
     with pytest.raises(ValueError):
         run_suite(seed=1, trials=10, tol=-1.0)
+    with pytest.raises(ValueError, match="seed"):
+        run_suite(seed=-1, trials=1, tol=1e-10)
 
 
 
