@@ -12,7 +12,7 @@ from emconf import (
     exp_bivector,
     vector_sandwich,
 )
-from emconf.conformal13 import EXP_TOL, GRADE_TOL
+from emconf.maps import EXP_TOL, GRADE_TOL
 
 # 1) Basis products are integer-exact.  e0 squares to +1, the spatial
 #    generators square to -1, and mixed products land on single blades.

@@ -15,19 +15,18 @@ from emconf import (
     UniformField,
     invariant_scaling_report,
 )
-from emconf.cl13 import FourVector
 
 field = UniformField(E0=(0.9, -0.2, 0.4), B0=(0.1, 0.6, -0.3))
-x = FourVector(1.3, 0.4, -0.2, 0.5)
+x = (1.3, 0.4, -0.2, 0.5)
 
 cases = [
     ("dilation x2", Dilation(2.0)),
-    ("translation", Translation(FourVector(1.0, -0.5, 0.0, 2.0))),
+    ("translation", Translation((1.0, -0.5, 0.0, 2.0))),
     ("boost", Lorentz(boost=(0.3, 0.0, 0.0))),
     ("improper rotation", Lorentz(rotation=(0.0, 0.4, 0.0),
                                   lorentz_class=LorentzClass.IMPROPER_ORTHOCHRONOUS)),
     ("inversion", Inversion(eps=1)),
-    ("special conformal", Sct(FourVector(0.2, 0.1, 0.0, -0.1))),
+    ("special conformal", Sct((0.2, 0.1, 0.0, -0.1))),
 ]
 
 print(f"{'family':>18} {'scale':>8} {'I1 factor':>10} {'I2 factor':>10} {'max rel dev':>12}")

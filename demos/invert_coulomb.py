@@ -15,16 +15,15 @@ from emconf import (
     QuantityKind,
     transform3,
 )
-from emconf.cl13 import FourVector
 
 spec = Coulomb(q=1.0)
 inversion = Inversion(eps=1)
 
 print(f"{'r':>5} {'E_x':>10} {'E_x inverted':>14} {'image frame':>14} {'omega':>8}")
 for r in (0.5, 1.0, 2.0, 4.0):
-    x = FourVector(0.0, r, 0.0, 0.0)
+    x = (0.0, r, 0.0, 0.0)
     F = spec.faraday(x)
-    ev = Paravector3.from_event(x.t, (x.x, x.y, x.z))
+    ev = Paravector3.from_event(x)
     omega = -r * r  # squared interval of a purely spatial event
 
     # original frame: source event carries the formula

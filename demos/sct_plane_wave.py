@@ -11,22 +11,22 @@ from emconf import (
     sct_factor3,
     transform3,
 )
-from emconf.cl13 import FourVector
 
 wave = PlaneWave(E0=(1.0, 0.0, 0.0), khat=(0.0, 0.0, 1.0))
-sct = Sct(FourVector(0.2, 0.0, 0.1, -0.05))
-a = Paravector3.from_event(sct.a.t, (sct.a.x, sct.a.y, sct.a.z))
+sct = Sct((0.2, 0.0, 0.1, -0.05))
+a = Paravector3.from_event(sct.a)
 
 rng = np.random.default_rng(7)
 print(f"{'sigma':>8} {'|I1| before':>12} {'|I1| after':>12} {'|I2| after':>12}")
 shown = 0
 while shown < 8:
     t, rx, ry, rz = rng.uniform(-2, 2, 4)
-    x = Paravector3.from_event(t, (rx, ry, rz))
+    event = (t, rx, ry, rz)
+    x = Paravector3.from_event(event)
     sigma = sct_factor3(x, a)
     if abs(sigma) < 0.1 or abs(t * t - rx * rx - ry * ry - rz * rz) < 0.1:
         continue
-    F = wave.faraday(FourVector(t, rx, ry, rz))
+    F = wave.faraday(event)
     i1, i2 = invariants(F)
     Fp = transform3(sct, QuantityKind.FARADAY, F, x)
     j1, j2 = invariants(Fp)

@@ -33,7 +33,7 @@ x13 = FourVector(t, rx, ry, rz)
 r1 = transform(inversion, FARADAY, Faraday13(E, B), x13, ORIGINAL)
 
 # route 2: Cl(3) complex-vector formula
-x3 = Paravector3.from_event(t, (rx, ry, rz))
+x3 = Paravector3.from_event((t, rx, ry, rz))
 r2 = transform3(inversion, FARADAY, Faraday3(E, B), x3, ORIGINAL)
 
 # route 3: tensor law through the Jacobian, plain arrays only

@@ -26,7 +26,7 @@ from .cl3 import (
     exp_complex_vector,
     minkowski_square,
 )
-from .conformal13 import (
+from .maps import (
     ConformalParams,
     CoordinateFrame,
     Dilation,
@@ -36,10 +36,8 @@ from .conformal13 import (
     QuantityKind,
     Sct,
     Translation,
-    induced_matrix,
-    sct_factor,
-    transform,
 )
+from .conformal13 import induced_matrix, sct_factor, transform
 from .conformal3 import (
     Refusal,
     induced_matrix3,
@@ -53,8 +51,6 @@ from .bridge import (
     product_correspondence_check,
     sandwich_correspondence_check,
     to_faraday3,
-    to_paravector,
-    to_paravector_bar,
 )
 from .errors import (
     ConformalDomainError,

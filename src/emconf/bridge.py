@@ -5,7 +5,7 @@ timelike bivectors e_0 e_i map to -x_i (the physical blades e_i e_0 map to
 +x_i), spatial bivectors map to the imaginary units, the scalar stays put and
 the four-blade supplies the imaginary scalar.  Odd elements ride along after
 right multiplication by e_0, which is why a four-vector x lands on the real
-paravector t + r and e_0 x on its conjugate.
+paravector t + r, Paravector3.from_event(x), and e_0 x on its conjugate.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from .cl13 import Faraday13, FourVector, Multivector13, geometric_product
 from .cl3 import Faraday3, Paravector3, cl3_product
-from .conformal13 import GRADE_TOL
 from .errors import GradeLeakageError
+from .maps import GRADE_TOL
 
 # Mask indices of the even subalgebra channels: the scalar, the four-blade
 # (imaginary scalar), the timelike bivectors e0e1, e0e2, e0e3 (real vector,
@@ -49,18 +49,6 @@ def even_to_cl3(m: Multivector13, tol: float) -> Paravector3:
     return Paravector3._wrap(s, v)
 
 
-def to_paravector(v: FourVector) -> Paravector3:
-    """Four-vector to real paravector t + r (the image of v e_0)."""
-    arr = v.as_array()
-    return Paravector3.from_event(arr[..., 0], arr[..., 1:])
-
-
-def to_paravector_bar(v: FourVector) -> Paravector3:
-    """The image of e_0 v: the conjugate paravector t - r."""
-    arr = v.as_array()
-    return Paravector3.from_event(arr[..., 0], -arr[..., 1:])
-
-
 def to_faraday3(F: Faraday13) -> Faraday3:
     """Field bivector to field vector; (E, B) carry over unchanged."""
     return Faraday3(F.E, F.B)
@@ -70,7 +58,7 @@ def product_correspondence_check(x: FourVector, y: FourVector):
     """Max-abs deviation between the images of x y and the product x bar(y),
     per row."""
     lhs = even_to_cl3(geometric_product(x.to_mv(), y.to_mv()), GRADE_TOL)
-    rhs = cl3_product(to_paravector(x), to_paravector_bar(y))
+    rhs = cl3_product(Paravector3.from_event(x), Paravector3.from_event(y).bar())
     return (lhs - rhs).max_abs()
 
 
@@ -82,5 +70,7 @@ def sandwich_correspondence_check(x: FourVector, F: Faraday13, y: FourVector):
     )
     lhs = even_to_cl3(raw, GRADE_TOL)
     fstar = to_faraday3(F).to_paravector().star()
-    rhs = -cl3_product(cl3_product(to_paravector(x), fstar), to_paravector_bar(y))
+    rhs = -cl3_product(
+        cl3_product(Paravector3.from_event(x), fstar), Paravector3.from_event(y).bar()
+    )
     return (lhs - rhs).max_abs()

@@ -344,6 +344,11 @@ class FourVector:
         """Components on the last axis, shape (..., 4)."""
         return self.c
 
+    def __array__(self, dtype=None, copy=None):
+        """The components, so numpy reads a FourVector as its (..., 4) array;
+        numpy 1 passes no copy, and astype copies only where asked or needed."""
+        return self.c.astype(self.c.dtype if dtype is None else dtype, copy=bool(copy))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FourVector):
             return NotImplemented

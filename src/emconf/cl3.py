@@ -58,9 +58,17 @@ class Paravector3:
         return out
 
     @classmethod
-    def from_event(cls, t, r) -> "Paravector3":
-        """Real events t + r: t of shape (...), r of shape (..., 3)."""
-        return cls(t, r)
+    def from_event(cls, events) -> "Paravector3":
+        """Real events t + r from components (t, x, y, z) on the last axis,
+        shape (..., 4); event() gives them back."""
+        e = np.asarray(events, dtype=np.float64)
+        if e.shape[-1:] != (4,):
+            raise ValueError(f"an event needs 4 components, got shape {e.shape}")
+        return cls._wrap(e[..., 0].astype(np.complex128), e[..., 1:].astype(np.complex128))
+
+    def event(self) -> np.ndarray:
+        """The real components (t, x, y, z) on the last axis, shape (..., 4)."""
+        return np.concatenate([self.s.real[..., None], self.v.real], axis=-1)
 
     @classmethod
     def vector(cls, v) -> "Paravector3":

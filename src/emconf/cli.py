@@ -47,18 +47,6 @@ import sys
 
 import numpy as np
 
-from .cl13 import FourVector
-from .conformal13 import (
-    ConformalParams,
-    CoordinateFrame,
-    Dilation,
-    Inversion,
-    Lorentz,
-    LorentzClass,
-    RESIDUE_TOL,
-    Sct,
-    Translation,
-)
 from .conformal3 import Refusal
 from .errors import (
     ConformalDomainError,
@@ -73,6 +61,17 @@ from .fields import (
     UniformField,
     invariant_scaling_report,
     sweep,
+)
+from .maps import (
+    ConformalParams,
+    CoordinateFrame,
+    Dilation,
+    Inversion,
+    Lorentz,
+    LorentzClass,
+    RESIDUE_TOL,
+    Sct,
+    Translation,
 )
 from .numtext import CELL_BYTES, write_g17
 from .verify import BASE_TOL, DEFAULT_SEED, REFERENCE_TRIALS, run_suite
@@ -236,9 +235,7 @@ def build_xform(spec: dict) -> ConformalParams:
         if kind == "translation":
             if "offset" not in spec:
                 raise JobError("translation needs an offset")
-            return Translation(
-                offset=FourVector(*_require_numbers(spec["offset"], 4, "offset"))
-            )
+            return Translation(offset=_require_numbers(spec["offset"], 4, "offset"))
         if kind == "lorentz":
             cls_name = spec.get("class", LorentzClass.PROPER_ORTHOCHRONOUS.value)
             try:
@@ -257,7 +254,7 @@ def build_xform(spec: dict) -> ConformalParams:
         if kind == "sct":
             if "a" not in spec:
                 raise JobError("sct needs the vector a")
-            return Sct(a=FourVector(*_require_numbers(spec["a"], 4, "a")))
+            return Sct(a=_require_numbers(spec["a"], 4, "a"))
     except JobError:
         raise
     except (TypeError, ValueError) as exc:
@@ -527,7 +524,7 @@ def cmd_invariants(args) -> int:
     try:
         # An overflow is refused below by name, without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            report = invariant_scaling_report(field, params, FourVector(*coords))
+            report = invariant_scaling_report(field, params, coords)
     except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

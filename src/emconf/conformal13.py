@@ -7,21 +7,14 @@ a sandwich of the quantity, weighted by a power of the conformal scale that
 the kind and the CoordinateFrame fix.  ORIGINAL takes the source event,
 TRANSFORMED takes the image event and carries two more powers of the scale.
 
-Parameter dataclasses for all five families live here as well and are shared
-with the Cl(3) layer and the CLI; sharing parameters does not share any of
-the transformation arithmetic.
-
-Values, events and the maps' parameters (a, eps, a Lorentz map's boost,
-rotation and class) may be batches (see cl13): one call maps every row, and
-a guard raises the typed error of the first refused row.
+Values, events and the maps' parameters (see maps: a, eps, a Lorentz map's
+boost, rotation and class) may be batches (see cl13): one call maps every
+row, and a guard raises the typed error of the first refused row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import Union
 
 import numpy as np
 
@@ -33,107 +26,20 @@ from .cl13 import (
     geometric_product,
     vector_sandwich,
 )
-from .errors import (
-    GradeLeakageError,
-    LightConeError,
-    NonPositiveScaleError,
-    SctConeError,
+from .errors import GradeLeakageError, LightConeError, SctConeError
+from .maps import (
+    EXP_TOL,
+    GRADE_TOL,
+    LIGHTCONE_TOL,
+    ConformalParams,
+    CoordinateFrame,
+    Dilation,
+    Inversion,
+    Lorentz,
+    QuantityKind,
+    Sct,
+    Translation,
 )
-
-LIGHTCONE_TOL = 1e-9
-GRADE_TOL = 1e-12
-RESIDUE_TOL = 1e-10
-EXP_TOL = 1e-14
-
-
-class CoordinateFrame(Enum):
-    """Which coordinates the nonlinear sandwich formulas are written in."""
-
-    ORIGINAL = "original"
-    TRANSFORMED = "transformed"
-
-
-class LorentzClass(Enum):
-    PROPER_ORTHOCHRONOUS = "proper_orthochronous"
-    IMPROPER_ORTHOCHRONOUS = "improper_orthochronous"
-    IMPROPER_ANTICHRONOUS = "improper_antichronous"
-    PROPER_ANTICHRONOUS = "proper_antichronous"
-
-
-# (improper, antichronous) of each class, as its name spells them: whether it
-# reverses spatial orientation (determinant -1) and whether it reverses time.
-# One read-only table, whose 0-d views a one-class map reads without building
-# an array.
-_FLAG_TABLE = np.array(
-    [(c.value.startswith("improper"), c.value.endswith("antichronous")) for c in LorentzClass]
-)
-_FLAG_TABLE.flags.writeable = False
-_CLASS_FLAGS = {c: (row[0, ...], row[1, ...]) for c, row in zip(LorentzClass, _FLAG_TABLE)}
-
-
-class QuantityKind(Enum):
-    POSITION = "position"
-    POTENTIAL = "potential"
-    CURRENT = "current"
-    FARADAY = "faraday"
-
-
-@dataclass(frozen=True)
-class Dilation:
-    factor: float
-
-    def __post_init__(self):
-        if not self.factor > 0.0:
-            raise NonPositiveScaleError("dilation factor must be positive")
-
-
-@dataclass(frozen=True)
-class Translation:
-    offset: FourVector
-
-
-@dataclass(frozen=True)
-class Lorentz:
-    """Boost rapidities and rotation angles feeding the exponential generator,
-    and the class of the map.  For a batch, boost and rotation have shape
-    (n, 3) or (3,), and lorentz_class is one LorentzClass or an array of
-    shape (n,) holding one per row; the batch shape is their broadcast."""
-
-    boost: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    lorentz_class: LorentzClass | np.ndarray = LorentzClass.PROPER_ORTHOCHRONOUS
-
-    def class_flags(self) -> tuple[np.ndarray, np.ndarray]:
-        """(improper, antichronous) as bool arrays of the shape of
-        lorentz_class: read-only 0-d arrays for one class, one entry per row
-        for an array of classes."""
-        cls = self.lorentz_class
-        if isinstance(cls, LorentzClass):
-            return _CLASS_FLAGS[cls]
-        cls = np.asarray(cls)
-        flags = np.array([_CLASS_FLAGS[c] for c in cls.flat], dtype=bool).reshape(-1, 2).T
-        return tuple(f.reshape(cls.shape) for f in flags)
-
-
-@dataclass(frozen=True)
-class Inversion:
-    """x -> eps x / x^2, with eps +1 or -1, or an array of one such sign per
-    row of a batch."""
-
-    eps: int | np.ndarray = 1
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps)
-        if not ((eps == 1) | (eps == -1)).all():
-            raise ValueError("inversion sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class Sct:
-    a: FourVector
-
-
-ConformalParams = Union[Dilation, Translation, Lorentz, Inversion, Sct]
 
 
 def sct_factor(x: FourVector, a: FourVector):
@@ -164,14 +70,14 @@ def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
         return x2 if frame is CoordinateFrame.ORIGINAL else 1.0 / x2
     if not isinstance(params, Sct):
         raise TypeError(f"unknown transformation parameters: {params!r}")
-    a = params.a
     if frame is CoordinateFrame.ORIGINAL:
         return _cone_guard(
-            sct_factor(x, a), SctConeError, "event too close to the excluded cone: scale"
+            sct_factor(x, FourVector.from_array(params.a)),
+            SctConeError, "event too close to the excluded cone: scale",
         )
     # In image coordinates 1/s is the scale of the map by -a, which undoes a.
     return 1.0 / _cone_guard(
-        sct_factor(x, FourVector.from_array(-a.as_array())),
+        sct_factor(x, FourVector.from_array(-params.a)),
         SctConeError, "image event too close to the excluded cone: 1/scale",
     )
 
@@ -223,14 +129,13 @@ def _position(params: ConformalParams, x: FourVector) -> FourVector:
     if isinstance(params, Dilation):
         return FourVector.from_array(x.as_array() / params.factor)
     if isinstance(params, Translation):
-        return FourVector.from_array(x.as_array() + params.offset.as_array())
+        return FourVector.from_array(x.as_array() + params.offset)
     s = np.asarray(_scale(params, x, CoordinateFrame.ORIGINAL))[..., None]
     if isinstance(params, Inversion):
         eps = np.asarray(params.eps)[..., None]
         return FourVector.from_array(eps * x.as_array() / s)
-    a = params.a.as_array()
     x2 = np.asarray(x.minkowski_sq())[..., None]
-    return FourVector.from_array((x.as_array() + x2 * a) / s)
+    return FourVector.from_array((x.as_array() + x2 * params.a) / s)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -282,7 +187,7 @@ def transform(
         if kind is QuantityKind.FARADAY:
             sign = -np.asarray(params.eps)
     else:
-        left, right = _sct_versors(x, params.a, frame)
+        left, right = _sct_versors(x, FourVector.from_array(params.a), frame)
     p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
     q = value.to_mv()
     out = vector_sandwich(left, q, right)

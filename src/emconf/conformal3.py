@@ -14,9 +14,12 @@ Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
 Inside the kernel a guard does not raise: it records a Refusal code for its
 rows in a per-row ledger and lets the row go on with a placeholder, so the
-other rows are computed in the same call.  One rule, _batch_shape, sizes
-every ledger, and each entry evaluates the conformal scale once, at the
-ledger's shape; field_rows returns the scale it weighted by.  transform3,
+other rows are computed in the same call.  One shape rule, _batch_shape,
+holds for every entry: its ledger, its scale and its result have the
+broadcast shape of its events, its values and the map's rows (offsets,
+vectors a, signs eps, boosts, rotations or classes; see maps), also where
+the map does not read the events.  Each entry evaluates the conformal scale
+once, at that shape; field_rows returns the scale it weighted by.  transform3,
 scale_of and inverse_position3 raise the typed error of the first refused
 row, which for one element is the error of that element; preimage_rows and
 field_rows, which a sweep calls, hand the ledger back instead.  The kernel
@@ -30,7 +33,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .bridge import to_paravector
 from .cl3 import (
     Faraday3,
     Paravector3,
@@ -41,7 +43,8 @@ from .cl3 import (
     real_rows,
     vector_rows,
 )
-from .conformal13 import (
+from .errors import ImaginaryResidueError, LightConeError, SctConeError
+from .maps import (
     GRADE_TOL,
     LIGHTCONE_TOL,
     RESIDUE_TOL,
@@ -54,7 +57,6 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .errors import ImaginaryResidueError, LightConeError, SctConeError
 
 _ORIG = CoordinateFrame.ORIGINAL
 
@@ -141,8 +143,7 @@ def _cone_guard(value, code: Refusal, reason: np.ndarray):
 
 
 def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
-    """scale_of at each event of x, and a new ledger holding its refusals:
-    both have the batch shape of x, the values and the map's rows."""
+    """scale_of at each event of x, and a new ledger holding its refusals."""
     reason = no_refusals(_batch_shape(params, x, *values))
     w = 1.0
     if isinstance(params, Dilation):
@@ -153,7 +154,7 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
         w = _cone_guard(minkowski_square(x, GRADE_TOL), Refusal.LIGHT_CONE, reason)
     elif isinstance(params, Sct):
         # At the image event, sigma of the map by -a, which undoes the map by a.
-        a = to_paravector(params.a)
+        a = Paravector3.from_event(params.a)
         w = _cone_guard(sct_factor3(x, a if frame is _ORIG else -a), Refusal.SCT_CONE, reason)
     elif not isinstance(params, (Translation, Lorentz)):
         raise TypeError(f"unknown transformation parameters: {params!r}")
@@ -175,8 +176,7 @@ def scale_of(
     factor for dilations, and 1 for the isometries.  The inversion and the
     special conformal map read x as the source event in the ORIGINAL frame
     and as the image event in the TRANSFORMED frame, and refuse an x on
-    their cones.  The result has the broadcast shape of x and the map's
-    rows.
+    their cones.
     """
     scale, reason = _scale_rows(params, x, frame)
     raise_refusal(reason)
@@ -205,10 +205,10 @@ def _position3(params: ConformalParams, x: Paravector3, k, reason) -> Paravector
     if isinstance(params, Dilation):
         return (1.0 / params.factor) * x
     if isinstance(params, Translation):
-        return x + to_paravector(params.offset)
+        return x + Paravector3.from_event(params.offset)
     if isinstance(params, Inversion):
         return (np.asarray(params.eps) * k) * x
-    return _sct_position3(x, to_paravector(params.a), k, reason)
+    return _sct_position3(x, Paravector3.from_event(params.a), k, reason)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -222,7 +222,8 @@ _SCALE_POWER = {
 
 
 def _batch_shape(params: ConformalParams, *values) -> tuple:
-    """The broadcast shape of the values (None skipped) and the map's rows."""
+    """The shape rule: the broadcast shape of the values (None skipped) and
+    the map's rows."""
     shapes = [
         v.F.shape[:-1] if isinstance(v, Faraday3) else v.s.shape for v in values if v is not None
     ]
@@ -230,7 +231,9 @@ def _batch_shape(params: ConformalParams, *values) -> tuple:
         shapes += [np.shape(params.boost)[:-1], np.shape(params.rotation)[:-1]]
         shapes.append(params.class_flags()[0].shape)
     elif isinstance(params, Sct):
-        shapes.append(params.a.c.shape[:-1])
+        shapes.append(params.a.shape[:-1])
+    elif isinstance(params, Translation):
+        shapes.append(params.offset.shape[:-1])
     elif isinstance(params, Inversion):
         shapes.append(np.shape(params.eps))
     return np.broadcast_shapes(*shapes)
@@ -256,7 +259,7 @@ def _transform_rows(params, kind, value, x, frame, scale, reason):
         else:
             raw = cl3_product(cl3_product(x, value.bar()), x)
     else:
-        a = to_paravector(params.a)
+        a = Paravector3.from_event(params.a)
         if frame is _ORIG:
             left = _ONE + cl3_product(a, x.bar())
             if field:
@@ -272,18 +275,29 @@ def _transform_rows(params, kind, value, x, frame, scale, reason):
         q = value.to_paravector() if field else value
         raw = cl3_product(cl3_product(left, q), right)
     p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
+    # No multiply at p = 0, which by 1 + 0j can flip a zero's sign.
     if p:
         # np.power, not **: on the numpy scalar of a single event ** takes
         # another pow than the ufunc loop.
         raw = (sign * np.power(scale, p)) * raw
-    else:
-        # No multiply, which by 1 + 0j can flip a zero's sign: a view adds eps's rows.
-        raw = Paravector3._wrap(
-            np.broadcast_to(raw.s, reason.shape), np.broadcast_to(raw.v, reason.shape + (3,))
-        )
     if field:
         return _field_guard(raw, reason)
     return _real_guard(raw, reason)
+
+
+def _map_rows(params, kind, value, x, frame):
+    """The map of value at x, the scale that weighted it and the ledger.  A
+    map that does not read x, and the inversion potential, which does not
+    read eps, leave rows of the ledger out of their values: a read-only view
+    adds them."""
+    scale, reason = _scale_rows(params, x, frame, value)
+    out = _transform_rows(params, kind, value, x, frame, scale, reason)
+    rows = reason.shape
+    if isinstance(out, Faraday3) and out.F.shape[:-1] != rows:
+        out = Faraday3._wrap(np.broadcast_to(out.F, rows + (3,)))
+    elif isinstance(out, Paravector3) and out.s.shape != rows:
+        out = Paravector3._wrap(np.broadcast_to(out.s, rows), np.broadcast_to(out.v, rows + (3,)))
+    return out, scale, reason
 
 
 def transform3(
@@ -302,14 +316,10 @@ def transform3(
     frame.  There the result is a sandwich of value, weighted by the kind's
     power of scale_of; the inversion field also carries the sign +eps.  The
     conjugations in each sandwich are spelled out per map, kind and frame.
-    value, x, the inversion sign eps and a Lorentz map (see Lorentz) may be
-    batches, eps one sign per row; the result has their broadcast batch
-    shape.
     """
     if kind is QuantityKind.POSITION:
         x, frame = value, _ORIG
-    scale, reason = _scale_rows(params, x, frame, value)
-    out = _transform_rows(params, kind, value, x, frame, scale, reason)
+    out, _, reason = _map_rows(params, kind, value, x, frame)
     raise_refusal(reason)
     return out
 
@@ -357,7 +367,7 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, flags, reason):
     return _field_guard(raw, reason) if field else _real_guard(raw, reason)
 
 
-_BASIS = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
+_BASIS = Paravector3.from_event(np.eye(4))
 
 
 def induced_matrix3(params: Lorentz) -> np.ndarray:
@@ -372,7 +382,7 @@ def induced_matrix3(params: Lorentz) -> np.ndarray:
     reason = no_refusals(_batch_shape(params) + _BASIS.s.shape)
     out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, flags, reason)
     raise_refusal(reason)
-    return np.swapaxes(np.concatenate([out.s.real[..., None], out.v.real], axis=-1), -1, -2)
+    return np.swapaxes(out.event(), -1, -2)
 
 
 def _inverse_lorentz(params: Lorentz) -> Lorentz:
@@ -393,13 +403,9 @@ def _inverse_lorentz(params: Lorentz) -> Lorentz:
 def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
     """mat times the coordinates of each event, as explicit four-term sums;
     a batch of matrices of shape (..., 4, 4) maps each event by its own."""
-    t, r = x.s.real, x.v.real
-    c0, c1, c2, c3 = t, r[..., 0], r[..., 1], r[..., 2]
-    rows = [
-        mat[..., i, 0] * c0 + mat[..., i, 1] * c1 + mat[..., i, 2] * c2 + mat[..., i, 3] * c3
-        for i in range(4)
-    ]
-    return Paravector3.from_event(rows[0], np.stack(rows[1:], axis=-1))
+    c = x.event()[..., None, :]
+    terms = [mat[..., j] * c[..., j] for j in range(4)]
+    return Paravector3.from_event(terms[0] + terms[1] + terms[2] + terms[3])
 
 
 def _inverse_rows(params: ConformalParams, x_new: Paravector3, scale, reason) -> Paravector3:
@@ -407,19 +413,18 @@ def _inverse_rows(params: ConformalParams, x_new: Paravector3, scale, reason) ->
     if isinstance(params, Dilation):
         return params.factor * x_new
     if isinstance(params, Translation):
-        return x_new - to_paravector(params.offset)
+        return x_new - Paravector3.from_event(params.offset)
     if isinstance(params, Lorentz):
         return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new)
     if isinstance(params, Inversion):
         return _position3(params, x_new, scale, reason)
     # The special conformal map with -a undoes the one with a.
-    return _sct_position3(x_new, -to_paravector(params.a), scale, reason)
+    return _sct_position3(x_new, -Paravector3.from_event(params.a), scale, reason)
 
 
 def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
     """Preimage of each image event under the parametrized map, and each
-    row's Refusal code, both with the broadcast shape of the events and the
-    map's rows; rows that are not OK hold placeholder values."""
+    row's Refusal code; rows that are not OK hold placeholder values."""
     scale, reason = _scale_rows(params, x_new, CoordinateFrame.TRANSFORMED)
     return _inverse_rows(params, x_new, scale, reason), reason
 
@@ -435,9 +440,6 @@ def field_rows(
     params: ConformalParams, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
 ) -> tuple[Faraday3, np.ndarray, np.ndarray]:
     """Field transform at the events x, as transform3, the conformal scale
-    there that weighted it, as scale_of, and each row's Refusal code; the
-    scale and the codes have the broadcast shape of F, x and the map's rows,
-    and rows that are not OK hold placeholder values."""
-    scale, reason = _scale_rows(params, x, frame, F)
-    out = _transform_rows(params, QuantityKind.FARADAY, F, x, frame, scale, reason)
-    return out, scale, reason
+    there that weighted it, as scale_of, and each row's Refusal code; rows
+    that are not OK hold placeholder values."""
+    return _map_rows(params, QuantityKind.FARADAY, F, x, frame)

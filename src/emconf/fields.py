@@ -13,10 +13,10 @@ from typing import Union
 
 import numpy as np
 
-from .bridge import to_paravector
 from .cl3 import Faraday3, Paravector3, cross3, dot3
-from .cl13 import FourVector
-from .conformal13 import (
+from .conformal3 import Refusal, field_rows, no_refusals, preimage_rows, raise_refusal, refuse
+from .errors import OriginSingularityError
+from .maps import (
     ConformalParams,
     CoordinateFrame,
     Dilation,
@@ -25,8 +25,6 @@ from .conformal13 import (
     Sct,
     Translation,
 )
-from .conformal3 import Refusal, field_rows, no_refusals, preimage_rows, raise_refusal, refuse
-from .errors import OriginSingularityError
 
 SINGULARITY_TOL = 1e-12
 
@@ -44,8 +42,8 @@ class UniformField:
         F = Faraday3(np.asarray(self.E0, float), np.asarray(self.B0, float)).F
         return Faraday3._wrap(np.broadcast_to(F, shape + (3,)).copy()), np.zeros(shape, bool)
 
-    def faraday(self, x: FourVector) -> Faraday3:
-        return self.faraday_rows(x.as_array())[0]
+    def faraday(self, x) -> Faraday3:
+        return self.faraday_rows(np.asarray(x, dtype=np.float64))[0]
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class PlaneWave:
         E = e * osc[..., None]
         return Faraday3(E, cross3(k, E)), np.zeros(E.shape[:-1], bool)
 
-    def faraday(self, x: FourVector) -> Faraday3:
-        return self.faraday_rows(x.as_array())[0]
+    def faraday(self, x) -> Faraday3:
+        return self.faraday_rows(np.asarray(x, dtype=np.float64))[0]
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,8 @@ class Coulomb:
         rn = np.where(charge, 1.0, rn)[..., None]
         return Faraday3(self.q * r / rn**3, np.zeros(3)), charge
 
-    def faraday(self, x: FourVector, tol: float = SINGULARITY_TOL) -> Faraday3:
-        F, charge = self.faraday_rows(x.as_array(), tol)
+    def faraday(self, x, tol: float = SINGULARITY_TOL) -> Faraday3:
+        F, charge = self.faraday_rows(np.asarray(x, dtype=np.float64), tol)
         if charge:
             raise OriginSingularityError("Coulomb field evaluated at the charge")
         return F
@@ -154,9 +152,10 @@ class InvariantScalingReport:
 
 
 def invariant_scaling_report(
-    spec: FieldSpec, params: ConformalParams, x: FourVector
+    spec: FieldSpec, params: ConformalParams, x
 ) -> InvariantScalingReport:
-    """Compare transformed invariants against their predicted scaling at x.
+    """Compare transformed invariants against their predicted scaling at the
+    event x, components (t, x, y, z).
 
     The deviations are relative to floor = max(1, |f1| max(|I1|, |I2|)).  The
     transformed invariants cancel terms of relative size condition =
@@ -165,7 +164,7 @@ def invariant_scaling_report(
     """
     F = spec.faraday(x)
     i1, i2 = invariants(F)
-    Fp, scale, reason = field_rows(params, F, to_paravector(x), CoordinateFrame.ORIGINAL)
+    Fp, scale, reason = field_rows(params, F, Paravector3.from_event(x))
     raise_refusal(reason)
     i1p, i2p = invariants(Fp)
     f1, f2 = predicted_invariant_factors(params, scale)
@@ -191,10 +190,10 @@ def sweep(
     field's charge, a refusal of the field map, and a non-finite value among
     the row's outputs.  Rows that are not OK hold placeholder values.
     """
-    grid = Paravector3.from_event(events[..., 0], events[..., 1:])
+    grid = Paravector3.from_event(events)
     if frame is CoordinateFrame.TRANSFORMED:
         src, reason = preimage_rows(params, grid)
-        events = np.concatenate([src.s.real[..., None], src.v.real], axis=-1)
+        events = src.event()
     else:
         reason = no_refusals(grid.s.shape)
     F_in, charge = spec.faraday_rows(events)

@@ -28,7 +28,10 @@ from . import oracle
 from .bridge import product_correspondence_check, sandwich_correspondence_check
 from .cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
 from .cl3 import Faraday3, Paravector3, cross3
-from .conformal13 import (
+from .conformal13 import induced_matrix, transform
+from .conformal3 import induced_matrix3, transform3
+from .fields import PlaneWave, invariants
+from .maps import (
     GRADE_TOL,
     CoordinateFrame,
     Inversion,
@@ -37,11 +40,7 @@ from .conformal13 import (
     QuantityKind,
     Sct,
     Translation,
-    induced_matrix,
-    transform,
 )
-from .conformal3 import induced_matrix3, transform3
-from .fields import PlaneWave, invariants
 
 BASE_TOL = 1e-10
 GUARD = 0.01
@@ -211,14 +210,6 @@ def _fv(v) -> FourVector:
     return FourVector.from_array(v)
 
 
-def _pv(v) -> Paravector3:
-    return Paravector3.from_event(v[..., 0], v[..., 1:])
-
-
-def _pv_array(p: Paravector3) -> np.ndarray:
-    return np.concatenate([p.s.real[..., None], p.v.real], axis=-1)
-
-
 def _worst(*devs) -> float:
     """The largest deviation over every row of every argument, or NaN if
     any is NaN; the built-in max drops a NaN that is not its first
@@ -346,13 +337,13 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
     X, A, E, B, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 3, 3, 4)
     F = oracle.pack_faraday(E, B)
     F13, F3 = Faraday13(E, B), Faraday3(E, B)
-    A13, A3 = _fv(A4), _pv(A4)
+    A13, A3 = _fv(A4), Paravector3.from_event(A4)
     xf = _fv(X)
     # Each map with its Jacobian, scale and time orientation.
     eps = _signs(trials)
     maps = [
         (Inversion(eps), oracle.jacobian_inversion(X, eps), np.abs(oracle.msq(X)), -eps),
-        (Sct(_fv(A)), oracle.jacobian_sct(X, A), np.abs(oracle.sct_scale(X, A)), 1),
+        (Sct(A), oracle.jacobian_sct(X, A), np.abs(oracle.sct_scale(X, A)), 1),
     ]
     devs = []
     for params, M, lam, theta in maps:
@@ -361,7 +352,7 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
         Jt = oracle.transform_current(M, A4, lam, theta)
         image = transform(params, POSITION, xf)
         for frame, x13 in ((ORIG, xf), (TRANS, image)):
-            x3 = _pv(x13.as_array())
+            x3 = Paravector3.from_event(x13)
             got = transform(params, FARADAY, F13, x13, frame)
             got3 = transform3(params, FARADAY, F3, x3, frame)
             devs.append(_field_dev(got.E, got.B, Ew, Bw))
@@ -370,7 +361,7 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
                 got = transform(params, kind, A13, x13, frame)
                 got3 = transform3(params, kind, A3, x3, frame)
                 devs.append(_vec_dev(got.as_array(), want))
-                devs.append(_vec_dev(_pv_array(got3), want))
+                devs.append(_vec_dev(got3.event(), want))
     return _result("three_way_agreement", trials, devs, tol)
 
 
@@ -378,7 +369,7 @@ def _chain_image(X, A, eps) -> FourVector:
     """The image of each event X under inversion by eps, then translation by
     eps A, one sign per row."""
     x1 = transform(Inversion(eps), POSITION, _fv(X))
-    return transform(Translation(_fv(eps[:, None] * A)), POSITION, x1)
+    return transform(Translation(eps[:, None] * A), POSITION, x1)
 
 
 def _sct_chain_rows(rng, trials: int) -> np.ndarray:
@@ -418,7 +409,7 @@ def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
         eps = _signs(kept)
         y = _chain_image(X, A, eps)
         inv = Inversion(eps)
-        sct = Sct(_fv(A))
+        sct = Sct(A)
         xf = _fv(X)
         direct_x = transform(sct, POSITION, xf)
         chained_x = transform(inv, POSITION, y)
@@ -447,14 +438,14 @@ def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
     Et, Bt = oracle.unpack_faraday(
         oracle.inversion_faraday_tensor(oracle.pack_faraday(E, B), X, eps)
     )
-    got3 = transform3(Inversion(eps), FARADAY, Faraday3(E, B), _pv(X))
+    got3 = transform3(Inversion(eps), FARADAY, Faraday3(E, B), Paravector3.from_event(X))
     devs = [_field_dev(Ed, Bd, Et, Bt), _field_dev(got3.E, got3.B, Ed, Bd)]
 
     Ess, Bss = oracle.sct_field_components(E, B, X, A)
     Et, Bt = oracle.unpack_faraday(oracle.sct_faraday_tensor(oracle.pack_faraday(E, B), X, A))
     devs.append(_field_dev(Ess, Bss, Et, Bt))
-    sct = Sct(_fv(A))
-    got3 = transform3(sct, FARADAY, Faraday3(E, B), _pv(X))
+    sct = Sct(A)
+    got3 = transform3(sct, FARADAY, Faraday3(E, B), Paravector3.from_event(X))
     devs.append(_field_dev(got3.E, got3.B, Ess, Bss))
 
     x_new = oracle.sct_event(X, A)
@@ -482,14 +473,14 @@ def check_invariant_scaling(rng, trials: int, tol: float) -> CheckResult:
     X, A, E, B = _split(_sample(rng, trials, _off_cones, _PAIR, 6), 4, 4, 3, 3)
     F3 = Faraday3(E, B)
     i1, i2 = invariants(F3)
-    Fp = transform3(Inversion(_signs(trials)), FARADAY, F3, _pv(X))
+    Fp = transform3(Inversion(_signs(trials)), FARADAY, F3, Paravector3.from_event(X))
     j1, j2 = invariants(Fp)
     om4 = oracle.msq(X) ** 4
     w1, w2 = om4 * i1, om4 * i2
     ref = np.maximum(np.abs(w1), np.abs(w2))
     devs = [_scaled(np.abs(j1 - w1), ref), _scaled(np.abs(j2 + w2), ref)]
 
-    Fs = transform3(Sct(_fv(A)), FARADAY, F3, _pv(X))
+    Fs = transform3(Sct(A), FARADAY, F3, Paravector3.from_event(X))
     k1, k2 = invariants(Fs)
     sig4 = oracle.sct_scale(X, A) ** 4
     w1, w2 = sig4 * i1, sig4 * i2
@@ -597,8 +588,8 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
     F, _ = PlaneWave(E0=E0, khat=khat, phase=phase).faraday_rows(X)
     devs = []
     for Ft in (
-        transform3(Inversion(1), FARADAY, F, _pv(X)),
-        transform3(Sct(_fv(A)), FARADAY, F, _pv(X)),
+        transform3(Inversion(1), FARADAY, F, Paravector3.from_event(X)),
+        transform3(Sct(A), FARADAY, F, Paravector3.from_event(X)),
     ):
         i1, i2 = invariants(Ft)
         devs += [np.abs(i1), np.abs(i2)]

@@ -8,6 +8,8 @@ makes its deviations the same numbers a per-trial run would measure.
 
 import ast
 import inspect
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,10 @@ from emconf.cl13 import (
     grade_project,
     vector_sandwich,
 )
-from emconf.conformal13 import (
+from emconf.conformal13 import _lorentz_rotors, _project, _sct_versors, induced_matrix, transform
+from emconf.conformal3 import induced_matrix3, transform3
+from emconf.errors import GradeLeakageError, LightConeError, SctConeError
+from emconf.maps import (
     EXP_TOL,
     GRADE_TOL,
     CoordinateFrame,
@@ -36,14 +41,7 @@ from emconf.conformal13 import (
     LorentzClass,
     QuantityKind,
     Sct,
-    _lorentz_rotors,
-    _project,
-    _sct_versors,
-    induced_matrix,
-    transform,
 )
-from emconf.conformal3 import induced_matrix3, transform3
-from emconf.errors import GradeLeakageError, LightConeError, SctConeError
 
 
 def _dense_structure_tensor():
@@ -272,7 +270,7 @@ def test_mixed_class_lorentz_rows_are_single_class_calls(route, kind):
         elif route is transform:
             value = FourVector.from_array(v[rows])
         else:
-            value = Paravector3.from_event(v[rows, 0], v[rows, 1:])
+            value = Paravector3.from_event(v[rows])
         return route(params, kind, value)
 
     with np.errstate(all="ignore"):
@@ -398,17 +396,47 @@ def test_single_event_oracle_keeps_float_returns():
     assert E.tolist() == [1, 2, 3] and B.tolist() == [4, 5, 6]
 
 
-def test_oracle_imports_no_clifford_code():
-    """The oracle is the independent route: it may import numpy, the
-    standard library and the error types, never an algebra."""
-    tree = ast.parse(Path(inspect.getsourcefile(oracle)).read_text())
-    forbidden = {"cl13", "cl3", "conformal13", "conformal3", "bridge"}
+def _imports(name: str) -> set:
+    """The modules emconf.<name> imports: the package's own by their short
+    name (errors, cl13, ...), any other by its top-level name."""
+    def short(module: str) -> str:
+        parts = module.split(".")
+        return parts[1] if parts[0] == "emconf" and len(parts) > 1 else parts[0]
+
+    tree = ast.parse(Path(inspect.getsourcefile(import_module(f"emconf.{name}"))).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(part for alias in node.names for part in alias.name.split("."))
+            imported.update(short(alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            imported.update((node.module or "").split("."))
-            imported.update(alias.name for alias in node.names)
-    assert not imported & forbidden, imported & forbidden
-    assert "errors" in imported
+            if node.module is None or node.module == "emconf":  # from . import oracle
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(short(node.module))
+    return imported
+
+
+# Each case: the modules, the package modules none of them may import, and
+# the modules outside the standard library they may import, if limited.
+LAYERS = [
+    # The oracle is the independent route: never an algebra.
+    pytest.param(["oracle"], {"cl13", "cl3", "conformal13", "conformal3", "bridge"}, None,
+                 id="oracle"),
+    # The map parameters are shared by every route, so they import no route.
+    pytest.param(["maps"], set(), {"numpy", "errors"}, id="maps"),
+    # The Cl(3) path, which serves every CLI sweep, runs no Cl(1,3) code.
+    pytest.param(["cl3", "conformal3", "fields", "numtext"],
+                 {"cl13", "conformal13", "bridge", "oracle", "verify"}, None, id="cl3_path"),
+]
+
+
+@pytest.mark.parametrize("modules, forbidden, only", LAYERS)
+def test_layers_import_only_what_they_may(modules, forbidden, only):
+    """The three routes stay independent at import time."""
+    for name in modules:
+        imported = _imports(name)
+        assert not imported & forbidden, (name, imported & forbidden)
+        if only is not None:
+            assert imported - set(sys.stdlib_module_names) <= only, (name, imported)
+    # The walk sees relative imports: the oracle's error types are one.
+    assert "errors" in _imports("oracle")

@@ -8,12 +8,11 @@ from emconf.bridge import (
     product_correspondence_check,
     sandwich_correspondence_check,
     to_faraday3,
-    to_paravector,
-    to_paravector_bar,
 )
 from emconf.cl13 import Faraday13, FourVector, Multivector13, geometric_product
-from emconf.conformal13 import GRADE_TOL
+from emconf.cl3 import Paravector3
 from emconf.errors import GradeLeakageError
+from emconf.maps import GRADE_TOL
 
 
 def rand_vec(rng):
@@ -22,9 +21,9 @@ def rand_vec(rng):
 
 def test_paravector_embeddings():
     v = FourVector(1.0, 2.0, -3.0, 0.5)
-    p = to_paravector(v)
+    p = Paravector3.from_event(v)
     assert p.s == 1.0 and np.array_equal(p.v.real, [2.0, -3.0, 0.5])
-    pb = to_paravector_bar(v)
+    pb = Paravector3.from_event(v).bar()
     assert pb.s == 1.0 and np.array_equal(pb.v.real, [-2.0, 3.0, -0.5])
 
 

@@ -20,8 +20,8 @@ from emconf.cl13 import (
     grade_project,
     vector_sandwich,
 )
-from emconf.conformal13 import EXP_TOL, GRADE_TOL
 from emconf.errors import GradeLeakageError
+from emconf.maps import EXP_TOL, GRADE_TOL
 
 
 def test_blade_product_table_exact():
@@ -376,3 +376,15 @@ def test_fourvector_holds_one_array():
     assert FourVector.from_mv(w.to_mv(), GRADE_TOL) == w
     with pytest.raises(ValueError):
         FourVector.from_array(np.zeros(3))
+
+
+def test_fourvector_reads_as_its_array_with_or_without_a_copy_argument():
+    """numpy 1 calls __array__() or __array__(dtype) and numpy 2 adds copy:
+    each call gives the components, copied only where asked or needed."""
+    v = FourVector(1.5, -0.25, 2.0, 0.75)
+    assert v.__array__() is v.c and v.__array__(None, False) is v.c
+    assert v.__array__(np.dtype(np.float32)).dtype == np.float32
+    copied = v.__array__(None, True)
+    assert np.array_equal(copied, v.c) and not np.shares_memory(copied, v.c)
+    assert np.asarray(v) is v.c
+    assert not np.shares_memory(np.array(v), v.c)

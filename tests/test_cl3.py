@@ -15,8 +15,8 @@ from emconf.cl3 import (
     real_rows,
     vector_rows,
 )
-from emconf.conformal13 import GRADE_TOL, RESIDUE_TOL
 from emconf.errors import NonRealEventError
+from emconf.maps import GRADE_TOL, RESIDUE_TOL
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -60,7 +60,7 @@ def test_conjugation_involutions():
 
 
 def test_minkowski_square_is_interval():
-    ev = Paravector3.from_event(2.0, (1.0, -0.5, 0.25))
+    ev = Paravector3.from_event((2.0, 1.0, -0.5, 0.25))
     assert minkowski_square(ev, GRADE_TOL) == pytest.approx(4.0 - 1.0 - 0.25 - 0.0625, abs=1e-15)
     with pytest.raises(NonRealEventError):
         minkowski_square(Paravector3(1.0, np.array([1j, 0, 0])), GRADE_TOL)
@@ -177,7 +177,7 @@ def test_residue_rows_refuse_only_their_rows():
     assert vector_rows(Paravector3.vector(np.eye(3)), RESIDUE_TOL)[1].tolist() == [False] * 3
     real, _ = real_rows(p, RESIDUE_TOL)
     assert np.array_equal(real.s, p.s.real) and np.array_equal(real.v, p.v.real)
-    events = Paravector3.from_event([2.0, 1.0], np.eye(3)[:2])
+    events = Paravector3.from_event([[2.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
     assert np.array_equal(minkowski_square(events, GRADE_TOL), [3.0, 0.0])
 
 

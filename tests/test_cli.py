@@ -16,8 +16,8 @@ from emconf import cli, verify
 from emconf.cl3 import Faraday3
 from emconf.cli import CSV_HEADER, main
 from emconf.cl13 import FourVector
-from emconf.conformal13 import CoordinateFrame, Dilation, Inversion, Sct
 from emconf.fields import Coulomb, UniformField, sweep
+from emconf.maps import CoordinateFrame, Dilation, Inversion, Sct
 
 
 def run_cli(capsys, *argv):

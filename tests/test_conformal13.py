@@ -7,7 +7,9 @@ import pytest
 
 from emconf import conformal13
 from emconf.cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
-from emconf.conformal13 import (
+from emconf.conformal13 import induced_matrix, sct_factor, transform
+from emconf.errors import GradeLeakageError, NonPositiveScaleError
+from emconf.maps import (
     GRADE_TOL,
     Dilation,
     Inversion,
@@ -16,11 +18,7 @@ from emconf.conformal13 import (
     QuantityKind,
     Sct,
     Translation,
-    induced_matrix,
-    sct_factor,
-    transform,
 )
-from emconf.errors import GradeLeakageError, NonPositiveScaleError
 
 POSITION = QuantityKind.POSITION
 POTENTIAL = QuantityKind.POTENTIAL
@@ -57,6 +55,20 @@ def test_sct_zero_vector_is_identity():
         out = transform(zero, kind, A, x)
         assert np.allclose(out.as_array(), A.as_array(), atol=1e-14)
     assert transform(zero, FARADAY, F, x).approx_eq(F, 1e-14)
+
+
+def test_vector_maps_hold_four_components_and_compare_by_value():
+    """Translation and Sct take any array-like of shape (..., 4), a FourVector
+    included, refuse any other shape, and compare by the values they hold."""
+    fv = FourVector(0.1, 0.2, 0.3, 0.4)
+    for family in (Translation, Sct):
+        assert family(fv) == family((0.1, 0.2, 0.3, 0.4))
+        assert family(fv) != family((0.1, 0.2, 0.3, 0.5))
+        assert family(fv) != family([(0.1, 0.2, 0.3, 0.4)] * 2)
+        for bad in (1.0, (1.0,), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="4 components"):
+                family(bad)
+    assert Translation(fv) != Sct(fv)
 
 
 def test_sct_equals_inversion_translation_inversion():

@@ -3,24 +3,13 @@ that run both Clifford routes through their one entry each."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emconf.bridge import to_faraday3, to_paravector
+from emconf.bridge import to_faraday3
 from emconf.cl13 import Faraday13, FourVector
 from emconf.cl3 import Faraday3, Paravector3, minkowski_square
-from emconf.conformal13 import (
-    GRADE_TOL,
-    CoordinateFrame,
-    Dilation,
-    Inversion,
-    Lorentz,
-    LorentzClass,
-    QuantityKind,
-    Sct,
-    Translation,
-    induced_matrix,
-    sct_factor,
-    transform,
-)
+from emconf.conformal13 import induced_matrix, sct_factor, transform
 from emconf.conformal3 import (
     Refusal,
     _inverse_lorentz,
@@ -33,6 +22,17 @@ from emconf.conformal3 import (
     transform3,
 )
 from emconf.errors import LightConeError, SctConeError
+from emconf.maps import (
+    GRADE_TOL,
+    CoordinateFrame,
+    Dilation,
+    Inversion,
+    Lorentz,
+    LorentzClass,
+    QuantityKind,
+    Sct,
+    Translation,
+)
 
 ORIG = CoordinateFrame.ORIGINAL
 TRANS = CoordinateFrame.TRANSFORMED
@@ -42,14 +42,14 @@ CURRENT = QuantityKind.CURRENT
 FARADAY = QuantityKind.FARADAY
 
 
-def ev(t, r):
-    return Paravector3.from_event(t, r)
+def ev(v) -> Paravector3:
+    return Paravector3.from_event(v)
 
 
 def rand_event(rng, guard=0.2):
     while True:
         v = rng.uniform(-2, 2, 4)
-        p = ev(v[0], v[1:])
+        p = ev(v)
         if abs(minkowski_square(p, GRADE_TOL)) > guard:
             return p
 
@@ -58,24 +58,20 @@ def _event13(v) -> FourVector:
     return FourVector(*v)
 
 
-def _event3(v) -> Paravector3:
-    return ev(v[0], v[1:])
-
-
 def _array(q) -> np.ndarray:
     """Components of either route's output: (t, x, y, z), or E then B."""
     if isinstance(q, (Faraday13, Faraday3)):
         return np.concatenate([q.E, q.B])
     if isinstance(q, FourVector):
         return q.as_array()
-    return np.array([q.s.real, *q.v.real])
+    return q.event()
 
 
 # Each route: its entry, how it builds an event or four-vector from
 # components, its field type, and its special conformal scale.
 ROUTES = [
     pytest.param((transform, _event13, Faraday13, sct_factor), id="cl13"),
-    pytest.param((transform3, _event3, Faraday3, sct_factor3), id="cl3"),
+    pytest.param((transform3, ev, Faraday3, sct_factor3), id="cl3"),
 ]
 
 
@@ -222,10 +218,10 @@ def test_routes_agree_through_the_bridge(params, kind, frame):
             v13, v3 = Faraday13(E, B), Faraday3(E, B)
         else:
             q = x if kind is POSITION else FourVector(*rng.uniform(-2, 2, 4))
-            v13, v3 = q, to_paravector(q)
+            v13, v3 = q, ev(q)
         out13 = transform(params, kind, v13, x, frame)
-        out3 = transform3(params, kind, v3, to_paravector(x), frame)
-        bridged = to_faraday3(out13) if kind is FARADAY else to_paravector(out13)
+        out3 = transform3(params, kind, v3, ev(x), frame)
+        bridged = to_faraday3(out13) if kind is FARADAY else ev(out13)
         want = _array(out3)
         dev = np.max(np.abs(_array(bridged) - want))
         assert dev <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
@@ -237,7 +233,7 @@ def test_routes_agree_through_the_bridge(params, kind, frame):
 
 def test_sct3_pure_time_field_factor():
     """At rest on the time axis the field just scales by the squared factor."""
-    x = ev(1.0, (0.0, 0.0, 0.0))
+    x = ev((1.0, 0.0, 0.0, 0.0))
     sct = Sct(FourVector(0.5, 0.0, 0.0, 0.0))
     F = Faraday3(E=(0.7, -0.2, 0.1), B=(0.0, 0.3, -0.4))
     out = transform3(sct, FARADAY, F, x, ORIG)
@@ -263,7 +259,7 @@ def test_lorentz_preimage_is_the_inverse_matrix(cls):
     """The closed-form preimage of the basis events is the inverse of the
     induced matrix, column by column."""
     rng = np.random.default_rng(54)
-    basis = Paravector3.from_event(np.eye(4)[:, 0], np.eye(4)[:, 1:])
+    basis = ev(np.eye(4))
     for _ in range(10):
         params = Lorentz(
             boost=tuple(rng.uniform(-1, 1, 3)),
@@ -299,17 +295,15 @@ def test_preimage_of_a_batch_of_lorentz_maps_is_each_rows_preimage(classes):
     that map's own preimage: two boosts, or one boost and a class per row."""
     boost = np.array([[0.3, 0.0, 0.0], [0.0, 0.2, 0.0]])
     rotation = np.array([[0.0, 0.0, 0.0], [0.1, -0.4, 0.2]])
-    t, r = np.array([1.5, -0.5]), np.array([[0.2, -1.0, 0.7], [2.0, 0.3, -0.4]])
+    events = np.array([[1.5, 0.2, -1.0, 0.7], [-0.5, 2.0, 0.3, -0.4]])
     for params, rows in (
         (Lorentz(boost, rotation, classes), range(2)),
         (Lorentz(boost[0], rotation[0], classes), [0, 0]),
     ):
-        back = inverse_position3(params, Paravector3.from_event(t, r))
+        back = inverse_position3(params, ev(events))
         for i, m in enumerate(rows):
             cls = classes if isinstance(classes, LorentzClass) else classes[i]
-            one = inverse_position3(
-                Lorentz(boost[m], rotation[m], cls), Paravector3.from_event(t[i], r[i])
-            )
+            one = inverse_position3(Lorentz(boost[m], rotation[m], cls), ev(events[i]))
             assert back.s[i].tobytes() == one.s.tobytes()
             assert back.v[i].tobytes() == one.v.tobytes()
 
@@ -326,7 +320,7 @@ def test_inverse_position3_round_trips(params):
     rng = np.random.default_rng(53)
     for _ in range(10):
         x = rand_event(rng, guard=0.5)
-        a = to_paravector(params.a) if isinstance(params, Sct) else None
+        a = ev(params.a) if isinstance(params, Sct) else None
         if a is not None and abs(sct_factor3(x, a)) < 0.5:
             continue
         back = inverse_position3(params, transform3(params, POSITION, x))
@@ -334,7 +328,7 @@ def test_inverse_position3_round_trips(params):
 
 
 def test_scale_of():
-    x = ev(2.0, (0.0, 1.0, 0.0))
+    x = ev((2.0, 0.0, 1.0, 0.0))
     assert scale_of(Dilation(3.0), x) == 3.0
     assert scale_of(Translation(FourVector(1, 0, 0, 0)), x) == 1.0
     assert scale_of(Inversion(1), x, ORIG) == pytest.approx(3.0, abs=1e-15)
@@ -342,7 +336,7 @@ def test_scale_of():
     xi = transform3(Inversion(1), POSITION, x)
     assert scale_of(Inversion(1), xi, TRANS) == pytest.approx(3.0, rel=1e-12)
     sct = Sct(FourVector(0.5, 0, 0, 0))
-    s = sct_factor3(x, ev(0.5, (0.0, 0.0, 0.0)))
+    s = sct_factor3(x, ev((0.5, 0.0, 0.0, 0.0)))
     xs = transform3(sct, POSITION, x)
     assert scale_of(sct, x, ORIG) == pytest.approx(s)
     assert scale_of(sct, xs, TRANS) == pytest.approx(s, rel=1e-12)
@@ -350,7 +344,7 @@ def test_scale_of():
 
 def test_transform3_linear_families():
     F = Faraday3(E=(1.0, 2.0, 0.0), B=(0.0, -1.0, 0.5))
-    x = ev(1.0, (0, 0, 0))
+    x = ev((1.0, 0, 0, 0))
     out = transform3(Dilation(2.0), FARADAY, F, x)
     assert np.allclose(out.F, 4.0 * F.F)
     out = transform3(Translation(FourVector(1, 1, 1, 1)), FARADAY, F, x)
@@ -369,7 +363,7 @@ def test_lorentz_overflow_rows_are_non_finite_in_both_routes(kind):
         value13, value3 = Faraday13(E, B), Faraday3(E, B)
     else:
         X = np.tile([1.0, 0.2, 0.0, 0.0], (3, 1))
-        value13, value3 = FourVector.from_array(X), ev(X[:, 0], X[:, 1:])
+        value13, value3 = FourVector.from_array(X), ev(X)
     with np.errstate(over="ignore", invalid="ignore"):
         out13 = transform(params, kind, value13)
         out3 = transform3(params, kind, value3)
@@ -397,7 +391,7 @@ def test_refusal_ledger_takes_the_maps_batch_shape():
     params = Lorentz(boost=[[400.0, 0.0, 0.0], [0.3, 0.0, 0.0]], rotation=np.zeros((2, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         out = transform3(params, FARADAY, F)
-        F2, scale, reason = field_rows(params, F, ev(0.5, (0.1, -0.2, 0.3)))
+        F2, scale, reason = field_rows(params, F, ev((0.5, 0.1, -0.2, 0.3)))
     assert out.F.shape == F2.F.shape == (2, 3)
     assert not np.isfinite(out.F[0]).all()
     alone = transform3(Lorentz(boost=(0.3, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)), FARADAY, F)
@@ -406,7 +400,7 @@ def test_refusal_ledger_takes_the_maps_batch_shape():
     assert reason.tolist() == [Refusal.NON_FINITE, Refusal.OK]
     # sigma = (1 + a_0)^2 at the source x = (1, 0, 0, 0) vanishes for
     # a_0 = -1, and sigma of the map by -a at the image x for a_0 = 1.
-    x = ev(1.0, (0.0, 0.0, 0.0))
+    x = ev((1.0, 0.0, 0.0, 0.0))
     with pytest.raises(SctConeError):
         scale_of(Sct(FourVector.from_array([[0.1, 0, 0, 0], [-1.0, 0, 0, 0]])), x)
     sct = Sct(FourVector.from_array([[0.1, 0, 0, 0], [1.0, 0, 0, 0]]))
@@ -435,7 +429,7 @@ def test_class_per_row_with_a_shared_boost_is_each_rows_single_class_call(b):
         return np.concatenate([out.E, out.B], axis=-1)
 
     def tf3(p):
-        return transform3(p, FARADAY, Faraday3(E, B), ev(x[0], x[1:])).F
+        return transform3(p, FARADAY, Faraday3(E, B), ev(x)).F
 
     def params(cls):
         return Lorentz(boost=(b, 0.0, 0.0), lorentz_class=cls)
@@ -446,7 +440,7 @@ def test_class_per_row_with_a_shared_boost_is_each_rows_single_class_call(b):
             assert len(batch) == 2
             singles = [call(params(c)) for c in _TWO_CLASSES]
             assert [row.tobytes() for row in batch] == [one.tobytes() for one in singles]
-        _, _, reason = field_rows(params(_TWO_CLASSES), Faraday3(E, B), ev(x[0], x[1:]))
+        _, _, reason = field_rows(params(_TWO_CLASSES), Faraday3(E, B), ev(x))
     assert reason.tolist() == [Refusal.NON_FINITE if b > 355 else Refusal.OK] * 2
 
 
@@ -472,8 +466,8 @@ _BATCHED_MAPS = [
 def test_batched_map_on_one_event_gives_every_result_the_maps_rows(batch, singles, frame):
     """Two maps on one event: every public entry returns its values, scale
     and ledger with the maps' two rows, each the bytes of its map alone."""
-    x, F = ev(0.5, (0.1, -0.2, 0.3)), Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
-    A = ev(0.3, (0.1, -0.2, 0.4))
+    x, F = ev((0.5, 0.1, -0.2, 0.3)), Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+    A = ev((0.3, 0.1, -0.2, 0.4))
 
     def results(params):
         out, scale, reason = field_rows(params, F, x, frame)
@@ -504,8 +498,109 @@ def test_sct_batch_of_vectors_raises_the_typed_error_in_both_routes(kind):
         value3 = to_faraday3(value13)
     else:
         value13 = FourVector(0.3, 0.1, -0.2, 0.4)
-        value3 = to_paravector(value13)
+        value3 = ev(value13)
     with pytest.raises(SctConeError):
         transform(Sct(a), kind, value13, x)
     with pytest.raises(SctConeError):
-        transform3(Sct(a), kind, value3, to_paravector(x))
+        transform3(Sct(a), kind, value3, ev(x))
+
+
+
+# -- the shape rule ---------------------------------------------------------------
+
+# Row shapes of a map, and of events and values, with n drawn.
+MAP_ROWS = [(), ("n",)]
+VALUE_ROWS = [(), ("n",), ("n", 1)]
+
+
+def _map(family, rows, rng):
+    """A map of the family with the given rows; a dilation has one factor."""
+    if family == "dilation":
+        return Dilation(1.5)
+    if family == "translation":
+        return Translation(rng.uniform(-1, 1, rows + (4,)))
+    if family == "lorentz":
+        cls = np.array(list(LorentzClass), dtype=object)[rng.integers(0, 4, rows)]
+        return Lorentz(rng.uniform(-0.5, 0.5, rows + (3,)), rng.uniform(-1, 1, rows + (3,)), cls)
+    if family == "inversion":
+        return Inversion(rng.choice([-1, 1], rows))
+    return Sct(rng.uniform(-0.05, 0.05, rows + (4,)))
+
+
+def _map_row(params, shape, idx):
+    """The one map at index idx of a ledger of the given shape."""
+    def pick(arr, tail=()):
+        return np.broadcast_to(arr, shape + tail)[idx]
+
+    if isinstance(params, Translation):
+        return Translation(pick(params.offset, (4,)))
+    if isinstance(params, Lorentz):
+        return Lorentz(
+            pick(params.boost, (3,)), pick(params.rotation, (3,)), pick(params.lorentz_class)
+        )
+    if isinstance(params, Inversion):
+        return Inversion(pick(params.eps))
+    if isinstance(params, Sct):
+        return Sct(pick(params.a, (4,)))
+    return params
+
+
+def _events(rows, rng) -> np.ndarray:
+    """Events with t in [2, 4] and |r_i| < 1, so x^2 >= 1 and, for |a_i| <
+    0.05, sigma > 0.1."""
+    X = rng.uniform(-1, 1, rows + (4,))
+    X[..., 0] += 3.0
+    return X
+
+
+def _row_bytes(q, idx=()) -> list:
+    if isinstance(q, Faraday3):
+        return [q.F[idx].tobytes()]
+    return [np.asarray(q.s[idx]).tobytes(), q.v[idx].tobytes()]
+
+
+@settings(deadline=None, database=None)
+@given(
+    family=st.sampled_from(["dilation", "translation", "lorentz", "inversion", "sct"]),
+    kind=st.sampled_from(list(QuantityKind)),
+    frame=st.sampled_from(list(CoordinateFrame)),
+    n=st.integers(2, 3),
+    map_rows=st.sampled_from(MAP_ROWS),
+    x_rows=st.sampled_from(VALUE_ROWS),
+    value_rows=st.sampled_from(VALUE_ROWS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_results_have_the_ledgers_rows(
+    family, kind, frame, n, map_rows, x_rows, value_rows, seed
+):
+    """transform3 and field_rows give every result the ledger's shape, the
+    broadcast of the map's, the events' and the values' rows (a position
+    reads no event), and each row the bytes of that row's single call."""
+    rng = np.random.default_rng(seed)
+    mrows, xrows, vrows = (tuple(n if d == "n" else d for d in p)
+                           for p in (map_rows, x_rows, value_rows))
+    params = _map(family, mrows, rng)
+    X = _events(xrows, rng)
+    if kind is POSITION:
+        V = _events(vrows, rng)
+    else:
+        V = rng.uniform(-1, 1, vrows + ((6,) if kind is FARADAY else (4,)))
+
+    def value(arr):
+        return Faraday3(arr[..., :3], arr[..., 3:]) if kind is FARADAY else ev(arr)
+
+    maps = () if family == "dilation" else mrows
+    shape = np.broadcast_shapes(maps, vrows, () if kind is POSITION else xrows)
+    outs = [transform3(params, kind, value(V), ev(X), frame)]
+    if kind is FARADAY:
+        F, scale, reason = field_rows(params, value(V), ev(X), frame)
+        assert scale.shape == reason.shape == shape
+        outs.append(F)
+    for out in outs:
+        assert (out.F.shape[:-1] if kind is FARADAY else out.s.shape) == shape
+    for idx in np.ndindex(*shape):
+        Xi = X if kind is POSITION else np.broadcast_to(X, shape + (4,))[idx]
+        Vi = np.broadcast_to(V, shape + V.shape[-1:])[idx]
+        one = transform3(_map_row(params, shape, idx), kind, value(Vi), ev(Xi), frame)
+        for out in outs:
+            assert _row_bytes(out, idx) == _row_bytes(one)

@@ -24,16 +24,7 @@ from emconf.cl3 import (
     real_rows,
     vector_rows,
 )
-from emconf.conformal13 import (
-    EXP_TOL,
-    GRADE_TOL,
-    RESIDUE_TOL,
-    CoordinateFrame,
-    Inversion,
-    QuantityKind,
-    Sct,
-    transform,
-)
+from emconf.conformal13 import transform
 from emconf.conformal3 import transform3
 from emconf.errors import (
     GradeLeakageError,
@@ -41,6 +32,15 @@ from emconf.errors import (
     NonBivectorError,
     NonRealEventError,
     SctConeError,
+)
+from emconf.maps import (
+    EXP_TOL,
+    GRADE_TOL,
+    RESIDUE_TOL,
+    CoordinateFrame,
+    Inversion,
+    QuantityKind,
+    Sct,
 )
 
 NAN = float("nan")
@@ -62,7 +62,7 @@ def _cl13_calls():
 
 
 def _cl3_calls():
-    x = Paravector3.from_event(EVENT[0], EVENT[1:])
+    x = Paravector3.from_event(EVENT)
     sct = Sct(FourVector(*A))
     F = Faraday3(E=(1.0, 0.0, 0.0))
     return [

@@ -5,15 +5,6 @@ import pytest
 
 from emconf import conformal3
 from emconf.cl13 import FourVector
-from emconf.conformal13 import (
-    CoordinateFrame,
-    Dilation,
-    Inversion,
-    Lorentz,
-    LorentzClass,
-    Sct,
-    Translation,
-)
 from emconf.errors import LightConeError, OriginSingularityError
 from emconf.fields import (
     Coulomb,
@@ -23,6 +14,15 @@ from emconf.fields import (
     invariants,
     predicted_invariant_factors,
     sweep,
+)
+from emconf.maps import (
+    CoordinateFrame,
+    Dilation,
+    Inversion,
+    Lorentz,
+    LorentzClass,
+    Sct,
+    Translation,
 )
 
 

@@ -7,8 +7,9 @@ import pytest
 from emconf import oracle
 from emconf.cl13 import Faraday13, FourVector
 from emconf.cl3 import Faraday3, Paravector3
-from emconf.conformal13 import CoordinateFrame, Inversion, QuantityKind, transform
+from emconf.conformal13 import transform
 from emconf.conformal3 import transform3
+from emconf.maps import CoordinateFrame, Inversion, QuantityKind
 
 EPS = np.array([1, -1, -1, 1, -1, 1, 1])
 FRAMES = (CoordinateFrame.ORIGINAL, CoordinateFrame.TRANSFORMED)
@@ -46,7 +47,7 @@ def _value3(kind, rows):
     if kind is QuantityKind.FARADAY:
         return Faraday3(E[rows], B[rows])
     v = (X if kind is QuantityKind.POSITION else A4)[rows]
-    return Paravector3.from_event(v[..., 0], v[..., 1:])
+    return Paravector3.from_event(v)
 
 
 def _arr13(out):

@@ -8,14 +8,9 @@ import pytest
 from emconf.cl13 import FourVector
 from emconf.cl3 import Paravector3
 from emconf.cli import CSV_HEADER, main
-from emconf.conformal13 import (
-    CoordinateFrame,
-    Lorentz,
-    LorentzClass,
-    QuantityKind,
-)
 from emconf.conformal3 import inverse_position3, transform3
 from emconf.fields import PlaneWave
+from emconf.maps import CoordinateFrame, Lorentz, LorentzClass, QuantityKind
 
 BOOST = (0.9, -0.4, 0.7)
 ROTATION = (0.3, 1.2, -0.5)  # a generator component of modulus above 1
@@ -42,10 +37,10 @@ def _reference_csv(params: Lorentz, frame: CoordinateFrame) -> str:
         axes[name] = np.linspace(float(lo), float(hi), int(count))
     lines = [CSV_HEADER]
     for coords in itertools.product(*(axes[a] for a in "txyz")):
-        x = Paravector3.from_event(coords[0], coords[1:])
+        x = Paravector3.from_event(coords)
         if frame is CoordinateFrame.TRANSFORMED:
             src_pv = inverse_position3(params, x)
-            src = FourVector(src_pv.s.real, *src_pv.v.real)
+            src = FourVector.from_array(src_pv.event())
         else:
             src = FourVector(*coords)
         F_in = field.faraday(src)

@@ -26,7 +26,7 @@ REMOVED = (
     "sct3_position", "sct3_potential", "sct3_current", "sct3_faraday",
     "lorentz3", "transform_faraday3", "PreparedTransform3",
     "versor_inverse", "left_matrix", "SingularVersorError",
-    "real_paravector", "pure_vector",
+    "real_paravector", "pure_vector", "to_paravector", "to_paravector_bar",
 )
 
 

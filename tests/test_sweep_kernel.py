@@ -16,16 +16,6 @@ from hypothesis import strategies as st
 from emconf import cli
 from emconf.cl13 import FourVector
 from emconf.cl3 import Paravector3
-from emconf.conformal13 import (
-    CoordinateFrame,
-    Dilation,
-    Inversion,
-    Lorentz,
-    LorentzClass,
-    QuantityKind,
-    Sct,
-    Translation,
-)
 from emconf.conformal3 import (
     Refusal,
     inverse_position3,
@@ -39,6 +29,16 @@ from emconf.errors import (
     SctConeError,
 )
 from emconf.fields import Coulomb, PlaneWave, UniformField, sweep
+from emconf.maps import (
+    CoordinateFrame,
+    Dilation,
+    Inversion,
+    Lorentz,
+    LorentzClass,
+    QuantityKind,
+    Sct,
+    Translation,
+)
 
 TRANS = CoordinateFrame.TRANSFORMED
 NAN = float("nan")
@@ -117,7 +117,7 @@ def events(draw, a):
 def _scalar_row(field, params, x, frame):
     """The row through the scalar entry points: its code, and its values
     when they are computed."""
-    grid = Paravector3.from_event(x[0], x[1:])
+    grid = Paravector3.from_event(x)
     try:
         if frame is TRANS:
             src_pv = inverse_position3(params, grid)
@@ -151,7 +151,7 @@ def test_kernel_rows_match_batches_of_one_and_the_scalar_entries(data):
     params = data.draw(FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))], label="params")
     field = data.draw(FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))], label="field")
     frame = data.draw(st.sampled_from(list(CoordinateFrame)), label="frame")
-    a = params.a.as_array() if isinstance(params, Sct) else None
+    a = params.a if isinstance(params, Sct) else None
     rows = np.array(data.draw(st.lists(events(a), min_size=1, max_size=10), label="events"))
     with np.errstate(all="ignore"):
         batch = sweep(field, params, rows, frame)

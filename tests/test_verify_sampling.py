@@ -6,7 +6,8 @@ import pytest
 
 from emconf import oracle, verify
 from emconf.cl13 import FourVector
-from emconf.conformal13 import Inversion, LorentzClass, QuantityKind, Translation, transform
+from emconf.conformal13 import transform
+from emconf.maps import Inversion, LorentzClass, QuantityKind, Translation
 
 GUARD, FD_GUARD = verify.GUARD, verify.FD_GUARD
 SEEDS = range(50)
