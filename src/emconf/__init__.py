@@ -50,7 +50,6 @@ from .bridge import (
     even_to_cl3,
     product_correspondence_check,
     sandwich_correspondence_check,
-    to_faraday3,
 )
 from .errors import (
     ConformalDomainError,

@@ -49,11 +49,6 @@ def even_to_cl3(m: Multivector13, tol: float) -> Paravector3:
     return Paravector3._wrap(s, v)
 
 
-def to_faraday3(F: Faraday13) -> Faraday3:
-    """Field bivector to field vector; (E, B) carry over unchanged."""
-    return Faraday3(F.E, F.B)
-
-
 def product_correspondence_check(x: FourVector, y: FourVector):
     """Max-abs deviation between the images of x y and the product x bar(y),
     per row."""
@@ -69,7 +64,7 @@ def sandwich_correspondence_check(x: FourVector, F: Faraday13, y: FourVector):
         geometric_product(x.to_mv(), F.to_mv()), y.to_mv()
     )
     lhs = even_to_cl3(raw, GRADE_TOL)
-    fstar = to_faraday3(F).to_paravector().star()
+    fstar = Faraday3(F.E, F.B).to_paravector().star()
     rhs = -cl3_product(
         cl3_product(Paravector3.from_event(x), fstar), Paravector3.from_event(y).bar()
     )

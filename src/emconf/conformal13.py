@@ -7,9 +7,9 @@ a sandwich of the quantity, weighted by a power of the conformal scale that
 the kind and the CoordinateFrame fix.  ORIGINAL takes the source event,
 TRANSFORMED takes the image event and carries two more powers of the scale.
 
-Values, events and the maps' parameters (see maps: a, eps, a Lorentz map's
-boost, rotation and class) may be batches (see cl13): one call maps every
-row, and a guard raises the typed error of the first refused row.
+Values, events and the maps' parameters may be batches (see cl13 and
+maps.rows): one call maps every row, and a guard raises the typed error of
+the first refused row.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .maps import (
     Inversion,
     Lorentz,
     QuantityKind,
-    Sct,
     Translation,
 )
 
@@ -68,8 +67,6 @@ def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
             x.minkowski_sq(), LightConeError, "event too close to the light cone: x^2"
         )
         return x2 if frame is CoordinateFrame.ORIGINAL else 1.0 / x2
-    if not isinstance(params, Sct):
-        raise TypeError(f"unknown transformation parameters: {params!r}")
     if frame is CoordinateFrame.ORIGINAL:
         return _cone_guard(
             sct_factor(x, FourVector.from_array(params.a)),
@@ -127,13 +124,12 @@ def _project(
 
 def _position(params: ConformalParams, x: FourVector) -> FourVector:
     if isinstance(params, Dilation):
-        return FourVector.from_array(x.as_array() / params.factor)
+        return FourVector.from_array(x.as_array() / params.factor[..., None])
     if isinstance(params, Translation):
         return FourVector.from_array(x.as_array() + params.offset)
     s = np.asarray(_scale(params, x, CoordinateFrame.ORIGINAL))[..., None]
     if isinstance(params, Inversion):
-        eps = np.asarray(params.eps)[..., None]
-        return FourVector.from_array(eps * x.as_array() / s)
+        return FourVector.from_array(params.eps[..., None] * x.as_array() / s)
     x2 = np.asarray(x.minkowski_sq())[..., None]
     return FourVector.from_array((x.as_array() + x2 * params.a) / s)
 
@@ -146,6 +142,11 @@ _SCALE_POWER = {
     QuantityKind.CURRENT: 2,
     QuantityKind.FARADAY: 1,
 }
+
+
+def _rows(q) -> tuple:
+    """The batch shape of a four-vector or a field."""
+    return (q.E if isinstance(q, Faraday13) else q.c).shape[:-1]
 
 
 def transform(
@@ -164,17 +165,28 @@ def transform(
     frame.  There the result is the sandwich of value by x (inversion) or by
     the versors 1 + a x, 1 + x a (special conformal), weighted by the kind's
     power of the scale; the inversion field also carries the sign -eps.
-    value, x, the special conformal vector, the inversion sign eps and a
-    Lorentz map (see Lorentz) may be batches, eps one sign per row; the
-    result has their broadcast batch shape.
+    value, x and the map may be batches; the result has the broadcast shape
+    of their rows (see maps.rows), also where the map does not read x or
+    the kind does not read eps.
     """
+    xs = () if x is None or kind is QuantityKind.POSITION else (_rows(x),)
+    rows = np.broadcast_shapes(params.rows, _rows(value), *xs)
+    out = _transform(params, kind, value, x, frame)
+    if _rows(out) == rows:
+        return out
+    if isinstance(out, Faraday13):
+        return Faraday13(np.broadcast_to(out.E, rows + (3,)), np.broadcast_to(out.B, rows + (3,)))
+    return FourVector.from_array(np.broadcast_to(out.c, rows + (4,)))
+
+
+def _transform(params, kind, value, x, frame):
     if isinstance(params, Lorentz):
-        L, Li = _lorentz_rotors(params)
-        return _lorentz_sandwich(kind, value, L, Li, params.class_flags())
+        return _lorentz_sandwich(kind, value, params)
     if kind is QuantityKind.POSITION:
         return _position(params, value)
     if isinstance(params, Dilation):
-        w = params.factor ** (_SCALE_POWER[kind] + 1)
+        # np.power, as for the scale below.
+        w = np.power(params.factor, _SCALE_POWER[kind] + 1)[..., None]
         if kind is QuantityKind.FARADAY:
             return Faraday13(w * value.E, w * value.B)
         return FourVector.from_array(w * value.as_array())
@@ -185,7 +197,7 @@ def transform(
     if isinstance(params, Inversion):
         left = right = x.to_mv()
         if kind is QuantityKind.FARADAY:
-            sign = -np.asarray(params.eps)
+            sign = -params.eps
     else:
         left, right = _sct_versors(x, FourVector.from_array(params.a), frame)
     p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
@@ -199,35 +211,27 @@ def transform(
 # -- Lorentz --------------------------------------------------------------------
 
 
-def _lorentz_generator(boost, rotation) -> Multivector13:
-    """Bivector generator from boost and rotation 3-vectors.
-
-    The generator occupies the same six blades as the Faraday bivector with
-    boost in the electric channels and rotation in the magnetic ones.
-    """
-    return Faraday13(np.asarray(boost, float), np.asarray(rotation, float)).to_mv()
-
-
 def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
     """The rotor exp(G) of the generator G and its inverse exp(-G), which is
-    its reverse."""
-    L = exp_bivector(_lorentz_generator(params.boost, params.rotation), EXP_TOL)
+    its reverse.  G occupies the same six blades as the Faraday bivector,
+    with the boost in the electric channels and the rotation in the
+    magnetic ones."""
+    L = exp_bivector(Faraday13(params.boost, params.rotation).to_mv(), EXP_TOL)
     return L, L.reverse()
 
 
-def _lorentz_sandwich(kind: QuantityKind, value, L: Multivector13, Li: Multivector13, flags):
-    """Sandwich by the rotor pair L, Li, adjusted per Lorentz class.
+def _lorentz_sandwich(kind: QuantityKind, value, params: Lorentz):
+    """Sandwich by the rotor pair of params, adjusted per row's class.
 
-    flags are (improper, antichronous) bool arrays, as Lorentz.class_flags
-    gives them, that broadcast against the batch.  The improper rows take
-    the sandwich wrapped in the timelike reflection, which is computed only
-    if some row is improper; the antichronous rows flip the overall sign of
-    position and field but not of potential or current.  The rotor grows as
-    e^|b|, so past |b| of about 355 the image leaves the float64 range: such
-    a row skips the residue guard and is returned as the arithmetic gave
-    it, for the caller to check.
+    The improper rows take the sandwich wrapped in the timelike reflection,
+    which is computed only if some row is improper; the antichronous rows
+    flip the overall sign of position and field but not of potential or
+    current.  The rotor grows as e^|b|, so past |b| of about 355 the image
+    leaves the float64 range: such a row skips the residue guard and is
+    returned as the arithmetic gave it, for the caller to check.
     """
-    improper, antichronous = flags
+    L, Li = _lorentz_rotors(params)
+    improper = params.improper
     q = value.to_mv()
     out = vector_sandwich(L, q, Li)
     if improper.any():
@@ -236,7 +240,7 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Multivector13, Li: Multivect
         out = Multivector13._wrap(
             np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
         )
-    flip = antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
+    flip = params.antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
     weight = np.where(flip, -1.0, 1.0)
     overflowed = ~np.isfinite(out.max_abs())
     return _project(kind, out, (L, q, Li), weight, overflowed)
@@ -244,14 +248,9 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Multivector13, Li: Multivect
 
 def induced_matrix(params: Lorentz) -> np.ndarray:
     """4x4 coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch, on an axis that follows
-    the map's batch axes (rotors and class flags alike).  For n maps, by
-    boost and rotation of shape (n, 3) or by n classes, the result has shape
-    (n, 4, 4)."""
-    L, Li = (
-        Multivector13._wrap(m.c[..., None, :], m.m) for m in _lorentz_rotors(params)
-    )
-    basis = FourVector.from_array(np.eye(4))
-    flags = tuple(f[..., None] for f in params.class_flags())
-    out = _lorentz_sandwich(QuantityKind.POSITION, basis, L, Li, flags)
-    return np.swapaxes(out.as_array(), -1, -2)
+    the four basis events are mapped as one batch, on an axis ahead of the
+    map's rows.  For n maps, by boost and rotation of shape (n, 3) or by n
+    classes, the result has shape (n, 4, 4)."""
+    basis = FourVector.from_array(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
+    out = _lorentz_sandwich(QuantityKind.POSITION, basis, params)
+    return np.moveaxis(out.as_array(), 0, -1)

@@ -16,9 +16,9 @@ Inside the kernel a guard does not raise: it records a Refusal code for its
 rows in a per-row ledger and lets the row go on with a placeholder, so the
 other rows are computed in the same call.  One shape rule, _batch_shape,
 holds for every entry: its ledger, its scale and its result have the
-broadcast shape of its events, its values and the map's rows (offsets,
-vectors a, signs eps, boosts, rotations or classes; see maps), also where
-the map does not read the events.  Each entry evaluates the conformal scale
+broadcast shape of its events, its values and the map's rows (see
+maps), also where the map does not read the events.  The Cl(1,3) transform
+follows the same rule.  Each entry evaluates the conformal scale
 once, at that shape; field_rows returns the scale it weighted by.  transform3,
 scale_of and inverse_position3 raise the typed error of the first refused
 row, which for one element is the error of that element; preimage_rows and
@@ -156,8 +156,6 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
         # At the image event, sigma of the map by -a, which undoes the map by a.
         a = Paravector3.from_event(params.a)
         w = _cone_guard(sct_factor3(x, a if frame is _ORIG else -a), Refusal.SCT_CONE, reason)
-    elif not isinstance(params, (Translation, Lorentz)):
-        raise TypeError(f"unknown transformation parameters: {params!r}")
     if frame is not _ORIG and isinstance(params, (Inversion, Sct)):
         w = 1.0 / w
     # Ones, not broadcast_to: the product is exact, and one event keeps the
@@ -207,7 +205,7 @@ def _position3(params: ConformalParams, x: Paravector3, k, reason) -> Paravector
     if isinstance(params, Translation):
         return x + Paravector3.from_event(params.offset)
     if isinstance(params, Inversion):
-        return (np.asarray(params.eps) * k) * x
+        return (params.eps * k) * x
     return _sct_position3(x, Paravector3.from_event(params.a), k, reason)
 
 
@@ -227,35 +225,25 @@ def _batch_shape(params: ConformalParams, *values) -> tuple:
     shapes = [
         v.F.shape[:-1] if isinstance(v, Faraday3) else v.s.shape for v in values if v is not None
     ]
-    if isinstance(params, Lorentz):
-        shapes += [np.shape(params.boost)[:-1], np.shape(params.rotation)[:-1]]
-        shapes.append(params.class_flags()[0].shape)
-    elif isinstance(params, Sct):
-        shapes.append(params.a.shape[:-1])
-    elif isinstance(params, Translation):
-        shapes.append(params.offset.shape[:-1])
-    elif isinstance(params, Inversion):
-        shapes.append(np.shape(params.eps))
-    return np.broadcast_shapes(*shapes)
+    return np.broadcast_shapes(params.rows, *shapes)
 
 
 def _transform_rows(params, kind, value, x, frame, scale, reason):
     if isinstance(params, Lorentz):
-        L = _lorentz_rotor(params)
-        return _lorentz_sandwich(kind, value, L, params.class_flags(), reason)
+        return _lorentz_sandwich(kind, value, params, reason)
     if kind is QuantityKind.POSITION:
         return _position3(params, value, 1.0 / scale, reason)
     field = kind is QuantityKind.FARADAY
     if isinstance(params, Dilation):
-        w = params.factor ** (_SCALE_POWER[kind] + 1)
-        return Faraday3._wrap(w * value.F) if field else w * value
+        w = np.power(params.factor, _SCALE_POWER[kind] + 1)
+        return Faraday3._wrap(w[..., None] * value.F) if field else w * value
     if isinstance(params, Translation):
         return value
     sign = 1
     if isinstance(params, Inversion):
         if field:
             raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
-            sign = np.asarray(params.eps)
+            sign = params.eps
         else:
             raw = cl3_product(cl3_product(x, value.bar()), x)
     else:
@@ -327,33 +315,26 @@ def transform3(
 # -- Lorentz ----------------------------------------------------------------------
 
 
-def _lorentz_rotor(params: Lorentz) -> Paravector3:
-    gen = np.asarray(params.boost, dtype=np.float64) + 1j * np.asarray(
-        params.rotation, dtype=np.float64
-    )
-    return exp_complex_vector(gen)
-
-
 def _where(mask, a: Paravector3, b: Paravector3) -> Paravector3:
     """a on the rows where mask holds, b on the others."""
     return Paravector3._wrap(np.where(mask, a.s, b.s), np.where(mask[..., None], a.v, b.v))
 
 
-def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, flags, reason):
-    """Class-resolved sandwich by the rotor L.
+def _lorentz_sandwich(kind: QuantityKind, value, params: Lorentz, reason):
+    """Class-resolved sandwich by the rotor L = exp(boost + i rotation).
 
-    flags are (improper, antichronous) bool arrays, as Lorentz.class_flags
-    gives them, that broadcast against the batch.  Orthochronous-proper
-    sandwiches are L W L* for paravector kinds and L F bar(L) for the
-    field.  The improper rows conjugate the operand (bar(W), or F*) and
-    take the rotor bar(L)*, which swaps the decorations of the outer
-    factors; both are picked per row, and only if some row is improper.
+    Orthochronous-proper sandwiches are L W L* for paravector kinds and
+    L F bar(L) for the field.  The improper rows conjugate the operand
+    (bar(W), or F*) and take the rotor bar(L)*, which swaps the decorations
+    of the outer factors; both are picked per row, and only if some row is
+    improper.
     The antichronous rows flip the sign of position (paravector side) and
     field, never of potential or current.  The rotor grows as e^|b|, so
     past |b| of about 355 the image leaves the float64 range: such a row is
     NON_FINITE, not a residue.
     """
-    improper, antichronous = flags
+    L = exp_complex_vector(params.boost + 1j * params.rotation)
+    improper, antichronous = params.improper, params.antichronous
     field = kind is QuantityKind.FARADAY
     q = value.to_paravector() if field else value
     if improper.any():
@@ -367,22 +348,16 @@ def _lorentz_sandwich(kind: QuantityKind, value, L: Paravector3, flags, reason):
     return _field_guard(raw, reason) if field else _real_guard(raw, reason)
 
 
-_BASIS = Paravector3.from_event(np.eye(4))
-
-
 def induced_matrix3(params: Lorentz) -> np.ndarray:
     """Coordinate matrix of the position action, columns by basis image:
-    the four basis events are mapped as one batch, on an axis that follows
-    the map's batch axes (rotor, class flags and refusal ledger alike).
-    For n maps, by boost and rotation of shape (n, 3) or by n classes, the
-    result has shape (n, 4, 4)."""
-    L = _lorentz_rotor(params)
-    L = Paravector3._wrap(L.s[..., None], L.v[..., None, :])
-    flags = tuple(f[..., None] for f in params.class_flags())
-    reason = no_refusals(_batch_shape(params) + _BASIS.s.shape)
-    out = _lorentz_sandwich(QuantityKind.POSITION, _BASIS, L, flags, reason)
+    the four basis events are mapped as one batch, on an axis ahead of the
+    map's rows.  For n maps, by boost and rotation of shape (n, 3) or by n
+    classes, the result has shape (n, 4, 4)."""
+    basis = Paravector3.from_event(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
+    reason = no_refusals(_batch_shape(params, basis))
+    out = _lorentz_sandwich(QuantityKind.POSITION, basis, params, reason)
     raise_refusal(reason)
-    return np.swapaxes(out.event(), -1, -2)
+    return np.moveaxis(out.event(), 0, -1)
 
 
 def _inverse_lorentz(params: Lorentz) -> Lorentz:
@@ -391,10 +366,8 @@ def _inverse_lorentz(params: Lorentz) -> Lorentz:
     P Lambda(b, r) P = Lambda(-b, r), so M Lambda(-b, -r) undoes a proper
     class and M Lambda(b, -r) an improper one; each row of a batch takes
     the boost its own class calls for."""
-    boost = np.asarray(params.boost, dtype=np.float64)
-    improper = params.class_flags()[0]
-    boost = np.where(improper[..., None], boost, -boost)
-    return Lorentz(boost, -np.asarray(params.rotation, dtype=np.float64), params.lorentz_class)
+    boost = np.where(params.improper[..., None], params.boost, -params.boost)
+    return Lorentz(boost, -params.rotation, params.lorentz_class)
 
 
 # -- preimages and sweeps --------------------------------------------------------

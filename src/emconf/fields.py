@@ -124,11 +124,12 @@ def predicted_invariant_factors(
     an array with one factor per row.
     """
     if isinstance(params, Dilation):
-        return params.factor**4, params.factor**4
+        f = np.power(params.factor, 4)
+        return f, f
     if isinstance(params, Translation):
         return 1.0, 1.0
     if isinstance(params, Lorentz):
-        f2 = np.where(params.class_flags()[0], -1.0, 1.0)
+        f2 = np.where(params.improper, -1.0, 1.0)
         return 1.0, f2 if f2.ndim else float(f2)
     if isinstance(params, Inversion):
         return scale**4, -(scale**4)

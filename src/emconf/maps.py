@@ -2,11 +2,13 @@
 
 The map classes, coordinate frames, quantity kinds and tolerances live here,
 apart from any algebra, so both Clifford routes and the command line share
-parameters without sharing arithmetic.  Translation.offset and Sct.a are
-float arrays of components (t, x, y, z) on the last axis, shape (..., 4) for
-a batch of maps, made from any array-like, a FourVector included, and
-checked for that shape here; each route wraps them in its own type when it
-reads them.  The two maps compare by the values of their arrays.
+parameters without sharing arithmetic.  Each map checks its parameters once,
+at construction: every numeric parameter becomes a float array, made from
+any array-like, a FourVector included, whose trailing axes hold its
+components (see _TRAILING) and whose leading axes are rows of a batch of
+maps.  rows is the broadcast of every parameter's rows, a Lorentz map's
+classes included; each route reads the arrays as they are and wraps them in
+its own types.  Maps compare by the values of their parameters.
 """
 
 from __future__ import annotations
@@ -56,78 +58,97 @@ class QuantityKind(Enum):
     FARADAY = "faraday"
 
 
-@dataclass(frozen=True)
-class Dilation:
-    factor: float
-
-    def __post_init__(self):
-        if not self.factor > 0.0:
-            raise NonPositiveScaleError("dilation factor must be positive")
+# The trailing shape of each numeric parameter of a map; any leading axes
+# are rows of a batch of maps.
+_TRAILING = {"factor": (), "offset": (4,), "boost": (3,), "rotation": (3,), "eps": (), "a": (4,)}
 
 
-class _ComponentParams:
-    """A map by one float array of components (t, x, y, z) on the last axis,
-    shape (..., 4), made from any array-like and compared by value."""
+class _Map:
+    """A map by float arrays, one per parameter named in _TRAILING; rows is
+    the broadcast of their leading shapes and of any extra rows a subclass
+    passes in."""
 
-    def __post_init__(self):
-        (field,) = fields(self)
-        arr = np.asarray(getattr(self, field.name), dtype=np.float64)
-        if arr.shape[-1:] != (4,):
-            raise ValueError(f"{field.name} needs 4 components, got shape {arr.shape}")
-        object.__setattr__(self, field.name, arr)
+    def __post_init__(self, *extra_rows):
+        rows = list(extra_rows)
+        for name in (f.name for f in fields(self) if f.name in _TRAILING):
+            tail = _TRAILING[name]
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            lead = arr.shape[: arr.ndim - len(tail)]
+            if lead + tail != arr.shape:
+                raise ValueError(f"{name} needs {tail[0]} components, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
+            rows.append(lead)
+        object.__setattr__(self, "rows", np.broadcast_shapes(*rows))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        (field,) = fields(self)
-        return bool(np.array_equal(getattr(self, field.name), getattr(other, field.name)))
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class Translation(_ComponentParams):
+class Dilation(_Map):
+    """x -> x / factor, with factor positive, or one factor per row."""
+
+    factor: float | np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (self.factor > 0.0).all():
+            raise NonPositiveScaleError("dilation factor must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class Translation(_Map):
     """x -> x + offset."""
 
     offset: np.ndarray
 
 
-@dataclass(frozen=True)
-class Lorentz:
+@dataclass(frozen=True, eq=False)
+class Lorentz(_Map):
     """Boost rapidities and rotation angles feeding the exponential generator,
     and the class of the map.  For a batch, boost and rotation have shape
     (n, 3) or (3,), and lorentz_class is one LorentzClass or an array of
-    shape (n,) holding one per row; the batch shape is their broadcast."""
+    shape (n,) holding one per row.  improper and antichronous are the
+    class's flags as bool arrays of the shape of lorentz_class: read-only
+    0-d arrays for one class, one entry per row for an array of classes."""
 
-    boost: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    rotation: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    boost: tuple[float, float, float] | np.ndarray = (0.0, 0.0, 0.0)
+    rotation: tuple[float, float, float] | np.ndarray = (0.0, 0.0, 0.0)
     lorentz_class: LorentzClass | np.ndarray = LorentzClass.PROPER_ORTHOCHRONOUS
 
-    def class_flags(self) -> tuple[np.ndarray, np.ndarray]:
-        """(improper, antichronous) as bool arrays of the shape of
-        lorentz_class: read-only 0-d arrays for one class, one entry per row
-        for an array of classes."""
+    def __post_init__(self):
         cls = self.lorentz_class
         if isinstance(cls, LorentzClass):
-            return _CLASS_FLAGS[cls]
-        cls = np.asarray(cls)
-        flags = np.array([_CLASS_FLAGS[c] for c in cls.flat], dtype=bool).reshape(-1, 2).T
-        return tuple(f.reshape(cls.shape) for f in flags)
+            improper, antichronous = _CLASS_FLAGS[cls]
+        else:
+            cls = np.asarray(cls)
+            flags = np.array([_CLASS_FLAGS[c] for c in cls.flat], dtype=bool)
+            improper, antichronous = np.moveaxis(flags.reshape(cls.shape + (2,)), -1, 0)
+            object.__setattr__(self, "lorentz_class", cls)
+        object.__setattr__(self, "improper", improper)
+        object.__setattr__(self, "antichronous", antichronous)
+        super().__post_init__(improper.shape)
 
 
-@dataclass(frozen=True)
-class Inversion:
+@dataclass(frozen=True, eq=False)
+class Inversion(_Map):
     """x -> eps x / x^2, with eps +1 or -1, or an array of one such sign per
     row of a batch."""
 
     eps: int | np.ndarray = 1
 
     def __post_init__(self):
-        eps = np.asarray(self.eps)
-        if not ((eps == 1) | (eps == -1)).all():
+        super().__post_init__()
+        if not ((self.eps == 1) | (self.eps == -1)).all():
             raise ValueError("inversion sign must be +1 or -1")
 
 
 @dataclass(frozen=True, eq=False)
-class Sct(_ComponentParams):
+class Sct(_Map):
     """The special conformal map by the vector a."""
 
     a: np.ndarray

@@ -7,10 +7,9 @@ from emconf.bridge import (
     even_to_cl3,
     product_correspondence_check,
     sandwich_correspondence_check,
-    to_faraday3,
 )
 from emconf.cl13 import Faraday13, FourVector, Multivector13, geometric_product
-from emconf.cl3 import Paravector3
+from emconf.cl3 import Faraday3, Paravector3
 from emconf.errors import GradeLeakageError
 from emconf.maps import GRADE_TOL
 
@@ -29,7 +28,7 @@ def test_paravector_embeddings():
 
 def test_faraday_embedding():
     F = Faraday13((1.0, 0.0, -2.0), (0.5, 3.0, 0.0))
-    f3 = to_faraday3(F)
+    f3 = Faraday3(F.E, F.B)
     assert np.array_equal(f3.E, F.E)
     assert np.array_equal(f3.B, F.B)
 

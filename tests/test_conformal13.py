@@ -1,5 +1,6 @@
 """Transformation-family tests in the Cl(1,3) representation."""
 
+import copy
 import math
 
 import numpy as np
@@ -59,7 +60,8 @@ def test_sct_zero_vector_is_identity():
 
 def test_vector_maps_hold_four_components_and_compare_by_value():
     """Translation and Sct take any array-like of shape (..., 4), a FourVector
-    included, refuse any other shape, and compare by the values they hold."""
+    included, and refuse any other shape; every family compares by the
+    values of its parameters, batches included, and is unhashable."""
     fv = FourVector(0.1, 0.2, 0.3, 0.4)
     for family in (Translation, Sct):
         assert family(fv) == family((0.1, 0.2, 0.3, 0.4))
@@ -69,6 +71,41 @@ def test_vector_maps_hold_four_components_and_compare_by_value():
             with pytest.raises(ValueError, match="4 components"):
                 family(bad)
     assert Translation(fv) != Sct(fv)
+    classes = np.array([LorentzClass.PROPER_ORTHOCHRONOUS, LorentzClass.IMPROPER_ANTICHRONOUS])
+    pairs = [
+        (Dilation(1.5), Dilation(2.0)),
+        (Dilation(np.array([1.5, 2.0])), Dilation([1.5, 2.5])),
+        (Lorentz(), Lorentz((0.1, 0.0, 0.0))),
+        (Lorentz(np.zeros((2, 3)), lorentz_class=classes), Lorentz(np.zeros((2, 3)))),
+        (Inversion(np.array([1, -1])), Inversion([1, 1])),
+        (Sct(fv), Translation(fv)),
+    ]
+    for params, other in pairs:
+        assert params == copy.deepcopy(params)
+        assert params != other
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(params)
+    assert Lorentz(np.zeros(3)) == Lorentz()
+    assert Inversion(np.array([1, -1])) == Inversion(np.array([1, -1]))
+    assert Inversion(1) == Inversion(1.0) != Inversion(-1)
+    with pytest.raises(ValueError, match="3 components"):
+        Lorentz(rotation=np.zeros(4))
+
+
+def test_lorentz_reads_its_class_flags_once():
+    """improper and antichronous replace a per-call flag method: the table's
+    read-only 0-d views for one class, one entry per row for an array."""
+    assert not hasattr(Lorentz(), "class_flags")
+    for cls in LorentzClass:
+        params = Lorentz(lorentz_class=cls)
+        assert params.rows == params.improper.shape == params.antichronous.shape == ()
+        assert not params.improper.flags.writeable
+        assert bool(params.improper) == cls.value.startswith("improper")
+        assert bool(params.antichronous) == cls.value.endswith("antichronous")
+    batch = Lorentz(lorentz_class=np.array(list(LorentzClass)))
+    assert batch.rows == (4,)
+    assert batch.improper.tolist() == [False, True, True, False]
+    assert batch.antichronous.tolist() == [False, False, True, True]
 
 
 def test_sct_equals_inversion_translation_inversion():
@@ -102,8 +139,9 @@ def test_dilate_weights():
     assert np.allclose(transform(d, CURRENT, x).as_array(), 8 * x.as_array())
     out = transform(d, FARADAY, F)
     assert np.allclose(out.E, 4 * F.E) and np.allclose(out.B, 4 * F.B)
-    with pytest.raises(NonPositiveScaleError):
-        Dilation(0.0)
+    for bad in (0.0, np.nan, np.array([2.0, -1.0])):
+        with pytest.raises(NonPositiveScaleError):
+            Dilation(bad)
 
 
 def test_translate_moves_only_positions():

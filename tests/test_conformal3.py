@@ -1,12 +1,13 @@
 """Transformation-family tests in the Cl(3) representation, and the tests
 that run both Clifford routes through their one entry each."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emconf.bridge import to_faraday3
 from emconf.cl13 import Faraday13, FourVector
 from emconf.cl3 import Faraday3, Paravector3, minkowski_square
 from emconf.conformal13 import induced_matrix, sct_factor, transform
@@ -221,7 +222,7 @@ def test_routes_agree_through_the_bridge(params, kind, frame):
             v13, v3 = q, ev(q)
         out13 = transform(params, kind, v13, x, frame)
         out3 = transform3(params, kind, v3, ev(x), frame)
-        bridged = to_faraday3(out13) if kind is FARADAY else ev(out13)
+        bridged = Faraday3(out13.E, out13.B) if kind is FARADAY else ev(out13)
         want = _array(out3)
         dev = np.max(np.abs(_array(bridged) - want))
         assert dev <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
@@ -495,7 +496,7 @@ def test_sct_batch_of_vectors_raises_the_typed_error_in_both_routes(kind):
     a = FourVector.from_array([[0.1, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
     if kind is FARADAY:
         value13 = Faraday13((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
-        value3 = to_faraday3(value13)
+        value3 = Faraday3(value13.E, value13.B)
     else:
         value13 = FourVector(0.3, 0.1, -0.2, 0.4)
         value3 = ev(value13)
@@ -514,9 +515,9 @@ VALUE_ROWS = [(), ("n",), ("n", 1)]
 
 
 def _map(family, rows, rng):
-    """A map of the family with the given rows; a dilation has one factor."""
+    """A map of the family with the given rows."""
     if family == "dilation":
-        return Dilation(1.5)
+        return Dilation(rng.uniform(0.5, 2.0, rows))
     if family == "translation":
         return Translation(rng.uniform(-1, 1, rows + (4,)))
     if family == "lorentz":
@@ -528,21 +529,12 @@ def _map(family, rows, rng):
 
 
 def _map_row(params, shape, idx):
-    """The one map at index idx of a ledger of the given shape."""
-    def pick(arr, tail=()):
-        return np.broadcast_to(arr, shape + tail)[idx]
+    """The one map at index idx of a ledger of the given shape: each
+    parameter's row, its trailing axes those after the map's rows."""
+    def pick(arr):
+        return np.broadcast_to(arr, shape + np.shape(arr)[len(params.rows):])[idx]
 
-    if isinstance(params, Translation):
-        return Translation(pick(params.offset, (4,)))
-    if isinstance(params, Lorentz):
-        return Lorentz(
-            pick(params.boost, (3,)), pick(params.rotation, (3,)), pick(params.lorentz_class)
-        )
-    if isinstance(params, Inversion):
-        return Inversion(pick(params.eps))
-    if isinstance(params, Sct):
-        return Sct(pick(params.a, (4,)))
-    return params
+    return type(params)(*(pick(getattr(params, f.name)) for f in dataclasses.fields(params)))
 
 
 def _events(rows, rng) -> np.ndarray:
@@ -553,10 +545,18 @@ def _events(rows, rng) -> np.ndarray:
     return X
 
 
-def _row_bytes(q, idx=()) -> list:
+def _parts(q) -> list:
+    """A result of either route, a scale or a ledger as arrays whose last
+    axis follows the rows."""
     if isinstance(q, Faraday3):
-        return [q.F[idx].tobytes()]
-    return [np.asarray(q.s[idx]).tobytes(), q.v[idx].tobytes()]
+        return [q.F]
+    if isinstance(q, Faraday13):
+        return [q.E, q.B]
+    if isinstance(q, FourVector):
+        return [q.c]
+    if isinstance(q, Paravector3):
+        return [q.s[..., None], q.v]
+    return [np.asarray(q)[..., None]]
 
 
 @settings(deadline=None, database=None)
@@ -573,9 +573,11 @@ def _row_bytes(q, idx=()) -> list:
 def test_property_results_have_the_ledgers_rows(
     family, kind, frame, n, map_rows, x_rows, value_rows, seed
 ):
-    """transform3 and field_rows give every result the ledger's shape, the
-    broadcast of the map's, the events' and the values' rows (a position
-    reads no event), and each row the bytes of that row's single call."""
+    """transform3, transform and field_rows give every result the ledger's
+    shape, the broadcast of the map's, the events' and the values' rows (a
+    position reads no event); scale_of and preimage_rows, which read no
+    value, the broadcast of the map's and the events' rows.  Each row holds
+    the bytes of that row's single call."""
     rng = np.random.default_rng(seed)
     mrows, xrows, vrows = (tuple(n if d == "n" else d for d in p)
                            for p in (map_rows, x_rows, value_rows))
@@ -586,21 +588,31 @@ def test_property_results_have_the_ledgers_rows(
     else:
         V = rng.uniform(-1, 1, vrows + ((6,) if kind is FARADAY else (4,)))
 
-    def value(arr):
-        return Faraday3(arr[..., :3], arr[..., 3:]) if kind is FARADAY else ev(arr)
+    def at_values(params, V, X):
+        if kind is FARADAY:
+            v3, v13 = Faraday3(V[..., :3], V[..., 3:]), Faraday13(V[..., :3], V[..., 3:])
+        else:
+            v3, v13 = ev(V), FourVector.from_array(V)
+        outs = [
+            transform3(params, kind, v3, ev(X), frame),
+            transform(params, kind, v13, FourVector.from_array(X), frame),
+        ]
+        return outs + (list(field_rows(params, v3, ev(X), frame)) if kind is FARADAY else [])
 
-    maps = () if family == "dilation" else mrows
-    shape = np.broadcast_shapes(maps, vrows, () if kind is POSITION else xrows)
-    outs = [transform3(params, kind, value(V), ev(X), frame)]
-    if kind is FARADAY:
-        F, scale, reason = field_rows(params, value(V), ev(X), frame)
-        assert scale.shape == reason.shape == shape
-        outs.append(F)
-    for out in outs:
-        assert (out.F.shape[:-1] if kind is FARADAY else out.s.shape) == shape
-    for idx in np.ndindex(*shape):
-        Xi = X if kind is POSITION else np.broadcast_to(X, shape + (4,))[idx]
-        Vi = np.broadcast_to(V, shape + V.shape[-1:])[idx]
-        one = transform3(_map_row(params, shape, idx), kind, value(Vi), ev(Xi), frame)
-        for out in outs:
-            assert _row_bytes(out, idx) == _row_bytes(one)
+    def at_events(params, X):
+        return [scale_of(params, ev(X), frame), *preimage_rows(params, ev(X))]
+
+    # A position reads no event, so its own events stand in for them.
+    at = V if kind is POSITION else X
+    for calls, shape, args in (
+        (at_values, np.broadcast_shapes(mrows, vrows, at.shape[:-1]), (V, at)),
+        (at_events, np.broadcast_shapes(mrows, xrows), (X,)),
+    ):
+        outs = [_parts(out) for out in calls(params, *args)]
+        assert [parts[0].shape[:-1] for parts in outs] == [shape] * len(outs)
+        for idx in np.ndindex(*shape):
+            rows = [np.broadcast_to(a, shape + a.shape[-1:])[idx] for a in args]
+            one = calls(_map_row(params, shape, idx), *rows)
+            assert [[a[idx].tobytes() for a in parts] for parts in outs] == [
+                [a.tobytes() for a in _parts(o)] for o in one
+            ]

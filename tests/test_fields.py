@@ -155,6 +155,8 @@ def test_predicted_invariant_factors_per_row_class():
     assert f2.tolist() == [
         predicted_invariant_factors(Lorentz(lorentz_class=c), 1.0)[1] for c in LorentzClass
     ]
+    f1, f2 = predicted_invariant_factors(Dilation(np.array([1.5, 2.0])), None)
+    assert f1.tolist() == f2.tolist() == [1.5**4, 2.0**4]
 
 
 def test_invariant_scaling_report():

@@ -27,6 +27,7 @@ REMOVED = (
     "lorentz3", "transform_faraday3", "PreparedTransform3",
     "versor_inverse", "left_matrix", "SingularVersorError",
     "real_paravector", "pure_vector", "to_paravector", "to_paravector_bar",
+    "to_faraday3",
 )
 
 
