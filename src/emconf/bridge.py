@@ -35,12 +35,12 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def even_to_cl3(m: Multivector13, tol: float) -> Paravector3:
+def even_to_cl3(m: Multivector13) -> Paravector3:
     """Map even multivectors, row by row, into Cl(3); rejects odd-grade
-    residue in any row."""
+    residue above GRADE_TOL in any row."""
     c = m.c
     odd = np.abs(c[..., _ODD]).max(axis=-1)
-    if not (odd <= tol * np.fmax(1.0, m.max_abs())).all():
+    if not (odd <= GRADE_TOL * np.fmax(1.0, m.max_abs())).all():
         raise GradeLeakageError(
             f"odd-grade residue {np.max(odd):.3e} in even-subalgebra map"
         )
@@ -52,7 +52,7 @@ def even_to_cl3(m: Multivector13, tol: float) -> Paravector3:
 def product_correspondence_check(x: FourVector, y: FourVector):
     """Max-abs deviation between the images of x y and the product x bar(y),
     per row."""
-    lhs = even_to_cl3(geometric_product(x.to_mv(), y.to_mv()), GRADE_TOL)
+    lhs = even_to_cl3(geometric_product(x.to_mv(), y.to_mv()))
     rhs = cl3_product(Paravector3.from_event(x), Paravector3.from_event(y).bar())
     return (lhs - rhs).max_abs()
 
@@ -63,7 +63,7 @@ def sandwich_correspondence_check(x: FourVector, F: Faraday13, y: FourVector):
     raw = geometric_product(
         geometric_product(x.to_mv(), F.to_mv()), y.to_mv()
     )
-    lhs = even_to_cl3(raw, GRADE_TOL)
+    lhs = even_to_cl3(raw)
     fstar = Faraday3(F.E, F.B).to_paravector().star()
     rhs = -cl3_product(
         cl3_product(Paravector3.from_event(x), fstar), Paravector3.from_event(y).bar()

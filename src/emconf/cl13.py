@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GradeLeakageError, NonBivectorError
+from .maps import EXP_TOL, GRADE_TOL
 
 DIM = 16
 METRIC_SIGNS = (1, -1, -1, -1)
@@ -259,24 +260,22 @@ def geometric_product(a: Multivector13, b: Multivector13) -> Multivector13:
     return Multivector13._wrap(*_product(a.c, a.m, b.c, b.m))
 
 
-def grade_project(
-    m: Multivector13, g: int, tol: float
-) -> Multivector13:
+def grade_project(m: Multivector13, g: int) -> Multivector13:
     """Project every row onto grade g, guarding against leakage into other
     grades.
 
     The residue is measured relative to max(1, largest |coefficient|), so the
     guard behaves as an absolute threshold for order-one data and does not
     false-trip on large inputs.  Raises GradeLeakageError if any row's
-    residue is above tolerance, or NaN.
+    residue is above GRADE_TOL, or NaN.
     """
     residue = m.grade_residue(g)
     scale = np.fmax(1.0, m.max_abs())
-    refused = ~(residue <= tol * scale)
+    refused = ~(residue <= GRADE_TOL * scale)
     if refused.any():
         raise GradeLeakageError(
             f"grade-{g} projection residue {_first(residue, refused):.3e} exceeds "
-            f"{tol:.1e} * {_first(scale, refused):.3e}"
+            f"{GRADE_TOL:.1e} * {_first(scale, refused):.3e}"
         )
     return m.grade(g)
 
@@ -286,7 +285,7 @@ def vector_sandwich(u: Multivector13, m: Multivector13, v: Multivector13) -> Mul
     return geometric_product(geometric_product(u, m), v)
 
 
-def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
+def exp_bivector(b: Multivector13) -> Multivector13:
     """Exponential of pure bivectors F, one per row, in closed form.
 
     F^2 = alpha + beta I with I = e_0 e_1 e_2 e_3 and I^2 = -1, so with
@@ -294,9 +293,9 @@ def exp_bivector(b: Multivector13, tol: float) -> Multivector13:
     I, exp(F) = cosh z + F sinh(z)/z, a null F (F^2 = 0) giving exactly 1 + F.
     Both factors are even in z, so the branch of the square root does not
     matter.  Raises NonBivectorError unless every row is pure grade 2 within
-    tol.  An F that holds grade 2 only gives a rotor on grades 0, 2 and 4.
+    EXP_TOL.  An F that holds grade 2 only gives a rotor on grades 0, 2 and 4.
     """
-    if not (b.grade_residue(2) <= tol * np.fmax(1.0, b.max_abs())).all():
+    if not (b.grade_residue(2) <= EXP_TOL * np.fmax(1.0, b.max_abs())).all():
         raise NonBivectorError("exponential argument must be a pure bivector")
     # At least one row, so every step is a ufunc loop, as in a batch.
     F = b.c.reshape(-1, DIM)
@@ -378,9 +377,9 @@ class FourVector:
         return cls.from_array(c[..., _VECTOR_BLADES])
 
     @classmethod
-    def from_mv(cls, m: Multivector13, tol: float) -> "FourVector":
+    def from_mv(cls, m: Multivector13) -> "FourVector":
         """Extract pure grade-1 rows; raises GradeLeakageError otherwise."""
-        return cls._from_blades(grade_project(m, 1, tol).c)
+        return cls._from_blades(grade_project(m, 1).c)
 
 
 # Faraday13 blades: the electric channels sit on e_0 e_i with coefficient
@@ -428,9 +427,9 @@ class Faraday13:
         return cls(-c[..., _E_BLADES], c[..., _B_BLADES] * _B_SIGNS)
 
     @classmethod
-    def from_mv(cls, m: Multivector13, tol: float) -> "Faraday13":
+    def from_mv(cls, m: Multivector13) -> "Faraday13":
         """Extract pure grade-2 rows; raises GradeLeakageError otherwise."""
-        return cls._from_blades(grade_project(m, 2, tol).c)
+        return cls._from_blades(grade_project(m, 2).c)
 
     def approx_eq(self, other: "Faraday13", tol: float = 1e-12) -> bool:
         """Every component within tol; a NaN deviation is not."""

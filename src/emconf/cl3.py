@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonRealEventError
+from .maps import GRADE_TOL, RESIDUE_TOL
 
 
 class Paravector3:
@@ -155,33 +156,35 @@ def _refused(residue, p: Paravector3, tol: float):
     return ~(residue <= tol * np.fmax(1.0, p.max_abs()))
 
 
-def minkowski_square(x: Paravector3, tol: float):
+def minkowski_square(x: Paravector3):
     """x bar(x) for real event paravectors, equal to t^2 - r^2 per row.
 
-    Raises NonRealEventError if any event carries imaginary parts above tol.
+    Raises NonRealEventError if any event carries imaginary parts above
+    GRADE_TOL.
     """
     # Events built from real coordinates have exact zeros here; only the
     # others, NaN included, need the relative guard.
     if x.s.imag.any() or x.v.imag.any():
-        if _refused(x.imag_residue(), x, tol).any():
+        if _refused(x.imag_residue(), x, GRADE_TOL).any():
             raise NonRealEventError("event paravector must be real")
     t, r = x.s.real, x.v.real
     return t * t - dot3(r, r)
 
 
-def real_rows(p: Paravector3, tol: float) -> tuple[Paravector3, np.ndarray]:
-    """Real part of p, and the rows whose imaginary residue is above tol
-    relative to their size, as in grade projection."""
-    refused = _refused(p.imag_residue(), p, tol)
+def real_rows(p: Paravector3) -> tuple[Paravector3, np.ndarray]:
+    """Real part of p, and the rows whose imaginary residue is above
+    RESIDUE_TOL relative to their size, as in grade projection."""
+    refused = _refused(p.imag_residue(), p, RESIDUE_TOL)
     real = Paravector3._wrap(
         p.s.real.astype(np.complex128), p.v.real.astype(np.complex128)
     )
     return real, refused
 
 
-def vector_rows(p: Paravector3, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vector part of p, and the rows whose scalar residue is above tol."""
-    return p.v.copy(), _refused(p.scalar_residue(), p, tol)
+def vector_rows(p: Paravector3) -> tuple[np.ndarray, np.ndarray]:
+    """Vector part of p, and the rows whose scalar residue is above
+    RESIDUE_TOL."""
+    return p.v.copy(), _refused(p.scalar_residue(), p, RESIDUE_TOL)
 
 
 def exp_complex_vector(w) -> Paravector3:

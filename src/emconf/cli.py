@@ -16,19 +16,10 @@ each row's bits independent of the chunk it falls in, so the output does not
 depend on CHUNK_ROWS.  A one-line summary of the rows and the reasons rows
 were skipped goes to stderr; stdout holds the rows only.
 
-A chunk's rows are text made by numpy, not by one Python `%` per row.  Each
-grid axis value is formatted once per job.  The rows are fixed-width byte
-records, padded with NUL bytes, into which numtext.write_g17 writes the 13
-field and scale numbers of every row at once; the NULs are then deleted.
-Every cell is still exactly '%.17g' % v of its float64 value.  write_g17
-takes the 17 digits of |x| in [1e-4, 1e17) from one longdouble product y =
-|x| * 10**(16 - X), whose one rounding leaves it within 1e17 * 2**-64 <
-0.0055 of the exact product, so rounding y to an integer is exact unless
-the fraction of y lies that close to 1/2.  Fallback rule: a value whose
-fraction lies within 1/128 of 1/2 (about 1 in 64), a value outside that
-range other than zero, a value that is not finite, and every value where
-longdouble fails an import-time probe of 64-bit products, is formatted by
-'%.17g' % v, one call per value.
+A chunk's rows are fixed-width byte records, padded with NUL bytes that are
+deleted afterwards, into which numtext.write_g17 writes the 13 field and
+scale numbers of every row at once, each exactly '%.17g' % v of its float64
+value (numtext's docstring gives the rounding analysis).
 
 The argument parser is built on the first main() call and reused by later
 calls in the same process, so in-process callers do not rebuild it per job.
@@ -82,6 +73,7 @@ _FIELD_KEYS = (
     "Exp", "Eyp", "Ezp", "Bxp", "Byp", "Bzp",
 )
 CSV_HEADER = "t,x,y,z," + ",".join(_FIELD_KEYS) + ",scale,skipped"
+_FORMATS = ("csv", "json")
 # Grid rows per kernel call of transform: each chunk is computed, formatted
 # and written before the next, so memory does not grow with the grid.
 CHUNK_ROWS = 4096
@@ -105,46 +97,36 @@ def _num(v: float) -> str:
 # -- flag and job parsing ---------------------------------------------------------
 
 
-def _vec(text: str, n: int) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} comma-separated numbers")
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"expected {n} finite numbers")
-    return values
+def _usage(check):
+    """An argparse type from a job-file check: its JobError becomes a usage
+    error, which argparse prefixes with the flag."""
+    def parse(text: str):
+        try:
+            return check(text)
+        except JobError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _vec3(text: str) -> tuple[float, ...]:
-    return _vec(text, 3)
-
-
-def _vec4(text: str) -> tuple[float, ...]:
-    return _vec(text, 4)
+def _vec(n: int):
+    """The argparse type of a flag of n comma-separated numbers."""
+    return _usage(lambda text: _require_numbers(text.split(","), n, "the value"))
 
 
 def _grid_flag(text: str) -> dict:
-    """Parse t=0:2:5,x=-1:1:3 into per-axis (min, max, count) entries."""
+    """Parse t=0:2:5,x=-1:1:3 into the values of each named axis."""
     grid = {}
     for item in text.split(","):
         name, sep, spec = item.partition("=")
         if not sep or name not in _AXES:
-            raise argparse.ArgumentTypeError(f"bad grid axis: {item!r}")
+            raise JobError(f"bad grid axis: {item!r}")
         if name in grid:
-            raise argparse.ArgumentTypeError(f"duplicate grid axis: {name}")
+            raise JobError(f"duplicate grid axis: {name}")
         parts = spec.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"axis {name}: expected min:max:count")
-        try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"axis {name}: {exc}") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise argparse.ArgumentTypeError(f"axis {name}: min and max must be finite")
-        grid[name] = {"min": lo, "max": hi, "count": count}
+            raise JobError(f"axis {name}: expected min:max:count")
+        grid[name] = _axis(name, dict(zip(("min", "max", "count"), parts)))
     return grid
 
 
@@ -262,24 +244,21 @@ def build_xform(spec: dict) -> ConformalParams:
     raise JobError(f"unknown transformation kind: {kind!r}")
 
 
-# Each section's flags, by argparse dest, and the job file key each one sets.
-_FIELD_FLAGS = {"E0": "E0", "B0": "B0", "khat": "khat", "phase": "phase", "q": "q"}
-_XFORM_FLAGS = {
-    "eps": "eps", "a": "a", "dilation_factor": "factor", "b": "offset",
-    "boost": "boost", "rotation": "rotation", "lorentz_class": "class",
-}
+# Each section's flags, by their argparse dests, which are the job file keys.
+_FIELD_FLAGS = ("E0", "B0", "khat", "phase", "q")
+_XFORM_FLAGS = ("eps", "a", "factor", "offset", "boost", "rotation", "class")
 
 
-def _spec_from_args(kind, args, keys: dict) -> dict | None:
+def _spec_from_args(kind, args, keys: tuple) -> dict | None:
     """The job file section that the flags spell, or None without the
-    section's kind flag; keys maps each flag's dest to its job key."""
+    section's kind flag."""
     if kind is None:
         return None
     spec = {"kind": kind}
-    for dest, key in keys.items():
-        value = getattr(args, dest)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
-            spec[key] = list(value) if isinstance(value, tuple) else value
+            spec[key] = value
     return spec
 
 
@@ -306,7 +285,23 @@ def _job_field_params(args) -> tuple[dict, FieldSpec, ConformalParams]:
     return job, field, build_xform(_merge_spec(job.get("xform"), spec, "transformation"))
 
 
+def _axis(name: str, axis: dict) -> np.ndarray:
+    """The values of grid axis name from its min, max and count."""
+    if not {"min", "max", "count"} <= axis.keys():
+        raise JobError(f"grid axis {name} needs numeric min, max, count")
+    lo = _require_number(axis["min"], f"grid axis {name}: min")
+    hi = _require_number(axis["max"], f"grid axis {name}: max")
+    count = _require_int(axis["count"], f"grid axis {name}: count")
+    if count < 1:
+        raise JobError(f"grid axis {name}: count must be at least 1")
+    if lo > hi:
+        raise JobError(f"grid axis {name}: min exceeds max")
+    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+
+
 def _resolve_grid(job_grid, flag_grid) -> dict:
+    """Each axis's values: from the --grid flag, else from the job file, else
+    the one value 0."""
     grid = {}
     if job_grid is not None:
         if not isinstance(job_grid, dict):
@@ -317,22 +312,12 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
             if not isinstance(axis, dict):
                 raise JobError(f"grid axis {name} must be a min/max/count object")
             grid[name] = axis
-    if flag_grid:
-        grid.update(flag_grid)
-    axes = {}
-    for name in _AXES:
-        axis = grid.get(name, {"min": 0.0, "max": 0.0, "count": 1})
-        if not {"min", "max", "count"} <= axis.keys():
-            raise JobError(f"grid axis {name} needs numeric min, max, count")
-        lo = _require_number(axis["min"], f"grid axis {name}: min")
-        hi = _require_number(axis["max"], f"grid axis {name}: max")
-        count = _require_int(axis["count"], f"grid axis {name}: count")
-        if count < 1:
-            raise JobError(f"grid axis {name}: count must be at least 1")
-        if lo > hi:
-            raise JobError(f"grid axis {name}: min exceeds max")
-        axes[name] = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
-    return axes
+    flag_grid = flag_grid or {}
+    return {
+        name: flag_grid[name] if name in flag_grid
+        else _axis(name, grid.get(name, {"min": 0.0, "max": 0.0, "count": 1}))
+        for name in _AXES
+    }
 
 
 # -- transform --------------------------------------------------------------------
@@ -477,7 +462,7 @@ def cmd_transform(args) -> int:
     except ValueError:
         raise JobError(f"unknown frame: {frame_name!r}") from None
     fmt = args.format or job.get("format", "csv")
-    if fmt not in ("csv", "json"):
+    if fmt not in _FORMATS:
         raise JobError(f"unknown format: {fmt!r}")
     out = args.out or job.get("out")
     if not isinstance(out, (str, type(None))):
@@ -586,13 +571,10 @@ def _report_to_json(report) -> str:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    if seed < 0:
-        raise JobError("seed must be a non-negative integer")
-    if args.trials < 1:
-        raise JobError("trials must be at least 1")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise JobError("tol must be a finite nonnegative number")
-    report = run_suite(seed=seed, trials=args.trials, tol=args.tol)
+    try:
+        report = run_suite(seed=seed, trials=args.trials, tol=args.tol)
+    except ValueError as exc:
+        raise JobError(str(exc)) from None
     _emit(_report_to_json(report), args.out)
     if args.timings:
         for c in report.checks:
@@ -612,9 +594,9 @@ def cmd_verify(args) -> int:
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("field")
     g.add_argument("--field", choices=["uniform", "planewave", "coulomb"])
-    g.add_argument("--E0", type=_vec3, metavar="Ex,Ey,Ez")
-    g.add_argument("--B0", type=_vec3, metavar="Bx,By,Bz")
-    g.add_argument("--khat", type=_vec3, metavar="kx,ky,kz")
+    g.add_argument("--E0", type=_vec(3), metavar="Ex,Ey,Ez")
+    g.add_argument("--B0", type=_vec(3), metavar="Bx,By,Bz")
+    g.add_argument("--khat", type=_vec(3), metavar="kx,ky,kz")
     g.add_argument("--phase", type=float)
     g.add_argument("--q", type=float)
 
@@ -626,15 +608,13 @@ def _add_xform_flags(p: argparse.ArgumentParser) -> None:
         choices=["dilation", "translation", "lorentz", "inversion", "sct"],
     )
     g.add_argument("--eps", type=int, choices=[-1, 1])
-    g.add_argument("--a", type=_vec4, metavar="t,x,y,z")
-    g.add_argument("--lambda", dest="dilation_factor", type=float, metavar="FACTOR")
-    g.add_argument("--b", type=_vec4, metavar="t,x,y,z")
-    g.add_argument("--boost", type=_vec3, metavar="bx,by,bz")
-    g.add_argument("--rotation", type=_vec3, metavar="rx,ry,rz")
+    g.add_argument("--a", type=_vec(4), metavar="t,x,y,z")
+    g.add_argument("--lambda", dest="factor", type=float, metavar="FACTOR")
+    g.add_argument("--b", dest="offset", type=_vec(4), metavar="t,x,y,z")
+    g.add_argument("--boost", type=_vec(3), metavar="bx,by,bz")
+    g.add_argument("--rotation", type=_vec(3), metavar="rx,ry,rz")
     g.add_argument(
-        "--lorentz-class",
-        dest="lorentz_class",
-        choices=[c.value for c in LorentzClass],
+        "--lorentz-class", dest="class", choices=[c.value for c in LorentzClass]
     )
 
 
@@ -655,10 +635,10 @@ def _parser() -> argparse.ArgumentParser:
     tp.add_argument("--job", metavar="JOB.json", help="job file; flags override it")
     _add_field_flags(tp)
     _add_xform_flags(tp)
-    tp.add_argument("--grid", type=_grid_flag, metavar="t=0:2:5,x=...")
-    tp.add_argument("--frame", choices=["original", "transformed"])
+    tp.add_argument("--grid", type=_usage(_grid_flag), metavar="t=0:2:5,x=...")
+    tp.add_argument("--frame", choices=[f.value for f in CoordinateFrame])
     tp.add_argument("--out", metavar="PATH")
-    tp.add_argument("--format", choices=["csv", "json"])
+    tp.add_argument("--format", choices=_FORMATS)
 
     ip = sub.add_parser(
         "invariants", help="invariant scaling report at one event"
@@ -666,7 +646,7 @@ def _parser() -> argparse.ArgumentParser:
     ip.add_argument("--job", metavar="JOB.json", help="job file; flags override it")
     _add_field_flags(ip)
     _add_xform_flags(ip)
-    ip.add_argument("--point", type=_vec4, metavar="t,x,y,z")
+    ip.add_argument("--point", type=_vec(4), metavar="t,x,y,z")
     ip.add_argument("--out", metavar="PATH")
 
     vp = sub.add_parser("verify", help="run the seeded self-check suite")

@@ -28,7 +28,6 @@ from .cl13 import (
 )
 from .errors import GradeLeakageError, LightConeError, SctConeError
 from .maps import (
-    EXP_TOL,
     GRADE_TOL,
     LIGHTCONE_TOL,
     ConformalParams,
@@ -216,7 +215,7 @@ def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
     its reverse.  G occupies the same six blades as the Faraday bivector,
     with the boost in the electric channels and the rotation in the
     magnetic ones."""
-    L = exp_bivector(Faraday13(params.boost, params.rotation).to_mv(), EXP_TOL)
+    L = exp_bivector(Faraday13(params.boost, params.rotation).to_mv())
     return L, L.reverse()
 
 

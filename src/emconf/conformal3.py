@@ -45,9 +45,7 @@ from .cl3 import (
 )
 from .errors import ImaginaryResidueError, LightConeError, SctConeError
 from .maps import (
-    GRADE_TOL,
     LIGHTCONE_TOL,
-    RESIDUE_TOL,
     ConformalParams,
     CoordinateFrame,
     Dilation,
@@ -150,8 +148,8 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
         w = params.factor
     elif isinstance(params, Inversion):
         # An event's imaginary part is the image of a four-vector's off-grade
-        # (trivector) part, so it is held to the grade tolerance.
-        w = _cone_guard(minkowski_square(x, GRADE_TOL), Refusal.LIGHT_CONE, reason)
+        # (trivector) part, which minkowski_square holds to the grade tolerance.
+        w = _cone_guard(minkowski_square(x), Refusal.LIGHT_CONE, reason)
     elif isinstance(params, Sct):
         # At the image event, sigma of the map by -a, which undoes the map by a.
         a = Paravector3.from_event(params.a)
@@ -182,13 +180,13 @@ def scale_of(
 
 
 def _real_guard(p: Paravector3, reason) -> Paravector3:
-    real, refused = real_rows(p, RESIDUE_TOL)
+    real, refused = real_rows(p)
     refuse(reason, refused, Refusal.RESIDUE)
     return real
 
 
 def _field_guard(p: Paravector3, reason) -> Faraday3:
-    F, refused = vector_rows(p, RESIDUE_TOL)
+    F, refused = vector_rows(p)
     refuse(reason, refused, Refusal.RESIDUE)
     return Faraday3._wrap(F)
 

@@ -17,6 +17,7 @@ from .cl3 import Faraday3, Paravector3, cross3, dot3
 from .conformal3 import Refusal, field_rows, no_refusals, preimage_rows, raise_refusal, refuse
 from .errors import OriginSingularityError
 from .maps import (
+    SINGULARITY_TOL,
     ConformalParams,
     CoordinateFrame,
     Dilation,
@@ -25,8 +26,6 @@ from .maps import (
     Sct,
     Translation,
 )
-
-SINGULARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,17 @@ class Coulomb:
 
     q: float = 1.0
 
-    def faraday_rows(
-        self, events: np.ndarray, tol: float = SINGULARITY_TOL
-    ) -> tuple[Faraday3, np.ndarray]:
-        """The field at events of shape (..., 4), and the rows on the charge,
-        which hold a placeholder."""
+    def faraday_rows(self, events: np.ndarray) -> tuple[Faraday3, np.ndarray]:
+        """The field at events of shape (..., 4), and the rows within
+        SINGULARITY_TOL of the charge, which hold a placeholder."""
         r = events[..., 1:]
         rn = np.sqrt(dot3(r, r))
-        charge = rn <= tol
+        charge = rn <= SINGULARITY_TOL
         rn = np.where(charge, 1.0, rn)[..., None]
         return Faraday3(self.q * r / rn**3, np.zeros(3)), charge
 
-    def faraday(self, x, tol: float = SINGULARITY_TOL) -> Faraday3:
-        F, charge = self.faraday_rows(np.asarray(x, dtype=np.float64), tol)
+    def faraday(self, x) -> Faraday3:
+        F, charge = self.faraday_rows(np.asarray(x, dtype=np.float64))
         if charge:
             raise OriginSingularityError("Coulomb field evaluated at the charge")
         return F
@@ -161,7 +158,8 @@ def invariant_scaling_report(
     The deviations are relative to floor = max(1, |f1| max(|I1|, |I2|)).  The
     transformed invariants cancel terms of relative size condition =
     (|E'|^2 + |B'|^2) / floor, so roundoff alone moves them by about
-    condition times the unit roundoff.
+    condition times the unit roundoff.  For a batch of maps every number
+    that depends on the map holds one entry per row of the batch.
     """
     F = spec.faraday(x)
     i1, i2 = invariants(F)
@@ -169,9 +167,9 @@ def invariant_scaling_report(
     raise_refusal(reason)
     i1p, i2p = invariants(Fp)
     f1, f2 = predicted_invariant_factors(params, scale)
-    floor = max(1.0, abs(f1) * max(abs(i1), abs(i2)))
-    rel1 = abs(i1p - f1 * i1) / floor
-    rel2 = abs(i2p - f2 * i2) / floor
+    floor = np.maximum(1.0, np.abs(f1) * np.maximum(np.abs(i1), np.abs(i2)))
+    rel1 = np.abs(i1p - f1 * i1) / floor
+    rel2 = np.abs(i2p - f2 * i2) / floor
     kappa = (dot3(Fp.E, Fp.E) + dot3(Fp.B, Fp.B)) / floor
     return InvariantScalingReport(i1, i2, i1p, i2p, f1, f2, rel1, rel2, scale, kappa)
 
@@ -190,7 +188,9 @@ def sweep(
     and each row's Refusal code: the first of a refused preimage, the
     field's charge, a refusal of the field map, and a non-finite value among
     the row's outputs.  Rows that are not OK hold placeholder values.
+    Every result has the broadcast of the map's rows and the events' rows.
     """
+    events = np.broadcast_to(events, np.broadcast_shapes(params.rows, events.shape[:-1]) + (4,))
     grid = Paravector3.from_event(events)
     if frame is CoordinateFrame.TRANSFORMED:
         src, reason = preimage_rows(params, grid)

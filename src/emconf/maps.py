@@ -20,10 +20,14 @@ import numpy as np
 
 from .errors import NonPositiveScaleError
 
+# Every guard of every route reads its threshold here and takes none as an
+# argument: a cone's distance from zero, a sandwich's grade and imaginary
+# residues, an exponential's argument off grade 2, a field's charge radius.
 LIGHTCONE_TOL = 1e-9
 GRADE_TOL = 1e-12
 RESIDUE_TOL = 1e-10
 EXP_TOL = 1e-14
+SINGULARITY_TOL = 1e-12
 
 
 class CoordinateFrame(Enum):

@@ -30,10 +30,9 @@ from .errors import (
     LightConeError,
     SctConeError,
 )
+from .maps import LIGHTCONE_TOL
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-LIGHTCONE_TOL = 1e-9
 
 _DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 _EYE = np.eye(4)
@@ -103,9 +102,10 @@ def _cross(u, w):
     return np.stack([u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0], axis=-1)
 
 
-def _guard(value, tol: float, error, what: str) -> None:
-    """Raise error naming the first row whose |value| is not above tol."""
-    refused = ~(np.abs(value) > tol)
+def _guard(value, error, what: str) -> None:
+    """Raise error naming the first row whose |value| is not above
+    LIGHTCONE_TOL."""
+    refused = ~(np.abs(value) > LIGHTCONE_TOL)
     if refused.any():
         first = np.broadcast_to(value, refused.shape)[refused].flat[0]
         raise error(f"{what} = {first:.3e}")
@@ -177,10 +177,10 @@ def unpack_faraday(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- point maps ---------------------------------------------------------------
 
 
-def invert_event(x: np.ndarray, eps, tol: float = LIGHTCONE_TOL) -> np.ndarray:
+def invert_event(x: np.ndarray, eps) -> np.ndarray:
     x = _ld(x)
     x2 = _mdot(x, x)
-    _guard(x2, tol, LightConeError, "event too close to the light cone: x^2")
+    _guard(x2, LightConeError, "event too close to the light cone: x^2")
     return np.asarray(_col(eps) * x / _col(x2), dtype=np.float64)
 
 
@@ -192,48 +192,44 @@ def sct_scale(x: np.ndarray, a: np.ndarray):
     return _f64(_sct_sigma(_ld(x), _ld(a)))
 
 
-def sct_event(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
+def sct_event(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     x, a = _ld(x), _ld(a)
     s = _sct_sigma(x, a)
-    _guard(s, tol, SctConeError, "event too close to the excluded cone: scale")
+    _guard(s, SctConeError, "event too close to the excluded cone: scale")
     return np.asarray((x + _col(_mdot(x, x)) * a) / _col(s), dtype=np.float64)
 
 
 # -- Jacobians ----------------------------------------------------------------
 
 
-def jacobian_inversion(
-    x: np.ndarray, eps, tol: float = LIGHTCONE_TOL
-) -> np.ndarray:
+def jacobian_inversion(x: np.ndarray, eps) -> np.ndarray:
     """d(image)/dx as M[..., mu, alpha], row index contravariant."""
     x = _ld(x)
     x2 = _mdot(x, x)
-    _guard(x2, tol, LightConeError, "Jacobian undefined on the light cone: x^2")
+    _guard(x2, LightConeError, "Jacobian undefined on the light cone: x^2")
     x2 = _mat(x2)
     return _mat(eps) * (x2 * _EYE - 2.0 * _outer(x, lower(x))) / x2**2
 
 
-def jacobian_sct(x: np.ndarray, a: np.ndarray, tol: float = LIGHTCONE_TOL) -> np.ndarray:
+def jacobian_sct(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     x, a = _ld(x), _ld(a)
     s = _sct_sigma(x, a)
-    _guard(s, tol, SctConeError, "Jacobian undefined on the excluded cone: scale")
+    _guard(s, SctConeError, "Jacobian undefined on the excluded cone: scale")
     s = _mat(s)
     numerator = _EYE + 2.0 * _outer(a, lower(x))
     ds = 2.0 * lower(a) + 2.0 * _col(_mdot(a, a)) * lower(x)
     return numerator / s - _outer(x + _col(_mdot(x, x)) * a, ds) / s**2
 
 
-def fd_jacobian(point_map, x: np.ndarray, step=None) -> np.ndarray:
+def fd_jacobian(point_map, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of an event map, per row of x.
 
     point_map is called once, on the stencil points x +- h e_alpha stacked
     on a leading axis: events of shape (8,) + x.shape, each mapped on its
-    own.  The default step h is 1e-5 (1 + max |x|) per row.
+    own.  The step h is 1e-5 (1 + max |x|) per row.
     """
     x = np.asarray(x, dtype=np.float64)
-    if step is None:
-        step = 1e-5 * (1.0 + np.abs(x).max(axis=-1))
-    step = np.asarray(step, dtype=np.float64)
+    step = 1e-5 * (1.0 + np.abs(x).max(axis=-1))
     dx = np.zeros((4,) + x.shape)
     for alpha in range(4):
         dx[alpha, ..., alpha] = step

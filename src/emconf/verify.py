@@ -32,7 +32,6 @@ from .conformal13 import induced_matrix, transform
 from .conformal3 import induced_matrix3, transform3
 from .fields import PlaneWave, invariants
 from .maps import (
-    GRADE_TOL,
     CoordinateFrame,
     Inversion,
     Lorentz,
@@ -278,7 +277,7 @@ def check_jacobian_sandwich_identity(rng, trials: int, tol: float) -> CheckResul
     # Rows (trial, alpha): the sandwich of e_alpha by the trial's event.
     xm = _fv(X[:, None, :]).to_mv()
     sandwich = vector_sandwich(xm, _GENERATORS, xm)
-    rhs = -eps[:, None, None] * FourVector.from_mv(sandwich, GRADE_TOL).as_array()
+    rhs = -eps[:, None, None] * FourVector.from_mv(sandwich).as_array()
     lhs = (x2**2)[:, None, None] * np.swapaxes(M, -1, -2)
     return _result("jacobian_sandwich_identity", trials, [_vec_dev(lhs, rhs)], tol)
 
@@ -639,14 +638,16 @@ def run_suite(
 
     trials rescales every check's sample count proportionally; tol rescales
     every tolerance by tol / 1e-10, so a zero tolerance reports raw
-    deviations as failures instead of hiding them.
+    deviations as failures instead of hiding them.  Raises ValueError for
+    a negative seed, fewer than one trial, or a tol that is negative or
+    not finite.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if tol < 0.0:
-        raise ValueError("tolerance must be non-negative")
+        raise ValueError("seed must be a non-negative integer")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be a finite nonnegative number")
     children = np.random.SeedSequence(seed).spawn(len(REGISTRY))
     scale = tol / BASE_TOL
     results = []

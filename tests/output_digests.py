@@ -9,8 +9,10 @@ lines exactly when every job gives the same bytes and exit code, so a diff
 of two runs lists the jobs that differ.  The jobs cover `verify` at three
 seeds, `transform` for every field and family (the four Lorentz classes and
 an overflowing boost included) on grids with skipped rows in both frames
-and both formats, and `invariants` at an ordinary event and on the light
-cone.  The file name keeps pytest from collecting it.
+and both formats, `invariants` at an ordinary event and on the light
+cone, and the usage errors of malformed vector and grid flags, an infinite
+`verify` tolerance and a job file that does not exist.  The file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ GRIDS = (
     ("--grid", "t=-1:1:5,x=-1:1:5,z=0.5:0.5:1", "--format", "json"),
 )
 POINTS = ("--point=0.5,0.3,-0.2,0.7", "--point=1,1,0,0")
+_INVERT_UNIFORM = ("transform", "--field", "uniform", "--E0=1,0,0", "--xform", "inversion")
+# Jobs that exit 2 before any row is computed.
+ERRORS = (
+    ("transform", "--field", "uniform", "--E0=1,2", "--xform", "inversion"),
+    ("transform", "--field", "uniform", "--xform", "translation", "--b=1,2,3"),
+    *(_INVERT_UNIFORM + ("--grid", grid) for grid in ("t=nan:2:2", "t=1:0:2", "t=0:1:0")),
+    ("verify", "--tol", "inf"),
+    ("transform", "--job", "/nonexistent.json"),
+)
 
 
 def jobs() -> list[tuple[str, ...]]:
@@ -65,7 +76,7 @@ def jobs() -> list[tuple[str, ...]]:
                     out.append(("transform", *field, *xform, *grid, "--frame", frame))
             for point in POINTS:
                 out.append(("invariants", *field, *xform, point))
-    return out
+    return out + list(ERRORS)
 
 
 def _sha(data: bytes) -> str:

@@ -11,7 +11,6 @@ from emconf.bridge import (
 from emconf.cl13 import Faraday13, FourVector, Multivector13, geometric_product
 from emconf.cl3 import Faraday3, Paravector3
 from emconf.errors import GradeLeakageError
-from emconf.maps import GRADE_TOL
 
 
 def rand_vec(rng):
@@ -35,7 +34,7 @@ def test_faraday_embedding():
 
 def test_even_to_cl3_rejects_odd_elements():
     with pytest.raises(GradeLeakageError):
-        even_to_cl3(Multivector13.basis_vector(1), GRADE_TOL)
+        even_to_cl3(Multivector13.basis_vector(1))
 
 
 def test_even_subalgebra_product_maps_to_cl3():
@@ -63,8 +62,8 @@ def test_even_product_round_trip_is_isomorphism():
         u, v = rand_vec(rng), rand_vec(rng)
         even1 = geometric_product(x.to_mv(), y.to_mv())
         even2 = geometric_product(u.to_mv(), v.to_mv())
-        lhs = even_to_cl3(geometric_product(even1, even2), GRADE_TOL)
+        lhs = even_to_cl3(geometric_product(even1, even2))
         from emconf.cl3 import cl3_product
 
-        rhs = cl3_product(even_to_cl3(even1, GRADE_TOL), even_to_cl3(even2, GRADE_TOL))
+        rhs = cl3_product(even_to_cl3(even1), even_to_cl3(even2))
         assert lhs.approx_eq(rhs, 1e-11 * max(1.0, lhs.max_abs()))

@@ -16,7 +16,6 @@ from emconf.cl3 import (
     vector_rows,
 )
 from emconf.errors import NonRealEventError
-from emconf.maps import GRADE_TOL, RESIDUE_TOL
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -61,9 +60,9 @@ def test_conjugation_involutions():
 
 def test_minkowski_square_is_interval():
     ev = Paravector3.from_event((2.0, 1.0, -0.5, 0.25))
-    assert minkowski_square(ev, GRADE_TOL) == pytest.approx(4.0 - 1.0 - 0.25 - 0.0625, abs=1e-15)
+    assert minkowski_square(ev) == pytest.approx(4.0 - 1.0 - 0.25 - 0.0625, abs=1e-15)
     with pytest.raises(NonRealEventError):
-        minkowski_square(Paravector3(1.0, np.array([1j, 0, 0])), GRADE_TOL)
+        minkowski_square(Paravector3(1.0, np.array([1j, 0, 0])))
 
 
 def test_exp_real_vector_is_boost():
@@ -138,11 +137,11 @@ def test_exp_agrees_with_a_longdouble_taylor_series():
 def test_residue_guards():
     """A residue above tolerance refuses the row and hands back the part the
     guard keeps; a clean row passes unchanged."""
-    real, refused = real_rows(Paravector3(1.0, np.array([0.0, 1e-3j, 0.0])), RESIDUE_TOL)
+    real, refused = real_rows(Paravector3(1.0, np.array([0.0, 1e-3j, 0.0])))
     assert refused and real.s == 1.0 and np.array_equal(real.v, np.zeros(3))
-    v, refused = vector_rows(Paravector3(1e-3, X), RESIDUE_TOL)
+    v, refused = vector_rows(Paravector3(1e-3, X))
     assert refused and np.array_equal(v, X)
-    v, refused = vector_rows(Paravector3.vector(X), RESIDUE_TOL)
+    v, refused = vector_rows(Paravector3.vector(X))
     assert not refused and np.array_equal(v, X)
 
 
@@ -170,15 +169,15 @@ def test_batched_product_rows_are_single_products():
 
 def test_residue_rows_refuse_only_their_rows():
     p = Paravector3([1.0, 1.0, 1e-3], [[1.0, 0.0, 0.0], [0.0, 1e-3j, 0.0], [0.0, 0.0, 1.0]])
-    _, imag = real_rows(p, RESIDUE_TOL)
-    _, scalar = vector_rows(p, RESIDUE_TOL)
+    _, imag = real_rows(p)
+    _, scalar = vector_rows(p)
     assert imag.tolist() == [False, True, False]
     assert scalar.tolist() == [True, True, True]
-    assert vector_rows(Paravector3.vector(np.eye(3)), RESIDUE_TOL)[1].tolist() == [False] * 3
-    real, _ = real_rows(p, RESIDUE_TOL)
+    assert vector_rows(Paravector3.vector(np.eye(3)))[1].tolist() == [False] * 3
+    real, _ = real_rows(p)
     assert np.array_equal(real.s, p.s.real) and np.array_equal(real.v, p.v.real)
     events = Paravector3.from_event([[2.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
-    assert np.array_equal(minkowski_square(events, GRADE_TOL), [3.0, 0.0])
+    assert np.array_equal(minkowski_square(events), [3.0, 0.0])
 
 
 def test_faraday3_round_trip():

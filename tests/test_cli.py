@@ -287,6 +287,37 @@ def test_transform_non_finite_inputs_exit_two(tmp_path, capsys):
         assert code == 2 and out == "" and name in err
 
 
+@pytest.mark.parametrize("flag, value, job, rule", [
+    ("--E0", "1,2", {"field": {"kind": "uniform", "E0": [1, 2]}},
+     "must be a list of 3 numbers"),
+    ("--b", "1,2,3", {"xform": {"kind": "translation", "offset": [1, 2, 3]}},
+     "must be a list of 4 numbers"),
+    ("--grid", "t=nan:2:2", {"grid": {"t": {"min": float("nan"), "max": 2, "count": 2}}},
+     "grid axis t: min must be a finite number"),
+    ("--grid", "t=1:0:2", {"grid": {"t": {"min": 1, "max": 0, "count": 2}}},
+     "grid axis t: min exceeds max"),
+    ("--grid", "t=0:1:0", {"grid": {"t": {"min": 0, "max": 1, "count": 0}}},
+     "grid axis t: count must be at least 1"),
+])
+def test_malformed_flags_are_usage_errors_worded_as_the_job_file(
+    tmp_path, capsys, flag, value, job, rule
+):
+    """A malformed flag is an argparse usage error that names the flag and
+    the rule the job file's check gives for the same value."""
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--field", "uniform", "--xform", "translation", f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and rule in err
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "uniform"}, "xform": {"kind": "translation", "offset": [0, 0, 0, 0]},
+        **job,
+    }))
+    code, out, err = run_cli(capsys, "transform", "--job", str(path))
+    assert code == 2 and out == "" and rule in err
+
+
 _NOT_INTEGERS = {
     # each was once truncated by int() and the job ran with exit 0
     "count-fraction": ('{"kind": "inversion"}', '{"t": {"min": 0, "max": 1, "count": 2.7}}',

@@ -23,8 +23,8 @@ from emconf.conformal3 import (
     transform3,
 )
 from emconf.errors import LightConeError, SctConeError
+from emconf.fields import Coulomb, sweep
 from emconf.maps import (
-    GRADE_TOL,
     CoordinateFrame,
     Dilation,
     Inversion,
@@ -51,7 +51,7 @@ def rand_event(rng, guard=0.2):
     while True:
         v = rng.uniform(-2, 2, 4)
         p = ev(v)
-        if abs(minkowski_square(p, GRADE_TOL)) > guard:
+        if abs(minkowski_square(p)) > guard:
             return p
 
 
@@ -575,9 +575,10 @@ def test_property_results_have_the_ledgers_rows(
 ):
     """transform3, transform and field_rows give every result the ledger's
     shape, the broadcast of the map's, the events' and the values' rows (a
-    position reads no event); scale_of and preimage_rows, which read no
-    value, the broadcast of the map's and the events' rows.  Each row holds
-    the bytes of that row's single call."""
+    position reads no event); scale_of, preimage_rows, inverse_position3
+    and fields.sweep, which read no value, the broadcast of the map's and
+    the events' rows; induced_matrix3 and induced_matrix the map's rows.
+    Each row holds the bytes of that row's single call."""
     rng = np.random.default_rng(seed)
     mrows, xrows, vrows = (tuple(n if d == "n" else d for d in p)
                            for p in (map_rows, x_rows, value_rows))
@@ -600,7 +601,12 @@ def test_property_results_have_the_ledgers_rows(
         return outs + (list(field_rows(params, v3, ev(X), frame)) if kind is FARADAY else [])
 
     def at_events(params, X):
-        return [scale_of(params, ev(X), frame), *preimage_rows(params, ev(X))]
+        return [
+            scale_of(params, ev(X), frame),
+            *preimage_rows(params, ev(X)),
+            inverse_position3(params, ev(X)),
+            *sweep(Coulomb(1.5), params, X, frame),
+        ]
 
     # A position reads no event, so its own events stand in for them.
     at = V if kind is POSITION else X
@@ -616,3 +622,10 @@ def test_property_results_have_the_ledgers_rows(
             assert [[a[idx].tobytes() for a in parts] for parts in outs] == [
                 [a.tobytes() for a in _parts(o)] for o in one
             ]
+    # The induced matrices read the map alone.
+    if family == "lorentz":
+        for induced in (induced_matrix3, induced_matrix):
+            M = induced(params)
+            assert M.shape == mrows + (4, 4)
+            for idx in np.ndindex(*mrows):
+                assert M[idx].tobytes() == induced(_map_row(params, mrows, idx)).tobytes()

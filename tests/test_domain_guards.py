@@ -34,9 +34,6 @@ from emconf.errors import (
     SctConeError,
 )
 from emconf.maps import (
-    EXP_TOL,
-    GRADE_TOL,
-    RESIDUE_TOL,
     CoordinateFrame,
     Inversion,
     QuantityKind,
@@ -102,23 +99,23 @@ _RESIDUE_CASES = {
     "grade_project": (
         GradeLeakageError,
         lambda: grade_project(
-            _with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3), 1, GRADE_TOL
+            _with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3), 1
         ),
     ),
     "from_mv": (
         GradeLeakageError,
         lambda: FourVector.from_mv(
-            _with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3), GRADE_TOL
+            _with_nan_blade(FourVector(1, 0, 0, 0).to_mv(), 3)
         ),
     ),
     "exp_bivector": (
         NonBivectorError,
-        lambda: exp_bivector(_with_nan_blade(Multivector13.blade(3, 0.5), 1), EXP_TOL),
+        lambda: exp_bivector(_with_nan_blade(Multivector13.blade(3, 0.5), 1)),
     ),
-    "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG, GRADE_TOL)),
+    "minkowski_square": (NonRealEventError, lambda: minkowski_square(_NAN_IMAG)),
     "even_to_cl3": (
         GradeLeakageError,
-        lambda: even_to_cl3(_with_nan_blade(Multivector13.scalar(1.0), 1), GRADE_TOL),
+        lambda: even_to_cl3(_with_nan_blade(Multivector13.scalar(1.0), 1)),
     ),
 }
 
@@ -133,10 +130,10 @@ def test_nan_residue_is_refused(case):
 def test_nan_residue_row_is_refused():
     """The row-wise guards refuse a row whose residue is NaN, and hand back
     the part they keep: the real part, or the vector part."""
-    real, refused = real_rows(_NAN_IMAG, RESIDUE_TOL)
+    real, refused = real_rows(_NAN_IMAG)
     assert refused.shape == () and refused
     assert real.s == 2.0 and real.v.tolist() == [1.0, 0.0, 0.0]
-    v, refused = vector_rows(Paravector3(complex(0.0, NAN), [1, 0, 0]), RESIDUE_TOL)
+    v, refused = vector_rows(Paravector3(complex(0.0, NAN), [1, 0, 0]))
     assert refused.shape == () and refused
     assert v.tolist() == [1.0, 0.0, 0.0]
 

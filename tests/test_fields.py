@@ -1,5 +1,7 @@
 """Tests for the analytic field specifications and invariant reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,40 @@ def test_invariant_scaling_report():
         assert report.i1_transformed == pytest.approx(
             report.factor_i1 * report.i1, rel=1e-9
         )
+
+
+# The report's numbers that a batch of maps gives to the bit; the others
+# come from the fourth power of the scale, which numpy rounds for an array
+# and for one numpy scalar by different code, so they may differ in the last
+# bit: relative to the number for the factors and the condition number, and
+# relative to the floor that divides them for the deviations.
+_BATCH_EXACT = ("i1", "i2", "i1_transformed", "i2_transformed", "scale")
+_BATCH_DEVIATIONS = ("rel_dev_i1", "rel_dev_i2")
+
+
+@pytest.mark.parametrize("batch, singles", [
+    (Inversion(np.array([1, -1])), [Inversion(1), Inversion(-1)]),
+    (Dilation(np.array([1.7, 0.6])), [Dilation(1.7), Dilation(0.6)]),
+])
+def test_invariant_scaling_report_of_a_batch_of_maps(batch, singles):
+    """A batch of maps at one event gives one report row per map, that map's
+    own report, where Python max and abs once raised numpy's ambiguous-truth
+    ValueError."""
+    spec = UniformField(E0=(1.0, 0.3, -0.2), B0=(0.4, -1.0, 0.6))
+    x = FourVector(1.2, 0.4, -0.3, 0.2)
+    report = invariant_scaling_report(spec, batch, x)
+    eps = np.finfo(np.float64).eps
+    for i, params in enumerate(singles):
+        one = invariant_scaling_report(spec, params, x)
+        for name in (f.name for f in dataclasses.fields(one)):
+            got = np.broadcast_to(getattr(report, name), (len(singles),))[i]
+            want = np.float64(getattr(one, name))
+            if name in _BATCH_EXACT:
+                assert got.tobytes() == want.tobytes(), name
+            elif name in _BATCH_DEVIATIONS:
+                assert abs(got - want) <= 4 * eps, name
+            else:
+                assert abs(got - want) <= 4 * eps * abs(want), name
 
 
 def test_invariant_scaling_report_guards():

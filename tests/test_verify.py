@@ -60,6 +60,13 @@ def test_argument_validation():
         run_suite(seed=-1, trials=1, tol=1e-10)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_tolerance_must_be_finite(tol):
+    """An infinite tolerance once passed 15 of 16 checks and a NaN one 1."""
+    with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+        run_suite(seed=1, trials=1, tol=tol)
+
+
 
 def test_sct_chain_composition_passes_where_the_grade_guard_false_tripped():
     """Seed 106 once crashed this check: the grade guard compared roundoff of
