@@ -41,8 +41,6 @@ from .conformal13 import induced_matrix, sct_factor, transform
 from .conformal3 import (
     Refusal,
     induced_matrix3,
-    inverse_position3,
-    scale_of,
     sct_factor3,
     transform3,
 )

@@ -301,7 +301,7 @@ def _axis(name: str, axis: dict) -> np.ndarray:
 
 def _resolve_grid(job_grid, flag_grid) -> dict:
     """Each axis's values: from the --grid flag, else from the job file, else
-    the one value 0."""
+    the one value 0.  A grid of more rows than numpy can index is refused."""
     grid = {}
     if job_grid is not None:
         if not isinstance(job_grid, dict):
@@ -313,11 +313,15 @@ def _resolve_grid(job_grid, flag_grid) -> dict:
                 raise JobError(f"grid axis {name} must be a min/max/count object")
             grid[name] = axis
     flag_grid = flag_grid or {}
-    return {
+    axes = {
         name: flag_grid[name] if name in flag_grid
         else _axis(name, grid.get(name, {"min": 0.0, "max": 0.0, "count": 1}))
         for name in _AXES
     }
+    rows = math.prod(len(v) for v in axes.values())
+    if rows > np.iinfo(np.intp).max:
+        raise JobError(f"grid of {rows} rows is too large to index")
+    return axes
 
 
 # -- transform --------------------------------------------------------------------

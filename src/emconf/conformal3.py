@@ -2,13 +2,13 @@
 
 Same physics as the Cl(1,3) layer, independently implemented on complex
 scalars and 3-vectors.  Events are real paravectors t + r; the field travels
-as F = E + iB.  One entry, transform3(params, kind, value, x, frame), applies
-every family to every kind: the nonlinear maps as a sandwich weighted by a
-power of scale_of.  Conjugation placement differs between the potential-type
-and field sandwiches and between the two coordinate presentations; each
-sandwich spells its own placement rather than deriving one from another.
-inverse_position3 maps image events back to their sources, which sweeps in
-the TRANSFORMED frame need.
+as F = E + iB.  One entry, transform_rows(params, kind, value, x, frame),
+applies every family to every kind: the nonlinear maps as a sandwich
+weighted by a power of the conformal scale.  Conjugation placement differs
+between the potential-type and field sandwiches and between the two
+coordinate presentations; each sandwich spells its own placement rather
+than deriving one from another.  preimage_rows maps image events back to
+their sources, which sweeps in the TRANSFORMED frame need.
 
 Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
@@ -18,13 +18,13 @@ other rows are computed in the same call.  One shape rule, _batch_shape,
 holds for every entry: its ledger, its scale and its result have the
 broadcast shape of its events, its values and the map's rows (see
 maps), also where the map does not read the events.  The Cl(1,3) transform
-follows the same rule.  Each entry evaluates the conformal scale
-once, at that shape; field_rows returns the scale it weighted by.  transform3,
-scale_of and inverse_position3 raise the typed error of the first refused
-row, which for one element is the error of that element; preimage_rows and
-field_rows, which a sweep calls, hand the ledger back instead.  The kernel
-uses ufuncs only, in a fixed order, so a row's bits are the same in a batch
-of one and in a batch of many.
+follows the same rule.  Each entry evaluates the conformal scale once, at
+that shape.  transform_rows and preimage_rows hand the ledger back, and
+transform_rows the scale it weighted by; transform3, the raising form of
+transform_rows, raises the typed error of the first refused row, which for
+one element is the error of that element.  The kernel uses ufuncs only, in
+a fixed order, so a row's bits are the same in a batch of one and in a
+batch of many.
 """
 
 from __future__ import annotations
@@ -141,7 +141,12 @@ def _cone_guard(value, code: Refusal, reason: np.ndarray):
 
 
 def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
-    """scale_of at each event of x, and a new ledger holding its refusals."""
+    """The conformal scale at each event of x and a new ledger of its
+    refusals: Omega for the inversion, sigma for the special conformal map,
+    the factor of a dilation and 1 for the isometries.  The inversion and the
+    special conformal map read x as the source event in the ORIGINAL frame
+    and as the image event in the TRANSFORMED frame, and refuse an x on
+    their cones."""
     reason = no_refusals(_batch_shape(params, x, *values))
     w = 1.0
     if isinstance(params, Dilation):
@@ -159,24 +164,6 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
     # Ones, not broadcast_to: the product is exact, and one event keeps the
     # numpy scalar that fields.predicted_invariant_factors raises with **.
     return w * np.ones(reason.shape), reason
-
-
-def scale_of(
-    params: ConformalParams,
-    x: Paravector3,
-    frame: CoordinateFrame = _ORIG,
-):
-    """Conformal scale entering the field formulas at each event of x.
-
-    Omega for inversion, sigma for the special conformal map, the dilation
-    factor for dilations, and 1 for the isometries.  The inversion and the
-    special conformal map read x as the source event in the ORIGINAL frame
-    and as the image event in the TRANSFORMED frame, and refuse an x on
-    their cones.
-    """
-    scale, reason = _scale_rows(params, x, frame)
-    raise_refusal(reason)
-    return scale
 
 
 def _real_guard(p: Paravector3, reason) -> Paravector3:
@@ -226,7 +213,7 @@ def _batch_shape(params: ConformalParams, *values) -> tuple:
     return np.broadcast_shapes(params.rows, *shapes)
 
 
-def _transform_rows(params, kind, value, x, frame, scale, reason):
+def _value_rows(params, kind, value, x, frame, scale, reason):
     if isinstance(params, Lorentz):
         return _lorentz_sandwich(kind, value, params, reason)
     if kind is QuantityKind.POSITION:
@@ -271,13 +258,32 @@ def _transform_rows(params, kind, value, x, frame, scale, reason):
     return _real_guard(raw, reason)
 
 
-def _map_rows(params, kind, value, x, frame):
-    """The map of value at x, the scale that weighted it and the ledger.  A
-    map that does not read x, and the inversion potential, which does not
-    read eps, leave rows of the ledger out of their values: a read-only view
-    adds them."""
+def transform_rows(
+    params: ConformalParams,
+    kind: QuantityKind,
+    value,
+    x: Paravector3 | None = None,
+    frame: CoordinateFrame = _ORIG,
+) -> tuple[Paravector3 | Faraday3, np.ndarray, np.ndarray]:
+    """The map params applied to value, a quantity of the given kind, the
+    conformal scale that weighted it, and each row's Refusal code; rows that
+    are not OK hold placeholder values.
+
+    value is a real paravector, or a Faraday3 for the field.  A position maps
+    on its own and ignores x and frame.  Potential, current and field sit at
+    the event x, which the inversion and the special conformal map read: the
+    source event in the ORIGINAL frame, the image event in the TRANSFORMED
+    frame.  There the result is a sandwich of value, weighted by the kind's
+    power of the conformal scale; the inversion field also carries the sign
+    +eps.  The conjugations in each sandwich are spelled out per map, kind
+    and frame.  A map that does not read x, and the inversion potential,
+    which does not read eps, leave rows of the ledger out of their values: a
+    read-only view adds them.
+    """
+    if kind is QuantityKind.POSITION:
+        x, frame = value, _ORIG
     scale, reason = _scale_rows(params, x, frame, value)
-    out = _transform_rows(params, kind, value, x, frame, scale, reason)
+    out = _value_rows(params, kind, value, x, frame, scale, reason)
     rows = reason.shape
     if isinstance(out, Faraday3) and out.F.shape[:-1] != rows:
         out = Faraday3._wrap(np.broadcast_to(out.F, rows + (3,)))
@@ -293,19 +299,9 @@ def transform3(
     x: Paravector3 | None = None,
     frame: CoordinateFrame = _ORIG,
 ):
-    """The map params applied to value, a quantity of the given kind.
-
-    value is a real paravector, or a Faraday3 for the field.  A position maps
-    on its own and ignores x and frame.  Potential, current and field sit at
-    the event x, which the inversion and the special conformal map read: the
-    source event in the ORIGINAL frame, the image event in the TRANSFORMED
-    frame.  There the result is a sandwich of value, weighted by the kind's
-    power of scale_of; the inversion field also carries the sign +eps.  The
-    conjugations in each sandwich are spelled out per map, kind and frame.
-    """
-    if kind is QuantityKind.POSITION:
-        x, frame = value, _ORIG
-    out, _, reason = _map_rows(params, kind, value, x, frame)
+    """The value of transform_rows, raising the typed error of the first
+    refused row."""
+    out, _, reason = transform_rows(params, kind, value, x, frame)
     raise_refusal(reason)
     return out
 
@@ -398,19 +394,3 @@ def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravect
     row's Refusal code; rows that are not OK hold placeholder values."""
     scale, reason = _scale_rows(params, x_new, CoordinateFrame.TRANSFORMED)
     return _inverse_rows(params, x_new, scale, reason), reason
-
-
-def inverse_position3(params: ConformalParams, x_new: Paravector3) -> Paravector3:
-    """Preimage of each image event under the parametrized map."""
-    x, reason = preimage_rows(params, x_new)
-    raise_refusal(reason)
-    return x
-
-
-def field_rows(
-    params: ConformalParams, F: Faraday3, x: Paravector3, frame: CoordinateFrame = _ORIG
-) -> tuple[Faraday3, np.ndarray, np.ndarray]:
-    """Field transform at the events x, as transform3, the conformal scale
-    there that weighted it, as scale_of, and each row's Refusal code; rows
-    that are not OK hold placeholder values."""
-    return _map_rows(params, QuantityKind.FARADAY, F, x, frame)

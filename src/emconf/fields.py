@@ -14,15 +14,17 @@ from typing import Union
 import numpy as np
 
 from .cl3 import Faraday3, Paravector3, cross3, dot3
-from .conformal3 import Refusal, field_rows, no_refusals, preimage_rows, raise_refusal, refuse
+from .conformal3 import Refusal, no_refusals, preimage_rows, raise_refusal, refuse, transform_rows
 from .errors import OriginSingularityError
 from .maps import (
+    PLANE_WAVE_TOL,
     SINGULARITY_TOL,
     ConformalParams,
     CoordinateFrame,
     Dilation,
     Inversion,
     Lorentz,
+    QuantityKind,
     Sct,
     Translation,
 )
@@ -50,7 +52,8 @@ class PlaneWave:
     """Linearly polarized unit-speed wave; E and B stay orthogonal and equal.
 
     The amplitude must be orthogonal to the unit propagation direction, which
-    keeps both field invariants exactly zero at every event.  E0 and khat of
+    keeps both field invariants exactly zero at every event; both hold to
+    PLANE_WAVE_TOL, the dot product relative to max(1, |E0|) per row.  E0 and khat of
     shape (n, 3) and phase of shape (n,) hold one wave per row: row i of the
     events sees wave i.
     """
@@ -62,9 +65,10 @@ class PlaneWave:
     def __post_init__(self):
         k = np.asarray(self.khat, float)
         e = np.asarray(self.E0, float)
-        if not (np.abs(dot3(k, k) - 1.0) <= 1e-12).all():
+        if not (np.abs(dot3(k, k) - 1.0) <= PLANE_WAVE_TOL).all():
             raise ValueError("propagation direction must be a unit vector")
-        if not (np.abs(dot3(k, e)) <= 1e-12).all():
+        floor = np.maximum(1.0, np.sqrt(dot3(e, e)))
+        if not (np.abs(dot3(k, e)) <= PLANE_WAVE_TOL * floor).all():
             raise ValueError("amplitude must be orthogonal to the propagation direction")
 
     def faraday_rows(self, events: np.ndarray) -> tuple[Faraday3, np.ndarray]:
@@ -163,7 +167,7 @@ def invariant_scaling_report(
     """
     F = spec.faraday(x)
     i1, i2 = invariants(F)
-    Fp, scale, reason = field_rows(params, F, Paravector3.from_event(x))
+    Fp, scale, reason = transform_rows(params, QuantityKind.FARADAY, F, Paravector3.from_event(x))
     raise_refusal(reason)
     i1p, i2p = invariants(Fp)
     f1, f2 = predicted_invariant_factors(params, scale)
@@ -199,7 +203,7 @@ def sweep(
         reason = no_refusals(grid.s.shape)
     F_in, charge = spec.faraday_rows(events)
     refuse(reason, charge, Refusal.CHARGE)
-    F_out, scale, why = field_rows(params, F_in, grid, frame)
+    F_out, scale, why = transform_rows(params, QuantityKind.FARADAY, F_in, grid, frame)
     refuse(reason, why != 0, why)  # 0 is Refusal.OK, as a plain int
     finite = (
         np.isfinite(F_in.F).all(axis=-1)

@@ -22,12 +22,15 @@ from .errors import NonPositiveScaleError
 
 # Every guard of every route reads its threshold here and takes none as an
 # argument: a cone's distance from zero, a sandwich's grade and imaginary
-# residues, an exponential's argument off grade 2, a field's charge radius.
+# residues, an exponential's argument off grade 2, a field's charge radius,
+# and a plane wave's direction off unit length and, relative to max(1,
+# |E0|), its amplitude off orthogonal to it.
 LIGHTCONE_TOL = 1e-9
 GRADE_TOL = 1e-12
 RESIDUE_TOL = 1e-10
 EXP_TOL = 1e-14
 SINGULARITY_TOL = 1e-12
+PLANE_WAVE_TOL = 1e-12
 
 
 class CoordinateFrame(Enum):
@@ -130,7 +133,11 @@ class Lorentz(_Map):
             improper, antichronous = _CLASS_FLAGS[cls]
         else:
             cls = np.asarray(cls)
-            flags = np.array([_CLASS_FLAGS[c] for c in cls.flat], dtype=bool)
+            try:
+                flags = np.array([_CLASS_FLAGS[c] for c in cls.ravel().tolist()], dtype=bool)
+            except KeyError as exc:
+                bad = exc.args[0]
+                raise ValueError(f"lorentz_class holds {bad!r}, not a LorentzClass") from None
             improper, antichronous = np.moveaxis(flags.reshape(cls.shape + (2,)), -1, 0)
             object.__setattr__(self, "lorentz_class", cls)
         object.__setattr__(self, "improper", improper)

@@ -245,6 +245,35 @@ def test_transform_malformed_inputs_exit_two(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_transform_accepts_a_large_orthogonal_plane_wave(capsys):
+    """(3, -6, 2) 1e6 / 7 is orthogonal to (2, 3, 6) / 7 up to rounding
+    that is large against 1e-12 but small against |E0|."""
+    code, out, _ = run_cli(
+        capsys,
+        "transform", "--field", "planewave",
+        "--khat=0.2857142857142857,0.42857142857142855,0.8571428571428571",
+        "--E0=428571.42857142858,-857142.85714285716,285714.28571428574",
+        "--xform", "dilation", "--lambda=2",
+    )
+    assert code == 0
+    assert float(parse_csv(out)[0]["Exp"]) == 4 * 428571.42857142858
+
+
+def test_transform_refuses_a_grid_too_large_to_index(tmp_path, capsys):
+    """10^20 rows overflow numpy's index type: the job is refused before
+    any output is opened, with no traceback and no file left behind."""
+    path = tmp_path / "rows.csv"
+    axis = "0:1:100000"
+    code, out, err = run_cli(
+        capsys,
+        "transform", "--field", "uniform", "--xform", "dilation",
+        "--grid", f"t={axis},x={axis},y={axis},z={axis}", "--out", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert "100000000000000000000 rows" in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_transform_non_finite_inputs_exit_two(tmp_path, capsys):
     # a NaN field amplitude once reached the JSON output as a bare nan
     with pytest.raises(SystemExit) as exc:

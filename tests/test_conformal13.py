@@ -108,6 +108,19 @@ def test_lorentz_reads_its_class_flags_once():
     assert batch.antichronous.tolist() == [False, False, True, True]
 
 
+@pytest.mark.parametrize("cls, name", [
+    ("proper_orthochronous", "'proper_orthochronous'"),
+    (np.array([LorentzClass.PROPER_ORTHOCHRONOUS, "improper_antichronous"], dtype=object),
+     "'improper_antichronous'"),
+    (None, "None"),
+], ids=["name", "name-in-array", "none"])
+def test_lorentz_refuses_a_class_that_is_not_a_lorentz_class(cls, name):
+    """A class given by its name, or by any other value that is not a
+    LorentzClass, is a ValueError naming that value."""
+    with pytest.raises(ValueError, match=f"holds {name}, not a LorentzClass"):
+        Lorentz(lorentz_class=cls)
+
+
 def test_sct_equals_inversion_translation_inversion():
     """The defining composite, run for both inversion signs."""
     rng = np.random.default_rng(43)

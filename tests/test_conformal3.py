@@ -14,16 +14,22 @@ from emconf.conformal13 import induced_matrix, sct_factor, transform
 from emconf.conformal3 import (
     Refusal,
     _inverse_lorentz,
-    field_rows,
     induced_matrix3,
-    inverse_position3,
     preimage_rows,
-    scale_of,
+    raise_refusal,
     sct_factor3,
     transform3,
+    transform_rows,
 )
 from emconf.errors import LightConeError, SctConeError
 from emconf.fields import Coulomb, sweep
+from emconf.oracle import (
+    invert_event,
+    jacobian_inversion,
+    jacobian_sct,
+    sct_event,
+    sct_scale,
+)
 from emconf.maps import (
     CoordinateFrame,
     Dilation,
@@ -268,7 +274,8 @@ def test_lorentz_preimage_is_the_inverse_matrix(cls):
             lorentz_class=cls,
         )
         want = np.linalg.inv(induced_matrix3(params))
-        back = inverse_position3(params, basis)
+        back, reason = preimage_rows(params, basis)
+        assert not reason.any()
         got = np.concatenate([back.s.real[:, None], back.v.real], axis=1).T
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -301,10 +308,10 @@ def test_preimage_of_a_batch_of_lorentz_maps_is_each_rows_preimage(classes):
         (Lorentz(boost, rotation, classes), range(2)),
         (Lorentz(boost[0], rotation[0], classes), [0, 0]),
     ):
-        back = inverse_position3(params, ev(events))
+        back, _ = preimage_rows(params, ev(events))
         for i, m in enumerate(rows):
             cls = classes if isinstance(classes, LorentzClass) else classes[i]
-            one = inverse_position3(Lorentz(boost[m], rotation[m], cls), ev(events[i]))
+            one, _ = preimage_rows(Lorentz(boost[m], rotation[m], cls), ev(events[i]))
             assert back.s[i].tobytes() == one.s.tobytes()
             assert back.v[i].tobytes() == one.v.tobytes()
 
@@ -316,31 +323,37 @@ def test_preimage_of_a_batch_of_lorentz_maps_is_each_rows_preimage(classes):
     Inversion(eps=-1),
     Sct(a=FourVector(0.2, 0.1, -0.3, 0.05)),
 ], ids=["dilation", "translation", "lorentz", "inversion", "sct"])
-def test_inverse_position3_round_trips(params):
-    """inverse_position3 undoes each family's forward position map."""
+def test_preimage_rows_round_trips(params):
+    """preimage_rows undoes each family's forward position map."""
     rng = np.random.default_rng(53)
     for _ in range(10):
         x = rand_event(rng, guard=0.5)
         a = ev(params.a) if isinstance(params, Sct) else None
         if a is not None and abs(sct_factor3(x, a)) < 0.5:
             continue
-        back = inverse_position3(params, transform3(params, POSITION, x))
+        back, reason = preimage_rows(params, transform3(params, POSITION, x))
+        assert not reason.any()
         assert back.approx_eq(x, 1e-9 * max(1.0, x.max_abs()))
 
 
-def test_scale_of():
+def test_transform_rows_returns_the_conformal_scale():
     x = ev((2.0, 0.0, 1.0, 0.0))
-    assert scale_of(Dilation(3.0), x) == 3.0
-    assert scale_of(Translation(FourVector(1, 0, 0, 0)), x) == 1.0
-    assert scale_of(Inversion(1), x, ORIG) == pytest.approx(3.0, abs=1e-15)
+    F = Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+
+    def scale(params, x, frame=ORIG):
+        return transform_rows(params, FARADAY, F, x, frame)[1]
+
+    assert scale(Dilation(3.0), x) == 3.0
+    assert scale(Translation(FourVector(1, 0, 0, 0)), x) == 1.0
+    assert scale(Inversion(1), x, ORIG) == pytest.approx(3.0, abs=1e-15)
     # the image-frame scale is the reciprocal evaluated at the image point
     xi = transform3(Inversion(1), POSITION, x)
-    assert scale_of(Inversion(1), xi, TRANS) == pytest.approx(3.0, rel=1e-12)
+    assert scale(Inversion(1), xi, TRANS) == pytest.approx(3.0, rel=1e-12)
     sct = Sct(FourVector(0.5, 0, 0, 0))
     s = sct_factor3(x, ev((0.5, 0.0, 0.0, 0.0)))
     xs = transform3(sct, POSITION, x)
-    assert scale_of(sct, x, ORIG) == pytest.approx(s)
-    assert scale_of(sct, xs, TRANS) == pytest.approx(s, rel=1e-12)
+    assert scale(sct, x, ORIG) == pytest.approx(s)
+    assert scale(sct, xs, TRANS) == pytest.approx(s, rel=1e-12)
 
 
 def test_transform3_linear_families():
@@ -392,7 +405,7 @@ def test_refusal_ledger_takes_the_maps_batch_shape():
     params = Lorentz(boost=[[400.0, 0.0, 0.0], [0.3, 0.0, 0.0]], rotation=np.zeros((2, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         out = transform3(params, FARADAY, F)
-        F2, scale, reason = field_rows(params, F, ev((0.5, 0.1, -0.2, 0.3)))
+        F2, scale, reason = transform_rows(params, FARADAY, F, ev((0.5, 0.1, -0.2, 0.3)))
     assert out.F.shape == F2.F.shape == (2, 3)
     assert not np.isfinite(out.F[0]).all()
     alone = transform3(Lorentz(boost=(0.3, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)), FARADAY, F)
@@ -402,14 +415,18 @@ def test_refusal_ledger_takes_the_maps_batch_shape():
     # sigma = (1 + a_0)^2 at the source x = (1, 0, 0, 0) vanishes for
     # a_0 = -1, and sigma of the map by -a at the image x for a_0 = 1.
     x = ev((1.0, 0.0, 0.0, 0.0))
+    sct = Sct(FourVector.from_array([[0.1, 0, 0, 0], [-1.0, 0, 0, 0]]))
+    _, scale, reason = transform_rows(sct, FARADAY, F, x)
+    assert scale.shape == (2,)
+    assert reason.tolist() == [Refusal.OK, Refusal.SCT_CONE]
     with pytest.raises(SctConeError):
-        scale_of(Sct(FourVector.from_array([[0.1, 0, 0, 0], [-1.0, 0, 0, 0]])), x)
+        transform3(sct, FARADAY, F, x)
     sct = Sct(FourVector.from_array([[0.1, 0, 0, 0], [1.0, 0, 0, 0]]))
     src, reason = preimage_rows(sct, x)
     assert src.s.shape == (2,)
     assert reason.tolist() == [Refusal.OK, Refusal.SCT_CONE]
     with pytest.raises(SctConeError):
-        inverse_position3(sct, x)
+        raise_refusal(reason)
 
 
 _TWO_CLASSES = np.array(
@@ -421,7 +438,7 @@ _TWO_CLASSES = np.array(
 def test_class_per_row_with_a_shared_boost_is_each_rows_single_class_call(b):
     """An array of classes with one boost, on one field at one event: the
     batch has the classes' rows, each the bytes of the map of that class
-    alone, in both routes; at b = 400 both rows overflow, and field_rows
+    alone, in both routes; at b = 400 both rows overflow, and transform_rows
     marks them NON_FINITE."""
     E, B, x = (1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.5, 0.1, -0.2, 0.3)
 
@@ -441,7 +458,7 @@ def test_class_per_row_with_a_shared_boost_is_each_rows_single_class_call(b):
             assert len(batch) == 2
             singles = [call(params(c)) for c in _TWO_CLASSES]
             assert [row.tobytes() for row in batch] == [one.tobytes() for one in singles]
-        _, _, reason = field_rows(params(_TWO_CLASSES), Faraday3(E, B), ev(x))
+        _, _, reason = transform_rows(params(_TWO_CLASSES), FARADAY, Faraday3(E, B), ev(x))
     assert reason.tolist() == [Refusal.NON_FINITE if b > 355 else Refusal.OK] * 2
 
 
@@ -471,11 +488,10 @@ def test_batched_map_on_one_event_gives_every_result_the_maps_rows(batch, single
     A = ev((0.3, 0.1, -0.2, 0.4))
 
     def results(params):
-        out, scale, reason = field_rows(params, F, x, frame)
+        out, scale, reason = transform_rows(params, FARADAY, F, x, frame)
         src, why = preimage_rows(params, x)
         return [
-            out.F, scale, reason, scale_of(params, x, frame), src.s, src.v, why,
-            inverse_position3(params, x).v,
+            out.F, scale, reason, src.s, src.v, why,
             transform3(params, FARADAY, F, x, frame).F,
             transform3(params, POTENTIAL, A, x, frame).v,
             transform3(params, POSITION, x).v,
@@ -547,7 +563,9 @@ def _events(rows, rng) -> np.ndarray:
 
 def _parts(q) -> list:
     """A result of either route, a scale or a ledger as arrays whose last
-    axis follows the rows."""
+    axis follows the rows; a list is such arrays already."""
+    if isinstance(q, list):
+        return q
     if isinstance(q, Faraday3):
         return [q.F]
     if isinstance(q, Faraday13):
@@ -557,6 +575,25 @@ def _parts(q) -> list:
     if isinstance(q, Paravector3):
         return [q.s[..., None], q.v]
     return [np.asarray(q)[..., None]]
+
+
+def _row_key(a: np.ndarray):
+    """A row's bytes, or a longdouble row's values: its padding bytes are
+    undefined."""
+    return a.tolist() if a.dtype == np.longdouble else a.tobytes()
+
+
+def _oracle(family, params, X) -> list:
+    """The oracle's image events, Jacobians (16 entries on the last axis)
+    and scales of the inversion and the special conformal map."""
+    if family == "inversion":
+        arg, image, jacobian, scales = params.eps, invert_event, jacobian_inversion, []
+    elif family == "sct":
+        arg, image, jacobian, scales = params.a, sct_event, jacobian_sct, [sct_scale(X, params.a)]
+    else:
+        return []
+    J = jacobian(X, arg)
+    return [[image(X, arg)], [J.reshape(J.shape[:-2] + (16,))], *scales]
 
 
 @settings(deadline=None, database=None)
@@ -573,12 +610,13 @@ def _parts(q) -> list:
 def test_property_results_have_the_ledgers_rows(
     family, kind, frame, n, map_rows, x_rows, value_rows, seed
 ):
-    """transform3, transform and field_rows give every result the ledger's
-    shape, the broadcast of the map's, the events' and the values' rows (a
-    position reads no event); scale_of, preimage_rows, inverse_position3
-    and fields.sweep, which read no value, the broadcast of the map's and
-    the events' rows; induced_matrix3 and induced_matrix the map's rows.
-    Each row holds the bytes of that row's single call."""
+    """transform3, transform and transform_rows give every result the
+    ledger's shape, the broadcast of the map's, the events' and the values'
+    rows (a position reads no event); preimage_rows, fields.sweep and the
+    oracle's event maps, scales and Jacobians, which read no value, the
+    broadcast of the map's and the events' rows; induced_matrix3 and
+    induced_matrix the map's rows.  Each row holds the bytes of that row's
+    single call, or its values where the oracle computes in longdouble."""
     rng = np.random.default_rng(seed)
     mrows, xrows, vrows = (tuple(n if d == "n" else d for d in p)
                            for p in (map_rows, x_rows, value_rows))
@@ -594,18 +632,17 @@ def test_property_results_have_the_ledgers_rows(
             v3, v13 = Faraday3(V[..., :3], V[..., 3:]), Faraday13(V[..., :3], V[..., 3:])
         else:
             v3, v13 = ev(V), FourVector.from_array(V)
-        outs = [
+        return [
             transform3(params, kind, v3, ev(X), frame),
             transform(params, kind, v13, FourVector.from_array(X), frame),
+            *transform_rows(params, kind, v3, ev(X), frame),
         ]
-        return outs + (list(field_rows(params, v3, ev(X), frame)) if kind is FARADAY else [])
 
     def at_events(params, X):
         return [
-            scale_of(params, ev(X), frame),
             *preimage_rows(params, ev(X)),
-            inverse_position3(params, ev(X)),
             *sweep(Coulomb(1.5), params, X, frame),
+            *_oracle(family, params, X),
         ]
 
     # A position reads no event, so its own events stand in for them.
@@ -619,8 +656,8 @@ def test_property_results_have_the_ledgers_rows(
         for idx in np.ndindex(*shape):
             rows = [np.broadcast_to(a, shape + a.shape[-1:])[idx] for a in args]
             one = calls(_map_row(params, shape, idx), *rows)
-            assert [[a[idx].tobytes() for a in parts] for parts in outs] == [
-                [a.tobytes() for a in _parts(o)] for o in one
+            assert [[_row_key(a[idx]) for a in parts] for parts in outs] == [
+                [_row_key(a) for a in _parts(o)] for o in one
             ]
     # The induced matrices read the map alone.
     if family == "lorentz":

@@ -95,6 +95,22 @@ def test_plane_wave_validation_sees_every_row(bad):
         PlaneWave(E0=e, khat=k, phase=phase)
 
 
+def test_plane_wave_orthogonality_is_relative_to_the_amplitude():
+    """khat = (2, 3, 6) / 7 and E0 = (3, -6, 2) 1e6 / 7 are orthogonal, but
+    their rounded dot product is far above 1e-12; it is measured against
+    max(1, |E0|), row by row, so 2,000 random orthogonal pairs at |E0| =
+    1e6 all pass, and a unit amplitude 1e-9 off orthogonal beside such a
+    row is still refused."""
+    khat = np.array([2.0, 3.0, 6.0]) / 7
+    E0 = np.array([3.0, -6.0, 2.0]) * 1e6 / 7
+    assert abs(khat @ E0) > 1e-12
+    PlaneWave(E0=E0, khat=khat)
+    e, k, _ = _waves(2000, 75)
+    PlaneWave(E0=1e6 * e / np.sqrt((e * e).sum(axis=1))[:, None], khat=k)
+    with pytest.raises(ValueError, match="orthogonal"):
+        PlaneWave(E0=[E0, (1.0, 0.0, 1e-9)], khat=[khat, (0.0, 0.0, 1.0)])
+
+
 def test_coulomb_field():
     spec = Coulomb(q=1.0)
     F = spec.faraday(FourVector(0.0, 2.0, 0.0, 0.0))

@@ -8,7 +8,7 @@ import pytest
 from emconf.cl13 import FourVector
 from emconf.cl3 import Paravector3
 from emconf.cli import CSV_HEADER, main
-from emconf.conformal3 import inverse_position3, transform3
+from emconf.conformal3 import preimage_rows, transform3
 from emconf.fields import PlaneWave
 from emconf.maps import CoordinateFrame, Lorentz, LorentzClass, QuantityKind
 
@@ -39,7 +39,7 @@ def _reference_csv(params: Lorentz, frame: CoordinateFrame) -> str:
     for coords in itertools.product(*(axes[a] for a in "txyz")):
         x = Paravector3.from_event(coords)
         if frame is CoordinateFrame.TRANSFORMED:
-            src_pv = inverse_position3(params, x)
+            src_pv, _ = preimage_rows(params, x)
             src = FourVector.from_array(src_pv.event())
         else:
             src = FourVector(*coords)

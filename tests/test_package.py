@@ -27,7 +27,7 @@ REMOVED = (
     "lorentz3", "transform_faraday3", "PreparedTransform3",
     "versor_inverse", "left_matrix", "SingularVersorError",
     "real_paravector", "pure_vector", "to_paravector", "to_paravector_bar",
-    "to_faraday3",
+    "to_faraday3", "field_rows", "scale_of", "inverse_position3",
 )
 
 

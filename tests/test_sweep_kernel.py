@@ -18,9 +18,9 @@ from emconf.cl13 import FourVector
 from emconf.cl3 import Paravector3
 from emconf.conformal3 import (
     Refusal,
-    inverse_position3,
-    scale_of,
-    transform3,
+    preimage_rows,
+    raise_refusal,
+    transform_rows,
 )
 from emconf.errors import (
     ImaginaryResidueError,
@@ -115,18 +115,20 @@ def events(draw, a):
 
 
 def _scalar_row(field, params, x, frame):
-    """The row through the scalar entry points: its code, and its values
-    when they are computed."""
+    """The row through the entry points at this one event, each ledger
+    raised by raise_refusal: its code, and its values when they are
+    computed."""
     grid = Paravector3.from_event(x)
     try:
         if frame is TRANS:
-            src_pv = inverse_position3(params, grid)
+            src_pv, reason = preimage_rows(params, grid)
+            raise_refusal(reason)
             src = FourVector(src_pv.s.real, *src_pv.v.real)
         else:
             src = FourVector(*x)
         F_in = field.faraday(src)
-        F_out = transform3(params, QuantityKind.FARADAY, F_in, grid, frame)
-        scale = scale_of(params, grid, frame)
+        F_out, scale, reason = transform_rows(params, QuantityKind.FARADAY, F_in, grid, frame)
+        raise_refusal(reason)
     except tuple(CODE_OF) as exc:
         return CODE_OF[type(exc)], None
     values = (F_in.F, F_out.F, np.asarray(scale))
