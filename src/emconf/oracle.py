@@ -493,14 +493,17 @@ def invariants_transformed(
     if det is None:
         det = np.linalg.det(np.asarray(M, dtype=np.float64))
     M = _ld(M)
+    # Each term is added or subtracted by its sign: x - y is x + (-1 y)
+    # exactly, without the multiply.
     eps_p = 0.0
     for (a, b, g, d), sign in zip(_PERMS, _PERM_SIGNS):
-        eps_p = eps_p + sign * (
+        term = (
             M[..., :, a, None, None, None]
             * M[..., None, :, b, None, None]
             * M[..., None, None, :, g, None]
             * M[..., None, None, None, :, d]
         )
+        eps_p = eps_p + term if sign > 0 else eps_p - term
     eps_p = np.asarray(1.0 / _ld(det))[..., None, None, None, None] * eps_p
     i2p = -0.25 * _f64(_pseudoscalar(eps_p, Fp_cov))
     return i1p, i2p

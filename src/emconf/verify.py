@@ -5,15 +5,25 @@ reordering other checks never shifts its sample stream and the whole report
 is reproducible byte for byte.  A check's samples are the ones a loop
 drawing one trial at a time, rejection included, would draw, but they come
 from blocks of uniforms with every block's rejections decided at once (see
-_walk); only the plane-wave draws, whose normal draws vary in length, are
-made one trial at a time.  Each route then runs once on all the trials:
-inversion trials as one batch with the sign eps = +1 on even trials and -1
-on odd ones, special conformal trials as one batch with each trial's vector
-a on the batch axis, Lorentz maps and plane waves with one class or wave
-per row, so row i of every batch is trial i.  Deviations between routes
-are measured relative to max(1, reference magnitude): transformed
-quantities reach 1e5 and beyond on valid sample points, where an absolute
-comparison would only measure float64 granularity, not correctness.
+_walk).  Only the heads the loop can start at are judged: offsets that are
+multiples of gcd(head width, row width).  The first block is the least the
+loop consumes, and a later one is sized from the acceptance seen so far;
+the uniforms a block drew past the last one read are given back by
+rewinding the generator to its state from before that block and advancing
+it by the doubles read, so the generator must support
+bit_generator.advance, as the PCG64 generators of run_suite do.  A single
+row is drawn one head at a time.  The plane-wave draws, whose normal draws
+vary in length, are made one trial at a time, with the cone guards of up to
+32 trials judged in one call and the generator set back to the first trial
+that fails them (see _null_field_rows).  Each route then runs once on all
+the trials: inversion trials as one batch with the sign eps = +1 on even
+trials and -1 on odd ones, special conformal trials as one batch with each
+trial's vector a on the batch axis, Lorentz maps and plane waves with one
+class or wave per row, so row i of every batch is trial i.  Deviations
+between routes are measured relative to max(1, reference magnitude):
+transformed quantities reach 1e5 and beyond on valid sample points, where
+an absolute comparison would only measure float64 granularity, not
+correctness.
 """
 
 from __future__ import annotations
@@ -106,35 +116,57 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
     in the state that loop leaves it in.
 
     judge maps heads of shape (n, k) to outcomes of shape (n, phases); a
-    head's phase is the number of rows kept before it, modulo phases.  The
-    uniforms come in blocks of rng.random, each topping the unread buffer up
-    to the least the loop still consumes: the rows left times the row width,
-    or the attempts left times k if that is less, or one row width while an
-    accepted head waits for its tail.  judge runs once per block, on the
-    head at every offset of the block (its sliding windows of k, gathered by
-    fancy indexing at a third of the cost of sliding_window_view).
+    head's phase is the number of rows kept before it, modulo phases.
     low + (high - low) u is what Generator.uniform computes from each
     double u.
+
+    A single row is drawn as the loop draws it, a head and then its tail.
+    More rows come from blocks of rng.random, with every head of a block
+    judged in one call.  The first block is the least the loop consumes:
+    the rows wanted times the row width, or the cap times k if that is
+    less.  A later block tops the unread buffer up to at least the least
+    the loop still consumes (one row width while an accepted head waits
+    for its tail), and to about twice what the rows left cost at the rate
+    seen so far, at most four times what was read so far.  A head starts
+    where the one before it started plus k or plus the row width, so only
+    offsets that are multiples of gcd(k, width) are judged (the windows of
+    k there, gathered by fancy indexing).  Uniforms a block drew past the
+    last one read are given back: the generator is set to its state from
+    before that block and advanced by the doubles read from it, each double
+    of Generator.random being one 64-bit output.  So rng must support
+    bit_generator.advance, as PCG64, the generator of default_rng, does.
     """
     width = half.size
     low, span = -half, 2.0 * half
+    if trials == 1:
+        return _walk_one(rng, low, span, k, judge, cap)
+    step = math.gcd(k, width)
     window = np.arange(k)
     rows = []
     buf = np.empty(0)
-    pos = attempts = 0
+    pos = attempts = read = 0
     tail_pending = False
+    saved = None
     while len(rows) < trials and attempts < cap:
-        least = min((trials - len(rows)) * width, (cap - attempts) * k)
+        left = trials - len(rows)
+        least = min(left * width, (cap - attempts) * k)
         if tail_pending:
             least = max(least, width)
-        fresh = rng.random(least - (buf.size - pos))
+        need = least - (buf.size - pos)
+        read += pos
+        size = max(need, min(4 * read, 2 * read * left // (len(rows) + 1)))
+        saved = rng.bit_generator.state if size > need else None
+        fresh = rng.random(size)
         buf = np.concatenate([buf[pos:], fresh]) if pos < buf.size else fresh
         pos = 0
-        heads = low[:k] + span[:k] * buf[np.arange(buf.size - k + 1)[:, None] + window]
-        outcomes = judge(heads).tolist()
+        starts = np.arange(0, buf.size - k + 1, step)
+        heads = low[:k] + span[:k] * buf[starts[:, None] + window]
+        outcomes = judge(heads)
+        phases = outcomes.shape[1]
+        outcomes = outcomes.ravel().tolist()
         tail_pending = False
         while len(rows) < trials and attempts < cap and pos + k <= buf.size:
-            outcome = outcomes[pos][len(rows) % len(outcomes[pos])]
+            outcome = outcomes[pos // step * phases + len(rows) % phases]
             if outcome == _REDRAW:
                 pos += k
                 continue
@@ -147,7 +179,36 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
             else:
                 rows.append(buf[pos:pos + width])
                 pos += width
+    if saved is not None and pos < buf.size:
+        _rewind(rng.bit_generator, saved, size - (buf.size - pos))
     return low + span * np.array(rows).reshape(-1, width)
+
+
+def _walk_one(rng, low: np.ndarray, span: np.ndarray, k: int, judge, cap) -> np.ndarray:
+    """_walk's loop for a single row, one head at a time."""
+    attempts = 0
+    while attempts < cap:
+        head = rng.random(k)
+        outcome = judge((low[:k] + span[:k] * head)[None])[0, 0]
+        if outcome == _REDRAW:
+            continue
+        attempts += 1
+        if outcome == _ACCEPT:
+            row = np.concatenate([head, rng.random(low.size - k)])
+            return (low + span * row)[None]
+    return np.empty((0, low.size))
+
+
+def _rewind(bit_generator, saved: dict, read: int) -> None:
+    """Set bit_generator to the state saved, advanced by read 64-bit
+    outputs.  advance empties the buffer of a half-used 32-bit output,
+    which the doubles never touch, so the buffer is put back."""
+    bit_generator.state = saved
+    bit_generator.advance(read)
+    if saved["has_uint32"]:
+        state = bit_generator.state
+        state.update(has_uint32=1, uinteger=saved["uinteger"])
+        bit_generator.state = state
 
 
 def _sample(rng, trials: int, accept, head, tail: int = 0) -> np.ndarray:
@@ -555,25 +616,55 @@ def check_lorentz_route_agreement(rng, trials: int, tol: float) -> CheckResult:
     return _result("lorentz_route_agreement", per_class * 4, devs, tol)
 
 
+# Half-widths of the event and the vector of a plane-wave trial, and the
+# most trials drawn ahead of their cone guards.
+_NULL_PAIR = _EVENT + (0.5,) * 4
+_DRAFT_AHEAD = 32
+
+
 def _null_field_rows(rng, trials: int) -> tuple[np.ndarray, ...]:
     """Events x, vectors a and waves (E0, khat, phase), one row per trial:
     x and a clear of both cones, khat a normalised normal draw, E0 khat x (a
     normal draw), drawn again while shorter than 1e-6, scaled to a uniform
     length in [0.5, 1.5], and a uniform phase.  The normal draws vary in
     length, so the draws and the redraw test (np.linalg.norm's
-    sqrt(x.dot(x))) run one trial at a time, the scaling once."""
+    sqrt(x.dot(x))) run one trial at a time, the scaling once.
+
+    Up to _DRAFT_AHEAD trials at a time are drawn as if their x and a
+    cleared the cones, and those pairs are judged in one call.  From the
+    first pair that does not clear them (about 0.6% do), the generator is
+    set back to its state before that pair, which is drawn as the loop
+    draws it, and the trials after it are drawn again; drawing so few
+    ahead bounds what a failed pair throws away."""
+    half = np.array(_NULL_PAIR)
+    low, span = -half, 2.0 * half
     rows = []
-    for _ in range(trials):
-        head = _sample(rng, 1, _off_cones, _EVENT + (0.5,) * 4)[0]
-        k = rng.normal(size=3)
-        k /= np.sqrt(k.dot(k))
-        e = cross3(k, rng.normal(size=3))
-        while (norm := np.sqrt(e.dot(e))) < 1e-6:
-            e = cross3(k, rng.normal(size=3))
-        rows.append((head, k, e, norm, rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi)))
+    while len(rows) < trials:
+        states, drafts = [], []
+        for _ in range(min(trials - len(rows), _DRAFT_AHEAD)):
+            states.append(rng.bit_generator.state)
+            drafts.append(_wave_row(rng, low + span * rng.random(half.size)))
+        clear = _off_cones(np.array([row[0] for row in drafts]))
+        kept = len(drafts) if clear.all() else int(clear.argmin())
+        rows += drafts[:kept]
+        if kept < len(drafts):
+            rng.bit_generator.state = states[kept]
+            rows.append(_wave_row(rng, _sample(rng, 1, _off_cones, _NULL_PAIR)[0]))
     head, khat, e, norm, length, phase = (np.array(part) for part in zip(*rows))
     X, A = _split(head, 4, 4)
     return X, A, e * (length / norm)[:, None], khat, phase
+
+
+def _wave_row(rng, head: np.ndarray) -> tuple:
+    """One trial of _null_field_rows after its x and a: khat, E0 before its
+    scaling and the length of that E0, the length it is scaled to, the
+    phase."""
+    k = rng.normal(size=3)
+    k /= np.sqrt(k.dot(k))
+    e = cross3(k, rng.normal(size=3))
+    while (norm := np.sqrt(e.dot(e))) < 1e-6:
+        e = cross3(k, rng.normal(size=3))
+    return head, k, e, norm, rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi)
 
 
 def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
@@ -638,9 +729,10 @@ def run_suite(
 
     trials rescales every check's sample count proportionally; tol rescales
     every tolerance by tol / 1e-10, so a zero tolerance reports raw
-    deviations as failures instead of hiding them.  Raises ValueError for
-    a negative seed, fewer than one trial, or a tol that is negative or
-    not finite.
+    deviations as failures instead of hiding them.  checks, if given, names
+    the checks to run by their ids.  Raises ValueError for a negative seed,
+    fewer than one trial, a tol that is negative or not finite, or checks
+    that is a string, is empty or names an id not in REGISTRY.
     """
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
@@ -648,6 +740,16 @@ def run_suite(
         raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tol must be a finite nonnegative number")
+    if checks is not None:
+        if isinstance(checks, str):
+            raise ValueError(f"checks must be a collection of check ids, not the string {checks!r}")
+        checks = tuple(checks)
+        if not checks:
+            raise ValueError("checks must name at least one check")
+        known = {entry[0] for entry in REGISTRY}
+        unknown = [c for c in checks if c not in known]
+        if unknown:
+            raise ValueError(f"unknown check ids: {', '.join(map(repr, unknown))}")
     children = np.random.SeedSequence(seed).spawn(len(REGISTRY))
     scale = tol / BASE_TOL
     results = []

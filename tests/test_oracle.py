@@ -307,6 +307,47 @@ def test_invariants_transformed_inversion_flips_pseudoscalar():
         assert abs(j2 - (-(om**4)) * i2) < 1e-10 * ref
 
 
+def invariants_transformed_by_sign_multiplies(F, M, lam, theta):
+    """invariants_transformed with each permutation term multiplied by its
+    sign, +1.0 or -1.0, before it is summed."""
+    Fp = oracle._ld(oracle.transform_faraday(M, F, lam, theta))
+    Fp_cov = oracle._lower_both(Fp)
+    i1p = -0.5 * oracle._f64(oracle._quadratic(Fp, Fp_cov))
+    det = np.linalg.det(np.asarray(M, dtype=np.float64))
+    M = oracle._ld(M)
+    eps_p = 0.0
+    for (a, b, g, d), sign in zip(oracle._PERMS, oracle._PERM_SIGNS):
+        eps_p = eps_p + sign * (
+            M[..., :, a, None, None, None]
+            * M[..., None, :, b, None, None]
+            * M[..., None, None, :, g, None]
+            * M[..., None, None, None, :, d]
+        )
+    eps_p = np.asarray(1.0 / oracle._ld(det))[..., None, None, None, None] * eps_p
+    return i1p, -0.25 * oracle._f64(oracle._pseudoscalar(eps_p, Fp_cov))
+
+
+@pytest.mark.parametrize("rows", [(100,), ()])
+def test_invariants_transformed_sums_its_terms_as_the_sign_multiplies_did(rows):
+    """Adding or subtracting each term is exact, as multiplying it by +-1.0
+    was: the same bytes, for the inversion (det < 0) and the SCT (det > 0)."""
+    rng = np.random.default_rng(71)
+    n = int(np.prod(rows))
+    x = np.array([sample_off_cone(rng) for _ in range(n)]).reshape(rows + (4,))
+    a = rng.uniform(-0.5, 0.5, rows + (4,))
+    F = oracle.pack_faraday(rng.uniform(-2, 2, rows + (3,)), rng.uniform(-2, 2, rows + (3,)))
+    maps = [
+        (oracle.jacobian_inversion(x, 1), np.abs(oracle.msq(x)), -1),
+        (oracle.jacobian_sct(x, a), np.abs(oracle.sct_scale(x, a)), 1),
+    ]
+    for (M, lam, theta), det_sign in zip(maps, (-1.0, 1.0)):
+        assert np.all(np.sign(np.linalg.det(np.asarray(M, dtype=np.float64))) == det_sign)
+        got = oracle.invariants_transformed(F, M, lam, theta)
+        want = invariants_transformed_by_sign_multiplies(F, M, lam, theta)
+        for g, w in zip(got, want):
+            assert np.shape(g) == rows and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
 def test_inversion_inverse_jacobian_det():
     x = np.array([1.5, 0.3, -0.2, 0.7])
     om = oracle.msq(x)

@@ -1,5 +1,7 @@
 """Tests for the seeded self-verification driver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,22 @@ def test_argument_validation():
         run_suite(seed=1, trials=10, tol=-1.0)
     with pytest.raises(ValueError, match="seed"):
         run_suite(seed=-1, trials=1, tol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        (("three_way",), "unknown check ids: 'three_way'"),
+        (("conformality", "theta", "nope"), "unknown check ids: 'theta', 'nope'"),
+        ((), "checks must name at least one check"),
+        ("theta_signs", "checks must be a collection of check ids, not the string 'theta_signs'"),
+    ],
+)
+def test_check_selection_names_only_known_checks(checks, message):
+    """An unknown id or an empty selection once gave an empty report that
+    passed, and a string selected the checks whose ids it contains."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(trials=1, checks=checks)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan")])

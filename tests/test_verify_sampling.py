@@ -293,3 +293,89 @@ def test_walk_counts_attempts_up_to_its_cap(trials, cap):
             lambda rng: ref_walk(rng, trials, half, 2, _coin_judge, cap),
             seed,
         )
+
+
+# Codes are REDRAW, REJECT, ACCEPT = 0, 1, 2: a head's code is the number of
+# its phase's thresholds it reaches.
+SPARSE_THRESHOLDS = np.array([[0.8, 0.84], [0.9, 0.92]])
+
+
+def _sparse_coin_judge(h):
+    """Mostly REDRAW: ACCEPT on 5% of heads in phase 0 and 4% in phase 1,
+    REJECT on as many more."""
+    u = h[:, :1]
+    return (u >= SPARSE_THRESHOLDS[0]).astype(int) + (u >= SPARSE_THRESHOLDS[1])
+
+
+class CountingBlocks:
+    """A generator that counts its calls of random, the blocks of a walk."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, 0
+        self.bit_generator = rng.bit_generator
+
+    def random(self, size=None):
+        self.blocks += 1
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+# Walks that keep a few percent of their heads: the sparse coin, and events
+# of positive interval clear of x^2 = 1 (6% of the box).
+SPARSE_HALF = np.array([1.0, 2.0, 2.0, 0.5, 0.5])
+SPARSE_WALKS = {
+    "sparse_coin": (
+        lambda rng, n: verify._walk(rng, n, SPARSE_HALF, 2, _sparse_coin_judge),
+        lambda rng, n: ref_walk(rng, n, SPARSE_HALF, 2, _sparse_coin_judge, np.inf),
+    ),
+    "timelike_events_and_field": (
+        lambda rng, n: verify._sample(rng, n, verify._interval_sign(1), verify._EVENT, 6),
+        lambda rng, n: ref_draw(
+            rng, n, lambda r: (ref_sample_interval_sign(r, 1, 1.0), r.uniform(-2.0, 2.0, 6))
+        ),
+    ),
+}
+# A walk of two or more rows draws at most this many blocks.  Over SEEDS
+# these walks draw at most 5; blocks of only the least the loop still
+# consumes would number up to 110.
+MAX_BLOCKS = 8
+
+
+@pytest.mark.parametrize("trials", TRIALS)
+@pytest.mark.parametrize("walk", SPARSE_WALKS)
+def test_sparse_walks_match_the_loop_in_few_blocks(walk, trials, monkeypatch):
+    """Later blocks are sized from the acceptance seen so far and their
+    unread uniforms given back: the same rows, the same generator state and
+    the same draws after the walk as the loop, from a few blocks."""
+    monkeypatch.setattr(verify, "GUARD", 1.0)
+    draw, ref = SPARSE_WALKS[walk]
+    # The loop draws the coin's 11,000 heads of 500 rows one at a time, about
+    # 0.3 s a seed, so that case runs on the first ten seeds.
+    seeds = SEEDS[:10] if walk == "sparse_coin" and trials == 500 else SEEDS
+    for seed in seeds:
+        rng = CountingBlocks(np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed)
+        assert_same_bytes(draw(rng, trials), ref(ref_rng, trials))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_bytes(rng.normal(size=5), ref_rng.normal(size=5))
+        if trials > 1:
+            assert rng.blocks <= MAX_BLOCKS
+
+
+def test_walk_keeps_a_half_used_32_bit_output():
+    """advance empties PCG64's buffer of a half-used 32-bit output; the walk
+    puts it back, so the next 32-bit draw is the loop's."""
+    for seed in range(10):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (rng, ref_rng):
+            r.integers(0, 2**32, dtype=np.uint32)
+        assert_same_bytes(
+            verify._walk(rng, 25, SPARSE_HALF, 2, _sparse_coin_judge),
+            ref_walk(ref_rng, 25, SPARSE_HALF, 2, _sparse_coin_judge, np.inf),
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert_same_bytes(rng.integers(0, 2**32, 3, dtype=np.uint32),
+                          ref_rng.integers(0, 2**32, 3, dtype=np.uint32))
