@@ -2,28 +2,26 @@
 
 Each check draws from its own child of one seed sequence, so enabling or
 reordering other checks never shifts its sample stream and the whole report
-is reproducible byte for byte.  A check's samples are the ones a loop
-drawing one trial at a time, rejection included, would draw, but they come
-from blocks of uniforms with every block's rejections decided at once (see
+is reproducible byte for byte.  A check's samples are the ones a loop drawing
+one trial at a time, rejection included, would draw, but they come from
+blocks of uniforms with every block's rejections decided at once (see
 _walk).  Only the heads the loop can start at are judged: offsets that are
 multiples of gcd(head width, row width).  The first block is the least the
-loop consumes, and a later one is sized from the acceptance seen so far;
-the uniforms a block drew past the last one read are given back by
-rewinding the generator to its state from before that block and advancing
-it by the doubles read, so the generator must support
-bit_generator.advance, as the PCG64 generators of run_suite do.  A single
-row is drawn one head at a time.  The plane-wave draws, whose normal draws
+loop consumes, and a later one is sized from the acceptance seen so far; the
+uniforms a block drew past the last one read are given back by rewinding the
+generator to its state from before that block and advancing it by the
+doubles read, so the generator must support bit_generator.advance, as the
+PCG64 generators of run_suite do.  The plane-wave draws, whose normal draws
 vary in length, are made one trial at a time, with the cone guards of up to
 32 trials judged in one call and the generator set back to the first trial
-that fails them (see _null_field_rows).  Each route then runs once on all
-the trials: inversion trials as one batch with the sign eps = +1 on even
-trials and -1 on odd ones, special conformal trials as one batch with each
-trial's vector a on the batch axis, Lorentz maps and plane waves with one
-class or wave per row, so row i of every batch is trial i.  Deviations
-between routes are measured relative to max(1, reference magnitude):
-transformed quantities reach 1e5 and beyond on valid sample points, where
-an absolute comparison would only measure float64 granularity, not
-correctness.
+that fails them (see _null_field_rows).  Each route then runs once on all the
+trials: inversion trials as one batch with the sign eps = +1 on even trials
+and -1 on odd ones, special conformal trials as one batch with each trial's
+vector a on the batch axis, Lorentz maps and plane waves with one class or
+wave per row, so row i of every batch is trial i.  Deviations between routes
+are measured relative to max(1, reference magnitude): transformed quantities
+reach 1e5 and beyond on valid sample points, where an absolute comparison
+would only measure float64 granularity, not correctness.
 """
 
 from __future__ import annotations
@@ -120,8 +118,7 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
     low + (high - low) u is what Generator.uniform computes from each
     double u.
 
-    A single row is drawn as the loop draws it, a head and then its tail.
-    More rows come from blocks of rng.random, with every head of a block
+    The rows come from blocks of rng.random, with every head of a block
     judged in one call.  The first block is the least the loop consumes:
     the rows wanted times the row width, or the cap times k if that is
     less.  A later block tops the unread buffer up to at least the least
@@ -138,8 +135,6 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
     """
     width = half.size
     low, span = -half, 2.0 * half
-    if trials == 1:
-        return _walk_one(rng, low, span, k, judge, cap)
     step = math.gcd(k, width)
     window = np.arange(k)
     rows = []
@@ -182,21 +177,6 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
     if saved is not None and pos < buf.size:
         _rewind(rng.bit_generator, saved, size - (buf.size - pos))
     return low + span * np.array(rows).reshape(-1, width)
-
-
-def _walk_one(rng, low: np.ndarray, span: np.ndarray, k: int, judge, cap) -> np.ndarray:
-    """_walk's loop for a single row, one head at a time."""
-    attempts = 0
-    while attempts < cap:
-        head = rng.random(k)
-        outcome = judge((low[:k] + span[:k] * head)[None])[0, 0]
-        if outcome == _REDRAW:
-            continue
-        attempts += 1
-        if outcome == _ACCEPT:
-            row = np.concatenate([head, rng.random(low.size - k)])
-            return (low + span * row)[None]
-    return np.empty((0, low.size))
 
 
 def _rewind(bit_generator, saved: dict, read: int) -> None:

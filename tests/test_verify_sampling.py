@@ -337,9 +337,9 @@ SPARSE_WALKS = {
         ),
     ),
 }
-# A walk of two or more rows draws at most this many blocks.  Over SEEDS
-# these walks draw at most 5; blocks of only the least the loop still
-# consumes would number up to 110.
+# A walk draws at most this many blocks.  Over SEEDS these walks draw at
+# most 5; blocks of only the least the loop still consumes would number up
+# to 110.
 MAX_BLOCKS = 8
 
 
@@ -360,8 +360,7 @@ def test_sparse_walks_match_the_loop_in_few_blocks(walk, trials, monkeypatch):
         assert_same_bytes(draw(rng, trials), ref(ref_rng, trials))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert_same_bytes(rng.normal(size=5), ref_rng.normal(size=5))
-        if trials > 1:
-            assert rng.blocks <= MAX_BLOCKS
+        assert rng.blocks <= MAX_BLOCKS
 
 
 def test_walk_keeps_a_half_used_32_bit_output():
