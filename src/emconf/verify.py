@@ -18,10 +18,13 @@ that fails them (see _null_field_rows).  Each route then runs once on all the
 trials: inversion trials as one batch with the sign eps = +1 on even trials
 and -1 on odd ones, special conformal trials as one batch with each trial's
 vector a on the batch axis, Lorentz maps and plane waves with one class or
-wave per row, so row i of every batch is trial i.  Deviations between routes
-are measured relative to max(1, reference magnitude): transformed quantities
-reach 1e5 and beyond on valid sample points, where an absolute comparison
-would only measure float64 granularity, not correctness.
+wave per row, so row i of every batch is trial i.  Checks that compare
+routes reach the two algebras through _cl13 and _cl3, which take and return
+arrays: an event or four-vector as (..., 4), a field as E then B, (..., 6).
+Deviations between routes are measured relative to max(1, reference
+magnitude): transformed quantities reach 1e5 and beyond on valid sample
+points, where an absolute comparison would only measure float64
+granularity, not correctness.
 """
 
 from __future__ import annotations
@@ -250,6 +253,31 @@ def _fv(v) -> FourVector:
     return FourVector.from_array(v)
 
 
+def _eb(E, B) -> np.ndarray:
+    """A field as one array, E then B on the last axis: shape (..., 6)."""
+    return np.concatenate([E, B], axis=-1)
+
+
+def _cl13(params, kind, value, x=None, frame=ORIG) -> np.ndarray:
+    """transform on arrays: value a four-vector (..., 4) or a field E then B
+    (..., 6), at the events x (..., 4) of frame; the image in the same
+    layout.  A refused row raises, as transform does."""
+    x = None if x is None else _fv(x)
+    if kind is FARADAY:
+        out = transform(params, kind, Faraday13(value[..., :3], value[..., 3:]), x, frame)
+        return _eb(out.E, out.B)
+    return transform(params, kind, _fv(value), x, frame).as_array()
+
+
+def _cl3(params, kind, value, x, frame=ORIG) -> np.ndarray:
+    """_cl13 by the paravector route, transform3."""
+    x = Paravector3.from_event(x)
+    if kind is FARADAY:
+        out = transform3(params, kind, Faraday3(value[..., :3], value[..., 3:]), x, frame)
+        return _eb(out.E, out.B)
+    return transform3(params, kind, Paravector3.from_event(value), x, frame).event()
+
+
 def _worst(*devs) -> float:
     """The largest deviation over every row of every argument, or NaN if
     any is NaN; the built-in max drops a NaN that is not its first
@@ -264,14 +292,6 @@ def _scaled(dev, ref):
 def _vec_dev(got: np.ndarray, want: np.ndarray):
     """Per row: max |got - want| relative to max(1, max |want|)."""
     return _scaled(np.abs(got - want).max(axis=-1), np.abs(want).max(axis=-1))
-
-
-def _field_dev(gotE, gotB, wantE, wantB):
-    """Per row: the larger of the E and B deviations, relative to
-    max(1, largest |want| component)."""
-    dev = np.maximum(np.abs(gotE - wantE).max(axis=-1), np.abs(gotB - wantB).max(axis=-1))
-    ref = np.maximum(np.abs(wantE).max(axis=-1), np.abs(wantB).max(axis=-1))
-    return _scaled(dev, ref)
 
 
 def _result(check_id: str, trials: int, devs, tol: float) -> CheckResult:
@@ -374,11 +394,8 @@ def check_theta_signs(rng, trials: int, tol: float) -> CheckResult:
 def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
     """Spacetime algebra, paravector algebra, and tensor law must coincide
     for every quantity, both conformal maps, and both coordinate frames."""
-    X, A, E, B, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 3, 3, 4)
-    F = oracle.pack_faraday(E, B)
-    F13, F3 = Faraday13(E, B), Faraday3(E, B)
-    A13, A3 = _fv(A4), Paravector3.from_event(A4)
-    xf = _fv(X)
+    X, A, EB, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 6, 4)
+    F = oracle.pack_faraday(*_split(EB, 3, 3))
     # Each map with its Jacobian, scale and time orientation.
     eps = _signs(trials)
     maps = [
@@ -387,21 +404,15 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
     ]
     devs = []
     for params, M, lam, theta in maps:
-        Ew, Bw = oracle.unpack_faraday(oracle.transform_faraday(M, F, lam, theta))
-        At = oracle.transform_potential(M, A4, lam, theta)
-        Jt = oracle.transform_current(M, A4, lam, theta)
-        image = transform(params, POSITION, xf)
-        for frame, x13 in ((ORIG, xf), (TRANS, image)):
-            x3 = Paravector3.from_event(x13)
-            got = transform(params, FARADAY, F13, x13, frame)
-            got3 = transform3(params, FARADAY, F3, x3, frame)
-            devs.append(_field_dev(got.E, got.B, Ew, Bw))
-            devs.append(_field_dev(got3.E, got3.B, Ew, Bw))
-            for kind, want in ((POTENTIAL, At), (CURRENT, Jt)):
-                got = transform(params, kind, A13, x13, frame)
-                got3 = transform3(params, kind, A3, x3, frame)
-                devs.append(_vec_dev(got.as_array(), want))
-                devs.append(_vec_dev(got3.event(), want))
+        # Each kind's value and its tensor law, computed at the source events.
+        laws = (
+            (FARADAY, EB, _eb(*oracle.unpack_faraday(oracle.transform_faraday(M, F, lam, theta)))),
+            (POTENTIAL, A4, oracle.transform_potential(M, A4, lam, theta)),
+            (CURRENT, A4, oracle.transform_current(M, A4, lam, theta)),
+        )
+        for frame, x in ((ORIG, X), (TRANS, _cl13(params, POSITION, X))):
+            for route in (_cl13, _cl3):
+                devs += [_vec_dev(route(params, kind, v, x, frame), want) for kind, v, want in laws]
     return _result("three_way_agreement", trials, devs, tol)
 
 
@@ -442,28 +453,17 @@ def _sct_chain_rows(rng, trials: int) -> np.ndarray:
 
 def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
     """Invert, translate by eps*a, invert again: equals the direct map."""
-    X, A, E, B, A4 = _split(_sct_chain_rows(rng, trials), 4, 4, 3, 3, 4)
+    X, A, EB, A4 = _split(_sct_chain_rows(rng, trials), 4, 4, 6, 4)
     kept = len(X)
     devs = [0.0]
     if kept:
         eps = _signs(kept)
-        y = _chain_image(X, A, eps)
-        inv = Inversion(eps)
-        sct = Sct(A)
-        xf = _fv(X)
-        direct_x = transform(sct, POSITION, xf)
-        chained_x = transform(inv, POSITION, y)
-        devs.append(_vec_dev(chained_x.as_array(), direct_x.as_array()))
-
-        A13 = _fv(A4)
-        direct_A = transform(sct, POTENTIAL, A13, xf)
-        chained_A = transform(inv, POTENTIAL, transform(inv, POTENTIAL, A13, xf), y)
-        devs.append(_vec_dev(chained_A.as_array(), direct_A.as_array()))
-
-        F13 = Faraday13(E, B)
-        direct_F = transform(sct, FARADAY, F13, xf)
-        chained_F = transform(inv, FARADAY, transform(inv, FARADAY, F13, xf), y)
-        devs.append(_field_dev(chained_F.E, chained_F.B, direct_F.E, direct_F.B))
+        y = _chain_image(X, A, eps).as_array()
+        inv, sct = Inversion(eps), Sct(A)
+        devs.append(_vec_dev(_cl13(inv, POSITION, y), _cl13(sct, POSITION, X)))
+        for kind, v in ((POTENTIAL, A4), (FARADAY, EB)):
+            chained = _cl13(inv, kind, _cl13(inv, kind, v, X), y)
+            devs.append(_vec_dev(chained, _cl13(sct, kind, v, X)))
     dev = _worst(*devs)
     ok = kept >= trials and dev <= tol
     return CheckResult("sct_chain_composition", kept, dev, tol, ok)
@@ -471,35 +471,25 @@ def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
 
 def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
     """Closed-form component expansions against tensor and paravector routes."""
-    X, A, E, B, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 3, 3, 4)
+    X, A, EB, A4 = _split(_sample(rng, trials, _off_cones, _PAIR, 10), 4, 4, 6, 4)
+    E, B = _split(EB, 3, 3)
+    F = oracle.pack_faraday(E, B)
     eps = _signs(trials)
-    (Ed, Bd), (Ec, Bc) = oracle.inversion_field_forms(E, B, X, eps)
-    mutual = [_field_dev(Ec, Bc, Ed, Bd)]
-    Et, Bt = oracle.unpack_faraday(
-        oracle.inversion_faraday_tensor(oracle.pack_faraday(E, B), X, eps)
-    )
-    got3 = transform3(Inversion(eps), FARADAY, Faraday3(E, B), Paravector3.from_event(X))
-    devs = [_field_dev(Ed, Bd, Et, Bt), _field_dev(got3.E, got3.B, Ed, Bd)]
-
-    Ess, Bss = oracle.sct_field_components(E, B, X, A)
-    Et, Bt = oracle.unpack_faraday(oracle.sct_faraday_tensor(oracle.pack_faraday(E, B), X, A))
-    devs.append(_field_dev(Ess, Bss, Et, Bt))
-    sct = Sct(A)
-    got3 = transform3(sct, FARADAY, Faraday3(E, B), Paravector3.from_event(X))
-    devs.append(_field_dev(got3.E, got3.B, Ess, Bss))
-
-    x_new = oracle.sct_event(X, A)
-    En, Bn = oracle.sct_field_components_newcoords(E, B, x_new, A)
-    devs.append(_field_dev(En, Bn, Ess, Bss))
-
+    direct, closed = (_eb(*f) for f in oracle.inversion_field_forms(E, B, X, eps))
+    sct = _eb(*oracle.sct_field_components(E, B, X, A))
+    newcoords = _eb(*oracle.sct_field_components_newcoords(E, B, oracle.sct_event(X, A), A))
     Ap = oracle.inversion_potential_components(A4, X)
-    got = transform(Inversion(1), POTENTIAL, _fv(A4), _fv(X))
-    devs.append(_vec_dev(got.as_array(), Ap))
-    As = oracle.sct_potential_components(A4, X, A)
-    got = transform(sct, POTENTIAL, _fv(A4), _fv(X))
-    devs.append(_vec_dev(got.as_array(), As))
+    devs = [
+        _vec_dev(direct, _eb(*oracle.unpack_faraday(oracle.inversion_faraday_tensor(F, X, eps)))),
+        _vec_dev(sct, _eb(*oracle.unpack_faraday(oracle.sct_faraday_tensor(F, X, A)))),
+        _vec_dev(newcoords, sct),
+        _vec_dev(_cl13(Inversion(1), POTENTIAL, A4, X), Ap),
+        _vec_dev(_cl13(Sct(A), POTENTIAL, A4, X), oracle.sct_potential_components(A4, X, A)),
+    ]
+    for params, want in ((Inversion(eps), direct), (Sct(A), sct)):
+        devs.append(_vec_dev(_cl3(params, FARADAY, EB, X), want))
 
-    dev, mutual_dev = _worst(*devs), _worst(*mutual)
+    dev, mutual_dev = _worst(*devs), _worst(_vec_dev(closed, direct))
     mutual_tol = tol * 1e-2 if tol > 0.0 else 0.0
     passed = dev <= tol and mutual_dev <= mutual_tol
     return CheckResult(
@@ -511,21 +501,18 @@ def check_invariant_scaling(rng, trials: int, tol: float) -> CheckResult:
     """I1, I2 pick up the fourth power of the scale, with the inversion
     flipping the pseudoscalar sign."""
     X, A, E, B = _split(_sample(rng, trials, _off_cones, _PAIR, 6), 4, 4, 3, 3)
-    F3 = Faraday3(E, B)
+    F3, x3 = Faraday3(E, B), Paravector3.from_event(X)
     i1, i2 = invariants(F3)
-    Fp = transform3(Inversion(_signs(trials)), FARADAY, F3, Paravector3.from_event(X))
-    j1, j2 = invariants(Fp)
-    om4 = oracle.msq(X) ** 4
-    w1, w2 = om4 * i1, om4 * i2
-    ref = np.maximum(np.abs(w1), np.abs(w2))
-    devs = [_scaled(np.abs(j1 - w1), ref), _scaled(np.abs(j2 + w2), ref)]
-
-    Fs = transform3(Sct(A), FARADAY, F3, Paravector3.from_event(X))
-    k1, k2 = invariants(Fs)
-    sig4 = oracle.sct_scale(X, A) ** 4
-    w1, w2 = sig4 * i1, sig4 * i2
-    ref = np.maximum(np.abs(w1), np.abs(w2))
-    devs += [_scaled(np.abs(k1 - w1), ref), _scaled(np.abs(k2 - w2), ref)]
+    devs = []
+    # Each map with the fourth power of its scale and its pseudoscalar sign.
+    for params, s4, sign in (
+        (Inversion(_signs(trials)), oracle.msq(X) ** 4, -1),
+        (Sct(A), oracle.sct_scale(X, A) ** 4, 1),
+    ):
+        j1, j2 = invariants(transform3(params, FARADAY, F3, x3))
+        w1, w2 = s4 * i1, sign * s4 * i2
+        ref = np.maximum(np.abs(w1), np.abs(w2))
+        devs += [_scaled(np.abs(j1 - w1), ref), _scaled(np.abs(j2 - w2), ref)]
     return _result("invariant_scaling", trials, devs, tol)
 
 
@@ -656,12 +643,9 @@ def check_null_field_preservation(rng, trials: int, tol: float) -> CheckResult:
     """
     X, A, E0, khat, phase = _null_field_rows(rng, trials)
     F, _ = PlaneWave(E0=E0, khat=khat, phase=phase).faraday_rows(X)
-    devs = []
-    for Ft in (
-        transform3(Inversion(1), FARADAY, F, Paravector3.from_event(X)),
-        transform3(Sct(A), FARADAY, F, Paravector3.from_event(X)),
-    ):
-        i1, i2 = invariants(Ft)
+    x3, devs = Paravector3.from_event(X), []
+    for params in (Inversion(1), Sct(A)):
+        i1, i2 = invariants(transform3(params, FARADAY, F, x3))
         devs += [np.abs(i1), np.abs(i2)]
     return _result("null_field_preservation", trials, devs, tol)
 

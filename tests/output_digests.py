@@ -7,12 +7,13 @@ after another, and prints one line per job: the exit code, the sha256 of
 stdout, the sha256 of stderr and the arguments.  Two trees print the same
 lines exactly when every job gives the same bytes and exit code, so a diff
 of two runs lists the jobs that differ.  The jobs cover `verify` at three
-seeds, `transform` for every field and family (the four Lorentz classes and
-an overflowing boost included) on grids with skipped rows in both frames
-and both formats, `invariants` at an ordinary event and on the light
-cone, and the usage errors of malformed vector and grid flags, an infinite
-`verify` tolerance and a job file that does not exist.  The file name keeps
-pytest from collecting it.
+seeds, at 1, 25 and 500 trials (one trial gives single-row batches) and at
+25 trials with a zero tolerance; `transform` for every field and family
+(the four Lorentz classes and an overflowing boost included) on grids with
+skipped rows in both frames and both formats; `invariants` at an ordinary
+event and on the light cone; and the usage errors of malformed vector and
+grid flags, an infinite `verify` tolerance and a job file that does not
+exist.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ ERRORS = (
 def jobs() -> list[tuple[str, ...]]:
     out = []
     for seed in ("42", "106", "1069293762"):
-        for trials in ("25", "500"):
+        for trials in ("1", "25", "500"):
             out.append(("verify", "--seed", seed, "--trials", trials))
         out.append(("verify", "--seed", seed, "--trials", "25", "--tol", "0"))
     for field in FIELDS:

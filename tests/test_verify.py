@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from emconf import verify
-from emconf.cl3 import Faraday3
+from emconf.cl13 import Faraday13, FourVector
+from emconf.cl3 import Faraday3, Paravector3
+from emconf.maps import QuantityKind
 from emconf.verify import REGISTRY, run_suite
+
+FARADAY = QuantityKind.FARADAY
+POTENTIAL = QuantityKind.POTENTIAL
 
 
 def test_registry_ids_unique():
@@ -94,16 +99,53 @@ def test_sct_chain_composition_passes_where_the_grade_guard_false_tripped():
     assert report.checks[0].max_dev <= 1e-10
 
 
-def test_nan_route_fails_its_check(monkeypatch):
-    """The built-in max would drop the NaN deviation and pass the check."""
-    def nan_route(params, kind, value, x=None, frame=None):
-        return Faraday3(F=np.full(3, np.nan))
+def _times(out, factor):
+    """A transform result with every component multiplied by factor."""
+    if isinstance(out, Faraday13):
+        return Faraday13(factor * out.E, factor * out.B)
+    if isinstance(out, Faraday3):
+        return Faraday3(F=factor * out.F)
+    if isinstance(out, FourVector):
+        return FourVector.from_array(factor * out.as_array())
+    return Paravector3(factor * out.s, factor * out.v)
 
-    monkeypatch.setattr(verify, "transform3", nan_route)
-    for check in ("invariant_scaling", "null_field_preservation", "field_expansions"):
-        result = run_suite(trials=10, checks=(check,)).checks[0]
-        assert not result.passed
-        assert np.isnan(result.max_dev)
+
+# The route verify reads under each name, the kind perturbed there, and a
+# check that compares that route on that kind.
+_ROUTE_CHECKS = [
+    ("transform", FARADAY, "three_way_agreement"),
+    ("transform", FARADAY, "sct_chain_composition"),
+    ("transform", POTENTIAL, "field_expansions"),
+    ("transform3", FARADAY, "three_way_agreement"),
+    ("transform3", FARADAY, "field_expansions"),
+    ("transform3", FARADAY, "invariant_scaling"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, kind, check, factor",
+    [(*case, factor) for case in _ROUTE_CHECKS for factor in (np.nan, 1 + 1e-6)]
+    # A constant scale keeps a null field null, so only NaN shows there.
+    + [("transform3", FARADAY, "null_field_preservation", np.nan)],
+)
+def test_nan_route_fails_its_check(monkeypatch, name, kind, check, factor):
+    """A route whose results on one kind are NaN, or off by one part in a
+    million, fails every check that compares it.  The built-in max would
+    drop a NaN deviation and pass the check."""
+    route = getattr(verify, name)
+
+    def perturbed(params, k, value, *args, **kwargs):
+        out = route(params, k, value, *args, **kwargs)
+        return _times(out, factor) if k is kind else out
+
+    monkeypatch.setattr(verify, name, perturbed)
+    result = run_suite(trials=10, checks=(check,)).checks[0]
+    assert not result.passed
+    if np.isnan(factor):
+        # The chain feeds a NaN field back into the route, which refuses it.
+        assert np.isnan(result.max_dev) or result.error.startswith("GradeLeakageError")
+    else:
+        assert result.error is None and result.max_dev > 1e-7
 
 
 # Each check's trial count at 25 trials, as the per-trial suite reported it.
