@@ -2,10 +2,12 @@
 
 One entry, transform(params, kind, value, x, frame), applies any of the five
 families (dilation, translation, Lorentz, inversion, special conformal) to a
-position, potential, current or field.  The two nonlinear maps are one rule:
-a sandwich of the quantity, weighted by a power of the conformal scale that
-the kind and the CoordinateFrame fix.  ORIGINAL takes the source event,
-TRANSFORMED takes the image event and carries two more powers of the scale.
+position, potential, current or field.  The Lorentz map and the two
+nonlinear maps are one rule: a sandwich of the quantity between a left and a
+right versor, which the nonlinear maps weight by a power of the conformal
+scale that the kind and the CoordinateFrame fix.  ORIGINAL takes the source
+event, TRANSFORMED takes the image event and carries two more powers of the
+scale.
 
 Values, events and the maps' parameters may be batches (see cl13 and
 maps.rows): one call maps every row, and a guard raises the typed error of
@@ -78,19 +80,6 @@ def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
     )
 
 
-def _sct_versors(
-    x: FourVector, a: FourVector, frame: CoordinateFrame
-) -> tuple[Multivector13, Multivector13]:
-    """1 + a x and 1 + x a at the source event, 1 - x a and 1 - a x at the image."""
-    one = Multivector13.scalar(1.0)
-    am, xm = a.to_mv(), x.to_mv()
-    ax = geometric_product(am, xm)
-    xa = geometric_product(xm, am)
-    if frame is CoordinateFrame.ORIGINAL:
-        return one + ax, one + xa
-    return one - xa, one - ax
-
-
 def _project(
     kind: QuantityKind,
     out: Multivector13,
@@ -161,9 +150,14 @@ def transform(
     its own and ignores x and frame.  Potential, current and field sit at the
     event x, which the inversion and the special conformal map read: the
     source event in the ORIGINAL frame, the image event in the TRANSFORMED
-    frame.  There the result is the sandwich of value by x (inversion) or by
-    the versors 1 + a x, 1 + x a (special conformal), weighted by the kind's
-    power of the scale; the inversion field also carries the sign -eps.
+    frame.  There, and for a Lorentz map, the result is one sandwich of
+    value between the map's two versors (see _versors): x and x for the
+    inversion, 1 + a x and 1 + x a for the special conformal map at the
+    source event, the rotor and its reverse for the Lorentz map, whose
+    improper rows are wrapped in the timelike reflection.  The inversion and
+    the special conformal map weight it by the kind's power of the scale,
+    and the inversion field carries the sign -eps; the antichronous Lorentz
+    rows flip the sign of position and field.
     value, x and the map may be batches; the result has the broadcast shape
     of their rows (see maps.rows), also where the map does not read x or
     the kind does not read eps.
@@ -178,10 +172,29 @@ def transform(
     return FourVector.from_array(np.broadcast_to(out.c, rows + (4,)))
 
 
-def _transform(params, kind, value, x, frame):
+def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
+    """The left and right versors of the sandwich: the rotor exp(G) and its
+    reverse exp(-G) for a Lorentz map, where the generator G occupies the
+    Faraday bivector's blades, the boost in the electric channels and the
+    rotation in the magnetic ones; x twice for the inversion; 1 + a x and
+    1 + x a at the source event, 1 - x a and 1 - a x at the image event,
+    for the special conformal map."""
     if isinstance(params, Lorentz):
-        return _lorentz_sandwich(kind, value, params)
-    if kind is QuantityKind.POSITION:
+        L = exp_bivector(Faraday13(params.boost, params.rotation).to_mv())
+        return L, L.reverse()
+    xm = x.to_mv()
+    if isinstance(params, Inversion):
+        return xm, xm
+    one, am = Multivector13.scalar(1.0), FourVector.from_array(params.a).to_mv()
+    ax, xa = geometric_product(am, xm), geometric_product(xm, am)
+    if frame is CoordinateFrame.ORIGINAL:
+        return one + ax, one + xa
+    return one - xa, one - ax
+
+
+def _transform(params, kind, value, x, frame):
+    lorentz = isinstance(params, Lorentz)
+    if kind is QuantityKind.POSITION and not lorentz:
         return _position(params, value)
     if isinstance(params, Dilation):
         # np.power, as for the scale below.
@@ -191,58 +204,30 @@ def _transform(params, kind, value, x, frame):
         return FourVector.from_array(w * value.as_array())
     if isinstance(params, Translation):
         return value
-    scale = _scale(params, x, frame)
-    sign = 1
-    if isinstance(params, Inversion):
-        left = right = x.to_mv()
-        if kind is QuantityKind.FARADAY:
-            sign = -params.eps
-    else:
-        left, right = _sct_versors(x, FourVector.from_array(params.a), frame)
-    p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
+    if not lorentz:
+        sign = -params.eps if isinstance(params, Inversion) and kind is QuantityKind.FARADAY else 1
+        p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
+        # np.power, not **: on the numpy scalar of a single event ** takes
+        # another pow than the ufunc loop of a batch.
+        weight, unguarded = sign * np.power(_scale(params, x, frame), p), False
+    left, right = _versors(params, x, frame)
     q = value.to_mv()
     out = vector_sandwich(left, q, right)
-    # np.power, not **: on the numpy scalar of a single event ** takes
-    # another pow than the ufunc loop of a batch.
-    return _project(kind, out, (left, q, right), sign * np.power(scale, p))
-
-
-# -- Lorentz --------------------------------------------------------------------
-
-
-def _lorentz_rotors(params: Lorentz) -> tuple[Multivector13, Multivector13]:
-    """The rotor exp(G) of the generator G and its inverse exp(-G), which is
-    its reverse.  G occupies the same six blades as the Faraday bivector,
-    with the boost in the electric channels and the rotation in the
-    magnetic ones."""
-    L = exp_bivector(Faraday13(params.boost, params.rotation).to_mv())
-    return L, L.reverse()
-
-
-def _lorentz_sandwich(kind: QuantityKind, value, params: Lorentz):
-    """Sandwich by the rotor pair of params, adjusted per row's class.
-
-    The improper rows take the sandwich wrapped in the timelike reflection,
-    which is computed only if some row is improper; the antichronous rows
-    flip the overall sign of position and field but not of potential or
-    current.  The rotor grows as e^|b|, so past |b| of about 355 the image
-    leaves the float64 range: such a row skips the residue guard and is
-    returned as the arithmetic gave it, for the caller to check.
-    """
-    L, Li = _lorentz_rotors(params)
-    improper = params.improper
-    q = value.to_mv()
-    out = vector_sandwich(L, q, Li)
-    if improper.any():
-        e0 = Multivector13.basis_vector(0)
-        reflected = vector_sandwich(e0, out, e0)
-        out = Multivector13._wrap(
-            np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
-        )
-    flip = params.antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
-    weight = np.where(flip, -1.0, 1.0)
-    overflowed = ~np.isfinite(out.max_abs())
-    return _project(kind, out, (L, q, Li), weight, overflowed)
+    if lorentz:
+        # The reflection is computed only if some row is improper.  The rotor
+        # grows as e^|b|, so past |b| of about 355 the image leaves the float64
+        # range: such a row skips the residue guard and is returned as the
+        # arithmetic gave it, for the caller to check.
+        improper = params.improper
+        if improper.any():
+            e0 = Multivector13.basis_vector(0)
+            reflected = vector_sandwich(e0, out, e0)
+            out = Multivector13._wrap(
+                np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
+            )
+        flip = params.antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
+        weight, unguarded = np.where(flip, -1.0, 1.0), ~np.isfinite(out.max_abs())
+    return _project(kind, out, (left, q, right), weight, unguarded)
 
 
 def induced_matrix(params: Lorentz) -> np.ndarray:
@@ -251,5 +236,5 @@ def induced_matrix(params: Lorentz) -> np.ndarray:
     map's rows.  For n maps, by boost and rotation of shape (n, 3) or by n
     classes, the result has shape (n, 4, 4)."""
     basis = FourVector.from_array(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
-    out = _lorentz_sandwich(QuantityKind.POSITION, basis, params)
+    out = _transform(params, QuantityKind.POSITION, basis, None, CoordinateFrame.ORIGINAL)
     return np.moveaxis(out.as_array(), 0, -1)

@@ -3,12 +3,15 @@
 Same physics as the Cl(1,3) layer, independently implemented on complex
 scalars and 3-vectors.  Events are real paravectors t + r; the field travels
 as F = E + iB.  One entry, transform_rows(params, kind, value, x, frame),
-applies every family to every kind: the nonlinear maps as a sandwich
-weighted by a power of the conformal scale.  Conjugation placement differs
-between the potential-type and field sandwiches and between the two
-coordinate presentations; each sandwich spells its own placement rather
-than deriving one from another.  preimage_rows maps image events back to
-their sources, which sweeps in the TRANSFORMED frame need.
+applies every family to every kind.  The Lorentz map, the inversion and the
+special conformal map are one sandwich by J = c x~ + d, the lower row of the
+map's Vahlen matrix [[a, b], [c, d]] at the event (Vahlen, Math. Ann. 55,
+1902; Ahlfors, Complex Variables 5, 1986): bar(J)* q~ bar(J) for a position,
+potential or current q, and bar(J)* F~ J* for the field F, where q~ = bar(q)
+and F~ = F* on the rows where the map acts on bar(x), q and F elsewhere.
+The inversion and the special conformal map weight it by a power of the
+conformal scale.  preimage_rows maps image events back to their sources,
+which sweeps in the TRANSFORMED frame need.
 
 Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
@@ -118,10 +121,13 @@ def raise_refusal(reason: np.ndarray) -> None:
         raise error(text)
 
 
-_ONE = Paravector3(1.0)
+_ONE, _ZERO = Paravector3(1.0), Paravector3(0.0)
 
 
 def sct_factor3(x: Paravector3, a: Paravector3):
+    """sigma = 1 + 2 a.x + a^2 x^2, the scale of the special conformal map by
+    the events a at the events x, from their real parts; it equals J bar(J)
+    for J = bar(a) x + 1."""
     t, r = x.s.real, x.v.real
     a0, av = a.s.real, a.v.real
     return (
@@ -178,20 +184,19 @@ def _field_guard(p: Paravector3, reason) -> Faraday3:
     return Faraday3._wrap(F)
 
 
-def _sct_position3(x: Paravector3, a: Paravector3, k, reason) -> Paravector3:
-    raw = cl3_product(_ONE + cl3_product(a, x.bar()), x)
-    return _real_guard(k * raw, reason)
-
-
-def _position3(params: ConformalParams, x: Paravector3, k, reason) -> Paravector3:
-    """The map of the events x; k is 1/x^2 or 1/sigma (eps k is eps / x^2 to the bit)."""
+def _position3(params: ConformalParams, x: Paravector3, k, reason, frame=_ORIG) -> Paravector3:
+    """The map of the events x, k bar(J)* x for the special conformal map,
+    with k 1/x^2 or 1/sigma (eps k is eps / x^2 to the bit); in the
+    TRANSFORMED frame the preimages k J* x of the image events x, with k the
+    scale there."""
     if isinstance(params, Dilation):
         return (1.0 / params.factor) * x
     if isinstance(params, Translation):
         return x + Paravector3.from_event(params.offset)
     if isinstance(params, Inversion):
         return (params.eps * k) * x
-    return _sct_position3(x, Paravector3.from_event(params.a), k, reason)
+    left = _conj(params, _versor(params, x, frame)[0], frame is _ORIG, True)
+    return _real_guard(k * cl3_product(left, x), reason)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -213,10 +218,49 @@ def _batch_shape(params: ConformalParams, *values) -> tuple:
     return np.broadcast_shapes(params.rows, *shapes)
 
 
-def _value_rows(params, kind, value, x, frame, scale, reason):
+def _where(mask, a: Paravector3, b: Paravector3) -> Paravector3:
+    """a on the rows where mask holds, b on the others."""
+    return Paravector3._wrap(np.where(mask, a.s, b.s), np.where(mask[..., None], a.v, b.v))
+
+
+def _versor(params: ConformalParams, x: Paravector3, frame):
+    """J = c x~ + d at each event, from the lower row [c, d] of the map's
+    Vahlen matrix, and the parity rows, where the map acts on x~ = bar(x).
+
+    The Lorentz map takes bar(L)* on its proper rows and L on its improper
+    ones, for the rotor L = exp(boost + i rotation), in either frame; the
+    inversion takes bar(x), every row a parity row; the special conformal
+    map takes bar(a) x + 1 at the source event and 1 - bar(y) a at the image
+    event y.  J bar(J) is the conformal scale at the source, and J at the
+    image is J at the source times eps (the inversion) or 1, over the scale.
+    """
     if isinstance(params, Lorentz):
-        return _lorentz_sandwich(kind, value, params, reason)
-    if kind is QuantityKind.POSITION:
+        L = exp_complex_vector(params.boost + 1j * params.rotation)
+        J, improper = L.bar().star(), params.improper
+        return (_where(improper, L, J) if improper.any() else J), improper
+    if isinstance(params, Inversion):
+        return x.bar(), np.True_
+    a = Paravector3.from_event(params.a)
+    if frame is _ORIG:
+        return cl3_product(a.bar(), x) + _ONE, np.False_
+    return _ONE - cl3_product(x.bar(), a), np.False_
+
+
+def _conj(params: ConformalParams, J: Paravector3, bar: bool, star: bool) -> Paravector3:
+    """bar(J), J* or bar(J)*, keeping every zero's sign, which is printed: *
+    is skipped on the inversion's J, a real event; a conjugate of the special
+    conformal map's J = 1 + P is 1 + conj(P), whose zeros the sum leaves +0,
+    so adding 0 undoes the sign a conjugation gives a zero."""
+    if bar:
+        J = J.bar()
+    if star and not isinstance(params, Inversion):
+        J = J.star()
+    return J + _ZERO if isinstance(params, Sct) else J
+
+
+def _value_rows(params, kind, value, x, frame, scale, reason):
+    lorentz = isinstance(params, Lorentz)
+    if kind is QuantityKind.POSITION and not lorentz:
         return _position3(params, value, 1.0 / scale, reason)
     field = kind is QuantityKind.FARADAY
     if isinstance(params, Dilation):
@@ -224,38 +268,31 @@ def _value_rows(params, kind, value, x, frame, scale, reason):
         return Faraday3._wrap(w[..., None] * value.F) if field else w * value
     if isinstance(params, Translation):
         return value
-    sign = 1
-    if isinstance(params, Inversion):
-        if field:
-            raw = cl3_product(cl3_product(x, value.to_paravector().star()), x.bar())
-            sign = params.eps
-        else:
-            raw = cl3_product(cl3_product(x, value.bar()), x)
+    J, parity = _versor(params, x, frame)
+    q = value.to_paravector() if field else value
+    if parity.any():
+        q = _where(parity, q.star() if field else q.bar(), q)
+    left, right = _conj(params, J, True, True), _conj(params, J, not field, field)
+    raw = cl3_product(cl3_product(left, q), right)
+    if lorentz:
+        # The antichronous rows flip position and field, never potential or current.
+        position = kind is QuantityKind.POSITION
+        flip = (parity != params.antichronous) if field else params.antichronous & position
+        if flip.any():
+            raw = _where(flip, -raw, raw)
+        # The rotor grows as e^|b|: past |b| of about 355 the image leaves the
+        # float64 range.  A component's modulus may overflow where its parts do not.
+        finite = np.isfinite(raw.s) & np.isfinite(raw.v).all(axis=-1)
+        refuse(reason, ~finite, Refusal.NON_FINITE)
     else:
-        a = Paravector3.from_event(params.a)
-        if frame is _ORIG:
-            left = _ONE + cl3_product(a, x.bar())
-            if field:
-                right = _ONE + cl3_product(x, a.bar())
-            else:
-                right = _ONE + cl3_product(x.bar(), a)
-        else:
-            left = _ONE - cl3_product(x, a.bar())
-            if field:
-                right = _ONE - cl3_product(a, x.bar())
-            else:
-                right = _ONE - cl3_product(a.bar(), x)
-        q = value.to_paravector() if field else value
-        raw = cl3_product(cl3_product(left, q), right)
-    p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
-    # No multiply at p = 0, which by 1 + 0j can flip a zero's sign.
-    if p:
-        # np.power, not **: on the numpy scalar of a single event ** takes
-        # another pow than the ufunc loop.
-        raw = (sign * np.power(scale, p)) * raw
-    if field:
-        return _field_guard(raw, reason)
-    return _real_guard(raw, reason)
+        p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
+        # No multiply at p = 0, which by 1 + 0j can flip a zero's sign.
+        if p:
+            sign = params.eps if field and isinstance(params, Inversion) else 1
+            # np.power, not **: on the numpy scalar of a single event ** takes
+            # another pow than the ufunc loop.
+            raw = (sign * np.power(scale, p)) * raw
+    return _field_guard(raw, reason) if field else _real_guard(raw, reason)
 
 
 def transform_rows(
@@ -273,12 +310,14 @@ def transform_rows(
     on its own and ignores x and frame.  Potential, current and field sit at
     the event x, which the inversion and the special conformal map read: the
     source event in the ORIGINAL frame, the image event in the TRANSFORMED
-    frame.  There the result is a sandwich of value, weighted by the kind's
-    power of the conformal scale; the inversion field also carries the sign
-    +eps.  The conjugations in each sandwich are spelled out per map, kind
-    and frame.  A map that does not read x, and the inversion potential,
-    which does not read eps, leave rows of the ledger out of their values: a
-    read-only view adds them.
+    frame.  There, and for a Lorentz map, the result is the sandwich by the
+    map's J (see _versor): bar(J)* q~ bar(J) for a potential or current and
+    bar(J)* F~ J* for the field, the operand conjugated on the rows where
+    the map acts on bar(x).  The inversion and the special conformal map
+    weight it by the kind's power of the conformal scale, and the inversion
+    field also carries the sign +eps.  A map that does not read x, and the
+    inversion potential, which does not read eps, leave rows of the ledger
+    out of their values: a read-only view adds them.
     """
     if kind is QuantityKind.POSITION:
         x, frame = value, _ORIG
@@ -306,42 +345,6 @@ def transform3(
     return out
 
 
-# -- Lorentz ----------------------------------------------------------------------
-
-
-def _where(mask, a: Paravector3, b: Paravector3) -> Paravector3:
-    """a on the rows where mask holds, b on the others."""
-    return Paravector3._wrap(np.where(mask, a.s, b.s), np.where(mask[..., None], a.v, b.v))
-
-
-def _lorentz_sandwich(kind: QuantityKind, value, params: Lorentz, reason):
-    """Class-resolved sandwich by the rotor L = exp(boost + i rotation).
-
-    Orthochronous-proper sandwiches are L W L* for paravector kinds and
-    L F bar(L) for the field.  The improper rows conjugate the operand
-    (bar(W), or F*) and take the rotor bar(L)*, which swaps the decorations
-    of the outer factors; both are picked per row, and only if some row is
-    improper.
-    The antichronous rows flip the sign of position (paravector side) and
-    field, never of potential or current.  The rotor grows as e^|b|, so
-    past |b| of about 355 the image leaves the float64 range: such a row is
-    NON_FINITE, not a residue.
-    """
-    L = exp_complex_vector(params.boost + 1j * params.rotation)
-    improper, antichronous = params.improper, params.antichronous
-    field = kind is QuantityKind.FARADAY
-    q = value.to_paravector() if field else value
-    if improper.any():
-        L = _where(improper, L.bar().star(), L)
-        q = _where(improper, q.star() if field else q.bar(), q)
-    raw = cl3_product(cl3_product(L, q), L.bar() if field else L.star())
-    flip = (improper != antichronous) if field else antichronous & (kind is QuantityKind.POSITION)
-    if flip.any():
-        raw = _where(flip, -raw, raw)
-    refuse(reason, ~np.isfinite(raw.max_abs()), Refusal.NON_FINITE)
-    return _field_guard(raw, reason) if field else _real_guard(raw, reason)
-
-
 def induced_matrix3(params: Lorentz) -> np.ndarray:
     """Coordinate matrix of the position action, columns by basis image:
     the four basis events are mapped as one batch, on an axis ahead of the
@@ -349,7 +352,7 @@ def induced_matrix3(params: Lorentz) -> np.ndarray:
     classes, the result has shape (n, 4, 4)."""
     basis = Paravector3.from_event(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
     reason = no_refusals(_batch_shape(params, basis))
-    out = _lorentz_sandwich(QuantityKind.POSITION, basis, params, reason)
+    out = _value_rows(params, QuantityKind.POSITION, basis, None, _ORIG, None, reason)
     raise_refusal(reason)
     return np.moveaxis(out.event(), 0, -1)
 
@@ -375,22 +378,14 @@ def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
     return Paravector3.from_event(terms[0] + terms[1] + terms[2] + terms[3])
 
 
-def _inverse_rows(params: ConformalParams, x_new: Paravector3, scale, reason) -> Paravector3:
-    """Preimages of x_new, given the TRANSFORMED-frame scale there."""
-    if isinstance(params, Dilation):
-        return params.factor * x_new
-    if isinstance(params, Translation):
-        return x_new - Paravector3.from_event(params.offset)
-    if isinstance(params, Lorentz):
-        return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new)
-    if isinstance(params, Inversion):
-        return _position3(params, x_new, scale, reason)
-    # The special conformal map with -a undoes the one with a.
-    return _sct_position3(x_new, -Paravector3.from_event(params.a), scale, reason)
-
-
 def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
     """Preimage of each image event under the parametrized map, and each
     row's Refusal code; rows that are not OK hold placeholder values."""
     scale, reason = _scale_rows(params, x_new, CoordinateFrame.TRANSFORMED)
-    return _inverse_rows(params, x_new, scale, reason), reason
+    if isinstance(params, Dilation):
+        return params.factor * x_new, reason
+    if isinstance(params, Translation):
+        return x_new - Paravector3.from_event(params.offset), reason
+    if isinstance(params, Lorentz):
+        return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new), reason
+    return _position3(params, x_new, scale, reason, CoordinateFrame.TRANSFORMED), reason

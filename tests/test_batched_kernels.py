@@ -29,7 +29,7 @@ from emconf.cl13 import (
     grade_project,
     vector_sandwich,
 )
-from emconf.conformal13 import _lorentz_rotors, _project, _sct_versors, induced_matrix, transform
+from emconf.conformal13 import _project, _versors, induced_matrix, transform
 from emconf.conformal3 import induced_matrix3, transform3
 from emconf.errors import GradeLeakageError, LightConeError, SctConeError
 from emconf.maps import (
@@ -150,10 +150,9 @@ def test_project_equals_the_guarded_extraction(kind):
         q = Faraday13(rng.uniform(-2, 2, (30, 3)), rng.uniform(-2, 2, (30, 3))).to_mv()
     else:
         q = FourVector.from_array(rng.uniform(-2, 2, (30, 4))).to_mv()
-    L, Li = _lorentz_rotors(Lorentz(rng.uniform(-1, 1, (30, 3)), rng.uniform(-1, 1, (30, 3))))
-    sandwiches = [(x.to_mv(), x.to_mv()), (L, Li)]
-    sandwiches += [_sct_versors(x, a, frame) for frame in CoordinateFrame]
-    for left, right in sandwiches:
+    lorentz = Lorentz(rng.uniform(-1, 1, (30, 3)), rng.uniform(-1, 1, (30, 3)))
+    families = (Inversion(1), lorentz, Sct(a))
+    for left, right in (_versors(p, x, frame) for p in families for frame in CoordinateFrame):
         out = vector_sandwich(left, q, right)
         for weight in (rng.uniform(-3, 3, 30), -1.0):
             got = _project(kind, out, (left, q, right), weight)

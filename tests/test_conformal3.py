@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emconf.cl13 import Faraday13, FourVector
-from emconf.cl3 import Faraday3, Paravector3, minkowski_square
+from emconf.cl3 import Faraday3, Paravector3, cl3_product, minkowski_square
 from emconf.conformal13 import induced_matrix, sct_factor, transform
 from emconf.conformal3 import (
     Refusal,
     _inverse_lorentz,
+    _versor,
     induced_matrix3,
     preimage_rows,
     raise_refusal,
@@ -356,6 +357,44 @@ def test_transform_rows_returns_the_conformal_scale():
     assert scale(sct, xs, TRANS) == pytest.approx(s, rel=1e-12)
 
 
+_VERSOR_MAPS = [
+    Sct(FourVector(0.3, -0.2, 0.1, 0.25)),
+    Inversion(1),
+    Inversion(-1),
+    *(Lorentz((0.3, -0.2, 0.4), (0.5, 0.1, -0.7), cls) for cls in LorentzClass),
+]
+
+
+@pytest.mark.parametrize("params", _VERSOR_MAPS, ids=repr)
+def test_versor_norm_is_the_scale_and_the_image_versor_the_source_over_it(params):
+    """The rule of _versor's docstring on a batch of events: J bar(J) is the
+    conformal scale at the source event, x^2 to the bit for the inversion,
+    and J read at the image event is J at the source times eps for the
+    inversion, or 1, over that scale."""
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-2, 2, (400, 4))
+    x = ev(X)
+    keep = np.abs(minkowski_square(x)) > 0.2
+    if isinstance(params, Sct):
+        keep &= np.abs(sct_factor3(x, ev(params.a))) > 0.2
+    x = ev(X[keep])
+    y, scale, reason = transform_rows(params, POSITION, x)
+    assert (reason == Refusal.OK).all()
+    J = _versor(params, x, ORIG)[0]
+    norm = cl3_product(J, J.bar())
+    if isinstance(params, Inversion):
+        assert norm.s.real.tobytes() == scale.tobytes()
+    else:
+        assert (np.abs(norm.s - scale) <= 1e-13 * np.abs(scale)).all()
+    assert (np.abs(norm.v).max(axis=-1) <= 1e-13 * np.abs(scale)).all()
+    sign = params.eps if isinstance(params, Inversion) else 1.0
+    expected = (sign / scale) * J
+    got = _versor(params, y, TRANS)[0]
+    size = np.maximum(np.abs(expected.s), np.abs(expected.v).max(axis=-1))
+    dev = np.maximum(np.abs(got.s - expected.s), np.abs(got.v - expected.v).max(axis=-1))
+    assert (dev <= 1e-14 * size).all()
+
+
 def test_transform3_linear_families():
     F = Faraday3(E=(1.0, 2.0, 0.0), B=(0.0, -1.0, 0.5))
     x = ev((1.0, 0, 0, 0))
@@ -369,27 +408,34 @@ def test_transform3_linear_families():
 def test_lorentz_overflow_rows_are_non_finite_in_both_routes(kind):
     """A boost past the float64 range leaves non-finite rows for the caller
     to check, the same rows in both routes, and no exception; the finite
-    rows of the batch are the rows computed alone."""
-    boost = np.array([[400.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, -400.0, 0.0]])
-    params = Lorentz(boost=boost, rotation=np.zeros((3, 3)))
+    rows of the batch are the rows computed alone.  The last row's field
+    is finite in both routes, though the modulus of a component, 1.8e308,
+    is not: transform_rows leaves it OK."""
+    boost = np.array([[400.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, -400.0, 0.0], [0.0, 0.59375, 0.0]])
+    rotation = np.zeros((4, 3))
+    rotation[3, 0] = 1.0
+    params = Lorentz(boost=boost, rotation=rotation)
     if kind is FARADAY:
-        E, B = np.tile([1.0, 0.0, 0.0], (3, 1)), np.tile([0.0, 0.5, 0.0], (3, 1))
+        E, B = np.tile([1.0, 0.0, 0.0], (4, 1)), np.tile([0.0, 0.5, 0.0], (4, 1))
+        E[3], B[3] = (1e308, 1e308, 0.0), 0.0
         value13, value3 = Faraday13(E, B), Faraday3(E, B)
     else:
-        X = np.tile([1.0, 0.2, 0.0, 0.0], (3, 1))
+        X = np.tile([1.0, 0.2, 0.0, 0.0], (4, 1))
         value13, value3 = FourVector.from_array(X), ev(X)
     with np.errstate(over="ignore", invalid="ignore"):
         out13 = transform(params, kind, value13)
-        out3 = transform3(params, kind, value3)
+        out3, _, reason = transform_rows(params, kind, value3)
+        raise_refusal(reason)
     if kind is FARADAY:
         got13 = np.concatenate([out13.E, out13.B], axis=-1)
         got3 = np.concatenate([out3.E, out3.B], axis=-1)
     else:
         got13 = out13.as_array()
         got3 = np.concatenate([out3.s.real[:, None], out3.v.real], axis=-1)
-    non_finite = [True, False, True]
+    non_finite = [True, False, True, False]
     assert list(~np.isfinite(got13).all(axis=-1)) == non_finite
     assert list(~np.isfinite(got3).all(axis=-1)) == non_finite
+    assert reason.tolist() == [Refusal.NON_FINITE if bad else Refusal.OK for bad in non_finite]
     alone = transform(Lorentz(boost=(0.3, 0.0, 0.0)), kind, value13)
     alone = alone.as_array() if kind is POSITION else np.concatenate([alone.E, alone.B], axis=-1)
     assert got13[1].tobytes() == alone[1].tobytes()

@@ -147,7 +147,13 @@ def _split_bits(result, ok):
     return [_row_bits(result, i) for i in np.flatnonzero(ok)], result[3].tolist()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# 150 examples in the tier-1 run; CI's wide profile runs 5,000.
+@settings(
+    max_examples=max(150, settings.default.max_examples),
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
 @given(data=st.data())
 def test_kernel_rows_match_batches_of_one_and_the_scalar_entries(data):
     params = data.draw(FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))], label="params")
