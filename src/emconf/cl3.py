@@ -105,6 +105,16 @@ class Paravector3:
     def max_abs(self):
         return np.maximum(np.abs(self.s), np.abs(self.v).max(axis=-1))
 
+    def _event_parts(self):
+        """t and r of real events, raising NonRealEventError if any event
+        carries imaginary parts above GRADE_TOL."""
+        # Events built from real coordinates have exact zeros here; only the
+        # others, NaN included, need the relative guard.
+        if self.s.imag.any() or self.v.imag.any():
+            if _refused(self.imag_residue(), self, GRADE_TOL).any():
+                raise NonRealEventError("event paravector must be real")
+        return self.s.real, self.v.real
+
     def imag_residue(self):
         return np.maximum(np.abs(self.s.imag), np.abs(self.v.imag).max(axis=-1))
 
@@ -162,12 +172,7 @@ def minkowski_square(x: Paravector3):
     Raises NonRealEventError if any event carries imaginary parts above
     GRADE_TOL.
     """
-    # Events built from real coordinates have exact zeros here; only the
-    # others, NaN included, need the relative guard.
-    if x.s.imag.any() or x.v.imag.any():
-        if _refused(x.imag_residue(), x, GRADE_TOL).any():
-            raise NonRealEventError("event paravector must be real")
-    t, r = x.s.real, x.v.real
+    t, r = x._event_parts()
     return t * t - dot3(r, r)
 
 

@@ -11,7 +11,8 @@ potential or current q, and bar(J)* F~ J* for the field F, where q~ = bar(q)
 and F~ = F* on the rows where the map acts on bar(x), q and F elsewhere.
 The inversion and the special conformal map weight it by a power of the
 conformal scale.  preimage_rows maps image events back to their sources,
-which sweeps in the TRANSFORMED frame need.
+which sweeps in the TRANSFORMED frame need: the inverse of a Vahlen matrix
+is a map of the same family, and a preimage is the image under it.
 
 Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
@@ -126,9 +127,9 @@ _ONE, _ZERO = Paravector3(1.0), Paravector3(0.0)
 
 def sct_factor3(x: Paravector3, a: Paravector3):
     """sigma = 1 + 2 a.x + a^2 x^2, the scale of the special conformal map by
-    the events a at the events x, from their real parts; it equals J bar(J)
-    for J = bar(a) x + 1."""
-    t, r = x.s.real, x.v.real
+    the events a at the real events x; it equals J bar(J) for J = bar(a) x + 1.
+    Like minkowski_square, it raises NonRealEventError for a non-real x."""
+    t, r = x._event_parts()
     a0, av = a.s.real, a.v.real
     return (
         1.0
@@ -146,14 +147,14 @@ def _cone_guard(value, code: Refusal, reason: np.ndarray):
     return np.where(refused, 1.0, value)
 
 
-def _scale_rows(params: ConformalParams, x: Paravector3, frame, *values):
+def _scale_rows(params: ConformalParams, x: Paravector3, frame, value):
     """The conformal scale at each event of x and a new ledger of its
     refusals: Omega for the inversion, sigma for the special conformal map,
     the factor of a dilation and 1 for the isometries.  The inversion and the
     special conformal map read x as the source event in the ORIGINAL frame
     and as the image event in the TRANSFORMED frame, and refuse an x on
     their cones."""
-    reason = no_refusals(_batch_shape(params, x, *values))
+    reason = no_refusals(_batch_shape(params, x, value))
     w = 1.0
     if isinstance(params, Dilation):
         w = params.factor
@@ -184,18 +185,16 @@ def _field_guard(p: Paravector3, reason) -> Faraday3:
     return Faraday3._wrap(F)
 
 
-def _position3(params: ConformalParams, x: Paravector3, k, reason, frame=_ORIG) -> Paravector3:
+def _position3(params: ConformalParams, x: Paravector3, k, reason) -> Paravector3:
     """The map of the events x, k bar(J)* x for the special conformal map,
-    with k 1/x^2 or 1/sigma (eps k is eps / x^2 to the bit); in the
-    TRANSFORMED frame the preimages k J* x of the image events x, with k the
-    scale there."""
+    with k 1/x^2 or 1/sigma (eps k is eps / x^2 to the bit)."""
     if isinstance(params, Dilation):
         return (1.0 / params.factor) * x
     if isinstance(params, Translation):
         return x + Paravector3.from_event(params.offset)
     if isinstance(params, Inversion):
         return (params.eps * k) * x
-    left = _conj(params, _versor(params, x, frame)[0], frame is _ORIG, True)
+    left = _conj(params, _versor(params, x, _ORIG)[0], True, True)
     return _real_guard(k * cl3_product(left, x), reason)
 
 
@@ -351,41 +350,36 @@ def induced_matrix3(params: Lorentz) -> np.ndarray:
     map's rows.  For n maps, by boost and rotation of shape (n, 3) or by n
     classes, the result has shape (n, 4, 4)."""
     basis = Paravector3.from_event(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
-    reason = no_refusals(_batch_shape(params, basis))
-    out = _value_rows(params, QuantityKind.POSITION, basis, None, _ORIG, None, reason)
-    raise_refusal(reason)
-    return np.moveaxis(out.event(), 0, -1)
+    return np.moveaxis(transform3(params, QuantityKind.POSITION, basis).event(), 0, -1)
 
 
-def _inverse_lorentz(params: Lorentz) -> Lorentz:
-    """The map of the same class that undoes params: a class acts as
-    M Lambda(b, r) with M one of 1, P, -P, -1 for the parity P, M M = 1 and
-    P Lambda(b, r) P = Lambda(-b, r), so M Lambda(-b, -r) undoes a proper
-    class and M Lambda(b, -r) an improper one; each row of a batch takes
-    the boost its own class calls for."""
-    boost = np.where(params.improper[..., None], params.boost, -params.boost)
-    return Lorentz(boost, -params.rotation, params.lorentz_class)
+# -- preimages -------------------------------------------------------------------
 
 
-# -- preimages and sweeps --------------------------------------------------------
-
-
-def _apply_matrix(mat: np.ndarray, x: Paravector3) -> Paravector3:
-    """mat times the coordinates of each event, as explicit four-term sums;
-    a batch of matrices of shape (..., 4, 4) maps each event by its own."""
-    c = x.event()[..., None, :]
-    terms = [mat[..., j] * c[..., j] for j in range(4)]
-    return Paravector3.from_event(terms[0] + terms[1] + terms[2] + terms[3])
+def _inverse(params: ConformalParams) -> ConformalParams:
+    """The map of the same family that undoes params, for every family but
+    the dilation (see preimage_rows): the translation by -offset, the special
+    conformal map by -a, the inversion itself, or the Lorentz map of the
+    same class.  A class acts as M Lambda(b, r) with M one of 1, P, -P, -1
+    for the parity P, M M = 1 and P Lambda(b, r) P = Lambda(-b, r), so
+    M Lambda(-b, -r) undoes a proper class and M Lambda(b, -r) an improper
+    one; each row of a batch takes the boost its own class calls for."""
+    if isinstance(params, Translation):
+        return Translation(-params.offset)
+    if isinstance(params, Sct):
+        return Sct(-params.a)
+    if isinstance(params, Lorentz):
+        boost = np.where(params.improper[..., None], params.boost, -params.boost)
+        return Lorentz(boost, -params.rotation, params.lorentz_class)
+    return params
 
 
 def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravector3, np.ndarray]:
-    """Preimage of each image event under the parametrized map, and each
-    row's Refusal code; rows that are not OK hold placeholder values."""
-    scale, reason = _scale_rows(params, x_new, CoordinateFrame.TRANSFORMED)
+    """Preimage of each image event under the map, and each row's Refusal
+    code (rows not OK hold placeholders): its image under the map that
+    undoes params (see _inverse), or, for a dilation, factor times it, which
+    rounds once where the map by 1/factor rounds twice."""
     if isinstance(params, Dilation):
-        return params.factor * x_new, reason
-    if isinstance(params, Translation):
-        return x_new - Paravector3.from_event(params.offset), reason
-    if isinstance(params, Lorentz):
-        return _apply_matrix(induced_matrix3(_inverse_lorentz(params)), x_new), reason
-    return _position3(params, x_new, scale, reason, CoordinateFrame.TRANSFORMED), reason
+        return params.factor * x_new, no_refusals(_batch_shape(params, x_new))
+    out, _, reason = transform_rows(_inverse(params), QuantityKind.POSITION, x_new)
+    return out, reason

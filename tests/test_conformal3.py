@@ -13,16 +13,17 @@ from emconf.cl3 import Faraday3, Paravector3, cl3_product, minkowski_square
 from emconf.conformal13 import induced_matrix, sct_factor, transform
 from emconf.conformal3 import (
     Refusal,
-    _inverse_lorentz,
+    _inverse,
     _versor,
     induced_matrix3,
+    no_refusals,
     preimage_rows,
     raise_refusal,
     sct_factor3,
     transform3,
     transform_rows,
 )
-from emconf.errors import LightConeError, SctConeError
+from emconf.errors import LightConeError, NonRealEventError, SctConeError
 from emconf.fields import Coulomb, sweep
 from emconf.oracle import (
     invert_event,
@@ -287,10 +288,10 @@ def test_lorentz_preimage_of_mixed_classes_is_each_rows_preimage():
     rng = np.random.default_rng(55)
     boost, rotation = rng.uniform(-1, 1, (2, 8, 3))
     classes = np.array(list(LorentzClass) * 2, dtype=object)
-    inv = _inverse_lorentz(Lorentz(boost, rotation, classes))
+    inv = _inverse(Lorentz(boost, rotation, classes))
     assert inv.lorentz_class is classes
     for i, cls in enumerate(classes):
-        one = _inverse_lorentz(Lorentz(boost[i], rotation[i], cls))
+        one = _inverse(Lorentz(boost[i], rotation[i], cls))
         assert inv.boost[i].tobytes() == one.boost.tobytes()
         assert inv.rotation[i].tobytes() == one.rotation.tobytes()
 
@@ -317,16 +318,32 @@ def test_preimage_of_a_batch_of_lorentz_maps_is_each_rows_preimage(classes):
             assert back.v[i].tobytes() == one.v.tobytes()
 
 
+def _lorentz_up_to_3(cls) -> Lorentz:
+    """Ten maps of the class, with |b| and |r| spread over [0.3, 3] in
+    random directions."""
+    d = np.random.default_rng(57).normal(size=(2, 10, 3))
+    d *= np.linspace(0.3, 3.0, 10)[:, None] / np.linalg.norm(d, axis=-1, keepdims=True)
+    return Lorentz(d[0], d[1], cls)
+
+
 @pytest.mark.parametrize("params", [
     Dilation(factor=2.5),
     Translation(offset=FourVector(0.5, -1.0, 0.25, 2.0)),
     Lorentz(boost=(0.2, -0.1, 0.3), rotation=(0.4, 0.0, -0.2)),
+    *(_lorentz_up_to_3(cls) for cls in LorentzClass),
     Inversion(eps=-1),
     Sct(a=FourVector(0.2, 0.1, -0.3, 0.05)),
-], ids=["dilation", "translation", "lorentz", "inversion", "sct"])
+], ids=["dilation", "translation", "lorentz", *(c.value for c in LorentzClass), "inversion", "sct"])
 def test_preimage_rows_round_trips(params):
-    """preimage_rows undoes each family's forward position map."""
+    """preimage_rows undoes each family's forward position map, to 1e-9 of
+    max(1, |x|).  A batch of Lorentz maps with |b| up to 3 rounds its image
+    to about e^(2|b|) |x|, and the preimage grows that by e^(2|b|) again: it
+    holds to 1e-14 e^(4|b|) of max(1, |x|), five times the worst deviation
+    over 200,000 draws of |b|, |r| up to 3 and events in [-2, 2]."""
     rng = np.random.default_rng(53)
+    tol = 1e-9
+    if isinstance(params, Lorentz) and params.rows:
+        tol = 1e-14 * np.exp(4.0 * np.linalg.norm(params.boost, axis=-1))
     for _ in range(10):
         x = rand_event(rng, guard=0.5)
         a = ev(params.a) if isinstance(params, Sct) else None
@@ -334,7 +351,68 @@ def test_preimage_rows_round_trips(params):
             continue
         back, reason = preimage_rows(params, transform3(params, POSITION, x))
         assert not reason.any()
-        assert back.approx_eq(x, 1e-9 * max(1.0, x.max_abs()))
+        dev = np.maximum(np.abs(back.s - x.s), np.abs(back.v - x.v).max(axis=-1))
+        assert (dev <= tol * max(1.0, x.max_abs())).all()
+
+
+@settings(deadline=None, database=None)
+@given(
+    family=st.sampled_from(["dilation", "translation", "lorentz", "inversion", "sct"]),
+    n=st.integers(1, 4),
+    map_rows=st.sampled_from([(), ("n",)]),
+    x_rows=st.sampled_from([(), ("n",), ("n", 1)]),
+    on_cone=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_preimage_is_the_image_under_the_inverse_map(
+    family, n, map_rows, x_rows, on_cone, seed
+):
+    """preimage_rows gives the bytes and the ledger of the image under the
+    map that undoes params (see _inverse), and a dilation's preimage is
+    factor times the event.  The maps hold a Lorentz class, an eps or an a
+    per row, with boosts and rotations up to 3 and a up to 1; the events
+    may sit on the light cone, where the inversion refuses them."""
+    rng = np.random.default_rng(seed)
+    mrows, xrows = (tuple(n if d == "n" else d for d in p) for p in (map_rows, x_rows))
+    if family == "lorentz":
+        cls = np.array(list(LorentzClass), dtype=object)[rng.integers(0, 4, mrows)]
+        params = Lorentz(rng.uniform(-3, 3, mrows + (3,)), rng.uniform(-3, 3, mrows + (3,)), cls)
+    elif family == "inversion":
+        params = Inversion(rng.choice([-1, 1], mrows))
+    elif family == "sct":
+        params = Sct(rng.uniform(-1, 1, mrows + (4,)))
+    elif family == "translation":
+        params = Translation(rng.uniform(-1, 1, mrows + (4,)))
+    else:
+        params = Dilation(rng.uniform(0.1, 10.0, mrows))
+    X = rng.uniform(-2, 2, xrows + (4,))
+    if on_cone:
+        X[..., 0] = np.linalg.norm(X[..., 1:], axis=-1)
+    y = ev(X)
+    back, reason = preimage_rows(params, y)
+    if family == "dilation":
+        want, want_reason = params.factor * y, no_refusals(np.broadcast_shapes(mrows, xrows))
+    else:
+        want, _, want_reason = transform_rows(_inverse(params), POSITION, y)
+    assert (back.s.tobytes(), back.v.tobytes()) == (want.s.tobytes(), want.v.tobytes())
+    assert reason.shape == want_reason.shape
+    assert reason.tobytes() == want_reason.tobytes()
+
+
+@pytest.mark.parametrize("params", [Sct(FourVector(0.1, 0.0, 0.2, 0.0)), Inversion(1)])
+def test_a_non_real_event_raises_for_the_inversion_and_the_sct_alike(params):
+    """Both maps read an event's conformal scale through one check, which
+    raises NonRealEventError for an event with imaginary parts: at the
+    source, at the image and for a preimage."""
+    x = Paravector3(1 + 0.5j, [0.2, 0.1j, 0.3])
+    F = Faraday3((1.0, 0.0, 0.0), (0.0, 0.5, 0.0))
+    for call, args in (
+        (transform_rows, (params, FARADAY, F, x)),
+        (transform_rows, (params, FARADAY, F, x, TRANS)),
+        (preimage_rows, (params, x)),
+    ):
+        with pytest.raises(NonRealEventError):
+            call(*args)
 
 
 def test_transform_rows_returns_the_conformal_scale():

@@ -117,12 +117,15 @@ def events(draw, a):
 def _scalar_row(field, params, x, frame):
     """The row through the entry points at this one event, each ledger
     raised by raise_refusal: its code, and its values when they are
-    computed."""
+    computed.  A preimage that its ledger names NON_FINITE (a Lorentz
+    preimage of a NaN event, say) refuses the row, as in the sweep."""
     grid = Paravector3.from_event(x)
     try:
         if frame is TRANS:
             src_pv, reason = preimage_rows(params, grid)
             raise_refusal(reason)
+            if reason == Refusal.NON_FINITE:
+                return Refusal.NON_FINITE, None
             src = FourVector(src_pv.s.real, *src_pv.v.real)
         else:
             src = FourVector(*x)
