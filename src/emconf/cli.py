@@ -21,6 +21,11 @@ deleted afterwards, into which numtext.write_g17 writes the 13 field and
 scale numbers of every row at once, each exactly '%.17g' % v of its float64
 value (numtext's docstring gives the rounding analysis).
 
+Flags overlay a job file's `field` and `xform` sections key by key.  Each
+key is named once, in _KEYS, with its flag and its check; a kind takes the
+fields of its class, with the class's defaults.  Any key that is not taken
+is refused with exit code 2.
+
 The argument parser is built on the first main() call and reused by later
 calls in the same process, so in-process callers do not rebuild it per job.
 """
@@ -184,111 +189,120 @@ def _require_number(value, what: str) -> float:
     return x
 
 
-def build_field(spec: dict) -> FieldSpec:
-    kind = spec.get("kind")
+def _vector(n: int):
+    """The job file's check of a list of n numbers, which names the key."""
+    return lambda value, key: _require_numbers(value, n, key)
+
+
+def _lorentz_class(value, key: str) -> LorentzClass:
     try:
-        if kind == "uniform":
-            return UniformField(
-                E0=_require_numbers(spec.get("E0", (0, 0, 0)), 3, "E0"),
-                B0=_require_numbers(spec.get("B0", (0, 0, 0)), 3, "B0"),
-            )
-        if kind == "planewave":
-            if "E0" not in spec or "khat" not in spec:
-                raise JobError("planewave needs E0 and khat")
-            return PlaneWave(
-                E0=_require_numbers(spec["E0"], 3, "E0"),
-                khat=_require_numbers(spec["khat"], 3, "khat"),
-                phase=_require_number(spec.get("phase", 0.0), "phase"),
-            )
-        if kind == "coulomb":
-            return Coulomb(q=_require_number(spec.get("q", 1.0), "q"))
-    except JobError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise JobError(f"bad {kind} field: {exc}") from None
-    raise JobError(f"unknown field kind: {kind!r}")
+        return LorentzClass(value)
+    except ValueError:
+        raise JobError(f"unknown lorentz class: {value!r}") from None
 
 
-def build_xform(spec: dict) -> ConformalParams:
+# Each job section (its key is also its kind flag): its name in messages, the
+# word that a class's own refusal is reported under, and each kind's class.
+_SECTIONS = {
+    "field": ("field", "field", {
+        "uniform": UniformField, "planewave": PlaneWave, "coulomb": Coulomb,
+    }),
+    "xform": ("transformation", "parameters", {
+        "dilation": Dilation, "translation": Translation, "lorentz": Lorentz,
+        "inversion": Inversion, "sct": Sct,
+    }),
+}
+# Each section's keys in flag order: the flag, the key, which is the flag's
+# argparse dest and the job file's name, the job file's check of the key's
+# value, and the flag's argparse options.  A key's default is its class's.
+_KEYS = {
+    "field": (
+        ("--E0", "E0", _vector(3), {"type": _vec(3), "metavar": "Ex,Ey,Ez"}),
+        ("--B0", "B0", _vector(3), {"type": _vec(3), "metavar": "Bx,By,Bz"}),
+        ("--khat", "khat", _vector(3), {"type": _vec(3), "metavar": "kx,ky,kz"}),
+        ("--phase", "phase", _require_number, {"type": float}),
+        ("--q", "q", _require_number, {"type": float}),
+    ),
+    "xform": (
+        ("--eps", "eps", _require_int, {"type": int, "choices": [-1, 1]}),
+        ("--a", "a", _vector(4), {"type": _vec(4), "metavar": "t,x,y,z"}),
+        ("--lambda", "factor", _require_number, {"type": float, "metavar": "FACTOR"}),
+        ("--b", "offset", _vector(4), {"type": _vec(4), "metavar": "t,x,y,z"}),
+        ("--boost", "boost", _vector(3), {"type": _vec(3), "metavar": "bx,by,bz"}),
+        ("--rotation", "rotation", _vector(3), {"type": _vec(3), "metavar": "rx,ry,rz"}),
+        ("--lorentz-class", "class", _lorentz_class,
+         {"choices": [c.value for c in LorentzClass]}),
+    ),
+}
+_CHECKS = {key: check for rows in _KEYS.values() for _, key, check, _ in rows}
+# Each kind's keys, read off its class's fields: the class's parameter and
+# whether the key is required (the field has no default).  The key `class`
+# stands for the parameter `lorentz_class`.
+_KIND_KEYS = {
+    kind: {
+        "class" if f.name == "lorentz_class" else f.name: (
+            f.name, f.default is dataclasses.MISSING
+        )
+        for f in dataclasses.fields(cls)
+    }
+    for _, _, classes in _SECTIONS.values()
+    for kind, cls in classes.items()
+}
+_JOB_KEYS = {"field", "xform", "grid", "frame", "format", "out", "point"}
+
+
+def _build(section: str, spec: dict):
+    """The field or map of a job section: each key is checked, and the class,
+    which holds every default, is called."""
+    name, noun, classes = _SECTIONS[section]
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in classes:
+        raise JobError(f"unknown {name} kind: {kind!r}")
+    keys = _KIND_KEYS[kind]
+    stray = [key for key in spec if key != "kind" and key not in keys]
+    if stray:
+        raise JobError(f"{kind} takes no {' or '.join(stray)}")
+    missing = [key for key, (_, required) in keys.items() if required and key not in spec]
+    if missing:
+        raise JobError(f"{kind} needs {' and '.join(missing)}")
+    values = {param: _CHECKS[key](spec[key], key) for key, (param, _) in keys.items()
+              if key in spec}
     try:
-        if kind == "dilation":
-            return Dilation(factor=_require_number(spec.get("factor", 1.0), "factor"))
-        if kind == "translation":
-            if "offset" not in spec:
-                raise JobError("translation needs an offset")
-            return Translation(offset=_require_numbers(spec["offset"], 4, "offset"))
-        if kind == "lorentz":
-            cls_name = spec.get("class", LorentzClass.PROPER_ORTHOCHRONOUS.value)
-            try:
-                cls = LorentzClass(cls_name)
-            except ValueError:
-                raise JobError(f"unknown lorentz class: {cls_name!r}") from None
-            return Lorentz(
-                boost=_require_numbers(spec.get("boost", (0, 0, 0)), 3, "boost"),
-                rotation=_require_numbers(
-                    spec.get("rotation", (0, 0, 0)), 3, "rotation"
-                ),
-                lorentz_class=cls,
-            )
-        if kind == "inversion":
-            return Inversion(eps=_require_int(spec.get("eps", 1), "eps"))
-        if kind == "sct":
-            if "a" not in spec:
-                raise JobError("sct needs the vector a")
-            return Sct(a=_require_numbers(spec["a"], 4, "a"))
-    except JobError:
-        raise
+        return classes[kind](**values)
     except (TypeError, ValueError) as exc:
-        raise JobError(f"bad {kind} parameters: {exc}") from None
-    raise JobError(f"unknown transformation kind: {kind!r}")
-
-
-# Each section's flags, by their argparse dests, which are the job file keys.
-_FIELD_FLAGS = ("E0", "B0", "khat", "phase", "q")
-_XFORM_FLAGS = ("eps", "a", "factor", "offset", "boost", "rotation", "class")
-
-
-def _spec_from_args(kind, args, keys: tuple) -> dict | None:
-    """The job file section that the flags spell, or None without the
-    section's kind flag."""
-    if kind is None:
-        return None
-    spec = {"kind": kind}
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            spec[key] = value
-    return spec
-
-
-def _merge_spec(from_job, from_args, what: str) -> dict:
-    """Flags override the job file; either source alone is fine."""
-    if from_job is not None and not isinstance(from_job, dict):
-        raise JobError(f"job {what} entry must be an object")
-    if from_args is not None:
-        if from_job is not None and from_job.get("kind") == from_args["kind"]:
-            return {**from_job, **from_args}
-        return from_args
-    if from_job is None:
-        raise JobError(f"no {what} given (use flags or a job file)")
-    return from_job
+        raise JobError(f"bad {kind} {noun}: {exc}") from None
 
 
 def _job_field_params(args) -> tuple[dict, FieldSpec, ConformalParams]:
     """The job file (empty without --job), and the field and the map that it
-    and the flags give."""
+    and the flags give.  A section's flags overlay the job file's section,
+    but a kind flag that names another kind starts the section afresh."""
     job = _load_job(args.job) if args.job else {}
-    spec = _spec_from_args(args.field, args, _FIELD_FLAGS)
-    field = build_field(_merge_spec(job.get("field"), spec, "field"))
-    spec = _spec_from_args(args.xform, args, _XFORM_FLAGS)
-    return job, field, build_xform(_merge_spec(job.get("xform"), spec, "transformation"))
+    stray = [key for key in job if key not in _JOB_KEYS]
+    if stray:
+        raise JobError(f"unknown job key: {stray[0]!r}")
+    built = []
+    for section, (name, _, _) in _SECTIONS.items():
+        spec, kind = job.get(section), getattr(args, section)
+        if spec is not None and not isinstance(spec, dict):
+            raise JobError(f"job {name} entry must be an object")
+        if kind is not None and (spec is None or spec.get("kind") != kind):
+            spec = {"kind": kind}
+        if spec is None:
+            raise JobError(f"no {name} given (use flags or a job file)")
+        flags = {key: value for _, key, _, _ in _KEYS[section]
+                 if (value := getattr(args, key)) is not None}
+        built.append(_build(section, {**spec, **flags}))
+    return job, *built
 
 
 def _axis(name: str, axis: dict) -> np.ndarray:
     """The values of grid axis name from its min, max and count."""
     if not {"min", "max", "count"} <= axis.keys():
         raise JobError(f"grid axis {name} needs numeric min, max, count")
+    stray = [key for key in axis if key not in ("min", "max", "count")]
+    if stray:
+        raise JobError(f"grid axis {name}: unknown key {stray[0]!r}")
     lo = _require_number(axis["min"], f"grid axis {name}: min")
     hi = _require_number(axis["max"], f"grid axis {name}: max")
     count = _require_int(axis["count"], f"grid axis {name}: count")
@@ -425,6 +439,14 @@ def _json_object(items) -> str:
     return "{" + body + "}"
 
 
+def _out(args, job: dict) -> str | None:
+    """The output path: --out, else the job file's out, else None (stdout)."""
+    out = args.out or job.get("out")
+    if not isinstance(out, (str, type(None))):
+        raise JobError("job out entry must be a string")
+    return out
+
+
 @contextlib.contextmanager
 def _output(out: str | None):
     """stdout, or the file at out opened for writing; a file that cannot be
@@ -468,9 +490,7 @@ def cmd_transform(args) -> int:
     fmt = args.format or job.get("format", "csv")
     if fmt not in _FORMATS:
         raise JobError(f"unknown format: {fmt!r}")
-    out = args.out or job.get("out")
-    if not isinstance(out, (str, type(None))):
-        raise JobError("job out entry must be a string")
+    out = _out(args, job)
 
     tally = np.zeros(len(Refusal), dtype=np.int64)
     # A row that overflows is refused as NON_FINITE and counted in the
@@ -510,6 +530,7 @@ def cmd_invariants(args) -> int:
     if point is None:
         raise JobError("no point given (use --point or a job file)")
     coords = _require_numbers(point, 4, "point")
+    out = _out(args, job)
     try:
         # An overflow is refused below by name, without numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -528,7 +549,7 @@ def cmd_invariants(args) -> int:
               f"{report.condition:.3e}, so kappa * u exceeds {RESIDUE_TOL:g}", file=sys.stderr)
         return 1
     lines = [f"  {json.dumps(k)}: {_num(v)}" for k, v in values.items()]
-    _emit("{\n" + ",\n".join(lines) + "\n}\n", args.out)
+    _emit("{\n" + ",\n".join(lines) + "\n}\n", out)
     return 0
 
 
@@ -595,33 +616,6 @@ def cmd_verify(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
-def _add_field_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("field")
-    g.add_argument("--field", choices=["uniform", "planewave", "coulomb"])
-    g.add_argument("--E0", type=_vec(3), metavar="Ex,Ey,Ez")
-    g.add_argument("--B0", type=_vec(3), metavar="Bx,By,Bz")
-    g.add_argument("--khat", type=_vec(3), metavar="kx,ky,kz")
-    g.add_argument("--phase", type=float)
-    g.add_argument("--q", type=float)
-
-
-def _add_xform_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("transformation")
-    g.add_argument(
-        "--xform",
-        choices=["dilation", "translation", "lorentz", "inversion", "sct"],
-    )
-    g.add_argument("--eps", type=int, choices=[-1, 1])
-    g.add_argument("--a", type=_vec(4), metavar="t,x,y,z")
-    g.add_argument("--lambda", dest="factor", type=float, metavar="FACTOR")
-    g.add_argument("--b", dest="offset", type=_vec(4), metavar="t,x,y,z")
-    g.add_argument("--boost", type=_vec(3), metavar="bx,by,bz")
-    g.add_argument("--rotation", type=_vec(3), metavar="rx,ry,rz")
-    g.add_argument(
-        "--lorentz-class", dest="class", choices=[c.value for c in LorentzClass]
-    )
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first main() call and reused by every later
@@ -636,20 +630,21 @@ def _parser() -> argparse.ArgumentParser:
     tp = sub.add_parser(
         "transform", help="sweep a field over a spacetime grid and transform it"
     )
-    tp.add_argument("--job", metavar="JOB.json", help="job file; flags override it")
-    _add_field_flags(tp)
-    _add_xform_flags(tp)
+    ip = sub.add_parser(
+        "invariants", help="invariant scaling report at one event"
+    )
+    for p in (tp, ip):
+        p.add_argument("--job", metavar="JOB.json", help="job file; flags override it")
+        for section, (name, _, classes) in _SECTIONS.items():
+            g = p.add_argument_group(name)
+            g.add_argument(f"--{section}", choices=list(classes))
+            for flag, key, _, options in _KEYS[section]:
+                g.add_argument(flag, dest=key, **options)
     tp.add_argument("--grid", type=_usage(_grid_flag), metavar="t=0:2:5,x=...")
     tp.add_argument("--frame", choices=[f.value for f in CoordinateFrame])
     tp.add_argument("--out", metavar="PATH")
     tp.add_argument("--format", choices=_FORMATS)
 
-    ip = sub.add_parser(
-        "invariants", help="invariant scaling report at one event"
-    )
-    ip.add_argument("--job", metavar="JOB.json", help="job file; flags override it")
-    _add_field_flags(ip)
-    _add_xform_flags(ip)
     ip.add_argument("--point", type=_vec(4), metavar="t,x,y,z")
     ip.add_argument("--out", metavar="PATH")
 

@@ -189,9 +189,9 @@ def sweep(
     In the ORIGINAL frame the field is evaluated at each grid event; in the
     TRANSFORMED frame at the preimage of each grid event.  Returns the input
     field, the transformed field and the conformal scale at each grid event,
-    and each row's Refusal code: the first of a refused preimage, the
-    field's charge, a refusal of the field map, and a non-finite value among
-    the row's outputs.  Rows that are not OK hold placeholder values.
+    and each row's Refusal code: the first of a refused or non-finite
+    preimage, the field's charge, a refusal of the field map, and a
+    non-finite value among the row's outputs.  Rows that are not OK hold placeholder values.
     Every result has the broadcast of the map's rows and the events' rows.
     """
     events = np.broadcast_to(events, np.broadcast_shapes(params.rows, events.shape[:-1]) + (4,))
@@ -199,6 +199,7 @@ def sweep(
     if frame is CoordinateFrame.TRANSFORMED:
         src, reason = preimage_rows(params, grid)
         events = src.event()
+        refuse(reason, ~np.isfinite(events).all(axis=-1), Refusal.NON_FINITE)
     else:
         reason = no_refusals(grid.s.shape)
     F_in, charge = spec.faraday_rows(events)

@@ -99,7 +99,7 @@ class _Map:
 class Dilation(_Map):
     """x -> x / factor, with factor positive, or one factor per row."""
 
-    factor: float | np.ndarray
+    factor: float | np.ndarray = 1.0
 
     def __post_init__(self):
         super().__post_init__()

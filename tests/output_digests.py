@@ -12,8 +12,8 @@ seeds, at 1, 25 and 500 trials (one trial gives single-row batches) and at
 (the four Lorentz classes and an overflowing boost included) on grids with
 skipped rows in both frames and both formats; `invariants` at an ordinary
 event and on the light cone; and the usage errors of malformed vector and
-grid flags, an infinite `verify` tolerance and a job file that does not
-exist.  The file name keeps pytest from collecting it.
+grid flags, an infinite `verify` tolerance, a job file that does not exist
+and a flag of another kind in `transform` and in `invariants`.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -61,6 +61,9 @@ ERRORS = (
     *(_INVERT_UNIFORM + ("--grid", grid) for grid in ("t=nan:2:2", "t=1:0:2", "t=0:1:0")),
     ("verify", "--tol", "inf"),
     ("transform", "--job", "/nonexistent.json"),
+    ("transform", "--field", "uniform", "--xform", "sct", "--a=0.1,0,0,0", "--lambda=2"),
+    ("invariants", "--field", "coulomb", "--khat=0,0,1", "--xform", "inversion",
+     "--point=1,2,0,0"),
 )
 
 

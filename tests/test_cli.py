@@ -4,6 +4,8 @@ Logic-level tests call main() in process; the byte-identity tests spawn real
 interpreter subprocesses so they exercise the same path a shell user does.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import subprocess
@@ -11,13 +13,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emconf import cli, verify
 from emconf.cl3 import Faraday3
 from emconf.cli import CSV_HEADER, main
 from emconf.cl13 import FourVector
-from emconf.fields import Coulomb, UniformField, sweep
-from emconf.maps import CoordinateFrame, Dilation, Inversion, Sct
+from emconf.fields import Coulomb, PlaneWave, UniformField, sweep
+from emconf.maps import (
+    CoordinateFrame, Dilation, Inversion, Lorentz, LorentzClass, Sct, Translation,
+)
 
 
 def run_cli(capsys, *argv):
@@ -450,6 +456,155 @@ def test_job_file_out_must_be_a_string(tmp_path, capsys, value):
     code, out, err = run_cli(capsys, "transform", "--job", str(job))
     assert code == 2 and out == ""
     assert err == "error: job out entry must be a string\n"
+
+
+def test_flags_overlay_the_job_file_key_by_key(tmp_path, capsys):
+    """A section's flags once counted only beside its kind flag: without
+    --field and --xform, --E0 and --lambda were dropped and the job ran."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "uniform", "E0": [1, 0, 0], "B0": [0, 0.5, 0]},
+        "xform": {"kind": "dilation", "factor": 2},
+        "grid": {"t": {"min": 1, "max": 1, "count": 1}},
+    }))
+    code, out, _ = run_cli(capsys, "transform", "--job", str(path), "--E0=5,0,0", "--lambda=3")
+    row = parse_csv(out)[0]
+    assert code == 0
+    assert [row[k] for k in ("Ex", "By", "Exp", "Byp", "scale")] == ["5", "0.5", "45", "4.5", "3"]
+    # A kind flag of the job's kind keeps the job's keys; another kind
+    # starts the section afresh.
+    code, out, _ = run_cli(capsys, "transform", "--job", str(path), "--xform", "dilation")
+    assert code == 0 and parse_csv(out)[0]["scale"] == "2"
+    code, out, _ = run_cli(capsys, "transform", "--job", str(path), "--xform", "sct", "--a=0,0,0,0")
+    assert code == 0 and parse_csv(out)[0]["scale"] == "1"
+
+
+@pytest.mark.parametrize("argv, job, message", [
+    # each once ran with exit 0, the stray parameter dropped
+    (("transform", "--field", "uniform", "--xform", "sct", "--a=0.1,0,0,0", "--lambda=2"),
+     None, "sct takes no factor"),
+    (("invariants", "--field", "coulomb", "--khat=0,0,1", "--xform", "inversion",
+      "--point=1,2,0,0"), None, "coulomb takes no khat"),
+    (("transform",), {"field": {"kind": "uniform"},
+                      "xform": {"kind": "lorentz", "boots": [1, 0, 0]}},
+     "lorentz takes no boots"),
+    (("transform",), {"field": {"kind": "uniform"}, "xform": {"kind": "inversion"},
+                      "frmae": "transformed"}, "unknown job key: 'frmae'"),
+    (("transform",), {"field": {"kind": "uniform"}, "xform": {"kind": "inversion"},
+                      "grid": {"t": {"min": 0, "max": 1, "count": 3, "step": 0.5}}},
+     "grid axis t: unknown key 'step'"),
+], ids=["flag", "invariants-flag", "section-key", "job-key", "axis-key"])
+def test_keys_the_job_does_not_take_exit_two(tmp_path, capsys, argv, job, message):
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv += ("--job", str(path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_invariants_writes_to_the_job_file_out(tmp_path, capsys):
+    """invariants once ignored the job file's out and wrote to stdout."""
+    job = {"field": {"kind": "uniform", "E0": [1, 0, 0]}, "xform": {"kind": "inversion"},
+           "point": [2, 0, 0, 0]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, report, _ = run_cli(capsys, "invariants", "--job", str(path))
+    assert code == 0 and json.loads(report)["scale"] == 4.0
+    out = tmp_path / "report.json"
+    path.write_text(json.dumps({**job, "out": str(out)}))
+    assert run_cli(capsys, "invariants", "--job", str(path)) == (0, "", "")
+    assert out.read_text() == report
+    path.write_text(json.dumps({**job, "out": 5.0}))
+    assert run_cli(capsys, "invariants", "--job", str(path)) == (
+        2, "", "error: job out entry must be a string\n"
+    )
+
+
+# Each kind's keys, and the flag of each key that is not --key.
+_KIND_KEYS = {
+    "field": {"uniform": ("E0", "B0"), "planewave": ("E0", "khat", "phase"), "coulomb": ("q",)},
+    "xform": {
+        "dilation": ("factor",), "translation": ("offset",),
+        "lorentz": ("boost", "rotation", "class"), "inversion": ("eps",), "sct": ("a",),
+    },
+}
+_FLAGS = {"factor": "--lambda", "offset": "--b", "class": "--lorentz-class"}
+_CLASSES = {
+    "uniform": UniformField, "planewave": PlaneWave, "coulomb": Coulomb, "dilation": Dilation,
+    "translation": Translation, "lorentz": Lorentz, "inversion": Inversion, "sct": Sct,
+}
+
+
+def _numbers(n):
+    # Zeros and unit vectors are frequent, so plane waves are often valid.
+    number = st.sampled_from([0.0, 1.0, -0.0]) | st.floats(-10, 10)
+    return st.lists(number, min_size=n, max_size=n) | st.sampled_from(
+        [[0.0] * (n - 1) + [1.0], [1.0] + [0.0] * (n - 1)]
+    )
+
+
+_VALUES = {
+    "E0": _numbers(3), "B0": _numbers(3), "khat": _numbers(3),
+    "phase": st.floats(-10, 10), "q": st.floats(-10, 10), "factor": st.floats(-10, 10),
+    "offset": _numbers(4), "a": _numbers(4), "boost": _numbers(3), "rotation": _numbers(3),
+    "eps": st.sampled_from([-1, 1]), "class": st.sampled_from([c.value for c in LorentzClass]),
+}
+# The other section of each job, which stays fixed.
+_OTHER = {"field": "inversion", "xform": "coulomb"}
+
+
+def _built(argv):
+    """The field and map that argv gives, or the JobError's message."""
+    try:
+        return cli._job_field_params(cli._parser().parse_args(argv))[1:]
+    except cli.JobError as exc:
+        return str(exc)
+
+
+def _flag(key, value) -> str:
+    text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+    return f"{_FLAGS.get(key, '--' + key)}={text}"
+
+
+def _param(key, value):
+    """The class's parameter and value for a job file's key and value."""
+    if key == "class":
+        return "lorentz_class", LorentzClass(value)
+    return key, tuple(value) if isinstance(value, list) else value
+
+
+@settings(deadline=None, database=None)
+@given(data=st.data(), section=st.sampled_from(sorted(_KIND_KEYS)))
+def test_property_flags_and_job_file_build_the_same_map(tmp_path_factory, data, section):
+    """For every kind of both sections and any subset of its keys, the flags
+    and the job file build equal objects or refuse with the same message;
+    with the class's default where a key is left out.  A key of another
+    kind of the section exits 2."""
+    kind = data.draw(st.sampled_from(sorted(_KIND_KEYS[section])), label="kind")
+    keys = data.draw(st.lists(st.sampled_from(_KIND_KEYS[section][kind]), unique=True))
+    spec = {key: data.draw(_VALUES[key], label=key) for key in keys}
+    other = "field" if section == "xform" else "xform"
+    flags = ["transform", f"--{section}", kind, f"--{other}", _OTHER[section]]
+    flags += [_flag(key, value) for key, value in spec.items()]
+    path = tmp_path_factory.getbasetemp() / "property_job.json"
+    job = {section: {"kind": kind, **spec}, other: {"kind": _OTHER[section]}}
+    path.write_text(json.dumps(job))
+    built = _built(flags)
+    assert built == _built(["transform", "--job", str(path)])
+    if not isinstance(built, str):
+        made = built[0 if section == "field" else 1]
+        assert made == _CLASSES[kind](**dict(_param(key, value) for key, value in spec.items()))
+
+    strays = {key for kind_keys in _KIND_KEYS[section].values() for key in kind_keys}
+    stray = data.draw(st.sampled_from(sorted(strays - set(_KIND_KEYS[section][kind]))))
+    value = data.draw(_VALUES[stray], label="stray value")
+    job[section][stray] = value
+    path.write_text(json.dumps(job))
+    for argv in (flags + [_flag(stray, value)], ["transform", "--job", str(path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue() == f"error: {kind} takes no {stray}\n"
 
 
 def test_lorentz_boost_through_cli(capsys):

@@ -257,3 +257,21 @@ def test_conformal_scale_is_evaluated_once_per_call(monkeypatch, params):
         calls.clear()
     invariant_scaling_report(Coulomb(), params, FourVector(*events[0]))
     assert counts + [len(calls)] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("params, codes", [
+    (Translation((0.5, 0.0, 0.0, 0.0)), [5, 0, 0]),
+    (Dilation(2.0), [5, 5, 0]),
+    (Lorentz((0.3, 0.0, 0.0), (0.0, 0.0, 0.0)), [5, 0, 0]),
+])
+def test_transformed_sweep_refuses_non_finite_preimages(params, codes):
+    """A NaN or overflowing preimage is refused as NON_FINITE even where the
+    field ignores the event: a translation's and a dilation's once stayed OK.
+    The dilation's preimage of the second event, 2e308, overflows."""
+    events = np.array([[np.nan, 0.0, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, reason = sweep(
+            UniformField((1.0, 0.0, 0.0), (0.0, 0.5, 0.0)), params, events,
+            CoordinateFrame.TRANSFORMED,
+        )
+    assert reason.tolist() == codes
