@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 
 from .cl13 import (
     BLADE_NAMES,
-    DIM,
     Faraday13,
     FourVector,
     Multivector13,
@@ -37,7 +36,7 @@ from .maps import (
     Sct,
     Translation,
 )
-from .conformal13 import induced_matrix, sct_factor, transform
+from .conformal13 import induced_matrix, transform
 from .conformal3 import (
     Refusal,
     induced_matrix3,
@@ -45,7 +44,6 @@ from .conformal3 import (
     transform3,
 )
 from .bridge import (
-    even_to_cl3,
     product_correspondence_check,
     sandwich_correspondence_check,
 )

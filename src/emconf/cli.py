@@ -83,7 +83,8 @@ _FORMATS = ("csv", "json")
 # and written before the next, so memory does not grow with the grid.
 CHUNK_ROWS = 4096
 # Refusals at one event: a cone of the map, the field's singular point, or a
-# field sandwich that overflowed into a NaN residue.
+# sandwich residue above tolerance.  A field that overflows is refused below,
+# by the report's non-finite values.
 _REFUSALS = (ConformalDomainError, OriginSingularityError, ImaginaryResidueError)
 
 
@@ -248,7 +249,11 @@ _KIND_KEYS = {
     for _, _, classes in _SECTIONS.values()
     for kind, cls in classes.items()
 }
-_JOB_KEYS = {"field", "xform", "grid", "frame", "format", "out", "point"}
+# The top-level job keys each command reads; any other key is refused.
+_JOB_KEYS = {
+    "transform": {"field", "xform", "grid", "frame", "format", "out"},
+    "invariants": {"field", "xform", "point", "out"},
+}
 
 
 def _build(section: str, spec: dict):
@@ -278,7 +283,7 @@ def _job_field_params(args) -> tuple[dict, FieldSpec, ConformalParams]:
     and the flags give.  A section's flags overlay the job file's section,
     but a kind flag that names another kind starts the section afresh."""
     job = _load_job(args.job) if args.job else {}
-    stray = [key for key in job if key not in _JOB_KEYS]
+    stray = [key for key in job if key not in _JOB_KEYS[args.command]]
     if stray:
         raise JobError(f"unknown job key: {stray[0]!r}")
     built = []

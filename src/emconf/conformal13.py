@@ -11,7 +11,8 @@ scale.
 
 Values, events and the maps' parameters may be batches (see cl13 and
 maps.rows): one call maps every row, and a guard raises the typed error of
-the first refused row.
+the first refused row.  A row whose value is not finite raises nothing and
+is returned as computed, for the caller to check.
 """
 
 from __future__ import annotations
@@ -80,46 +81,29 @@ def _scale(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
     )
 
 
-def _project(
-    kind: QuantityKind,
-    out: Multivector13,
-    operands: tuple[Multivector13, ...],
-    weight,
-    unguarded=False,
-):
+def _project(kind: QuantityKind, out: Multivector13, operands: tuple[Multivector13, ...], weight):
     """The kind's grade of the sandwich out, times weight (one per row).
 
     Roundoff in a sandwich grows with the sizes of its operands, not with the
     size of its result, which cancellation can make much smaller; so the
     off-grade residue is measured against the product of the operands'
-    largest coefficients, floored at 1 as in grade_project.  Rows where
-    unguarded is true skip that guard.
+    largest coefficients, floored at 1 as in grade_project.  A row whose
+    result is not finite passes the guard and is returned as the arithmetic
+    gave it, for the caller to check.
     """
     g = 2 if kind is QuantityKind.FARADAY else 1
     residue = out.grade_residue(g)
+    c = (weight * out).c
     # The bound is at least GRADE_TOL, so only a larger residue needs the sizes.
     if not (residue <= GRADE_TOL).all():
         size = np.broadcast_to(math.prod(m.max_abs() for m in operands), residue.shape)
-        refused = ~(residue <= GRADE_TOL * np.fmax(1.0, size)) & ~np.asarray(unguarded)
+        refused = ~(residue <= GRADE_TOL * np.fmax(1.0, size)) & np.isfinite(c).all(axis=-1)
         if refused.any():
             raise GradeLeakageError(
                 f"grade-{g} sandwich residue {np.asarray(residue)[refused].flat[0]:.3e} "
                 f"exceeds {GRADE_TOL:.1e} * {size[refused].flat[0]:.3e}"
             )
-    c = (weight * out).c
     return Faraday13._from_blades(c) if g == 2 else FourVector._from_blades(c)
-
-
-def _position(params: ConformalParams, x: FourVector) -> FourVector:
-    if isinstance(params, Dilation):
-        return FourVector.from_array(x.as_array() / params.factor[..., None])
-    if isinstance(params, Translation):
-        return FourVector.from_array(x.as_array() + params.offset)
-    s = np.asarray(_scale(params, x, CoordinateFrame.ORIGINAL))[..., None]
-    if isinstance(params, Inversion):
-        return FourVector.from_array(params.eps[..., None] * x.as_array() / s)
-    x2 = np.asarray(x.minkowski_sq())[..., None]
-    return FourVector.from_array((x.as_array() + x2 * params.a) / s)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -193,31 +177,38 @@ def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
 
 
 def _transform(params, kind, value, x, frame):
-    lorentz = isinstance(params, Lorentz)
-    if kind is QuantityKind.POSITION and not lorentz:
-        return _position(params, value)
+    if kind is QuantityKind.POSITION:
+        x, frame = value, CoordinateFrame.ORIGINAL
+    position = kind is QuantityKind.POSITION
     if isinstance(params, Dilation):
+        if position:
+            return FourVector.from_array(x.as_array() / params.factor[..., None])
         # np.power, as for the scale below.
         w = np.power(params.factor, _SCALE_POWER[kind] + 1)[..., None]
         if kind is QuantityKind.FARADAY:
             return Faraday13(w * value.E, w * value.B)
         return FourVector.from_array(w * value.as_array())
     if isinstance(params, Translation):
-        return value
+        return FourVector.from_array(x.as_array() + params.offset) if position else value
+    lorentz = isinstance(params, Lorentz)
     if not lorentz:
+        scale = _scale(params, x, frame)
+        if position:
+            s = np.asarray(scale)[..., None]
+            if isinstance(params, Inversion):
+                return FourVector.from_array(params.eps[..., None] * x.as_array() / s)
+            x2 = np.asarray(x.minkowski_sq())[..., None]
+            return FourVector.from_array((x.as_array() + x2 * params.a) / s)
         sign = -params.eps if isinstance(params, Inversion) and kind is QuantityKind.FARADAY else 1
         p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
         # np.power, not **: on the numpy scalar of a single event ** takes
         # another pow than the ufunc loop of a batch.
-        weight, unguarded = sign * np.power(_scale(params, x, frame), p), False
+        weight = sign * np.power(scale, p)
     left, right = _versors(params, x, frame)
     q = value.to_mv()
     out = vector_sandwich(left, q, right)
     if lorentz:
-        # The reflection is computed only if some row is improper.  The rotor
-        # grows as e^|b|, so past |b| of about 355 the image leaves the float64
-        # range: such a row skips the residue guard and is returned as the
-        # arithmetic gave it, for the caller to check.
+        # The reflection is computed only if some row is improper.
         improper = params.improper
         if improper.any():
             e0 = Multivector13.basis_vector(0)
@@ -226,8 +217,8 @@ def _transform(params, kind, value, x, frame):
                 np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
             )
         flip = params.antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
-        weight, unguarded = np.where(flip, -1.0, 1.0), ~np.isfinite(out.max_abs())
-    return _project(kind, out, (left, q, right), weight, unguarded)
+        weight = np.where(flip, -1.0, 1.0)
+    return _project(kind, out, (left, q, right), weight)
 
 
 def induced_matrix(params: Lorentz) -> np.ndarray:

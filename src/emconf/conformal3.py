@@ -66,9 +66,10 @@ _ORIG = CoordinateFrame.ORIGINAL
 class Refusal(IntEnum):
     """Why a row was refused, or OK; the first guard to refuse a row names it.
 
-    CHARGE comes from a field's singular point and NON_FINITE from a sweep's
-    check of its outputs (see fields.sweep) or from a Lorentz image past the
-    float64 range; the other codes come from this module's guards.
+    CHARGE comes from a field's singular point (see fields.sweep), and
+    NON_FINITE from any image or preimage that is not finite, of every
+    family and kind, before the residue guard reads it; the other codes
+    come from this module's guards.
     """
 
     OK = 0
@@ -173,31 +174,6 @@ def _scale_rows(params: ConformalParams, x: Paravector3, frame, value):
     return w * np.ones(reason.shape), reason
 
 
-def _real_guard(p: Paravector3, reason) -> Paravector3:
-    real, refused = real_rows(p)
-    refuse(reason, refused, Refusal.RESIDUE)
-    return real
-
-
-def _field_guard(p: Paravector3, reason) -> Faraday3:
-    F, refused = vector_rows(p)
-    refuse(reason, refused, Refusal.RESIDUE)
-    return Faraday3._wrap(F)
-
-
-def _position3(params: ConformalParams, x: Paravector3, k, reason) -> Paravector3:
-    """The map of the events x, k bar(J)* x for the special conformal map,
-    with k 1/x^2 or 1/sigma (eps k is eps / x^2 to the bit)."""
-    if isinstance(params, Dilation):
-        return (1.0 / params.factor) * x
-    if isinstance(params, Translation):
-        return x + Paravector3.from_event(params.offset)
-    if isinstance(params, Inversion):
-        return (params.eps * k) * x
-    left = _conj(params, _versor(params, x, _ORIG)[0], True, True)
-    return _real_guard(k * cl3_product(left, x), reason)
-
-
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
 # frame; the TRANSFORMED frame adds 2, and a dilation weights by its factor
 # to one power more.
@@ -257,41 +233,61 @@ def _conj(params: ConformalParams, J: Paravector3, bar: bool, star: bool) -> Par
     return J + _ZERO if isinstance(params, Sct) else J
 
 
+def _finite_rows(q) -> np.ndarray:
+    """The rows of a paravector or a field with every component finite."""
+    if isinstance(q, Faraday3):
+        return np.isfinite(q.F).all(axis=-1)
+    return np.isfinite(q.s) & np.isfinite(q.v).all(axis=-1)
+
+
 def _value_rows(params, kind, value, x, frame, scale, reason):
-    lorentz = isinstance(params, Lorentz)
-    if kind is QuantityKind.POSITION and not lorentz:
-        return _position3(params, value, 1.0 / scale, reason)
-    field = kind is QuantityKind.FARADAY
+    """The image of value under every family and kind, with its rows refused
+    in reason: NON_FINITE where the image is not finite, then RESIDUE where
+    a product left a residue above tolerance."""
+    field, position = kind is QuantityKind.FARADAY, kind is QuantityKind.POSITION
+    guard = None
     if isinstance(params, Dilation):
-        w = np.power(params.factor, _SCALE_POWER[kind] + 1)
-        return Faraday3._wrap(w[..., None] * value.F) if field else w * value
-    if isinstance(params, Translation):
-        return value
-    J, parity = _versor(params, x, frame)
-    q = value.to_paravector() if field else value
-    if parity.any():
-        q = _where(parity, q.star() if field else q.bar(), q)
-    left, right = _conj(params, J, True, True), _conj(params, J, not field, field)
-    raw = cl3_product(cl3_product(left, q), right)
-    if lorentz:
-        # The antichronous rows flip position and field, never potential or current.
-        position = kind is QuantityKind.POSITION
-        flip = (parity != params.antichronous) if field else params.antichronous & position
-        if flip.any():
-            raw = _where(flip, -raw, raw)
-        # The rotor grows as e^|b|: past |b| of about 355 the image leaves the
-        # float64 range.  A component's modulus may overflow where its parts do not.
-        finite = np.isfinite(raw.s) & np.isfinite(raw.v).all(axis=-1)
-        refuse(reason, ~finite, Refusal.NON_FINITE)
+        w = 1.0 / params.factor if position else np.power(params.factor, _SCALE_POWER[kind] + 1)
+        out = Faraday3._wrap(w[..., None] * value.F) if field else w * value
+    elif isinstance(params, Translation):
+        out = value + Paravector3.from_event(params.offset) if position else value
+    elif isinstance(params, Inversion) and position:
+        # eps (1 / x^2) is eps / x^2 to the bit.
+        out = (params.eps * (1.0 / scale)) * value
     else:
-        p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
-        # No multiply at p = 0, which by 1 + 0j can flip a zero's sign.
-        if p:
-            sign = params.eps if field and isinstance(params, Inversion) else 1
-            # np.power, not **: on the numpy scalar of a single event ** takes
-            # another pow than the ufunc loop.
-            raw = (sign * np.power(scale, p)) * raw
-    return _field_guard(raw, reason) if field else _real_guard(raw, reason)
+        J, parity = _versor(params, x, frame)
+        q = value.to_paravector() if field else value
+        if parity.any():
+            q = _where(parity, q.star() if field else q.bar(), q)
+        left = _conj(params, J, True, True)
+        if position and isinstance(params, Sct):
+            # One product, bar(J)* x / sigma.
+            out = (1.0 / scale) * cl3_product(left, q)
+        else:
+            out = cl3_product(cl3_product(left, q), _conj(params, J, not field, field))
+        if isinstance(params, Lorentz):
+            # The antichronous rows flip position and field, never potential or current.
+            flip = (parity != params.antichronous) if field else params.antichronous & position
+            if flip.any():
+                out = _where(flip, -out, out)
+        elif not position:
+            p = _SCALE_POWER[kind] + (0 if frame is _ORIG else 2)
+            # No multiply at p = 0, which by 1 + 0j can flip a zero's sign.
+            if p:
+                sign = params.eps if field and isinstance(params, Inversion) else 1
+                # np.power, not **: on the numpy scalar of a single event **
+                # takes another pow than the ufunc loop.
+                out = (sign * np.power(scale, p)) * out
+        guard = vector_rows if field else real_rows
+    # Past the float64 range (a Lorentz rotor grows as e^|b|, a weight as a
+    # power of the scale) or from a value that is not finite.  np.isfinite
+    # reads a complex component's parts, whose modulus may overflow where they do not.
+    refuse(reason, ~_finite_rows(out), Refusal.NON_FINITE)
+    if guard is None:
+        return out
+    out, refused = guard(out)
+    refuse(reason, refused, Refusal.RESIDUE)
+    return Faraday3._wrap(out) if field else out
 
 
 def transform_rows(
@@ -378,8 +374,11 @@ def preimage_rows(params: ConformalParams, x_new: Paravector3) -> tuple[Paravect
     """Preimage of each image event under the map, and each row's Refusal
     code (rows not OK hold placeholders): its image under the map that
     undoes params (see _inverse), or, for a dilation, factor times it, which
-    rounds once where the map by 1/factor rounds twice."""
+    rounds once where the map by 1/factor rounds twice.  A preimage that is
+    not finite is refused as NON_FINITE."""
     if isinstance(params, Dilation):
-        return params.factor * x_new, no_refusals(_batch_shape(params, x_new))
-    out, _, reason = transform_rows(_inverse(params), QuantityKind.POSITION, x_new)
+        out, reason = params.factor * x_new, no_refusals(_batch_shape(params, x_new))
+        refuse(reason, ~_finite_rows(out), Refusal.NON_FINITE)
+    else:
+        out, _, reason = transform_rows(_inverse(params), QuantityKind.POSITION, x_new)
     return out, reason

@@ -189,27 +189,22 @@ def sweep(
     In the ORIGINAL frame the field is evaluated at each grid event; in the
     TRANSFORMED frame at the preimage of each grid event.  Returns the input
     field, the transformed field and the conformal scale at each grid event,
-    and each row's Refusal code: the first of a refused or non-finite
-    preimage, the field's charge, a refusal of the field map, and a
-    non-finite value among the row's outputs.  Rows that are not OK hold placeholder values.
-    Every result has the broadcast of the map's rows and the events' rows.
+    and each row's Refusal code: the first of a refusal of the preimage, the
+    field's charge and a refusal of the field map.  The map refuses an image
+    that is not finite as NON_FINITE, and a field or a scale that is not
+    finite gives such an image under every map.  Rows that are not OK hold
+    placeholder values.  Every result has the broadcast of the map's rows
+    and the events' rows.
     """
     events = np.broadcast_to(events, np.broadcast_shapes(params.rows, events.shape[:-1]) + (4,))
     grid = Paravector3.from_event(events)
     if frame is CoordinateFrame.TRANSFORMED:
         src, reason = preimage_rows(params, grid)
         events = src.event()
-        refuse(reason, ~np.isfinite(events).all(axis=-1), Refusal.NON_FINITE)
     else:
         reason = no_refusals(grid.s.shape)
     F_in, charge = spec.faraday_rows(events)
     refuse(reason, charge, Refusal.CHARGE)
     F_out, scale, why = transform_rows(params, QuantityKind.FARADAY, F_in, grid, frame)
     refuse(reason, why != 0, why)  # 0 is Refusal.OK, as a plain int
-    finite = (
-        np.isfinite(F_in.F).all(axis=-1)
-        & np.isfinite(F_out.F).all(axis=-1)
-        & np.isfinite(scale)
-    )
-    refuse(reason, ~finite, Refusal.NON_FINITE)
     return F_in, F_out, scale, reason

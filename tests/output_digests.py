@@ -11,7 +11,9 @@ seeds, at 1, 25 and 500 trials (one trial gives single-row batches) and at
 25 trials with a zero tolerance; `transform` for every field and family
 (the four Lorentz classes and an overflowing boost included) on grids with
 skipped rows in both frames and both formats; `invariants` at an ordinary
-event and on the light cone; and the usage errors of malformed vector and
+event and on the light cone; a field of 1e308 that the inversion and the
+special conformal map overflow, swept in both frames, and its inversion
+reported by `invariants`; and the usage errors of malformed vector and
 grid flags, an infinite `verify` tolerance, a job file that does not exist
 and a flag of another kind in `transform` and in `invariants`.  The file name keeps pytest from collecting it.
 """
@@ -54,6 +56,16 @@ GRIDS = (
 )
 POINTS = ("--point=0.5,0.3,-0.2,0.7", "--point=1,1,0,0")
 _INVERT_UNIFORM = ("transform", "--field", "uniform", "--E0=1,0,0", "--xform", "inversion")
+# A field that the inversion and the special conformal map take past the
+# float64 range, so that the transform summary counts non_finite rows.
+_HUGE = ("--field", "uniform", "--E0=1e308,1e308,0")
+_INVERSION = ("--xform", "inversion", "--eps=1")
+OVERFLOWS = (
+    *(("transform", *_HUGE, *xform, "--grid", "t=0:3:4,x=-1:1:3,y=0:1:2", "--frame", frame)
+      for xform in (_INVERSION, ("--xform", "sct", "--a=-1,0,0,0"))
+      for frame in ("original", "transformed")),
+    ("invariants", *_HUGE, *_INVERSION, "--point=2,1,0,0"),
+)
 # Jobs that exit 2 before any row is computed.
 ERRORS = (
     ("transform", "--field", "uniform", "--E0=1,2", "--xform", "inversion"),
@@ -80,7 +92,7 @@ def jobs() -> list[tuple[str, ...]]:
                     out.append(("transform", *field, *xform, *grid, "--frame", frame))
             for point in POINTS:
                 out.append(("invariants", *field, *xform, point))
-    return out + list(ERRORS)
+    return out + list(OVERFLOWS) + list(ERRORS)
 
 
 def _sha(data: bytes) -> str:

@@ -151,8 +151,8 @@ _OVERFLOWS = {
     # 1e10^2 * 1e308 overflows; the row once carried Exp=inf with exit 0
     "dilation": ("--E0", "1e308,0,0", "--xform", "dilation", "--lambda", "1e10",
                  "--grid", "t=1:1:1,x=1:1:1"),
-    # the field sandwich overflows into inf - inf = NaN, which its residue
-    # guard refuses
+    # the field sandwich overflows into inf - inf = NaN, which the map
+    # refuses as NON_FINITE
     "inversion": ("--E0", "1e308,1e308,0", "--xform", "inversion",
                   "--grid", "t=2:2:1,x=1:1:1"),
 }
@@ -493,7 +493,16 @@ def test_flags_overlay_the_job_file_key_by_key(tmp_path, capsys):
     (("transform",), {"field": {"kind": "uniform"}, "xform": {"kind": "inversion"},
                       "grid": {"t": {"min": 0, "max": 1, "count": 3, "step": 0.5}}},
      "grid axis t: unknown key 'step'"),
-], ids=["flag", "invariants-flag", "section-key", "job-key", "axis-key"])
+    # a key only the other command reads
+    (("transform",), {"field": {"kind": "uniform"}, "xform": {"kind": "inversion"},
+                      "grid": {"t": {"min": 1, "max": 1, "count": 1}},
+                      "point": [2, 0, 0, 0]}, "unknown job key: 'point'"),
+    (("invariants",), {"field": {"kind": "uniform"}, "xform": {"kind": "inversion"},
+                       "point": [2, 0, 0, 0], "frame": "transformed",
+                       "grid": {"t": {"min": 0, "max": 1, "count": 2}}, "format": "json"},
+     "unknown job key: 'frame'"),
+], ids=["flag", "invariants-flag", "section-key", "job-key", "axis-key",
+        "transform-point", "invariants-frame"])
 def test_keys_the_job_does_not_take_exit_two(tmp_path, capsys, argv, job, message):
     if job is not None:
         path = tmp_path / "job.json"
@@ -783,15 +792,17 @@ def test_invariants_lightcone_exits_one(capsys):
 
 
 def test_invariants_overflow_exits_one(capsys):
-    # the field sandwich overflows into a NaN residue; the report once printed
-    # bare nan values, which are not JSON, and exited 0
+    # the field sandwich overflows into NaN, which the map refuses as
+    # NON_FINITE; the report once printed bare nan values, which are not
+    # JSON, and exited 0
     code, out, err = run_cli(
         capsys,
         "invariants", "--field", "uniform", "--E0", "1e308,1e308,0",
         "--xform", "inversion", "--point", "2,1,0,0",
     )
     assert code == 1 and out == ""
-    assert "residue" in err
+    assert err.startswith("error: non-finite values in the report: ")
+    assert "i1_transformed" in err
 
 
 def test_invariants_non_finite_report_exits_one(capsys):

@@ -519,6 +519,79 @@ def test_lorentz_overflow_rows_are_non_finite_in_both_routes(kind):
     assert got13[1].tobytes() == alone[1].tobytes()
 
 
+# Per frame, an event where the inversion and the special conformal map by
+# (0.5, 0, 0, 0) scale a value of 1e308 past the float64 range; the
+# TRANSFORMED frame's event is an image event close to their cones.
+_OVERFLOW_EVENTS = {
+    (ORIG, "inversion"): (4.0, 0.5, -0.2, 0.1),
+    (ORIG, "sct"): (4.0, 0.5, -0.2, 0.1),
+    (TRANS, "inversion"): (0.4, 0.05, 0.0, 0.05),
+    (TRANS, "sct"): (1.2, 0.3, 0.0, 0.05),
+}
+
+
+@settings(deadline=None, database=None)
+@given(
+    family=st.sampled_from(["dilation", "translation", "lorentz", "inversion", "sct"]),
+    kind=st.sampled_from([FARADAY, POTENTIAL]),
+    frame=st.sampled_from(list(CoordinateFrame)),
+    bad=st.sampled_from(["nan", "inf", "overflow"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_a_non_finite_image_is_non_finite_in_every_route(family, kind, frame, bad, seed):
+    """A NaN or infinite value, and a value of about 1e308 that the map
+    takes past the float64 range, is NON_FINITE in transform_rows' ledger
+    for every family, kind and frame, never a residue; transform3 and the
+    Cl(1,3) transform return the non-finite value without raising, and the
+    finite row of the batch stays OK.  A translation moves no value, so its
+    1e308 stays finite and OK.  A NaN event is still refused by the cone
+    guards of the inversion and the special conformal map."""
+    rng = np.random.default_rng(seed)
+    params = {
+        "dilation": Dilation(rng.uniform(2.0, 10.0)),
+        "translation": Translation(rng.uniform(-1.0, 1.0, 4)),
+        "lorentz": Lorentz((0.0, 0.0, rng.uniform(1.0, 3.0)), (0.0, 0.0, rng.uniform(-1.0, 1.0)),
+                           list(LorentzClass)[rng.integers(4)]),
+        "inversion": Inversion(rng.choice([-1, 1])),
+        "sct": Sct((0.5, 0.0, 0.0, 0.0)),
+    }[family]
+    X = np.array(_OVERFLOW_EVENTS.get((frame, family), (4.0, 0.5, -0.2, 0.1)))
+    # The bad row, then a finite row.  The overflowing field lies across the
+    # Lorentz boost, along z, and the potential along time.
+    n = 6 if kind is FARADAY else 4
+    V = np.zeros((2, n))
+    V[1] = rng.uniform(-1.0, 1.0, n)
+    if bad == "overflow":
+        cols = [0, 1] if kind is FARADAY else [0]
+        V[0, cols] = rng.choice([-1.0, 1.0], len(cols)) * 1e308
+    else:
+        V[0, rng.integers(n)] = np.nan if bad == "nan" else rng.choice([-np.inf, np.inf])
+
+    def values(V):
+        if kind is FARADAY:
+            return Faraday3(V[..., :3], V[..., 3:]), Faraday13(V[..., :3], V[..., 3:])
+        return ev(V), FourVector.from_array(V)
+
+    finite = bad == "overflow" and family == "translation"
+    with np.errstate(all="ignore"):
+        v3, v13 = values(V)
+        out3, _, reason = transform_rows(params, kind, v3, ev(X), frame)
+        assert reason.tolist() == [Refusal.OK if finite else Refusal.NON_FINITE, Refusal.OK]
+        for out in (out3, transform3(params, kind, v3, ev(X), frame),
+                    transform(params, kind, v13, FourVector.from_array(X), frame)):
+            rows = np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in _parts(out)])
+            assert rows.tolist() == [finite, True]
+        if family in ("inversion", "sct"):
+            error = LightConeError if family == "inversion" else SctConeError
+            Y = X.copy()
+            Y[rng.integers(4)] = np.nan
+            v3, v13 = values(V[0])
+            with pytest.raises(error):
+                transform3(params, kind, v3, ev(Y), frame)
+            with pytest.raises(error):
+                transform(params, kind, v13, FourVector.from_array(Y), frame)
+
+
 def test_refusal_ledger_takes_the_maps_batch_shape():
     """A batch of maps with one shared value or event: the ledger has the
     maps' rows, so an overflowing Lorentz row comes back non-finite and the

@@ -28,6 +28,7 @@ REMOVED = (
     "versor_inverse", "left_matrix", "SingularVersorError",
     "real_paravector", "pure_vector", "to_paravector", "to_paravector_bar",
     "to_faraday3", "field_rows", "scale_of", "inverse_position3",
+    "DIM", "sct_factor", "even_to_cl3",
 )
 
 

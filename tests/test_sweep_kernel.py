@@ -73,7 +73,7 @@ FAMILIES = {
 }
 FIELDS = {
     "uniform": st.builds(UniformField, _vec3(2.0), _vec3(2.0)),
-    # a field sandwich of this overflows into inf - inf, a NaN residue
+    # a field sandwich of this overflows into inf - inf = NaN, a NON_FINITE row
     "huge": st.just(UniformField(E0=(1e308, 1e308, 0.0))),
     "planewave": st.sampled_from([
         PlaneWave(E0=(1.0, 0.0, 0.0), khat=(0.0, 0.0, 1.0)),
