@@ -36,7 +36,7 @@ from .maps import (
     Sct,
     Translation,
 )
-from .conformal13 import induced_matrix, transform
+from .conformal13 import induced_matrix, transform, transform_kinds
 from .conformal3 import (
     Refusal,
     induced_matrix3,

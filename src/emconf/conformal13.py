@@ -9,6 +9,12 @@ scale that the kind and the CoordinateFrame fix.  ORIGINAL takes the source
 event, TRANSFORMED takes the image event and carries two more powers of the
 scale.
 
+transform_kinds(params, values, x, frame) maps several (kind, value) pairs
+at the same events: the scale, its cone guards and the versors depend on
+the map and the events alone, so they are computed once, and each kind
+takes its own sandwich and weight.  transform is its one-kind case, by the
+same kernel, so each image has the same bits either way.
+
 Values, events and the maps' parameters may be batches (see cl13 and
 maps.rows): one call maps every row, and a guard raises the typed error of
 the first refused row.  A row whose value is not finite raises nothing and
@@ -39,6 +45,7 @@ from .maps import (
     Inversion,
     Lorentz,
     QuantityKind,
+    Sct,
     Translation,
 )
 
@@ -146,14 +153,28 @@ def transform(
     of their rows (see maps.rows), also where the map does not read x or
     the kind does not read eps.
     """
-    xs = () if x is None or kind is QuantityKind.POSITION else (_rows(x),)
-    rows = np.broadcast_shapes(params.rows, _rows(value), *xs)
-    out = _transform(params, kind, value, x, frame)
-    if _rows(out) == rows:
-        return out
-    if isinstance(out, Faraday13):
-        return Faraday13(np.broadcast_to(out.E, rows + (3,)), np.broadcast_to(out.B, rows + (3,)))
-    return FourVector.from_array(np.broadcast_to(out.c, rows + (4,)))
+    if kind is QuantityKind.POSITION:
+        x, frame = value, CoordinateFrame.ORIGINAL
+    return _transform(params, ((kind, value),), x, frame)[0]
+
+
+def transform_kinds(
+    params: ConformalParams,
+    values,
+    x: FourVector | None = None,
+    frame: CoordinateFrame = CoordinateFrame.ORIGINAL,
+) -> tuple:
+    """transform of each (kind, value) pair of values, one map at the events
+    x of one frame: a tuple of the images, in the order of values, each with
+    the bits and the shape of its own transform call.  The scale, its cone
+    guards and the versors are computed once for every kind; a guard raises
+    the error that the calls in turn would raise first.  A position is its
+    own event, so a POSITION pair is a ValueError: map it with transform.
+    """
+    values = tuple(values)
+    if any(kind is QuantityKind.POSITION for kind, _ in values):
+        raise ValueError("a position is its own event: map it with transform")
+    return _transform(params, values, x, frame)
 
 
 def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
@@ -176,35 +197,61 @@ def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
     return one - xa, one - ax
 
 
-def _transform(params, kind, value, x, frame):
-    if kind is QuantityKind.POSITION:
-        x, frame = value, CoordinateFrame.ORIGINAL
+def _transform(params, values, x, frame) -> tuple:
+    """The image of each (kind, value) pair of values at the events x of
+    frame, where a position pair comes alone with its own events as x;
+    each image has the broadcast shape of the map's, the value's and the
+    events' rows.  The scale and the versors are computed once, each kind's
+    sandwich, weight and grade guard in the order of values."""
+    xs = () if x is None else (_rows(x),)
+    scale = versors = None
+    if isinstance(params, (Inversion, Sct)):
+        scale = _scale(params, x, frame)
+    if isinstance(params, Lorentz) or (
+        scale is not None and any(kind is not QuantityKind.POSITION for kind, _ in values)
+    ):
+        versors = _versors(params, x, frame)
+    outs = []
+    for kind, value in values:
+        out = _image(params, kind, value, scale, versors, frame)
+        rows = np.broadcast_shapes(params.rows, _rows(value), *xs)
+        if _rows(out) != rows:
+            if isinstance(out, Faraday13):
+                out = Faraday13(np.broadcast_to(out.E, rows + (3,)), np.broadcast_to(out.B, rows + (3,)))
+            else:
+                out = FourVector.from_array(np.broadcast_to(out.c, rows + (4,)))
+        outs.append(out)
+    return tuple(outs)
+
+
+def _image(params, kind, value, scale, versors, frame):
+    """The image of one value of the kind, from the map's scale and versors
+    at its events (None where the map or the kind reads none)."""
     position = kind is QuantityKind.POSITION
     if isinstance(params, Dilation):
         if position:
-            return FourVector.from_array(x.as_array() / params.factor[..., None])
+            return FourVector.from_array(value.as_array() / params.factor[..., None])
         # np.power, as for the scale below.
         w = np.power(params.factor, _SCALE_POWER[kind] + 1)[..., None]
         if kind is QuantityKind.FARADAY:
             return Faraday13(w * value.E, w * value.B)
         return FourVector.from_array(w * value.as_array())
     if isinstance(params, Translation):
-        return FourVector.from_array(x.as_array() + params.offset) if position else value
+        return FourVector.from_array(value.as_array() + params.offset) if position else value
     lorentz = isinstance(params, Lorentz)
     if not lorentz:
-        scale = _scale(params, x, frame)
         if position:
             s = np.asarray(scale)[..., None]
             if isinstance(params, Inversion):
-                return FourVector.from_array(params.eps[..., None] * x.as_array() / s)
-            x2 = np.asarray(x.minkowski_sq())[..., None]
-            return FourVector.from_array((x.as_array() + x2 * params.a) / s)
+                return FourVector.from_array(params.eps[..., None] * value.as_array() / s)
+            x2 = np.asarray(value.minkowski_sq())[..., None]
+            return FourVector.from_array((value.as_array() + x2 * params.a) / s)
         sign = -params.eps if isinstance(params, Inversion) and kind is QuantityKind.FARADAY else 1
         p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
         # np.power, not **: on the numpy scalar of a single event ** takes
         # another pow than the ufunc loop of a batch.
         weight = sign * np.power(scale, p)
-    left, right = _versors(params, x, frame)
+    left, right = versors
     q = value.to_mv()
     out = vector_sandwich(left, q, right)
     if lorentz:
@@ -227,5 +274,5 @@ def induced_matrix(params: Lorentz) -> np.ndarray:
     map's rows.  For n maps, by boost and rotation of shape (n, 3) or by n
     classes, the result has shape (n, 4, 4)."""
     basis = FourVector.from_array(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
-    out = _transform(params, QuantityKind.POSITION, basis, None, CoordinateFrame.ORIGINAL)
-    return np.moveaxis(out.as_array(), 0, -1)
+    out = _transform(params, ((QuantityKind.POSITION, basis),), basis, CoordinateFrame.ORIGINAL)
+    return np.moveaxis(out[0].as_array(), 0, -1)

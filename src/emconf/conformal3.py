@@ -10,9 +10,13 @@ map's Vahlen matrix [[a, b], [c, d]] at the event (Vahlen, Math. Ann. 55,
 potential or current q, and bar(J)* F~ J* for the field F, where q~ = bar(q)
 and F~ = F* on the rows where the map acts on bar(x), q and F elsewhere.
 The inversion and the special conformal map weight it by a power of the
-conformal scale.  preimage_rows maps image events back to their sources,
-which sweeps in the TRANSFORMED frame need: the inverse of a Vahlen matrix
-is a map of the same family, and a preimage is the image under it.
+conformal scale.  J and the scale depend on the map and the events, not on
+the kind, so transform_kinds_rows maps several (kind, value) pairs at the
+same events with one J, one left conjugate bar(J)* and one scale, and
+transform_rows is its one-kind case, by the same kernel.  preimage_rows
+maps image events back to their sources, which sweeps in the TRANSFORMED
+frame need: the inverse of a Vahlen matrix is a map of the same family,
+and a preimage is the image under it.
 
 Every function here takes a batch of events and values (see cl3: a leading
 batch shape, shape () for one element) and runs one array kernel over it.
@@ -22,11 +26,12 @@ other rows are computed in the same call.  One shape rule, _batch_shape,
 holds for every entry: its ledger, its scale and its result have the
 broadcast shape of its events, its values and the map's rows (see
 maps), also where the map does not read the events.  The Cl(1,3) transform
-follows the same rule.  Each entry evaluates the conformal scale once, at
-that shape.  transform_rows and preimage_rows hand the ledger back, and
-transform_rows the scale it weighted by; transform3, the raising form of
-transform_rows, raises the typed error of the first refused row, which for
-one element is the error of that element.  The kernel uses ufuncs only, in
+follows the same rule.  Each entry evaluates the conformal scale once, and
+each kind's scale array is that scale at the kind's shape.  transform_rows
+and preimage_rows hand the ledger back, and transform_rows the scale it
+weighted by; transform3, the raising form of transform_rows, raises the
+typed error of the first refused row, which for one element is the error
+of that element.  The kernel uses ufuncs only, in
 a fixed order, so a row's bits are the same in a batch of one and in a
 batch of many.
 """
@@ -139,39 +144,37 @@ def sct_factor3(x: Paravector3, a: Paravector3):
     )
 
 
-def _cone_guard(value, code: Refusal, reason: np.ndarray):
-    """value with the rows too close to zero (or NaN) refused and set to 1."""
+def _cone_guard(value, code: Refusal):
+    """value with the rows too close to zero (or NaN) set to 1, and those
+    rows with code, or None if there are none."""
     refused = ~(np.abs(value) > LIGHTCONE_TOL)
     if not refused.any():
-        return value
-    refuse(reason, refused, code)
-    return np.where(refused, 1.0, value)
+        return value, None
+    return np.where(refused, 1.0, value), (refused, code)
 
 
-def _scale_rows(params: ConformalParams, x: Paravector3, frame, value):
-    """The conformal scale at each event of x and a new ledger of its
-    refusals: Omega for the inversion, sigma for the special conformal map,
-    the factor of a dilation and 1 for the isometries.  The inversion and the
-    special conformal map read x as the source event in the ORIGINAL frame
-    and as the image event in the TRANSFORMED frame, and refuse an x on
-    their cones."""
-    reason = no_refusals(_batch_shape(params, x, value))
-    w = 1.0
+def _scale_rows(params: ConformalParams, x: Paravector3, frame):
+    """The conformal scale at each event of x, and the rows its cone guard
+    refuses with their Refusal code (None if it refuses none): Omega for
+    the inversion, sigma for the special conformal map, the factor of a
+    dilation and 1 for the isometries.  The inversion and the special
+    conformal map read x as the source event in the ORIGINAL frame and as
+    the image event in the TRANSFORMED frame, and refuse an x on their
+    cones."""
+    w, cone = 1.0, None
     if isinstance(params, Dilation):
         w = params.factor
     elif isinstance(params, Inversion):
         # An event's imaginary part is the image of a four-vector's off-grade
         # (trivector) part, which minkowski_square holds to the grade tolerance.
-        w = _cone_guard(minkowski_square(x), Refusal.LIGHT_CONE, reason)
+        w, cone = _cone_guard(minkowski_square(x), Refusal.LIGHT_CONE)
     elif isinstance(params, Sct):
         # At the image event, sigma of the map by -a, which undoes the map by a.
         a = Paravector3.from_event(params.a)
-        w = _cone_guard(sct_factor3(x, a if frame is _ORIG else -a), Refusal.SCT_CONE, reason)
+        w, cone = _cone_guard(sct_factor3(x, a if frame is _ORIG else -a), Refusal.SCT_CONE)
     if frame is not _ORIG and isinstance(params, (Inversion, Sct)):
         w = 1.0 / w
-    # Ones, not broadcast_to: the product is exact, and one event keeps the
-    # numpy scalar that fields.predicted_invariant_factors raises with **.
-    return w * np.ones(reason.shape), reason
+    return w, cone
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -240,10 +243,12 @@ def _finite_rows(q) -> np.ndarray:
     return np.isfinite(q.s) & np.isfinite(q.v).all(axis=-1)
 
 
-def _value_rows(params, kind, value, x, frame, scale, reason):
+def _value_rows(params, kind, value, frame, scale, reason, sandwich, rights):
     """The image of value under every family and kind, with its rows refused
     in reason: NON_FINITE where the image is not finite, then RESIDUE where
-    a product left a residue above tolerance."""
+    a product left a residue above tolerance.  sandwich is the map's J, its
+    parity rows and its left conjugate at the value's events (None where
+    the map reads none), and rights keeps J's right conjugates by kind."""
     field, position = kind is QuantityKind.FARADAY, kind is QuantityKind.POSITION
     guard = None
     if isinstance(params, Dilation):
@@ -255,16 +260,17 @@ def _value_rows(params, kind, value, x, frame, scale, reason):
         # eps (1 / x^2) is eps / x^2 to the bit.
         out = (params.eps * (1.0 / scale)) * value
     else:
-        J, parity = _versor(params, x, frame)
+        J, parity, left = sandwich
         q = value.to_paravector() if field else value
         if parity.any():
             q = _where(parity, q.star() if field else q.bar(), q)
-        left = _conj(params, J, True, True)
         if position and isinstance(params, Sct):
             # One product, bar(J)* x / sigma.
             out = (1.0 / scale) * cl3_product(left, q)
         else:
-            out = cl3_product(cl3_product(left, q), _conj(params, J, not field, field))
+            if field not in rights:
+                rights[field] = _conj(params, J, not field, field)
+            out = cl3_product(cl3_product(left, q), rights[field])
         if isinstance(params, Lorentz):
             # The antichronous rows flip position and field, never potential or current.
             flip = (parity != params.antichronous) if field else params.antichronous & position
@@ -288,6 +294,35 @@ def _value_rows(params, kind, value, x, frame, scale, reason):
     out, refused = guard(out)
     refuse(reason, refused, Refusal.RESIDUE)
     return Faraday3._wrap(out) if field else out
+
+
+def _transform_rows(params, values, x, frame) -> list:
+    """transform_rows of each (kind, value) pair of values at the events x
+    of frame, where a position pair comes alone with its own events as x.
+    The scale, its cone guards, J and its left conjugate are computed once;
+    each kind's ledger, scale array, sandwich, weight and guards in the
+    order of values."""
+    w, cone = _scale_rows(params, x, frame)
+    sandwich = None
+    if not isinstance(params, (Dilation, Translation)):
+        J, parity = _versor(params, x, frame)
+        sandwich = J, parity, _conj(params, J, True, True)
+    results, rights = [], {}
+    for kind, value in values:
+        reason = no_refusals(_batch_shape(params, x, value))
+        if cone is not None:
+            refuse(reason, *cone)
+        # Ones, not broadcast_to: the product is exact, and one event keeps the
+        # numpy scalar that fields.predicted_invariant_factors raises with **.
+        scale = w * np.ones(reason.shape)
+        out = _value_rows(params, kind, value, frame, scale, reason, sandwich, rights)
+        rows = reason.shape
+        if isinstance(out, Faraday3) and out.F.shape[:-1] != rows:
+            out = Faraday3._wrap(np.broadcast_to(out.F, rows + (3,)))
+        elif isinstance(out, Paravector3) and out.s.shape != rows:
+            out = Paravector3._wrap(np.broadcast_to(out.s, rows), np.broadcast_to(out.v, rows + (3,)))
+        results.append((out, scale, reason))
+    return results
 
 
 def transform_rows(
@@ -316,14 +351,26 @@ def transform_rows(
     """
     if kind is QuantityKind.POSITION:
         x, frame = value, _ORIG
-    scale, reason = _scale_rows(params, x, frame, value)
-    out = _value_rows(params, kind, value, x, frame, scale, reason)
-    rows = reason.shape
-    if isinstance(out, Faraday3) and out.F.shape[:-1] != rows:
-        out = Faraday3._wrap(np.broadcast_to(out.F, rows + (3,)))
-    elif isinstance(out, Paravector3) and out.s.shape != rows:
-        out = Paravector3._wrap(np.broadcast_to(out.s, rows), np.broadcast_to(out.v, rows + (3,)))
-    return out, scale, reason
+    return _transform_rows(params, ((kind, value),), x, frame)[0]
+
+
+def transform_kinds_rows(
+    params: ConformalParams,
+    values,
+    x: Paravector3 | None = None,
+    frame: CoordinateFrame = _ORIG,
+) -> list:
+    """transform_rows of each (kind, value) pair of values, one map at the
+    events x of one frame: a list of (value, scale, ledger) triples, in the
+    order of values, each with the bits and the shapes of its own
+    transform_rows call.  The scale, its cone guards, J and J's left
+    conjugate are computed once for every kind; each kind has its own
+    ledger.  A position is its own event, so a POSITION pair is a
+    ValueError: map it with transform_rows."""
+    values = tuple(values)
+    if any(kind is QuantityKind.POSITION for kind, _ in values):
+        raise ValueError("a position is its own event: map it with transform_rows")
+    return _transform_rows(params, values, x, frame)
 
 
 def transform3(
@@ -335,7 +382,9 @@ def transform3(
 ):
     """The value of transform_rows, raising the typed error of the first
     refused row."""
-    out, _, reason = transform_rows(params, kind, value, x, frame)
+    if kind is QuantityKind.POSITION:
+        x, frame = value, _ORIG
+    out, _, reason = _transform_rows(params, ((kind, value),), x, frame)[0]
     raise_refusal(reason)
     return out
 

@@ -19,8 +19,10 @@ trials: inversion trials as one batch with the sign eps = +1 on even trials
 and -1 on odd ones, special conformal trials as one batch with each trial's
 vector a on the batch axis, Lorentz maps and plane waves with one class or
 wave per row, so row i of every batch is trial i.  Checks that compare
-routes reach the two algebras through _cl13 and _cl3, which take and return
-arrays: an event or four-vector as (..., 4), a field as E then B, (..., 6).
+routes reach the two algebras through _cl13 and _cl3, which map several
+(kind, array) pairs of one map at one batch of events in one call and
+return arrays: a four-vector as (..., 4), a field as E then B, (..., 6);
+image events come from _image13.
 Deviations between routes are measured relative to max(1, reference
 magnitude): transformed quantities reach 1e5 and beyond on valid sample
 points, where an absolute comparison would only measure float64
@@ -37,10 +39,10 @@ import numpy as np
 
 from . import oracle
 from .bridge import product_correspondence_check, sandwich_correspondence_check
-from .cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
+from .cl13 import GRADE_OF, Faraday13, FourVector, Multivector13, vector_sandwich
 from .cl3 import Faraday3, Paravector3, cross3
-from .conformal13 import induced_matrix, transform
-from .conformal3 import induced_matrix3, transform3
+from .conformal13 import induced_matrix, transform, transform_kinds
+from .conformal3 import induced_matrix3, raise_refusal, transform3, transform_kinds_rows
 from .fields import PlaneWave, invariants
 from .maps import (
     CoordinateFrame,
@@ -258,24 +260,42 @@ def _eb(E, B) -> np.ndarray:
     return np.concatenate([E, B], axis=-1)
 
 
-def _cl13(params, kind, value, x=None, frame=ORIG) -> np.ndarray:
-    """transform on arrays: value a four-vector (..., 4) or a field E then B
-    (..., 6), at the events x (..., 4) of frame; the image in the same
-    layout.  A refused row raises, as transform does."""
+def _cl13(params, values, x=None, frame=ORIG) -> list[np.ndarray]:
+    """transform_kinds on arrays: values (kind, array) pairs, a four-vector
+    (..., 4) or a field E then B (..., 6), at the events x (..., 4) of
+    frame; the images in the same layout, in the order of values.  A
+    refused row raises, as transform does."""
     x = None if x is None else _fv(x)
-    if kind is FARADAY:
-        out = transform(params, kind, Faraday13(value[..., :3], value[..., 3:]), x, frame)
-        return _eb(out.E, out.B)
-    return transform(params, kind, _fv(value), x, frame).as_array()
+    values = [
+        (kind, Faraday13(v[..., :3], v[..., 3:]) if kind is FARADAY else _fv(v))
+        for kind, v in values
+    ]
+    return [
+        _eb(out.E, out.B) if kind is FARADAY else out.as_array()
+        for (kind, _), out in zip(values, transform_kinds(params, values, x, frame))
+    ]
 
 
-def _cl3(params, kind, value, x, frame=ORIG) -> np.ndarray:
-    """_cl13 by the paravector route, transform3."""
-    x = Paravector3.from_event(x)
-    if kind is FARADAY:
-        out = transform3(params, kind, Faraday3(value[..., :3], value[..., 3:]), x, frame)
-        return _eb(out.E, out.B)
-    return transform3(params, kind, Paravector3.from_event(value), x, frame).event()
+def _cl3(params, values, x, frame=ORIG) -> list[np.ndarray]:
+    """_cl13 by the paravector route, transform_kinds_rows, raising the
+    error of the first refused row of the first kind with one, as
+    transform3 on each kind in turn does."""
+    values = [
+        (kind, Faraday3(v[..., :3], v[..., 3:]) if kind is FARADAY else Paravector3.from_event(v))
+        for kind, v in values
+    ]
+    outs = []
+    for (kind, _), (out, _, reason) in zip(
+        values, transform_kinds_rows(params, values, Paravector3.from_event(x), frame)
+    ):
+        raise_refusal(reason)
+        outs.append(_eb(out.E, out.B) if kind is FARADAY else out.event())
+    return outs
+
+
+def _image13(params, X) -> np.ndarray:
+    """The image events of the events X (..., 4) by transform."""
+    return transform(params, POSITION, _fv(X)).as_array()
 
 
 def _worst(*devs) -> float:
@@ -311,7 +331,12 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
     anticommute onto the metric."""
     blades = np.eye(16)
     i, j = np.divmod(np.arange(256), 16)
-    p = (Multivector13(blades[i]) * Multivector13(blades[j])).c
+    # Each grade's blades, as one narrow left factor, times all 16 blades:
+    # five products of at most 6 terms per blade, rows put back in blade order.
+    p = np.concatenate([
+        (Multivector13(blades[GRADE_OF == g, None]).grade(g) * Multivector13(blades)).c
+        for g in range(5)
+    ])[np.argsort(np.argsort(GRADE_OF, kind="stable"))].reshape(256, 16)
     on = p[np.arange(256), i ^ j]
     off = p.copy()
     off[np.arange(256), i ^ j] = 0.0
@@ -410,9 +435,11 @@ def check_three_way_agreement(rng, trials: int, tol: float) -> CheckResult:
             (POTENTIAL, A4, oracle.transform_potential(M, A4, lam, theta)),
             (CURRENT, A4, oracle.transform_current(M, A4, lam, theta)),
         )
-        for frame, x in ((ORIG, X), (TRANS, _cl13(params, POSITION, X))):
+        values = [(kind, v) for kind, v, _ in laws]
+        for frame, x in ((ORIG, X), (TRANS, _image13(params, X))):
             for route in (_cl13, _cl3):
-                devs += [_vec_dev(route(params, kind, v, x, frame), want) for kind, v, want in laws]
+                outs = route(params, values, x, frame)
+                devs += [_vec_dev(out, want) for out, (_, _, want) in zip(outs, laws)]
     return _result("three_way_agreement", trials, devs, tol)
 
 
@@ -460,10 +487,11 @@ def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
         eps = _signs(kept)
         y = _chain_image(X, A, eps).as_array()
         inv, sct = Inversion(eps), Sct(A)
-        devs.append(_vec_dev(_cl13(inv, POSITION, y), _cl13(sct, POSITION, X)))
-        for kind, v in ((POTENTIAL, A4), (FARADAY, EB)):
-            chained = _cl13(inv, kind, _cl13(inv, kind, v, X), y)
-            devs.append(_vec_dev(chained, _cl13(sct, kind, v, X)))
+        devs.append(_vec_dev(_image13(inv, y), _image13(sct, X)))
+        values = ((POTENTIAL, A4), (FARADAY, EB))
+        kinds = [kind for kind, _ in values]
+        chained = _cl13(inv, zip(kinds, _cl13(inv, values, X)), y)
+        devs += [_vec_dev(c, d) for c, d in zip(chained, _cl13(sct, values, X))]
     dev = _worst(*devs)
     ok = kept >= trials and dev <= tol
     return CheckResult("sct_chain_composition", kept, dev, tol, ok)
@@ -483,11 +511,11 @@ def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
         _vec_dev(direct, _eb(*oracle.unpack_faraday(oracle.inversion_faraday_tensor(F, X, eps)))),
         _vec_dev(sct, _eb(*oracle.unpack_faraday(oracle.sct_faraday_tensor(F, X, A)))),
         _vec_dev(newcoords, sct),
-        _vec_dev(_cl13(Inversion(1), POTENTIAL, A4, X), Ap),
-        _vec_dev(_cl13(Sct(A), POTENTIAL, A4, X), oracle.sct_potential_components(A4, X, A)),
+        _vec_dev(*_cl13(Inversion(1), [(POTENTIAL, A4)], X), Ap),
+        _vec_dev(*_cl13(Sct(A), [(POTENTIAL, A4)], X), oracle.sct_potential_components(A4, X, A)),
     ]
     for params, want in ((Inversion(eps), direct), (Sct(A), sct)):
-        devs.append(_vec_dev(_cl3(params, FARADAY, EB, X), want))
+        devs.append(_vec_dev(*_cl3(params, [(FARADAY, EB)], X), want))
 
     dev, mutual_dev = _worst(*devs), _worst(_vec_dev(closed, direct))
     mutual_tol = tol * 1e-2 if tol > 0.0 else 0.0

@@ -1,6 +1,7 @@
 """Tests for the complexified Cl(3) paravector layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_faraday3_round_trip():
     assert np.array_equal(F.E, [1.0, 2.0, 3.0])
     assert np.array_equal(F.B, [-1.0, 0.5, 0.0])
     assert np.array_equal(Faraday3(F=F.F).F, F.F)
+
+
+def test_faraday3_keeps_e_where_b_is_not_finite():
+    """1j * inf is nan + inf j, so E + 1j B once read E as NaN, with a
+    numpy warning, on the axes where B was infinite or NaN.  Those entries
+    now hold E itself; every other entry, and every entry of a finite
+    field, keeps the bits of E + 1j B, the sign of each zero included."""
+    E = np.array([[1.0, -0.0, 2.0], [-0.0, 0.0, -3.0]])
+    B = np.array([[np.inf, -0.0, np.nan], [-0.0, -np.inf, 0.0]])
+    bad = ~np.isfinite(B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = Faraday3((1.0, 0.0, 0.0), (np.inf, 0.0, 0.0))
+        F = Faraday3(E, B)
+        finite = Faraday3(E, np.where(bad, 0.5, B))
+    assert np.array_equal(one.E, [1.0, 0.0, 0.0]) and np.array_equal(one.B, [np.inf, 0.0, 0.0])
+    assert F.E[bad].tobytes() == E[bad].tobytes()
+    assert np.array_equal(F.B, B, equal_nan=True)
+    assert finite.F.tobytes() == (E + 1j * np.where(bad, 0.5, B)).tobytes()
+    assert F.F[~bad].tobytes() == finite.F[~bad].tobytes()
 
 
 def test_faraday3_square_gives_invariants():

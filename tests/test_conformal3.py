@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from emconf.cl13 import Faraday13, FourVector
 from emconf.cl3 import Faraday3, Paravector3, cl3_product, minkowski_square
-from emconf.conformal13 import induced_matrix, sct_factor, transform
+from emconf.conformal13 import induced_matrix, sct_factor, transform, transform_kinds
 from emconf.conformal3 import (
     Refusal,
     _inverse,
@@ -21,6 +21,7 @@ from emconf.conformal3 import (
     raise_refusal,
     sct_factor3,
     transform3,
+    transform_kinds_rows,
     transform_rows,
 )
 from emconf.errors import LightConeError, NonRealEventError, SctConeError
@@ -863,3 +864,107 @@ def test_property_results_have_the_ledgers_rows(
             assert M.shape == mrows + (4, 4)
             for idx in np.ndindex(*mrows):
                 assert M[idx].tobytes() == induced(_map_row(params, mrows, idx)).tobytes()
+
+
+# -- several kinds in one call ----------------------------------------------------
+
+
+def _cone_event(params, frame) -> np.ndarray:
+    """An event on the cone that the map's first row guards in the frame:
+    x^2 = 0 for the inversion; sigma = 0 for the special conformal map by a
+    at -a / a^2 in the ORIGINAL frame, and for the map by -a, which the
+    TRANSFORMED frame reads, at a / a^2."""
+    if isinstance(params, Inversion):
+        return np.array([1.5, 0.0, -1.5, 0.0])
+    a = params.a.reshape(-1, 4)[0]
+    a2 = a[0] * a[0] - a[1:] @ a[1:]
+    return (-a if frame is ORIG else a) / a2
+
+
+def _outcome(call):
+    """The results of call, or the type and text of the error it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, database=None)
+@given(
+    family=st.sampled_from(["dilation", "translation", "lorentz", "inversion", "sct"]),
+    kinds=st.lists(st.sampled_from([POTENTIAL, CURRENT, FARADAY]), min_size=1, max_size=4),
+    frame=st.sampled_from(list(CoordinateFrame)),
+    n=st.integers(2, 3),
+    map_rows=st.sampled_from(MAP_ROWS),
+    x_rows=st.sampled_from(VALUE_ROWS),
+    value_rows=st.lists(st.sampled_from(VALUE_ROWS), min_size=4, max_size=4),
+    on_cone=st.booleans(),
+    non_finite=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_kinds_entries_are_each_kinds_own_call(
+    family, kinds, frame, n, map_rows, x_rows, value_rows, on_cone, non_finite, seed
+):
+    """transform_kinds_rows gives each (kind, value) pair the value, scale
+    and ledger of its own transform_rows call, and transform_kinds the image
+    of its own transform call, byte for byte and shape for shape: for every
+    family, a class per row of a Lorentz batch among them, for batched maps,
+    both frames and values of their own rows per kind.  With a row on the
+    cone that the inversion or the special conformal map guards, or an
+    infinite value, the ledgers still match, and the error raised is the one
+    that the one-kind calls in turn raise first."""
+    rng = np.random.default_rng(seed)
+    mrows, xrows = (tuple(n if d == "n" else d for d in p) for p in (map_rows, x_rows))
+    params = _map(family, mrows, rng)
+    X = _events(xrows, rng)
+    guarded = on_cone and family in ("inversion", "sct")
+    if guarded:
+        X.reshape(-1, 4)[0] = _cone_event(params, frame)
+    values3, values13 = [], []
+    for kind, rows in zip(kinds, value_rows):
+        rows = tuple(n if d == "n" else d for d in rows)
+        V = rng.uniform(-1, 1, rows + ((6,) if kind is FARADAY else (4,)))
+        if non_finite:
+            V.reshape(-1, V.shape[-1])[-1, rng.integers(V.shape[-1])] = np.inf
+        if kind is FARADAY:
+            values3.append((kind, Faraday3(V[..., :3], V[..., 3:])))
+            values13.append((kind, Faraday13(V[..., :3], V[..., 3:])))
+        else:
+            values3.append((kind, ev(V)))
+            values13.append((kind, FourVector.from_array(V)))
+    x3, x13 = ev(X), FourVector.from_array(X)
+
+    def keys(results):
+        if not isinstance(results, (list, tuple)) or isinstance(results[0], type):
+            return results
+        return [[(a.shape, a.tobytes()) for a in _parts(r)] for r in results]
+
+    with np.errstate(all="ignore"):
+        many = transform_kinds_rows(params, values3, x3, frame)
+        ones = [transform_rows(params, k, v, x3, frame) for k, v in values3]
+        assert [keys(list(r)) for r in many] == [keys(list(r)) for r in ones]
+        if guarded:
+            code = Refusal.LIGHT_CONE if family == "inversion" else Refusal.SCT_CONE
+            assert all((reason == code).any() for _, _, reason in many)
+
+        def raise_in_turn():
+            for _, _, reason in many:
+                raise_refusal(reason)
+            return [out for out, _, _ in many]
+
+        assert keys(_outcome(raise_in_turn)) == keys(
+            _outcome(lambda: [transform3(params, k, v, x3, frame) for k, v in values3])
+        )
+        assert keys(_outcome(lambda: transform_kinds(params, values13, x13, frame))) == keys(
+            _outcome(lambda: [transform(params, k, v, x13, frame) for k, v in values13])
+        )
+
+
+@pytest.mark.parametrize("entry", [transform_kinds, transform_kinds_rows])
+def test_kinds_entries_refuse_a_position(entry):
+    """A position is its own event, so it has no place among the kinds that
+    share one batch of events."""
+    x = (2.0, 0.5, 0.0, 0.0)
+    value = FourVector(*x) if entry is transform_kinds else ev(x)
+    with pytest.raises(ValueError, match="a position is its own event"):
+        entry(Inversion(1), [(POTENTIAL, value), (POSITION, value)], value)

@@ -120,6 +120,8 @@ _ROUTE_CHECKS = [
     ("transform3", FARADAY, "field_expansions"),
     ("transform3", FARADAY, "invariant_scaling"),
 ]
+# Each route's entry for several kinds at once, which verify also reads.
+_KINDS_ENTRY = {"transform": "transform_kinds", "transform3": "transform_kinds_rows"}
 
 
 @pytest.mark.parametrize(
@@ -130,15 +132,25 @@ _ROUTE_CHECKS = [
 )
 def test_nan_route_fails_its_check(monkeypatch, name, kind, check, factor):
     """A route whose results on one kind are NaN, or off by one part in a
-    million, fails every check that compares it.  The built-in max would
-    drop a NaN deviation and pass the check."""
-    route = getattr(verify, name)
+    million, through its one-kind entry and its entry for several kinds,
+    fails every check that compares it.  The built-in max would drop a NaN
+    deviation and pass the check."""
+    route, kinds_route = getattr(verify, name), getattr(verify, _KINDS_ENTRY[name])
 
     def perturbed(params, k, value, *args, **kwargs):
         out = route(params, k, value, *args, **kwargs)
         return _times(out, factor) if k is kind else out
 
+    def perturbed_kinds(params, values, *args, **kwargs):
+        values = list(values)
+        outs = kinds_route(params, values, *args, **kwargs)
+        if name == "transform3":
+            return [(_times(out, factor), scale, reason) if k is kind else (out, scale, reason)
+                    for (k, _), (out, scale, reason) in zip(values, outs)]
+        return tuple(_times(out, factor) if k is kind else out for (k, _), out in zip(values, outs))
+
     monkeypatch.setattr(verify, name, perturbed)
+    monkeypatch.setattr(verify, _KINDS_ENTRY[name], perturbed_kinds)
     result = run_suite(trials=10, checks=(check,)).checks[0]
     assert not result.passed
     if np.isnan(factor):
