@@ -227,15 +227,11 @@ class Faraday3:
             B = np.zeros(3) if B is None else np.asarray(B, dtype=np.float64)
             if E.shape[-1:] != (3,) or B.shape[-1:] != (3,):
                 raise ValueError("E and B must be 3-vectors")
-            bad = ~np.isfinite(B)
-            if not bad.any():
-                self.F = E + 1j * B
-                return
             # 1j * inf is nan + inf j, so E is written back where B is not
             # finite; a finite field keeps the bits of E + 1j B.
             with np.errstate(invalid="ignore"):
                 self.F = E + 1j * B
-            np.copyto(self.F.real, E, where=bad)
+            np.copyto(self.F.real, E, where=~np.isfinite(B))
 
     @classmethod
     def _wrap(cls, F: np.ndarray) -> "Faraday3":

@@ -153,8 +153,6 @@ def transform(
     of their rows (see maps.rows), also where the map does not read x or
     the kind does not read eps.
     """
-    if kind is QuantityKind.POSITION:
-        x, frame = value, CoordinateFrame.ORIGINAL
     return _transform(params, ((kind, value),), x, frame)[0]
 
 
@@ -169,12 +167,10 @@ def transform_kinds(
     the bits and the shape of its own transform call.  The scale, its cone
     guards and the versors are computed once for every kind; a guard raises
     the error that the calls in turn would raise first.  A position is its
-    own event, so a POSITION pair is a ValueError: map it with transform.
+    own event, so a POSITION pair comes alone, as in transform; among other
+    pairs it is a ValueError.
     """
-    values = tuple(values)
-    if any(kind is QuantityKind.POSITION for kind, _ in values):
-        raise ValueError("a position is its own event: map it with transform")
-    return _transform(params, values, x, frame)
+    return _transform(params, tuple(values), x, frame)
 
 
 def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
@@ -199,17 +195,20 @@ def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
 
 def _transform(params, values, x, frame) -> tuple:
     """The image of each (kind, value) pair of values at the events x of
-    frame, where a position pair comes alone with its own events as x;
-    each image has the broadcast shape of the map's, the value's and the
-    events' rows.  The scale and the versors are computed once, each kind's
-    sandwich, weight and grade guard in the order of values."""
+    frame; a position pair comes alone and is its own event in the ORIGINAL
+    frame.  Each image has the broadcast shape of the map's, the value's
+    and the events' rows.  The scale and the versors are computed once,
+    each kind's sandwich, weight and grade guard in the order of values."""
+    position = any(kind is QuantityKind.POSITION for kind, _ in values)
+    if position:
+        if len(values) > 1:
+            raise ValueError("a position is its own event: map it alone")
+        x, frame = values[0][1], CoordinateFrame.ORIGINAL
     xs = () if x is None else (_rows(x),)
     scale = versors = None
     if isinstance(params, (Inversion, Sct)):
         scale = _scale(params, x, frame)
-    if isinstance(params, Lorentz) or (
-        scale is not None and any(kind is not QuantityKind.POSITION for kind, _ in values)
-    ):
+    if isinstance(params, Lorentz) or (scale is not None and not position):
         versors = _versors(params, x, frame)
     outs = []
     for kind, value in values:
@@ -274,5 +273,5 @@ def induced_matrix(params: Lorentz) -> np.ndarray:
     map's rows.  For n maps, by boost and rotation of shape (n, 3) or by n
     classes, the result has shape (n, 4, 4)."""
     basis = FourVector.from_array(np.eye(4).reshape((4,) + (1,) * len(params.rows) + (4,)))
-    out = _transform(params, ((QuantityKind.POSITION, basis),), basis, CoordinateFrame.ORIGINAL)
+    out = _transform(params, ((QuantityKind.POSITION, basis),), None, CoordinateFrame.ORIGINAL)
     return np.moveaxis(out[0].as_array(), 0, -1)

@@ -298,13 +298,21 @@ def _value_rows(params, kind, value, frame, scale, reason, sandwich, rights):
 
 def _transform_rows(params, values, x, frame) -> list:
     """transform_rows of each (kind, value) pair of values at the events x
-    of frame, where a position pair comes alone with its own events as x.
-    The scale, its cone guards, J and its left conjugate are computed once;
-    each kind's ledger, scale array, sandwich, weight and guards in the
-    order of values."""
+    of frame; a position pair comes alone and is its own event in the
+    ORIGINAL frame.  The scale, its cone guards, J and its left conjugate
+    are computed once; each kind's ledger, scale array, sandwich, weight
+    and guards in the order of values."""
+    position = any(kind is QuantityKind.POSITION for kind, _ in values)
+    if position:
+        if len(values) > 1:
+            raise ValueError("a position is its own event: map it alone")
+        x, frame = values[0][1], _ORIG
     w, cone = _scale_rows(params, x, frame)
     sandwich = None
-    if not isinstance(params, (Dilation, Translation)):
+    # The inversion maps a position by its scale alone (see _value_rows).
+    if not isinstance(params, (Dilation, Translation)) and not (
+        position and isinstance(params, Inversion)
+    ):
         J, parity = _versor(params, x, frame)
         sandwich = J, parity, _conj(params, J, True, True)
     results, rights = [], {}
@@ -349,8 +357,6 @@ def transform_rows(
     inversion potential, which does not read eps, leave rows of the ledger
     out of their values: a read-only view adds them.
     """
-    if kind is QuantityKind.POSITION:
-        x, frame = value, _ORIG
     return _transform_rows(params, ((kind, value),), x, frame)[0]
 
 
@@ -365,12 +371,9 @@ def transform_kinds_rows(
     order of values, each with the bits and the shapes of its own
     transform_rows call.  The scale, its cone guards, J and J's left
     conjugate are computed once for every kind; each kind has its own
-    ledger.  A position is its own event, so a POSITION pair is a
-    ValueError: map it with transform_rows."""
-    values = tuple(values)
-    if any(kind is QuantityKind.POSITION for kind, _ in values):
-        raise ValueError("a position is its own event: map it with transform_rows")
-    return _transform_rows(params, values, x, frame)
+    ledger.  A position is its own event, so a POSITION pair comes alone,
+    as in transform_rows; among other pairs it is a ValueError."""
+    return _transform_rows(params, tuple(values), x, frame)
 
 
 def transform3(
@@ -382,8 +385,6 @@ def transform3(
 ):
     """The value of transform_rows, raising the typed error of the first
     refused row."""
-    if kind is QuantityKind.POSITION:
-        x, frame = value, _ORIG
     out, _, reason = _transform_rows(params, ((kind, value),), x, frame)[0]
     raise_refusal(reason)
     return out

@@ -332,11 +332,12 @@ def check_blade_products(rng, trials: int, tol: float) -> CheckResult:
     blades = np.eye(16)
     i, j = np.divmod(np.arange(256), 16)
     # Each grade's blades, as one narrow left factor, times all 16 blades:
-    # five products of at most 6 terms per blade, rows put back in blade order.
-    p = np.concatenate([
-        (Multivector13(blades[GRADE_OF == g, None]).grade(g) * Multivector13(blades)).c
-        for g in range(5)
-    ])[np.argsort(np.argsort(GRADE_OF, kind="stable"))].reshape(256, 16)
+    # five products of at most 6 terms per blade, each into its blades' rows.
+    p = np.empty((16, 16, 16))
+    for g in range(5):
+        left = Multivector13(blades[GRADE_OF == g, None]).grade(g)
+        p[GRADE_OF == g] = (left * Multivector13(blades)).c
+    p = p.reshape(256, 16)
     on = p[np.arange(256), i ^ j]
     off = p.copy()
     off[np.arange(256), i ^ j] = 0.0

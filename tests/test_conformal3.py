@@ -961,10 +961,20 @@ def test_property_kinds_entries_are_each_kinds_own_call(
 
 
 @pytest.mark.parametrize("entry", [transform_kinds, transform_kinds_rows])
-def test_kinds_entries_refuse_a_position(entry):
+def test_kinds_entries_take_a_position_alone(entry):
     """A position is its own event, so it has no place among the kinds that
-    share one batch of events."""
-    x = (2.0, 0.5, 0.0, 0.0)
-    value = FourVector(*x) if entry is transform_kinds else ev(x)
+    share one batch of events; alone it maps as in the one-kind entry, which
+    ignores the events and the frame it is given."""
+    x, y = (2.0, 0.5, 0.0, 0.0), (3.0, 0.0, 1.0, 0.0)
+    one = transform if entry is transform_kinds else transform_rows
+    value, other = (FourVector(*x), FourVector(*y)) if entry is transform_kinds else (ev(x), ev(y))
     with pytest.raises(ValueError, match="a position is its own event"):
         entry(Inversion(1), [(POTENTIAL, value), (POSITION, value)], value)
+    for params in (Inversion(1), Sct((0.1, 0.2, 0.0, 0.3)), Lorentz(boost=(0.5, 0.0, 0.0))):
+        (alone,) = entry(params, [(POSITION, value)], other, TRANS)
+        want = one(params, POSITION, value)
+        keys = [
+            [a.tobytes() for q in (r if isinstance(r, tuple) else (r,)) for a in _parts(q)]
+            for r in (alone, want)
+        ]
+        assert keys[0] == keys[1]
