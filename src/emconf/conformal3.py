@@ -243,12 +243,12 @@ def _finite_rows(q) -> np.ndarray:
     return np.isfinite(q.s) & np.isfinite(q.v).all(axis=-1)
 
 
-def _value_rows(params, kind, value, frame, scale, reason, sandwich, rights):
+def _value_rows(params, kind, value, x, frame, scale, reason, versor):
     """The image of value under every family and kind, with its rows refused
     in reason: NON_FINITE where the image is not finite, then RESIDUE where
-    a product left a residue above tolerance.  sandwich is the map's J, its
-    parity rows and its left conjugate at the value's events (None where
-    the map reads none), and rights keeps J's right conjugates by kind."""
+    a product left a residue above tolerance.  versor keeps, for the kinds
+    of one call, the map's J at x with its parity rows and left conjugate,
+    and J's right conjugates by kind, each made when a kind first needs it."""
     field, position = kind is QuantityKind.FARADAY, kind is QuantityKind.POSITION
     guard = None
     if isinstance(params, Dilation):
@@ -260,7 +260,10 @@ def _value_rows(params, kind, value, frame, scale, reason, sandwich, rights):
         # eps (1 / x^2) is eps / x^2 to the bit.
         out = (params.eps * (1.0 / scale)) * value
     else:
-        J, parity, left = sandwich
+        if "J" not in versor:
+            J, parity = _versor(params, x, frame)
+            versor["J"] = J, parity, _conj(params, J, True, True)
+        J, parity, left = versor["J"]
         q = value.to_paravector() if field else value
         if parity.any():
             q = _where(parity, q.star() if field else q.bar(), q)
@@ -268,9 +271,9 @@ def _value_rows(params, kind, value, frame, scale, reason, sandwich, rights):
             # One product, bar(J)* x / sigma.
             out = (1.0 / scale) * cl3_product(left, q)
         else:
-            if field not in rights:
-                rights[field] = _conj(params, J, not field, field)
-            out = cl3_product(cl3_product(left, q), rights[field])
+            if field not in versor:
+                versor[field] = _conj(params, J, not field, field)
+            out = cl3_product(cl3_product(left, q), versor[field])
         if isinstance(params, Lorentz):
             # The antichronous rows flip position and field, never potential or current.
             flip = (parity != params.antichronous) if field else params.antichronous & position
@@ -300,22 +303,15 @@ def _transform_rows(params, values, x, frame) -> list:
     """transform_rows of each (kind, value) pair of values at the events x
     of frame; a position pair comes alone and is its own event in the
     ORIGINAL frame.  The scale, its cone guards, J and its left conjugate
-    are computed once; each kind's ledger, scale array, sandwich, weight
-    and guards in the order of values."""
+    are computed once, J when a kind first needs it; each kind's ledger,
+    scale array, sandwich, weight and guards in the order of values."""
     position = any(kind is QuantityKind.POSITION for kind, _ in values)
     if position:
         if len(values) > 1:
             raise ValueError("a position is its own event: map it alone")
         x, frame = values[0][1], _ORIG
     w, cone = _scale_rows(params, x, frame)
-    sandwich = None
-    # The inversion maps a position by its scale alone (see _value_rows).
-    if not isinstance(params, (Dilation, Translation)) and not (
-        position and isinstance(params, Inversion)
-    ):
-        J, parity = _versor(params, x, frame)
-        sandwich = J, parity, _conj(params, J, True, True)
-    results, rights = [], {}
+    results, versor = [], {}
     for kind, value in values:
         reason = no_refusals(_batch_shape(params, x, value))
         if cone is not None:
@@ -323,7 +319,7 @@ def _transform_rows(params, values, x, frame) -> list:
         # Ones, not broadcast_to: the product is exact, and one event keeps the
         # numpy scalar that fields.predicted_invariant_factors raises with **.
         scale = w * np.ones(reason.shape)
-        out = _value_rows(params, kind, value, frame, scale, reason, sandwich, rights)
+        out = _value_rows(params, kind, value, x, frame, scale, reason, versor)
         rows = reason.shape
         if isinstance(out, Faraday3) and out.F.shape[:-1] != rows:
             out = Faraday3._wrap(np.broadcast_to(out.F, rows + (3,)))
