@@ -302,7 +302,8 @@ def _job_field_params(args) -> tuple[dict, FieldSpec, ConformalParams]:
 
 
 def _axis(name: str, axis: dict) -> np.ndarray:
-    """The values of grid axis name from its min, max and count."""
+    """The values of grid axis name from its min, max and count; a count
+    too large to hold is refused."""
     if not {"min", "max", "count"} <= axis.keys():
         raise JobError(f"grid axis {name} needs numeric min, max, count")
     stray = [key for key in axis if key not in ("min", "max", "count")]
@@ -315,7 +316,13 @@ def _axis(name: str, axis: dict) -> np.ndarray:
         raise JobError(f"grid axis {name}: count must be at least 1")
     if lo > hi:
         raise JobError(f"grid axis {name}: min exceeds max")
-    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+    # numpy counts an array's bytes in np.intp, 8 to a float64 value.
+    if count <= np.iinfo(np.intp).max // 8:
+        try:
+            return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+        except MemoryError:
+            pass
+    raise JobError(f"grid axis {name}: count {count} is too large to hold")
 
 
 def _resolve_grid(job_grid, flag_grid) -> dict:

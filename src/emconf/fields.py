@@ -100,7 +100,7 @@ class Coulomb:
 
     def faraday(self, x) -> Faraday3:
         F, charge = self.faraday_rows(np.asarray(x, dtype=np.float64))
-        if charge:
+        if np.any(charge):
             raise OriginSingularityError("Coulomb field evaluated at the charge")
         return F
 

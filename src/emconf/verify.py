@@ -3,26 +3,26 @@
 Each check draws from its own child of one seed sequence, so enabling or
 reordering other checks never shifts its sample stream and the whole report
 is reproducible byte for byte.  A check's samples are the ones a loop drawing
-one trial at a time, rejection included, would draw, but they come from
-blocks of uniforms with every block's rejections decided at once (see
-_walk).  Only the heads the loop can start at are judged: offsets that are
-multiples of gcd(head width, row width).  The first block is the least the
-loop consumes, and a later one is sized from the acceptance seen so far; the
-uniforms a block drew past the last one read are given back by rewinding the
-generator to its state from before that block and advancing it by the
-doubles read, so the generator must support bit_generator.advance, as the
-PCG64 generators of run_suite do.  The plane-wave draws, whose normal draws
-vary in length, are made one trial at a time, with the cone guards of up to
-32 trials judged in one call and the generator set back to the first trial
-that fails them (see _null_field_rows).  Each route then runs once on all the
-trials: inversion trials as one batch with the sign eps = +1 on even trials
-and -1 on odd ones, special conformal trials as one batch with each trial's
-vector a on the batch axis, Lorentz maps and plane waves with one class or
-wave per row, so row i of every batch is trial i.  Checks that compare
-routes reach the two algebras through _cl13 and _cl3, which map several
-(kind, array) pairs of one map at one batch of events in one call and
-return arrays: a four-vector as (..., 4), a field as E then B, (..., 6);
-image events come from _image13.
+one trial at a time, redrawing each head its judge refuses, would draw, but
+they come from blocks of uniforms with every block's heads judged at once
+(see _walk).  Every judge tests a head by the oracle's x^2 and sigma, never
+through a Clifford route.  Only the heads the loop can start at are judged:
+offsets that are multiples of gcd(head width, row width).  The first block
+is the least the loop consumes, and a later one is sized from the acceptance
+seen so far; the uniforms a block drew past the last one read are given back
+by rewinding the generator to its state from before that block and advancing
+it by the doubles read, so the generator must support bit_generator.advance,
+as the PCG64 generators of run_suite do.  The plane-wave draws, whose normal
+draws vary in length, are made one trial at a time, with the cone guards of
+up to 32 trials judged in one call (see _null_field_rows).  Each route then
+runs once on all the trials: inversion trials as one batch with the sign
+eps = +1 on even trials and -1 on odd ones, special conformal trials as one
+batch with each trial's vector a on the batch axis, Lorentz maps and plane
+waves with one class or wave per row, so row i of every batch is trial i.
+Checks that compare routes reach the two algebras through _cl13 and _cl3,
+which map several (kind, array) pairs of one map at one batch of events in
+one call and return arrays: a four-vector as (..., 4), a field as E then B,
+(..., 6); image events come from _image13.
 Deviations between routes are measured relative to max(1, reference
 magnitude): transformed quantities reach 1e5 and beyond on valid sample
 points, where an absolute comparison would only measure float64
@@ -102,41 +102,32 @@ class VerifyReport:
 
 # -- samplers -------------------------------------------------------------------
 
-# A head's outcome: drawn again without counting, a counted attempt that
-# failed, or a counted attempt whose row is kept.
-_REDRAW, _REJECT, _ACCEPT = 0, 1, 2
 
-
-def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np.ndarray:
+def _walk(rng, trials: int, half: np.ndarray, k: int, accept) -> np.ndarray:
     """The rows that the loop
 
-        while fewer than trials rows are kept and fewer than cap attempts made:
-            draw a head, the first k columns, and judge it:
-            REDRAW: draw again; REJECT: one attempt, draw again;
-            ACCEPT: one attempt, draw the other columns, keep the row
+        while fewer than trials rows are kept:
+            draw a head, the first k columns;
+            if accept holds for it: draw the other columns and keep the row
 
     keeps, column j uniform in [-half[j], half[j]], with the generator left
-    in the state that loop leaves it in.
-
-    judge maps heads of shape (n, k) to outcomes of shape (n, phases); a
-    head's phase is the number of rows kept before it, modulo phases.
-    low + (high - low) u is what Generator.uniform computes from each
-    double u.
+    in the state that loop leaves it in.  accept maps heads of shape (n, k)
+    to booleans of shape (n,).  low + (high - low) u is what
+    Generator.uniform computes from each double u.
 
     The rows come from blocks of rng.random, with every head of a block
-    judged in one call.  The first block is the least the loop consumes:
-    the rows wanted times the row width, or the cap times k if that is
-    less.  A later block tops the unread buffer up to at least the least
-    the loop still consumes (one row width while an accepted head waits
-    for its tail), and to about twice what the rows left cost at the rate
-    seen so far, at most four times what was read so far.  A head starts
-    where the one before it started plus k or plus the row width, so only
-    offsets that are multiples of gcd(k, width) are judged (the windows of
-    k there, gathered by fancy indexing).  Uniforms a block drew past the
-    last one read are given back: the generator is set to its state from
-    before that block and advanced by the doubles read from it, each double
-    of Generator.random being one 64-bit output.  So rng must support
-    bit_generator.advance, as PCG64, the generator of default_rng, does.
+    judged in one call.  The first block is the least the loop consumes,
+    the rows wanted times the row width.  A later block tops the unread
+    buffer up to at least the rows left times the row width, and to about
+    twice what they cost at the rate seen so far, at most four times what
+    was read so far.  A head starts where the one before it started plus k
+    or plus the row width, so only offsets that are multiples of
+    gcd(k, width) are judged (the windows of k there, gathered by fancy
+    indexing).  Uniforms a block drew past the last one read are given
+    back: the generator is set to its state from before that block and
+    advanced by the doubles read from it, each double of Generator.random
+    being one 64-bit output.  So rng must support bit_generator.advance, as
+    PCG64, the generator of default_rng, does.
     """
     width = half.size
     low, span = -half, 2.0 * half
@@ -144,15 +135,11 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
     window = np.arange(k)
     rows = []
     buf = np.empty(0)
-    pos = attempts = read = 0
-    tail_pending = False
+    pos = read = 0
     saved = None
-    while len(rows) < trials and attempts < cap:
+    while len(rows) < trials:
         left = trials - len(rows)
-        least = min(left * width, (cap - attempts) * k)
-        if tail_pending:
-            least = max(least, width)
-        need = least - (buf.size - pos)
+        need = left * width - (buf.size - pos)
         read += pos
         size = max(need, min(4 * read, 2 * read * left // (len(rows) + 1)))
         saved = rng.bit_generator.state if size > need else None
@@ -160,25 +147,15 @@ def _walk(rng, trials: int, half: np.ndarray, k: int, judge, cap=math.inf) -> np
         buf = np.concatenate([buf[pos:], fresh]) if pos < buf.size else fresh
         pos = 0
         starts = np.arange(0, buf.size - k + 1, step)
-        heads = low[:k] + span[:k] * buf[starts[:, None] + window]
-        outcomes = judge(heads)
-        phases = outcomes.shape[1]
-        outcomes = outcomes.ravel().tolist()
-        tail_pending = False
-        while len(rows) < trials and attempts < cap and pos + k <= buf.size:
-            outcome = outcomes[pos // step * phases + len(rows) % phases]
-            if outcome == _REDRAW:
+        accepted = accept(low[:k] + span[:k] * buf[starts[:, None] + window]).tolist()
+        while len(rows) < trials and pos + k <= buf.size:
+            if not accepted[pos // step]:
                 pos += k
-                continue
-            if outcome == _ACCEPT and pos + width > buf.size:
-                tail_pending = True
-                break
-            attempts += 1
-            if outcome == _REJECT:
-                pos += k
-            else:
+            elif pos + width <= buf.size:
                 rows.append(buf[pos:pos + width])
                 pos += width
+            else:
+                break
     if saved is not None and pos < buf.size:
         _rewind(rng.bit_generator, saved, size - (buf.size - pos))
     return low + span * np.array(rows).reshape(-1, width)
@@ -199,10 +176,7 @@ def _rewind(bit_generator, saved: dict, read: int) -> None:
 def _sample(rng, trials: int, accept, head, tail: int = 0) -> np.ndarray:
     """trials rows, each a head with the half-widths head, drawn again until
     accept(heads) holds for it, then tail more components in [-2, 2]."""
-    half = np.array(tuple(head) + (2.0,) * tail)
-    return _walk(
-        rng, trials, half, len(head), lambda h: np.where(accept(h), _ACCEPT, _REDRAW)[:, None]
-    )
+    return _walk(rng, trials, np.array(tuple(head) + (2.0,) * tail), len(head), accept)
 
 
 def _split(rows: np.ndarray, *sizes: int) -> tuple[np.ndarray, ...]:
@@ -231,14 +205,18 @@ def _off_cones(h):
     return (np.abs(oracle.msq(x)) > GUARD) & (np.abs(oracle.sct_scale(x, a)) > GUARD)
 
 
-def _far_from_cones(h):
-    """All three cones of the difference-quotient checks kept distant: x^2,
-    sigma and their ratio clear FD_GUARD."""
+def _far_from_cones(h, guard=FD_GUARD):
+    """|x^2|, |sigma(x, a)| and |sigma / x^2| clear guard, for the event x and
+    the vector a in the first eight columns.  The ratio is y^2 for the image
+    y = eps (x / x^2 + a) of x inverted by eps and translated by eps a, for
+    either sign: y^2 = 1 / x^2 + 2 a.x / x^2 + a^2 = sigma / x^2.  At FD_GUARD
+    it keeps the three cones of the difference-quotient checks distant; at
+    GUARD it is the rule of the inversion-translation-inversion chain."""
     x, a = h[:, :4], h[:, 4:8]
     x2, s = oracle.msq(x), oracle.sct_scale(x, a)
-    far = np.abs(x2) > FD_GUARD
+    far = np.abs(x2) > guard
     ratio = np.divide(s, x2, out=np.zeros_like(s), where=far)
-    return far & (np.abs(s) > FD_GUARD) & (np.abs(ratio) > FD_GUARD)
+    return far & (np.abs(s) > guard) & (np.abs(ratio) > guard)
 
 
 def _interval_sign(sign: int):
@@ -451,51 +429,21 @@ def _chain_image(X, A, eps) -> FourVector:
     return transform(Translation(eps[:, None] * A), POSITION, x1)
 
 
-def _sct_chain_rows(rng, trials: int) -> np.ndarray:
-    """The rows of x, a, E, B and A4 that the loop
-
-        while fewer than trials rows are kept and fewer than 50 trials attempts made:
-            draw x, a until the pair clears both cone guards; one attempt
-            eps = +1 if an even number of rows is kept, else -1
-            y = inversion of x by eps, translated by eps a
-            if |y^2| clears the guard: draw E, B, A4 and keep the row
-
-    keeps, drawn as _walk draws: the phase of a pair gives its eps, and each
-    block computes y under both signs as one batch."""
-
-    def judge(heads):
-        out = np.full((len(heads), 2), _REDRAW)
-        paired = _off_cones(heads)
-        if paired.any():
-            x, a = heads[paired, :4], heads[paired, 4:]
-            eps = np.repeat([1, -1], len(x))
-            y = _chain_image(np.concatenate([x, x]), np.concatenate([a, a]), eps)
-            # Not "> GUARD": as in the loop, a NaN square is kept.
-            kept = ~(np.abs(y.minkowski_sq()) <= GUARD)
-            out[paired] = np.where(kept.reshape(2, -1).T, _ACCEPT, _REJECT)
-        return out
-
-    half = np.array(_PAIR + (2.0,) * 10)
-    return _walk(rng, trials, half, len(_PAIR), judge, cap=trials * 50)
-
-
 def check_sct_chain_composition(rng, trials: int, tol: float) -> CheckResult:
-    """Invert, translate by eps*a, invert again: equals the direct map."""
-    X, A, EB, A4 = _split(_sct_chain_rows(rng, trials), 4, 4, 6, 4)
-    kept = len(X)
-    devs = [0.0]
-    if kept:
-        eps = _signs(kept)
-        y = _chain_image(X, A, eps).as_array()
-        inv, sct = Inversion(eps), Sct(A)
-        devs.append(_vec_dev(_image13(inv, y), _image13(sct, X)))
-        values = ((POTENTIAL, A4), (FARADAY, EB))
-        kinds = [kind for kind, _ in values]
-        chained = _cl13(inv, zip(kinds, _cl13(inv, values, X)), y)
-        devs += [_vec_dev(c, d) for c, d in zip(chained, _cl13(sct, values, X))]
-    dev = _worst(*devs)
-    ok = kept >= trials and dev <= tol
-    return CheckResult("sct_chain_composition", kept, dev, tol, ok)
+    """Invert, translate by eps*a, invert again: equals the direct map.  Each
+    pair is drawn with its image y after the first two steps clear of the
+    cone, |y^2| = |sigma / x^2| > GUARD (see _far_from_cones)."""
+    rows = _sample(rng, trials, lambda h: _far_from_cones(h, GUARD), _PAIR, 10)
+    X, A, EB, A4 = _split(rows, 4, 4, 6, 4)
+    eps = _signs(trials)
+    y = _chain_image(X, A, eps).as_array()
+    inv, sct = Inversion(eps), Sct(A)
+    devs = [_vec_dev(_image13(inv, y), _image13(sct, X))]
+    values = ((POTENTIAL, A4), (FARADAY, EB))
+    kinds = [kind for kind, _ in values]
+    chained = _cl13(inv, zip(kinds, _cl13(inv, values, X)), y)
+    devs += [_vec_dev(c, d) for c, d in zip(chained, _cl13(sct, values, X))]
+    return _result("sct_chain_composition", trials, devs, tol)
 
 
 def check_field_expansions(rng, trials: int, tol: float) -> CheckResult:
@@ -626,12 +574,12 @@ def _null_field_rows(rng, trials: int) -> tuple[np.ndarray, ...]:
     length, so the draws and the redraw test (np.linalg.norm's
     sqrt(x.dot(x))) run one trial at a time, the scaling once.
 
-    Up to _DRAFT_AHEAD trials at a time are drawn as if their x and a
-    cleared the cones, and those pairs are judged in one call.  From the
-    first pair that does not clear them (about 0.6% do), the generator is
-    set back to its state before that pair, which is drawn as the loop
-    draws it, and the trials after it are drawn again; drawing so few
-    ahead bounds what a failed pair throws away."""
+    Up to _DRAFT_AHEAD trials at a time are drafted as if their x and a
+    cleared the cones, and those heads are judged in one call.  At the first
+    head that does not clear them (about 0.6% do), the generator is set back
+    to its state before that draft and the head's 8 uniforms are drawn and
+    dropped, the loop's own redraw; drafting goes on from there.  Drafting so
+    few ahead bounds what a failed head throws away."""
     half = np.array(_NULL_PAIR)
     low, span = -half, 2.0 * half
     rows = []
@@ -645,7 +593,7 @@ def _null_field_rows(rng, trials: int) -> tuple[np.ndarray, ...]:
         rows += drafts[:kept]
         if kept < len(drafts):
             rng.bit_generator.state = states[kept]
-            rows.append(_wave_row(rng, _sample(rng, 1, _off_cones, _NULL_PAIR)[0]))
+            rng.random(half.size)
     head, khat, e, norm, length, phase = (np.array(part) for part in zip(*rows))
     X, A = _split(head, 4, 4)
     return X, A, e * (length / norm)[:, None], khat, phase

@@ -14,7 +14,7 @@ skipped rows in both frames and both formats; `invariants` at an ordinary
 event and on the light cone; a field of 1e308 that the inversion and the
 special conformal map overflow, swept in both frames, and its inversion
 reported by `invariants`; and the usage errors of malformed vector and
-grid flags, an infinite `verify` tolerance, a job file that does not exist
+grid flags (grid counts too large to hold among them), an infinite `verify` tolerance, a job file that does not exist
 and a flag of another kind in `transform` and in `invariants`.  The file name keeps pytest from collecting it.
 """
 
@@ -70,7 +70,9 @@ OVERFLOWS = (
 ERRORS = (
     ("transform", "--field", "uniform", "--E0=1,2", "--xform", "inversion"),
     ("transform", "--field", "uniform", "--xform", "translation", "--b=1,2,3"),
-    *(_INVERT_UNIFORM + ("--grid", grid) for grid in ("t=nan:2:2", "t=1:0:2", "t=0:1:0")),
+    *(_INVERT_UNIFORM + ("--grid", grid) for grid in (
+        "t=nan:2:2", "t=1:0:2", "t=0:1:0", f"t=0:1:{2**62}", f"t=0:1:{2**63}",
+    )),
     ("verify", "--tol", "inf"),
     ("transform", "--job", "/nonexistent.json"),
     ("transform", "--field", "uniform", "--xform", "sct", "--a=0.1,0,0,0", "--lambda=2"),

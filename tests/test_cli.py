@@ -353,6 +353,39 @@ def test_malformed_flags_are_usage_errors_worded_as_the_job_file(
     assert code == 2 and out == "" and rule in err
 
 
+def _grid_job(tmp_path, count) -> str:
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "field": {"kind": "uniform"}, "xform": {"kind": "inversion"},
+        "grid": {"t": {"min": 0, "max": 1, "count": count}},
+    }))
+    return str(job)
+
+
+@pytest.mark.parametrize("count", [2**62, 2**63])
+def test_a_grid_axis_too_large_to_hold_exits_two(tmp_path, capsys, count):
+    """np.linspace once ran on such an axis before any size check: a job
+    file crashed with an IndexError or ValueError traceback, and the flag at
+    2**62 gave argparse's "invalid parse value"."""
+    rule = f"grid axis t: count {count} is too large to hold"
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--field", "uniform", "--xform", "inversion", f"--grid=t=0:1:{count}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --grid: {rule}\n")
+    code, out, err = run_cli(capsys, "transform", "--job", _grid_job(tmp_path, count))
+    assert (code, out, err) == (2, "", f"error: {rule}\n")
+
+
+def test_a_grid_axis_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    """A MemoryError from np.linspace once left as a traceback."""
+    def linspace(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    code, out, err = run_cli(capsys, "transform", "--job", _grid_job(tmp_path, 3))
+    assert (code, out, err) == (2, "", "error: grid axis t: count 3 is too large to hold\n")
+
+
 _NOT_INTEGERS = {
     # each was once truncated by int() and the job ran with exit 0
     "count-fraction": ('{"kind": "inversion"}', '{"t": {"min": 0, "max": 1, "count": 2.7}}',

@@ -136,6 +136,21 @@ def test_faraday_rows_are_the_single_events(spec):
             assert F.F[i].tobytes() == spec.faraday(FourVector(*x)).F.tobytes()
 
 
+@pytest.mark.parametrize("spec", [
+    UniformField(E0=(1.0, 2.0, 3.0), B0=(0.0, -1.0, 0.5)),
+    PlaneWave(E0=(0.8, 0.5, -0.6), khat=(0.6, 0.0, 0.8), phase=0.3),
+    Coulomb(q=-1.5),
+], ids=["uniform", "planewave", "coulomb"])
+def test_faraday_takes_a_batch_of_events(spec):
+    """Coulomb.faraday once raised numpy's ambiguous-truth ValueError on a
+    batch, with no row at the charge; a batch with one there is refused."""
+    events = np.array([[0.0, 2.0, 0.0, 0.0], [0.5, -1.0, 0.25, 2.0]])
+    assert spec.faraday(events).F.tobytes() == spec.faraday_rows(events)[0].F.tobytes()
+    if isinstance(spec, Coulomb):
+        with pytest.raises(OriginSingularityError):
+            spec.faraday(np.vstack([events, [1.0, 0.0, 0.0, 0.0]]))
+
+
 def test_invariants_frozen():
     assert invariants(UniformField(E0=(1, 0, 0)).faraday(FourVector(0, 0, 0, 0))) == (
         pytest.approx(1.0),

@@ -12,6 +12,7 @@ from emconf.maps import QuantityKind
 from emconf.verify import REGISTRY, run_suite
 
 FARADAY = QuantityKind.FARADAY
+POSITION = QuantityKind.POSITION
 POTENTIAL = QuantityKind.POTENTIAL
 
 
@@ -115,6 +116,7 @@ def _times(out, factor):
 _ROUTE_CHECKS = [
     ("transform", FARADAY, "three_way_agreement"),
     ("transform", FARADAY, "sct_chain_composition"),
+    ("transform", POSITION, "sct_chain_composition"),
     ("transform", POTENTIAL, "field_expansions"),
     ("transform3", FARADAY, "three_way_agreement"),
     ("transform3", FARADAY, "field_expansions"),
@@ -154,8 +156,10 @@ def test_nan_route_fails_its_check(monkeypatch, name, kind, check, factor):
     result = run_suite(trials=10, checks=(check,)).checks[0]
     assert not result.passed
     if np.isnan(factor):
-        # The chain feeds a NaN field back into the route, which refuses it.
-        assert np.isnan(result.max_dev) or result.error.startswith("GradeLeakageError")
+        # The chain feeds a NaN field or image event back into the route,
+        # which refuses it.
+        refusal = "LightConeError" if kind is POSITION else "GradeLeakageError"
+        assert np.isnan(result.max_dev) or result.error.startswith(refusal)
     else:
         assert result.error is None and result.max_dev > 1e-7
 

@@ -160,14 +160,17 @@ def test_block_draws_match_the_trial_loop(shape, trials):
 
 
 @pytest.mark.parametrize("trials", TRIALS)
-def test_sct_chain_walk_matches_the_trial_loop(trials):
-    """The kept rows, and the image y each was kept for.  The image under
-    eps = -1 is exactly minus the one under +1, so eps does not change which
-    pairs are kept; it shows in y, whose sign alternates with the number of
-    rows kept (the walk's phases are tested below with a judge they change)."""
+def test_sct_chain_walk_matches_the_trial_loop(trials, monkeypatch):
+    """The rows the check draws, and the image y each was kept for.  The
+    image under eps = -1 is exactly minus the one under +1, so eps does not
+    change which pairs are kept; it shows in y, whose sign alternates with
+    the number of rows kept."""
+    drawn, sample = [], verify._sample
+    monkeypatch.setattr(verify, "_sample", lambda *args: drawn.append(sample(*args)) or drawn[-1])
     for seed in SEEDS:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = verify._sct_chain_rows(rng, trials)
+        assert verify.check_sct_chain_composition(rng, trials, verify.BASE_TOL).passed
+        rows = drawn.pop()
         accepted = ref_sct_chain(ref_rng, trials)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         X, A, Y, E, B, A4 = (np.array(part) for part in zip(*accepted))
@@ -226,6 +229,8 @@ def assert_same_null_field_draws(rng, ref_rng, trials):
 
 @pytest.mark.parametrize("trials", TRIALS)
 def test_null_field_rows_match_the_trial_loop(trials):
+    """Over SEEDS and TRIALS, 135 drafted heads fail the cones and are drawn
+    again, so the redraw is compared with the loop's too."""
     for seed in SEEDS:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert_same_null_field_draws(rng, ref_rng, trials)
@@ -257,54 +262,39 @@ def test_null_field_redraws_a_degenerate_amplitude_as_the_loop_does():
         assert not rng.normals and not ref_rng.normals
 
 
-def ref_walk(rng, trials, half, k, judge, cap):
+def ref_walk(rng, trials, half, k, accept):
     """_walk's loop, one head at a time."""
     rows = []
-    attempts = 0
-    while len(rows) < trials and attempts < cap:
+    while len(rows) < trials:
         head = rng.uniform(-half[:k], half[:k])
-        outcomes = judge(head[None, :])[0]
-        outcome = outcomes[len(rows) % len(outcomes)]
-        if outcome == verify._REDRAW:
-            continue
-        attempts += 1
-        if outcome == verify._ACCEPT:
+        if accept(head[None, :])[0]:
             rows.append(np.concatenate([head, rng.uniform(-half[k:], half[k:])]))
     return np.array(rows).reshape(-1, half.size)
 
 
-def _coin_judge(h):
-    """REDRAW, REJECT or ACCEPT from the first column, with thresholds that
-    differ between the two phases."""
-    u = h[:, :1]
-    return np.where(u < [-0.5, 0.0], verify._REDRAW,
-                    np.where(u < [0.5, 0.25], verify._REJECT, verify._ACCEPT))
+def _coin_judge(rate):
+    """Accepts a share rate of heads: those whose first column, uniform in
+    [-1, 1], is below 2 rate - 1."""
+    return lambda h: h[:, 0] < 2.0 * rate - 1.0
 
 
-@pytest.mark.parametrize("cap", [1, 3, 10, 1000])
+@pytest.mark.parametrize("rate", [0.05, 0.3, 0.7, 1.0])
 @pytest.mark.parametrize("trials", [1, 2, 7, 40])
-def test_walk_counts_attempts_up_to_its_cap(trials, cap):
-    """Rejected attempts count toward the cap, redrawn heads do not, and the
-    walk stops drawing where the loop stops, kept rows or not."""
+def test_walk_matches_the_loop_at_each_acceptance_rate(trials, rate):
+    """Refused heads are drawn again, and the walk stops drawing where the
+    loop stops, whether it keeps 5% of heads or all of them."""
     half = np.array([1.0, 2.0, 2.0, 0.5, 0.5])
     for seed in SEEDS:
         assert_same_draws(
-            lambda rng: verify._walk(rng, trials, half, 2, _coin_judge, cap),
-            lambda rng: ref_walk(rng, trials, half, 2, _coin_judge, cap),
+            lambda rng: verify._walk(rng, trials, half, 2, _coin_judge(rate)),
+            lambda rng: ref_walk(rng, trials, half, 2, _coin_judge(rate)),
             seed,
         )
 
 
-# Codes are REDRAW, REJECT, ACCEPT = 0, 1, 2: a head's code is the number of
-# its phase's thresholds it reaches.
-SPARSE_THRESHOLDS = np.array([[0.8, 0.84], [0.9, 0.92]])
-
-
 def _sparse_coin_judge(h):
-    """Mostly REDRAW: ACCEPT on 5% of heads in phase 0 and 4% in phase 1,
-    REJECT on as many more."""
-    u = h[:, :1]
-    return (u >= SPARSE_THRESHOLDS[0]).astype(int) + (u >= SPARSE_THRESHOLDS[1])
+    """Accepts 5% of heads."""
+    return h[:, 0] >= 0.9
 
 
 class CountingBlocks:
@@ -328,7 +318,7 @@ SPARSE_HALF = np.array([1.0, 2.0, 2.0, 0.5, 0.5])
 SPARSE_WALKS = {
     "sparse_coin": (
         lambda rng, n: verify._walk(rng, n, SPARSE_HALF, 2, _sparse_coin_judge),
-        lambda rng, n: ref_walk(rng, n, SPARSE_HALF, 2, _sparse_coin_judge, np.inf),
+        lambda rng, n: ref_walk(rng, n, SPARSE_HALF, 2, _sparse_coin_judge),
     ),
     "timelike_events_and_field": (
         lambda rng, n: verify._sample(rng, n, verify._interval_sign(1), verify._EVENT, 6),
@@ -339,7 +329,7 @@ SPARSE_WALKS = {
 }
 # A walk draws at most this many blocks.  Over SEEDS these walks draw at
 # most 5; blocks of only the least the loop still consumes would number up
-# to 110.
+# to 89.
 MAX_BLOCKS = 8
 
 
@@ -351,7 +341,7 @@ def test_sparse_walks_match_the_loop_in_few_blocks(walk, trials, monkeypatch):
     the same draws after the walk as the loop, from a few blocks."""
     monkeypatch.setattr(verify, "GUARD", 1.0)
     draw, ref = SPARSE_WALKS[walk]
-    # The loop draws the coin's 11,000 heads of 500 rows one at a time, about
+    # The loop draws the coin's 10,000 heads of 500 rows one at a time, about
     # 0.3 s a seed, so that case runs on the first ten seeds.
     seeds = SEEDS[:10] if walk == "sparse_coin" and trials == 500 else SEEDS
     for seed in seeds:
@@ -372,7 +362,7 @@ def test_walk_keeps_a_half_used_32_bit_output():
             r.integers(0, 2**32, dtype=np.uint32)
         assert_same_bytes(
             verify._walk(rng, 25, SPARSE_HALF, 2, _sparse_coin_judge),
-            ref_walk(ref_rng, 25, SPARSE_HALF, 2, _sparse_coin_judge, np.inf),
+            ref_walk(ref_rng, 25, SPARSE_HALF, 2, _sparse_coin_judge),
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.bit_generator.state["has_uint32"] == 1
