@@ -12,20 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cl13 import Faraday13, FourVector, Multivector13, geometric_product
+from .cl13 import _PSEUDOSCALAR, GRADE_OF, Faraday13, FourVector, Multivector13, geometric_product
 from .cl3 import Faraday3, Paravector3, cl3_product
 from .errors import GradeLeakageError
 from .maps import GRADE_TOL
 
-# Mask indices of the even subalgebra channels: the scalar, the four-blade
-# (imaginary scalar), the timelike bivectors e0e1, e0e2, e0e3 (real vector,
-# negated) and the spatial bivectors e2e3, e1e3, e1e2 (imaginary vector, with
-# signs -, +, -).
-_SCALAR, _PSEUDO = 0, 15
-_TIMELIKE = np.array([3, 5, 9])
-_SPATIAL = np.array([12, 10, 6])
-_SPATIAL_SIGNS = np.array([-1.0, 1.0, -1.0])
-_ODD = np.array([1, 2, 4, 8, 7, 11, 13, 14])
+_ODD = GRADE_OF % 2 == 1
 
 
 def _complex(re, im) -> np.ndarray:
@@ -36,17 +28,16 @@ def _complex(re, im) -> np.ndarray:
 
 
 def even_to_cl3(m: Multivector13) -> Paravector3:
-    """Map even multivectors, row by row, into Cl(3); rejects odd-grade
-    residue above GRADE_TOL in any row."""
+    """Map even multivectors, row by row, into Cl(3), the bivectors read as
+    a field's E and B; rejects odd-grade residue above GRADE_TOL in any row."""
     c = m.c
     odd = np.abs(c[..., _ODD]).max(axis=-1)
     if not (odd <= GRADE_TOL * np.fmax(1.0, m.max_abs())).all():
         raise GradeLeakageError(
             f"odd-grade residue {np.max(odd):.3e} in even-subalgebra map"
         )
-    s = _complex(c[..., _SCALAR], c[..., _PSEUDO])
-    v = _complex(-c[..., _TIMELIKE], c[..., _SPATIAL] * _SPATIAL_SIGNS)
-    return Paravector3._wrap(s, v)
+    F = Faraday13._from_blades(c)
+    return Paravector3._wrap(_complex(m.scalar_part(), c[..., _PSEUDOSCALAR]), _complex(F.E, F.B))
 
 
 def product_correspondence_check(x: FourVector, y: FourVector):

@@ -360,7 +360,7 @@ class FourVector:
         return f"FourVector(t={t!r}, x={x!r}, y={y!r}, z={z!r})"
 
     def minkowski_sq(self):
-        return self.t * self.t - self.x * self.x - self.y * self.y - self.z * self.z
+        return self.mdot(self)
 
     def mdot(self, other: "FourVector"):
         """Minkowski product per row, summed in component order."""

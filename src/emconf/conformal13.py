@@ -2,10 +2,11 @@
 
 One entry, transform(params, kind, value, x, frame), applies any of the five
 families (dilation, translation, Lorentz, inversion, special conformal) to a
-position, potential, current or field.  The Lorentz map and the two
-nonlinear maps are one rule: a sandwich of the quantity between a left and a
-right versor, which the nonlinear maps weight by a power of the conformal
-scale that the kind and the CoordinateFrame fix.  ORIGINAL takes the source
+position, potential, current or field.  The Lorentz map of every class and
+the two nonlinear maps are one rule: a sandwich of the quantity between a
+left and a right versor (parity images of all three on an improper Lorentz
+row), which the nonlinear maps weight by a power of the conformal scale
+that the kind and the CoordinateFrame fix.  ORIGINAL takes the source
 event, TRANSFORMED takes the image event and carries two more powers of the
 scale.
 
@@ -28,6 +29,8 @@ import math
 import numpy as np
 
 from .cl13 import (
+    DIM,
+    GRADE_OF,
     Faraday13,
     FourVector,
     Multivector13,
@@ -144,8 +147,8 @@ def transform(
     frame.  There, and for a Lorentz map, the result is one sandwich of
     value between the map's two versors (see _versors): x and x for the
     inversion, 1 + a x and 1 + x a for the special conformal map at the
-    source event, the rotor and its reverse for the Lorentz map, whose
-    improper rows are wrapped in the timelike reflection.  The inversion and
+    source event, the rotor and its reverse for the Lorentz map, with the
+    parity images of both and of value on its improper rows.  The inversion and
     the special conformal map weight it by the kind's power of the scale,
     and the inversion field carries the sign -eps; the antichronous Lorentz
     rows flip the sign of position and field.
@@ -177,20 +180,36 @@ def _versors(params: ConformalParams, x: FourVector, frame: CoordinateFrame):
     """The left and right versors of the sandwich: the rotor exp(G) and its
     reverse exp(-G) for a Lorentz map, where the generator G occupies the
     Faraday bivector's blades, the boost in the electric channels and the
-    rotation in the magnetic ones; x twice for the inversion; 1 + a x and
-    1 + x a at the source event, 1 - x a and 1 - a x at the image event,
-    for the special conformal map."""
+    rotation in the magnetic ones, parity images on the improper rows (see
+    _parity); x twice for the inversion; 1 + a x and its reverse 1 + x a at
+    the source event, 1 - x a and 1 - a x at the image event, for the
+    special conformal map."""
     if isinstance(params, Lorentz):
-        L = exp_bivector(Faraday13(params.boost, params.rotation).to_mv())
+        L = _parity(params, exp_bivector(Faraday13(params.boost, params.rotation).to_mv()))
         return L, L.reverse()
     xm = x.to_mv()
     if isinstance(params, Inversion):
         return xm, xm
-    one, am = Multivector13.scalar(1.0), FourVector.from_array(params.a).to_mv()
-    ax, xa = geometric_product(am, xm), geometric_product(xm, am)
+    ax = geometric_product(FourVector.from_array(params.a).to_mv(), xm)
     if frame is CoordinateFrame.ORIGINAL:
-        return one + ax, one + xa
-    return one - xa, one - ax
+        return _ONE + ax, _ONE + ax.reverse()
+    return _ONE - ax.reverse(), _ONE - ax
+
+
+_ONE = Multivector13.scalar(1.0)
+# Parity m -> e0 m e0 negates the blades with an odd number of e1, e2, e3.
+_PARITY_SIGN = np.where(GRADE_OF[np.arange(DIM) & 0b1110] % 2, -1.0, 1.0)
+
+
+def _parity(params: Lorentz, m: Multivector13) -> Multivector13:
+    """m, with its parity image on the improper rows of params, computed
+    only if some row is improper.  Parity is an automorphism that commutes
+    with reversion, so the reflected image e0 (L q L~) e0 is the one
+    sandwich of e0 q e0 by e0 L e0 and its reverse."""
+    if not params.improper.any():
+        return m
+    c = np.where(params.improper[..., None], m.c * _PARITY_SIGN, m.c)
+    return Multivector13._wrap(c, m.m)
 
 
 def _transform(params, values, x, frame) -> tuple:
@@ -237,34 +256,23 @@ def _image(params, kind, value, scale, versors, frame):
         return FourVector.from_array(w * value.as_array())
     if isinstance(params, Translation):
         return FourVector.from_array(value.as_array() + params.offset) if position else value
-    lorentz = isinstance(params, Lorentz)
-    if not lorentz:
-        if position:
-            s = np.asarray(scale)[..., None]
-            if isinstance(params, Inversion):
-                return FourVector.from_array(params.eps[..., None] * value.as_array() / s)
-            x2 = np.asarray(value.minkowski_sq())[..., None]
-            return FourVector.from_array((value.as_array() + x2 * params.a) / s)
+    if isinstance(params, Lorentz):
+        flip = params.antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
+        q, weight = _parity(params, value.to_mv()), np.where(flip, -1.0, 1.0)
+    elif position:
+        s = np.asarray(scale)[..., None]
+        if isinstance(params, Inversion):
+            return FourVector.from_array(params.eps[..., None] * value.as_array() / s)
+        x2 = np.asarray(value.minkowski_sq())[..., None]
+        return FourVector.from_array((value.as_array() + x2 * params.a) / s)
+    else:
         sign = -params.eps if isinstance(params, Inversion) and kind is QuantityKind.FARADAY else 1
         p = _SCALE_POWER[kind] + (0 if frame is CoordinateFrame.ORIGINAL else 2)
         # np.power, not **: on the numpy scalar of a single event ** takes
         # another pow than the ufunc loop of a batch.
-        weight = sign * np.power(scale, p)
+        q, weight = value.to_mv(), sign * np.power(scale, p)
     left, right = versors
-    q = value.to_mv()
-    out = vector_sandwich(left, q, right)
-    if lorentz:
-        # The reflection is computed only if some row is improper.
-        improper = params.improper
-        if improper.any():
-            e0 = Multivector13.basis_vector(0)
-            reflected = vector_sandwich(e0, out, e0)
-            out = Multivector13._wrap(
-                np.where(improper[..., None], reflected.c, out.c), reflected.m | out.m
-            )
-        flip = params.antichronous & (kind in (QuantityKind.POSITION, QuantityKind.FARADAY))
-        weight = np.where(flip, -1.0, 1.0)
-    return _project(kind, out, (left, q, right), weight)
+    return _project(kind, vector_sandwich(left, q, right), (left, q, right), weight)
 
 
 def induced_matrix(params: Lorentz) -> np.ndarray:

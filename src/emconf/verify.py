@@ -299,7 +299,7 @@ def _result(check_id: str, trials: int, devs, tol: float) -> CheckResult:
 
 # -- checks ---------------------------------------------------------------------
 
-_METRIC = np.array([1.0, -1.0, -1.0, -1.0])
+_METRIC = np.diag(oracle.ETA)
 # The generators e_0..e_3 as one batch.
 _GENERATORS = FourVector.from_array(np.eye(4)).to_mv()
 

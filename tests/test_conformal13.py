@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emconf import conformal13
-from emconf.cl13 import Faraday13, FourVector, Multivector13, vector_sandwich
+from emconf.cl13 import Faraday13, FourVector, Multivector13, geometric_product, vector_sandwich
 from emconf.conformal13 import induced_matrix, sct_factor, transform
 from emconf.errors import GradeLeakageError, NonPositiveScaleError
 from emconf.maps import (
     GRADE_TOL,
+    CoordinateFrame,
     Dilation,
     Inversion,
     Lorentz,
@@ -245,3 +248,104 @@ def test_grade_guard_scales_with_the_operands(monkeypatch, params):
         transform(params, FARADAY, F, x)
     _leaky(monkeypatch, 0.5 * GRADE_TOL)
     transform(params, FARADAY, F, x)
+
+
+def _signed(rng, shape, scale, zeros):
+    """Uniform draws in [-scale, scale], a share zeros of them +0 or -0."""
+    v = rng.uniform(-scale, scale, shape)
+    hit = rng.random(shape) < zeros
+    v[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
+    return v
+
+
+# The matching improper class of each proper one: same time orientation.
+_IMPROPER_OF = {
+    LorentzClass.PROPER_ORTHOCHRONOUS: LorentzClass.IMPROPER_ORTHOCHRONOUS,
+    LorentzClass.PROPER_ANTICHRONOUS: LorentzClass.IMPROPER_ANTICHRONOUS,
+}
+
+
+def _same_bits(got, want):
+    """got equals want bit for bit, but for the sign of a zero, on the rows
+    that are finite in both; the rows that are not have the same NaN
+    pattern and equal other values.  A product coefficient that sums to
+    zero can come out +0 whatever the signs of its terms (numpy 2's
+    add.reduce), so the parity image of a zero need not have the other
+    sign."""
+    assert got.shape == want.shape
+    finite = np.isfinite(got).all(axis=-1) & np.isfinite(want).all(axis=-1)
+    assert (got[finite] + 0.0).tobytes() == (want[finite] + 0.0).tobytes()
+    g, w = got[~finite], want[~finite]
+    assert (np.isnan(g) == np.isnan(w)).all()
+    assert (g[~np.isnan(g)] == w[~np.isnan(w)]).all()
+
+
+@settings(deadline=None, database=None)
+@given(
+    kind=st.sampled_from(list(QuantityKind)),
+    n=st.integers(1, 4),
+    shared_boost=st.booleans(),
+    per_row=st.booleans(),
+    boost_scale=st.sampled_from([0.0, 1.0, 3.0, 400.0]),
+    zeros=st.sampled_from([0.0, 0.3, 0.8]),
+    non_finite=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_improper_image_is_the_parity_image_of_the_proper_one(
+    kind, n, shared_boost, per_row, boost_scale, zeros, non_finite, seed
+):
+    """Each improper class maps a value to the parity image, (t, -x, -y, -z)
+    or (-E, B), of its image under the proper class of the same boost,
+    rotation and time orientation, bit for bit where both are finite and
+    as a pattern where they are not (see _same_bits): for every kind, for
+    one class and for a class per row, with signed zeros in the boosts, the
+    rotations and the values, and boosts that overflow the rotor; the
+    induced matrices too."""
+    rng = np.random.default_rng(seed)
+    mrows = () if shared_boost else (n,)
+    boost = _signed(rng, mrows + (3,), boost_scale, zeros)
+    rotation = _signed(rng, mrows + (3,), 3.0, zeros)
+    proper = np.array(list(_IMPROPER_OF), dtype=object)[rng.integers(0, 2, n)]
+    improper = np.array([_IMPROPER_OF[c] for c in proper], dtype=object)
+    if not per_row:
+        proper, improper = proper[0], improper[0]
+    p, q = Lorentz(boost, rotation, proper), Lorentz(boost, rotation, improper)
+    V = _signed(rng, (n, 6 if kind is FARADAY else 4), 2.0, zeros)
+    if non_finite:
+        V[rng.integers(n), rng.integers(V.shape[-1])] = rng.choice([np.nan, np.inf, -np.inf])
+    x = FourVector.from_array(_signed(rng, (n, 4), 2.0, zeros))
+    with np.errstate(all="ignore"):
+        if kind is FARADAY:
+            value = Faraday13(V[:, :3], V[:, 3:])
+            want, got = (transform(m, kind, value, x) for m in (p, q))
+            _same_bits(np.concatenate([got.E, got.B], -1), np.concatenate([-want.E, want.B], -1))
+        else:
+            value = FourVector.from_array(V)
+            want, got = (transform(m, kind, value, x) for m in (p, q))
+            _same_bits(got.as_array(), want.as_array() * np.diag(ETA))
+        want, got = induced_matrix(p), induced_matrix(q)
+    _same_bits(got, np.diag(ETA)[:, None] * want)
+
+
+@settings(deadline=None, database=None)
+@given(
+    frame=st.sampled_from(list(CoordinateFrame)),
+    n=st.integers(1, 4),
+    shared_a=st.booleans(),
+    zeros=st.sampled_from([0.0, 0.3, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_sct_versors_are_the_two_products(frame, n, shared_a, zeros, seed):
+    """The special conformal map's versors, which take x a as the reverse
+    of a x, equal 1 + a x and 1 + x a (at the image event 1 - x a and
+    1 - a x) from two geometric products, bit for bit, zero signs and blade
+    sets included."""
+    rng = np.random.default_rng(seed)
+    a = _signed(rng, (4,) if shared_a else (n, 4), 1.0, zeros)
+    x = FourVector.from_array(_signed(rng, (n, 4), 2.0, zeros))
+    am, xm = FourVector.from_array(a).to_mv(), x.to_mv()
+    ax, xa = geometric_product(am, xm), geometric_product(xm, am)
+    one = Multivector13.scalar(1.0)
+    want = (one + ax, one + xa) if frame is CoordinateFrame.ORIGINAL else (one - xa, one - ax)
+    got = conformal13._versors(Sct(a), x, frame)
+    assert [(v.c.tobytes(), v.m) for v in got] == [(v.c.tobytes(), v.m) for v in want]
