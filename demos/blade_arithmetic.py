@@ -15,8 +15,8 @@ from emconf import (
 
 # 1) Basis products are integer-exact.  e0 squares to +1, the spatial
 #    generators square to -1, and mixed products land on single blades.
-e0 = Multivector13.basis_vector(0)
-e1 = Multivector13.basis_vector(1)
+e0 = Multivector13.blade(1 << 0)
+e1 = Multivector13.blade(1 << 1)
 print("e0 e0 =", (e0 * e0).scalar_part())
 print("e1 e1 =", (e1 * e1).scalar_part())
 e01 = e0 * e1

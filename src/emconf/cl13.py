@@ -12,8 +12,8 @@ SIGN_TABLE[i, i ^ k] a[i] b[i ^ k], one per blade i of the left factor.
 
 Every element carries a leading batch shape, as in cl3: a multivector's
 coefficients have shape (..., 16), a FourVector's components shape (..., 4)
-and a Faraday13's E and B shape (..., 3); one element is the batch of shape
-().  Each guard checks every row and raises on the first refused one.
+and a Faraday13's, E then B, shape (..., 6); one element is the batch of
+shape ().  Each guard checks every row and raises on the first refused one.
 
 A multivector also carries a blade set m, an int whose bit i says blade i
 may be nonzero in some row; every other coefficient is zero in every row.
@@ -45,7 +45,6 @@ bits still do not depend on its batch.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +59,6 @@ GRADE_OF = np.array([bin(i).count("1") for i in range(DIM)])
 _IN_GRADE = tuple(GRADE_OF == g for g in range(5))
 # Reversion negates grades 2 and 3.
 _REVERSE_SIGN = np.where((GRADE_OF == 2) | (GRADE_OF == 3), -1.0, 1.0)
-# Blades of e_0..e_3, which carry a four-vector's t, x, y, z.
-_VECTOR_BLADES = np.array([1, 2, 4, 8])
 
 BLADE_NAMES = tuple(
     "1" if m == 0 else "e" + "".join(str(k) for k in range(4) if m & (1 << k))
@@ -167,14 +164,11 @@ class Multivector13:
     # object array.
     __array_ufunc__ = None
 
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            self.c = np.zeros(DIM)
-        else:
-            c = np.asarray(coeffs, dtype=np.float64)
-            if c.shape[-1:] != (DIM,):
-                raise ValueError(f"need {DIM} blade coefficients, got shape {c.shape}")
-            self.c = c.copy()
+    def __init__(self, coeffs):
+        c = np.asarray(coeffs, dtype=np.float64)
+        if c.shape[-1:] != (DIM,):
+            raise ValueError(f"need {DIM} blade coefficients, got shape {c.shape}")
+        self.c = c.copy()
         self.m = FULL
 
     @classmethod
@@ -199,11 +193,6 @@ class Multivector13:
         c = np.zeros(DIM)
         c[mask] = coeff
         return cls._wrap(c, 1 << mask)
-
-    @classmethod
-    def basis_vector(cls, k: int) -> "Multivector13":
-        """The generator e_k, k in 0..3."""
-        return cls.blade(1 << k)
 
     def __add__(self, other: "Multivector13") -> "Multivector13":
         return Multivector13._wrap(self.c + other.c, self.m | other.m)
@@ -241,9 +230,6 @@ class Multivector13:
 
     def scalar_part(self):
         return self.c[..., 0]
-
-    def approx_eq(self, other: "Multivector13", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.c - other.c)) <= tol)
 
     def __repr__(self) -> str:
         if self.c.ndim != 1:
@@ -310,48 +296,80 @@ def exp_bivector(b: Multivector13) -> Multivector13:
     return Multivector13._wrap(out.reshape(b.c.shape), m)
 
 
-class FourVector:
+
+
+class _Components:
+    """A quantity held as one component array c of shape (..., n), each
+    component placed on one blade of Cl(1,3) with a sign by its type's
+    table: _BLADES, _SIGNS and the grade _GRADE of those blades.  A multiply
+    by a sign of +-1 is exact and gives each zero the sign a negation would."""
+
+    __slots__ = ("c",)
+
+    @classmethod
+    def from_array(cls, arr):
+        """Wrap components on the last axis, shape (..., n), without a copy."""
+        arr = np.asarray(arr, dtype=np.float64)
+        n = len(cls._BLADES)
+        if arr.shape[-1:] != (n,):
+            raise ValueError(f"need {n} components, got shape {arr.shape}")
+        out = object.__new__(cls)
+        out.c = arr
+        return out
+
+    def as_array(self) -> np.ndarray:
+        """Components on the last axis, shape (..., n)."""
+        return self.c
+
+    def __array__(self, dtype=None, copy=None):
+        """The components, so numpy reads the quantity as its (..., n) array;
+        numpy 1 passes no copy, and astype copies only where asked or needed."""
+        return self.c.astype(self.c.dtype if dtype is None else dtype, copy=bool(copy))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return bool(np.array_equal(self.c, other.c))
+
+    def to_mv(self) -> Multivector13:
+        c = np.zeros(self.c.shape[:-1] + (DIM,))
+        c[..., self._BLADES] = self.c * self._SIGNS
+        return Multivector13._wrap(c, _GRADE_SET[self._GRADE])
+
+    @classmethod
+    def _from_blades(cls, c: np.ndarray):
+        """The quantity on the blades of coefficients c."""
+        return cls.from_array(c[..., cls._BLADES] * cls._SIGNS)
+
+    @classmethod
+    def from_mv(cls, m: Multivector13):
+        """Extract rows of pure grade _GRADE; raises GradeLeakageError
+        otherwise."""
+        return cls._from_blades(grade_project(m, cls._GRADE).c)
+
+
+class FourVector(_Components):
     """Spacetime event or four-vector with contravariant components
-    c = (t, x, y, z) on the last axis, shape (..., 4) for a batch of rows.
+    c = (t, x, y, z) on the last axis, shape (..., 4) for a batch of rows,
+    on the blades e_0..e_3.
 
     FourVector(t, x, y, z) takes each component as a number or an array;
     t, x, y and z read views of c.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
+    _BLADES = np.array([1, 2, 4, 8])
+    _SIGNS = np.ones(4)
+    _GRADE = 1
 
     def __init__(self, t, x, y, z):
         parts = (np.asarray(v, dtype=np.float64) for v in (t, x, y, z))
         self.c = np.stack(np.broadcast_arrays(*parts), axis=-1)
 
-    @classmethod
-    def from_array(cls, arr) -> "FourVector":
-        """Wrap components (t, x, y, z) on the last axis, shape (..., 4)."""
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape[-1:] != (4,):
-            raise ValueError(f"need 4 components, got shape {arr.shape}")
-        out = object.__new__(cls)
-        out.c = arr
-        return out
-
     t = property(lambda self: self.c[..., 0])
     x = property(lambda self: self.c[..., 1])
     y = property(lambda self: self.c[..., 2])
     z = property(lambda self: self.c[..., 3])
-
-    def as_array(self) -> np.ndarray:
-        """Components on the last axis, shape (..., 4)."""
-        return self.c
-
-    def __array__(self, dtype=None, copy=None):
-        """The components, so numpy reads a FourVector as its (..., 4) array;
-        numpy 1 passes no copy, and astype copies only where asked or needed."""
-        return self.c.astype(self.c.dtype if dtype is None else dtype, copy=bool(copy))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FourVector):
-            return NotImplemented
-        return bool(np.array_equal(self.c, other.c))
 
     def __repr__(self) -> str:
         if self.c.ndim != 1:
@@ -366,74 +384,33 @@ class FourVector:
         """Minkowski product per row, summed in component order."""
         return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
 
-    def to_mv(self) -> Multivector13:
-        c = np.zeros(self.c.shape[:-1] + (DIM,))
-        c[..., _VECTOR_BLADES] = self.c
-        return Multivector13._wrap(c, _GRADE_SET[1])
 
-    @classmethod
-    def _from_blades(cls, c: np.ndarray) -> "FourVector":
-        """The four-vector on the grade-1 blades of coefficients c."""
-        return cls.from_array(c[..., _VECTOR_BLADES])
+class Faraday13(_Components):
+    """Electromagnetic bivector, or a batch of them: components c = (E, B),
+    E then B on the last axis, shape (..., 6); E and B read views of c, of
+    shape (..., 3).
 
-    @classmethod
-    def from_mv(cls, m: Multivector13) -> "FourVector":
-        """Extract pure grade-1 rows; raises GradeLeakageError otherwise."""
-        return cls._from_blades(grade_project(m, 1).c)
-
-
-# Faraday13 blades: the electric channels sit on e_0 e_i with coefficient
-# -E_i, the magnetic ones on e_2 e_3 = -B_x, e_1 e_3 = +B_y, e_1 e_2 = -B_z.
-_E_BLADES = np.array([3, 5, 9])
-_B_BLADES = np.array([12, 10, 6])
-_B_SIGNS = np.array([-1.0, 1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class Faraday13:
-    """Electromagnetic bivector with field 3-vectors E and B, or a batch of
-    them: E and B of shape (..., 3).
-
-    Blade storage follows the ascending-mask convention, so the electric
-    channels sit on e_0 e_i with coefficient -E_i (the physical blade is
-    e_i e_0) and the magnetic channels sit on e_1 e_2 = -B_z, e_1 e_3 = +B_y,
-    e_2 e_3 = -B_x.
+    Faraday13(E, B) takes two 3-vectors, or batches that broadcast against
+    each other.  Blade storage follows the ascending-mask convention, so the
+    electric channels sit on e_0 e_i with coefficient -E_i (the physical
+    blade is e_i e_0) and the magnetic channels sit on e_2 e_3 = -B_x,
+    e_1 e_3 = +B_y, e_1 e_2 = -B_z.
     """
 
-    E: np.ndarray
-    B: np.ndarray
+    __slots__ = ()
+    _BLADES = np.array([3, 5, 9, 12, 10, 6])
+    _SIGNS = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, -1.0])
+    _GRADE = 2
 
     def __init__(self, E, B):
-        E = np.array(E, dtype=np.float64)
-        B = np.array(B, dtype=np.float64)
+        E = np.asarray(E, dtype=np.float64)
+        B = np.asarray(B, dtype=np.float64)
         if E.shape[-1:] != (3,) or B.shape[-1:] != (3,):
             raise ValueError("E and B must be 3-vectors")
-        if E.shape != B.shape:
-            shape = np.broadcast_shapes(E.shape, B.shape)
-            E = np.broadcast_to(E, shape).copy()
-            B = np.broadcast_to(B, shape).copy()
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "B", B)
+        self.c = np.concatenate(np.broadcast_arrays(E, B), axis=-1)
 
-    def to_mv(self) -> Multivector13:
-        c = np.zeros(self.E.shape[:-1] + (DIM,))
-        c[..., _E_BLADES] = -self.E
-        c[..., _B_BLADES] = self.B * _B_SIGNS
-        return Multivector13._wrap(c, _GRADE_SET[2])
+    E = property(lambda self: self.c[..., :3])
+    B = property(lambda self: self.c[..., 3:])
 
-    @classmethod
-    def _from_blades(cls, c: np.ndarray) -> "Faraday13":
-        """The field on the grade-2 blades of coefficients c."""
-        return cls(-c[..., _E_BLADES], c[..., _B_BLADES] * _B_SIGNS)
-
-    @classmethod
-    def from_mv(cls, m: Multivector13) -> "Faraday13":
-        """Extract pure grade-2 rows; raises GradeLeakageError otherwise."""
-        return cls._from_blades(grade_project(m, 2).c)
-
-    def approx_eq(self, other: "Faraday13", tol: float = 1e-12) -> bool:
-        """Every component within tol; a NaN deviation is not."""
-        return bool(
-            np.all(np.abs(self.E - other.E) <= tol)
-            and np.all(np.abs(self.B - other.B) <= tol)
-        )
+    def __repr__(self) -> str:
+        return f"Faraday13(E={self.E!r}, B={self.B!r})"

@@ -118,16 +118,6 @@ class Paravector3:
     def imag_residue(self):
         return np.maximum(np.abs(self.s.imag), np.abs(self.v.imag).max(axis=-1))
 
-    def scalar_residue(self):
-        return np.abs(self.s)
-
-    def approx_eq(self, other: "Paravector3", tol: float = 1e-12) -> bool:
-        """Every component of every row within tol; a NaN deviation is not."""
-        return bool(
-            np.all(np.abs(self.s - other.s) <= tol)
-            and np.all(np.abs(self.v - other.v) <= tol)
-        )
-
     def __repr__(self) -> str:
         return f"Paravector3({self.s!r}, {self.v!r})"
 
@@ -189,7 +179,7 @@ def real_rows(p: Paravector3) -> tuple[Paravector3, np.ndarray]:
 def vector_rows(p: Paravector3) -> tuple[np.ndarray, np.ndarray]:
     """Vector part of p, and the rows whose scalar residue is above
     RESIDUE_TOL."""
-    return p.v.copy(), _refused(p.scalar_residue(), p, RESIDUE_TOL)
+    return p.v.copy(), _refused(np.abs(p.s), p, RESIDUE_TOL)
 
 
 def exp_complex_vector(w) -> Paravector3:
@@ -216,22 +206,16 @@ class Faraday3:
 
     __slots__ = ("F",)
 
-    def __init__(self, E=None, B=None, F=None):
-        if F is not None:
-            arr = np.array(F, dtype=np.complex128)
-            if arr.shape[-1:] != (3,):
-                raise ValueError("F must have 3 components")
-            self.F = arr
-        else:
-            E = np.zeros(3) if E is None else np.asarray(E, dtype=np.float64)
-            B = np.zeros(3) if B is None else np.asarray(B, dtype=np.float64)
-            if E.shape[-1:] != (3,) or B.shape[-1:] != (3,):
-                raise ValueError("E and B must be 3-vectors")
-            # 1j * inf is nan + inf j, so E is written back where B is not
-            # finite; a finite field keeps the bits of E + 1j B.
-            with np.errstate(invalid="ignore"):
-                self.F = E + 1j * B
-            np.copyto(self.F.real, E, where=~np.isfinite(B))
+    def __init__(self, E=None, B=None):
+        E = np.zeros(3) if E is None else np.asarray(E, dtype=np.float64)
+        B = np.zeros(3) if B is None else np.asarray(B, dtype=np.float64)
+        if E.shape[-1:] != (3,) or B.shape[-1:] != (3,):
+            raise ValueError("E and B must be 3-vectors")
+        # 1j * inf is nan + inf j, so E is written back where B is not
+        # finite; a finite field keeps the bits of E + 1j B.
+        with np.errstate(invalid="ignore"):
+            self.F = E + 1j * B
+        np.copyto(self.F.real, E, where=~np.isfinite(B))
 
     @classmethod
     def _wrap(cls, F: np.ndarray) -> "Faraday3":
@@ -249,9 +233,6 @@ class Faraday3:
 
     def to_paravector(self) -> Paravector3:
         return Paravector3.vector(self.F)
-
-    def approx_eq(self, other: "Faraday3", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.F - other.F) <= tol))
 
     def __repr__(self) -> str:
         return f"Faraday3(E={self.E!r}, B={self.B!r})"

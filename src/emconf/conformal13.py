@@ -101,7 +101,8 @@ def _project(kind: QuantityKind, out: Multivector13, operands: tuple[Multivector
     result is not finite passes the guard and is returned as the arithmetic
     gave it, for the caller to check.
     """
-    g = 2 if kind is QuantityKind.FARADAY else 1
+    cls = Faraday13 if kind is QuantityKind.FARADAY else FourVector
+    g = cls._GRADE
     residue = out.grade_residue(g)
     c = (weight * out).c
     # The bound is at least GRADE_TOL, so only a larger residue needs the sizes.
@@ -113,7 +114,7 @@ def _project(kind: QuantityKind, out: Multivector13, operands: tuple[Multivector
                 f"grade-{g} sandwich residue {np.asarray(residue)[refused].flat[0]:.3e} "
                 f"exceeds {GRADE_TOL:.1e} * {size[refused].flat[0]:.3e}"
             )
-    return Faraday13._from_blades(c) if g == 2 else FourVector._from_blades(c)
+    return cls._from_blades(c)
 
 
 # Power of the conformal scale weighting each kind's sandwich in the ORIGINAL
@@ -124,11 +125,6 @@ _SCALE_POWER = {
     QuantityKind.CURRENT: 2,
     QuantityKind.FARADAY: 1,
 }
-
-
-def _rows(q) -> tuple:
-    """The batch shape of a four-vector or a field."""
-    return (q.E if isinstance(q, Faraday13) else q.c).shape[:-1]
 
 
 def transform(
@@ -223,7 +219,7 @@ def _transform(params, values, x, frame) -> tuple:
         if len(values) > 1:
             raise ValueError("a position is its own event: map it alone")
         x, frame = values[0][1], CoordinateFrame.ORIGINAL
-    xs = () if x is None else (_rows(x),)
+    xs = () if x is None else (x.c.shape[:-1],)
     scale = versors = None
     if isinstance(params, (Inversion, Sct)):
         scale = _scale(params, x, frame)
@@ -232,12 +228,9 @@ def _transform(params, values, x, frame) -> tuple:
     outs = []
     for kind, value in values:
         out = _image(params, kind, value, scale, versors, frame)
-        rows = np.broadcast_shapes(params.rows, _rows(value), *xs)
-        if _rows(out) != rows:
-            if isinstance(out, Faraday13):
-                out = Faraday13(np.broadcast_to(out.E, rows + (3,)), np.broadcast_to(out.B, rows + (3,)))
-            else:
-                out = FourVector.from_array(np.broadcast_to(out.c, rows + (4,)))
+        rows = np.broadcast_shapes(params.rows, value.c.shape[:-1], *xs)
+        if out.c.shape[:-1] != rows:
+            out = type(out).from_array(np.broadcast_to(out.c, rows + out.c.shape[-1:]))
         outs.append(out)
     return tuple(outs)
 
@@ -251,9 +244,7 @@ def _image(params, kind, value, scale, versors, frame):
             return FourVector.from_array(value.as_array() / params.factor[..., None])
         # np.power, as for the scale below.
         w = np.power(params.factor, _SCALE_POWER[kind] + 1)[..., None]
-        if kind is QuantityKind.FARADAY:
-            return Faraday13(w * value.E, w * value.B)
-        return FourVector.from_array(w * value.as_array())
+        return type(value).from_array(w * value.as_array())
     if isinstance(params, Translation):
         return FourVector.from_array(value.as_array() + params.offset) if position else value
     if isinstance(params, Lorentz):

@@ -245,13 +245,9 @@ def _cl13(params, values, x=None, frame=ORIG) -> list[np.ndarray]:
     refused row raises, as transform does."""
     x = None if x is None else _fv(x)
     values = [
-        (kind, Faraday13(v[..., :3], v[..., 3:]) if kind is FARADAY else _fv(v))
-        for kind, v in values
+        (kind, (Faraday13 if kind is FARADAY else FourVector).from_array(v)) for kind, v in values
     ]
-    return [
-        _eb(out.E, out.B) if kind is FARADAY else out.as_array()
-        for (kind, _), out in zip(values, transform_kinds(params, values, x, frame))
-    ]
+    return [out.as_array() for out in transform_kinds(params, values, x, frame)]
 
 
 def _cl3(params, values, x, frame=ORIG) -> list[np.ndarray]:

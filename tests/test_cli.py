@@ -923,7 +923,7 @@ def test_verify_nan_and_crashed_checks_fail_as_valid_json(monkeypatch, capsys):
     NaN or Infinity into the report."""
 
     def nan_route(params, kind, value, x=None, frame=None):
-        return Faraday3(F=np.full(3, np.nan))
+        return Faraday3(E=np.full(3, np.nan))
 
     def crash(rng, trials, tol):
         raise RuntimeError("check crashed")

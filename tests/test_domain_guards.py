@@ -144,14 +144,3 @@ def test_paravector_norms_keep_nan():
     assert np.isnan(p.max_abs())
     assert np.isnan(_NAN_IMAG.imag_residue())
     assert np.isnan(Paravector3(complex(0.0, NAN)).imag_residue())
-
-
-def test_approx_eq_refuses_nan():
-    """A NaN component is never within tolerance, in either argument."""
-    assert not Paravector3(1.0, [NAN, 0, 0]).approx_eq(Paravector3(1.0, [0, 0, 0]))
-    assert not Paravector3(1.0, [0, 0, 0]).approx_eq(Paravector3(1.0, [NAN, 0, 0]))
-    one = Faraday13((1, 0, 0), (0, 0, 0))
-    assert not Faraday13((1, 0, 0), (NAN, 0, 0)).approx_eq(one, 1e-12)
-    assert not one.approx_eq(Faraday13((1, 0, 0), (NAN, 0, 0)), 1e-12)
-    assert not Faraday3(E=(NAN, 0, 0)).approx_eq(Faraday3(E=(0, 0, 0)))
-    assert one.approx_eq(one, 0.0)

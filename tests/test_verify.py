@@ -102,12 +102,10 @@ def test_sct_chain_composition_passes_where_the_grade_guard_false_tripped():
 
 def _times(out, factor):
     """A transform result with every component multiplied by factor."""
-    if isinstance(out, Faraday13):
-        return Faraday13(factor * out.E, factor * out.B)
+    if isinstance(out, (Faraday13, FourVector)):
+        return type(out).from_array(factor * out.as_array())
     if isinstance(out, Faraday3):
-        return Faraday3(F=factor * out.F)
-    if isinstance(out, FourVector):
-        return FourVector.from_array(factor * out.as_array())
+        return Faraday3(factor * out.E, factor * out.B)
     return Paravector3(factor * out.s, factor * out.v)
 
 
